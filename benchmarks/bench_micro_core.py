@@ -8,12 +8,24 @@ snapshot construction, and the connectivity metric.
 import numpy as np
 
 from repro import Overlay, SystemConfig
-from repro.core import Pseudonym, PseudonymCache, SamplerSlots
+from repro.core import ArenaCache, ArenaSlots, NodeArena, Pseudonym
 from repro.graphs import fraction_disconnected
 from repro.privlink import Address
 from repro.experiments import SMOKE, make_config, make_trust_graph
 
 from conftest import SEED
+
+
+def _slots(size):
+    arena = NodeArena(node_chunk=1)
+    arena.register_node(0, size, 1)
+    return ArenaSlots(arena, 0, size, np.random.default_rng(SEED))
+
+
+def _cache(capacity):
+    arena = NodeArena(node_chunk=1)
+    arena.register_node(0, 0, capacity)
+    return ArenaCache(arena, 0, capacity)
 
 
 def _pseudonyms(count, seed=0):
@@ -33,17 +45,17 @@ def _pseudonyms(count, seed=0):
 
 class TestSlotMicro:
     def test_bench_offer_batch_40_into_50(self, benchmark):
-        slots = SamplerSlots(50, np.random.default_rng(SEED))
+        slots = _slots(50)
         batch = _pseudonyms(40)
         benchmark(slots.offer_batch, batch)
 
     def test_bench_offer_single(self, benchmark):
-        slots = SamplerSlots(50, np.random.default_rng(SEED))
+        slots = _slots(50)
         pseudonym = _pseudonyms(1)[0]
         benchmark(slots.offer, pseudonym)
 
     def test_bench_sample(self, benchmark):
-        slots = SamplerSlots(50, np.random.default_rng(SEED))
+        slots = _slots(50)
         slots.offer_batch(_pseudonyms(200))
         result = benchmark(slots.sample)
         assert result
@@ -51,13 +63,13 @@ class TestSlotMicro:
 
 class TestCacheMicro:
     def test_bench_merge_40_into_400(self, benchmark):
-        cache = PseudonymCache(400)
+        cache = _cache(400)
         cache.merge(_pseudonyms(400, seed=1), now=0.0)
         batch = _pseudonyms(40, seed=2)
         benchmark(cache.merge, batch, 1.0)
 
     def test_bench_select_for_shuffle(self, benchmark):
-        cache = PseudonymCache(400)
+        cache = _cache(400)
         cache.merge(_pseudonyms(400, seed=1), now=0.0)
         rng = np.random.default_rng(SEED)
         result = benchmark(cache.select_for_shuffle, rng, 39, 1.0)

@@ -26,13 +26,10 @@ paper-versus-measured results.
 
 from .config import INFINITE_LIFETIME, SystemConfig
 from .core import (
-    LinkSet,
     Overlay,
     OverlayNode,
     OverlayStats,
     Pseudonym,
-    PseudonymCache,
-    SamplerSlots,
 )
 from .errors import ReproError
 from .rng import RandomStreams
@@ -47,9 +44,6 @@ __all__ = [
     "OverlayNode",
     "OverlayStats",
     "Pseudonym",
-    "PseudonymCache",
-    "SamplerSlots",
-    "LinkSet",
     "ReproError",
     "RandomStreams",
     "Simulator",

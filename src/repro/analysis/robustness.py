@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..graphs import fraction_disconnected
-from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis, resolve_graph_backend
+from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..rng import fallback_rng
 
 __all__ = [
@@ -56,7 +56,6 @@ def targeted_failure_curve(
     strategy: str = "degree",
     rng: Optional[np.random.Generator] = None,
     removal_order: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
 ) -> List[FailurePoint]:
     """Connectivity of ``graph`` as nodes are progressively removed.
 
@@ -76,11 +75,6 @@ def targeted_failure_curve(
         Explicit removal sequence for ``strategy="custom"`` — e.g. the
         *trust graph's* hub order applied to the overlay, modeling the
         compromise of the same celebrity users in both topologies.
-    backend:
-        Metric backend override; the default ``"fast"`` path converts
-        the graph to a flat snapshot once and re-induces survivors with
-        a mask per fraction instead of copying and mutating an
-        ``nx.Graph``.  Values are identical either way.
 
     Returns
     -------
@@ -118,9 +112,11 @@ def targeted_failure_curve(
         order = list(graph.nodes())
         rng.shuffle(order)
 
-    # The flat-snapshot path needs non-negative integer labels to index
-    # the survivor mask; anything else falls back to the reference path.
-    use_fast = resolve_graph_backend(backend) == "fast" and all(
+    # A graph with non-negative integer labels is converted to a flat
+    # snapshot once and survivors re-induced with a mask per fraction;
+    # other labels cannot index the mask, so those graphs are copied and
+    # mutated as an ``nx.Graph``.  Values are identical either way.
+    use_fast = all(
         isinstance(node, (int, np.integer)) and node >= 0
         for node in graph.nodes()
     )

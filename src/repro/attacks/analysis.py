@@ -25,7 +25,7 @@ import networkx as nx
 import numpy as np
 
 from ..errors import ExperimentError
-from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis, resolve_graph_backend
+from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 
 __all__ = ["CoalitionExposure", "is_vertex_cut", "cut_components", "coalition_exposure"]
 
@@ -35,11 +35,9 @@ def _remainder_analysis(
 ) -> Optional[SnapshotAnalysis]:
     """One flat-snapshot labeling of the trust graph minus the coalition.
 
-    Returns None when the fast backend is off or the graph is not
-    non-negative-integer labeled (the reference path handles those).
+    Returns None when the graph is not non-negative-integer labeled
+    (the networkx path handles those).
     """
-    if resolve_graph_backend() != "fast":
-        return None
     if not all(
         isinstance(node, (int, np.integer)) and node >= 0
         for node in trust_graph.nodes()

@@ -27,15 +27,7 @@ import numpy as np
 
 from ..churn import generate_trace, homogeneous_specs, stationary_online_mask
 from ..config import SystemConfig
-from ..core import (
-    BatchOverlay,
-    LinkSet,
-    NodeArena,
-    Pseudonym,
-    PseudonymArena,
-    PseudonymCache,
-    SamplerSlots,
-)
+from ..core import ArenaSlots, BatchOverlay, NodeArena, Pseudonym
 from ..errors import ExperimentError, ParallelError
 from ..experiments import (
     SMOKE,
@@ -52,13 +44,8 @@ from ..parallel import (
     outcome_digest,
     parallel_grid_sweep,
 )
-from ..privlink import (
-    Address,
-    LegacyTrafficLog,
-    TrafficLog,
-    make_mixnet_link_layer,
-)
-from ..rng import PSEUDONYM_BITS, RandomStreams, random_bits
+from ..privlink import Address, TrafficLog, make_mixnet_link_layer
+from ..rng import RandomStreams
 from ..sim import Simulator
 
 __all__ = ["Workload", "SUITE", "workload_names"]
@@ -193,7 +180,11 @@ def _prepare_brahms_sampler(mode: str, seed: int) -> Callable[[], Dict[str, Any]
         )
 
     def run() -> Dict[str, Any]:
-        slots = SamplerSlots(slots_size, RandomStreams(seed).substream("bench", "refs"))
+        arena = NodeArena(node_chunk=1)
+        arena.register_node(0, slots_size, 1)
+        slots = ArenaSlots(
+            arena, 0, slots_size, RandomStreams(seed).substream("bench", "refs")
+        )
         changed = 0
         for batch in all_batches:
             changed += slots.offer_batch(batch)
@@ -432,53 +423,18 @@ def _prepare_metrics_sample(mode: str, seed: int) -> Callable[[], Dict[str, Any]
 # ----------------------------------------------------------------------
 
 
-class _TeeTrafficLog:
-    """Feeds identical ``record()`` streams to two traffic logs.
-
-    Used by the differential phase of ``mixnet_message``: one mixnet run
-    writes through the tee, then every query on the columnar log must
-    equal the legacy log's answer.
-    """
-
-    __slots__ = ("columnar", "legacy")
-
-    def __init__(self, columnar: TrafficLog, legacy: LegacyTrafficLog) -> None:
-        self.columnar = columnar
-        self.legacy = legacy
-
-    def record(self, time: float, src: str, dst: str, size_hint: int = 1) -> None:
-        self.columnar.record(time, src, dst, size_hint)
-        self.legacy.record(time, src, dst, size_hint)
-
-
 def _prepare_mixnet_message(mode: str, seed: int) -> Callable[[], Dict[str, Any]]:
-    """End-to-end sends through the mixnet, fast path vs legacy path.
+    """End-to-end sends through the mixnet into a columnar traffic log.
 
-    Three phases.  The *legacy* phase (untimed by the harness; its wall
-    time is captured for the ``wall_speedup`` fact) sends every message
-    with the pre-optimization configuration: fresh circuit per message,
-    full-bytes replay digests, per-hop event scheduling,
-    list-of-dataclasses traffic log.  The *fast* phase — the one the
-    harness times — sends the same message stream with the defaults:
-    cached circuits with seal-time digest stamping, compact
-    epoch-bounded replay digests, inline zero-latency hops, columnar
-    log.  A *differential* phase re-runs a smaller stream through a tee
-    feeding both log implementations and raises unless every query
-    (record view, channels, by_endpoint, window, unique_endpoints)
-    agrees, and a synthetic fill compares ``memory_bytes()`` at scale
-    (1M records in full mode), raising if the columnar log is not at
-    least 4x smaller.
-
-    Senders message a handful of repeat destinations (gossip partners
-    and held pseudonym links re-used across rounds, as the overlay
-    does), which is what gives the circuit cache its hit rate.
-    ``hop_latency`` is 0 so both paths skip the per-hop latency draw
-    and the measurement isolates the message path itself.
+    Cached circuits with seal-time digest stamping, compact
+    epoch-bounded replay digests, inline zero-latency hops.  Senders
+    message a handful of repeat destinations (gossip partners and held
+    pseudonym links re-used across rounds, as the overlay does), which
+    is what gives the circuit cache its hit rate.  ``hop_latency`` is 0
+    so the per-hop latency draw is skipped and the measurement isolates
+    the message path itself.  Raises unless every message is delivered.
     """
-    if mode == "quick":
-        num_messages, diff_messages, mem_records = 12_000, 1200, 150_000
-    else:
-        num_messages, diff_messages, mem_records = 24_000, 4000, 1_000_000
+    num_messages = 12_000 if mode == "quick" else 24_000
     num_nodes = 60
     num_endpoints = 12
     num_relays = 20
@@ -497,15 +453,15 @@ def _prepare_mixnet_message(mode: str, seed: int) -> Callable[[], Dict[str, Any]
         float(x) for x in data_rng.uniform(0.0, horizon * 0.9, size=num_messages)
     ]
     # Batch sends into one simulator event per sim-second: the event
-    # loop's per-event dispatch is identical in both phases and is not
-    # what this benchmark measures — the message path is.
+    # loop's per-event dispatch is not what this benchmark measures —
+    # the message path is.
     buckets: Dict[float, List[int]] = {}
     for i, send_time in enumerate(send_times):
         buckets.setdefault(float(int(send_time)), []).append(i)
 
-    def run_phase(
-        traffic: Any, fast: bool, count: int
-    ) -> Tuple[int, Any]:
+    def run() -> Dict[str, Any]:
+        log = TrafficLog()
+        gc.collect()
         sim = Simulator()
         layer = make_mixnet_link_layer(
             sim,
@@ -513,11 +469,7 @@ def _prepare_mixnet_message(mode: str, seed: int) -> Callable[[], Dict[str, Any]
             num_relays=num_relays,
             circuit_length=3,
             hop_latency=0.0,
-            traffic=traffic,
-            circuit_cache=fast,
-            compact_replay=fast,
-            replay_cache_limit=65536 if fast else None,
-            inline_hops=fast,
+            traffic=log,
         )
         delivered = [0]
 
@@ -544,104 +496,25 @@ def _prepare_mixnet_message(mode: str, seed: int) -> Callable[[], Dict[str, Any]
                     send_to_endpoint(senders[i], address, ("m", i))
 
         for bucket_time in sorted(buckets):
-            indices = [i for i in buckets[bucket_time] if i < count]
-            if indices:
-                sim.post_after(bucket_time, send_bucket, indices)
+            sim.post_after(bucket_time, send_bucket, buckets[bucket_time])
         sim.run_until(horizon + 5.0)
-        return delivered[0], layer.network
-
-    # Speedup measurement: the legacy (pre-optimization) and fast
-    # configurations, end to end, interleaved legacy/fast twice and
-    # taking each phase's best.  Both phases are pure CPU, so they are
-    # timed with ``process_time`` (scheduler preemption on a loaded
-    # machine never counts against either phase); interleaving keeps
-    # machine-speed drift correlated across the two, each run is
-    # preceded by a collection so garbage from earlier phases/repeats
-    # is not charged to its time, and the min filters the remaining
-    # noise — the speedup fact should reflect the phases' floors.
-    def timed_phase(log: Any, fast: bool) -> Tuple[float, int]:
-        gc.collect()
-        started = time.process_time()
-        delivered, _ = run_phase(log, fast, num_messages)
-        elapsed = time.process_time() - started
-        return elapsed, delivered
-
-    wall_legacy = float("inf")
-    wall_fast = float("inf")
-    legacy_delivered = 0
-    for _ in range(2):
-        wall, legacy_delivered = timed_phase(LegacyTrafficLog(), False)
-        wall_legacy = min(wall_legacy, wall)
-        wall, _ = timed_phase(TrafficLog(), True)
-        wall_fast = min(wall_fast, wall)
-
-    # Differential phase: same record stream into both implementations.
-    tee = _TeeTrafficLog(TrafficLog(), LegacyTrafficLog())
-    run_phase(tee, True, diff_messages)
-    window = (horizon * 0.2, horizon * 0.7)
-    checks = (
-        len(tee.columnar) == len(tee.legacy)
-        and list(tee.columnar) == list(tee.legacy)
-        and tee.columnar.channels() == tee.legacy.channels()
-        and tee.columnar.by_endpoint() == tee.legacy.by_endpoint()
-        and tee.columnar.window(*window) == tee.legacy.window(*window)
-        and tee.columnar.unique_endpoints() == tee.legacy.unique_endpoints()
-    )
-    if not checks:
-        raise ExperimentError(
-            "columnar traffic log diverged from the legacy log on an "
-            "identical record stream"
-        )
-
-    # Memory phase: identical synthetic streams at scale, deterministic
-    # sizeof accounting on both layouts.
-    mem_names = [f"node:{i}" for i in range(64)] + [f"relay:{i}" for i in range(32)]
-    mem_columnar = TrafficLog()
-    mem_legacy = LegacyTrafficLog()
-    for i in range(mem_records):
-        src = mem_names[i % 61]
-        dst = mem_names[(i * 7 + 3) % 96]
-        stamp = i * 1e-3
-        mem_columnar.record(stamp, src, dst, 1)
-        mem_legacy.record(stamp, src, dst, 1)
-    mem_columnar_bytes = mem_columnar.memory_bytes()
-    mem_legacy_bytes = mem_legacy.memory_bytes()
-    mem_ratio = mem_legacy_bytes / mem_columnar_bytes
-    if mem_ratio < 4.0:
-        raise ExperimentError(
-            f"columnar traffic log is only {mem_ratio:.2f}x smaller than "
-            f"the legacy layout at {mem_records} records (need >= 4x)"
-        )
-
-    def run() -> Dict[str, Any]:
-        fast_log = TrafficLog()
-        gc.collect()
-        fast_delivered, network = run_phase(fast_log, True, num_messages)
-        if fast_delivered != legacy_delivered:
+        network = layer.network
+        if delivered[0] != num_messages:
             raise ExperimentError(
-                f"fast path delivered {fast_delivered} messages, legacy "
-                f"path delivered {legacy_delivered}"
+                f"mixnet delivered {delivered[0]} of {num_messages} messages"
             )
         return {
             "operations": num_messages,
             "messages": num_messages,
-            "delivered": fast_delivered,
+            "delivered": delivered[0],
             "relays": num_relays,
-            "traffic_records": len(fast_log),
-            "channels_digest": _digest(sorted(fast_log.channels().items())),
+            "traffic_records": len(log),
+            "channels_digest": _digest(sorted(log.channels().items())),
             "circuit_cache_hits": network.circuit_cache_hits,
             "circuit_cache_misses": network.circuit_cache_misses,
             "replays_dropped": network.total_replays_dropped(),
             "replay_cache_entries": network.total_replay_cache_entries(),
             "replay_flushes": network.total_replay_flushes(),
-            "queries_match": True,
-            "mem_records": mem_records,
-            "mem_legacy_bytes": mem_legacy_bytes,
-            "mem_columnar_bytes": mem_columnar_bytes,
-            "mem_ratio": round(mem_ratio, 3),
-            "wall_legacy_s": wall_legacy,
-            "wall_fast_s": wall_fast,
-            "wall_speedup": wall_legacy / wall_fast if wall_fast > 0 else 0.0,
         }
 
     return run
@@ -674,199 +547,6 @@ def _prepare_overlay_churn(mode: str, seed: int) -> Callable[[], Dict[str, Any]]
             "online_fraction": round(result.online_fraction, 12),
             "full_edge_count": result.full_edge_count,
             "horizon": horizon,
-        }
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# node plane (arena batch kernels vs legacy per-node objects)
-# ----------------------------------------------------------------------
-
-
-def _prepare_node_plane(mode: str, seed: int) -> Callable[[], Dict[str, Any]]:
-    """Shuffle/slot hot path: arena batch kernels vs per-node objects.
-
-    The same gossip traffic — per-node candidate batches over many
-    rounds, with expiry, own-pseudonym filtering, slot competition, and
-    link re-derivation — is folded twice: once through the legacy
-    per-node classes (one :class:`SamplerSlots` / ``PseudonymCache`` /
-    ``LinkSet`` triple per node, Python loop over nodes), once through
-    the :class:`NodeArena` batch kernels (``batch_expire``,
-    ``batch_cache_merge``, ``batch_offer``, ``batch_links_from_slots``
-    over all rows at once).  Both phases start from identical slot
-    reference values and see identical candidates, and the run *raises*
-    unless the final per-node slot, cache, and link state — and every
-    cumulative change counter — matches exactly, so the benchmark
-    doubles as a continuous differential test of the kernels.  The
-    phase wall clocks feed ``wall_speedup``.
-    """
-    if mode == "quick":
-        num_nodes, rounds = 256, 12
-    else:
-        num_nodes, rounds = 768, 20
-    batch_size, slot_count, cache_capacity = 24, 24, 48
-    data_rng = RandomStreams(seed).substream("bench", "node-plane-data")
-    own_values = [
-        int(x)
-        for x in data_rng.integers(0, 1 << PSEUDONYM_BITS, size=num_nodes)
-    ]
-    own_pseudonyms = [
-        Pseudonym(
-            value=own_values[n],
-            address=Address(n + 1),
-            expires_at=float(rounds + 10),
-        )
-        for n in range(num_nodes)
-    ]
-    cand_values = data_rng.integers(
-        0, 1 << PSEUDONYM_BITS, size=(rounds, num_nodes, batch_size)
-    )
-    cand_expires = data_rng.uniform(0.5, 8.0, size=(rounds, num_nodes, batch_size))
-    batches: List[List[List[Pseudonym]]] = []
-    for r in range(rounds):
-        per_round: List[List[Pseudonym]] = []
-        for n in range(num_nodes):
-            batch = [
-                Pseudonym(
-                    value=int(cand_values[r, n, j]),
-                    address=Address(int(cand_values[r, n, j]) + 1),
-                    expires_at=float(r) + float(cand_expires[r, n, j]),
-                )
-                for j in range(batch_size)
-            ]
-            # Every seventh (node, round) receives its own pseudonym
-            # back, exercising the merge's own-value filter.
-            if (n + r) % 7 == 0:
-                batch[0] = own_pseudonyms[n]
-            per_round.append(batch)
-        batches.append(per_round)
-
-    def run() -> Dict[str, Any]:
-        # Legacy phase: per-node objects, Python loop over nodes.
-        ref_rng = RandomStreams(seed).substream("bench", "node-plane-refs")
-        slots = [SamplerSlots(slot_count, ref_rng) for _ in range(num_nodes)]
-        caches = [PseudonymCache(cache_capacity) for _ in range(num_nodes)]
-        links = [LinkSet(()) for _ in range(num_nodes)]
-        legacy_changed = legacy_inserted = 0
-        gc.collect()
-        started = time.process_time()
-        for r in range(rounds):
-            now = float(r)
-            for n in range(num_nodes):
-                slots[n].expire(now)
-                caches[n].remove_expired(now)
-                batch = batches[r][n]
-                legacy_inserted += caches[n].merge(
-                    batch, now, own_value=own_values[n]
-                )
-                legacy_changed += slots[n].offer_batch(batch)
-                links[n].update_from_sample(slots[n].sample())
-        wall_legacy = time.process_time() - started
-        legacy_added = sum(link.additions_total for link in links)
-        legacy_removed = sum(link.replacements_total for link in links)
-
-        # Arena phase: the same traffic through the batch kernels.  The
-        # identical reference draw order reproduces the legacy slots'
-        # reference values exactly.
-        arena = NodeArena(
-            PseudonymArena(chunk=4096),
-            node_chunk=num_nodes,
-            track_insert_times=False,
-        )
-        arena.register_batch(num_nodes, slot_count, cache_capacity)
-        ref_rng = RandomStreams(seed).substream("bench", "node-plane-refs")
-        for n in range(num_nodes):
-            arena.slot_refs[n, :slot_count] = [
-                random_bits(ref_rng, PSEUDONYM_BITS) for _ in range(slot_count)
-            ]
-        table = arena.pseudonyms
-        own_ids = np.array(
-            [table.intern(p) for p in own_pseudonyms], dtype=np.int64
-        )
-        cand_ids = np.array(
-            [
-                [[table.intern(p) for p in batch] for batch in batches[r]]
-                for r in range(rounds)
-            ],
-            dtype=np.int64,
-        )
-        rows = np.arange(num_nodes, dtype=np.int64)
-        arena_changed = arena_inserted = arena_added = arena_removed = 0
-        gc.collect()
-        started = time.process_time()
-        for r in range(rounds):
-            now = float(r)
-            arena.batch_expire(now)
-            arena_inserted += int(
-                arena.batch_cache_merge(rows, cand_ids[r], now, own_ids).sum()
-            )
-            arena_changed += int(arena.batch_offer(rows, cand_ids[r]).sum())
-            added, removed = arena.batch_links_from_slots(rows)
-            arena_added += int(added.sum())
-            arena_removed += int(removed.sum())
-        wall_fast = time.process_time() - started
-
-        # Differential check: counters and exact final per-node state.
-        counters_match = (
-            legacy_changed == arena_changed
-            and legacy_inserted == arena_inserted
-            and legacy_added == arena_added
-            and legacy_removed == arena_removed
-        )
-        if not counters_match:
-            raise ExperimentError(
-                "arena batch kernels diverged from the per-node classes: "
-                f"changed {legacy_changed}/{arena_changed}, inserted "
-                f"{legacy_inserted}/{arena_inserted}, links "
-                f"{legacy_added}-{legacy_removed}/{arena_added}-{arena_removed}"
-            )
-        state: List[Any] = []
-        for n in range(num_nodes):
-            legacy_slots = [
-                None if entry is None else (entry.value, entry.expires_at)
-                for entry in (slots[n].entry(i) for i in range(slot_count))
-            ]
-            arena_slots = [
-                None
-                if pid < 0
-                else (int(table.values[pid]), float(table.expires_at[pid]))
-                for pid in arena.slot_ids[n, :slot_count]
-            ]
-            legacy_cache = [p.value for p in caches[n].pseudonyms()]
-            arena_cache = [
-                int(table.values[pid])
-                for pid in arena.cache_ids[n, : arena.cache_len[n]]
-            ]
-            legacy_links = [p.value for p in links[n].pseudonym_links()]
-            arena_links = [
-                int(table.values[pid])
-                for pid in arena.link_ids[n, : arena.link_len[n]]
-            ]
-            if (
-                legacy_slots != arena_slots
-                or legacy_cache != arena_cache
-                or legacy_links != arena_links
-            ):
-                raise ExperimentError(
-                    f"arena row {n} diverged from the per-node classes "
-                    "(slot/cache/link state mismatch)"
-                )
-            state.append((legacy_slots, legacy_cache, legacy_links))
-        return {
-            "operations": rounds * num_nodes * batch_size,
-            "nodes": num_nodes,
-            "rounds": rounds,
-            "batch_size": batch_size,
-            "slots_changed": legacy_changed,
-            "cache_inserted": legacy_inserted,
-            "links_added": legacy_added,
-            "links_removed": legacy_removed,
-            "state_digest": _digest(state),
-            "states_match": True,
-            "wall_legacy_s": wall_legacy,
-            "wall_fast_s": wall_fast,
-            "wall_speedup": wall_legacy / wall_fast if wall_fast > 0 else 0.0,
         }
 
     return run
@@ -1434,7 +1114,7 @@ SUITE: Tuple[Workload, ...] = (
     ),
     Workload(
         "mixnet_message",
-        "end-to-end mixnet sends, cached-circuit fast path vs legacy",
+        "end-to-end mixnet sends over cached circuits into the columnar log",
         _prepare_mixnet_message,
     ),
     Workload(
@@ -1451,11 +1131,6 @@ SUITE: Tuple[Workload, ...] = (
         "parallel_sweep",
         "serial vs multiprocess grid sweep (digest-checked equivalence)",
         _prepare_parallel_sweep,
-    ),
-    Workload(
-        "node_plane",
-        "arena batch kernels vs per-node objects (state-checked differential)",
-        _prepare_node_plane,
     ),
     Workload(
         "net_codec",

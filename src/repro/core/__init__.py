@@ -12,26 +12,18 @@ from .arena import (
     ArenaSlots,
     NodeArena,
     PseudonymArena,
-    get_node_plane,
-    resolve_node_plane,
-    set_node_plane,
 )
 from .batch import BatchOverlay
-from .cache import PseudonymCache
-from .links import LinkSet, LinkTarget
+from .links import LinkTarget
 from .maintenance import AdaptiveLifetime, FixedLifetime, LifetimePolicy
 from .node import NodeCounters, OverlayNode
 from .protocol import Overlay, OverlayStats
 from .pseudonym import Pseudonym, mint_pseudonym
 from .shuffle import ShuffleRequest, ShuffleResponse, make_shuffle_set
-from .slots import SamplerSlots
 
 __all__ = [
     "Pseudonym",
     "mint_pseudonym",
-    "PseudonymCache",
-    "SamplerSlots",
-    "LinkSet",
     "LinkTarget",
     "PseudonymArena",
     "NodeArena",
@@ -39,9 +31,6 @@ __all__ = [
     "ArenaCache",
     "ArenaSlots",
     "BatchOverlay",
-    "get_node_plane",
-    "set_node_plane",
-    "resolve_node_plane",
     "ShuffleRequest",
     "ShuffleResponse",
     "make_shuffle_set",

@@ -1,14 +1,12 @@
 """Struct-of-arrays node plane: columnar per-node protocol state.
 
-Per-node Python objects (:class:`~repro.core.links.LinkSet`,
-:class:`~repro.core.cache.PseudonymCache`,
-:class:`~repro.core.slots.SamplerSlots`) cap practical overlay runs at
-~10⁴ nodes: every pseudonym is a boxed dataclass, every cache a dict of
-entry objects, every link table a dict keyed by value.  This module is
-the same move PR 5 made for the traffic log — intern the heavy values
-once, keep the hot state in preallocated id-indexed numpy arrays, and
-hand consumers *lazy object views* so nothing above the storage layer
-changes:
+The paper (Section III-D) gives a node one piece of state: a pseudonym
+cache, a list of Brahms-style sampler slots, and the link set derived
+from them.  Boxing that state per node (a dataclass per pseudonym, a
+dict per cache and link table) caps practical runs at ~10⁴ nodes, so
+this module interns the heavy values once, keeps the hot state in
+preallocated id-indexed numpy arrays, and hands the protocol *lazy
+object views* over single rows:
 
 * :class:`PseudonymArena` — the interning table.  Each distinct
   pseudonym is assigned a dense ``uint32``-sized id; its value, expiry,
@@ -29,26 +27,20 @@ changes:
   :class:`repro.core.batch.BatchOverlay` and the ``million_node_churn``
   benchmark.
 * :class:`ArenaLinkSet` / :class:`ArenaCache` / :class:`ArenaSlots` —
-  drop-in views with the exact public API (and the exact semantics,
-  rng draw order included) of the legacy per-node classes, storing
-  their state in arena rows.  :class:`~repro.core.node.OverlayNode`
-  uses them whenever an arena is supplied; the event-driven protocol,
-  metrics, attacks, and privlink layers run unmodified and
-  byte-identical (pinned by the golden-hash and differential tests).
-
-Backend selection mirrors ``repro.graphs.fastgraph``: the process-wide
-override (:func:`set_node_plane`), else the ``REPRO_NODE_PLANE``
-environment variable, else ``"arena"``.  The per-object classes remain
-the executable reference implementation (``"objects"``).
+  one node's ``n.links``, cache and ``n.L`` as views over one arena
+  row.  :class:`~repro.core.node.OverlayNode` holds one of each; the
+  event-driven protocol, metrics, attacks, and privlink layers see
+  plain :class:`Pseudonym` objects.  Their rng draw order, insertion
+  and eviction order, and tie-breaks are pinned by the golden hashes
+  in ``tests/test_determinism.py``.
 
 See ``docs/node_plane.md`` for the layout, the interning rules, and the
-lazy-view compatibility contract.
+ordering contract.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,10 +52,6 @@ from .links import LinkTarget
 from .pseudonym import Pseudonym
 
 __all__ = [
-    "NODE_PLANES",
-    "get_node_plane",
-    "set_node_plane",
-    "resolve_node_plane",
     "PseudonymArena",
     "NodeArena",
     "ArenaLinkSet",
@@ -71,52 +59,12 @@ __all__ = [
     "ArenaSlots",
 ]
 
-#: Valid node-plane names: the columnar arena and the per-object reference.
-NODE_PLANES = ("arena", "objects")
-
-_PLANE_ENV = "REPRO_NODE_PLANE"
-_plane_override: Optional[str] = None
-
-#: Sentinel distance of an empty sampler slot (mirrors repro.core.slots).
+#: Sentinel distance of an empty sampler slot.
 _EMPTY_DISTANCE = np.iinfo(np.int64).max
 
 #: Soft cap on elements per temporary in the batch kernels; row batches
 #: are chunked so the (rows x candidates x slots) scratch stays bounded.
 _KERNEL_CHUNK_ELEMS = 8_000_000
-
-
-def _validate_plane(name: str) -> str:
-    if name not in NODE_PLANES:
-        raise ProtocolError(
-            f"unknown node plane {name!r}; expected one of {NODE_PLANES}"
-        )
-    return name
-
-
-def get_node_plane() -> str:
-    """The active node-state backend: ``"arena"`` or ``"objects"``.
-
-    Resolution order: :func:`set_node_plane` override, then the
-    ``REPRO_NODE_PLANE`` environment variable, then ``"arena"``.  Both
-    planes produce byte-identical protocol runs; the knob exists for
-    differential testing and as an escape hatch.
-    """
-    if _plane_override is not None:
-        return _plane_override
-    return _validate_plane(os.environ.get(_PLANE_ENV, "arena"))
-
-
-def set_node_plane(name: Optional[str]) -> None:
-    """Override the node plane process-wide (``None`` restores defaults)."""
-    global _plane_override
-    _plane_override = None if name is None else _validate_plane(name)
-
-
-def resolve_node_plane(override: Optional[str] = None) -> str:
-    """A call-site plane choice: explicit ``override`` or the default."""
-    if override is not None:
-        return _validate_plane(override)
-    return get_node_plane()
 
 
 def _grown(array: np.ndarray, rows: int, cols: int, fill) -> np.ndarray:
@@ -335,9 +283,9 @@ class NodeArena:
       (:meth:`set_trusted_csr`, batch plane; the view plane keeps the
       mutable trusted sets object-side).
 
-    The batch kernels replicate the per-node classes' semantics exactly
-    over whole row batches — ``node_plane`` in the bench suite pins
-    them differentially against the legacy objects.
+    The batch kernels apply the row views' semantics to whole row
+    batches; ``tests/test_arena.py`` pins them against per-row view
+    calls.
     """
 
     __slots__ = (
@@ -472,7 +420,11 @@ class NodeArena:
     def register_node(
         self, node_id: int, slot_count: int, cache_capacity: int
     ) -> None:
-        """Claim row ``node_id`` (rows are node ids; register in order)."""
+        """Claim row ``node_id``; rows register in order.
+
+        Inside an overlay the row is the node id; a standalone node's
+        private arena holds it at row 0 whatever its id.
+        """
         if node_id != self.num_nodes:
             raise ProtocolError(
                 f"nodes must register sequentially: expected {self.num_nodes}, "
@@ -546,8 +498,8 @@ class NodeArena:
         return total
 
     # ------------------------------------------------------------------
-    # batch kernels (semantics identical to the per-node classes; the
-    # node_plane benchmark pins them differentially)
+    # batch kernels (semantics identical to the per-row views; pinned
+    # row-wise by tests/test_arena.py)
     # ------------------------------------------------------------------
 
     def _row_chunks(self, rows: np.ndarray, per_row: int) -> Iterable[np.ndarray]:
@@ -562,9 +514,8 @@ class NodeArena:
         """Fold per-row candidate batches into the rows' sampler slots.
 
         ``cand_ids[i]`` holds interned candidate ids for ``rows[i]``,
-        padded with -1.  Exactly
-        :meth:`repro.core.slots.SamplerSlots.offer_batch` per row: each
-        slot takes the candidate minimizing |value - R| (ties to the
+        padded with -1.  Exactly :meth:`ArenaSlots.offer_batch` per row:
+        each slot takes the candidate minimizing |value - R| (ties to the
         latest expiry, then to the earliest batch position), replacing
         the occupant when closer, or equally close but later-expiring.
         Returns the per-row changed-slot counts.
@@ -638,13 +589,12 @@ class NodeArena:
     ) -> np.ndarray:
         """Merge per-row received batches into the rows' caches.
 
-        Exactly :meth:`repro.core.cache.PseudonymCache.merge` with
-        ``just_sent=None`` per row, assuming honestly minted (unique
-        value) pseudonyms: expired, own, duplicate, and already-cached
+        Exactly :meth:`ArenaCache.merge` with ``just_sent=None`` per row,
+        assuming honestly minted (unique value) pseudonyms: expired, own, duplicate, and already-cached
         candidates are skipped; the rest append in batch order,
         evicting from the oldest end when the row is full.  Returns the
         per-row inserted counts.  Call :meth:`batch_expire` first to
-        mirror the legacy merge's leading ``remove_expired``.
+        mirror the per-row merge's leading ``remove_expired``.
         """
         inserted = np.zeros(len(rows), dtype=np.int64)
         if cand_ids.shape[1] == 0 or len(rows) == 0:
@@ -864,16 +814,25 @@ class NodeArena:
 
 
 class ArenaCache:
-    """Arena-backed :class:`~repro.core.cache.PseudonymCache` view.
+    """The per-node pseudonym cache (paper Section III-D1), one arena row.
 
-    Same public API and replacement policy, same rng draw order; the
-    entry table is the node's insertion-ordered arena cache row instead
-    of a dict of boxed entries.
+    "Upon receiving a set over the link, the node updates its own cache
+    to include all entries in the received set (with the exception of
+    its own pseudonym, if present).  The cache replacement policy is
+    similar to that employed in [CYCLON]": when merging into a full
+    cache, first drop expired entries, then prefer evicting entries
+    just sent to the gossip partner (they live on in the partner's
+    cache), and finally evict the oldest.  A later-expiring copy of an
+    already-cached value replaces the earlier one (cannot happen for
+    honestly minted pseudonyms, but the policy is total anyway).
+
+    The entry table is the row's insertion-ordered ``cache_ids``
+    (oldest first) with parallel insertion times.
     """
 
     __slots__ = ("_arena", "_row")
 
-    def __init__(self, arena: NodeArena, node_id: int, capacity: int) -> None:
+    def __init__(self, arena: NodeArena, row: int, capacity: int) -> None:
         if capacity < 1:
             raise ProtocolError(f"cache capacity must be >= 1, got {capacity}")
         if arena.cache_ins is None:
@@ -881,10 +840,10 @@ class ArenaCache:
                 "cache views need an arena with track_insert_times=True"
             )
         self._arena = arena
-        self._row = node_id
+        self._row = row
         arena._ensure_cache_cols(capacity)
-        arena.cache_cap[node_id] = capacity
-        arena.cache_min_exp[node_id] = math.inf
+        arena.cache_cap[row] = capacity
+        arena.cache_min_exp[row] = math.inf
 
     @property
     def capacity(self) -> int:
@@ -967,7 +926,12 @@ class ArenaCache:
         return True
 
     def newest(self, count: int, now: float) -> List[Pseudonym]:
-        """The ``count`` most recently inserted unexpired pseudonyms."""
+        """The ``count`` most recently inserted unexpired pseudonyms.
+
+        Used by the naive cache-based sampler ablation (no Brahms
+        slots): links follow whatever arrived last, which
+        over-represents frequently gossiped (hub) pseudonyms.
+        """
         self.remove_expired(now)
         arena = self._arena
         length = int(arena.cache_len[self._row])
@@ -998,7 +962,13 @@ class ArenaCache:
         just_sent: Optional[Iterable[Pseudonym]] = None,
         own_value: Optional[int] = None,
     ) -> int:
-        """Merge a received batch, applying the replacement policy."""
+        """Merge a received batch, applying the replacement policy.
+
+        ``just_sent`` are the entries this node sent to the partner in
+        the same exchange (preferred eviction victims, per CYCLON);
+        ``own_value`` is the node's own pseudonym value, never cached.
+        Returns the number of received entries inserted or refreshed.
+        """
         self.remove_expired(now)
         sent_values = (
             {pseudonym.value for pseudonym in just_sent} if just_sent else set()
@@ -1043,32 +1013,41 @@ class ArenaCache:
                     sent_values.discard(value)
                     return position
         # Rows are insertion-ordered with a non-decreasing ``now``, so
-        # position 0 is the oldest entry (exactly the dict-order rule).
+        # position 0 is the oldest entry.
         return 0 if len(self) else None
 
 
 class ArenaSlots:
-    """Arena-backed :class:`~repro.core.slots.SamplerSlots` view.
+    """The Brahms-style sampler list ``n.L`` (Section III-D2), one arena row.
 
-    Reference values are drawn from ``rng`` with the identical call
-    sequence, and :meth:`offer_batch` runs the identical vectorized
-    fold — on arena rows instead of per-object arrays.
+    Each of the S slots holds a pair ``(P, R)``: ``P`` a sampled
+    pseudonym (or empty) and ``R`` a random reference value drawn from
+    ``rng`` at construction and never changed.  A received pseudonym P'
+    replaces P in any slot where the slot is empty, or P' is
+    numerically closer to R, or equally close but expiring later.
+    Because each slot keeps the pseudonym *minimizing* |value - R| over
+    everything ever received (min-wise sampling), the slot contents are
+    a uniform sample of all received pseudonyms "regardless of how
+    frequently any pseudonym is received" — which is what lets the
+    overlay converge to a random graph although gossip delivers hub
+    pseudonyms far more often.  ``size`` may be zero: well-connected
+    hubs run with no pseudonym links at all.
     """
 
     __slots__ = ("_arena", "_row", "_size", "_sample_cache")
 
     def __init__(
-        self, arena: NodeArena, node_id: int, size: int, rng: np.random.Generator
+        self, arena: NodeArena, row: int, size: int, rng: np.random.Generator
     ) -> None:
         if size < 0:
             raise ProtocolError(f"slot count must be non-negative, got {size}")
         self._arena = arena
-        self._row = node_id
+        self._row = row
         self._size = size
         arena._ensure_slot_cols(size)
-        arena.slot_n[node_id] = size
-        arena.slot_soonest[node_id] = math.inf
-        arena.slot_refs[node_id, :size] = [
+        arena.slot_n[row] = size
+        arena.slot_soonest[row] = math.inf
+        arena.slot_refs[row, :size] = [
             random_bits(rng, PSEUDONYM_BITS) for _ in range(size)
         ]
         self._sample_cache: Optional[List[Pseudonym]] = None
@@ -1098,7 +1077,11 @@ class ArenaSlots:
         return self._arena.pseudonyms.view(pid) if pid >= 0 else None
 
     def sample(self) -> List[Pseudonym]:
-        """Distinct pseudonyms currently held across all slots."""
+        """Distinct pseudonyms currently held across all slots.
+
+        Returns a cached snapshot list (rebuilt after any slot change);
+        treat it as read-only.
+        """
         cached = self._sample_cache
         if cached is None:
             view = self._arena.pseudonyms.view
@@ -1165,7 +1148,15 @@ class ArenaSlots:
         return self.offer_batch([pseudonym])
 
     def offer_batch(self, pseudonyms: Sequence[Pseudonym]) -> int:
-        """Fold a received batch into the slots (legacy-identical)."""
+        """Fold a received batch into the slots.
+
+        Equivalent to offering each pseudonym in turn (the paper's
+        per-receipt traversal), evaluated with one (batch x S) distance
+        matrix: for each slot the winning candidate is the received
+        pseudonym with minimal |value - R|, ties broken by latest
+        expiry then earliest batch position.  Returns the number of
+        slots whose occupant changed.
+        """
         if self._size == 0 or not pseudonyms:
             return 0
         arena = self._arena
@@ -1187,6 +1178,7 @@ class ArenaSlots:
         references = arena.slot_refs[row, :size]
         distances = arena.slot_dist[row, :size]
         slot_expiries = arena.slot_exp[row, :size]
+        # Values are < 2^63 so the signed difference never overflows int64.
         distance_matrix = np.abs(values[:, None] - references[None, :])
         min_distances = distance_matrix.min(axis=0)
         is_minimal = distance_matrix == min_distances[None, :]
@@ -1223,7 +1215,11 @@ class ArenaSlots:
         return changed
 
     def refresh_distances(self) -> None:
-        """Recompute cached distances from entries (defensive resync)."""
+        """Recompute cached distances from entries (defensive resync).
+
+        Not needed in normal operation; exposed so property-based tests
+        can verify the cached columns always match the entries.
+        """
         arena = self._arena
         row = self._row
         table = arena.pseudonyms
@@ -1255,12 +1251,22 @@ class ArenaSlots:
 
 
 class ArenaLinkSet:
-    """Arena-backed :class:`~repro.core.links.LinkSet` view.
+    """``n.links`` (Section III-A): trusted plus sampled pseudonym links.
 
-    Pseudonym links live in the node's arena link row (insertion
-    order = link-table order); the small mutable trusted set stays
-    object-side, exactly mirroring the legacy class's behavior and
-    counters.
+    Trusted links are static — one per trust-graph neighbor.  Pseudonym
+    links follow the sampler: after every gossip exchange they become
+    exactly the pseudonyms held in at least one sampler slot.  Links
+    are never removed because the far end went offline ("such links
+    become operational again when the corresponding nodes rejoin");
+    they change only through sampling and pseudonym expiry, and the
+    ``replacements_total`` / ``additions_total`` counters of those
+    changes are the paper's overhead metric (Figure 9).
+
+    Pseudonym links live in the arena link row (insertion order =
+    link-table order); the small mutable trusted set stays object-side.
+    ``version`` bumps whenever the pseudonym links change and
+    ``trusted_version`` whenever the trusted set grows, so the
+    overlay's incremental snapshot store re-reads only changed rows.
     """
 
     __slots__ = (
@@ -1277,10 +1283,10 @@ class ArenaLinkSet:
     )
 
     def __init__(
-        self, arena: NodeArena, node_id: int, trusted_neighbors: Iterable[int]
+        self, arena: NodeArena, row: int, trusted_neighbors: Iterable[int]
     ) -> None:
         self._arena = arena
-        self._row = node_id
+        self._row = row
         self._trusted = set(trusted_neighbors)
         self._trusted_list: List[int] = sorted(self._trusted)
         self._trusted_frozen: FrozenSet[int] = frozenset(self._trusted)
@@ -1292,7 +1298,12 @@ class ArenaLinkSet:
 
     @property
     def trusted(self) -> FrozenSet[int]:
-        """Trust-graph neighbor ids."""
+        """Trust-graph neighbor ids.
+
+        Static in the paper's immutable-trust-graph setting; grows only
+        through :meth:`add_trusted` (node/edge additions, which the
+        paper notes raise no privacy concerns).
+        """
         return self._trusted_frozen
 
     def add_trusted(self, neighbor: int) -> bool:
@@ -1325,7 +1336,7 @@ class ArenaLinkSet:
         return table.values[ids], table.expires_at[ids]
 
     def pseudonym_links(self) -> List[Pseudonym]:
-        """Current pseudonym-link targets (cached snapshot list)."""
+        """Current pseudonym-link targets (cached snapshot list; read-only)."""
         snapshot = self._pseudonym_list
         if snapshot is None:
             view = self._arena.pseudonyms.view
@@ -1351,7 +1362,13 @@ class ArenaLinkSet:
         )
 
     def update_from_sample(self, sample: Iterable[Pseudonym]) -> Tuple[int, int]:
-        """Make the pseudonym links exactly match the sampler output."""
+        """Make the pseudonym links exactly match the sampler output.
+
+        Returns ``(added, removed)``.  ``removed`` feeds the paper's
+        link-replacement overhead metric: a removal happens either
+        because the pseudonym expired out of every slot or because the
+        sampler found numerically better pseudonyms.
+        """
         arena = self._arena
         table = arena.pseudonyms
         new_links = {pseudonym.value: pseudonym for pseudonym in sample}
@@ -1400,7 +1417,12 @@ class ArenaLinkSet:
     def pick_random_target(
         self, rng: np.random.Generator
     ) -> Optional[LinkTarget]:
-        """Select a link uniformly at random (the shuffle partner choice)."""
+        """Select a link uniformly at random (the shuffle partner choice).
+
+        "Periodically, n selects a link from n.links uniformly at
+        random and executes a shuffling protocol with the node m at the
+        other end."  Returns None when the node has no links at all.
+        """
         trusted_list = self._trusted_list
         snapshot = self.pseudonym_links()
         total = len(trusted_list) + len(snapshot)

@@ -9,8 +9,7 @@ selection, shuffle-set construction, and set absorption each evaluated
 for the *whole population* in a handful of numpy passes over the
 arena's id arrays.  The per-entry semantics — sampler replacement,
 cache replacement, link derivation — are the arena batch kernels,
-which the ``node_plane`` benchmark pins differentially against the
-legacy per-node classes.
+which ``tests/test_arena.py`` pins against per-row view calls.
 
 Model discretizations (this engine is a scaling companion, not a
 byte-identical replica of the event-driven simulator):

@@ -1,30 +1,20 @@
-"""Per-node overlay link management (paper Section III-A).
+"""One overlay link endpoint (paper Section III-A).
 
 "The set of overlay links of a node n (denoted n.links) is the union of
-its trusted links and pseudonym links."  Trusted links are static —
-one per trust-graph neighbor, re-established whenever both ends are
-online.  Pseudonym links follow the sampler: after every gossip
-exchange the node updates n.links to include exactly the pseudonyms
-appearing in at least one sampler slot.
-
-Links are never removed because the far end went offline ("overlay
-links to nodes that go offline are not removed; such links become
-operational again when the corresponding nodes rejoin") — they only
-change through sampling and pseudonym expiry.  :class:`LinkSet` counts
-those changes, which is the paper's overhead metric (Figure 9).
+its trusted links and pseudonym links."  :class:`LinkTarget` names one
+member of that union; the set itself is
+:class:`repro.core.arena.ArenaLinkSet`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Optional
 
 from ..errors import ProtocolError
 from .pseudonym import Pseudonym
 
-__all__ = ["LinkTarget", "LinkSet"]
+__all__ = ["LinkTarget"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,150 +38,3 @@ class LinkTarget:
     def is_trusted(self) -> bool:
         """Whether this is a trusted (friend) link."""
         return self.node_id is not None
-
-
-class LinkSet:
-    """``n.links``: trusted links plus the sampled pseudonym links."""
-
-    __slots__ = (
-        "_trusted",
-        "_trusted_list",
-        "_trusted_frozen",
-        "_pseudonym_links",
-        "_pseudonym_list",
-        "replacements_total",
-        "additions_total",
-        "version",
-        "trusted_version",
-    )
-
-    def __init__(self, trusted_neighbors: Iterable[int]) -> None:
-        self._trusted = set(trusted_neighbors)
-        self._trusted_list: List[int] = sorted(self._trusted)
-        self._trusted_frozen: FrozenSet[int] = frozenset(self._trusted)
-        self._pseudonym_links: Dict[int, Pseudonym] = {}  # keyed by value
-        # Lazily rebuilt snapshot of the pseudonym links, in dict
-        # insertion order.  Invalidated on every mutation; shared by
-        # pick_random_target / pseudonym_links so the per-shuffle hot
-        # path never walks the dict.
-        self._pseudonym_list: Optional[List[Pseudonym]] = None
-        self.replacements_total = 0
-        self.additions_total = 0
-        #: Change counters: ``version`` bumps whenever the pseudonym
-        #: link set changes, ``trusted_version`` whenever the trusted
-        #: set grows.  The overlay's incremental snapshot store compares
-        #: them against its last-seen values instead of re-reading every
-        #: node's link table on each measurement sample.
-        self.version = 0
-        self.trusted_version = 0
-
-    @property
-    def trusted(self) -> FrozenSet[int]:
-        """Trust-graph neighbor ids.
-
-        Static in the paper's immutable-trust-graph setting; grows only
-        through :meth:`add_trusted` (node/edge additions, which the
-        paper notes raise no privacy concerns).
-        """
-        return self._trusted_frozen
-
-    def add_trusted(self, neighbor: int) -> bool:
-        """Add a trusted link (new friend); returns False if present."""
-        if neighbor in self._trusted:
-            return False
-        self._trusted.add(neighbor)
-        self._trusted_list = sorted(self._trusted)
-        self._trusted_frozen = frozenset(self._trusted)
-        self.trusted_version += 1
-        return True
-
-    @property
-    def trusted_degree(self) -> int:
-        """Number of trusted links."""
-        return len(self._trusted)
-
-    def pseudonym_links(self) -> List[Pseudonym]:
-        """Current pseudonym-link targets.
-
-        Returns a cached snapshot list (rebuilt after any change);
-        treat it as read-only.
-        """
-        snapshot = self._pseudonym_list
-        if snapshot is None:
-            snapshot = self._pseudonym_list = list(self._pseudonym_links.values())
-        return snapshot
-
-    def pseudonym_degree(self) -> int:
-        """Number of current pseudonym links."""
-        return len(self._pseudonym_links)
-
-    def out_degree(self) -> int:
-        """Total links this node maintains (trusted + pseudonym)."""
-        return len(self._trusted) + len(self._pseudonym_links)
-
-    def has_pseudonym_link(self, pseudonym: Pseudonym) -> bool:
-        """Whether a link to this exact pseudonym exists."""
-        current = self._pseudonym_links.get(pseudonym.value)
-        return current == pseudonym
-
-    def update_from_sample(self, sample: Iterable[Pseudonym]) -> Tuple[int, int]:
-        """Make the pseudonym links exactly match the sampler output.
-
-        Returns ``(added, removed)``.  ``removed`` feeds the paper's
-        link-replacement overhead metric: a removal happens either
-        because the pseudonym expired out of every slot or because the
-        sampler found numerically better pseudonyms.
-        """
-        new_links = {pseudonym.value: pseudonym for pseudonym in sample}
-        current = self._pseudonym_links
-        removed = 0
-        added = 0
-        if len(new_links) != len(current) or new_links.keys() != current.keys():
-            for value in [v for v in current if v not in new_links]:
-                del current[value]
-                removed += 1
-        for value, pseudonym in new_links.items():
-            existing = current.get(value)
-            if existing is None:
-                current[value] = pseudonym
-                added += 1
-            elif existing != pseudonym:
-                current[value] = pseudonym
-                removed += 1
-                added += 1
-        if added or removed:
-            self._pseudonym_list = None
-            self.version += 1
-        self.replacements_total += removed
-        self.additions_total += added
-        return added, removed
-
-    def all_targets(self) -> List[LinkTarget]:
-        """Every overlay link as a :class:`LinkTarget` list."""
-        targets = [LinkTarget(node_id=neighbor) for neighbor in self._trusted_list]
-        targets.extend(
-            LinkTarget(pseudonym=pseudonym)
-            for pseudonym in self._pseudonym_links.values()
-        )
-        return targets
-
-    def pick_random_target(
-        self, rng: np.random.Generator
-    ) -> Optional[LinkTarget]:
-        """Select a link uniformly at random (the shuffle partner choice).
-
-        "Periodically, n selects a link from n.links uniformly at
-        random and executes a shuffling protocol with the node m at the
-        other end."  Returns None when the node has no links at all.
-        """
-        trusted_list = self._trusted_list
-        snapshot = self._pseudonym_list
-        if snapshot is None:
-            snapshot = self._pseudonym_list = list(self._pseudonym_links.values())
-        total = len(trusted_list) + len(snapshot)
-        if total == 0:
-            return None
-        index = int(rng.integers(0, total))
-        if index < len(trusted_list):
-            return LinkTarget(node_id=trusted_list[index])
-        return LinkTarget(pseudonym=snapshot[index - len(trusted_list)])

@@ -28,12 +28,9 @@ from ..errors import NodeOfflineError, ProtocolError
 from ..privlink import LinkLayer
 from ..sim import Clock, EventHandle, PeriodicProcess
 from .arena import ArenaCache, ArenaLinkSet, ArenaSlots, NodeArena
-from .cache import PseudonymCache
-from .links import LinkSet, LinkTarget
 from .maintenance import FixedLifetime, LifetimePolicy
 from .pseudonym import Pseudonym, mint_pseudonym
 from .shuffle import ShuffleRequest, ShuffleResponse, make_shuffle_set
-from .slots import SamplerSlots
 
 __all__ = ["NodeCounters", "OverlayNode"]
 
@@ -85,6 +82,10 @@ class OverlayNode:
         whenever this node mints a pseudonym; the protocol layer uses it
         to maintain the omniscient owner registry for snapshots.  It is
         not part of the protocol.
+    arena:
+        The overlay's shared :class:`NodeArena`; this node's state is
+        row ``node_id`` of it.  A node built on its own (``repro node``)
+        leaves it None and gets a private one-row arena.
     """
 
     __slots__ = (
@@ -138,19 +139,18 @@ class OverlayNode:
                 f"sampler_mode must be 'slots' or 'cache', got {sampler_mode!r}"
             )
         self.node_id = node_id
+        # State lives in one arena row (docs/node_plane.md).  Inside an
+        # overlay the row is the node id; a standalone node (the ``repro
+        # node`` CLI) owns a private one-row arena, where it is row 0.
         if arena is None:
-            # The per-object reference plane (REPRO_NODE_PLANE=objects,
-            # or a node constructed outside an overlay).
-            self.links = LinkSet(trusted_neighbors)
-            self.cache = PseudonymCache(cache_size)
-            self.slots = SamplerSlots(slot_count, rng)
+            arena = NodeArena(node_chunk=1)
+            row = 0
         else:
-            # The columnar plane: state lives in this node's arena row;
-            # the views are byte-identical drop-ins (docs/node_plane.md).
-            arena.register_node(node_id, slot_count, cache_size)
-            self.links = ArenaLinkSet(arena, node_id, trusted_neighbors)
-            self.cache = ArenaCache(arena, node_id, cache_size)
-            self.slots = ArenaSlots(arena, node_id, slot_count, rng)
+            row = node_id
+        arena.register_node(row, slot_count, cache_size)
+        self.links = ArenaLinkSet(arena, row, trusted_neighbors)
+        self.cache = ArenaCache(arena, row, cache_size)
+        self.slots = ArenaSlots(arena, row, slot_count, rng)
         self._shuffle_length = shuffle_length
         self._lifetime_policy = (
             lifetime_policy

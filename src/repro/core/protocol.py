@@ -38,7 +38,7 @@ from ..graphs.fastgraph import FlatSnapshot
 from ..privlink import Address, LinkLayer, make_ideal_link_layer
 from ..rng import RandomStreams
 from ..sim import Clock, Simulator
-from .arena import NodeArena, resolve_node_plane
+from .arena import NodeArena
 from .maintenance import AdaptiveLifetime, LifetimePolicy
 from .node import OverlayNode
 from .pseudonym import Pseudonym
@@ -72,7 +72,7 @@ class _SnapshotStore:
 
     One row per pseudonym link — ``(holder, resolved owner, expiry)`` —
     stored in flat numpy arrays with one slot of rows per node.  The
-    store compares each node's :attr:`LinkSet.version` against its
+    store compares each node's :attr:`ArenaLinkSet.version` against its
     last-seen value and rewrites only the slots that changed, so a
     measurement sample touches the nodes that gossiped since the last
     sample instead of re-scanning every link table.  Expiry is resolved
@@ -153,16 +153,10 @@ class _SnapshotStore:
     def _rebuild_slot(
         self, node_id: int, node: OverlayNode, value_owner: Dict[int, int]
     ) -> None:
-        link_rows = getattr(node.links, "link_rows", None)
-        if link_rows is not None:
-            # Arena-backed link set: read the (values, expiries) columns
-            # directly, no pseudonym objects materialized.
-            values, expiries = link_rows()
-            values = values.tolist()
-        else:
-            links = node.links.pseudonym_links()
-            values = [pseudonym.value for pseudonym in links]
-            expiries = [pseudonym.expires_at for pseudonym in links]
+        # Read the (values, expiries) columns directly; no pseudonym
+        # objects are materialized.
+        values, expiries = node.links.link_rows()
+        values = values.tolist()
         count = len(values)
         if count <= self.caps[node_id]:
             start = self.starts[node_id]
@@ -339,11 +333,8 @@ class Overlay:
         self._address_owner: Dict[Address, int] = {}
 
         #: The columnar node plane backing every node's link/cache/slot
-        #: state (None under REPRO_NODE_PLANE=objects).  Both planes are
-        #: byte-identical; see docs/node_plane.md.
-        self.arena: Optional[NodeArena] = (
-            NodeArena() if resolve_node_plane() == "arena" else None
-        )
+        #: state; see docs/node_plane.md.
+        self.arena = NodeArena()
         self.nodes: List[OverlayNode] = []
         for node_id in range(num_nodes):
             neighbors = list(trust_graph.neighbors(node_id))

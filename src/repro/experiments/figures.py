@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graphs import degree_histogram
-from ..graphs.fastgraph import SnapshotAnalysis, resolve_graph_backend
+from ..graphs.fastgraph import SnapshotAnalysis
 from ..metrics import NodeOverhead, message_overhead_by_rank
 from ..metrics.series import TimeSeries
 from ..rng import RandomStreams
@@ -321,19 +321,15 @@ def _figure5_task(args) -> DegreeDistributions:
         result.snapshot.number_of_edges(),
         rng=rng,
     )
-    if resolve_graph_backend() == "fast":
-        # Same values as degree_histogram(result.snapshot) — the fast
-        # snapshot of the finished run is the same graph.
-        overlay_histogram = SnapshotAnalysis(
-            result.overlay.snapshot_fast()
-        ).degree_histogram()
-    else:
-        overlay_histogram = degree_histogram(result.snapshot)
     return DegreeDistributions(
         f=f,
         alpha=alpha,
         trust_histogram=degree_histogram(trust_online),
-        overlay_histogram=overlay_histogram,
+        # Same values as degree_histogram(result.snapshot) — the fast
+        # snapshot of the finished run is the same graph.
+        overlay_histogram=SnapshotAnalysis(
+            result.overlay.snapshot_fast()
+        ).degree_histogram(),
         random_histogram=degree_histogram(random_online),
     )
 

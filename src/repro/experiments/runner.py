@@ -21,10 +21,9 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..core import Overlay
-from ..churn import online_subgraph, stationary_online_mask
+from ..churn import stationary_online_mask
 from ..errors import ExperimentError
-from ..graphs import fraction_disconnected, normalized_path_length
-from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis, resolve_graph_backend
+from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..metrics import MetricsCollector
 
 __all__ = [
@@ -136,7 +135,6 @@ def static_churn_metrics(
     rng: np.random.Generator,
     path_sources: Optional[int] = 32,
     measure_paths: bool = True,
-    backend: Optional[str] = None,
 ) -> StaticMetrics:
     """Baseline metrics: restrict ``graph`` to random online sets.
 
@@ -144,43 +142,28 @@ def static_churn_metrics(
     ``alpha`` (the stationary distribution of the paper's churn model)
     and measures the induced subgraph; results average over draws.
 
-    The default ``"fast"`` backend converts ``graph`` to a flat
-    snapshot once and induces each draw's subgraph with a boolean
-    mask; the ``"networkx"`` reference path rebuilds an ``nx.Graph``
-    per draw.  Both consume ``rng`` identically and produce bitwise
-    equal metrics (see docs/metrics.md).
+    ``graph`` is converted to a flat snapshot once and each draw's
+    subgraph induced with a boolean mask; every value equals what
+    :func:`~repro.churn.online_subgraph` plus :mod:`repro.graphs.metrics`
+    give for the same draws (see docs/metrics.md).
     """
     if draws < 1:
         raise ExperimentError("draws must be at least 1")
     total_nodes = graph.number_of_nodes()
-    use_fast = resolve_graph_backend(backend) == "fast"
-    base_snapshot = FlatSnapshot.from_networkx(graph) if use_fast else None
+    base_snapshot = FlatSnapshot.from_networkx(graph)
     disconnected_values = []
     path_values = []
     degree_values = []
     for _ in range(draws):
         mask = stationary_online_mask(total_nodes, alpha, rng)
-        if use_fast:
-            analysis = SnapshotAnalysis(base_snapshot.induced_by_labels(mask))
-            disconnected_values.append(analysis.fraction_disconnected())
-            if analysis.snapshot.num_nodes > 0:
-                degree_values.append(float(np.mean(analysis.snapshot.degrees())))
-            if measure_paths:
-                path_values.append(
-                    analysis.normalized_path_length(
-                        total_nodes, sample_sources=path_sources, rng=rng
-                    )
-                )
-            continue
-        induced = online_subgraph(graph, mask)
-        disconnected_values.append(fraction_disconnected(induced))
-        if induced.number_of_nodes() > 0:
-            degrees = [degree for _, degree in induced.degree()]
-            degree_values.append(float(np.mean(degrees)) if degrees else 0.0)
+        analysis = SnapshotAnalysis(base_snapshot.induced_by_labels(mask))
+        disconnected_values.append(analysis.fraction_disconnected())
+        if analysis.snapshot.num_nodes > 0:
+            degree_values.append(float(np.mean(analysis.snapshot.degrees())))
         if measure_paths:
             path_values.append(
-                normalized_path_length(
-                    induced, total_nodes, sample_sources=path_sources, rng=rng
+                analysis.normalized_path_length(
+                    total_nodes, sample_sources=path_sources, rng=rng
                 )
             )
     return StaticMetrics(

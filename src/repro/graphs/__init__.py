@@ -2,14 +2,7 @@
 random baselines, and structural metrics (paper Sections IV-A and IV-C).
 """
 
-from .fastgraph import (
-    GRAPH_BACKENDS,
-    FlatSnapshot,
-    SnapshotAnalysis,
-    get_graph_backend,
-    resolve_graph_backend,
-    set_graph_backend,
-)
+from .fastgraph import FlatSnapshot, SnapshotAnalysis
 from .io import load_edge_list, save_edge_list
 from .metrics import (
     average_path_length,
@@ -43,10 +36,6 @@ __all__ = [
     "powerlaw_exponent_estimate",
     "save_edge_list",
     "load_edge_list",
-    "GRAPH_BACKENDS",
     "FlatSnapshot",
     "SnapshotAnalysis",
-    "get_graph_backend",
-    "set_graph_backend",
-    "resolve_graph_backend",
 ]

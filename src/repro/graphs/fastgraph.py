@@ -28,25 +28,17 @@ implementations in :mod:`repro.graphs.metrics` on the same graph:
   ``average / size * total_nodes`` float expressions;
 * source sampling consumes the RNG identically
   (``rng.choice(size, size=k, replace=False)`` on the same ``size``),
-  so a shared stream stays in lockstep across backends.
+  so a shared stream stays in lockstep with the reference.
 
 ``tests/test_fastgraph.py`` pins the contract differentially against
 networkx on random, social, and churned-overlay graphs.
 
 Snapshot graphs are *simple*: self-loops are skipped on conversion
 (overlay snapshots never contain them by construction).
-
-Backend selection
------------------
-:func:`get_graph_backend` resolves the active backend: a programmatic
-override (:func:`set_graph_backend`), else the ``REPRO_GRAPH_BACKEND``
-environment variable, else ``"fast"``.  The networkx path is kept as
-the executable reference implementation.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -55,55 +47,7 @@ import numpy as np
 from ..errors import GraphError
 from ..rng import fallback_rng
 
-__all__ = [
-    "GRAPH_BACKENDS",
-    "get_graph_backend",
-    "set_graph_backend",
-    "resolve_graph_backend",
-    "FlatSnapshot",
-    "SnapshotAnalysis",
-]
-
-#: Valid backend names: the numpy kernels and the networkx reference.
-GRAPH_BACKENDS = ("fast", "networkx")
-
-_BACKEND_ENV = "REPRO_GRAPH_BACKEND"
-_backend_override: Optional[str] = None
-
-
-def _validate_backend(name: str) -> str:
-    if name not in GRAPH_BACKENDS:
-        raise GraphError(
-            f"unknown graph backend {name!r}; expected one of {GRAPH_BACKENDS}"
-        )
-    return name
-
-
-def get_graph_backend() -> str:
-    """The active metric backend: ``"fast"`` or ``"networkx"``.
-
-    Resolution order: :func:`set_graph_backend` override, then the
-    ``REPRO_GRAPH_BACKEND`` environment variable, then ``"fast"``.
-    Both backends produce bit-identical metric values; the knob exists
-    for differential testing and as an escape hatch.
-    """
-    if _backend_override is not None:
-        return _backend_override
-    return _validate_backend(os.environ.get(_BACKEND_ENV, "fast"))
-
-
-def set_graph_backend(name: Optional[str]) -> None:
-    """Override the backend process-wide (``None`` restores defaults)."""
-    global _backend_override
-    _backend_override = None if name is None else _validate_backend(name)
-
-
-def resolve_graph_backend(override: Optional[str] = None) -> str:
-    """A call-site backend choice: explicit ``override`` or the default."""
-    if override is not None:
-        return _validate_backend(override)
-    return get_graph_backend()
-
+__all__ = ["FlatSnapshot", "SnapshotAnalysis"]
 
 _EMPTY_INT = np.zeros(0, dtype=np.int64)
 

@@ -46,13 +46,15 @@ def largest_component(graph: nx.Graph) -> List[int]:
     components the one containing the smallest node wins.  Path-length
     estimators index into this list with sampled positions, so the
     ordering is part of the reproducibility contract — the fastgraph
-    backend produces the identical list from its union-find labels.
+    kernels produce the identical list from their union-find labels.
     """
     if graph.number_of_nodes() == 0:
         return []
-    best = max(
+    # min over (-size, smallest member) rather than max over (size,
+    # -smallest member): the same winner, for any orderable label.
+    best = min(
         nx.connected_components(graph),
-        key=lambda component: (len(component), -min(component)),
+        key=lambda component: (-len(component), min(component)),
     )
     return sorted(best)
 

@@ -1,12 +1,12 @@
 """PAR rules: fast/legacy dual-implementation parity drift.
 
-PRs 3–5 rewrote three hot paths and kept the original implementations
-as executable references: the CSR graph kernels next to the networkx
-metrics, the columnar :class:`TrafficLog` next to
-:class:`LegacyTrafficLog`, and the circuit-cache/compact-replay flags
-whose ``False`` settings restore the legacy mixnet behavior.  Each
-pair is pinned by a differential or golden-hash test — the whole
-reason a fast path is trustworthy.
+Several hot paths keep a second implementation as an executable
+reference or as a sibling with the same driving surface: the CSR graph
+kernels next to the networkx metrics, the sharded engine next to the
+serial batch engine, the batch dissemination plane next to the object
+disseminators, the wall clock next to the simulator clock.  Each pair
+is pinned by a differential or golden-hash test — the whole reason a
+fast path is trustworthy.
 
 These rules keep that contract from rotting:
 
@@ -61,9 +61,7 @@ class ParityPair:
     evidence: Tuple[str, ...]
 
 
-#: The shipping registry: the fast/legacy pairs grown in PRs 3–5 (CSR
-#: graph kernels, columnar traffic log, circuit cache) and PR 7 (the
-#: struct-of-arrays node plane).
+#: The shipping registry.
 PARITY_PAIRS: Tuple[ParityPair, ...] = (
     ParityPair(
         name="graph-metrics",
@@ -88,86 +86,6 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
             ("SnapshotAnalysis.degree_histogram", "degree_histogram", ()),
         ),
         evidence=("fastgraph", "fraction_disconnected"),
-    ),
-    ParityPair(
-        name="traffic-log",
-        fast_module="repro.privlink.traffic",
-        legacy_module="repro.privlink.traffic",
-        symbols=(
-            (
-                "TrafficLog.record",
-                "LegacyTrafficLog.record",
-                ("time", "src", "dst", "size_hint"),
-            ),
-            ("TrafficLog.window", "LegacyTrafficLog.window", ("start", "end")),
-            ("TrafficLog.channels", "LegacyTrafficLog.channels", ()),
-            ("TrafficLog.by_endpoint", "LegacyTrafficLog.by_endpoint", ()),
-        ),
-        evidence=("LegacyTrafficLog",),
-    ),
-    ParityPair(
-        name="circuit-cache",
-        fast_module="repro.privlink.mixnet",
-        legacy_module="repro.privlink.mixnet",
-        symbols=(
-            (
-                "MixNetwork.__init__",
-                "make_mixnet_link_layer",
-                ("circuit_cache", "circuit_cache_limit", "compact_replay"),
-            ),
-        ),
-        evidence=("circuit_cache",),
-    ),
-    # PR 7: the struct-of-arrays node plane.  The arena views must stay
-    # byte-identical to the per-node classes (the golden-hash suite runs
-    # on the arena plane), and the batch kernels must stay semantically
-    # identical (the node_plane bench raises on any state divergence).
-    ParityPair(
-        name="node-plane-slots",
-        fast_module="repro.core.arena",
-        legacy_module="repro.core.slots",
-        symbols=(
-            (
-                "ArenaSlots.offer_batch",
-                "SamplerSlots.offer_batch",
-                ("pseudonyms",),
-            ),
-            ("ArenaSlots.expire", "SamplerSlots.expire", ("now",)),
-            ("NodeArena.batch_offer", "SamplerSlots.offer_batch", ()),
-        ),
-        evidence=("ArenaSlots", "offer_batch"),
-    ),
-    ParityPair(
-        name="node-plane-cache",
-        fast_module="repro.core.arena",
-        legacy_module="repro.core.cache",
-        symbols=(
-            (
-                "ArenaCache.merge",
-                "PseudonymCache.merge",
-                ("received", "now", "just_sent", "own_value"),
-            ),
-            ("NodeArena.batch_cache_merge", "PseudonymCache.merge", ("now",)),
-        ),
-        evidence=("ArenaCache", "merge"),
-    ),
-    ParityPair(
-        name="node-plane-links",
-        fast_module="repro.core.arena",
-        legacy_module="repro.core.links",
-        symbols=(
-            (
-                "ArenaLinkSet.update_from_sample",
-                "LinkSet.update_from_sample",
-                ("sample",),
-            ),
-            (
-                "NodeArena.batch_links_from_slots",
-                "LinkSet.update_from_sample",
-                (),
-            ),
-        ),
-        evidence=("ArenaLinkSet", "update_from_sample"),
     ),
     # PR 8: the live-network layer.  WallClock must keep the exact
     # scheduling surface of SimClock — the protocol objects are driven

@@ -15,12 +15,10 @@ and samples, once per configurable interval:
 Sampling happens inside the simulation via scheduled events, so the
 series align exactly with simulated time.
 
-Each sample materializes the online set **once** and runs on one of
-two backends (see docs/metrics.md): the default ``"fast"`` backend
-takes a :meth:`~repro.core.Overlay.snapshot_fast` flat snapshot and
-shares a single :class:`~repro.graphs.fastgraph.SnapshotAnalysis`
-component labeling across every metric; ``"networkx"`` is the
-reference path.  Both produce bit-identical series.
+Each sample materializes the online set **once**, takes a
+:meth:`~repro.core.Overlay.snapshot_fast` flat snapshot and shares a
+single :class:`~repro.graphs.fastgraph.SnapshotAnalysis` component
+labeling across every metric (see docs/metrics.md).
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ import numpy as np
 
 from ..core import Overlay
 from ..errors import ExperimentError
-from ..graphs import fraction_disconnected, largest_component, normalized_path_length
-from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis, resolve_graph_backend
+from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..rng import fallback_rng
 from .series import TimeSeries
 
@@ -50,7 +47,6 @@ class MetricsCollector:
         path_length_sources: Optional[int] = 32,
         track_trust_baseline: bool = True,
         rng: Optional[np.random.Generator] = None,
-        backend: Optional[str] = None,
     ) -> None:
         """
         Parameters
@@ -75,10 +71,6 @@ class MetricsCollector:
             stream across samples, which is what keeps repeated source
             draws independent — see the hazard note on
             :func:`repro.graphs.average_path_length`.
-        backend:
-            Metric backend override (``"fast"`` or ``"networkx"``);
-            defaults to :func:`repro.graphs.get_graph_backend`.  Both
-            backends produce bit-identical series.
         """
         if interval <= 0:
             raise ExperimentError("interval must be positive")
@@ -90,7 +82,6 @@ class MetricsCollector:
         self._path_length_sources = path_length_sources
         self._track_trust = track_trust_baseline
         self._rng = rng if rng is not None else fallback_rng("metrics.collector")
-        self._backend = resolve_graph_backend(backend)
 
         self.disconnected = TimeSeries("overlay disconnected fraction")
         self.trust_disconnected = TimeSeries("trust-graph disconnected fraction")
@@ -114,11 +105,6 @@ class MetricsCollector:
     def interval(self) -> float:
         """Sampling interval in shuffling periods."""
         return self._interval
-
-    @property
-    def backend(self) -> str:
-        """The metric backend this collector samples with."""
-        return self._backend
 
     @property
     def max_out_degree(self) -> Dict[int, int]:
@@ -165,34 +151,6 @@ class MetricsCollector:
             and self._samples % self._path_length_every == 0
         )
 
-        if self._backend == "fast":
-            self._sample_fast(now, total_nodes, online_ids, measure_paths)
-        else:
-            self._sample_networkx(now, total_nodes, online_ids, measure_paths)
-
-        # Per-period rates from cumulative counters.
-        replacements = sum(
-            node.links.replacements_total for node in overlay.nodes
-        )
-        messages = sum(node.counters.messages_sent for node in overlay.nodes)
-        denominator = max(1, online) * self._interval
-        self.replacements_per_node.append(
-            now, (replacements - self._last_replacements) / denominator
-        )
-        self.messages_per_node.append(
-            now, (messages - self._last_messages) / denominator
-        )
-        self._last_replacements = replacements
-        self._last_messages = messages
-
-    def _sample_fast(
-        self,
-        now: float,
-        total_nodes: int,
-        online_ids: List[int],
-        measure_paths: bool,
-    ) -> None:
-        overlay = self._overlay
         # One labeling per snapshot per sample: every metric below reads
         # the same SnapshotAnalysis.
         analysis = SnapshotAnalysis(overlay.snapshot_fast(online_ids=online_ids))
@@ -208,8 +166,8 @@ class MetricsCollector:
             )
 
         if measure_paths:
-            # RNG draw order (overlay first, trust second) matches the
-            # reference backend so a shared stream stays in lockstep.
+            # RNG draw order (overlay first, trust second) is pinned by
+            # the golden hashes.
             self.path_length.append(
                 now,
                 analysis.normalized_path_length(
@@ -235,59 +193,20 @@ class MetricsCollector:
                 self._max_out_degree[ids], degrees
             )
 
-    def _sample_networkx(
-        self,
-        now: float,
-        total_nodes: int,
-        online_ids: List[int],
-        measure_paths: bool,
-    ) -> None:
-        overlay = self._overlay
-        snapshot = overlay.snapshot(online_only=True, online_ids=online_ids)
-        component = largest_component(snapshot)
-        self.disconnected.append(
-            now, fraction_disconnected(snapshot, component=component)
+        # Per-period rates from cumulative counters.
+        replacements = sum(
+            node.links.replacements_total for node in overlay.nodes
         )
-
-        trust_snapshot = None
-        trust_component: Optional[List[int]] = None
-        if self._track_trust:
-            trust_snapshot = overlay.trust_snapshot(online_ids=online_ids)
-            trust_component = largest_component(trust_snapshot)
-            self.trust_disconnected.append(
-                now,
-                fraction_disconnected(trust_snapshot, component=trust_component),
-            )
-
-        if measure_paths:
-            self.path_length.append(
-                now,
-                normalized_path_length(
-                    snapshot,
-                    total_nodes,
-                    sample_sources=self._path_length_sources,
-                    rng=self._rng,
-                    component=component,
-                ),
-            )
-            if trust_snapshot is not None:
-                self.trust_path_length.append(
-                    now,
-                    normalized_path_length(
-                        trust_snapshot,
-                        total_nodes,
-                        sample_sources=self._path_length_sources,
-                        rng=self._rng,
-                        component=trust_component,
-                    ),
-                )
-
-        max_out_degree = self._max_out_degree
-        for node in overlay.nodes:
-            if node.online:
-                degree = node.out_degree(now)
-                if degree > max_out_degree[node.node_id]:
-                    max_out_degree[node.node_id] = degree
+        messages = sum(node.counters.messages_sent for node in overlay.nodes)
+        denominator = max(1, online) * self._interval
+        self.replacements_per_node.append(
+            now, (replacements - self._last_replacements) / denominator
+        )
+        self.messages_per_node.append(
+            now, (messages - self._last_messages) / denominator
+        )
+        self._last_replacements = replacements
+        self._last_messages = messages
 
     # ------------------------------------------------------------------
     # summaries

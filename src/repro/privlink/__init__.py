@@ -34,7 +34,7 @@ from .mixnet import (
     make_mixnet_link_layer,
 )
 from .storage import MailboxPseudonymService, MailboxStore, StoredMessage
-from .traffic import LegacyTrafficLog, TrafficLog, TrafficRecord
+from .traffic import TrafficLog, TrafficRecord
 
 __all__ = [
     "NodeID",
@@ -63,6 +63,5 @@ __all__ = [
     "MailboxPseudonymService",
     "StoredMessage",
     "TrafficLog",
-    "LegacyTrafficLog",
     "TrafficRecord",
 ]

@@ -38,13 +38,7 @@ import numpy as np
 
 from ..errors import MixnetError, PseudonymError
 from ..sim import Simulator
-from .crypto import (
-    Sealed,
-    header_digest,
-    layer_digest,
-    message_digest,
-    seal_layers,
-)
+from .crypto import Sealed, header_digest, layer_digest, seal_layers
 from .identity import KeyPair, KeyRegistry
 from .link import Address, AnonymityService, NodeDirectory, PseudonymServiceBase
 from .traffic import TrafficLog
@@ -67,12 +61,10 @@ class Relay:
     """One mix relay: a key pair, a forwarding engine, a replay cache.
 
     Replay digests are compact 64-bit integers (see
-    :func:`~repro.privlink.crypto.layer_digest`) by default, and the
-    cache is *epoch-bounded*: when it reaches ``replay_cache_limit``
-    entries it is flushed wholesale and :attr:`replay_flushes` is
-    incremented, so long churn runs cannot grow it without limit.  The
-    legacy full-``bytes`` digests remain available via the network's
-    ``compact_replay=False`` mode.
+    :func:`~repro.privlink.crypto.layer_digest`), and the cache is
+    *epoch-bounded*: when it reaches ``replay_cache_limit`` entries it
+    is flushed wholesale and :attr:`replay_flushes` is incremented, so
+    long churn runs cannot grow it without limit.
     """
 
     __slots__ = (
@@ -81,7 +73,6 @@ class Relay:
         "name",
         "_network",
         "_replay_cache",
-        "_compact_replay",
         "_cache_limit",
         "forwarded",
         "replays_dropped",
@@ -94,7 +85,6 @@ class Relay:
         relay_id: int,
         key_pair: KeyPair,
         network: "MixNetwork",
-        compact_replay: bool = True,
         replay_cache_limit: Optional[int] = 65536,
     ) -> None:
         self.relay_id = relay_id
@@ -103,9 +93,7 @@ class Relay:
         # once — it labels every traffic record the relay touches.
         self.name = f"relay:{relay_id}"
         self._network = network
-        # Holds ints in compact mode, bytes in legacy mode.
-        self._replay_cache: Set[Any] = set()
-        self._compact_replay = compact_replay
+        self._replay_cache: Set[int] = set()
         self._cache_limit = replay_cache_limit
         self.forwarded = 0
         self.replays_dropped = 0
@@ -132,26 +120,20 @@ class Relay:
         With 64-bit digests and ``n`` cached entries, roughly
         ``n * (n - 1) / 2^65`` distinct messages collide — below 1e-9
         even at the default 65536-entry flush limit, so compact digests
-        are safe for replay detection.  Always 0.0 in legacy mode
-        (full digests).
+        are safe for replay detection.
         """
-        if not self._compact_replay:
-            return 0.0
         n = len(self._replay_cache)
         return n * (n - 1) / 2.0**65
 
     def process(self, sealed: Any, arrived_from: str, time: float) -> None:
         """Strip one layer and act on the routing hint."""
-        if self._compact_replay:
-            # Onions sealed along a cached circuit carry stamped
-            # digests; read the stamp directly and fall back to the
-            # recursive computation for everything else.
-            try:
-                digest: Any = sealed._layer_digest
-            except AttributeError:
-                digest = layer_digest(sealed)
-        else:
-            digest = message_digest(sealed)
+        # Onions sealed along a cached circuit carry stamped digests;
+        # read the stamp directly and fall back to the recursive
+        # computation for everything else.
+        try:
+            digest = sealed._layer_digest
+        except AttributeError:
+            digest = layer_digest(sealed)
         self.replay_checked += 1
         cache = self._replay_cache
         if digest in cache:
@@ -191,15 +173,13 @@ class Relay:
 class MixNetwork:
     """The relay pool, circuit builder, and hop scheduler.
 
-    Circuits are cached per (sender, destination) by default — the
-    Tor-style semantics where a circuit is reused for a flow rather
-    than rebuilt per cell — which removes relay selection and onion
-    hop-list construction from the per-message path.  Entries are
-    evicted when their rendezvous address closes (pseudonym rotation)
-    and the whole cache is dropped via :meth:`invalidate_circuits`
-    (relay-pool rotation) or when it exceeds ``circuit_cache_limit``.
-    ``circuit_cache=False`` restores the legacy fresh-circuit-per-
-    message behavior, including the exact rng draw sequence.
+    Circuits are cached per (sender, destination) — the Tor-style
+    semantics where a circuit is reused for a flow rather than rebuilt
+    per cell — which removes relay selection and onion hop-list
+    construction from the per-message path.  Entries are evicted when
+    their rendezvous address closes (pseudonym rotation) and the whole
+    cache is dropped via :meth:`invalidate_circuits` (relay-pool
+    rotation) or when it exceeds ``circuit_cache_limit``.
     """
 
     __slots__ = (
@@ -216,7 +196,6 @@ class MixNetwork:
         "delivered_count",
         "dropped_offline",
         "dropped_closed",
-        "_circuit_cache_enabled",
         "_circuit_cache_limit",
         "_circuits",
         "_address_keys",
@@ -238,11 +217,8 @@ class MixNetwork:
         hop_latency: float = 0.01,
         relay_availability: float = 1.0,
         traffic: Optional[TrafficLog] = None,
-        circuit_cache: bool = True,
         circuit_cache_limit: int = 4096,
-        compact_replay: bool = True,
         replay_cache_limit: Optional[int] = 65536,
-        inline_hops: bool = True,
     ) -> None:
         """``relay_availability`` models third-party infrastructure that
         is highly but not perfectly available (the paper assumes "high
@@ -267,13 +243,7 @@ class MixNetwork:
 
         keys = KeyRegistry()
         self.relays: List[Relay] = [
-            Relay(
-                relay_id,
-                keys.issue(),
-                self,
-                compact_replay=compact_replay,
-                replay_cache_limit=replay_cache_limit,
-            )
+            Relay(relay_id, keys.issue(), self, replay_cache_limit=replay_cache_limit)
             for relay_id in range(num_relays)
         ]
         # Rendezvous table: pseudonym address -> (rendezvous relay id,
@@ -287,17 +257,15 @@ class MixNetwork:
         # Circuit cache: key -> (first relay, prebuilt seal_layers hops,
         # per-hop header digests).  Keys are (0, sender, dest_node) or
         # (1, sender, address).
-        self._circuit_cache_enabled = circuit_cache
         self._circuit_cache_limit = circuit_cache_limit
         self._circuits: Dict[
             Tuple[Any, ...],
-            Tuple[Relay, Tuple[Tuple[int, Any], ...], Optional[Tuple[int, ...]]],
+            Tuple[Relay, Tuple[Tuple[int, Any], ...], Tuple[int, ...]],
         ] = {}
         self._address_keys: Dict[Address, List[Tuple[Any, ...]]] = {}
         # Zero-latency hops need no event scheduling: the whole relay
-        # chain runs inline in the injecting event.  inline_hops=False
-        # restores the seed behavior (same-timestamp events per hop).
-        self._inline_hops = inline_hops and hop_latency == 0.0
+        # chain runs inline in the injecting event.
+        self._inline_hops = hop_latency == 0.0
         self._always_up = relay_availability >= 1.0
         self._node_names: Dict[int, str] = {}
         self.circuit_cache_hits = 0
@@ -347,18 +315,14 @@ class MixNetwork:
 
     def circuit_for_node(
         self, sender_id: int, dest_node_id: int
-    ) -> Tuple[Relay, Tuple[Tuple[int, Any], ...], Optional[Tuple[int, ...]]]:
+    ) -> Tuple[Relay, Tuple[Tuple[int, Any], ...], Tuple[int, ...]]:
         """The (first relay, prebuilt hops, header digests) for a
         sender->node flow.
 
-        Cached per (sender, destination) when the circuit cache is on —
-        including the per-hop header digests that let ``seal_layers``
-        stamp replay digests at seal time.  Otherwise builds a fresh
-        circuit exactly as the legacy path did (header digests None).
+        Cached per (sender, destination), including the per-hop header
+        digests that let ``seal_layers`` stamp replay digests at seal
+        time.
         """
-        if not self._circuit_cache_enabled:
-            circuit = self.build_circuit()
-            return circuit[0], self._hops(circuit, (_HINT_DELIVER, dest_node_id)), None
         key = (0, sender_id, dest_node_id)
         entry = self._circuits.get(key)
         if entry is not None:
@@ -373,7 +337,7 @@ class MixNetwork:
 
     def circuit_for_rendezvous(
         self, sender_id: int, address: Address
-    ) -> Tuple[Relay, Tuple[Tuple[int, Any], ...], Optional[Tuple[int, ...]]]:
+    ) -> Tuple[Relay, Tuple[Tuple[int, Any], ...], Tuple[int, ...]]:
         """The (first relay, prebuilt hops, header digests) for a
         sender->pseudonym flow.
 
@@ -381,9 +345,6 @@ class MixNetwork:
         rendezvous relay.  Cached per (sender, address); closing the
         address evicts every circuit that targets it.
         """
-        if not self._circuit_cache_enabled:
-            first_relay, hops = self._build_rendezvous_circuit(address)
-            return first_relay, hops, None
         key = (1, sender_id, address)
         entry = self._circuits.get(key)
         if entry is not None:
@@ -417,7 +378,7 @@ class MixNetwork:
     def _store_circuit(
         self,
         key: Tuple[Any, ...],
-        entry: Tuple[Relay, Tuple[Tuple[int, Any], ...], Optional[Tuple[int, ...]]],
+        entry: Tuple[Relay, Tuple[Tuple[int, Any], ...], Tuple[int, ...]],
     ) -> None:
         if len(self._circuits) >= self._circuit_cache_limit:
             self.invalidate_circuits()
@@ -656,19 +617,15 @@ def make_mixnet_link_layer(
     circuit_length: int = 3,
     hop_latency: float = 0.01,
     traffic: Optional[TrafficLog] = None,
-    circuit_cache: bool = True,
     circuit_cache_limit: int = 4096,
-    compact_replay: bool = True,
     replay_cache_limit: Optional[int] = 65536,
-    inline_hops: bool = True,
 ):
     """Build a :class:`~repro.privlink.link.LinkLayer` backed by a mixnet.
 
-    Defaults take the fast path: per-flow circuit cache with seal-time
-    replay-digest stamping, compact epoch-bounded replay digests, and
-    inline processing of zero-latency hops.  ``circuit_cache=False``,
-    ``compact_replay=False``, ``inline_hops=False`` together reproduce
-    the legacy per-message behavior and its exact rng draw sequence.
+    Flows use a per-(sender, destination) circuit cache with seal-time
+    replay-digest stamping and compact epoch-bounded replay digests;
+    hops are scheduled per relay unless ``hop_latency`` is zero, in
+    which case the whole chain runs inline in the injecting event.
     """
     from .link import LinkLayer  # local import to avoid cycle at module load
 
@@ -681,11 +638,8 @@ def make_mixnet_link_layer(
         circuit_length=circuit_length,
         hop_latency=hop_latency,
         traffic=traffic,
-        circuit_cache=circuit_cache,
         circuit_cache_limit=circuit_cache_limit,
-        compact_replay=compact_replay,
         replay_cache_limit=replay_cache_limit,
-        inline_hops=inline_hops,
     )
     layer = LinkLayer(
         directory,

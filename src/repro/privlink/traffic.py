@@ -23,14 +23,11 @@ Appends land in plain-list buffers (list appends are several times
 cheaper than element-wise numpy stores); once a buffer reaches the
 chunk size it is sealed into numpy arrays in one C-speed pass.
 
-That is 20 bytes per observation against the ~150+ bytes of the
-previous list-of-dataclasses layout, and it lets every aggregate query
-(:meth:`channels`, :meth:`window`, …) run as a vectorized pass instead
-of a Python loop.  Consumers that want the record view still get it:
-iteration lazily materializes :class:`TrafficRecord` objects, so the
-columnar log is a drop-in replacement.  :class:`LegacyTrafficLog`
-preserves the original row layout as a differential-testing reference
-(the ``mixnet_message`` benchmark asserts both agree on every query).
+That is 20 bytes per observation (a list of record objects costs
+~150+), and it lets every aggregate query (:meth:`channels`,
+:meth:`window`, …) run as a vectorized pass instead of a Python loop.
+Consumers that want the record view still get it: iteration lazily
+materializes :class:`TrafficRecord` objects.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["TrafficRecord", "TrafficLog", "LegacyTrafficLog"]
+__all__ = ["TrafficRecord", "TrafficLog"]
 
 #: Rows per sealed column chunk (~1.25 MiB per full chunk).
 _CHUNK_RECORDS = 65536
@@ -70,8 +67,7 @@ class TrafficLog:
     where no attack analysis runs; recording then costs one branch and
     allocates nothing.  Endpoint strings are interned to ``uint32`` ids
     on first sight; sealed chunks are exact-size numpy arrays, so a
-    million observations cost ~20 MB instead of the ~150 MB the legacy
-    list-of-dataclasses layout needed.
+    million observations cost ~20 MB.
 
     ``max_records`` caps stored rows; further :meth:`record` calls only
     increment :attr:`dropped`.  :meth:`clear` resets rows, the
@@ -294,93 +290,3 @@ class TrafficLog:
         self._full = []
         self._buf = []
         self._length = 0
-
-
-class LegacyTrafficLog:
-    """The original list-of-dataclasses traffic log.
-
-    Kept as the differential-testing reference for :class:`TrafficLog`:
-    both must answer every query identically for the same sequence of
-    :meth:`record` calls.  The ``mixnet_message`` benchmark and the
-    traffic tests pin that equivalence; new code should use
-    :class:`TrafficLog`.
-    """
-
-    __slots__ = ("_enabled", "_records", "_max_records", "_dropped")
-
-    def __init__(self, enabled: bool = True, max_records: Optional[int] = None) -> None:
-        self._enabled = enabled
-        self._records: List[TrafficRecord] = []
-        self._max_records = max_records
-        self._dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether :meth:`record` stores anything."""
-        return self._enabled
-
-    @property
-    def dropped(self) -> int:
-        """Records discarded due to the size cap."""
-        return self._dropped
-
-    def record(self, time: float, src: str, dst: str, size_hint: int = 1) -> None:
-        """Store one observation (no-op when disabled)."""
-        if not self._enabled:
-            return
-        if self._max_records is not None and len(self._records) >= self._max_records:
-            self._dropped += 1
-            return
-        self._records.append(TrafficRecord(time, src, dst, size_hint))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TrafficRecord]:
-        return iter(self._records)
-
-    def channels(self) -> Counter:
-        """Message count per observed (src, dst) channel."""
-        return Counter((record.src, record.dst) for record in self._records)
-
-    def by_endpoint(self) -> Dict[str, List[TrafficRecord]]:
-        """Records grouped by every endpoint they touch."""
-        grouped: Dict[str, List[TrafficRecord]] = {}
-        for record in self._records:
-            grouped.setdefault(record.src, []).append(record)
-            grouped.setdefault(record.dst, []).append(record)
-        return grouped
-
-    def window(self, start: float, end: float) -> List[TrafficRecord]:
-        """Records with ``start <= time < end``."""
-        return [record for record in self._records if start <= record.time < end]
-
-    def unique_endpoints(self) -> Tuple[str, ...]:
-        """All endpoint identifiers appearing in the log."""
-        endpoints = set()
-        for record in self._records:
-            endpoints.add(record.src)
-            endpoints.add(record.dst)
-        return tuple(sorted(endpoints))
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the record list, records, and their strings.
-
-        Mirrors :meth:`TrafficLog.memory_bytes` accounting: container,
-        per-record objects (instance plus ``__dict__``), and each
-        distinct endpoint string once.
-        """
-        total = sys.getsizeof(self._records)
-        seen = set()
-        for record in self._records:
-            total += sys.getsizeof(record) + sys.getsizeof(record.__dict__)
-            for name in (record.src, record.dst):
-                if name not in seen:
-                    seen.add(name)
-                    total += sys.getsizeof(name)
-        return total
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._records.clear()
-        self._dropped = 0

@@ -1,19 +1,14 @@
 """Tests for the struct-of-arrays node plane (``repro.core.arena``).
 
-Three layers of pinning, matching the parity-pair registry:
-
-* **View parity** — :class:`ArenaSlots` / :class:`ArenaCache` /
-  :class:`ArenaLinkSet` must behave exactly like the legacy per-node
-  classes on identical operation streams (same results, same rng draw
-  order, same iteration order).
 * **Batch-kernel parity** — ``NodeArena.batch_offer`` /
   ``batch_cache_merge`` / ``batch_links_from_slots`` / ``batch_expire``
-  must produce the same final state as per-node object loops over the
-  same traffic (a miniature of the ``node_plane`` benchmark).
-* **Whole-overlay differential** — a smoke-scale overlay run on the
-  arena plane must be byte-identical to the ``objects`` plane (the
-  golden-hash suite separately pins the arena-default run to the
-  pre-arena output).
+  must produce the same final state as per-row view calls
+  (:class:`ArenaSlots` / :class:`ArenaCache` / :class:`ArenaLinkSet`)
+  over the same traffic.  The views' own behaviour is pinned by
+  ``test_slots.py`` / ``test_cache.py`` / ``test_links.py`` and, end to
+  end, by the golden hashes in ``test_determinism.py``.
+* **Standalone nodes** — an :class:`OverlayNode` built without an
+  overlay runs on a private one-row arena.
 
 Plus the arena-specific edge cases: interning/refcount bookkeeping,
 growth past the preallocated chunk, and free-list id reuse under
@@ -29,15 +24,11 @@ from repro.core import (
     ArenaLinkSet,
     ArenaSlots,
     BatchOverlay,
-    LinkSet,
     NodeArena,
+    Overlay,
+    OverlayNode,
     Pseudonym,
     PseudonymArena,
-    PseudonymCache,
-    SamplerSlots,
-    get_node_plane,
-    resolve_node_plane,
-    set_node_plane,
 )
 from repro.churn import BatchChurnModel
 from repro.core.batch import ring_lattice_csr
@@ -60,41 +51,6 @@ def _batch(rng, count, now=0.0, life=(1.0, 9.0)):
     return [
         _p(int(values[i]), now + float(spans[i])) for i in range(count)
     ]
-
-
-@pytest.fixture(autouse=True)
-def _restore_plane():
-    """Never leak a plane override into other tests."""
-    yield
-    set_node_plane(None)
-
-
-class TestPlaneKnob:
-    def test_default_is_arena(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NODE_PLANE", raising=False)
-        set_node_plane(None)
-        assert get_node_plane() == "arena"
-
-    def test_env_var_selects_plane(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NODE_PLANE", "objects")
-        set_node_plane(None)
-        assert get_node_plane() == "objects"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NODE_PLANE", "objects")
-        set_node_plane("arena")
-        assert get_node_plane() == "arena"
-
-    def test_resolve_prefers_explicit_override(self):
-        set_node_plane("objects")
-        assert resolve_node_plane("arena") == "arena"
-        assert resolve_node_plane() == "objects"
-
-    def test_unknown_plane_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown node plane"):
-            set_node_plane("linked-lists")
-        with pytest.raises(ProtocolError, match="unknown node plane"):
-            resolve_node_plane("nope")
 
 
 class TestPseudonymArena:
@@ -183,108 +139,8 @@ class TestNodeArenaRows:
         assert sorted(p.value for p in cache.pseudonyms()) == before_cache
 
 
-class TestViewParity:
-    """Arena views against the legacy classes on identical streams."""
-
-    def test_slots_match_legacy_exactly(self):
-        data = RandomStreams(SEED).substream("slots", "data")
-        legacy = SamplerSlots(12, RandomStreams(SEED).substream("slots", "refs"))
-        arena = NodeArena(node_chunk=1)
-        arena.register_node(0, 12, 4)
-        view = ArenaSlots(
-            arena, 0, 12, RandomStreams(SEED).substream("slots", "refs")
-        )
-        assert list(view.references) == list(legacy.references)
-        for round_index in range(8):
-            now = float(round_index)
-            assert legacy.expire(now) == view.expire(now)
-            batch = _batch(data, 20, now)
-            assert legacy.offer_batch(batch) == view.offer_batch(batch)
-            assert [p.value for p in legacy.sample()] == [
-                p.value for p in view.sample()
-            ]
-        assert legacy.filled() == view.filled()
-        for i in range(12):
-            assert legacy.entry(i) == view.entry(i)
-        assert view.holds(legacy.sample())
-
-    def test_cache_matches_legacy_exactly(self):
-        data = RandomStreams(SEED).substream("cache", "data")
-        legacy = PseudonymCache(16)
-        arena = NodeArena(node_chunk=1)
-        arena.register_node(0, 0, 16)
-        view = ArenaCache(arena, 0, 16)
-        own = 77
-        previous = []
-        for round_index in range(10):
-            now = float(round_index)
-            batch = _batch(data, 12, now)
-            if round_index % 3 == 0:
-                batch[0] = _p(own, now + 5.0)  # own value is never cached
-            just_sent = previous[:4] if round_index % 2 else None
-            assert legacy.merge(
-                batch, now, just_sent=just_sent, own_value=own
-            ) == view.merge(batch, now, just_sent=just_sent, own_value=own)
-            assert len(legacy) == len(view)
-            assert [p.value for p in legacy.pseudonyms()] == [
-                p.value for p in view.pseudonyms()
-            ]
-            previous = batch
-        now = 10.0
-        assert legacy.remove_expired(now) == view.remove_expired(now)
-        assert legacy.newest(5, now) == view.newest(5, now)
-        picks_a = legacy.select_for_shuffle(
-            RandomStreams(SEED).substream("cache", "pick"), 6, now
-        )
-        picks_b = view.select_for_shuffle(
-            RandomStreams(SEED).substream("cache", "pick"), 6, now
-        )
-        assert picks_a == picks_b
-        victim = legacy.pseudonyms()[0]
-        assert legacy.remove(victim) == view.remove(victim)
-        assert victim not in legacy and victim not in view
-
-    def test_links_match_legacy_exactly(self):
-        data = RandomStreams(SEED).substream("links", "data")
-        legacy = LinkSet([3, 1, 2])
-        arena = NodeArena(node_chunk=1)
-        arena.register_node(0, 8, 4)
-        view = ArenaLinkSet(arena, 0, [3, 1, 2])
-        assert legacy.trusted == view.trusted
-        pool = _batch(data, 30, 0.0, life=(50.0, 90.0))
-        for round_index in range(12):
-            count = int(data.integers(0, 9))
-            picks = [pool[int(i)] for i in data.integers(0, len(pool), count)]
-            sample = list({p.value: p for p in picks}.values())
-            assert legacy.update_from_sample(sample) == view.update_from_sample(
-                sample
-            )
-            assert [p.value for p in legacy.pseudonym_links()] == [
-                p.value for p in view.pseudonym_links()
-            ]
-        assert legacy.out_degree() == view.out_degree()
-        assert legacy.pseudonym_degree() == view.pseudonym_degree()
-        assert legacy.additions_total == view.additions_total
-        assert legacy.replacements_total == view.replacements_total
-        target_a = legacy.pick_random_target(
-            RandomStreams(SEED).substream("links", "pick")
-        )
-        target_b = view.pick_random_target(
-            RandomStreams(SEED).substream("links", "pick")
-        )
-        assert (target_a.node_id, target_a.pseudonym) == (
-            target_b.node_id,
-            target_b.pseudonym,
-        )
-        assert legacy.add_trusted(9) == view.add_trusted(9)
-        assert legacy.trusted == view.trusted
-        assert [t.is_trusted for t in legacy.all_targets()] == [
-            t.is_trusted for t in view.all_targets()
-        ]
-
-
 class TestBatchKernelParity:
-    """The vectorized kernels against per-node object loops."""
+    """The whole-plane kernels against per-row view calls."""
 
     def test_kernels_match_object_loops(self):
         num_nodes, rounds, k = 40, 8, 10
@@ -302,9 +158,12 @@ class TestBatchKernelParity:
                     traffic[r][n][0] = owns[n]
 
         refs = RandomStreams(SEED).substream("kernels", "refs")
-        slots = [SamplerSlots(slot_count, refs) for _ in range(num_nodes)]
-        caches = [PseudonymCache(capacity) for _ in range(num_nodes)]
-        links = [LinkSet(()) for _ in range(num_nodes)]
+        reference = NodeArena()
+        for n in range(num_nodes):
+            reference.register_node(n, slot_count, capacity)
+        slots = [ArenaSlots(reference, n, slot_count, refs) for n in range(num_nodes)]
+        caches = [ArenaCache(reference, n, capacity) for n in range(num_nodes)]
+        links = [ArenaLinkSet(reference, n, ()) for n in range(num_nodes)]
         for r in range(rounds):
             now = float(r)
             for n in range(num_nodes):
@@ -318,11 +177,7 @@ class TestBatchKernelParity:
             PseudonymArena(chunk=64), node_chunk=8, track_insert_times=False
         )
         arena.register_batch(num_nodes, slot_count, capacity)
-        refs = RandomStreams(SEED).substream("kernels", "refs")
-        for n in range(num_nodes):
-            arena.slot_refs[n, :slot_count] = SamplerSlots(
-                slot_count, refs
-            ).references
+        arena.slot_refs[:, :slot_count] = reference.slot_refs[:num_nodes, :slot_count]
         table = arena.pseudonyms
         own_ids = np.array([table.intern(p) for p in owns], dtype=np.int64)
         rows = np.arange(num_nodes, dtype=np.int64)
@@ -376,37 +231,48 @@ class TestBatchKernelParity:
             assert set(chosen.tolist()) <= row
 
 
-class TestOverlayPlaneDifferential:
-    """Both planes must produce byte-identical overlay runs."""
+class TestStandaloneNode:
+    """A node built without an overlay owns a private one-row arena."""
 
-    def _run(self, plane):
-        from repro.experiments import SMOKE, make_config, make_trust_graph
-        from repro.experiments.runner import run_overlay_experiment
-
-        set_node_plane(plane)
-        try:
-            trust = make_trust_graph(SMOKE, f=0.5, seed=SEED)
-            config = make_config(SMOKE, alpha=0.5, f=0.5, seed=SEED)
-            result = run_overlay_experiment(
-                trust_graph=trust,
-                config=config,
-                horizon=20.0,
-                measure_window=10.0,
-                collector_interval=2.0,
-                path_length_every=0,
-            )
-        finally:
-            set_node_plane(None)
-        series = result.collector.disconnected
-        return (
-            list(series.times),
-            list(series.values),
-            result.full_edge_count,
-            round(result.disconnected, 15),
+    def _node(self, node_id, neighbors, sim, layer):
+        return OverlayNode(
+            node_id=node_id,
+            trusted_neighbors=neighbors,
+            slot_count=4,
+            cache_size=8,
+            shuffle_length=4,
+            pseudonym_lifetime=50.0,
+            sim=sim,
+            link_layer=layer,
+            rng=RandomStreams(SEED).substream("node", node_id),
         )
 
-    def test_arena_run_is_byte_identical_to_objects_run(self):
-        assert self._run("arena") == self._run("objects")
+    def test_node_id_is_not_the_arena_row(self):
+        from repro.privlink import make_ideal_link_layer
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        layer = make_ideal_link_layer(sim, RandomStreams(SEED).substream("links"))
+        seven = self._node(7, [3], sim, layer)
+        three = self._node(3, [7], sim, layer)
+        seven.come_online()
+        three.come_online()
+        sim.run_until(20.0)
+        for node, peer in ((seven, three), (three, seven)):
+            assert node.counters.shuffle_sets_absorbed > 0
+            assert node.slots.filled() == 4
+            assert node.slots.sample() == [peer.own]
+            assert node.links.pseudonym_links() == [peer.own]
+            assert peer.own in node.cache
+
+    def test_overlay_arena_ignores_retired_env_var(self, monkeypatch):
+        import networkx as nx
+
+        monkeypatch.setenv("REPRO_NODE_PLANE", "objects")
+        overlay = Overlay.build(
+            nx.path_graph(4), SystemConfig(num_nodes=4, seed=SEED), with_churn=False
+        )
+        assert isinstance(overlay.arena, NodeArena)
 
 
 class TestBatchChurnModel:

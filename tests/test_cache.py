@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import PseudonymCache, Pseudonym
+from repro.core import Pseudonym
 from repro.errors import ProtocolError
 from repro.privlink import Address
+
+from .node_state import make_cache
 
 
 def _pseudonym(value, expires_at=100.0):
@@ -13,61 +15,61 @@ def _pseudonym(value, expires_at=100.0):
 
 class TestBasics:
     def test_empty_on_start(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         assert len(cache) == 0
         assert cache.pseudonyms() == []
 
     def test_merge_inserts(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         inserted = cache.merge([_pseudonym(1), _pseudonym(2)], now=0.0)
         assert inserted == 2
         assert len(cache) == 2
 
     def test_contains(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         entry = _pseudonym(1)
         cache.merge([entry], now=0.0)
         assert entry in cache
         assert _pseudonym(2) not in cache
 
     def test_own_pseudonym_never_cached(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         cache.merge([_pseudonym(7)], now=0.0, own_value=7)
         assert len(cache) == 0
 
     def test_expired_entries_not_inserted(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         cache.merge([_pseudonym(1, expires_at=5.0)], now=6.0)
         assert len(cache) == 0
 
     def test_duplicate_value_keeps_later_expiry(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         cache.merge([_pseudonym(1, expires_at=10.0)], now=0.0)
         cache.merge([_pseudonym(1, expires_at=20.0)], now=0.0)
         assert len(cache) == 1
         assert cache.pseudonyms()[0].expires_at == 20.0
 
     def test_duplicate_value_ignores_earlier_expiry(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         cache.merge([_pseudonym(1, expires_at=20.0)], now=0.0)
         cache.merge([_pseudonym(1, expires_at=10.0)], now=0.0)
         assert cache.pseudonyms()[0].expires_at == 20.0
 
     def test_invalid_capacity(self):
         with pytest.raises(ProtocolError):
-            PseudonymCache(0)
+            make_cache(0)
 
 
 class TestExpiry:
     def test_remove_expired(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         cache.merge([_pseudonym(1, 5.0), _pseudonym(2, 50.0)], now=0.0)
         removed = cache.remove_expired(now=10.0)
         assert removed == 1
         assert len(cache) == 1
 
     def test_remove_specific(self):
-        cache = PseudonymCache(10)
+        cache = make_cache(10)
         entry = _pseudonym(1)
         cache.merge([entry], now=0.0)
         assert cache.remove(entry)
@@ -76,12 +78,12 @@ class TestExpiry:
 
 class TestReplacementPolicy:
     def test_capacity_respected(self):
-        cache = PseudonymCache(3)
+        cache = make_cache(3)
         cache.merge([_pseudonym(value) for value in range(10)], now=0.0)
         assert len(cache) == 3
 
     def test_just_sent_evicted_first(self):
-        cache = PseudonymCache(3)
+        cache = make_cache(3)
         first_batch = [_pseudonym(1), _pseudonym(2), _pseudonym(3)]
         cache.merge(first_batch, now=0.0)
         # Entry 2 was just sent to the partner; it should be the victim.
@@ -90,7 +92,7 @@ class TestReplacementPolicy:
         assert values == {1, 3, 4}
 
     def test_oldest_evicted_when_nothing_sent(self):
-        cache = PseudonymCache(2)
+        cache = make_cache(2)
         cache.merge([_pseudonym(1)], now=0.0)
         cache.merge([_pseudonym(2)], now=1.0)
         cache.merge([_pseudonym(3)], now=2.0)
@@ -98,7 +100,7 @@ class TestReplacementPolicy:
         assert values == {2, 3}
 
     def test_expired_dropped_before_eviction(self):
-        cache = PseudonymCache(2)
+        cache = make_cache(2)
         cache.merge([_pseudonym(1, expires_at=1.0), _pseudonym(2)], now=0.0)
         cache.merge([_pseudonym(3)], now=5.0)
         values = {entry.value for entry in cache.pseudonyms()}
@@ -107,20 +109,20 @@ class TestReplacementPolicy:
 
 class TestSelectForShuffle:
     def test_respects_count(self, rng):
-        cache = PseudonymCache(20)
+        cache = make_cache(20)
         cache.merge([_pseudonym(value) for value in range(10)], now=0.0)
         selection = cache.select_for_shuffle(rng, 4, now=0.0)
         assert len(selection) == 4
         assert len({entry.value for entry in selection}) == 4
 
     def test_returns_all_when_count_exceeds_size(self, rng):
-        cache = PseudonymCache(20)
+        cache = make_cache(20)
         cache.merge([_pseudonym(value) for value in range(3)], now=0.0)
         selection = cache.select_for_shuffle(rng, 10, now=0.0)
         assert len(selection) == 3
 
     def test_excludes_expired(self, rng):
-        cache = PseudonymCache(20)
+        cache = make_cache(20)
         cache.merge([_pseudonym(1, 5.0), _pseudonym(2, 50.0)], now=0.0)
         selection = cache.select_for_shuffle(rng, 10, now=10.0)
         assert [entry.value for entry in selection] == [2]
@@ -128,7 +130,7 @@ class TestSelectForShuffle:
     def test_selection_varies(self):
         import numpy as np
 
-        cache = PseudonymCache(50)
+        cache = make_cache(50)
         cache.merge([_pseudonym(value) for value in range(30)], now=0.0)
         rng = np.random.default_rng(0)
         selections = {

@@ -19,7 +19,8 @@ import pytest
 from repro import Overlay, SystemConfig
 from repro.churn import online_subgraph, stationary_online_mask
 from repro.errors import GraphError
-from repro.experiments.runner import static_churn_metrics
+from repro.analysis import targeted_failure_curve
+from repro.experiments.runner import StaticMetrics, static_churn_metrics
 from repro.graphs import (
     average_path_length,
     degree_histogram,
@@ -29,19 +30,12 @@ from repro.graphs import (
     largest_component,
     normalized_path_length,
 )
-from repro.graphs.fastgraph import (
-    GRAPH_BACKENDS,
-    FlatSnapshot,
-    SnapshotAnalysis,
-    get_graph_backend,
-    resolve_graph_backend,
-    set_graph_backend,
-)
+from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
 
 
 def _assert_matches_networkx(graph: nx.Graph, seed: int = 9) -> SnapshotAnalysis:
-    """Assert every metric of ``graph`` is bit-identical across backends."""
+    """Assert every fast metric of ``graph`` is bit-identical to networkx."""
     analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
     total = graph.number_of_nodes()
 
@@ -68,40 +62,6 @@ def _assert_matches_networkx(graph: nx.Graph, seed: int = 9) -> SnapshotAnalysis
         # Identical RNG consumption: the streams stay in lockstep.
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
     return analysis
-
-
-class TestBackendKnob:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
-        set_graph_backend(None)
-        assert get_graph_backend() == "fast"
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "networkx")
-        set_graph_backend(None)
-        assert get_graph_backend() == "networkx"
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "networkx")
-        set_graph_backend("fast")
-        try:
-            assert get_graph_backend() == "fast"
-        finally:
-            set_graph_backend(None)
-
-    def test_resolve_prefers_explicit_override(self):
-        assert resolve_graph_backend("networkx") == "networkx"
-        assert resolve_graph_backend(None) in GRAPH_BACKENDS
-
-    def test_invalid_names_rejected(self, monkeypatch):
-        with pytest.raises(GraphError):
-            set_graph_backend("igraph")
-        with pytest.raises(GraphError):
-            resolve_graph_backend("igraph")
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "bogus")
-        set_graph_backend(None)
-        with pytest.raises(GraphError):
-            get_graph_backend()
 
 
 class TestDifferentialRandomGraphs:
@@ -140,7 +100,7 @@ class TestDifferentialRandomGraphs:
 
     def test_equal_size_component_tiebreak(self):
         # Two components of equal size: the canonical choice is the one
-        # containing the smallest node, in both backends.
+        # containing the smallest node, on both sides.
         graph = nx.Graph()
         graph.add_edges_from([(5, 6), (6, 7), (1, 2), (2, 3)])
         analysis = _assert_matches_networkx(graph)
@@ -223,7 +183,7 @@ class TestSingleLabelingPass:
         monkeypatch.setattr(SnapshotAnalysis, "_ensure_labels", counting)
         overlay = Overlay.build(small_trust_graph, config, with_churn=False)
         collector = MetricsCollector(
-            overlay, path_length_every=1, path_length_sources=4, backend="fast"
+            overlay, path_length_every=1, path_length_sources=4
         )
         overlay.start()
         collector.start()
@@ -304,7 +264,7 @@ class TestOverlayIncrementalStore:
 
 
 class TestCollectorBackendEquivalence:
-    def _series(self, backend: str):
+    def test_max_out_degrees_covers_every_node(self):
         graph = generate_social_graph(50, rng=np.random.default_rng(31))
         config = SystemConfig(num_nodes=50, seed=13, availability=0.6)
         overlay = Overlay.build(graph, config, with_churn=True)
@@ -313,48 +273,66 @@ class TestCollectorBackendEquivalence:
             path_length_every=2,
             path_length_sources=6,
             rng=overlay.substream("collector"),
-            backend=backend,
         )
         overlay.start()
         collector.start()
         overlay.run_until(15.0)
-        return collector
-
-    def test_series_byte_identical_across_backends(self):
-        fast = self._series("fast")
-        reference = self._series("networkx")
-        for name in (
-            "disconnected",
-            "trust_disconnected",
-            "path_length",
-            "trust_path_length",
-            "online_count",
-            "replacements_per_node",
-            "messages_per_node",
-        ):
-            fast_series = getattr(fast, name)
-            ref_series = getattr(reference, name)
-            assert list(fast_series.times) == list(ref_series.times), name
-            assert list(fast_series.values) == list(ref_series.values), name
-        assert fast.max_out_degrees() == reference.max_out_degrees()
-        assert fast.max_out_degree == reference.max_out_degree
-
-    def test_max_out_degrees_covers_every_node(self):
-        fast = self._series("fast")
-        assert len(fast.max_out_degrees()) == 50
-        assert sorted(fast.max_out_degree) == list(range(50))
+        assert len(collector.max_out_degrees()) == 50
+        assert sorted(collector.max_out_degree) == list(range(50))
 
 
 class TestStaticChurnBackends:
     def test_static_metrics_identical_across_backends(self):
+        """The flat-snapshot baseline equals ``online_subgraph`` plus the
+        networkx metrics on the same draws, rng consumption included."""
         graph = generate_social_graph(120, rng=np.random.default_rng(17))
         fast = static_churn_metrics(
-            graph, 0.5, 5, np.random.default_rng(3), path_sources=8, backend="fast"
+            graph, 0.5, 5, np.random.default_rng(3), path_sources=8
         )
-        reference = static_churn_metrics(
-            graph, 0.5, 5, np.random.default_rng(3), path_sources=8, backend="networkx"
+        rng = np.random.default_rng(3)
+        disconnected, paths, degrees = [], [], []
+        for _ in range(5):
+            induced = online_subgraph(graph, stationary_online_mask(120, 0.5, rng))
+            disconnected.append(fraction_disconnected(induced))
+            degrees.append(float(np.mean([d for _, d in induced.degree()])))
+            paths.append(
+                normalized_path_length(induced, 120, sample_sources=8, rng=rng)
+            )
+        assert fast == StaticMetrics(
+            disconnected=float(np.mean(disconnected)),
+            path_length=float(np.mean(paths)),
+            mean_online_degree=float(np.mean(degrees)),
         )
-        assert fast == reference
+
+
+class TestTargetedFailurePaths:
+    def test_int_and_string_labels_agree(self):
+        """Int-labelled graphs take the flat-snapshot path, anything else
+        the networkx one; the same graph must score the same on both."""
+        graph = generate_social_graph(150, rng=np.random.default_rng(23))
+        # Zero-padded so string order equals numeric order (tie-breaks).
+        names = {node: f"n{node:04d}" for node in graph.nodes()}
+        relabelled = nx.relabel_nodes(graph, names)
+        fractions = (0.0, 0.05, 0.2, 0.4)
+        hubs = sorted(graph.nodes(), key=lambda node: (-graph.degree(node), node))
+        for kwargs, string_kwargs in (
+            ({"strategy": "degree"}, {"strategy": "degree"}),
+            (
+                {"strategy": "custom", "removal_order": hubs[::2]},
+                {
+                    "strategy": "custom",
+                    "removal_order": [names[node] for node in hubs[::2]],
+                },
+            ),
+            (
+                {"strategy": "random", "rng": np.random.default_rng(5)},
+                {"strategy": "random", "rng": np.random.default_rng(5)},
+            ),
+        ):
+            fast = targeted_failure_curve(graph, fractions, **kwargs)
+            reference = targeted_failure_curve(relabelled, fractions, **string_kwargs)
+            assert fast == reference
+            assert fast[-1].removed_count == 60
 
 
 class TestLintCleanliness:

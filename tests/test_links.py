@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import LinkSet, LinkTarget, Pseudonym
+from repro.core import LinkTarget, Pseudonym
 from repro.errors import ProtocolError
 from repro.privlink import Address
+
+from .node_state import make_links
 
 
 def _pseudonym(value, expires_at=100.0):
@@ -25,13 +27,13 @@ class TestLinkTarget:
 
 class TestLinkSet:
     def test_trusted_links_static(self):
-        links = LinkSet([3, 1, 2])
+        links = make_links([3, 1, 2])
         assert links.trusted == {1, 2, 3}
         assert links.trusted_degree == 3
         assert links.out_degree() == 3
 
     def test_update_from_sample_adds(self):
-        links = LinkSet([1])
+        links = make_links([1])
         added, removed = links.update_from_sample([_pseudonym(10), _pseudonym(11)])
         assert added == 2
         assert removed == 0
@@ -39,7 +41,7 @@ class TestLinkSet:
         assert links.out_degree() == 3
 
     def test_update_from_sample_removes(self):
-        links = LinkSet([])
+        links = make_links([])
         links.update_from_sample([_pseudonym(10), _pseudonym(11)])
         added, removed = links.update_from_sample([_pseudonym(11)])
         assert added == 0
@@ -47,13 +49,13 @@ class TestLinkSet:
         assert links.pseudonym_degree() == 1
 
     def test_unchanged_sample_counts_nothing(self):
-        links = LinkSet([])
+        links = make_links([])
         links.update_from_sample([_pseudonym(10)])
         added, removed = links.update_from_sample([_pseudonym(10)])
         assert (added, removed) == (0, 0)
 
     def test_renewed_pseudonym_counts_as_replacement(self):
-        links = LinkSet([])
+        links = make_links([])
         links.update_from_sample([_pseudonym(10, expires_at=5.0)])
         renewed = Pseudonym(value=10, address=Address(99), expires_at=50.0)
         added, removed = links.update_from_sample([renewed])
@@ -61,14 +63,14 @@ class TestLinkSet:
         assert links.pseudonym_links()[0].address == Address(99)
 
     def test_replacement_counter_accumulates(self):
-        links = LinkSet([])
+        links = make_links([])
         links.update_from_sample([_pseudonym(1), _pseudonym(2)])
         links.update_from_sample([_pseudonym(3)])
         assert links.replacements_total == 2  # both 1 and 2 removed
         assert links.additions_total == 3
 
     def test_has_pseudonym_link(self):
-        links = LinkSet([])
+        links = make_links([])
         entry = _pseudonym(5)
         links.update_from_sample([entry])
         assert links.has_pseudonym_link(entry)
@@ -76,17 +78,17 @@ class TestLinkSet:
         assert not links.has_pseudonym_link(other_expiry)
 
     def test_all_targets(self):
-        links = LinkSet([2, 1])
+        links = make_links([2, 1])
         links.update_from_sample([_pseudonym(9)])
         targets = links.all_targets()
         assert [t.node_id for t in targets if t.is_trusted] == [1, 2]
         assert len([t for t in targets if not t.is_trusted]) == 1
 
     def test_pick_random_target_none_when_empty(self, rng):
-        assert LinkSet([]).pick_random_target(rng) is None
+        assert make_links([]).pick_random_target(rng) is None
 
     def test_pick_random_target_uniform(self, rng):
-        links = LinkSet([0, 1])
+        links = make_links([0, 1])
         links.update_from_sample([_pseudonym(10), _pseudonym(11)])
         counts = {"trusted": 0, "pseudonym": 0}
         for _ in range(2000):

@@ -473,11 +473,6 @@ class TestParityRules:
         names = {pair.name for pair in PARITY_PAIRS}
         assert names == {
             "graph-metrics",
-            "traffic-log",
-            "circuit-cache",
-            "node-plane-slots",
-            "node-plane-cache",
-            "node-plane-links",
             "sharded-batch",
             "net-clock",
             "dissemination-plane",

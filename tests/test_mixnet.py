@@ -218,7 +218,7 @@ class TestMixNetworkConstruction:
 
 
 def _fast_layer(**kwargs):
-    """A mixnet layer with the fast-path knobs exposed for tests."""
+    """A mixnet layer with the cache limits exposed for tests."""
     sim = Simulator()
     layer = make_mixnet_link_layer(
         sim,
@@ -307,19 +307,6 @@ class TestCircuitCache:
         assert network.circuit_cache_evictions == 2
         assert network.circuit_cache_size() == 1
 
-    def test_disabled_cache_keeps_legacy_behavior(self):
-        sim, layer = _fast_layer(circuit_cache=False)
-        network = layer.network
-        node = _FakeNode()
-        layer.register_node(1, node.receive, lambda: node.online)
-        for _ in range(3):
-            layer.send_to_node(0, 1, "m")
-        sim.run_until(1.0)
-        assert node.inbox == ["m"] * 3
-        assert network.circuit_cache_hits == 0
-        assert network.circuit_cache_misses == 0
-        assert network.circuit_cache_size() == 0
-
 
 class TestCompactReplayCache:
     def test_epoch_flush_bounds_cache_size(self):
@@ -347,22 +334,20 @@ class TestCompactReplayCache:
         assert network.total_replay_flushes() == 0
         assert network.total_replay_cache_entries() > 0
 
-    def test_compact_digests_are_ints_legacy_are_bytes(self):
-        for compact in (True, False):
-            sim, layer = _fast_layer(compact_replay=compact)
-            network = layer.network
-            node = _FakeNode()
-            layer.register_node(1, node.receive, lambda: node.online)
-            layer.send_to_node(0, 1, "m")
-            sim.run_until(1.0)
-            expected_type = int if compact else bytes
-            cached = {
-                digest
-                for relay in network.relays
-                for digest in relay._replay_cache
-            }
-            assert cached
-            assert all(isinstance(digest, expected_type) for digest in cached)
+    def test_compact_digests_are_ints(self):
+        sim, layer = _fast_layer()
+        network = layer.network
+        node = _FakeNode()
+        layer.register_node(1, node.receive, lambda: node.online)
+        layer.send_to_node(0, 1, "m")
+        sim.run_until(1.0)
+        cached = {
+            digest
+            for relay in network.relays
+            for digest in relay._replay_cache
+        }
+        assert cached
+        assert all(isinstance(digest, int) for digest in cached)
 
     def test_expected_collisions_tiny_but_nonzero(self):
         sim, layer = _fast_layer()
@@ -376,17 +361,6 @@ class TestCompactReplayCache:
         assert busy
         for relay in busy:
             assert 0.0 < relay.expected_replay_collisions() < 1e-12
-
-    def test_expected_collisions_zero_in_legacy_mode(self):
-        sim, layer = _fast_layer(compact_replay=False)
-        network = layer.network
-        node = _FakeNode()
-        layer.register_node(1, node.receive, lambda: node.online)
-        layer.send_to_node(0, 1, "m")
-        sim.run_until(1.0)
-        assert all(
-            relay.expected_replay_collisions() == 0.0 for relay in network.relays
-        )
 
     def test_replay_still_dropped_with_compact_digests(self):
         sim, layer = _fast_layer()

@@ -4,9 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Pseudonym, PseudonymCache
+from repro.core import Pseudonym
 from repro.privlink import Address
 from repro.rng import PSEUDONYM_BITS
+
+from .node_state import make_cache
 
 _VALUE = st.integers(min_value=0, max_value=(1 << PSEUDONYM_BITS) - 1)
 
@@ -34,7 +36,7 @@ class TestCacheInvariants:
     @given(capacity=st.integers(1, 30), batches=_BATCHES)
     @settings(max_examples=60, deadline=None)
     def test_capacity_never_exceeded(self, capacity, batches):
-        cache = PseudonymCache(capacity)
+        cache = make_cache(capacity)
         for batch, now in batches:
             cache.merge(batch, now=now)
             assert len(cache) <= capacity
@@ -42,7 +44,7 @@ class TestCacheInvariants:
     @given(batches=_BATCHES)
     @settings(max_examples=60, deadline=None)
     def test_no_expired_entry_survives_merge(self, batches):
-        cache = PseudonymCache(50)
+        cache = make_cache(50)
         last_now = 0.0
         for batch, now in batches:
             last_now = max(last_now, now)
@@ -53,7 +55,7 @@ class TestCacheInvariants:
     @given(batches=_BATCHES, own=_VALUE)
     @settings(max_examples=60, deadline=None)
     def test_own_value_never_cached(self, batches, own):
-        cache = PseudonymCache(50)
+        cache = make_cache(50)
         for batch, now in batches:
             cache.merge(batch, now=now, own_value=own)
         assert own not in {p.value for p in cache.pseudonyms()}
@@ -61,7 +63,7 @@ class TestCacheInvariants:
     @given(batches=_BATCHES)
     @settings(max_examples=60, deadline=None)
     def test_values_unique(self, batches):
-        cache = PseudonymCache(50)
+        cache = make_cache(50)
         for batch, now in batches:
             cache.merge(batch, now=now)
         values = [p.value for p in cache.pseudonyms()]
@@ -73,7 +75,7 @@ class TestCacheInvariants:
     )
     @settings(max_examples=60, deadline=None)
     def test_selection_is_subset_without_duplicates(self, batch, count):
-        cache = PseudonymCache(50)
+        cache = make_cache(50)
         cache.merge(batch, now=0.0)
         rng = np.random.default_rng(0)
         selection = cache.select_for_shuffle(rng, count, now=0.0)

@@ -1,11 +1,13 @@
-"""Property-based tests for LinkSet and TimeSeries invariants."""
+"""Property-based tests for link-set and TimeSeries invariants."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LinkSet, Pseudonym
+from repro.core import Pseudonym
 from repro.metrics import TimeSeries
 from repro.privlink import Address
+
+from .node_state import make_links
 
 
 @st.composite
@@ -23,7 +25,7 @@ class TestLinkSetProperties:
     @given(samples=st.lists(pseudonym_lists(), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_links_always_match_last_sample(self, samples):
-        links = LinkSet([1, 2])
+        links = make_links([1, 2])
         for sample in samples:
             links.update_from_sample(sample)
         final = {p.value for p in links.pseudonym_links()}
@@ -32,7 +34,7 @@ class TestLinkSetProperties:
     @given(samples=st.lists(pseudonym_lists(), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_additions_minus_removals_equals_size(self, samples):
-        links = LinkSet([])
+        links = make_links([])
         for sample in samples:
             links.update_from_sample(sample)
         assert (
@@ -43,7 +45,7 @@ class TestLinkSetProperties:
     @given(sample=pseudonym_lists())
     @settings(max_examples=60, deadline=None)
     def test_idempotent_update(self, sample):
-        links = LinkSet([])
+        links = make_links([])
         links.update_from_sample(sample)
         added, removed = links.update_from_sample(sample)
         assert (added, removed) == (0, 0)
@@ -51,7 +53,7 @@ class TestLinkSetProperties:
     @given(sample=pseudonym_lists(), trusted=st.sets(st.integers(0, 50), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_out_degree_decomposition(self, sample, trusted):
-        links = LinkSet(trusted)
+        links = make_links(trusted)
         links.update_from_sample(sample)
         assert links.out_degree() == len(trusted) + len(sample)
 

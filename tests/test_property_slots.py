@@ -6,9 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Pseudonym, SamplerSlots
+from repro.core import Pseudonym
 from repro.privlink import Address
 from repro.rng import PSEUDONYM_BITS
+
+from .node_state import make_slots
 
 _VALUE = st.integers(min_value=0, max_value=(1 << PSEUDONYM_BITS) - 1)
 _EXPIRY = st.one_of(
@@ -35,7 +37,7 @@ class TestSlotInvariants:
     def test_each_slot_holds_nearest_value(self, batch, seed):
         """After any batch, each slot holds a pseudonym whose distance to
         the slot reference is minimal among everything offered."""
-        slots = SamplerSlots(6, np.random.default_rng(seed))
+        slots = make_slots(6, np.random.default_rng(seed))
         slots.offer_batch(batch)
         if not batch:
             assert slots.filled() == 0
@@ -51,8 +53,8 @@ class TestSlotInvariants:
     @given(batch=pseudonym_batches(), seed=st.integers(0, 1000))
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_sequential(self, batch, seed):
-        batched = SamplerSlots(5, np.random.default_rng(seed))
-        sequential = SamplerSlots(5, np.random.default_rng(seed))
+        batched = make_slots(5, np.random.default_rng(seed))
+        sequential = make_slots(5, np.random.default_rng(seed))
         batched.offer_batch(batch)
         for pseudonym in batch:
             sequential.offer(pseudonym)
@@ -66,7 +68,7 @@ class TestSlotInvariants:
     )
     @settings(max_examples=60, deadline=None)
     def test_expire_removes_exactly_expired(self, batch, seed, now):
-        slots = SamplerSlots(5, np.random.default_rng(seed))
+        slots = make_slots(5, np.random.default_rng(seed))
         slots.offer_batch(batch)
         slots.expire(now)
         for index in range(slots.size):
@@ -78,7 +80,7 @@ class TestSlotInvariants:
     @settings(max_examples=60, deadline=None)
     def test_idempotent_reoffer(self, batch, seed):
         """Re-offering the same batch never changes any slot."""
-        slots = SamplerSlots(5, np.random.default_rng(seed))
+        slots = make_slots(5, np.random.default_rng(seed))
         slots.offer_batch(batch)
         before = [slots.entry(index) for index in range(slots.size)]
         changed = slots.offer_batch(batch)
@@ -95,8 +97,8 @@ class TestSlotInvariants:
     def test_order_independence_of_final_distance(self, first, second, seed):
         """The final distance per slot is the min over all offers,
         regardless of batch boundaries or ordering."""
-        one = SamplerSlots(4, np.random.default_rng(seed))
-        two = SamplerSlots(4, np.random.default_rng(seed))
+        one = make_slots(4, np.random.default_rng(seed))
+        two = make_slots(4, np.random.default_rng(seed))
         one.offer_batch(first)
         one.offer_batch(second)
         two.offer_batch(second)

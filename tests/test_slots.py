@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import Pseudonym, SamplerSlots
+from repro.core import Pseudonym
 from repro.errors import ProtocolError
 from repro.privlink import Address
+
+from .node_state import make_slots
 
 
 def _pseudonym(value, expires_at=1000.0):
@@ -21,22 +23,22 @@ def _offset(ref, delta):
 
 class TestConstruction:
     def test_all_slots_empty_on_start(self, rng):
-        slots = SamplerSlots(10, rng)
+        slots = make_slots(10, rng)
         assert slots.size == 10
         assert slots.filled() == 0
         assert slots.sample() == []
 
     def test_zero_slots_allowed(self, rng):
-        slots = SamplerSlots(0, rng)
+        slots = make_slots(0, rng)
         assert slots.offer(_pseudonym(1)) == 0
         assert slots.sample() == []
 
     def test_negative_size_rejected(self, rng):
         with pytest.raises(ProtocolError):
-            SamplerSlots(-1, rng)
+            make_slots(-1, rng)
 
     def test_references_immutable_view(self, rng):
-        slots = SamplerSlots(5, rng)
+        slots = make_slots(5, rng)
         refs = slots.references
         with pytest.raises(ValueError):
             refs[0] = 0
@@ -44,13 +46,13 @@ class TestConstruction:
 
 class TestReplacementRules:
     def test_empty_slot_filled(self, rng):
-        slots = SamplerSlots(4, rng)
+        slots = make_slots(4, rng)
         changed = slots.offer(_pseudonym(123))
         assert changed == 4  # fills every empty slot
         assert slots.filled() == 4
 
     def test_closer_value_wins(self, rng):
-        slots = SamplerSlots(1, rng)
+        slots = make_slots(1, rng)
         ref = int(slots.references[0])
         far = _pseudonym(_offset(ref, 10**9))
         near = _pseudonym(_offset(ref, 5))
@@ -60,7 +62,7 @@ class TestReplacementRules:
         assert slots.entry(0) == near
 
     def test_farther_value_loses(self, rng):
-        slots = SamplerSlots(1, rng)
+        slots = make_slots(1, rng)
         ref = int(slots.references[0])
         near = _pseudonym(_offset(ref, 5))
         far = _pseudonym(_offset(ref, 10**9))
@@ -69,7 +71,7 @@ class TestReplacementRules:
         assert slots.entry(0) == near
 
     def test_equal_distance_later_expiry_wins(self, rng):
-        slots = SamplerSlots(1, rng)
+        slots = make_slots(1, rng)
         ref = int(slots.references[0])
         value = _offset(ref, 7)
         early = Pseudonym(value=value, address=Address(1), expires_at=10.0)
@@ -79,7 +81,7 @@ class TestReplacementRules:
         assert slots.entry(0) == late
 
     def test_equal_distance_earlier_expiry_loses(self, rng):
-        slots = SamplerSlots(1, rng)
+        slots = make_slots(1, rng)
         ref = int(slots.references[0])
         value = _offset(ref, 7)
         late = Pseudonym(value=value, address=Address(2), expires_at=20.0)
@@ -91,8 +93,8 @@ class TestReplacementRules:
     def test_batch_equals_sequential(self, rng):
         """Folding a batch must match offering one-by-one."""
         batch_rng = np.random.default_rng(42)
-        sequential = SamplerSlots(20, np.random.default_rng(7))
-        batched = SamplerSlots(20, np.random.default_rng(7))
+        sequential = make_slots(20, np.random.default_rng(7))
+        batched = make_slots(20, np.random.default_rng(7))
         pseudonyms = [
             _pseudonym(int(batch_rng.integers(0, 1 << 62)), expires_at=float(e))
             for e in batch_rng.integers(1, 1000, size=50)
@@ -104,13 +106,13 @@ class TestReplacementRules:
             assert sequential.entry(index) == batched.entry(index)
 
     def test_offer_batch_empty(self, rng):
-        slots = SamplerSlots(3, rng)
+        slots = make_slots(3, rng)
         assert slots.offer_batch([]) == 0
 
 
 class TestExpiry:
     def test_expired_entries_cleared(self, rng):
-        slots = SamplerSlots(4, rng)
+        slots = make_slots(4, rng)
         slots.offer(_pseudonym(5, expires_at=10.0))
         assert slots.filled() == 4
         removed = slots.expire(now=10.0)
@@ -118,13 +120,13 @@ class TestExpiry:
         assert slots.filled() == 0
 
     def test_unexpired_entries_kept(self, rng):
-        slots = SamplerSlots(4, rng)
+        slots = make_slots(4, rng)
         slots.offer(_pseudonym(5, expires_at=10.0))
         assert slots.expire(now=9.0) == 0
         assert slots.filled() == 4
 
     def test_slot_refillable_after_expiry(self, rng):
-        slots = SamplerSlots(1, rng)
+        slots = make_slots(1, rng)
         ref = int(slots.references[0])
         near = _pseudonym(_offset(ref, 1), expires_at=5.0)
         far = _pseudonym(_offset(ref, 10**12), expires_at=1000.0)
@@ -136,7 +138,7 @@ class TestExpiry:
         assert slots.entry(0) == far
 
     def test_evict_specific(self, rng):
-        slots = SamplerSlots(3, rng)
+        slots = make_slots(3, rng)
         entry = _pseudonym(9)
         slots.offer(entry)
         assert slots.evict(entry) == 3
@@ -145,7 +147,7 @@ class TestExpiry:
 
 class TestSamplingProperties:
     def test_sample_deduplicates(self, rng):
-        slots = SamplerSlots(8, rng)
+        slots = make_slots(8, rng)
         slots.offer(_pseudonym(1))
         assert slots.filled() == 8
         assert len(slots.sample()) == 1
@@ -160,7 +162,7 @@ class TestSamplingProperties:
         trials = 400
         value_rng = np.random.default_rng(999)
         for trial in range(trials):
-            slots = SamplerSlots(1, np.random.default_rng(trial))
+            slots = make_slots(1, np.random.default_rng(trial))
             hot = _pseudonym(int(value_rng.integers(0, 1 << 62)))
             cold = _pseudonym(int(value_rng.integers(0, 1 << 62)))
             for _ in range(50):
@@ -172,14 +174,14 @@ class TestSamplingProperties:
         assert 0.4 < wins / trials < 0.6
 
     def test_holds(self, rng):
-        slots = SamplerSlots(4, rng)
+        slots = make_slots(4, rng)
         entry = _pseudonym(3)
         slots.offer(entry)
         assert slots.holds([entry])
         assert not slots.holds([_pseudonym(4)])
 
     def test_refresh_distances_consistency(self, rng):
-        slots = SamplerSlots(10, rng)
+        slots = make_slots(10, rng)
         values = np.random.default_rng(3).integers(0, 1 << 62, size=30)
         slots.offer_batch([_pseudonym(int(value)) for value in values])
         before = [slots.entry(index) for index in range(10)]
@@ -190,7 +192,7 @@ class TestSamplingProperties:
         assert slots.offer_batch([_pseudonym(int(value)) for value in values]) == 0
 
     def test_infinite_expiry_supported(self, rng):
-        slots = SamplerSlots(2, rng)
+        slots = make_slots(2, rng)
         eternal = _pseudonym(5, expires_at=math.inf)
         slots.offer(eternal)
         assert slots.expire(now=1e12) == 0

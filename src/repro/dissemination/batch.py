@@ -16,9 +16,9 @@ module re-states the same protocols as columnar batch kernels:
   and delivery counters) plus lazy :class:`LedgerRecordView` objects
   that quack like ``BroadcastRecord`` for reporting code.
 * :class:`BatchBroadcastEngine` advances *all* active broadcasts one
-  frontier round per :meth:`~BatchBroadcastEngine.step`: whole-frontier
-  fanout sampling, ``np.unique`` duplicate suppression, and vectorized
-  delivery marking in place of per-hop ``app_handler`` calls.
+  frontier round per :meth:`~BatchBroadcastEngine.step`: fanout
+  selection per degree class, ``np.unique`` duplicate suppression, and
+  vectorized delivery marking in place of per-hop ``app_handler`` calls.
 
 Exactness contract
 ------------------
@@ -480,6 +480,11 @@ class BatchBroadcastEngine:
                 f"online mask covers {len(online)} nodes, "
                 f"snapshot has {snapshot.num_nodes}"
             )
+        if online is not None and online.dtype != bool:
+            # An integer array would fancy-index arrivals, not mask them.
+            raise DisseminationError(
+                f"online mask must have dtype bool, got {online.dtype}"
+            )
         self._snapshot = snapshot
         self._ledger = BroadcastLedger(snapshot.num_nodes)
         self._ttl = ttl
@@ -533,14 +538,15 @@ class BatchBroadcastEngine:
         origin_ids = np.asarray(origins, dtype=np.int64)
         if payloads is not None and len(payloads) != len(origin_ids):
             raise DisseminationError("one payload per origin required")
-        num_nodes = self._snapshot.num_nodes
-        message_ids: List[int] = []
-        for position, origin in enumerate(origin_ids):
-            origin = int(origin)
-            if not 0 <= origin < num_nodes:
+        # Validate every origin before the first ledger row or key draw,
+        # so a refused call leaves ledger, frontier and rng untouched.
+        for origin in origin_ids.tolist():
+            if not 0 <= origin < self._snapshot.num_nodes:
                 raise DisseminationError(f"origin {origin} out of range")
-            if self._online is not None and not bool(self._online[origin]):
+            if self._online is not None and not self._online[origin]:
                 raise DisseminationError(f"origin node {origin} is offline")
+        message_ids: List[int] = []
+        for position, origin in enumerate(origin_ids.tolist()):
             key = 0
             if self._fanout is not None:
                 key = random_bits(self._rng, 63)
@@ -573,7 +579,8 @@ class BatchBroadcastEngine:
         """Advance every active broadcast one frontier round.
 
         Returns the number of new (broadcast, node) deliveries.  One
-        call fans out the whole frontier, suppresses duplicates with
+        call picks every activation's channels (per degree class — no
+        sort spans the frontier's channels), suppresses duplicates with
         one ``np.unique`` pass, marks deliveries into the ledger's
         round matrix, and assembles the next frontier — no per-message
         Python in the loop.
@@ -586,88 +593,111 @@ class BatchBroadcastEngine:
         sender_round = self._frontier_round
         snapshot = self._snapshot
         ledger = self._ledger
-        degree = (
-            snapshot.indptr[nodes + 1] - snapshot.indptr[nodes]
-        ).astype(np.int64)
-        starts = _cumsum0(degree)
-        total = int(starts[-1])
+        row_start = snapshot.indptr[nodes]
+        degree = snapshot.indptr[nodes + 1] - row_start
         self._rounds += 1
-        if total == 0:
+        if not degree.any():
             self._clear_frontier()
             return 0
-        pair = np.repeat(np.arange(len(bids), dtype=np.int64), degree)
-        flat = np.arange(total, dtype=np.int64)
-        within = flat - starts[pair]
-        destination = snapshot.targets[snapshot.indptr[nodes][pair] + within]
         fanout = self._fanout
-        if fanout is not None:
-            # Counter-keyed whole-frontier sampling: every channel gets
-            # the key its activation would compute in the object plane;
-            # per pair the smallest `fanout` keys win (stable tie-break
-            # by channel index, same as np.argsort(kind="stable")).
-            base = channel_key_base(
-                ledger.keys[bids], sender_round, nodes
-            )
-            with np.errstate(over="ignore"):
-                flat_keys = _mix64(
-                    base[pair]
-                    ^ ((within + 1).astype(np.uint64) * _CHANNEL_SALT)
-                )
-            order = np.lexsort((within, flat_keys, pair))
-            rank = flat - starts[pair[order]]
-            chosen = order[rank < fanout]
-            sends_per_pair = np.minimum(degree, fanout)
-            pair = pair[chosen]
-            destination = destination[chosen]
-        else:
+        pair_parts, slot_parts = [], []
+        if fanout is None:
+            send_all = np.arange(len(bids), dtype=np.int64)
             sends_per_pair = degree
+        else:
+            # Activations with at most `fanout` channels send on all of
+            # them and need no keys; the rest are sampled by degree.
+            by_degree = np.argsort(degree, kind="stable")
+            sorted_degree = degree[by_degree]
+            cut = np.searchsorted(sorted_degree, fanout, side="right")
+            send_all, sampled = by_degree[:cut], by_degree[cut:]
+            sends_per_pair = np.minimum(degree, fanout)
+            # Counter-keyed sampling, one dense (rows, d) key matrix per
+            # degree class d: row for row the object plane's
+            # np.argsort(channel_keys(...), kind="stable")[:fanout], so
+            # ties break by channel index by construction.
+            base = channel_key_base(
+                ledger.keys[bids[sampled]],
+                sender_round[sampled],
+                nodes[sampled],
+            )
+            class_degree, class_lo = np.unique(
+                sorted_degree[cut:], return_index=True
+            )
+            class_hi = np.append(class_lo[1:], len(sampled))
+            for d, lo, hi in zip(
+                class_degree.tolist(), class_lo.tolist(), class_hi.tolist()
+            ):
+                salts = np.arange(1, d + 1, dtype=np.uint64) * _CHANNEL_SALT
+                keys = _mix64(base[lo:hi, None] ^ salts)
+                chosen = np.argsort(keys, axis=1, kind="stable")[:, :fanout]
+                rows = sampled[lo:hi]
+                pair_parts.append(np.repeat(rows, fanout))
+                slots = row_start[rows][:, None] + chosen
+                slot_parts.append(slots.ravel())
+        counts = degree[send_all]
+        pair = np.repeat(send_all, counts)
+        within = np.arange(len(pair), dtype=np.int64) - np.repeat(
+            _cumsum0(counts)[:-1], counts
+        )
+        pair_parts.append(pair)
+        slot_parts.append(row_start[pair] + within)
+        pair = np.concatenate(pair_parts)
+        destination = snapshot.targets[np.concatenate(slot_parts)]
         # Forwards count sends, not deliveries: messages to offline
         # nodes are sent and then dropped, exactly as the object
-        # plane's link layer does.
+        # plane's link layer does.  np.add.at keeps multiplicities in
+        # int64; a weighted np.bincount would accumulate in float64.
         np.add.at(ledger.forwards, bids, mult * sends_per_pair)
         arrival_bid = bids[pair]
-        arrival_round = sender_round[pair] + 1
-        arrival_mult = mult[pair]
-        if self._online is not None:
-            alive = self._online[destination]
-            arrival_bid = arrival_bid[alive]
-            destination = destination[alive]
-            arrival_round = arrival_round[alive]
-            arrival_mult = arrival_mult[alive]
-        if not len(arrival_bid):
+        wanted = None if self._online is None else self._online[destination]
+        if not self._infect_forever:
+            # Infect-and-die: a re-delivery neither marks nor forwards,
+            # so drop it before np.unique has to sort it; the survivors
+            # are exactly the fresh cells, in the same sorted order.
+            unseen = ledger.delivery_round[arrival_bid, destination] < 0
+            wanted = unseen if wanted is None else wanted & unseen
+        if wanted is not None:
+            pair = pair[wanted]
+            arrival_bid = arrival_bid[wanted]
+            destination = destination[wanted]
+        if not len(pair):
             self._clear_frontier()
             return 0
         code = arrival_bid * np.int64(snapshot.num_nodes) + destination
-        unique_code, first, inverse = np.unique(
-            code, return_index=True, return_inverse=True
-        )
-        bid_u = arrival_bid[first]
-        node_u = destination[first]
-        round_u = arrival_round[first]
-        current = ledger.delivery_round[bid_u, node_u]
-        fresh = current < 0
-        ledger.delivery_round[bid_u[fresh], node_u[fresh]] = round_u[
-            fresh
-        ].astype(np.int16)
-        np.add.at(ledger.delivered, bid_u[fresh], 1)
-        delivered_now = int(fresh.sum())
-        self._delivered_total += delivered_now
-        within_budget = round_u < ledger.ttls[bid_u]
         if self._infect_forever:
             # Path multiplicity: every receipt re-triggers, so carry
             # the number of same-round arrivals as a multiplicity (all
             # copies select the same counter-keyed channels).
-            multiplicity = np.zeros(len(unique_code), dtype=np.int64)
-            np.add.at(multiplicity, inverse, arrival_mult)
-            keep = within_budget
-            self._frontier_mult = multiplicity[keep]
+            _, first, inverse = np.unique(
+                code, return_index=True, return_inverse=True
+            )
+            multiplicity = np.zeros(len(first), dtype=np.int64)
+            np.add.at(multiplicity, inverse, mult[pair])
         else:
-            keep = fresh & within_budget
-            self._frontier_mult = np.ones(int(keep.sum()), dtype=np.int64)
-        self._frontier_bid = bid_u[keep]
-        self._frontier_node = node_u[keep]
-        self._frontier_round = round_u[keep]
-        return delivered_now
+            first = np.unique(code, return_index=True)[1]
+            multiplicity = np.ones(len(first), dtype=np.int64)
+        # `first` names one arrival per (broadcast, node) cell; which one
+        # is immaterial (so selection order above is free): the cell fixes
+        # bid and node, and within a step every activation of a broadcast
+        # carries the same round.
+        bid_u = arrival_bid[first]
+        node_u = destination[first]
+        round_u = sender_round[pair[first]] + 1
+        within_budget = round_u < ledger.ttls[bid_u]
+        self._frontier_bid = bid_u[within_budget]
+        self._frontier_node = node_u[within_budget]
+        self._frontier_mult = multiplicity[within_budget]
+        self._frontier_round = round_u[within_budget]
+        if self._infect_forever:
+            # Re-deliveries stay in the frontier but mark nothing.
+            fresh = ledger.delivery_round[bid_u, node_u] < 0
+            bid_u, node_u = bid_u[fresh], node_u[fresh]
+            round_u = round_u[fresh]
+        ledger.delivery_round[bid_u, node_u] = round_u.astype(np.int16)
+        ledger.delivered += np.bincount(bid_u, minlength=len(ledger.delivered))
+        self._delivered_total += len(bid_u)
+        return len(bid_u)
 
     def run(self, max_rounds: Optional[int] = None) -> int:
         """Step until every frontier drains; returns new deliveries.

@@ -16,6 +16,8 @@ from repro import Overlay
 from repro.core import BatchOverlay
 from repro.config import SystemConfig
 from repro.dissemination import (
+    base,
+    batch,
     BatchBroadcastEngine,
     BroadcastLedger,
     BroadcastRecord,
@@ -107,6 +109,34 @@ class TestDifferentialExactness:
         records = _object_broadcasts(overlay, disseminator, origins)
 
         engine = _engine_for(overlay, fanout=3, ttl=5, infect_forever=True)
+        mids = engine.start(origins)
+        engine.run()
+        for record, mid in zip(records, mids):
+            _assert_identical(record, engine.ledger.record(mid))
+
+    @pytest.mark.parametrize("infect_forever", [False, True])
+    def test_tied_keys_break_by_channel_index(
+        self, small_trust_graph, small_config, monkeypatch, infect_forever
+    ):
+        """A 2-bit hash ties keys within every activation: both planes
+        must still pick the same channels (lowest index wins a tie)."""
+        for module in (base, batch):
+            monkeypatch.setattr(module, "_mix64", lambda x: x & np.uint64(3))
+        overlay = _instant_overlay(small_trust_graph, small_config)
+        disseminator = EpidemicBroadcast(
+            overlay,
+            fanout=3,
+            ttl=5,
+            infect_forever=infect_forever,
+            sampling="counter",
+        )
+        disseminator.install()
+        origins = _online_origins(overlay, 4)
+        records = _object_broadcasts(overlay, disseminator, origins)
+
+        engine = _engine_for(
+            overlay, fanout=3, ttl=5, infect_forever=infect_forever
+        )
         mids = engine.start(origins)
         engine.run()
         for record, mid in zip(records, mids):
@@ -501,6 +531,13 @@ class TestEngineValidation:
             BatchBroadcastEngine(
                 snapshot, fanout=None, online=np.ones(3, dtype=bool)
             )
+        # A 0/1 integer mask would fancy-index arrivals instead of
+        # masking them; it is refused by dtype, not silently misused.
+        for dtype in (np.uint8, np.int64):
+            with pytest.raises(DisseminationError, match=np.dtype(dtype).name):
+                BatchBroadcastEngine(
+                    snapshot, fanout=None, online=np.ones(2, dtype=dtype)
+                )
 
     def test_start_guards(self):
         engine = BatchBroadcastEngine(self._snapshot(), fanout=None, ttl=2)
@@ -508,6 +545,31 @@ class TestEngineValidation:
             engine.start([5])
         with pytest.raises(DisseminationError, match="payload"):
             engine.start([0, 1], payloads=["only-one"])
+
+    def test_failed_start_changes_nothing(self):
+        """An offline origin late in the list refuses the whole call:
+        no ledger row, no key draw, no frontier entry for the origins
+        before it."""
+        ring = np.arange(8, dtype=np.int64)
+        snapshot = ChannelSnapshot(
+            2 * np.arange(9, dtype=np.int64),
+            np.stack(((ring - 1) % 8, (ring + 1) % 8), axis=1).ravel(),
+        )
+        online = np.ones(8, dtype=bool)
+        online[3] = False
+        rng = np.random.default_rng(5)
+        engine = BatchBroadcastEngine(
+            snapshot, fanout=2, ttl=3, rng=rng, online=online
+        )
+        before = rng.bit_generator.state
+        for origins in ([0, 1, 3], [0, 1, 8]):
+            with pytest.raises(DisseminationError):
+                engine.start(origins)
+            assert engine.ledger.count == 0
+            assert engine.total_delivered == 0
+            assert engine.frontier_size == 0
+            assert rng.bit_generator.state == before
+        assert engine.start([0, 1]) == [1, 2]
 
     def test_flood_on_pair(self):
         engine = BatchBroadcastEngine(self._snapshot(), fanout=None, ttl=2)

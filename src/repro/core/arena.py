@@ -950,10 +950,9 @@ class ArenaCache:
         self.remove_expired(now)
         ids = self._ids()
         view = self._arena.pseudonyms.view
-        if count >= len(ids):
-            return [view(int(pid)) for pid in ids]
-        indices = rng.choice(len(ids), size=count, replace=False)
-        return [view(int(ids[int(index)])) for index in indices]
+        if count < len(ids):
+            ids = ids[rng.choice(len(ids), size=count, replace=False)]
+        return [view(pid) for pid in ids.tolist()]
 
     def merge(
         self,
@@ -968,53 +967,72 @@ class ArenaCache:
         the same exchange (preferred eviction victims, per CYCLON);
         ``own_value`` is the node's own pseudonym value, never cached.
         Returns the number of received entries inserted or refreshed.
+
+        Costs one read of the row and at most one write-back, whatever
+        the batch size (``docs/node_plane.md``, per-receipt cost).
         """
         self.remove_expired(now)
-        sent_values = (
-            {pseudonym.value for pseudonym in just_sent} if just_sent else set()
-        )
         arena = self._arena
         row = self._row
         table = arena.pseudonyms
+        length = int(arena.cache_len[row])
+        capacity = int(arena.cache_cap[row])
+        ids = arena.cache_ids[row, :length]
+        # The row, read once: value -> (id, inserted_at), oldest first.
+        # A dict keeps that order the way the row does: a refreshed value
+        # keeps its place, an evicted one closes the gap, an insert
+        # appends.
+        entries = dict(
+            zip(
+                table.values[ids].tolist(),
+                zip(ids.tolist(), arena.cache_ins[row, :length].tolist()),
+            )
+        )
+        # Preferred victims, tried in the set's iteration order.
+        sent_values = (
+            list({pseudonym.value for pseudonym in just_sent}) if just_sent else []
+        )
+        expires_at = table.expires_at
+        soonest = math.inf
         inserted = 0
         for pseudonym in received:
-            if pseudonym.is_expired(now):
+            expiry = pseudonym.expires_at
+            value = pseudonym.value
+            if now >= expiry or value == own_value:
                 continue
-            if own_value is not None and pseudonym.value == own_value:
-                continue
-            position = self._find_value(pseudonym.value)
-            if position is not None:
-                existing = int(arena.cache_ids[row, position])
-                if pseudonym.expires_at > float(table.expires_at[existing]):
-                    arena.cache_ids[row, position] = table.intern(pseudonym)
-                    table.release(existing)
+            held = entries.get(value)
+            if held is not None:
+                if expiry > expires_at[held[0]]:
+                    entries[value] = (table.intern(pseudonym), held[1])
+                    table.release(held[0])
                     inserted += 1
                 continue
-            if int(arena.cache_len[row]) >= int(arena.cache_cap[row]):
-                victim = self._pick_victim(sent_values)
-                if victim is None:
-                    break
-                self._remove_at(victim)
-            length = int(arena.cache_len[row])
-            arena.cache_ids[row, length] = table.intern(pseudonym)
-            arena.cache_ins[row, length] = now
-            arena.cache_len[row] = length + 1
-            if pseudonym.expires_at < arena.cache_min_exp[row]:
-                arena.cache_min_exp[row] = pseudonym.expires_at
+            if len(entries) >= capacity:
+                for victim in sent_values:
+                    if victim in entries:
+                        sent_values.remove(victim)
+                        break
+                else:
+                    if not entries:
+                        break  # nothing to evict: the batch ends here
+                    victim = next(iter(entries))  # the oldest
+                table.release(entries.pop(victim)[0])
+            entries[value] = (table.intern(pseudonym), now)
+            if expiry < soonest:
+                soonest = expiry
             inserted += 1
+        if inserted:
+            # One write-back.  Every eviction above was followed by an
+            # insert, so the row never got shorter and has no tail to
+            # clear; ``cache_min_exp`` only has to stay a lower bound,
+            # which refreshes (later expiry) and evictions cannot break.
+            new_ids, inserted_at = zip(*entries.values())
+            arena.cache_ids[row, : len(new_ids)] = new_ids
+            arena.cache_ins[row, : len(new_ids)] = inserted_at
+            arena.cache_len[row] = len(new_ids)
+            if soonest < arena.cache_min_exp[row]:
+                arena.cache_min_exp[row] = soonest
         return inserted
-
-    def _pick_victim(self, sent_values) -> Optional[int]:
-        """Choose an eviction victim: just-sent entries first, then oldest."""
-        if sent_values:
-            for value in sent_values:
-                position = self._find_value(value)
-                if position is not None:
-                    sent_values.discard(value)
-                    return position
-        # Rows are insertion-ordered with a non-decreasing ``now``, so
-        # position 0 is the oldest entry.
-        return 0 if len(self) else None
 
 
 class ArenaSlots:
@@ -1162,18 +1180,11 @@ class ArenaSlots:
         arena = self._arena
         row = self._row
         size = self._size
-        values = np.fromiter(
-            (pseudonym.value for pseudonym in pseudonyms),
-            dtype=np.int64,
-            count=len(pseudonyms),
+        values = np.array(
+            [pseudonym.value for pseudonym in pseudonyms], dtype=np.int64
         )
-        expiries = np.fromiter(
-            (
-                np.inf if math.isinf(pseudonym.expires_at) else pseudonym.expires_at
-                for pseudonym in pseudonyms
-            ),
-            dtype=np.float64,
-            count=len(pseudonyms),
+        expiries = np.array(
+            [pseudonym.expires_at for pseudonym in pseudonyms], dtype=np.float64
         )
         references = arena.slot_refs[row, :size]
         distances = arena.slot_dist[row, :size]
@@ -1188,14 +1199,15 @@ class ArenaSlots:
 
         closer = min_distances < distances
         tie_later = (min_distances == distances) & (best_expiries > slot_expiries)
-        replace = closer | tie_later
+        replace = np.flatnonzero(closer | tie_later).tolist()
+        if not replace:
+            return 0
 
         table = arena.pseudonyms
         changed = 0
         soonest = float(arena.slot_soonest[row])
         ids = arena.slot_ids[row]
-        for index in np.flatnonzero(replace):
-            index = int(index)
+        for index in replace:
             candidate = pseudonyms[int(best_rows[index])]
             current = int(ids[index])
             if current >= 0 and table.matches(current, candidate):
@@ -1276,6 +1288,7 @@ class ArenaLinkSet:
         "_trusted_list",
         "_trusted_frozen",
         "_pseudonym_list",
+        "_synced_sample",
         "replacements_total",
         "additions_total",
         "version",
@@ -1291,6 +1304,7 @@ class ArenaLinkSet:
         self._trusted_list: List[int] = sorted(self._trusted)
         self._trusted_frozen: FrozenSet[int] = frozenset(self._trusted)
         self._pseudonym_list: Optional[List[Pseudonym]] = None
+        self._synced_sample: Optional[List[Pseudonym]] = None
         self.replacements_total = 0
         self.additions_total = 0
         self.version = 0
@@ -1368,7 +1382,15 @@ class ArenaLinkSet:
         link-replacement overhead metric: a removal happens either
         because the pseudonym expired out of every slot or because the
         sampler found numerically better pseudonyms.
+
+        Handed the very list it last synced to — :meth:`ArenaSlots.sample`
+        returns one cached list until a slot changes — there is nothing
+        to do.  Only lists qualify: a generator is spent by the first
+        call, so seeing it again says nothing about the links.
         """
+        if sample is self._synced_sample:
+            return 0, 0
+        self._synced_sample = sample if type(sample) is list else None
         arena = self._arena
         table = arena.pseudonyms
         new_links = {pseudonym.value: pseudonym for pseudonym in sample}

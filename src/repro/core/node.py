@@ -396,12 +396,14 @@ class OverlayNode:
         if self.own is None:
             return
         own_value = self.own.value
+        # Filtered here, once, for the cache and the slots alike; hence
+        # no ``own_value`` for ``merge`` to check a second time.
         usable = [
             pseudonym
             for pseudonym in received
-            if pseudonym.value != own_value and not pseudonym.is_expired(now)
+            if pseudonym.value != own_value and now < pseudonym.expires_at
         ]
-        self.cache.merge(usable, now, just_sent=just_sent, own_value=own_value)
+        self.cache.merge(usable, now, just_sent=just_sent)
         if self.sampler_mode == "slots":
             self.slots.expire(now)
             if usable:

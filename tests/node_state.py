@@ -28,3 +28,9 @@ def make_cache(capacity):
 def make_links(trusted_neighbors):
     """A link set ``n.links`` with the given trusted neighbors."""
     return ArenaLinkSet(_one_row_arena(), 0, trusted_neighbors)
+
+
+def make_node_state(size, rng):
+    """Sampler slots and the link set they feed, over one arena row."""
+    arena = _one_row_arena(slot_count=size)
+    return ArenaSlots(arena, 0, size, rng), ArenaLinkSet(arena, 0, ())

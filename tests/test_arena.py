@@ -15,6 +15,8 @@ growth past the preallocated chunk, and free-list id reuse under
 long churned runs.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,30 @@ class TestBatchKernelParity:
                 int(table.values[pid])
                 for pid in arena.link_ids[n, : arena.link_len[n]]
             ], f"link row {n} diverged"
+
+    def test_minus_inf_expiry_is_the_least_preferred_tie_break(self):
+        """Row view and batch kernel seat the same occupant at a -inf tie.
+
+        R = 100; 90 and 110 are equally close.  The expiry decides, and
+        -inf is the earliest there is, so 110 @ 5.0 wins on both paths.
+        """
+        candidates = [_p(90, -math.inf), _p(110, 5.0)]
+        reference = NodeArena(node_chunk=1)
+        reference.register_node(0, 1, 1)
+        slots = ArenaSlots(reference, 0, 1, RandomStreams(SEED).substream("r"))
+        reference.slot_refs[0, 0] = 100
+        assert slots.offer_batch(candidates) == 1
+        assert slots.entry(0) == candidates[1]
+        assert reference.slot_exp[0, 0] == 5.0
+
+        arena = NodeArena(track_insert_times=False)
+        arena.register_batch(1, 1, 1)
+        arena.slot_refs[0, 0] = 100
+        table = arena.pseudonyms
+        cand_ids = np.array([[table.intern(p) for p in candidates]], dtype=np.int64)
+        arena.batch_offer(np.array([0]), cand_ids)
+        assert int(table.values[arena.slot_ids[0, 0]]) == 110
+        assert arena.slot_exp[0, 0] == reference.slot_exp[0, 0]
 
     def test_sample_cache_is_uniform_without_replacement(self):
         arena = NodeArena(track_insert_times=False)

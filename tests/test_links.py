@@ -6,7 +6,7 @@ from repro.core import LinkTarget, Pseudonym
 from repro.errors import ProtocolError
 from repro.privlink import Address
 
-from .node_state import make_links
+from .node_state import make_links, make_node_state
 
 
 def _pseudonym(value, expires_at=100.0):
@@ -96,3 +96,57 @@ class TestLinkSet:
             counts["trusted" if target.is_trusted else "pseudonym"] += 1
         # 2 trusted vs 2 pseudonym links: expect roughly 50/50.
         assert 0.4 < counts["trusted"] / 2000 < 0.6
+
+
+class TestSameSampleNoOp:
+    """Re-syncing to the list last synced to is free, and only then."""
+
+    def test_same_list_is_a_no_op(self):
+        links = make_links([])
+        sample = [_pseudonym(10), _pseudonym(11)]
+        assert links.update_from_sample(sample) == (2, 0)
+        version = links.version
+        assert links.update_from_sample(sample) == (0, 0)
+        assert links.version == version
+        assert (links.additions_total, links.replacements_total) == (2, 0)
+
+    def test_slot_change_hands_over_a_new_list(self, rng):
+        slots, links = make_node_state(4, rng)
+        slots.offer_batch([_pseudonym(10, expires_at=5.0)])
+        first = slots.sample()
+        assert links.update_from_sample(first) == (1, 0)
+        assert slots.sample() is first
+        # offer_batch changes a slot: a new list, a full re-sync.
+        assert slots.offer_batch([_pseudonym(10, expires_at=50.0)]) == 4
+        second = slots.sample()
+        assert second is not first
+        assert links.update_from_sample(second) == (1, 1)
+        # So does expire().
+        assert slots.expire(60.0) == 4
+        third = slots.sample()
+        assert third is not second and third == []
+        assert links.update_from_sample(third) == (0, 1)
+        assert links.pseudonym_degree() == 0
+
+    def test_an_offer_that_changes_nothing_keeps_the_list(self, rng):
+        slots, links = make_node_state(4, rng)
+        slots.offer_batch([_pseudonym(10)])
+        sample = slots.sample()
+        links.update_from_sample(sample)
+        assert slots.offer_batch([_pseudonym(10)]) == 0
+        assert slots.expire(1.0) == 0
+        assert slots.sample() is sample
+
+    def test_non_list_iterables_always_run_in_full(self):
+        links = make_links([])
+        entries = (_pseudonym(10), _pseudonym(11))
+        assert links.update_from_sample(entries) == (2, 0)
+        # The tuple is remembered by nobody: handing it again runs the
+        # full comparison (which finds nothing to do) ...
+        assert links._synced_sample is None
+        assert links.update_from_sample(entries) == (0, 0)
+        # ... and a spent generator is an empty sample, not a no-op.
+        spent = iter(entries)
+        assert links.update_from_sample(spent) == (0, 0)
+        assert links.update_from_sample(spent) == (0, 2)
+        assert links.pseudonym_degree() == 0

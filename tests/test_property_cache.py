@@ -1,5 +1,7 @@
 """Property-based tests for the pseudonym cache."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,27 @@ _BATCHES = st.lists(
 )
 
 
+def _check_min_exp(cache):
+    """``cache_min_exp`` is a lower bound on the row's expiries.
+
+    ``remove_expired`` returns early on it, so a value above the true
+    minimum would let an expired entry survive.
+    """
+    soonest = min((p.expires_at for p in cache.pseudonyms()), default=math.inf)
+    assert cache._arena.cache_min_exp[cache._row] <= soonest
+
+
+# Few values and capacities: later-expiring copies of cached values,
+# evictions of the soonest entry and full rows all come up.
+_COLLIDING = st.builds(
+    lambda value, expires_at: Pseudonym(
+        value=value, address=Address(value + 1), expires_at=expires_at
+    ),
+    st.integers(0, 12),
+    st.sampled_from([2.0, 4.0, 8.0, 16.0, math.inf]),
+)
+
+
 class TestCacheInvariants:
     @given(capacity=st.integers(1, 30), batches=_BATCHES)
     @settings(max_examples=60, deadline=None)
@@ -40,6 +63,7 @@ class TestCacheInvariants:
         for batch, now in batches:
             cache.merge(batch, now=now)
             assert len(cache) <= capacity
+            _check_min_exp(cache)
 
     @given(batches=_BATCHES)
     @settings(max_examples=60, deadline=None)
@@ -49,6 +73,7 @@ class TestCacheInvariants:
         for batch, now in batches:
             last_now = max(last_now, now)
             cache.merge(batch, now=last_now)
+            _check_min_exp(cache)
         for pseudonym in cache.pseudonyms():
             assert not pseudonym.is_expired(last_now)
 
@@ -58,6 +83,7 @@ class TestCacheInvariants:
         cache = make_cache(50)
         for batch, now in batches:
             cache.merge(batch, now=now, own_value=own)
+            _check_min_exp(cache)
         assert own not in {p.value for p in cache.pseudonyms()}
 
     @given(batches=_BATCHES)
@@ -66,8 +92,36 @@ class TestCacheInvariants:
         cache = make_cache(50)
         for batch, now in batches:
             cache.merge(batch, now=now)
+            _check_min_exp(cache)
         values = [p.value for p in cache.pseudonyms()]
         assert len(values) == len(set(values))
+
+    @given(
+        capacity=st.integers(1, 5),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 3.0]),
+                st.lists(_COLLIDING, max_size=6),
+                st.lists(_COLLIDING, max_size=3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_min_expiry_stays_a_lower_bound(self, capacity, steps):
+        """After every merge and remove_expired, on colliding traffic."""
+        cache = make_cache(capacity)
+        now = 0.0
+        for advance, batch, just_sent, expire_first in steps:
+            now += advance
+            if expire_first:
+                cache.remove_expired(now)
+                _check_min_exp(cache)
+            cache.merge(batch, now=now, just_sent=just_sent, own_value=0)
+            _check_min_exp(cache)
+            assert all(not p.is_expired(now) for p in cache.pseudonyms())
 
     @given(
         batch=st.lists(pseudonyms(), min_size=1, max_size=20),

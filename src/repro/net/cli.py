@@ -281,6 +281,8 @@ def _write_mesh_artifacts(report, args) -> None:
             "all_bootstrapped": report.all_bootstrapped,
             "shuffle_offers": report.shuffle_offers,
             "counters": dict(sorted(report.counters.items())),
+            "frames_per_node_period": report.frames_per_node_period,
+            "liveness_share": report.liveness_share,
             "digest": report.digest(),
         }
         Path(args.json).write_text(
@@ -339,6 +341,10 @@ def mesh_main(argv: List[str]) -> int:
         f"disconnected {report.fraction_disconnected:.3f}, "
         f"{report.shuffle_offers} shuffle offers, "
         f"bootstrapped={'all' if report.all_bootstrapped else 'PARTIAL'}"
+    )
+    print(
+        f"traffic: {report.frames_per_node_period:.2f} frames per node-period, "
+        f"liveness share {report.liveness_share:.3f}"
     )
     print(f"digest: {report.digest()}")
     _write_mesh_artifacts(report, args)

@@ -135,7 +135,7 @@ class Hello:
 
 @dataclasses.dataclass(frozen=True)
 class HelloAck:
-    """Bootstrap answer carrying the responder's known peers."""
+    """Bootstrap answer; a seed's carries the addresses it knows."""
 
     node_id: int
     peers: Tuple[PeerInfo, ...] = ()

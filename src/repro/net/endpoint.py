@@ -4,11 +4,12 @@
 on a datagram network:
 
 * **bootstrap** — hello the configured seed addresses with exponential
-  backoff until one acks (the ack carries the seed's peer list, which
-  we then greet, flooding knowledge of us outward);
-* **liveness** — periodic heartbeats to every known peer and the
-  two-level suspect/dead detection of :class:`~repro.net.peers
-  .PeerTable`;
+  backoff until one acks (a seed's ack carries its address book, which
+  we copy and then greet, so everyone listed learns our address too);
+* **liveness** — an address is not a watch: the address book says where
+  a node *could* be reached, the :class:`~repro.net.peers.PeerTable`
+  holds the peers we exchange trusted-link frames with, and only those
+  get periodic heartbeats and the two-level suspect/dead detection;
 * **pseudonym service** — mint 63-bit endpoint tokens locally, register
   them with the seeds, resolve unknown tokens with lookup queries
   (queueing outbound messages until the route answer lands), and learn
@@ -47,10 +48,12 @@ from .codec import (
     HelloAck,
     Lookup,
     LookupReply,
+    PeerInfo,
     Register,
     ShuffleOffer,
     ShuffleReply,
     WireEntry,
+    _MAX_PEERS,
     decode_frame,
     encode_frame,
 )
@@ -66,6 +69,13 @@ ADDRESS_KIND = "net"
 #: dropping (bounds memory under a hostile or dead directory).
 _MAX_PENDING = 16
 
+#: How long (clock units) a route learned from an offer's reply hint or
+#: a lookup answer is kept.  Forgetting one early costs one ``Lookup``.
+_ROUTE_HORIZON = 30.0
+
+#: Frame types that carry no protocol payload (``liveness_out``).
+_LIVENESS = (Hello, HelloAck, Heartbeat, Goodbye)
+
 Inbox = Callable[[Any], None]
 OnlineCheck = Callable[[], bool]
 
@@ -80,8 +90,9 @@ class NetEndpoint:
         a seeded generator (endpoint tokens, timer jitter).
     bootstrap:
         Seed ``(host, port)`` addresses.  Empty means *we* are a seed:
-        bootstrapping is trivially complete and lookups are answered
-        from the local directory.
+        bootstrapping is trivially complete, lookups are answered from
+        the local directory, and a ``Hello`` is answered with the
+        address book (everyone else acks without peers).
     heartbeat_interval, suspect_after, dead_after:
         Liveness cadence and the two-level timeouts, in clock units.
     backoff_base, backoff_factor, backoff_max, bootstrap_attempts:
@@ -117,13 +128,17 @@ class NetEndpoint:
         self._backoff_max = backoff_max
         self._bootstrap_attempts = bootstrap_attempts
 
+        #: Peers we watch: those a trusted-link frame has crossed to or
+        #: from.  Heartbeats, probes and goodbyes go to these only.
         self.table = PeerTable(suspect_after=suspect_after, dead_after=dead_after)
+        #: node id -> address of everyone introduced by Hello / HelloAck.
+        self._book: Dict[int, Endpoint] = {}
         self._inbox: Optional[Inbox] = None
         self._is_online: OnlineCheck = lambda: True
         #: Tokens this endpoint owns (its own pseudonym endpoints).
         self._owned: Set[int] = set()
-        #: Learned token -> transport address routes.
-        self._routes: Dict[int, Endpoint] = {}
+        #: Learned token -> (transport address, expiry) routes.
+        self._routes: Dict[int, Tuple[Endpoint, float]] = {}
         #: Directory served to others (seeds accumulate registrations).
         self._directory: Dict[int, Endpoint] = {}
         #: Outbound payloads parked until a lookup resolves their token.
@@ -147,6 +162,8 @@ class NetEndpoint:
             "peers_declared_dead": 0,
             "shuffle_offers_in": 0,
             "shuffle_replies_in": 0,
+            "frames_out": 0,
+            "liveness_out": 0,
         }
 
         self._heartbeat = PeriodicProcess(
@@ -190,17 +207,24 @@ class NetEndpoint:
         self._closed = True
         self._heartbeat.stop()
         self._liveness.stop()
-        farewell = encode_frame(Goodbye(node_id=self.node_id))
-        for peer_id in self.table.peer_ids():
-            address = self.table.address_of(peer_id)
-            if address is not None:
-                self._transport.send(address, farewell)
+        self._send_to_table(Goodbye(node_id=self.node_id))
         self._log("shutdown: goodbye sent to "
                   f"{len(self.table)} peers")
         self._transport.close()
 
     def _log(self, message: str) -> None:
         self.log.append(f"[t={self._clock.now:.3f}] n{self.node_id}: {message}")
+
+    def _send(self, address: Endpoint, message: Any) -> None:
+        """Frame and transmit one message; the only way out of here."""
+        self.counters["frames_out"] += 1
+        if isinstance(message, _LIVENESS):
+            self.counters["liveness_out"] += 1
+        self._transport.send(address, encode_frame(message))
+
+    def _send_to_table(self, message: Any) -> None:
+        for peer_id in self.table.peer_ids():
+            self._send(self.table.address_of(peer_id), message)
 
     # ------------------------------------------------------------------
     # bootstrap
@@ -217,9 +241,8 @@ class NetEndpoint:
             return
         self.counters["bootstrap_attempts"] += 1
         host, port = self.local_address
-        hello = encode_frame(Hello(node_id=self.node_id, host=host, port=port))
         for seed in self._bootstrap:
-            self._transport.send(seed, hello)
+            self._send(seed, Hello(node_id=self.node_id, host=host, port=port))
         delay = min(
             self._backoff_base * (self._backoff_factor ** attempt),
             self._backoff_max,
@@ -235,10 +258,9 @@ class NetEndpoint:
         if node_id == self.node_id or node_id in self._greeted:
             return
         self._greeted.add(node_id)
+        self._book[node_id] = address
         host, port = self.local_address
-        self._transport.send(
-            address, encode_frame(Hello(node_id=self.node_id, host=host, port=port))
-        )
+        self._send(address, Hello(node_id=self.node_id, host=host, port=port))
 
     # ------------------------------------------------------------------
     # liveness
@@ -248,39 +270,39 @@ class NetEndpoint:
         if self._closed:
             return
         self._hb_seq += 1
-        beat = encode_frame(
-            Heartbeat(node_id=self.node_id, seq=self._hb_seq)
-        )
-        for peer_id in self.table.peer_ids():
-            address = self.table.address_of(peer_id)
-            if address is not None:
-                self._transport.send(address, beat)
+        self._send_to_table(Heartbeat(node_id=self.node_id, seq=self._hb_seq))
 
     def _liveness_tick(self) -> None:
         if self._closed:
             return
-        newly_suspect, dead = self.table.check(self._clock.now)
+        now = self._clock.now
+        newly_suspect, dead = self.table.check(now)
         for record in newly_suspect:
             self.counters["probes_sent"] += 1
             self._log(f"peer n{record.node_id} silent; probing")
-            self._transport.send(
+            self._send(
                 record.address,
-                encode_frame(
-                    Heartbeat(
-                        node_id=self.node_id,
-                        seq=self._hb_seq,
-                        reply_wanted=True,
-                    )
+                Heartbeat(
+                    node_id=self.node_id, seq=self._hb_seq, reply_wanted=True
                 ),
             )
         for record in dead:
+            # The book keeps the address: the next protocol send to this
+            # peer starts a fresh watch (a healed partition re-links).
             self.counters["peers_declared_dead"] += 1
             self._log(f"peer n{record.node_id} declared dead")
             self._drop_routes_via(record.address)
+        expired = [
+            token for token, (_, expires_at) in self._routes.items()
+            if expires_at <= now
+        ]
+        for token in expired:
+            del self._routes[token]
 
     def _drop_routes_via(self, address: Endpoint) -> None:
         stale = [
-            token for token, route in self._routes.items() if route == address
+            token for token, (route, _) in self._routes.items()
+            if route == address
         ]
         for token in stale:
             del self._routes[token]
@@ -290,19 +312,22 @@ class NetEndpoint:
     # ------------------------------------------------------------------
 
     def send_to_node(self, dest_id: int, payload: Any) -> None:
-        """Trusted-link send: resolve the peer table, frame, transmit."""
+        """Trusted-link send; the first one to a peer starts watching it."""
         address = self.table.address_of(dest_id)
         if address is None:
-            self.counters["unknown_peer_drops"] += 1
-            return
-        self._transport.send(address, self._encode_payload(payload))
+            address = self._book.get(dest_id)
+            if address is None:
+                self.counters["unknown_peer_drops"] += 1
+                return
+            self.table.note_heard(dest_id, address, self._clock.now)
+        self._send(address, self._to_wire(payload))
 
     def send_to_endpoint(self, address: Address, payload: Any) -> None:
         """Pseudonym-link send: route by token, or look it up and queue."""
         token = address.token
         route = self._route_for(token)
         if route is not None:
-            self._transport.send(route, self._encode_payload(payload))
+            self._send(route, self._to_wire(payload))
             return
         directory = self._directory_peer()
         if directory is None:
@@ -313,7 +338,7 @@ class NetEndpoint:
             self.counters["pending_overflow_drops"] += 1
             return
         queue.append(payload)
-        self._transport.send(directory, encode_frame(Lookup(token=token)))
+        self._send(directory, Lookup(token=token))
 
     def create_endpoint(self) -> Address:
         """Mint a fresh pseudonym endpoint and register it with the seeds."""
@@ -323,14 +348,7 @@ class NetEndpoint:
         self._owned.add(token)
         host, port = self.local_address
         self._directory[token] = (host, port)
-        registration = encode_frame(
-            Register(
-                node_id=self.node_id, token=token, host=host, port=port,
-                active=True,
-            )
-        )
-        for seed in self._bootstrap:
-            self._transport.send(seed, registration)
+        self._register(token, active=True)
         return Address(token=token, kind=ADDRESS_KIND)
 
     def close_endpoint(self, address: Address) -> None:
@@ -339,22 +357,25 @@ class NetEndpoint:
         self._owned.discard(token)
         self._directory.pop(token, None)
         self._routes.pop(token, None)
+        self._register(token, active=False)
+
+    def _register(self, token: int, active: bool) -> None:
         host, port = self.local_address
-        unregistration = encode_frame(
-            Register(
-                node_id=self.node_id, token=token, host=host, port=port,
-                active=False,
-            )
-        )
         for seed in self._bootstrap:
-            self._transport.send(seed, unregistration)
+            self._send(
+                seed,
+                Register(
+                    node_id=self.node_id, token=token, host=host, port=port,
+                    active=active,
+                ),
+            )
 
     def _route_for(self, token: int) -> Optional[Endpoint]:
         if token in self._owned:
             return self.local_address
         route = self._routes.get(token)
         if route is not None:
-            return route
+            return route[0]
         return self._directory.get(token)
 
     def _directory_peer(self) -> Optional[Endpoint]:
@@ -392,18 +413,20 @@ class NetEndpoint:
     ) -> Tuple[Pseudonym, ...]:
         entries = []
         for wire in wires:
+            expires_at = now + wire.ttl
             if wire.host and wire.token not in self._owned:
-                self._routes[wire.token] = (wire.host, wire.port)
+                # The hint is useful exactly as long as the pseudonym.
+                self._routes[wire.token] = ((wire.host, wire.port), expires_at)
             entries.append(
                 Pseudonym(
                     value=wire.value,
                     address=Address(token=wire.token, kind=ADDRESS_KIND),
-                    expires_at=now + wire.ttl,
+                    expires_at=expires_at,
                 )
             )
         return tuple(entries)
 
-    def _encode_payload(self, payload: Any) -> bytes:
+    def _to_wire(self, payload: Any) -> Any:
         now = self._clock.now
         if isinstance(payload, ShuffleRequest):
             entries = self._entries_to_wire(payload.entries, now)
@@ -418,10 +441,10 @@ class NetEndpoint:
                     reply_host=host,
                     reply_port=port,
                 )
-            return encode_frame(offer)
+            return offer
         if isinstance(payload, ShuffleResponse):
-            return encode_frame(
-                ShuffleReply(entries=self._entries_to_wire(payload.entries, now))
+            return ShuffleReply(
+                entries=self._entries_to_wire(payload.entries, now)
             )
         try:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -429,7 +452,7 @@ class NetEndpoint:
             raise NetError(
                 f"application payload is not JSON-encodable: {error}"
             ) from error
-        return encode_frame(AppPayload(kind="json", body=body))
+        return AppPayload(kind="json", body=body)
 
     # ------------------------------------------------------------------
     # receive path
@@ -451,30 +474,44 @@ class NetEndpoint:
             return
         now = self._clock.now
         if isinstance(message, Hello):
-            self.table.note_heard(message.node_id, (message.host, message.port), now)
+            address = (message.host, message.port)
+            self._book[message.node_id] = address
             self._greeted.add(message.node_id)
-            ack = HelloAck(node_id=self.node_id, peers=self.table.peer_infos())
-            self._transport.send((message.host, message.port), encode_frame(ack))
+            # Only a seed introduces: it is the rendezvous everyone
+            # already shows an address to.  A long book goes out as
+            # several acks, each within the codec's peer-list limit.
+            peers: Tuple[PeerInfo, ...] = ()
+            if not self._bootstrap:
+                peers = tuple(
+                    PeerInfo(node_id=node_id, host=host, port=port)
+                    for node_id, (host, port) in sorted(self._book.items())
+                )
+            for start in range(0, max(len(peers), 1), _MAX_PEERS):
+                self._send(
+                    address,
+                    HelloAck(
+                        node_id=self.node_id,
+                        peers=peers[start:start + _MAX_PEERS],
+                    ),
+                )
             return
         if isinstance(message, HelloAck):
             if not self.bootstrapped:
                 self.bootstrapped = True
                 self._log(f"bootstrapped via n{message.node_id}")
-            self.table.note_heard(message.node_id, source, now)
+            self._book[message.node_id] = source
             for peer in message.peers:
                 self._greet(peer.node_id, (peer.host, peer.port))
             return
         if isinstance(message, Heartbeat):
             self.table.note_heard(message.node_id, source, now)
             if message.reply_wanted:
-                self._transport.send(
-                    source,
-                    encode_frame(
-                        Heartbeat(node_id=self.node_id, seq=self._hb_seq)
-                    ),
+                self._send(
+                    source, Heartbeat(node_id=self.node_id, seq=self._hb_seq)
                 )
             return
         if isinstance(message, Goodbye):
+            self._book.pop(message.node_id, None)
             record = self.table.remove(message.node_id)
             if record is not None:
                 self._drop_routes_via(record.address)
@@ -495,7 +532,7 @@ class NetEndpoint:
                 host=route[0] if route is not None else "",
                 port=route[1] if route is not None else 0,
             )
-            self._transport.send(source, encode_frame(reply))
+            self._send(source, reply)
             return
         if isinstance(message, LookupReply):
             queued = self._pending.pop(message.token, [])
@@ -503,14 +540,17 @@ class NetEndpoint:
                 self.counters["unknown_endpoint_drops"] += len(queued)
                 return
             route = (message.host, message.port)
-            self._routes[message.token] = route
+            self._routes[message.token] = (route, now + _ROUTE_HORIZON)
             for payload in queued:
-                self._transport.send(route, self._encode_payload(payload))
+                self._send(route, self._to_wire(payload))
             return
         if isinstance(message, ShuffleOffer):
             self.counters["shuffle_offers_in"] += 1
             entries = self._entries_from_wire(message.entries, now)
             if message.reply_node is not None:
+                # An identified offer is a trusted-link frame: it proves
+                # the peer alive as well as any heartbeat.
+                self.table.note_heard(message.reply_node, source, now)
                 request = ShuffleRequest(entries=entries, reply_node=message.reply_node)
             else:
                 reply_route = (
@@ -519,7 +559,9 @@ class NetEndpoint:
                     else source
                 )
                 if message.reply_token not in self._owned:
-                    self._routes[message.reply_token] = reply_route
+                    self._routes[message.reply_token] = (
+                        reply_route, now + _ROUTE_HORIZON
+                    )
                 request = ShuffleRequest(
                     entries=entries,
                     reply_address=Address(

@@ -119,6 +119,16 @@ class MeshReport:
     #: Per-node event logs (bootstrap, suspicion, shutdown...).
     node_logs: Tuple[Tuple[str, ...], ...]
 
+    @property
+    def frames_per_node_period(self) -> float:
+        """Frames sent per node per period, bootstrap included."""
+        return self.counters["frames_out"] / (self.num_nodes * self.duration)
+
+    @property
+    def liveness_share(self) -> float:
+        """Share of sent frames that are hello/ack/heartbeat/goodbye."""
+        return self.counters["liveness_out"] / max(self.counters["frames_out"], 1)
+
     def digest(self) -> str:
         """Stable hash of everything deterministic about the run."""
         payload = {

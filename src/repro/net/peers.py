@@ -1,14 +1,20 @@
 """Peer liveness: heartbeats in, two-level dead-peer detection out.
 
-Every identified frame (hello, heartbeat, register, goodbye) refreshes
-its sender's entry.  A periodic check then applies the classic
-two-level scheme from gossip deployments:
+The table holds the peers an endpoint *watches* — those it exchanges
+trusted-link frames with — not everyone whose address it knows (that
+is the endpoint's address book).  A peer enters on the first
+trusted-link frame in either direction: our send to it, its heartbeat,
+or its identified shuffle offer; the latter two also refresh its
+entry.  A hello or an ack introduces an address and refreshes nothing.
+A periodic check then applies the classic two-level scheme from gossip
+deployments:
 
 * silent for ``suspect_after`` time units -> **suspect**: the peer is
   kept and the endpoint sends it a direct probe (a heartbeat with
   ``reply_wanted``), because the silence may be loss, not death;
 * silent for ``dead_after`` -> **dead**: the peer is dropped and its
-  routes pruned; it can re-enter later via a fresh hello.
+  routes pruned; its address stays in the book, so the next
+  trusted-link frame either way starts a fresh watch.
 
 The table never reads a clock itself — callers pass ``now`` — so the
 same logic is exercised deterministically under the simulator and for
@@ -38,7 +44,7 @@ class PeerRecord:
 
 
 class PeerTable:
-    """Known peers, their addresses, and their liveness state."""
+    """Watched peers, their addresses, and their liveness state."""
 
     def __init__(self, suspect_after: float, dead_after: float) -> None:
         if not 0 < suspect_after < dead_after:

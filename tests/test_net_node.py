@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 from repro.errors import NetError
-from repro.net.codec import Goodbye, Heartbeat, decode_frame, encode_frame
+from repro.net.clock import Scheduler
+from repro.net.codec import (
+    Heartbeat,
+    Hello,
+    HelloAck,
+    ShuffleOffer,
+    WireEntry,
+    decode_frame,
+    encode_frame,
+)
 from repro.net.endpoint import ADDRESS_KIND, NetEndpoint
+from repro.net.harness import MeshSpec, _build_mesh
 from repro.net.peers import PeerTable
 from repro.net.transport import FaultPlan, LoopbackNetwork
 from repro.privlink import Address
+from repro.rng import RandomStreams
 from repro.sim import Simulator
 
 
@@ -32,6 +43,31 @@ def _pair(sim, seed=5, faults=None, **kwargs):
         sim, network, 1, bootstrap=(seed_ep.local_address,), **kwargs
     )
     return network, seed_ep, joiner
+
+
+def _linked_pair(sim, **kwargs):
+    """A bootstrapped pair that then used its trusted link both ways.
+
+    Knowing an address starts no watch; the first trusted-link frame
+    does (here an app payload each way, as two trust neighbours'
+    shuffles would be), and the sender's next heartbeat tells the
+    other side whom the frame came from.
+    """
+    network, seed_ep, joiner = _pair(sim, **kwargs)
+    seed_ep.start()
+    joiner.start()
+    sim.run_until(1.0)
+    joiner.send_to_node(0, {"link": 1})
+    seed_ep.send_to_node(1, {"link": 0})
+    return network, seed_ep, joiner
+
+
+def _raw_listener(network):
+    """A bare transport plus the decoded frames it receives."""
+    raw = network.transport()
+    inbox = []
+    raw.set_receiver(lambda data, source: inbox.append(decode_frame(data)))
+    return raw, inbox
 
 
 class TestPeerTable:
@@ -77,7 +113,63 @@ class TestBootstrap:
         sim.run_until(2.0)
         assert joiner.bootstrapped
         assert joiner.counters["bootstrap_attempts"] == 1
+        # Introduced, not watched: each knows where the other lives.
+        assert seed_ep._book[1] == joiner.local_address
+        assert joiner._book[0] == seed_ep.local_address
+        assert len(seed_ep.table) == 0 and len(joiner.table) == 0
+        # The first trusted-link send starts the watch on both sides.
+        joiner.send_to_node(0, {"link": 1})
+        sim.run_until(4.0)
         assert 1 in seed_ep.table and 0 in joiner.table
+
+    def test_introduced_pair_without_a_link_sends_no_heartbeats(self):
+        sim = Simulator()
+        network, seed_ep, joiner = _pair(sim)
+        seed_ep.start()
+        joiner.start()
+        sim.run_until(10.0)
+        assert joiner.bootstrapped
+        # One Hello and its ack, then silence: nobody is watched.
+        assert network.frames_sent == 2
+        assert joiner.counters["frames_out"] == joiner.counters["liveness_out"] == 1
+        assert seed_ep.counters["frames_out"] == seed_ep.counters["liveness_out"] == 1
+        assert len(seed_ep.table) == 0 and len(joiner.table) == 0
+        assert seed_ep.counters["probes_sent"] == 0
+
+    def test_only_a_seed_introduces(self):
+        sim = Simulator()
+        network, seed_ep, joiner = _pair(sim)
+        seed_ep.start()
+        joiner.start()
+        sim.run_until(2.0)
+        raw, inbox = _raw_listener(network)
+        host, port = raw.local_address
+        hello = encode_frame(Hello(node_id=9, host=host, port=port))
+        raw.send(joiner.local_address, hello)
+        sim.run_until(3.0)
+        assert inbox == [HelloAck(node_id=1, peers=())]
+        assert joiner._book[9] == raw.local_address
+        del inbox[:]
+        raw.send(seed_ep.local_address, hello)
+        sim.run_until(4.0)
+        (ack,) = inbox
+        assert sorted(peer.node_id for peer in ack.peers) == [1, 9]
+
+    def test_long_address_book_is_introduced_in_several_acks(self):
+        # 1,500 entries exceed the codec's 1,024-peer limit for one ack.
+        sim = Simulator()
+        network, seed_ep, joiner = _pair(sim)
+        book = {
+            node_id: ("127.0.0.1", 10000 + node_id)
+            for node_id in range(2, 1502)
+        }
+        seed_ep._book.update(book)
+        seed_ep.start()
+        joiner.start()
+        sim.run_until(2.0)
+        assert joiner.bootstrapped
+        assert seed_ep.counters["frames_out"] == 2
+        assert {k: joiner._book[k] for k in book} == book
 
     def test_backoff_retries_until_seed_appears(self):
         sim = Simulator()
@@ -144,9 +236,7 @@ class TestBootstrap:
 class TestLiveness:
     def test_heartbeats_keep_peers_alive(self):
         sim = Simulator()
-        network, seed_ep, joiner = _pair(sim)
-        seed_ep.start()
-        joiner.start()
+        network, seed_ep, joiner = _linked_pair(sim)
         sim.run_until(30.0)
         assert 1 in seed_ep.table
         assert seed_ep.counters["peers_declared_dead"] == 0
@@ -154,11 +244,9 @@ class TestLiveness:
 
     def test_silent_peer_probed_then_declared_dead(self):
         sim = Simulator()
-        network, seed_ep, joiner = _pair(
+        network, seed_ep, joiner = _linked_pair(
             sim, suspect_after=3.0, dead_after=9.0
         )
-        seed_ep.start()
-        joiner.start()
         sim.run_until(2.0)
         assert 1 in seed_ep.table
         # The joiner crashes: timers die and the socket closes, but —
@@ -175,15 +263,58 @@ class TestLiveness:
 
     def test_goodbye_removes_immediately(self):
         sim = Simulator()
-        network, seed_ep, joiner = _pair(sim)
-        seed_ep.start()
-        joiner.start()
+        network, seed_ep, joiner = _linked_pair(sim)
         sim.run_until(2.0)
+        assert 1 in seed_ep.table
         joiner.shutdown()  # polite: sends Goodbye
         sim.run_until(3.0)
         assert 1 not in seed_ep.table
+        assert 1 not in seed_ep._book  # gone for good, unlike a dead peer
         assert seed_ep.counters["peers_declared_dead"] == 0
         assert any("goodbye" in line for line in seed_ep.log)
+
+    def test_identified_offer_clears_suspicion(self):
+        sim = Simulator()
+        network = LoopbackNetwork(sim, np.random.default_rng(5))
+        watcher = _endpoint(sim, network, 0, suspect_after=3.0, dead_after=9.0)
+        watcher.start()
+        raw, inbox = _raw_listener(network)
+        raw.send(watcher.local_address, encode_frame(Heartbeat(node_id=1, seq=1)))
+        sim.run_until(5.0)
+        assert watcher.table._peers[1].suspect
+        assert watcher.counters["probes_sent"] == 1
+        # The peer never beats again, but it shuffles with us.
+        offer = encode_frame(
+            ShuffleOffer(
+                entries=(WireEntry(value=7, token=8, ttl=5.0),), reply_node=1
+            )
+        )
+        raw.send(watcher.local_address, offer)
+        sim.run_until(6.0)
+        assert not watcher.table._peers[1].suspect
+        sim.run_until(12.0)  # past dead_after since the only heartbeat
+        assert 1 in watcher.table
+        assert watcher.counters["peers_declared_dead"] == 0
+
+    def test_healed_partition_relinks(self):
+        sim = Simulator()
+        faults = FaultPlan()
+        network, seed_ep, joiner = _linked_pair(sim, faults=faults)
+        received = []
+        seed_ep.attach(received.append, lambda: True)
+        sim.run_until(3.0)
+        assert 1 in seed_ep.table and 0 in joiner.table
+        faults.partition([seed_ep.local_address], [joiner.local_address])
+        sim.run_until(20.0)
+        assert 1 not in seed_ep.table and 0 not in joiner.table
+        faults.heal()
+        joiner.send_to_node(0, {"after": "heal"})
+        sim.run_until(23.0)
+        assert received[-1] == {"after": "heal"}
+        assert joiner.counters["unknown_peer_drops"] == 0
+        assert 1 in seed_ep.table and 0 in joiner.table
+        assert seed_ep.counters["peers_declared_dead"] == 1
+        assert joiner.counters["peers_declared_dead"] == 1
 
 
 class TestPseudonymService:
@@ -263,9 +394,7 @@ class TestReceivePath:
         seed_ep.start()
         joiner.start()
         sim.run_until(2.0)
-        inbox = []
-        raw = network.transport()
-        raw.set_receiver(lambda data, source: inbox.append(decode_frame(data)))
+        raw, inbox = _raw_listener(network)
         raw.send(
             seed_ep.local_address,
             encode_frame(Heartbeat(node_id=1, seq=1, reply_wanted=True)),
@@ -301,3 +430,53 @@ class TestReceivePath:
         endpoint.shutdown()
         endpoint.shutdown()  # no error
         assert any("shutdown" in line for line in endpoint.log)
+
+
+def _run_mesh(num_nodes, checkpoints, seed=1):
+    """Drive the harness's mesh by hand, so the endpoints stay inspectable.
+
+    Returns the endpoints, the collector and the fabric's cumulative
+    frame count at each checkpoint time.
+    """
+    spec = MeshSpec(num_nodes=num_nodes, seed=seed, duration=checkpoints[-1])
+    scheduler = Scheduler(Simulator())
+    streams = RandomStreams(seed)
+    network = LoopbackNetwork(scheduler, streams.substream("net", "fabric"))
+    transports = [network.transport() for _ in range(num_nodes)]
+    overlay, collector, endpoints = _build_mesh(
+        spec, scheduler, streams, transports,
+        [transport.local_address for transport in transports],
+    )
+    overlay.start()
+    collector.start()
+    frames = []
+    for checkpoint in checkpoints:
+        scheduler.run_until(checkpoint)
+        frames.append(network.frames_sent)
+    return spec, endpoints, collector, frames
+
+
+class TestMeshTraffic:
+    def test_steady_state_traffic_does_not_grow_with_mesh_size(self):
+        # Liveness follows links: per node-period a node exchanges
+        # frames with its lattice neighbours and pseudonym links only,
+        # however many addresses it has been introduced to.
+        per_node_period = {}
+        for num_nodes in (16, 48):
+            spec, endpoints, _, (half, full) = _run_mesh(num_nodes, (10.0, 20.0))
+            per_node_period[num_nodes] = (full - half) / (num_nodes * 10.0)
+            for endpoint in endpoints:
+                assert len(endpoint._book) == num_nodes - 1
+                assert len(endpoint.table) <= spec.lattice_degree
+        small, large = per_node_period[16], per_node_period[48]
+        assert abs(large - small) <= 0.10 * small, per_node_period
+
+    def test_routes_stay_bounded_over_a_long_run(self):
+        num_nodes = 16
+        _, endpoints, collector, _ = _run_mesh(num_nodes, (480.0,))
+        # 16 live tokens at any time, one new set every 15 periods.
+        assert max(len(e._routes) for e in endpoints) <= 4 * num_nodes
+        offers = sum(e.counters["shuffle_offers_in"] for e in endpoints)
+        replies = sum(e.counters["shuffle_replies_in"] for e in endpoints)
+        assert replies / offers >= 0.99
+        assert collector.disconnected.values[-1] == 0.0

@@ -19,13 +19,16 @@ object views* over single rows:
   cache entries (insertion-ordered), and sampler-slot state
   (references, distances, expiries, occupants) as 2-D arrays with one
   row per node.  It also carries the vectorized **batch kernels**
-  (:meth:`~NodeArena.batch_offer`, :meth:`~NodeArena.batch_cache_merge`,
+  (:meth:`~NodeArena.batch_absorb` and its one-wave forms
+  :meth:`~NodeArena.batch_offer` / :meth:`~NodeArena.batch_cache_merge`,
   :meth:`~NodeArena.batch_links_from_slots`,
   :meth:`~NodeArena.batch_expire`) that fold whole populations of
-  shuffle exchanges, slot updates, and churn transitions in a handful
-  of numpy passes — the engine behind
-  :class:`repro.core.batch.BatchOverlay` and the ``million_node_churn``
-  benchmark.
+  shuffle exchanges, slot updates, and churn transitions: every
+  receiving row is gathered once per round, folded in place — Python
+  loops over the short axes (slots, cache columns, set positions),
+  numpy passes along the rows — and scattered once.  They are the
+  engine behind :class:`repro.core.batch.BatchOverlay` and the
+  ``million_node_churn`` benchmark.
 * :class:`ArenaLinkSet` / :class:`ArenaCache` / :class:`ArenaSlots` —
   one node's ``n.links``, cache and ``n.L`` as views over one arena
   row.  :class:`~repro.core.node.OverlayNode` holds one of each; the
@@ -62,9 +65,78 @@ __all__ = [
 #: Sentinel distance of an empty sampler slot.
 _EMPTY_DISTANCE = np.iinfo(np.int64).max
 
-#: Soft cap on elements per temporary in the batch kernels; row batches
-#: are chunked so the (rows x candidates x slots) scratch stays bounded.
-_KERNEL_CHUNK_ELEMS = 8_000_000
+_NO_IDS = np.zeros(0, dtype=np.int64)
+
+
+def _wave_major(dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order deliveries so that every wave is a prefix of the receivers.
+
+    Wave w is the (w+1)-th set of every row that receives that many.
+    Ranking the distinct receiving rows by how many sets they get (most
+    first, ties by row) makes wave w's receivers exactly
+    ``rows[:sizes[w]]``, and laying the deliveries out wave by wave,
+    rows in rank order inside a wave, makes its sets one contiguous
+    block.  Returns ``(rows, order, sizes)``: the ranked rows, the
+    delivery indices in wave-major order, and the non-increasing wave
+    sizes.  A row's deliveries keep their relative order.
+    """
+    count = len(dst)
+    if count == 0:
+        return _NO_IDS, _NO_IDS, _NO_IDS
+    # Unique keys, so the fast default sort is a stable one.
+    keys = dst.astype(np.int64) * count + np.arange(count)
+    keys.sort()
+    by_row = keys % count
+    sorted_dst = keys // count
+    first = np.flatnonzero(
+        np.concatenate(([True], sorted_dst[1:] != sorted_dst[:-1]))
+    )
+    per_row = np.diff(np.append(first, count))
+    ranked = np.argsort(-per_row, kind="stable")
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(len(ranked))
+    sizes = len(first) - np.cumsum(np.bincount(per_row))[:-1]
+    starts = np.cumsum(sizes) - sizes
+    wave = np.arange(count) - np.repeat(first, per_row)
+    order = np.empty(count, dtype=np.int64)
+    order[starts[wave] + np.repeat(rank, per_row)] = by_row
+    return sorted_dst[first][ranked], order, sizes
+
+
+def _drop_repeats(cells: np.ndarray) -> None:
+    """Set to -1 every ``cells[j, r]`` that repeats a ``cells[i < j, r]``."""
+    for j in range(1, len(cells)):
+        repeat = cells[j] == cells[0]
+        for i in range(1, j):
+            repeat |= cells[j] == cells[i]
+        np.putmask(cells[j], repeat, -1)
+
+
+def _append(
+    table: np.ndarray, end: np.ndarray, cells: np.ndarray, keep: np.ndarray
+) -> np.ndarray:
+    """Append ``cells[j, r]`` where ``keep[j, r]`` to column r, in j order.
+
+    Column r of ``table`` is filled up to row ``end[r]``; returns the new
+    ends.  A skipped cell lands where the next kept one overwrites it
+    and the last such cell is cleared afterwards, so ``table`` needs
+    one spare row below the longest column this can produce.
+    """
+    lane = np.arange(table.shape[1])
+    end = end.copy()
+    for j in range(len(cells)):
+        table[end, lane] = cells[j]
+        end += keep[j]
+    table[end, lane] = -1
+    return end
+
+
+def _transposed(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``array[rows].T`` as a contiguous ``(columns, len(rows))`` array."""
+    out = np.empty((array.shape[1], len(rows)), dtype=array.dtype)
+    for column in range(array.shape[1]):
+        out[column] = array[rows, column]
+    return out
 
 
 def _grown(array: np.ndarray, rows: int, cols: int, fill) -> np.ndarray:
@@ -184,6 +256,8 @@ class PseudonymArena:
     def release(self, pid: int) -> None:
         """Drop one holder; frees the id when the last holder leaves."""
         count = int(self.refcounts[pid]) - 1
+        if count < 0:
+            raise ProtocolError(f"pseudonym id {pid} released with no holder")
         self.refcounts[pid] = count
         if count > 0:
             return
@@ -195,21 +269,36 @@ class PseudonymArena:
         self.owners[pid] = -1
         self._free.append(pid)
 
+    def acquire_batch(self, pids: np.ndarray) -> None:
+        """Vectorized :meth:`acquire` for a flat id array (repeats ok).
+
+        A kernel that both acquires and releases in one step acquires
+        first: an id whose only other holder is about to let go must not
+        touch zero — and the free list — on its way to a new holder.
+        """
+        np.add.at(self.refcounts, pids, 1)
+
     def release_batch(self, pids: np.ndarray) -> None:
         """Vectorized :meth:`release` for a flat id array (repeats ok)."""
         if len(pids) == 0:
             return
         counts = np.bincount(pids, minlength=self.capacity)
-        touched = np.flatnonzero(counts)
-        self.refcounts[touched] -= counts[touched]
-        freed = touched[self.refcounts[touched] <= 0]
+        left = self.refcounts - counts
+        if (left < 0).any():
+            pid = int(np.flatnonzero(left < 0)[0])
+            raise ProtocolError(
+                f"pseudonym id {pid} released more often than it is held"
+            )
+        self.refcounts = left
+        freed = np.flatnonzero((left == 0) & (counts > 0))
         if len(freed) == 0:
             return
-        for pid in freed.tolist():
-            obj = self.objects[pid]
-            if obj is not None:
-                del self._ids[obj]
-                self.objects[pid] = None
+        if self._ids:  # batch-minted tables never materialize objects
+            for pid in freed.tolist():
+                obj = self.objects[pid]
+                if obj is not None:
+                    del self._ids[obj]
+                    self.objects[pid] = None
         self.expires_at[freed] = -math.inf
         self.owners[freed] = -1
         self._free.extend(freed.tolist())
@@ -263,6 +352,39 @@ class PseudonymArena:
             self.objects[pid] = obj
             self._ids[obj] = pid
         return obj
+
+    def check_invariants(self, holders: np.ndarray) -> None:
+        """Raise :class:`ProtocolError` unless the refcounts add up.
+
+        ``holders`` names every held id once per holder (a cache, slot
+        or link cell, an ``own`` slot, a set in flight).  Every id's
+        refcount must equal its holders, a free id has none and sits on
+        the free list once, and an id off the free list has at least
+        one.  For tests and debugging — never called from the engines.
+        """
+        free = np.array(self._free, dtype=np.int64)
+        listed = np.bincount(free, minlength=self.capacity)
+        if (listed > 1).any():
+            pid = int(np.flatnonzero(listed > 1)[0])
+            raise ProtocolError(f"pseudonym id {pid} is on the free list twice")
+        held = np.bincount(
+            np.asarray(holders, dtype=np.int64), minlength=self.capacity
+        )
+        wrong = np.flatnonzero(held != self.refcounts)
+        if len(wrong):
+            pid = int(wrong[0])
+            raise ProtocolError(
+                f"pseudonym id {pid} has refcount {int(self.refcounts[pid])} "
+                f"and {int(held[pid])} holders"
+            )
+        wrong = np.flatnonzero((listed > 0) != (self.refcounts == 0))
+        if len(wrong):
+            pid = int(wrong[0])
+            where = "on" if listed[pid] else "off"
+            raise ProtocolError(
+                f"pseudonym id {pid} is {where} the free list with refcount "
+                f"{int(self.refcounts[pid])}"
+            )
 
 
 class NodeArena:
@@ -497,88 +619,161 @@ class NodeArena:
         total += ps.owners.nbytes + ps.refcounts.nbytes
         return total
 
+    def check_invariants(self, extra_holders: Sequence[int] = ()) -> None:
+        """Raise :class:`ProtocolError` naming the first broken invariant.
+
+        Checks what the kernels rely on and nothing reads back: row
+        lengths within bounds, cells past a row's length -1, an occupied
+        slot's cached distance and expiry equal to its occupant's, the
+        two expiry bounds really lower bounds, and every pseudonym's
+        refcount equal to the cells that store it plus
+        ``extra_holders`` (ids held outside the arena: the batch
+        engine's own pseudonyms, a set in flight).  For tests and
+        debugging — never called from the engines.
+        """
+        ps = self.pseudonyms
+        count = self.num_nodes
+
+        def require(ok: np.ndarray, what: str) -> None:
+            if not ok.all():
+                row = int(np.flatnonzero(~ok)[0])
+                raise ProtocolError(f"arena row {row}: {what}")
+
+        def expiries(ids: np.ndarray) -> np.ndarray:
+            return np.where(ids >= 0, ps.expires_at[ids], math.inf)
+
+        holders = [np.asarray(extra_holders, dtype=np.int64)]
+        for name, ids, lengths, limit in (
+            ("cache", self.cache_ids, self.cache_len, self.cache_cap),
+            ("link", self.link_ids, self.link_len, None),
+        ):
+            ids, lengths = ids[:count], lengths[:count]
+            require(lengths >= 0, f"negative {name} length")
+            require(lengths <= ids.shape[1], f"{name} length past its columns")
+            if limit is not None:
+                require(lengths <= limit[:count], f"{name} length past capacity")
+            live = np.arange(ids.shape[1]) < lengths[:, None]
+            require(
+                ((ids >= 0) == live).all(axis=1),
+                f"{name} cells and length disagree",
+            )
+            holders.append(ids[live])
+        require(
+            self.cache_min_exp[:count]
+            <= expiries(self.cache_ids[:count]).min(axis=1, initial=math.inf),
+            "cache_min_exp is later than a cached expiry",
+        )
+        ids = self.slot_ids[:count]
+        occupied = ids >= 0
+        usable = np.arange(self.slot_cols) < self.slot_n[:count, None]
+        require((occupied <= usable).all(axis=1), "occupant past the slot count")
+        value = ps.values[ids]
+        distance = np.where(
+            occupied, np.abs(value - self.slot_refs[:count]), _EMPTY_DISTANCE
+        )
+        require(
+            (self.slot_dist[:count] == distance).all(axis=1),
+            "slot_dist is not the occupant's distance",
+        )
+        require(
+            (
+                self.slot_exp[:count]
+                == np.where(occupied, ps.expires_at[ids], -math.inf)
+            ).all(axis=1),
+            "slot_exp is not the occupant's expiry",
+        )
+        require(
+            self.slot_soonest[:count]
+            <= expiries(ids).min(axis=1, initial=math.inf),
+            "slot_soonest is later than an occupant's expiry",
+        )
+        holders.append(ids[occupied])
+        ps.check_invariants(np.concatenate(holders))
+
     # ------------------------------------------------------------------
     # batch kernels (semantics identical to the per-row views; pinned
-    # row-wise by tests/test_arena.py)
+    # row-wise by tests/test_arena.py and wave by wave by
+    # tests/test_absorb_kernel.py)
+    #
+    # The kernels hold their working state transposed — the short axis
+    # (slots, cache columns, candidates) first, the receiving rows last
+    # — so every numpy pass runs along one contiguous long axis and the
+    # Python loops are over the short ones.  Deliveries come wave-major
+    # (``_wave_major``): wave w's receivers are ``rows[:sizes[w]]``, a
+    # prefix view of that state, and its sets one contiguous block.
     # ------------------------------------------------------------------
 
-    def _row_chunks(self, rows: np.ndarray, per_row: int) -> Iterable[np.ndarray]:
-        """Split a row batch so scratch arrays stay under the soft cap."""
-        if len(rows) == 0:
-            return
-        step = max(1, _KERNEL_CHUNK_ELEMS // max(1, per_row))
-        for start in range(0, len(rows), step):
-            yield rows[start : start + step]
+    def _usable(
+        self,
+        cand_ids: np.ndarray,
+        now: float,
+        own_ids: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate sets transposed to ``(set length, deliveries)``.
+
+        Padding, expired and own entries become -1.  Also returns every
+        delivery's soonest usable expiry (inf when it carries nothing).
+        """
+        sets = np.asarray(cand_ids).T.astype(np.int64, order="C")
+        expiry = self.pseudonyms.expires_at[sets]
+        keep = (sets >= 0) & (expiry > now)
+        if own_ids is not None:
+            keep &= sets != np.asarray(own_ids)
+        soonest = np.where(keep, expiry, math.inf).min(axis=0, initial=math.inf)
+        return np.where(keep, sets, -1), soonest
+
+    def batch_absorb(
+        self,
+        dst: np.ndarray,
+        cand_ids: np.ndarray,
+        now: float,
+        own_ids: np.ndarray,
+    ) -> np.ndarray:
+        """Fold every delivery ``dst[i] <- cand_ids[i]`` into cache and slots.
+
+        The batch form of a node absorbing its received sets one after
+        the other: ``dst`` may name a row any number of times and a
+        row's sets fold in the order given.  Expired candidates and the
+        receiver's own pseudonym (``own_ids[i]``) are dropped first.
+        Every row is gathered once, folded in place and scattered once;
+        refcounts settle once, acquires before releases (a pseudonym
+        inserted by one set and evicted by the next may have no other
+        holder in between).  Returns the rows whose slots changed.
+        """
+        sets, soonest = self._usable(cand_ids, now, own_ids)
+        heard = np.flatnonzero(soonest < math.inf)
+        rows, order, sizes = _wave_major(np.asarray(dst)[heard])
+        order = heard[order]
+        sets = np.take(sets, order, axis=1)
+        changed, seated, unseated = self._fold_slots(rows, sizes, sets)
+        _, cached, evicted = self._fold_cache(
+            rows, sizes, sets, soonest[order], now
+        )
+        self.pseudonyms.acquire_batch(np.concatenate((seated, cached)))
+        self.pseudonyms.release_batch(np.concatenate((unseated, evicted)))
+        return rows[changed > 0]
 
     def batch_offer(self, rows: np.ndarray, cand_ids: np.ndarray) -> np.ndarray:
         """Fold per-row candidate batches into the rows' sampler slots.
 
-        ``cand_ids[i]`` holds interned candidate ids for ``rows[i]``,
-        padded with -1.  Exactly :meth:`ArenaSlots.offer_batch` per row:
-        each slot takes the candidate minimizing |value - R| (ties to the
-        latest expiry, then to the earliest batch position), replacing
-        the occupant when closer, or equally close but later-expiring.
-        Returns the per-row changed-slot counts.
+        ``cand_ids[i]`` holds interned candidate ids for ``rows[i]``
+        (distinct rows), padded with -1.  Exactly
+        :meth:`ArenaSlots.offer_batch` per row: each slot takes the
+        candidate minimizing |value - R| (ties to the latest expiry,
+        then to the earliest batch position), replacing the occupant
+        when closer, or equally close but later-expiring.  Returns the
+        per-row changed-slot counts.
         """
-        changed_counts = np.zeros(len(rows), dtype=np.int64)
-        if self.slot_cols == 0 or cand_ids.shape[1] == 0:
-            return changed_counts
-        ps = self.pseudonyms
-        width = cand_ids.shape[1] * self.slot_cols
-        offset = 0
-        for chunk in self._row_chunks(rows, width):
-            n = len(chunk)
-            cands = cand_ids[offset : offset + n]
-            valid = cands >= 0
-            safe = np.where(valid, cands, 0)
-            values = ps.values[safe]
-            expiries = np.where(valid, ps.expires_at[safe], -math.inf)
-            refs = self.slot_refs[chunk]
-            dist = self.slot_dist[chunk]
-            sexp = self.slot_exp[chunk]
-            sids = self.slot_ids[chunk]
-            slot_live = (
-                np.arange(self.slot_cols)[None, :] < self.slot_n[chunk][:, None]
-            )
-            matrix = np.abs(values[:, :, None] - refs[:, None, :])
-            matrix = np.where(valid[:, :, None], matrix, _EMPTY_DISTANCE)
-            min_d = matrix.min(axis=1)
-            is_minimal = (matrix == min_d[:, None, :]) & valid[:, :, None]
-            masked_exp = np.where(is_minimal, expiries[:, :, None], -math.inf)
-            best_rows = masked_exp.argmax(axis=1)
-            best_exp = np.take_along_axis(
-                masked_exp, best_rows[:, None, :], axis=1
-            )[:, 0, :]
-            closer = min_d < dist
-            tie_later = (min_d == dist) & (best_exp > sexp)
-            replace = (closer | tie_later) & slot_live & (min_d < _EMPTY_DISTANCE)
-            new_ids = np.take_along_axis(safe, best_rows, axis=1).astype(np.int32)
-            changed = replace & (new_ids != sids)
-            if changed.any():
-                self.pseudonyms.release_batch(sids[changed & (sids >= 0)])
-                counts = np.bincount(
-                    new_ids[changed], minlength=ps.capacity
-                )
-                touched = np.flatnonzero(counts)
-                ps.refcounts[touched] += counts[touched]
-                out_ids = np.where(changed, new_ids, sids)
-                out_dist = np.where(changed, min_d, dist)
-                out_exp = np.where(changed, best_exp, sexp)
-                self.slot_ids[chunk] = out_ids
-                self.slot_dist[chunk] = out_dist
-                self.slot_exp[chunk] = out_exp
-                row_changed = changed.any(axis=1)
-                new_soonest = np.where(
-                    changed, out_exp, math.inf
-                ).min(axis=1)
-                self.slot_soonest[chunk] = np.where(
-                    row_changed,
-                    np.minimum(self.slot_soonest[chunk], new_soonest),
-                    self.slot_soonest[chunk],
-                )
-                changed_counts[offset : offset + n] = changed.sum(axis=1)
-            offset += n
-        return changed_counts
+        rows = np.asarray(rows)
+        sets = np.asarray(cand_ids).T.astype(np.int64, order="C")
+        counts = np.zeros(len(rows), dtype=np.int64)
+        heard = np.flatnonzero((sets >= 0).any(axis=0))
+        counts[heard], seated, unseated = self._fold_slots(
+            rows[heard], [len(heard)], np.take(sets, heard, axis=1)
+        )
+        self.pseudonyms.acquire_batch(seated)
+        self.pseudonyms.release_batch(unseated)
+        return counts
 
     def batch_cache_merge(
         self,
@@ -589,144 +784,236 @@ class NodeArena:
     ) -> np.ndarray:
         """Merge per-row received batches into the rows' caches.
 
-        Exactly :meth:`ArenaCache.merge` with ``just_sent=None`` per row,
-        assuming honestly minted (unique value) pseudonyms: expired, own, duplicate, and already-cached
-        candidates are skipped; the rest append in batch order,
-        evicting from the oldest end when the row is full.  Returns the
-        per-row inserted counts.  Call :meth:`batch_expire` first to
-        mirror the per-row merge's leading ``remove_expired``.
+        :meth:`ArenaCache.merge` with ``just_sent=None`` per (distinct)
+        row, assuming honestly minted (unique value) pseudonyms and
+        judging membership against the cache as the batch arrives:
+        expired, own, duplicate, and already-cached candidates are
+        skipped; the rest append in batch order, evicting from the
+        oldest end when the row is full.  Returns the per-row inserted
+        counts.  Call :meth:`batch_expire` first to mirror the per-row
+        merge's leading ``remove_expired``.
         """
-        inserted = np.zeros(len(rows), dtype=np.int64)
-        if cand_ids.shape[1] == 0 or len(rows) == 0:
-            return inserted
-        ps = self.pseudonyms
-        k = cand_ids.shape[1]
-        cols = self.cache_cols
-        width = k * (cols + k)
-        offset = 0
-        for chunk in self._row_chunks(rows, width):
-            n = len(chunk)
-            cands = cand_ids[offset : offset + n]
-            valid = cands >= 0
-            safe = np.where(valid, cands, 0)
-            valid &= ps.expires_at[safe] > now
-            if own_ids is not None:
-                valid &= cands != own_ids[offset : offset + n][:, None]
-            # Dedup within the batch, keeping the first occurrence.
-            for j in range(1, k):
-                dup = (cands[:, j : j + 1] == cands[:, :j]) & valid[:, :j]
-                valid[:, j] &= ~dup.any(axis=1)
-            # Skip candidates already cached (equal id = equal pseudonym).
-            old = self.cache_ids[chunk]
-            old_live = np.arange(cols)[None, :] < self.cache_len[chunk][:, None]
-            present = (cands[:, :, None] == old[:, None, :]) & old_live[:, None, :]
-            valid &= ~present.any(axis=2)
-            counts = valid.sum(axis=1)
-            if counts.any():
-                # Append survivors, dropping overflow from the oldest end:
-                # sequential insert-with-oldest-eviction reduces to "keep
-                # the newest cap entries of old + new".
-                scratch = np.concatenate(
-                    (old, np.where(valid, cands, -1)), axis=1
-                )
-                keep = np.concatenate((old_live, valid), axis=1)
-                pos = np.cumsum(keep, axis=1)
-                total = pos[:, -1]
-                cap = self.cache_cap[chunk]
-                drop = np.maximum(0, total - cap)
-                evict = keep & (pos <= drop[:, None])
-                keep &= ~evict
-                if evict.any():
-                    ps.release_batch(scratch[evict])
-                order = np.argsort(~keep, axis=1, kind="stable")
-                packed = np.take_along_axis(
-                    np.where(keep, scratch, -1), order, axis=1
-                )[:, :cols]
-                self.cache_ids[chunk] = packed
-                if self.cache_ins is not None:
-                    old_ins = self.cache_ins[chunk]
-                    ins = np.concatenate(
-                        (old_ins, np.full((n, k), now)), axis=1
-                    )
-                    self.cache_ins[chunk] = np.take_along_axis(
-                        ins, order, axis=1
-                    )[:, :cols]
-                self.cache_len[chunk] = np.minimum(total, cap)
-                appended = safe[valid]
-                acq = np.bincount(appended, minlength=ps.capacity)
-                touched = np.flatnonzero(acq)
-                ps.refcounts[touched] += acq[touched]
-                new_min = np.where(valid, ps.expires_at[safe], math.inf).min(axis=1)
-                self.cache_min_exp[chunk] = np.minimum(
-                    self.cache_min_exp[chunk], new_min
-                )
-                inserted[offset : offset + n] = counts
-            offset += n
+        rows = np.asarray(rows)
+        sets, soonest = self._usable(cand_ids, now, own_ids)
+        inserted, cached, evicted = self._fold_cache(
+            rows, [len(rows)], sets, soonest, now
+        )
+        self.pseudonyms.acquire_batch(cached)
+        self.pseudonyms.release_batch(evicted)
         return inserted
+
+    def _fold_slots(
+        self, rows: np.ndarray, sizes: Sequence[int], sets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Offer wave-major candidate sets to the rows' sampler slots.
+
+        ``sets`` is ``(set length, deliveries)``, -1 where there is no
+        candidate, every delivery carrying at least one.  One running
+        minimum per (row, slot) over every (wave, position) in turn —
+        the per-receipt traversal.  The replacement rule is a strict
+        order with the incumbent winning ties, so the fold seats the
+        occupant any wave-by-wave evaluation would, and only the first
+        and the last occupant of a slot touch its refcounts.  Returns
+        ``(changed slots per row, ids seated, ids unseated)``; the
+        caller settles the refcounts.
+        """
+        ps = self.pseudonyms
+        sizes = np.asarray(sizes, dtype=np.int64)
+        width, slots = sets.shape[0], self.slot_cols
+        if slots == 0 or sets.size == 0:
+            return np.zeros(len(rows), dtype=np.int64), _NO_IDS, _NO_IDS
+        # A missing candidate stands in for its set's first real one: a
+        # duplicate never wins a strict comparison, so the sweep below
+        # needs no validity mask.
+        real = sets >= 0
+        first = sets[-1]
+        for j in range(width - 2, -1, -1):
+            first = np.where(real[j], sets[j], first)
+        ids = np.where(real, sets, first)
+        values = ps.values[ids]
+        refs = _transposed(self.slot_refs, rows)
+        best = _transposed(self.slot_dist, rows)
+        occupant = _transposed(self.slot_ids, rows)
+        # Nothing is closer than -1: columns past a row's slot count
+        # never seat anybody.
+        best[np.arange(slots)[:, None] >= self.slot_n[rows]] = -1
+        starts = np.cumsum(sizes) - sizes
+        # holder[s, r]: 0 while the occupant stays, else 1 + wave * width
+        # + position of the candidate seated so far.
+        holder = np.zeros(
+            best.shape, dtype=np.min_scalar_type(width * len(sizes))
+        )
+        turn_of = holder.dtype.type
+        narrow = ids.astype(occupant.dtype)
+        dist = np.empty_like(best)
+        mark = np.empty_like(holder)
+        flags = np.empty((3,) + best.shape, dtype=bool)
+        turn = 0
+        for start, n in zip(starts.tolist(), sizes.tolist()):
+            d, b, h, m = dist[:, :n], best[:, :n], holder[:, :n], mark[:, :n]
+            wins, ties, differs = flags[:, :, :n]
+            for j in range(width):
+                turn += 1
+                np.subtract(refs[:, :n], values[j, start : start + n], out=d)
+                np.abs(d, out=d)
+                np.less(d, b, out=wins)
+                np.equal(d, b, out=ties)
+                np.minimum(b, d, out=b)
+                # Equally close is nearly always the candidate already
+                # sitting in the slot, or a stand-in; what is left is
+                # sparse, and the later expiry takes it.
+                np.not_equal(
+                    occupant[:, :n], narrow[j, start : start + n], out=differs
+                )
+                ties &= differs
+                ties &= real[j, start : start + n]
+                if ties.any():
+                    s, r = np.divmod(np.flatnonzero(ties), n)
+                    seated = h[s, r].astype(np.int64) - 1
+                    wave, k = np.divmod(np.maximum(seated, 0), width)
+                    incumbent = np.where(
+                        seated < 0,
+                        self.slot_exp[rows[r], s],
+                        ps.expires_at[ids[k, starts[wave] + r]],
+                    )
+                    later = ps.expires_at[ids[j, start + r]] > incumbent
+                    wins[s[later], r[later]] = True
+                # Turns only grow, so the running maximum is the latest win.
+                np.multiply(wins, turn_of(turn), out=m)
+                np.maximum(h, m, out=h)
+        s, r = np.divmod(np.flatnonzero(holder), len(rows))
+        wave, j = np.divmod(holder[s, r].astype(np.int64) - 1, width)
+        new = ids[j, starts[wave] + r]
+        node = rows[r]
+        old = occupant[s, r].astype(np.int64)
+        expiry = ps.expires_at[new]
+        self.slot_ids[node, s] = new
+        self.slot_dist[node, s] = best[s, r]
+        self.slot_exp[node, s] = expiry
+        soonest = np.full(best.shape, math.inf)
+        soonest[s, r] = expiry
+        self.slot_soonest[rows] = np.minimum(
+            self.slot_soonest[rows], soonest.min(axis=0)
+        )
+        return np.bincount(r, minlength=len(rows)), new, old[old >= 0]
+
+    def _fold_cache(
+        self,
+        rows: np.ndarray,
+        sizes: Sequence[int],
+        sets: np.ndarray,
+        soonest: np.ndarray,
+        now: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Merge wave-major candidate sets into the rows' caches.
+
+        ``sets`` as in :meth:`_fold_slots` (an empty delivery is fine
+        here), ``soonest`` each delivery's earliest expiry.  Unlike the
+        slots the cache is order-dependent — a wave can evict what a
+        later wave re-inserts — so it folds wave by wave, but on rows
+        gathered once.  Returns ``(inserted per row, ids inserted, ids
+        evicted)``; the caller settles the refcounts.
+        """
+        ps = self.pseudonyms
+        sizes = np.asarray(sizes, dtype=np.int64)
+        width, cols, count = sets.shape[0], self.cache_cols, len(rows)
+        inserted = np.zeros(count, dtype=np.int64)
+        if sets.size == 0:
+            return inserted, _NO_IDS, _NO_IDS
+        # Within-set duplicates: the first occurrence stays.
+        new = sets.astype(self.cache_ids.dtype)
+        _drop_repeats(new)
+        # The cache columns, room for one whole set ahead of the
+        # eviction shift, and a spare row.  Cells past a row's length
+        # are -1.
+        table = np.full(
+            (cols + width + 1, count), -1, dtype=self.cache_ids.dtype
+        )
+        table[:cols] = self.cache_ids[rows].T
+        stamps = None
+        if self.cache_ins is not None:
+            stamps = np.zeros(table.shape)
+            stamps[:cols] = self.cache_ins[rows].T
+        length = self.cache_len[rows].astype(np.int64)
+        capacity = self.cache_cap[rows].astype(np.int64)
+        bound = self.cache_min_exp[rows]
+        column = (np.arange(cols) * count)[:, None]
+        cached = []
+        evicted = []
+        offset = 0
+        for n in sizes.tolist():
+            block = new[:, offset : offset + n]
+            # Membership, one cache column at a time, against the cache
+            # as the set arrives.
+            fresh = block >= 0
+            for c in range(cols):
+                fresh &= block != table[c, :n]
+            # Survivors append in set order behind the row's length.
+            end = _append(table[:, :n], length[:n], block, fresh)
+            if stamps is not None:
+                _append(
+                    stamps[:, :n], length[:n], np.full(block.shape, now), fresh
+                )
+            # FIFO eviction: a full row drops its oldest cells, which is
+            # every column moving down by the row's overflow.
+            shift = np.maximum(end - capacity[:n], 0)
+            evicted.append(table[:width, :n][np.arange(width)[:, None] < shift])
+            source = shift * count + np.arange(n) + column
+            table[:cols, :n] = table.reshape(-1)[source]
+            table[cols:-1, :n] = -1
+            if stamps is not None:
+                stamps[:cols, :n] = stamps.reshape(-1)[source]
+            inserted[:n] += end - length[:n]
+            length[:n] = end - shift
+            # An entry already cached expires no sooner than the row's
+            # bound, so the set's soonest usable candidate lowers it as
+            # far as its soonest inserted one would.
+            np.minimum(bound[:n], soonest[offset : offset + n], out=bound[:n])
+            cached.append(block[fresh])
+            offset += n
+        self.cache_ids[rows] = table[:cols].T
+        if stamps is not None:
+            self.cache_ins[rows] = stamps[:cols].T
+        self.cache_len[rows] = length
+        self.cache_min_exp[rows] = bound
+        return inserted, np.concatenate(cached), np.concatenate(evicted)
 
     def batch_links_from_slots(
         self, rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Re-derive each row's pseudonym links from its sampler slots.
 
-        Exactly ``links.update_from_sample(slots.sample())`` per row:
-        the link row becomes the distinct slot occupants in slot order,
-        retained entries keep their link-table position, new entries
-        append in sample order.  Returns per-row (added, removed)
-        counts — the paper's link-replacement overhead metric.
+        Exactly ``links.update_from_sample(slots.sample())`` per
+        (distinct) row: the link row becomes the distinct slot occupants
+        in slot order, retained entries keep their link-table position,
+        new entries append in sample order.  Returns per-row (added,
+        removed) counts — the paper's link-replacement overhead metric.
         """
-        added = np.zeros(len(rows), dtype=np.int64)
-        removed = np.zeros(len(rows), dtype=np.int64)
+        rows = np.asarray(rows)
         if len(rows) == 0:
-            return added, removed
+            return _NO_IDS, _NO_IDS
         ps = self.pseudonyms
-        scols = self.slot_cols
-        lcols = self.link_cols
-        width = (scols + lcols) * max(scols, lcols)
-        offset = 0
-        for chunk in self._row_chunks(rows, width):
-            n = len(chunk)
-            slots = self.slot_ids[chunk]
-            occupied = slots >= 0
-            # Distinct occupants, first slot occurrence wins.
-            sample = np.where(occupied, slots, -1)
-            for j in range(1, scols):
-                dup = (sample[:, j : j + 1] == sample[:, :j]) & occupied[:, :j]
-                sample[:, j] = np.where(dup.any(axis=1), -1, sample[:, j])
-            sample_live = sample >= 0
-            old = self.link_ids[chunk]
-            old_live = np.arange(lcols)[None, :] < self.link_len[chunk][:, None]
-            in_new = (
-                (old[:, :, None] == sample[:, None, :]) & sample_live[:, None, :]
-            ).any(axis=2) & old_live
-            in_old = (
-                (sample[:, :, None] == old[:, None, :]) & old_live[:, None, :]
-            ).any(axis=2) & sample_live
-            dropped = old_live & ~in_new
-            fresh = sample_live & ~in_old
-            row_removed = dropped.sum(axis=1)
-            row_added = fresh.sum(axis=1)
-            dirty = (row_removed > 0) | (row_added > 0)
-            if dirty.any():
-                ps.release_batch(old[dropped])
-                appended = sample[fresh]
-                acq = np.bincount(appended, minlength=ps.capacity)
-                touched = np.flatnonzero(acq)
-                ps.refcounts[touched] += acq[touched]
-                # Retained links keep their order, fresh ones append.
-                scratch = np.concatenate(
-                    (np.where(in_new, old, -1), np.where(fresh, sample, -1)),
-                    axis=1,
-                )
-                keep = scratch >= 0
-                order = np.argsort(~keep, axis=1, kind="stable")
-                packed = np.take_along_axis(scratch, order, axis=1)[:, :lcols]
-                self.link_ids[chunk] = packed
-                self.link_len[chunk] = keep.sum(axis=1)
-            added[offset : offset + n] = row_added
-            removed[offset : offset + n] = row_removed
-            offset += n
-        return added, removed
+        # Distinct occupants, first slot occurrence wins.
+        sample = _transposed(self.slot_ids, rows)
+        _drop_repeats(sample)
+        # Cells past a row's link count are -1, like an empty slot.
+        old = _transposed(self.link_ids, rows)
+        retained = np.zeros(old.shape, dtype=bool)
+        fresh = sample >= 0
+        for j in range(len(sample)):
+            linked = (old == sample[j]) & fresh[j]
+            retained |= linked
+            fresh[j] &= ~linked.any(axis=0)
+        dropped = (old >= 0) & ~retained
+        ps.acquire_batch(sample[fresh])
+        ps.release_batch(old[dropped])
+        # Retained links keep their order, fresh ones append.
+        links = np.full((len(old) + 1, len(rows)), -1, dtype=old.dtype)
+        end = _append(links, np.zeros(len(rows), dtype=np.int64), old, retained)
+        end = _append(links, end, sample, fresh)
+        self.link_ids[rows] = links[:-1].T
+        self.link_len[rows] = end
+        return fresh.sum(axis=0), dropped.sum(axis=0)
 
     def batch_expire(self, now: float) -> Tuple[np.ndarray, np.ndarray]:
         """Purge expired occupants from every slot and cache row.

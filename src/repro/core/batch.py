@@ -18,9 +18,9 @@ byte-identical replica of the event-driven simulator):
   :class:`~repro.churn.batch.BatchChurnModel` (the same exponential
   model, discretized per round).
 * Each participant builds one shuffle set per round and answers every
-  exchange with it.  A node receiving several sets absorbs them in
-  deterministic *waves* — the j-th received set of every destination
-  is folded in one batch op.
+  exchange with it.  A node receiving several sets absorbs them in a
+  deterministic order — its j-th received set is *wave* j — and cache
+  membership is judged against the cache as each set arrives.
 * Cache eviction drops the oldest entries (the CYCLON rule without the
   just-sent preference).
 * Offline nodes keep their state; expired material is dropped eagerly
@@ -43,8 +43,8 @@ shuffle period, the minimum cross-shard message latency:
 3. ``absorb``: deliveries are assembled in a canonical order
    (requests sorted by initiator id, then responses sorted by
    initiator id — exactly the serial engine's delivery order), remote
-   pseudonyms are interned into the local table by value, and the wave
-   fold runs unchanged.
+   pseudonyms are interned into the local table by value, and the
+   arena folds every delivery (each receiving row gathered once).
 
 The shard grid is *semantic*: digests are a function of
 ``(config, num_shards)`` and nothing else, so the same grid run
@@ -420,10 +420,7 @@ class ShardEngine:
             (self.own_ids[participants][:, None].astype(np.int32), picks),
             axis=1,
         )
-        held = sets[sets >= 0]
-        counts = np.bincount(held, minlength=arena.pseudonyms.capacity)
-        touched = np.flatnonzero(counts)
-        arena.pseudonyms.refcounts[touched] += counts[touched]
+        arena.pseudonyms.acquire_batch(sets[sets >= 0])
         position = np.full(self.size, -1, dtype=np.int64)
         position[participants] = np.arange(len(participants), dtype=np.int64)
         self._sets = sets
@@ -475,9 +472,11 @@ class ShardEngine:
         Deliveries are assembled requests-first (sorted by initiator
         id) then responses (sorted by initiator id) — exactly the
         serial engine's ``concat((partners, initiators))`` delivery
-        order — so the wave fold below is byte-identical regardless of
-        how the work was sharded.  Remote payloads are interned into
-        the local pseudonym table by value first.
+        order — so the fold (:meth:`NodeArena.batch_absorb`: a
+        destination's j-th set is its wave j; expired entries and the
+        destination's own pseudonym are dropped) is byte-identical
+        regardless of how the work was sharded.  Remote payloads are
+        interned into the local pseudonym table by value first.
         """
         if self.size == 0:
             return
@@ -529,8 +528,10 @@ class ShardEngine:
         p_order = np.argsort(p_init, kind="stable")
         dst = np.concatenate((r_dst[r_order], p_init[p_order] - self.lo))
         cands = np.concatenate((r_cands[r_order], p_cands[p_order]))
-        changed_rows = self._absorb_waves(dst, cands, now)
-        self._refresh_links(np.flatnonzero(changed_rows))
+        self.counters["sets_absorbed"] += len(dst)
+        self._refresh_links(
+            self.arena.batch_absorb(dst, cands, now, self.own_ids[dst])
+        )
         # Drop the transient refcounts the shuffle sets held, plus one
         # per interned remote instance.
         table = self.arena.pseudonyms
@@ -637,7 +638,7 @@ class ShardEngine:
 
         Values already live in the local table (the destination's own
         pseudonym, cached copies) resolve to the existing id — the
-        wave fold's dedup and own-filter compare ids, so remote copies
+        fold's dedup and own-filter compare ids, so remote copies
         must alias local ones.  Unknown values are minted once per
         distinct value.  Every instance holds one refcount until
         :meth:`absorb` releases it at end of round.
@@ -667,6 +668,7 @@ class ShardEngine:
             hit[in_range] = known[pos[in_range]] == uvals[in_range]
             upids[hit] = self._lookup_pids[pos[hit]]
         new = ~hit
+        minted = np.zeros(0, dtype=np.int64)
         if new.any():
             first_new = first[new]
             minted = table.mint_batch(
@@ -674,9 +676,6 @@ class ShardEngine:
                 expires.ravel()[valid][first_new],
                 owners.ravel()[valid][first_new],
             )
-            # mint_batch seats refcount 1; the instance counts below
-            # are the real holders.
-            table.refcounts[minted] -= 1
             upids[new] = minted
             merged_values = np.concatenate((known, uvals[new]))
             merged_pids = np.concatenate((self._lookup_pids, minted))
@@ -684,55 +683,12 @@ class ShardEngine:
             self._lookup_values = merged_values[order]
             self._lookup_pids = merged_pids[order]
         instance_pids = upids[inverse]
-        counts = np.bincount(instance_pids, minlength=table.capacity)
-        touched = np.flatnonzero(counts)
-        table.refcounts[touched] += counts[touched]
+        # The instances are the real holders; drop mint_batch's seat.
+        table.acquire_batch(instance_pids)
+        table.release_batch(minted)
         self._interned.append(instance_pids)
         out[valid] = instance_pids
         return out.reshape(values.shape).astype(np.int32)
-
-    def _absorb_waves(
-        self, dst: np.ndarray, cand_matrix: np.ndarray, now: float
-    ) -> np.ndarray:
-        """Fold every (dst ← set) delivery; returns dirty local rows.
-
-        Deliveries are grouped into waves — the j-th received set of
-        every destination — so each wave is one cache-merge plus one
-        slot-offer batch op.  Expired entries and the destination's own
-        pseudonym are masked out first (the legacy ``_absorb`` filter).
-        """
-        arena = self.arena
-        table = arena.pseudonyms
-        order = np.argsort(dst, kind="stable")
-        sorted_dst = dst[order]
-        count = len(sorted_dst)
-        changed_rows = np.zeros(self.size, dtype=bool)
-        if count == 0:
-            return changed_rows
-        new_group = np.empty(count, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = sorted_dst[1:] != sorted_dst[:-1]
-        group_start = np.maximum.accumulate(
-            np.where(new_group, np.arange(count), 0)
-        )
-        wave_index = np.arange(count) - group_start
-        self.counters["sets_absorbed"] += count
-        for wave in range(int(wave_index.max()) + 1):
-            sel = wave_index == wave
-            rows = sorted_dst[sel]
-            cands = cand_matrix[order[sel]]
-            valid = cands >= 0
-            safe = np.where(valid, cands, 0)
-            usable = (
-                valid
-                & (table.expires_at[safe] > now)
-                & (cands != self.own_ids[rows][:, None])
-            )
-            cands = np.where(usable, cands, -1)
-            arena.batch_cache_merge(rows, cands, now)
-            changed = arena.batch_offer(rows, cands)
-            changed_rows[rows[changed > 0]] = True
-        return changed_rows
 
     # ------------------------------------------------------------------
     # observation

@@ -109,24 +109,27 @@ class FlatSnapshot:
         normalized here, self-loops must already be excluded.
         """
         node_ids = np.ascontiguousarray(node_ids, dtype=np.int64)
-        k = len(node_ids)
-        if len(a):
-            lo = np.minimum(a, b).astype(np.int64, copy=False)
-            hi = np.maximum(a, b).astype(np.int64, copy=False)
-            key = np.unique(lo * k + hi)
-            lo = key // k
-            hi = key % k
-        else:
-            lo = _EMPTY_INT
-            hi = _EMPTY_INT
-        degree = np.bincount(lo, minlength=k) + np.bincount(hi, minlength=k)
+        k = max(len(node_ids), 1)
+        lo = np.minimum(a, b).astype(np.int64, copy=False)
+        hi = np.maximum(a, b).astype(np.int64, copy=False)
+        key = lo * k + hi
+        key.sort()
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        key = key[first]
+        lo = key // k
+        hi = key % k
+        degree = np.bincount(lo, minlength=len(node_ids)) + np.bincount(
+            hi, minlength=len(node_ids)
+        )
         indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(degree, dtype=np.int64))
         )
-        src = np.concatenate((lo, hi))
-        dst = np.concatenate((hi, lo))
-        order = np.lexsort((dst, src))
-        return cls(node_ids, indptr, dst[order], lo, hi)
+        # Both directions of every edge as one source-major key: sorted,
+        # the low parts are the neighbor lists in CSR order.
+        directed = np.concatenate((key, hi * k + lo))
+        directed.sort()
+        return cls(node_ids, indptr, directed % k, lo, hi)
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "FlatSnapshot":

@@ -106,6 +106,37 @@ class TestPseudonymArena:
         assert table.refcounts[pid] == 1
         assert table.live == 1
 
+    def test_acquire_batch_counts_duplicates(self):
+        table = PseudonymArena(chunk=8)
+        first, second = table.intern(_p(1)), table.intern(_p(2))
+        table.acquire_batch(np.array([second, first, second], dtype=np.int32))
+        assert table.refcounts[[first, second]].tolist() == [2, 3]
+        table.acquire_batch(np.zeros(0, dtype=np.int64))
+        assert table.live == 2
+
+    def test_double_free_raises_and_changes_nothing(self):
+        """Releasing past zero used to push the id onto the free list a
+        second time, so two later mints shared it."""
+        table = PseudonymArena(chunk=8)
+        kept, gone = table.intern(_p(1)), table.intern(_p(2))
+        table.release(gone)
+
+        def state():
+            columns = (table.refcounts, table.values, table.expires_at, table.owners)
+            return table.live, list(table._free), [c.tolist() for c in columns]
+
+        before = state()
+        for release in (
+            lambda: table.release(gone),
+            lambda: table.release_batch(np.array([kept, gone])),
+            lambda: table.release_batch(np.array([kept, kept])),
+        ):
+            with pytest.raises(ProtocolError, match="released"):
+                release()
+            assert state() == before
+        table.release_batch(np.array([kept]))
+        assert table.live == 0 and sorted(table._free) == list(range(8))
+
 
 class TestNodeArenaRows:
     def test_register_must_be_sequential(self):

@@ -138,6 +138,42 @@ class TestFlatSnapshot:
         assert snap.num_edges == 2
         assert snap.degrees().tolist() == [1, 2, 1, 0]
 
+    @staticmethod
+    def _unique_lexsort_oracle(k, a, b):
+        """``from_edge_positions`` as it was written before it sorted
+        packed keys: ``np.unique`` for the edges, ``np.lexsort`` for the
+        CSR order."""
+        key = np.unique(np.minimum(a, b) * max(k, 1) + np.maximum(a, b))
+        lo, hi = key // max(k, 1), key % max(k, 1)
+        degree = np.bincount(lo, minlength=k) + np.bincount(hi, minlength=k)
+        src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        indptr = np.concatenate(([0], np.cumsum(degree)))
+        return indptr, dst[np.lexsort((dst, src))], lo, hi
+
+    @pytest.mark.parametrize(
+        "k, edges", [(0, 0), (1, 0), (7, 0), (2, 5), (9, 40), (300, 2000)]
+    )
+    def test_from_edge_positions_matches_unique_lexsort(self, k, edges):
+        """Random multigraph input, duplicates in both orientations."""
+        rng = np.random.default_rng(k + edges)
+        a = rng.integers(0, max(k, 1), size=edges)
+        b = rng.integers(0, max(k, 1), size=edges)
+        keep = a != b
+        a, b = a[keep], b[keep]
+        # Every edge again, reversed, and a third of them a third time.
+        a, b = (
+            np.concatenate((a, b, a[::3])),
+            np.concatenate((b, a, b[::3])),
+        )
+        snap = FlatSnapshot.from_edge_positions(np.arange(k) * 10, a, b)
+        for got, expected in zip(
+            (snap.indptr, snap.indices, snap.edge_u, snap.edge_v),
+            self._unique_lexsort_oracle(k, a, b),
+        ):
+            assert got.dtype == np.int64
+            assert got.tolist() == expected.tolist()
+        assert snap.node_ids.tolist() == (np.arange(k) * 10).tolist()
+
     def test_self_loops_skipped_on_conversion(self):
         graph = nx.Graph([(0, 1), (1, 1)])
         snap = FlatSnapshot.from_networkx(graph)

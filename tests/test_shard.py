@@ -143,6 +143,58 @@ class TestSerialEquivalence:
 
 
 # ----------------------------------------------------------------------
+# cross-commit pins: the serial/worker twins above share every kernel,
+# so a bug in one is a bug in both and they still agree
+# ----------------------------------------------------------------------
+
+
+class TestCrossCommitPins:
+    """The ``million_node_churn`` config at 2,000 nodes, 8 rounds."""
+
+    CONFIG = SystemConfig(
+        num_nodes=2000,
+        cache_size=16,
+        shuffle_length=8,
+        target_degree=12,
+        min_pseudonym_links=8,
+        availability=0.6,
+        mean_offline_time=8.0,
+        seed=1,
+    )
+    #: ``state_digest()`` after 8 rounds, per shard count, as computed
+    #: on commit 489c08b (before the gather-once absorb).
+    DIGESTS = {
+        1: "b32289d80394e38b2d273f19f448822742b9a7e5b02b1846af629a7c72ac1c0d",
+        2: "2b3fd064c3843bce94a9da1ba0f66e1ce5f4261af2ea1acfed93972633aef5e3",
+        3: "071d9e9b2d164f39ccfd084960bc289a8d75b63c5fd1069e6b2a8f185b34e322",
+    }
+
+    def _overlay(self, num_shards):
+        return BatchOverlay.build(
+            self.CONFIG, extra_edges_per_node=4, num_shards=num_shards
+        )
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_digest_literal(self, num_shards):
+        """A sharded-only divergence (interned remote pseudonyms exist
+        only with two or more shards) fails here, not in the benchmark."""
+        overlay = self._overlay(num_shards)
+        overlay.run(8)
+        assert overlay.state_digest() == self.DIGESTS[num_shards]
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_invariants_hold_after_every_round(self, num_shards):
+        """Refcounts, free list and row bounds of every engine."""
+        overlay = self._overlay(num_shards)
+        for _ in range(8):
+            overlay.step()
+            for engine in overlay.engines:
+                engine.arena.check_invariants(
+                    extra_holders=engine.own_ids[engine.own_ids >= 0]
+                )
+
+
+# ----------------------------------------------------------------------
 # options and construction errors
 # ----------------------------------------------------------------------
 

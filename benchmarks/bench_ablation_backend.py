@@ -28,17 +28,14 @@ from conftest import SEED, emit
 _ALPHA = 0.25
 
 
-def _mailbox_link_layer_factory(retention):
+def _mailbox_link_layer_factory(store):
     def factory(sim, rng):
         directory = NodeDirectory()
         anonymity = IdealAnonymityService(sim, directory, rng, max_latency=0.05)
-        store = MailboxStore(capacity_per_box=64, retention=retention)
         pseudonym = MailboxPseudonymService(
             sim, directory, store=store, poll_interval=0.5
         )
-        layer = LinkLayer(directory, anonymity, pseudonym)
-        layer.mailbox_store = store  # expose for reporting
-        return layer
+        return LinkLayer(directory, anonymity, pseudonym)
 
     return factory
 
@@ -47,7 +44,9 @@ class TestBackendAblation:
     def test_bench_pseudonym_backends(self, benchmark, scale, results_dir):
         trust_graph = make_trust_graph(scale, f=0.5, seed=SEED)
         config = make_config(scale, alpha=_ALPHA, f=0.5, seed=SEED)
-        retention = 2.0 * scale.mean_offline_time
+        store = MailboxStore(
+            capacity_per_box=64, retention=2.0 * scale.mean_offline_time
+        )
 
         def run():
             ideal = run_overlay_experiment(
@@ -63,7 +62,7 @@ class TestBackendAblation:
             overlay = Overlay.build(
                 trust_graph,
                 config,
-                link_layer_factory=_mailbox_link_layer_factory(retention),
+                link_layer_factory=_mailbox_link_layer_factory(store),
             )
             collector = MetricsCollector(overlay, interval=scale.collector_interval)
             overlay.start()
@@ -73,12 +72,10 @@ class TestBackendAblation:
             return {
                 "ideal": ideal.disconnected,
                 "mailbox": collector.disconnected.tail_mean(tail),
-                "mailbox_store": overlay.link_layer.mailbox_store,
                 "trust": ideal.trust_disconnected,
             }
 
         outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-        store = outcomes["mailbox_store"]
         rows = [
             ("ideal (drop while offline)", outcomes["ideal"]),
             ("mailbox (queue + poll)", outcomes["mailbox"]),

@@ -7,7 +7,6 @@ Usage::
     repro all  --scale quick
     repro fig3 --scale quick --workers 4   # fan points out across processes
     repro lint src --format json    # determinism/hygiene linter
-    repro bench --quick --json BENCH_micro.json
     repro sweep --axis availability=0.25,0.5 --workers 4 --resume
     repro mesh --nodes 20 --duration 40     # live localhost mesh
     repro node --port 9000 --node-id 0      # one live UDP node
@@ -200,14 +199,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .lint.cli import main as lint_main
 
         return lint_main(list(argv[1:]))
-    if argv and argv[0] == "bench":
-        # Likewise for the microbenchmark harness (--quick, --json,
-        # --compare); see docs/benchmarking.md.
-        from .bench.cli import main as bench_main
-
-        return bench_main(list(argv[1:]))
     if argv and argv[0] == "sweep":
-        # And for the parallel sweep runner (--axis, --workers,
+        # Likewise for the parallel sweep runner (--axis, --workers,
         # --resume); see docs/parallel.md.
         from .parallel.cli import main as sweep_main
 
@@ -224,8 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Reproduce figures from 'Robust overlays for privacy-"
         "preserving data dissemination over a social graph' (ICDCS 2012).",
         epilog="A 'repro lint [paths]' subcommand runs the determinism/"
-        "hygiene linter (see 'repro lint --help'); 'repro bench' runs "
-        "the seeded microbenchmark suite (see 'repro bench --help').",
+        "hygiene linter (see 'repro lint --help').",
     )
     parser.add_argument(
         "figure",

@@ -28,7 +28,7 @@ object views* over single rows:
   loops over the short axes (slots, cache columns, set positions),
   numpy passes along the rows — and scattered once.  They are the
   engine behind :class:`repro.core.batch.BatchOverlay` and the
-  ``million_node_churn`` benchmark.
+  10⁶-node run in ``benchmarks/bench_scale_million.py``.
 * :class:`ArenaLinkSet` / :class:`ArenaCache` / :class:`ArenaSlots` —
   one node's ``n.links``, cache and ``n.L`` as views over one arena
   row.  :class:`~repro.core.node.OverlayNode` holds one of each; the

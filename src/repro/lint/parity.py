@@ -116,7 +116,8 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
     # PR 10: the vectorized dissemination plane.  The batch engine is
     # pinned byte-identical to the object-plane disseminators in
     # counter-sampling mode (same delivery sets, rounds, and forward
-    # counts — the heavy_broadcast workload raises on divergence), and
+    # counts — TestDifferentialExactness in
+    # tests/test_dissemination_batch.py fails on divergence), and
     # the columnar ledger's record views must keep BroadcastRecord's
     # reporting surface so coverage_report runs on either plane.
     ParityPair(

@@ -3,9 +3,9 @@
 Worker processes need the experiment as something they can be handed at
 fork time; :class:`OverlayPointExperiment` packages "run one overlay to
 its stable state and summarize it as scalars" as a frozen dataclass, so
-the ``repro sweep`` CLI and the bench harness can fan it out without
-closures.  Outcomes are plain JSON-friendly dicts, which is what the
-result store, the ledger digests, and ``sweep_table_rows`` all want.
+the ``repro sweep`` CLI can fan it out without closures.  Outcomes are
+plain JSON-friendly dicts, which is what the result store, the ledger
+digests, and ``sweep_table_rows`` all want.
 """
 
 from __future__ import annotations

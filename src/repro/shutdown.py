@@ -1,15 +1,14 @@
 """Graceful SIGINT/SIGTERM handling for long-running CLIs.
 
-Long commands (``repro node``, ``repro sweep``, ``repro bench``) must
+Long commands (``repro node``, ``repro mesh``, ``repro sweep``) must
 not lose partial results when the operator or a supervisor stops them.
 The contract, shared by every entry point:
 
 * SIGINT already raises :class:`KeyboardInterrupt`; we convert SIGTERM
   to the same exception so both paths drain through one ``except``.
-* The command flushes whatever it has (JSONL ledger rows, partial
-  benchmark results, node logs), prints a one-line notice, and exits
-  with :data:`EXIT_INTERRUPTED` — 130, the shell convention for
-  "terminated by signal" (128 + SIGINT).
+* The command flushes whatever it has (JSONL ledger rows, node logs),
+  prints a one-line notice, and exits with :data:`EXIT_INTERRUPTED` —
+  130, the shell convention for "terminated by signal" (128 + SIGINT).
 
 Use :func:`graceful_shutdown` around the command body::
 

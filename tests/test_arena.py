@@ -456,6 +456,19 @@ class TestBatchOverlay:
         assert stats["pseudonyms_created"] >= stats["online_nodes"] > 0
         assert overlay.memory_bytes() > 0
 
+    def test_state_stays_under_512_bytes_per_node(self):
+        """The scale bench's 10^5-node configuration, built and not run:
+        every column is allocated at build, so the per-node state size
+        the 10^6 claim rests on is pinned without a scale host."""
+        num_nodes = 100_000
+        overlay = BatchOverlay.build(
+            _batch_config(
+                num_nodes, cache_size=16, shuffle_length=8, min_pseudonym_links=8
+            ),
+            extra_edges_per_node=4,
+        )
+        assert overlay.memory_bytes() <= 512 * num_nodes
+
     def test_expiry_reuses_interned_ids(self):
         """Long churned runs must recycle ids through the free list."""
         overlay = BatchOverlay.build(

@@ -9,11 +9,9 @@ fixes (lint rule DET001).
 """
 
 import hashlib
-import json
 
 import numpy as np
 
-from repro.bench import run_suite, strip_nondeterministic
 from repro.experiments import SMOKE, make_config, make_trust_graph
 from repro.experiments.runner import run_overlay_experiment
 from repro.graphs import (
@@ -191,24 +189,6 @@ class TestMixnetGoldenHash:
 
     def test_different_seeds_differ(self):
         assert _run_mixnet_scenario(seed=3) != _run_mixnet_scenario(seed=4)
-
-
-class TestBenchDeterminism:
-    """Two same-seed bench runs must agree on everything but timing."""
-
-    def test_same_seed_reports_identical_after_strip(self):
-        kwargs = dict(mode="quick", seed=7, repeats=1)
-        first = strip_nondeterministic(run_suite(**kwargs))
-        second = strip_nondeterministic(run_suite(**kwargs))
-        assert json.dumps(first, sort_keys=True) == json.dumps(
-            second, sort_keys=True
-        )
-
-    def test_different_seeds_change_workload_facts(self):
-        only = ["churn_sessions"]
-        a = strip_nondeterministic(run_suite(mode="quick", seed=7, repeats=1, only=only))
-        b = strip_nondeterministic(run_suite(mode="quick", seed=8, repeats=1, only=only))
-        assert a != b
 
 
 class TestSeededFallbacks:

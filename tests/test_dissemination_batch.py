@@ -28,6 +28,7 @@ from repro.dissemination import (
     coverage_report,
 )
 from repro.errors import DisseminationError
+from repro.experiments import SMOKE, make_config, make_trust_graph
 from repro.privlink import make_ideal_link_layer
 
 
@@ -84,20 +85,36 @@ class TestDifferentialExactness:
     """Batch plane == object plane, per broadcast, per node, per round."""
 
     def test_epidemic_infect_and_die(self, small_trust_graph, small_config):
-        overlay = _instant_overlay(small_trust_graph, small_config)
-        disseminator = EpidemicBroadcast(
-            overlay, fanout=3, ttl=6, sampling="counter"
+        smoke = (
+            make_trust_graph(SMOKE, f=0.5, seed=1),
+            make_config(SMOKE, alpha=0.6, f=0.5, seed=1),
         )
-        disseminator.install()
-        origins = _online_origins(overlay, 5)
-        records = _object_broadcasts(overlay, disseminator, origins)
+        for (graph, config), count, fanout, ttl in (
+            ((small_trust_graph, small_config), 5, 3, 6),
+            (smoke, 40, 4, 8),
+        ):
+            overlay = _instant_overlay(graph, config)
+            disseminator = EpidemicBroadcast(
+                overlay, fanout=fanout, ttl=ttl, sampling="counter"
+            )
+            disseminator.install()
+            origins = _online_origins(overlay, count)
+            records = _object_broadcasts(overlay, disseminator, origins)
 
-        engine = _engine_for(overlay, fanout=3, ttl=6)
-        mids = engine.start(origins)
-        engine.run()
-        for record, mid in zip(records, mids):
-            _assert_identical(record, engine.ledger.record(mid))
-        assert engine.total_delivered == sum(r.deliveries() for r in records)
+            engine = _engine_for(overlay, fanout=fanout, ttl=ttl)
+            mids = engine.start(origins)
+            engine.run()
+            num_nodes = config.num_nodes
+            for record, mid in zip(records, mids):
+                view = engine.ledger.record(mid)
+                _assert_identical(record, view)
+                assert view.coverage(num_nodes) == record.coverage(num_nodes)
+                assert view.latency_percentile(95.0) == float(
+                    np.percentile(list(record.delivery_rounds.values()), 95.0)
+                )
+            assert engine.total_delivered == sum(
+                r.deliveries() for r in records
+            )
 
     def test_epidemic_infect_forever(self, small_trust_graph, small_config):
         overlay = _instant_overlay(small_trust_graph, small_config)

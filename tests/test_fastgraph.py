@@ -34,9 +34,18 @@ from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
 
 
-def _assert_matches_networkx(graph: nx.Graph, seed: int = 9) -> SnapshotAnalysis:
-    """Assert every fast metric of ``graph`` is bit-identical to networkx."""
-    analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
+def _assert_matches_networkx(
+    graph: nx.Graph, seed: int = 9, snapshot=None, sources=None
+) -> SnapshotAnalysis:
+    """Assert every fast metric of ``graph`` is bit-identical to networkx.
+
+    ``snapshot`` substitutes another assembly of the same graph for
+    ``from_networkx``; ``sources`` sets the sampled-BFS count and skips
+    the all-pairs pass (0.6 s of networkx at 1,200 nodes).
+    """
+    if snapshot is None:
+        snapshot = FlatSnapshot.from_networkx(graph)
+    analysis = SnapshotAnalysis(snapshot)
     total = graph.number_of_nodes()
 
     assert analysis.fraction_disconnected() == fraction_disconnected(graph)
@@ -44,12 +53,13 @@ def _assert_matches_networkx(graph: nx.Graph, seed: int = 9) -> SnapshotAnalysis
     assert analysis.largest_component_nodes().tolist() == largest_component(graph)
 
     if total >= 1:
-        fast_rng = np.random.default_rng(seed)
-        ref_rng = np.random.default_rng(seed)
-        assert analysis.average_path_length(rng=fast_rng) == average_path_length(
-            graph, rng=ref_rng
-        )
-        sample = min(7, total)
+        if sources is None:
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            assert analysis.average_path_length(
+                rng=fast_rng
+            ) == average_path_length(graph, rng=ref_rng)
+        sample = min(sources or 7, total)
         fast_rng = np.random.default_rng(seed)
         ref_rng = np.random.default_rng(seed)
         fast_value = analysis.normalized_path_length(
@@ -86,6 +96,21 @@ class TestDifferentialRandomGraphs:
         for seed in (5, 6):
             mask = stationary_online_mask(200, 0.5, np.random.default_rng(seed))
             _assert_matches_networkx(online_subgraph(graph, mask), seed=seed)
+        # One collector sample at scale: 2,000 nodes, the snapshot
+        # assembled from raw endpoint positions as the overlay's edge
+        # store hands them over, 64 BFS sources.
+        graph = generate_social_graph(2000, rng=np.random.default_rng(7))
+        mask = stationary_online_mask(2000, 0.6, np.random.default_rng(8))
+        induced = online_subgraph(graph, mask)
+        base = FlatSnapshot.from_networkx(induced)
+        _assert_matches_networkx(
+            induced,
+            seed=8,
+            snapshot=FlatSnapshot.from_edge_positions(
+                base.node_ids, base.edge_u, base.edge_v
+            ),
+            sources=64,
+        )
 
     def test_empty_singleton_and_edgeless(self):
         _assert_matches_networkx(nx.empty_graph(0))

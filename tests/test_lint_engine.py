@@ -243,8 +243,9 @@ class TestSelfHosting:
         offenders = "\n".join(f.format_text() for f in result.findings)
         assert result.ok, f"src/repro has lint findings:\n{offenders}"
         assert result.suppression_count == 0
-        # The burned-down timing suppressions are now waived statically.
-        assert len(result.waived_clock_findings) >= 14
+        # The burned-down timing suppressions are now waived statically
+        # (the CLI's progress display and the live mesh's wall clock).
+        assert len(result.waived_clock_findings) >= 4
 
     def test_injected_unseeded_rng_is_caught(self, tmp_path):
         """Acceptance check: a fresh DET001 violation names file and line."""

@@ -57,6 +57,16 @@ class TestLoopbackMesh:
         assert report.fraction_disconnected == 0.0
         assert report.counters["codec_rejects"] == 0
 
+    def test_reference_on_a_pseudonym_lifetime_multiple(self):
+        # At t = 2 x 15 every pseudonym of the churn-free reference
+        # expires at once and its degree reads 4.0 (trusted links only)
+        # for that instant; the envelope must not be that reading.
+        spec = MeshSpec(num_nodes=16, seed=1, duration=30.0)
+        reference = simulate_reference(spec)
+        assert reference[0] > spec.lattice_degree + 1
+        ok, summary = converged_against(run_loopback_mesh(spec), reference)
+        assert ok, summary
+
     def test_seed_reproducible(self):
         spec = MeshSpec(num_nodes=9, seed=7, duration=25.0)
         first = run_loopback_mesh(spec)

@@ -6,7 +6,7 @@ Usage::
     repro fig8 --plot               # ASCII plot of the time series
     repro all  --scale quick
     repro fig3 --scale quick --workers 4   # fan points out across processes
-    repro lint src --format json    # determinism/hygiene linter
+    repro lint src examples         # determinism/hygiene linter
     repro sweep --axis availability=0.25,0.5 --workers 4 --resume
     repro mesh --nodes 20 --duration 40     # live localhost mesh
     repro node --port 9000 --node-id 0      # one live UDP node
@@ -194,8 +194,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
-        # The linter has its own argument grammar (paths, --format,
-        # --rules); dispatch before the figure parser sees it.
+        # The linter has its own argument grammar (paths, --rules);
+        # dispatch before the figure parser sees it.
         from .lint.cli import main as lint_main
 
         return lint_main(list(argv[1:]))
@@ -291,8 +291,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     scale = _SCALES[args.scale]
     targets = sorted(_FIGURES) if args.figure == "all" else [args.figure]
     for target in targets:
-        # Progress display is the one allowlisted host-clock use (DET003):
-        # it reports to the human at the terminal, never to results.
+        # Progress display: this file is on DET003's exempt-path list
+        # because the reading goes to the terminal, never into results.
         started = time.perf_counter()
         print(f"== {target} (scale={scale.name}, seed={args.seed}) ==")
         _FIGURES[target](scale, args.seed, args.plot, args.workers)

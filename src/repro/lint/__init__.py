@@ -2,53 +2,31 @@
 
 The paper's figures are reproducible only if every random draw flows
 from a single root seed and every timestamp comes from the simulator.
-This package machine-checks those conventions over the source tree:
+This package machine-checks those conventions, one file at a time:
 
-* an :mod:`ast`-visitor engine with a per-file rule registry
-  (:mod:`repro.lint.rules`),
-* a whole-program pass (:func:`lint_project`): per-function summaries
-  (:mod:`repro.lint.summaries`) assembled into a call-graph index
-  (:mod:`repro.lint.project`) feeding the interprocedural FLOW (RNG
-  provenance), FORK (fork-safety races), and PAR (fast/legacy parity)
-  rule families,
-* a findings baseline/ratchet (:mod:`repro.lint.baseline`) and a
-  content-hash result cache (:mod:`repro.lint.cache`),
-* ``# lint: disable=RULE`` / ``# lint: disable-file=RULE`` suppression
-  comments (:mod:`repro.lint.suppressions`),
-* text, JSON, and SARIF reporters (:mod:`repro.lint.reporters`),
-* a CLI: ``repro lint [paths]``, ``python -m repro.lint``, or the
-  ``repro-lint`` console script.
+* a per-file rule registry of :class:`ast.NodeVisitor` rules
+  (:mod:`repro.lint.rules`: DET001–DET004, HYG001–HYG003),
+* an engine that parses each file once and runs the selected rules
+  over it (:mod:`repro.lint.engine`),
+* a text reporter and rule catalog (:mod:`repro.lint.reporters`),
+* a CLI: ``repro lint [paths]`` or ``python -m repro.lint``.
 
-See ``docs/linting.md`` for the rule catalog and rationale.
+The linter is a tripwire, not the guarantee: the guarantee is that the
+same seed replays byte-identically (``tests/test_determinism.py``).
+See ``docs/linting.md`` for the rule catalog and what each rule has
+found in this repository.
 """
 
-from .engine import (
-    LintError,
-    LintResult,
-    ProjectLintResult,
-    lint_paths,
-    lint_project,
-    lint_source,
-    select_rules,
-)
+from .engine import LintError, LintResult, lint_paths, lint_source, select_rules
 from .findings import Finding
-from .reporters import (
-    JSON_SCHEMA_VERSION,
-    SARIF_VERSION,
-    render_json,
-    render_rule_catalog,
-    render_sarif,
-    render_text,
-)
+from .reporters import render_rule_catalog, render_text
 from .rules import RULES, Rule, register, rule_codes
 
 __all__ = [
     "Finding",
     "LintError",
     "LintResult",
-    "ProjectLintResult",
     "lint_paths",
-    "lint_project",
     "lint_source",
     "select_rules",
     "Rule",
@@ -56,9 +34,5 @@ __all__ = [
     "register",
     "rule_codes",
     "render_text",
-    "render_json",
-    "render_sarif",
     "render_rule_catalog",
-    "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
 ]

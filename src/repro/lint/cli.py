@@ -1,39 +1,24 @@
 """Command-line front end for the linter.
 
-Invoked as ``repro lint ...`` (through :mod:`repro.cli`), as
-``python -m repro.lint ...``, or as the ``repro-lint`` console script.
+Invoked as ``repro lint ...`` (through :mod:`repro.cli`) or as
+``python -m repro.lint ...``.  CI runs it with no flags::
 
-By default the whole-program pass runs: per-file rules plus the
-FLOW/FORK/PAR interprocedural families over a project index, with an
-on-disk content-hash cache so unchanged files cost one hash.  CI runs
-the ratchet form::
+    python -m repro.lint src examples benchmarks
 
-    python -m repro.lint src --baseline check
-
-Exit codes: 0 clean (or no new findings under ``--baseline check``),
-1 findings, 2 invalid invocation.
+Exit codes: 0 clean, 1 findings, 2 invalid invocation.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
-import subprocess
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .baseline import BaselineError, check_baseline, write_baseline
-from .cache import ResultCache
-from .engine import LintError, lint_paths, lint_project
-from .findings import Finding
-from .reporters import render_json, render_rule_catalog, render_sarif, render_text
+from .engine import LintError, lint_paths
+from .reporters import render_rule_catalog, render_text
 
 __all__ = ["main"]
-
-DEFAULT_BASELINE = ".lint-baseline.json"
-DEFAULT_CACHE = ".lint-cache.json"
 
 
 def _emit(text: str) -> None:
@@ -48,49 +33,18 @@ def _emit(text: str) -> None:
         os.dup2(devnull, sys.stdout.fileno())
 
 
-def _changed_files(diff_base: str) -> List[str]:
-    """Python files changed vs ``diff_base`` plus untracked ones."""
-    changed: List[str] = []
-    for command in (
-        ["git", "diff", "--name-only", diff_base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            output = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            ).stdout
-        except (OSError, subprocess.CalledProcessError) as error:
-            raise LintError(
-                f"--changed needs a git checkout ({' '.join(command)} "
-                f"failed: {error})"
-            )
-        changed.extend(
-            line for line in output.splitlines() if line.endswith(".py")
-        )
-    return sorted({name for name in changed if Path(name).exists()})
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Lint CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Whole-program determinism and simulation-hygiene "
-        "linter for the repro codebase.",
-        epilog="Suppress a finding with '# lint: disable=RULE' on the "
-        "offending statement, or file-wide with '# lint: disable-file="
-        "RULE'.",
+        description="Determinism and simulation-hygiene linter for the "
+        "repro codebase.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
     )
     parser.add_argument(
         "--rules",
@@ -102,51 +56,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--baseline",
-        choices=("write", "check"),
-        default=None,
-        help="write: freeze current findings; check: fail only on "
-        "findings not in the frozen baseline (the ratchet)",
-    )
-    parser.add_argument(
-        "--baseline-file",
-        default=DEFAULT_BASELINE,
-        help=f"baseline location (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report findings only for files changed vs --diff-base "
-        "(the analysis still covers every path)",
-    )
-    parser.add_argument(
-        "--diff-base",
-        default="HEAD",
-        help="git ref --changed diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk per-file result cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        default=DEFAULT_CACHE,
-        help=f"cache location (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="per-file rules only: skip the whole-program FLOW/FORK/PAR "
-        "pass and the interprocedural DET003 waiver",
-    )
-    parser.add_argument(
-        "--tests-dir",
-        default=None,
-        help="test tree for the PAR002 pinning check (default: a "
-        "'tests' directory next to the linted paths)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -155,66 +64,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rules = args.rules.split(",") if args.rules else None
     try:
-        if args.no_project:
-            result = lint_paths(args.paths, rules=rules)
-        else:
-            cache = None if args.no_cache else ResultCache(args.cache_file)
-            result = lint_project(
-                args.paths,
-                rules=rules,
-                tests_root=args.tests_dir,
-                cache=cache,
-            )
-        changed = _changed_files(args.diff_base) if args.changed else None
+        result = lint_paths(args.paths, rules=rules)
     except LintError as error:
         print(f"repro lint: error: {error}", file=sys.stderr)
         return 2
-
-    display = result
-    if changed is not None:
-        wanted = {str(Path(name).resolve()) for name in changed}
-        display = dataclasses.replace(
-            result,
-            findings=[
-                finding
-                for finding in result.findings
-                if str(Path(finding.path).resolve()) in wanted
-            ],
-        )
-
-    if args.format == "json":
-        _emit(render_json(display))
-    elif args.format == "sarif":
-        _emit(render_sarif(display))
-    else:
-        _emit(render_text(display))
-
-    if args.baseline == "write":
-        suppressions = getattr(result, "suppression_count", 0)
-        document = write_baseline(
-            result.findings, args.baseline_file, suppressions
-        )
-        _emit(
-            f"baseline written to {args.baseline_file}: "
-            f"{document['total']} findings, {suppressions} suppressions"
-        )
-        return 0
-    if args.baseline == "check":
-        # The ratchet always judges the full finding set, even under
-        # --changed: a stale cache or cross-file effect must not hide a
-        # new finding in an "unchanged" file.
-        try:
-            report = check_baseline(result.findings, args.baseline_file)
-        except BaselineError as error:
-            print(f"repro lint: error: {error}", file=sys.stderr)
-            return 2
-        _emit(report.summary())
-        if not report.ok:
-            for finding in report.new_findings:
-                _emit(f"NEW: {finding.format_text()}")
-            return 1
-        return 0
-    return 0 if not display.findings else 1
+    _emit(render_text(result))
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

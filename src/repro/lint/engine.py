@@ -7,11 +7,12 @@
     for finding in result.findings:
         print(finding.format_text())
 
-The engine is deliberately framework-free: plain :mod:`ast` parsing, a
-rule registry (:mod:`repro.lint.rules`), and suppression comments
-(:mod:`repro.lint.suppressions`).  Rules never see files they declared
-themselves out of via :meth:`Rule.applies_to_path`, and findings on
-suppressed (line, rule) pairs are dropped before reporting.
+The engine is deliberately framework-free: plain :mod:`ast` parsing and
+a rule registry (:mod:`repro.lint.rules`).  Each file is parsed and its
+imports resolved once, then handed to every selected rule; a rule never
+sees a file it declared itself out of via :meth:`Rule.applies_to_path`.
+There is no suppression comment: an exception to a rule is a path scope
+on the rule itself, with its reason beside it.
 """
 
 from __future__ import annotations
@@ -19,20 +20,17 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Type
 
 from ..errors import ReproError
 from .findings import Finding
-from .rules import RULES, Rule
-from .suppressions import SuppressionTable, parse_suppressions
+from .rules import RULES, Rule, resolve_imports
 
 __all__ = [
     "LintError",
     "LintResult",
-    "ProjectLintResult",
     "lint_paths",
     "lint_source",
-    "lint_project",
     "select_rules",
 ]
 
@@ -43,11 +41,6 @@ PARSE_ERROR_CODE = "LINT000"
 
 class LintError(ReproError):
     """Invalid lint invocation (unknown rule, missing path)."""
-
-
-def _ensure_project_rules() -> None:
-    """Import the project-rule modules so they self-register."""
-    from . import flow, fork, parity  # noqa: F401
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,36 +82,6 @@ def select_rules(codes: Optional[Iterable[str]] = None) -> List[Type[Rule]]:
     return selected
 
 
-def _partition_rule_codes(
-    codes: Optional[Iterable[str]],
-) -> Tuple[Optional[List[str]], Optional[List[str]]]:
-    """Split a code selection into (file-rule codes, project-rule codes).
-
-    ``None`` means "all" on both sides.  Unknown codes raise.
-    """
-    _ensure_project_rules()
-    from .project import PROJECT_RULES
-
-    if codes is None:
-        return None, None
-    file_codes: List[str] = []
-    project_codes: List[str] = []
-    for code in codes:
-        normalized = code.strip().upper()
-        if not normalized:
-            continue
-        if normalized in RULES:
-            file_codes.append(normalized)
-        elif normalized in PROJECT_RULES:
-            project_codes.append(normalized)
-        else:
-            known = ", ".join(sorted(RULES) + sorted(PROJECT_RULES))
-            raise LintError(f"unknown rule {normalized!r} (known: {known})")
-    if not file_codes and not project_codes:
-        raise LintError("no rules selected")
-    return file_codes, project_codes
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -139,32 +102,13 @@ def lint_source(
             )
         ]
 
-    suppressions = parse_suppressions(source, tree)
+    aliases = resolve_imports(tree)
     findings: List[Finding] = []
     for rule_class in rule_classes:
-        if not rule_class.applies_to_path(path):
-            continue
-        findings.extend(rule_class(path, tree).run())
-    findings = [
-        finding
-        for finding in findings
-        if not suppressions.is_suppressed(finding.line, finding.rule)
-    ]
+        if rule_class.applies_to_path(path):
+            findings.extend(rule_class(path, tree, aliases).run())
     findings.sort(key=Finding.sort_key)
     return findings
-
-
-#: The wall-clock boundary (DET003): the live-network layer is the one
-#: package permitted to read the host clock — its WallClock *is* the
-#: mapping from ``time.monotonic()`` to shuffling periods.  Simulation
-#: and analysis code must keep going through a Clock object.
-_WALL_CLOCK_PATHS: Tuple[str, ...] = ("repro/net/",)
-
-
-def _in_wall_clock_boundary(path: str) -> bool:
-    """Whether ``path`` lies inside the wall-clock waiver boundary."""
-    normalized = path.replace("\\", "/")
-    return any(fragment in normalized for fragment in _WALL_CLOCK_PATHS)
 
 
 def _discover(paths: Sequence[str]) -> List[Path]:
@@ -219,191 +163,3 @@ def lint_paths(
         findings.extend(lint_source(source, str(file_path), rule_classes))
     findings.sort(key=Finding.sort_key)
     return LintResult(findings=findings, checked_files=len(files))
-
-
-@dataclasses.dataclass(frozen=True)
-class ProjectLintResult(LintResult):
-    """A :class:`LintResult` plus whole-program bookkeeping."""
-
-    #: Number of live suppression comments across checked files.
-    suppression_count: int = 0
-    #: DET003 findings dropped by the interprocedural reporting-only
-    #: waiver, as (path, line) pairs (visible for tests/debugging).
-    waived_clock_findings: Tuple[Tuple[str, int], ...] = ()
-
-
-def lint_project(
-    paths: Sequence[str],
-    rules: Optional[Iterable[str]] = None,
-    tests_root: Optional[str] = None,
-    parity_pairs: Optional[Sequence] = None,
-    cache: Optional[object] = None,
-    report_paths: Optional[Iterable[str]] = None,
-) -> ProjectLintResult:
-    """Whole-program lint: per-file rules plus the interprocedural pass.
-
-    Builds a :class:`~repro.lint.summaries.ModuleSummary` per file,
-    assembles them into a
-    :class:`~repro.lint.project.ProjectIndex`, drops DET003 findings
-    the interprocedural reporting-only analysis waives, and runs every
-    registered project rule (FLOW/FORK/PAR families).
-
-    Parameters
-    ----------
-    paths:
-        Files/directories to analyze (the *whole* project — the call
-        graph is only as good as what it sees).
-    rules:
-        Optional rule codes; file and project codes may be mixed.
-    tests_root:
-        Test-tree root for the PAR002 pinning check.  Defaults to a
-        ``tests`` directory next to the first path's parent when one
-        exists.
-    parity_pairs:
-        Override the parity registry (tests inject synthetic pairs).
-    cache:
-        A :class:`~repro.lint.cache.ResultCache`; unchanged files reuse
-        cached findings and summaries.
-    report_paths:
-        When given, only findings in these files are reported (the
-        ``--changed`` mode); the analysis itself still covers ``paths``.
-    """
-    _ensure_project_rules()
-    from .cache import content_hash
-    from .project import PROJECT_RULES, ProjectIndex, ProjectRuleContext
-    from .summaries import build_module_summary
-
-    if rules is not None:
-        # Cached entries hold full-rule-set results; a selective run
-        # must neither consume nor overwrite them.
-        cache = None
-    file_codes, project_codes = _partition_rule_codes(rules)
-    if file_codes is None:
-        file_rule_classes = select_rules(None)
-    elif file_codes:
-        file_rule_classes = select_rules(file_codes)
-    else:
-        file_rule_classes = []
-    if project_codes is None:
-        project_rule_classes = [
-            PROJECT_RULES[code] for code in sorted(PROJECT_RULES)
-        ]
-    else:
-        project_rule_classes = [
-            PROJECT_RULES[code] for code in sorted(project_codes)
-        ]
-
-    files = _discover(paths)
-    findings: List[Finding] = []
-    summaries = []
-    tables: Dict[str, SuppressionTable] = {}
-    suppression_count = 0
-    for file_path in files:
-        path_text = str(file_path)
-        source = file_path.read_text(encoding="utf-8")
-        digest = content_hash(source)
-        cached = cache.get(path_text, digest) if cache is not None else None
-        if cached is not None:
-            file_findings, summary, suppressions = cached
-        else:
-            try:
-                tree = ast.parse(source, filename=path_text)
-            except SyntaxError as error:
-                findings.append(
-                    Finding(
-                        path=path_text,
-                        line=error.lineno or 1,
-                        column=(error.offset or 1) - 1,
-                        rule=PARSE_ERROR_CODE,
-                        message=f"file does not parse: {error.msg}",
-                    )
-                )
-                continue
-            suppressions = parse_suppressions(source, tree)
-            file_findings = []
-            for rule_class in file_rule_classes:
-                if not rule_class.applies_to_path(path_text):
-                    continue
-                file_findings.extend(rule_class(path_text, tree).run())
-            file_findings = [
-                finding
-                for finding in file_findings
-                if not suppressions.is_suppressed(finding.line, finding.rule)
-            ]
-            file_findings.sort(key=Finding.sort_key)
-            summary = build_module_summary(source, path_text, tree)
-            if cache is not None:
-                cache.put(
-                    path_text, digest, file_findings, summary, suppressions
-                )
-        findings.extend(file_findings)
-        summaries.append(summary)
-        tables[path_text] = suppressions
-        suppression_count += suppressions.comment_count
-    if cache is not None:
-        cache.save()
-
-    index = ProjectIndex(summaries)
-
-    # Interprocedural DET003 waiver: drop reporting-only clock findings.
-    # The live-network package is additionally waived wholesale — it
-    # *implements* wall time (WallClock maps time.monotonic() onto
-    # shuffling periods; see docs/networking.md), so host-clock reads
-    # are its job, and only there.  Both waivers are recorded in
-    # ``waived_clock_findings`` so the boundary stays auditable.
-    waived = index.waived_clock_lines()
-    waived_pairs: List[Tuple[str, int]] = []
-    kept: List[Finding] = []
-    for finding in findings:
-        if finding.rule == "DET003":
-            lines = waived.get(finding.path)
-            structurally_waived = lines is not None and any(
-                line == finding.line for line, _ in lines
-            )
-            if structurally_waived or _in_wall_clock_boundary(finding.path):
-                waived_pairs.append((finding.path, finding.line))
-                continue
-        kept.append(finding)
-    findings = kept
-
-    if tests_root is None:
-        candidate = _default_tests_root(paths)
-        tests_root = candidate
-    context = ProjectRuleContext(
-        index=index, tests_root=tests_root, parity_pairs=parity_pairs
-    )
-    for rule_class in project_rule_classes:
-        for finding in rule_class().run(context):
-            table = tables.get(finding.path)
-            if table is not None and table.is_suppressed(
-                finding.line, finding.rule
-            ):
-                continue
-            findings.append(finding)
-
-    if report_paths is not None:
-        wanted = {str(Path(p).resolve()) for p in report_paths}
-        findings = [
-            finding
-            for finding in findings
-            if str(Path(finding.path).resolve()) in wanted
-        ]
-    findings.sort(key=Finding.sort_key)
-    return ProjectLintResult(
-        findings=findings,
-        checked_files=len(files),
-        suppression_count=suppression_count,
-        waived_clock_findings=tuple(sorted(set(waived_pairs))),
-    )
-
-
-def _default_tests_root(paths: Sequence[str]) -> Optional[str]:
-    """A ``tests`` directory adjacent to the linted tree, if any."""
-    for raw in paths:
-        base = Path(raw).resolve()
-        for anchor in (base, base.parent):
-            candidate = anchor / "tests"
-            if candidate.is_dir():
-                return str(candidate)
-    return None
-

@@ -1,14 +1,13 @@
 """Finding model shared by the lint engine, rules, and reporters.
 
 A :class:`Finding` is one rule violation at one source location.  The
-model is deliberately tiny and immutable so reporters can sort, group,
-and serialize findings without touching the engine.
+model is deliberately tiny and immutable so reporters can sort and
+group findings without touching the engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict
 
 __all__ = ["Finding"]
 
@@ -40,16 +39,6 @@ class Finding:
     def sort_key(self) -> tuple:
         """Stable ordering: by file, then position, then rule."""
         return (self.path, self.line, self.column, self.rule)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation (the reporter schema)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
     def format_text(self) -> str:
         """The classic ``path:line:col: CODE message`` form."""

@@ -1,41 +1,11 @@
-"""Finding reporters: plain text and JSON.
-
-The JSON schema (version 1)::
-
-    {
-      "version": 1,
-      "checked_files": 74,
-      "counts": {"DET001": 2},
-      "findings": [
-        {"path": "...", "line": 10, "column": 4,
-         "rule": "DET001", "message": "..."}
-      ]
-    }
-"""
+"""Finding reporters: the text report and the rule catalog."""
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from .engine import LintResult
 from .rules import RULES
 
-__all__ = [
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "render_rule_catalog",
-    "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
-]
-
-JSON_SCHEMA_VERSION = 1
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+__all__ = ["render_text", "render_rule_catalog"]
 
 
 def render_text(result: LintResult) -> str:
@@ -55,104 +25,11 @@ def render_text(result: LintResult) -> str:
     return "\n".join(lines)
 
 
-def render_json(result: LintResult) -> str:
-    """The versioned JSON document described in the module docstring."""
-    document = {
-        "version": JSON_SCHEMA_VERSION,
-        "checked_files": result.checked_files,
-        "counts": result.counts_by_rule(),
-        "findings": [finding.to_dict() for finding in result.findings],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-def _all_rules():
-    """Per-file plus project rules, by code (for catalogs and SARIF)."""
-    from .engine import _ensure_project_rules
-    from .project import PROJECT_RULES
-
-    _ensure_project_rules()
-    merged = dict(RULES)
-    merged.update(PROJECT_RULES)
-    return merged
-
-
-def render_sarif(result: LintResult) -> str:
-    """Findings as a SARIF 2.1.0 log (CI PR-annotation format).
-
-    Paths become relative ``artifactLocation`` URIs when they sit under
-    the current working directory, absolute ``file://`` URIs otherwise.
-    """
-    rules = _all_rules()
-    used_codes = sorted({finding.rule for finding in result.findings})
-    driver_rules = []
-    for code in used_codes:
-        rule = rules.get(code)
-        descriptor = {
-            "id": code,
-            "shortDescription": {
-                "text": getattr(rule, "name", code) if rule else code
-            },
-        }
-        if rule is not None and getattr(rule, "rationale", ""):
-            descriptor["fullDescription"] = {"text": rule.rationale}
-        driver_rules.append(descriptor)
-
-    cwd = Path.cwd().resolve()
-
-    def uri_for(path: str) -> str:
-        resolved = Path(path).resolve()
-        try:
-            return resolved.relative_to(cwd).as_posix()
-        except ValueError:
-            return resolved.as_uri()
-
-    results = [
-        {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": uri_for(finding.path)},
-                        "region": {
-                            "startLine": max(1, finding.line),
-                            "startColumn": max(1, finding.column + 1),
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in result.findings
-    ]
-    document = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/linting"
-                        ),
-                        "rules": driver_rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 def render_rule_catalog() -> str:
     """Human-readable list of registered rules (``--list-rules``)."""
     lines = []
-    rules = _all_rules()
-    for code in sorted(rules):
-        rule = rules[code]
+    for code in sorted(RULES):
+        rule = RULES[code]
         lines.append(f"{code}  {rule.name}")
         lines.append(f"    {rule.rationale}")
     return "\n".join(lines)

@@ -20,7 +20,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Type
 
 from .findings import Finding
 
-__all__ = ["Rule", "RULES", "register", "rule_codes", "resolve_imports"]
+__all__ = [
+    "Rule",
+    "RULES",
+    "register",
+    "rule_codes",
+    "resolve_imports",
+    "qualified_name",
+    "path_matches",
+]
 
 
 # ----------------------------------------------------------------------
@@ -36,8 +44,10 @@ def resolve_imports(tree: ast.AST) -> Dict[str, str]:
     ``from numpy import random``     -> ``{"random": "numpy.random"}``
     ``from time import time as now`` -> ``{"now": "time.time"}``
 
-    Only top-level bindings are tracked; a rebinding later in the file
-    keeps the last import's target (good enough for lint heuristics).
+    Every import statement in the file is tracked, function-local ones
+    included, in one flat table; when a name is imported twice, the
+    target of the last import ``ast.walk`` reaches stands (good enough
+    for lint heuristics).
     """
     aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -85,23 +95,36 @@ def qualified_name(
 # ----------------------------------------------------------------------
 
 
+def path_matches(path: str, fragments: Sequence[str]) -> bool:
+    """Whether the POSIX form of ``path`` contains any of ``fragments``.
+
+    The one idiom for scoping a rule to, or exempting it from, part of
+    the tree: a tuple of path fragments on the rule class, each with its
+    reason beside it.
+    """
+    normalized = path.replace("\\", "/")
+    return any(fragment in normalized for fragment in fragments)
+
+
 class Rule(ast.NodeVisitor):
     """Base class for one lint rule over one file.
 
     Subclasses set ``code``, ``name``, and ``rationale``, then override
     visitor methods and call :meth:`report`.  ``applies_to_path`` lets a
-    rule scope itself to part of the tree (e.g. HYG003 only checks
-    ``repro/core``).
+    rule scope itself to part of the tree (HYG003 checks only
+    ``MissingSlots.HOT_PATHS``; DET003 skips ``HostClock.EXEMPT_PATHS``).
+    The engine parses the file and resolves its imports once and hands
+    both to every rule.
     """
 
     code: str = ""
     name: str = ""
     rationale: str = ""
 
-    def __init__(self, path: str, tree: ast.AST) -> None:
+    def __init__(self, path: str, tree: ast.AST, aliases: Dict[str, str]) -> None:
         self.path = path
         self.tree = tree
-        self.aliases = resolve_imports(tree)
+        self.aliases = aliases
         self.findings: List[Finding] = []
 
     @classmethod
@@ -146,7 +169,7 @@ def rule_codes() -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# DET001 — unseeded numpy randomness
+# DET001 — generators that do not derive from the root seed
 # ----------------------------------------------------------------------
 
 #: Module-level numpy convenience functions drawing from the hidden
@@ -179,34 +202,112 @@ _NP_GLOBAL_FUNCS: FrozenSet[str] = frozenset(
 )
 
 
+#: numpy constructors that seed themselves from OS entropy when their
+#: seed argument is absent or ``None``.
+_NP_SEEDED_CTORS: FrozenSet[str] = frozenset(
+    f"numpy.random.{name}"
+    for name in (
+        "default_rng",
+        "RandomState",
+        "SeedSequence",
+        "PCG64",
+        "PCG64DXSM",
+        "MT19937",
+        "Philox",
+        "SFC64",
+    )
+)
+
+#: Stdlib reads of OS entropy or host identity (plus all of ``secrets``).
+_OS_ENTROPY_CALLS: FrozenSet[str] = frozenset(
+    {"os.urandom", "uuid.uuid1", "uuid.uuid4"}
+)
+
+
+def _seed_argument(call: ast.Call) -> Optional[ast.expr]:
+    """The seed a generator constructor was called with, if any."""
+    if call.args:
+        return call.args[0]
+    for keyword in call.keywords:
+        if keyword.arg in ("seed", "entropy"):
+            return keyword.value
+    return None
+
+
+def _is_literal(node: Optional[ast.expr]) -> bool:
+    """A constant, or a signed constant such as ``-1``."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant)
+
+
 @register
-class UnseededNumpyRng(Rule):
-    """Unseeded ``np.random.default_rng()`` or global ``np.random.*``."""
+class UnseededRng(Rule):
+    """A generator that does not derive from the experiment's root seed."""
 
     code = "DET001"
-    name = "unseeded-numpy-rng"
+    name = "unseeded-rng"
     rationale = (
         "Every generator must derive from the experiment's root seed "
-        "(repro.rng.RandomStreams); OS-entropy generators and the hidden "
-        "global RandomState make runs unreproducible."
+        "(repro.rng.RandomStreams).  OS-entropy generators and the hidden "
+        "global RandomState make runs unreproducible; a generator built "
+        "from a literal seed is reproducible but deaf to the root seed, "
+        "so sweep points with different seeds share its draws."
+    )
+
+    #: Where a literal seed is legitimate, and why.
+    LITERAL_SEED_PATHS = (
+        "repro/rng.py",  # the stream factory; fallback_rng's root is a constant
+        "repro/config.py",  # defines DEFAULT_SEED
+        "examples/",  # an entry point's literal *is* its root seed
     )
 
     def visit_Call(self, node: ast.Call) -> None:
         qualified = qualified_name(node.func, self.aliases)
-        if qualified in ("numpy.random.default_rng", "numpy.random.RandomState"):
-            if not node.args and not node.keywords:
-                short = qualified.rsplit(".", 1)[-1]
+        # RandomStreams by its bare name: relative imports do not resolve.
+        streams = "RandomStreams" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+        if streams:
+            qualified = "RandomStreams"
+        if streams or qualified in _NP_SEEDED_CTORS:
+            seed = _seed_argument(node)
+            # RandomStreams has no OS-entropy default (it requires an int).
+            if not streams and (
+                (seed is None and not node.keywords)
+                or (isinstance(seed, ast.Constant) and seed.value is None)
+            ):
                 self.report(
                     node,
-                    f"unseeded numpy.random.{short}() draws from OS entropy; "
+                    f"unseeded {qualified}() draws from OS entropy; "
                     "pass a seed or a RandomStreams substream "
                     "(e.g. repro.rng.fallback_rng(...))",
+                )
+            elif _is_literal(seed) and not path_matches(
+                self.path, self.LITERAL_SEED_PATHS
+            ):
+                self.report(
+                    node,
+                    f"{qualified}() is built from a hardcoded seed, so the "
+                    "experiment's root seed never reaches its draws; derive "
+                    "it from a RandomStreams parameter or "
+                    "repro.rng.fallback_rng",
                 )
         elif qualified in _NP_GLOBAL_FUNCS:
             self.report(
                 node,
                 f"{qualified}() uses numpy's hidden global RandomState; "
                 "draw from an explicit np.random.Generator instead",
+            )
+        elif qualified in _OS_ENTROPY_CALLS or (
+            qualified is not None and qualified.startswith("secrets.")
+        ):
+            self.report(
+                node,
+                f"{qualified}() reads OS entropy or host identity; no seed "
+                "can replay it.  Draw identifiers and bytes from a "
+                "RandomStreams substream",
             )
         self.generic_visit(node)
 
@@ -290,10 +391,20 @@ class HostClock(Rule):
     name = "host-clock"
     rationale = (
         "Simulated time comes from Simulator.now; host-clock reads leak "
-        "wall-clock nondeterminism into results.  Progress display in the "
-        "CLI is the one allowlisted use — tag it with "
-        "'# lint: disable=DET003'."
+        "wall-clock nondeterminism into results.  Code whose job is wall "
+        "time is listed, with its reason, in HostClock.EXEMPT_PATHS."
     )
+
+    #: Where reading the host clock is the job, and why.
+    EXEMPT_PATHS = (
+        "repro/net/",  # the live mesh: WallClock *is* time.monotonic()
+        "repro/cli.py",  # progress display to the terminal, never in results
+        "benchmarks/",  # they time things by design
+    )
+
+    @classmethod
+    def applies_to_path(cls, path: str) -> bool:
+        return not path_matches(path, cls.EXEMPT_PATHS)
 
     def visit_Call(self, node: ast.Call) -> None:
         qualified = qualified_name(node.func, self.aliases)
@@ -301,8 +412,9 @@ class HostClock(Rule):
             self.report(
                 node,
                 f"{qualified}() reads the host clock; simulation code must "
-                "use the simulator's clock (sim.now).  If this is CLI "
-                "progress display, suppress with '# lint: disable=DET003'",
+                "use the simulator's clock (sim.now).  Wall-time code "
+                "belongs under one of HostClock.EXEMPT_PATHS "
+                "(repro/lint/rules.py)",
             )
         self.generic_visit(node)
 
@@ -569,7 +681,7 @@ class BroadExcept(Rule):
 
 @register
 class MissingSlots(Rule):
-    """Hot-path classes (``repro/core``) without ``__slots__``."""
+    """Classes under :attr:`HOT_PATHS` that store state without ``__slots__``."""
 
     code = "HYG003"
     name = "missing-slots"
@@ -581,14 +693,12 @@ class MissingSlots(Rule):
         "decorator is visible to the linter)."
     )
 
-    #: Path fragments marking hot-path modules.  Checked against the
-    #: POSIX form of the file path.
+    #: Path fragments marking hot-path modules.
     HOT_PATHS = ("repro/core/", "repro/privlink/")
 
     @classmethod
     def applies_to_path(cls, path: str) -> bool:
-        normalized = path.replace("\\", "/")
-        return any(fragment in normalized for fragment in cls.HOT_PATHS)
+        return path_matches(path, cls.HOT_PATHS)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if node.decorator_list:

@@ -1,10 +1,10 @@
 """Wall time behind the :class:`~repro.sim.clock.Clock` contract.
 
-This module is the only place in the codebase allowed to read the host
-clock (the determinism linter's DET003 waiver boundary covers exactly
-``repro/net/``): :class:`WallClock` maps ``time.monotonic()`` onto the
-protocol's time axis, and everything above it keeps speaking simulated
-"shuffling periods".
+This module is the only place protocol code may get wall time from
+(``repro/net/`` is on the determinism linter's DET003 exempt-path list
+for exactly this reason): :class:`WallClock` maps ``time.monotonic()``
+onto the protocol's time axis, and everything above it keeps speaking
+simulated "shuffling periods".
 
 Time scaling
 ------------

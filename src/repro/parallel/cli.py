@@ -193,7 +193,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 # Wall-clock feeds only operator-facing ledger durations and
                 # timeout enforcement, never results.  Passing the clock by
                 # reference (not calling it here) keeps the package clean
-                # under lint rule DET003 with no suppressions.
+                # under lint rule DET003.
                 clock=time.perf_counter,
                 sleep=time.sleep,
             )

@@ -106,7 +106,7 @@ def _describe_exception(exc: BaseException) -> TaskFailure:
     )
 
 
-def _worker_main(  # lint: fork-entry
+def _worker_main(
     conn, runner: Callable[[Any], Any], clock: Optional[Clock]
 ) -> None:
     """Worker loop: receive tasks, run them, send results or errors.

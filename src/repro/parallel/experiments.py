@@ -37,7 +37,7 @@ class OverlayPointExperiment:
     #: Tail window; defaults to the scale's ``measure_window``.
     measure_window: Optional[float] = None
 
-    def __call__(self, config: SystemConfig) -> Dict[str, Any]:  # lint: fork-entry
+    def __call__(self, config: SystemConfig) -> Dict[str, Any]:
         scale = scale_by_name(self.scale_name)
         trust_graph = make_trust_graph(scale, self.f, config.seed)
         horizon = self.horizon if self.horizon is not None else scale.total_horizon
@@ -80,7 +80,7 @@ class BatchPointExperiment:
     num_shards: int = 1
     shard_workers: int = 1
 
-    def __call__(self, config: SystemConfig) -> Dict[str, Any]:  # lint: fork-entry
+    def __call__(self, config: SystemConfig) -> Dict[str, Any]:
         from ..core.batch import BatchOverlay
         from .shard import ShardedOverlay, ShardOptions
 

@@ -129,7 +129,7 @@ def _advance_round(
         engines[shard].absorb(sets_local[shard], now)
 
 
-def _shard_worker_main(  # lint: fork-entry
+def _shard_worker_main(
     conn: Any,
     config: SystemConfig,
     trusted_indptr: np.ndarray,
@@ -286,8 +286,8 @@ class ShardedOverlay:
     The observable surface mirrors the serial engine — ``run``,
     ``state_digest``, ``stats``, ``snapshot``, ``analysis``,
     ``mean_out_degree``, ``memory_bytes`` — and every one of them
-    returns exactly what ``BatchOverlay(num_shards=S)`` returns (the
-    ``sharded-batch`` lint parity pair pins the signatures).  Use as a
+    returns exactly what ``BatchOverlay(num_shards=S)`` returns
+    (``tests/test_parity_surfaces.py`` pins the signatures).  Use as a
     context manager, or call :meth:`close` when done.
     """
 

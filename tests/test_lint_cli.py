@@ -1,10 +1,9 @@
-"""CLI tests: exit codes, output formats, and repro-CLI dispatch."""
+"""CLI tests: exit codes, text output, and repro-CLI dispatch."""
 
-import json
 import textwrap
 
 from repro.cli import main as repro_main
-from repro.lint import JSON_SCHEMA_VERSION, rule_codes
+from repro.lint import rule_codes
 from repro.lint.cli import main as lint_main
 
 
@@ -34,25 +33,6 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert f"{bad}:4:" in out
         assert "DET001" in out
-
-    def test_json_format_schema(self, tmp_path, capsys):
-        _write(tmp_path, "bad.py", DIRTY)
-        assert lint_main([str(tmp_path), "--format", "json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == JSON_SCHEMA_VERSION
-        assert document["checked_files"] == 1
-        assert document["counts"] == {"DET001": 1}
-        (finding,) = document["findings"]
-        assert set(finding) == {"path", "line", "column", "rule", "message"}
-        assert finding["rule"] == "DET001"
-        assert finding["line"] == 4
-
-    def test_json_clean_document(self, tmp_path, capsys):
-        _write(tmp_path, "ok.py", CLEAN)
-        assert lint_main([str(tmp_path), "--format", "json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["findings"] == []
-        assert document["counts"] == {}
 
     def test_rules_filter(self, tmp_path, capsys):
         _write(tmp_path, "bad.py", DIRTY)

@@ -76,12 +76,117 @@ class TestDet001UnseededNumpy:
         assert _codes(findings) == ["DET001", "DET001", "DET001"]
 
     def test_seeded_default_rng_is_fine(self):
+        # At an entry point the literal *is* the run's root seed.
         findings = _lint(
             """
             import numpy as np
 
             rng = np.random.default_rng(42)
             other = np.random.default_rng(seed=7)
+            """,
+            path="examples/demo.py",
+        )
+        assert findings == []
+
+    def test_flags_hardcoded_seed_in_library_code(self):
+        findings = _lint(
+            """
+            import numpy as np
+            from ..rng import RandomStreams
+
+            def sampler():
+                rng = np.random.default_rng(1234)
+                return rng.random(), RandomStreams(seed=-7)
+            """
+        )
+        assert _codes(findings) == ["DET001", "DET001"]
+        assert all("hardcoded seed" in f.message for f in findings)
+
+    def test_param_seeded_is_fine(self):
+        findings = _lint(
+            """
+            import numpy as np
+            from ..rng import RandomStreams
+
+            def sampler(seed, config):
+                rng = np.random.default_rng(seed)
+                return rng.random(), RandomStreams(config.seed)
+            """
+        )
+        assert findings == []
+
+    def test_literal_seed_inside_rng_module_is_fine(self):
+        findings = _lint(
+            """
+            import numpy as np
+
+            rng = np.random.default_rng(1234)
+            """,
+            path="src/repro/rng.py",
+        )
+        assert findings == []
+
+    def test_flags_none_seed(self):
+        findings = _lint(
+            """
+            import numpy as np
+
+            rng = np.random.default_rng(None)
+            other = np.random.default_rng(seed=None)
+            """,
+            path="src/repro/rng.py",
+        )
+        assert _codes(findings) == ["DET001", "DET001"]
+        assert all("OS entropy" in f.message for f in findings)
+
+    def test_flags_bare_seedsequence_and_bit_generators(self):
+        findings = _lint(
+            """
+            import numpy as np
+            from numpy.random import Philox
+
+            seq = np.random.SeedSequence()
+            rng = np.random.Generator(np.random.PCG64())
+            other = np.random.Generator(Philox())
+            """
+        )
+        assert _codes(findings) == ["DET001", "DET001", "DET001"]
+
+    def test_seeded_bit_generators_are_fine(self):
+        findings = _lint(
+            """
+            import numpy as np
+
+            def make(seed, key):
+                seq = np.random.SeedSequence(seed)
+                first = np.random.Generator(np.random.PCG64(seq))
+                return first, np.random.Philox(key=key)
+            """
+        )
+        assert findings == []
+
+    def test_flags_stdlib_entropy_sources(self):
+        findings = _lint(
+            """
+            import os
+            import secrets
+            import uuid
+            from uuid import uuid1
+
+            def ident():
+                return os.urandom(8), uuid.uuid4(), uuid1(), secrets.token_hex(4)
+            """
+        )
+        assert _codes(findings) == ["DET001"] * 4
+
+    def test_deterministic_stdlib_neighbours_are_fine(self):
+        findings = _lint(
+            """
+            import os
+            import uuid
+
+            def ident(name):
+                return os.path.basename(name), uuid.uuid5(uuid.NAMESPACE_DNS, name)
             """
         )
         assert findings == []
@@ -133,8 +238,8 @@ class TestDet002StdlibRandom:
             """
             from numpy import random
 
-            def f(items):
-                rng = random.default_rng(3)
+            def f(items, seed):
+                rng = random.default_rng(seed)
                 return rng.choice(items)
             """
         )
@@ -204,6 +309,21 @@ class TestDet003HostClock:
             """
         )
         assert _codes(findings) == ["DET003"]
+
+    def test_exempt_paths_are_not_checked(self):
+        source = """
+            import time
+
+            started = time.perf_counter()
+            """
+        assert _codes(_lint(source, path="src/repro/core/batch.py")) == ["DET003"]
+        assert _codes(_lint(source, path="src/repro/lint/cli.py")) == ["DET003"]
+        for exempt in (
+            "src/repro/cli.py",
+            "src/repro/net/clock.py",
+            "benchmarks/bench_scale_million.py",
+        ):
+            assert _lint(source, path=exempt) == []
 
     def test_time_sleep_is_fine(self):
         findings = _lint(
@@ -444,12 +564,12 @@ class TestHyg003MissingSlots:
         assert findings == []
 
     def test_rule_is_scoped_to_core(self):
-        findings = _lint(
-            """
+        source = """
             class Holder:
                 def __init__(self):
                     self.value = 1
-            """,
-            path="src/repro/experiments/example.py",
-        )
-        assert findings == []
+            """
+        assert _lint(source, path="src/repro/experiments/example.py") == []
+        assert _codes(_lint(source, path="src/repro/privlink/example.py")) == [
+            "HYG003"
+        ]

@@ -1,0 +1,93 @@
+"""Twin implementations keep one driving surface.
+
+Each pair below is compared by a differential or golden test elsewhere
+(named beside it).  Those tests drive both sides through the same
+calls, so a parameter renamed or reordered on one side only would make
+them stop exercising the same run; this test reads the signatures off
+the real objects and fails first.  The carrier argument (``self`` vs a
+graph) legitimately differs, so only the named parameters are compared,
+by relative order.
+"""
+
+import importlib
+import inspect
+
+import pytest
+
+# name: (fast module, reference module, [(fast symbol, reference symbol, shared)])
+PAIRS = {
+    # tests/test_fastgraph.py
+    "graph-metrics": ("repro.graphs.fastgraph", "repro.graphs.metrics", [
+        ("SnapshotAnalysis.fraction_disconnected", "fraction_disconnected", ()),
+        ("SnapshotAnalysis.average_path_length", "average_path_length",
+         ("sample_sources", "rng")),
+        ("SnapshotAnalysis.normalized_path_length", "normalized_path_length",
+         ("total_nodes", "sample_sources", "rng")),
+        ("SnapshotAnalysis.degree_histogram", "degree_histogram", ()),
+    ]),
+    # tests/test_shard.py
+    "sharded-batch": ("repro.parallel.shard", "repro.core.batch", [
+        ("ShardedOverlay.run", "BatchOverlay.run", ("rounds",)),
+        ("ShardedOverlay.state_digest", "BatchOverlay.state_digest", ()),
+        ("ShardedOverlay.snapshot", "BatchOverlay.snapshot", ("online_only",)),
+        ("ShardedOverlay.stats", "BatchOverlay.stats", ()),
+        ("ShardedOverlay.build", "BatchOverlay.build",
+         ("config", "extra_edges_per_node", "start_all_online")),
+    ]),
+    # tests/test_dissemination_batch.py::TestDifferentialExactness
+    "dissemination-plane": ("repro.dissemination.batch", "repro.dissemination.epidemic", [
+        ("BatchBroadcastEngine.__init__", "EpidemicBroadcast.__init__",
+         ("fanout", "ttl", "infect_forever")),
+        ("BatchBroadcastEngine.broadcast", "EpidemicBroadcast.broadcast",
+         ("origin_id", "payload")),
+    ]),
+    # coverage_report reads either plane's records
+    "broadcast-ledger": ("repro.dissemination.batch", "repro.dissemination.base", [
+        ("LedgerRecordView.latency_of", "BroadcastRecord.latency_of", ("node_id",)),
+        ("LedgerRecordView.coverage", "BroadcastRecord.coverage", ("num_nodes",)),
+        ("LedgerRecordView.latency_percentile", "BroadcastRecord.latency_percentile",
+         ("q",)),
+    ]),
+    # tests/test_net_clock.py: protocol objects run on either clock
+    "net-clock": ("repro.net.clock", "repro.sim.clock", [
+        ("WallClock.schedule", "SimClock.schedule", ("time", "callback")),
+        ("WallClock.schedule_after", "SimClock.schedule_after", ("delay", "callback")),
+        ("WallClock.post", "SimClock.post", ("time", "callback")),
+        ("WallClock.post_after", "SimClock.post_after", ("delay", "callback")),
+    ]),
+}
+
+CASES = [
+    pytest.param(fast_module, fast, ref_module, ref, shared, id=f"{name}:{ref}")
+    for name, (fast_module, ref_module, symbols) in PAIRS.items()
+    for fast, ref, shared in symbols
+]
+
+
+def _shared_parameters(module_name, symbol, shared):
+    """The ``shared`` names ``module.symbol`` takes, in signature order."""
+    target = importlib.import_module(module_name)
+    for part in symbol.split("."):
+        target = getattr(target, part)
+    return [name for name in inspect.signature(target).parameters if name in shared]
+
+
+@pytest.mark.parametrize("fast_module, fast, ref_module, ref, shared", CASES)
+def test_pair_shares_its_parameters(fast_module, fast, ref_module, ref, shared):
+    assert _shared_parameters(fast_module, fast, shared) == list(shared)
+    assert _shared_parameters(ref_module, ref, shared) == list(shared)
+
+
+def test_a_renamed_parameter_fails(monkeypatch):
+    """The check bites: rename ``rounds`` on the sharded side only."""
+    from repro.parallel.shard import ShardedOverlay
+
+    monkeypatch.setattr(ShardedOverlay, "run", lambda self, steps: None)
+    with pytest.raises(AssertionError):
+        test_pair_shares_its_parameters(
+            "repro.parallel.shard",
+            "ShardedOverlay.run",
+            "repro.core.batch",
+            "BatchOverlay.run",
+            ("rounds",),
+        )

@@ -21,6 +21,7 @@ from repro import Overlay, SystemConfig
 from repro.attacks import (
     ObserverCoalition,
     coalition_exposure,
+    direct_node_channel_fraction,
     estimate_overlay_size,
     run_link_detection_trials,
 )
@@ -128,14 +129,13 @@ def main() -> None:
     )
     mix_overlay.start()
     mix_overlay.run_until(10.0)
-    direct = [
-        (src, dst)
-        for (src, dst) in traffic.channels()
-        if src.startswith("node:") and dst.startswith("node:")
-    ]
-    print(f"   observed channel records: {len(traffic)}")
-    print(f"   direct node-to-node channels visible: {len(direct)}")
-    assert not direct, "mixnet must never expose a direct channel"
+    period = traffic.window(5.0, 6.0)  # what one shuffle period shows
+    direct = direct_node_channel_fraction(traffic)
+    print(f"   observed channel records: {len(traffic)} ({len(period)} in period 5)")
+    print(f"   share on direct node-to-node channels: {direct:.0%}")
+    assert direct == 0.0 and direct_node_channel_fraction(period) == 0.0, (
+        "mixnet must never expose a direct channel"
+    )
     print("   every observed channel touches a relay — senders and")
     print("   receivers are never linkable by channel inspection alone.")
 

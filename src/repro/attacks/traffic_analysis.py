@@ -1,28 +1,18 @@
-"""Passive-observer traffic analysis over the columnar traffic log.
+"""Passive-observer traffic analysis over the traffic log's channel table.
 
-The paper's external-observer threat model (Section II-D) grants an
-adversary — e.g. an ISP — a full view of *which channels carried
-messages when*, never the content.  That is exactly what
-:class:`~repro.privlink.traffic.TrafficLog` records, and mixnet-backed
-runs produce one record per relay hop per message, so these analyses
-must scale to millions of observations.  Every function here therefore
-works on the log's columnar arrays (interned endpoint ids + numpy
-columns) in vectorized passes rather than iterating records.
-
-The questions answered are the classic passive-observation primitives
-(cf. Mittal et al., *Preserving Link Privacy in Social Network Based
-Systems*): per-endpoint volumes, the heaviest channels, and how much
-node-to-node traffic bypasses the anonymizing infrastructure (for the
-ideal or mixnet layers a direct ``node:a -> node:b`` channel is what a
-correlation attack hopes to see).
+The paper's external observer (Section II-D; e.g. an ISP) sees *which
+channels carried messages when*, never the content — what
+:class:`~repro.privlink.traffic.TrafficLog` records.  Every answer here
+is a function of ``log.channels()`` alone, which the log folds
+incrementally, so ``log`` may be a whole log or one of its windows.  The
+questions are the passive-observation primitives of Mittal et al.,
+*Preserving Link Privacy in Social Network Based Systems*.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from ..privlink.traffic import TrafficLog
 
@@ -36,52 +26,31 @@ __all__ = [
 
 
 def endpoint_message_counts(log: TrafficLog) -> Dict[str, int]:
-    """Messages touching each endpoint (as source or destination).
-
-    A record with ``src == dst`` counts twice, matching a per-endpoint
-    scan of the record view.
-    """
-    _, src_ids, dst_ids, _ = log.columns()
-    names = log.endpoint_names()
-    if not src_ids.size:
-        return {}
-    counts = np.bincount(src_ids, minlength=len(names))
-    counts += np.bincount(dst_ids, minlength=len(names))
-    return {
-        names[endpoint_id]: int(count)
-        for endpoint_id, count in enumerate(counts.tolist())
-        if count
-    }
+    """Messages touching each endpoint as source or destination: the
+    channel table's row plus column sums (``src == dst`` counts twice)."""
+    counts: Dict[str, int] = {}
+    for (src, dst), count in log.channels().items():
+        counts[src] = counts.get(src, 0) + count
+        counts[dst] = counts.get(dst, 0) + count
+    return counts
 
 
 def top_channels(log: TrafficLog, limit: int = 10) -> List[Tuple[Tuple[str, str], int]]:
-    """The ``limit`` busiest (src, dst) channels, heaviest first.
-
-    Ties break lexicographically on the channel names so the result is
-    deterministic regardless of interning order.
-    """
-    ranked = sorted(log.channels().items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:limit]
+    """The ``limit`` busiest (src, dst) channels, heaviest first; ties
+    break lexicographically on the names, whatever the interning order."""
+    return sorted(log.channels().items(), key=lambda item: (-item[1], item[0]))[:limit]
 
 
 def direct_node_channel_fraction(log: TrafficLog) -> float:
-    """Fraction of observations on direct ``node: -> node:`` channels.
-
-    For the ideal link layer every observation is a direct channel (the
-    anonymizing machinery is abstracted away); for a mixnet-backed run
-    this must be 0.0 — any direct channel would mean two participants
-    talked outside the relay infrastructure, the exact signal a passive
-    correlation attack needs.  Returns 0.0 for an empty log.
-    """
-    _, src_ids, dst_ids, _ = log.columns()
-    if not src_ids.size:
-        return 0.0
-    names = log.endpoint_names()
-    is_node = np.array(
-        [name.startswith("node:") for name in names], dtype=bool
+    """Fraction of observations on direct ``node: -> node:`` channels —
+    two participants talking outside the relays, the signal a passive
+    correlation attack needs.  1.0 for the ideal link layer; 0.0 for a
+    mixnet-backed run (it must be) and for an empty log."""
+    direct = sum(
+        count for (src, dst), count in log.channels().items()
+        if src.startswith("node:") and dst.startswith("node:")
     )
-    direct = is_node[src_ids] & is_node[dst_ids]
-    return float(np.count_nonzero(direct)) / float(src_ids.size)
+    return direct / len(log) if direct else 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,19 +66,14 @@ class TrafficSummary:
 
 
 def summarize_traffic(log: TrafficLog) -> TrafficSummary:
-    """One-pass observer summary of a traffic log.
-
-    Raises ``ValueError`` on an empty log — an observer with no
-    observations has nothing to summarize.
-    """
-    channels = log.channels()
-    if not channels:
+    """Observer summary of a log or window; ``ValueError`` when it is empty."""
+    if not len(log):
         raise ValueError("cannot summarize an empty traffic log")
-    (busiest, busiest_count), = top_channels(log, limit=1)
+    ((busiest, busiest_count),) = top_channels(log, limit=1)
     return TrafficSummary(
         total_records=len(log),
         unique_endpoints=len(log.unique_endpoints()),
-        unique_channels=len(channels),
+        unique_channels=len(log.channels()),
         direct_node_fraction=direct_node_channel_fraction(log),
         busiest_channel=busiest,
         busiest_channel_count=busiest_count,

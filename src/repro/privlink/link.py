@@ -245,7 +245,8 @@ class IdealAnonymityService(AnonymityService):
 
     def send(self, sender_id: int, dest_id: int, payload: Any) -> None:
         self.sent_count += 1
-        self._traffic.record(self._sim.now, f"node:{sender_id}", f"node:{dest_id}")
+        if self._traffic.enabled:
+            self._traffic.record(self._sim.now, f"node:{sender_id}", f"node:{dest_id}")
         if self.loss.drop():
             return
         self._sim.post_after(
@@ -320,7 +321,8 @@ class IdealPseudonymService(PseudonymServiceBase):
 
     def send(self, sender_id: int, address: Address, payload: Any) -> None:
         self.sent_count += 1
-        self._traffic.record(self._sim.now, f"node:{sender_id}", str(address))
+        if self._traffic.enabled:
+            self._traffic.record(self._sim.now, f"node:{sender_id}", str(address))
         if self.loss.drop():
             return
         self._sim.post_after(

@@ -175,7 +175,8 @@ class MailboxPseudonymService(PseudonymServiceBase):
 
     def send(self, sender_id: int, address: Address, payload: Any) -> None:
         self.sent_count += 1
-        self._traffic.record(self._sim.now, f"node:{sender_id}", str(address))
+        if self._traffic.enabled:
+            self._traffic.record(self._sim.now, f"node:{sender_id}", str(address))
         self._store.store(address, payload, self._sim.now)
 
     def _poll(self, address: Address) -> None:
@@ -186,6 +187,7 @@ class MailboxPseudonymService(PseudonymServiceBase):
         if not self._directory.is_online(owner):
             return
         for payload in self._store.poll(address, self._sim.now):
-            self._traffic.record(self._sim.now, str(address), f"node:{owner}")
+            if self._traffic.enabled:
+                self._traffic.record(self._sim.now, str(address), f"node:{owner}")
             if self._directory.deliver(owner, payload):
                 self.delivered_count += 1

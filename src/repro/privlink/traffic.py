@@ -24,10 +24,14 @@ cheaper than element-wise numpy stores); once a buffer reaches the
 chunk size it is sealed into numpy arrays in one C-speed pass.
 
 That is 20 bytes per observation (a list of record objects costs
-~150+), and it lets every aggregate query (:meth:`channels`,
-:meth:`window`, …) run as a vectorized pass instead of a Python loop.
-Consumers that want the record view still get it: iteration lazily
-materializes :class:`TrafficRecord` objects.
+~150+).  Sealed chunks are immutable and append-only, which is what the
+queries index: each chunk keeps its ``(earliest, latest)`` time, so
+:meth:`TrafficLog.window` touches only the chunks whose bounds meet the
+interval and returns a read-only :class:`TrafficLog` view over them
+(whole chunks are shared, not copied); :meth:`TrafficLog.channels`
+folds each chunk into one packed-key → count table exactly once, so a
+query costs the rows appended since the last one.  Record objects exist
+only while somebody iterates.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ class TrafficLog:
     ``max_records`` caps stored rows; further :meth:`record` calls only
     increment :attr:`dropped`.  :meth:`clear` resets rows, the
     interning table, and the drop counter.
+
+    Record order is the order of :meth:`record` calls, **not** time
+    order: a mixnet with ``hop_latency > 0`` records a return circuit at
+    ``now + delay`` ahead of events that record at an earlier ``now``.
+    No query assumes sorted times.
     """
 
     __slots__ = (
@@ -82,8 +91,11 @@ class TrafficLog:
         "_intern",
         "_names",
         "_full",
+        "_bounds",
         "_buf",
         "_length",
+        "_table",
+        "_folded",
     )
 
     def __init__(
@@ -102,11 +114,19 @@ class TrafficLog:
         self._intern: Dict[str, int] = {}
         self._names: List[str] = []
         # Sealed (time, src, dst, size) column chunks, oldest first.
+        # Sealed columns are read-only: windows and ``columns()`` share them.
         self._full: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        # (earliest, latest) time of each sealed chunk, parallel to _full.
+        self._bounds: List[Tuple[float, float]] = []
         # Active chunk: one (time, src_id, dst_id, size) tuple per row
         # in a plain list — a single append is the cheapest hot path.
         self._buf: List[Tuple[float, int, int, int]] = []
         self._length = 0
+        # Channel index: packed (src_id << 32 | dst_id) -> count over
+        # the first _folded sealed chunks (chunks never change, so the
+        # fold never goes stale).
+        self._table: Dict[int, int] = {}
+        self._folded = 0
 
     # ------------------------------------------------------------------
     # recording
@@ -151,7 +171,7 @@ class TrafficLog:
         if not self._buf:
             return
         times, srcs, dsts, sizes = zip(*self._buf)
-        self._full.append(
+        self._append_chunk(
             (
                 np.asarray(times, dtype=np.float64),
                 np.asarray(srcs, dtype=np.uint32),
@@ -161,6 +181,15 @@ class TrafficLog:
         )
         self._buf = []
 
+    def _append_chunk(self, chunk, bounds: Optional[Tuple[float, float]] = None) -> None:
+        """Add one sealed chunk, frozen, with its time bounds."""
+        for column in chunk:
+            column.setflags(write=False)
+        if bounds is None:
+            bounds = (float(chunk[0].min()), float(chunk[0].max()))
+        self._full.append(chunk)
+        self._bounds.append(bounds)
+
     # ------------------------------------------------------------------
     # columnar access
     # ------------------------------------------------------------------
@@ -168,9 +197,10 @@ class TrafficLog:
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(times, src_ids, dst_ids, size_hints)`` over all records.
 
-        Returns freshly concatenated arrays in record order; ids index
+        One whole-log concatenation in record order; ids index
         :meth:`endpoint_names`.  The arrays are snapshots — later
-        :meth:`record` calls do not mutate them.
+        :meth:`record` calls do not mutate them — and read-only: they
+        may be the log's own (immutable) storage, shared with windows.
         """
         self._seal_buffer()
         parts = self._full
@@ -183,12 +213,10 @@ class TrafficLog:
             )
         if len(parts) == 1:
             return parts[0]
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
-            np.concatenate([part[3] for part in parts]),
-        )
+        columns = tuple(np.concatenate(column) for column in zip(*parts))
+        for column in columns:
+            column.setflags(write=False)
+        return columns
 
     def endpoint_names(self) -> Tuple[str, ...]:
         """Interned endpoint strings, indexed by the ids in :meth:`columns`."""
@@ -199,16 +227,19 @@ class TrafficLog:
         return self._intern.get(name)
 
     def memory_bytes(self) -> int:
-        """Bytes held by column storage plus the interning tables.
+        """Bytes held by column storage, its index, and the interning tables.
 
         Seals any pending append buffer first, so the answer is pure
-        array ``nbytes`` plus the Python-side interning dict, name
-        list, and name strings.
+        array ``nbytes`` plus the Python-side chunk bounds, channel
+        table, interning dict, name list, and name strings.
         """
         self._seal_buffer()
         total = 0
         for part in self._full:
             total += sum(column.nbytes for column in part)
+        total += sys.getsizeof(self._bounds) + sys.getsizeof(self._table)
+        total += sum(sys.getsizeof(item) for pair in self._bounds for item in (pair, *pair))
+        total += sum(sys.getsizeof(item) for pair in self._table.items() for item in pair)
         total += sys.getsizeof(self._intern) + sys.getsizeof(self._names)
         total += sum(sys.getsizeof(name) for name in self._names)
         return total
@@ -238,19 +269,33 @@ class TrafficLog:
         for time, src_id, dst_id, size_hint in list(self._buf):
             yield TrafficRecord(time, names[src_id], names[dst_id], size_hint)
 
+    def _channel_table(self) -> Dict[int, int]:
+        """The packed-key -> count table, brought up to date.
+
+        Costs one ``np.unique`` per chunk sealed since the last call.
+        """
+        self._seal_buffer()
+        table = self._table
+        for _, src_ids, dst_ids, _ in self._full[self._folded:]:
+            keys = src_ids.astype(np.uint64) << np.uint64(32)
+            keys |= dst_ids
+            unique, counts = np.unique(keys, return_counts=True)
+            for key, count in zip(unique.tolist(), counts.tolist()):
+                table[key] = table.get(key, 0) + count
+        self._folded = len(self._full)
+        return table
+
     def channels(self) -> Counter:
-        """Message count per observed (src, dst) channel."""
-        _, src_ids, dst_ids, _ = self.columns()
-        if not src_ids.size:
-            return Counter()
-        keys = src_ids.astype(np.uint64) << np.uint64(32)
-        keys |= dst_ids.astype(np.uint64)
-        unique, counts = np.unique(keys, return_counts=True)
+        """Message count per observed (src, dst) channel.
+
+        Costs the rows appended since the last call plus one pass over
+        the channel table (in packed-id order, whatever the query history).
+        """
+        table = self._channel_table()
         names = self._names
-        out: Counter = Counter()
-        for key, count in zip(unique.tolist(), counts.tolist()):
-            out[(names[key >> 32], names[key & 0xFFFFFFFF])] = count
-        return out
+        return Counter(
+            {(names[key >> 32], names[key & 0xFFFFFFFF]): table[key] for key in sorted(table)}
+        )
 
     def by_endpoint(self) -> Dict[str, List[TrafficRecord]]:
         """Records grouped by every endpoint they touch."""
@@ -260,27 +305,45 @@ class TrafficLog:
             grouped.setdefault(record.dst, []).append(record)
         return grouped
 
-    def window(self, start: float, end: float) -> List[TrafficRecord]:
-        """Records with ``start <= time < end``."""
-        times, src_ids, dst_ids, sizes = self.columns()
-        if not times.size:
-            return []
-        mask = (times >= start) & (times < end)
-        indices = np.nonzero(mask)[0]
-        names = self._names
-        return [
-            TrafficRecord(
-                float(times[index]),
-                names[int(src_ids[index])],
-                names[int(dst_ids[index])],
-                int(sizes[index]),
-            )
-            for index in indices.tolist()
-        ]
+    def window(self, start: float, end: float) -> "TrafficLog":
+        """The records with ``start <= time < end``, as a read-only log.
+
+        The view shares this log's interning table and every chunk that
+        lies wholly inside the interval; chunks whose bounds miss it are
+        never touched and only chunks straddling an edge are masked (the
+        log is not time-ordered, so nothing is bisected).  It accepts no
+        records, answers every query, and is unaffected by later
+        :meth:`record` / :meth:`clear` calls on this log.
+        """
+        self._seal_buffer()
+        view = TrafficLog(enabled=False, chunk_records=self._chunk_records)
+        view._intern, view._names = self._intern, self._names
+        for bounds, chunk in zip(self._bounds, self._full):
+            earliest, latest = bounds
+            if latest < start or earliest >= end:
+                continue
+            if start <= earliest and latest < end:
+                view._append_chunk(chunk, bounds)
+            else:
+                times = chunk[0]
+                mask = (times >= start) & (times < end)
+                if mask.any():
+                    view._append_chunk(tuple(column[mask] for column in chunk))
+        view._length = sum(len(chunk[0]) for chunk in view._full)
+        return view
 
     def unique_endpoints(self) -> Tuple[str, ...]:
-        """All endpoint identifiers appearing in the log."""
-        return tuple(sorted(self._names))
+        """All endpoint identifiers appearing in the log, sorted.
+
+        Read off the channel table, so a :meth:`window` lists only the
+        endpoints it saw although it shares the interning table.
+        """
+        ids = set()
+        for key in self._channel_table():
+            ids.add(key >> 32)
+            ids.add(key & 0xFFFFFFFF)
+        names = self._names
+        return tuple(sorted(names[endpoint_id] for endpoint_id in ids))
 
     def clear(self) -> None:
         """Drop all records, the interning table, and the drop counter."""
@@ -288,5 +351,8 @@ class TrafficLog:
         self._intern = {}
         self._names = []
         self._full = []
+        self._bounds = []
         self._buf = []
         self._length = 0
+        self._table = {}
+        self._folded = 0

@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 
 from repro import Overlay, SystemConfig
+from repro.attacks import direct_node_channel_fraction
 from repro.graphs import fraction_disconnected
 from repro.privlink import TrafficLog, make_mixnet_link_layer
 
@@ -60,10 +61,11 @@ class TestOverlayOverMixnet:
         still has not seen one direct node-to-node channel."""
         overlay, traffic = mixnet_system
         assert len(traffic) > 1000
-        for (src, dst), _count in traffic.channels().items():
-            assert not (src.startswith("node:") and dst.startswith("node:")), (
-                f"direct channel {src} -> {dst} observed"
-            )
+        assert direct_node_channel_fraction(traffic) == 0.0
+        # ... nor does one who watches a single shuffle period.
+        period = traffic.window(10.0, 11.0)
+        assert 0 < len(period) < len(traffic)
+        assert direct_node_channel_fraction(period) == 0.0
 
     def test_relays_forwarded_traffic(self, mixnet_system):
         overlay, _ = mixnet_system

@@ -1,16 +1,43 @@
 """Tests for the observer traffic log.
 
-:class:`TrafficLog` stores observations columnar; every query it
-answers is also checked against a plain list of the recorded tuples.
+:class:`TrafficLog` stores observations columnar and indexes them (time
+bounds per sealed chunk, one folded channel table); every query it
+answers — on a log or on a :meth:`TrafficLog.window` of one — is also
+checked against a plain list of the recorded tuples.
 """
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.privlink import TrafficLog
+from repro.privlink import TrafficLog, make_mixnet_link_layer
+from repro.sim import Simulator
+
+
+def _in_window(rows, start, end):
+    return [row for row in rows if start <= row[0] < end]
+
+
+def _assert_answers(log, rows):
+    """Every read of ``log`` equals a plain scan of ``rows``."""
+    assert len(log) == len(rows)
+    assert [dataclasses.astuple(record) for record in log] == rows
+    assert log.channels() == Counter((src, dst) for _, src, dst, _ in rows)
+    assert log.unique_endpoints() == tuple(
+        sorted({name for row in rows for name in row[1:3]})
+    )
+    times, srcs, dsts, sizes = columns = log.columns()
+    names = log.endpoint_names()
+    assert [
+        (time, names[src], names[dst], size)
+        for time, src, dst, size in zip(*(column.tolist() for column in columns))
+    ] == rows
+    assert times.dtype == np.float64
+    assert srcs.dtype == dsts.dtype == sizes.dtype == np.uint32
+    assert not any(column.flags.writeable for column in columns if column.size)
 
 
 class TestTrafficLog:
@@ -195,10 +222,241 @@ class TestLegacyEquivalence:
         assert [
             dataclasses.astuple(record) for record in columnar.window(100.0, 300.0)
         ] == [row for row in expected if 100.0 <= row[0] < 300.0]
-        assert columnar.window(1e9, 2e9) == []
+        assert len(columnar.window(1e9, 2e9)) == 0
 
     def test_unique_endpoints_identical(self, pair):
         columnar, expected = pair
         assert columnar.unique_endpoints() == tuple(
             sorted({name for row in expected for name in row[1:3]})
+        )
+
+
+class TestImmutableColumns:
+    @pytest.mark.parametrize("records", [1, 3, 9])
+    def test_columns_cannot_rewrite_the_log(self, records):
+        """``columns()`` used to hand out a lone sealed chunk writable:
+        ``log.columns()[0][0] = 99.0`` rewrote the record."""
+        log = TrafficLog(chunk_records=4)
+        for index in range(records):
+            log.record(float(index), "a", "b")
+        # The log, a window of whole chunks, a window with a masked chunk.
+        for view in (log, log.window(0.0, 100.0), log.window(0.0, records - 0.5)):
+            for column in view.columns():
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 99
+            assert [record.time for record in view] == [
+                float(index) for index in range(records)
+            ]
+
+
+class TestOrderFreedom:
+    """The log is in ``record()`` order, which is not time order."""
+
+    @pytest.fixture(scope="class")
+    def mixnet_log(self):
+        sim = Simulator()
+        log = TrafficLog(chunk_records=64)
+        layer = make_mixnet_link_layer(
+            sim, np.random.default_rng(7), num_relays=10, hop_latency=0.05, traffic=log
+        )
+        for node_id in range(8):
+            layer.register_node(node_id, lambda payload: None, lambda: True)
+        addresses = [layer.create_endpoint(owner) for owner in range(4)]
+
+        def burst(wave):
+            for sender in range(8):
+                layer.send_to_node(sender, (sender + 1) % 8, ("n", wave, sender))
+                layer.send_to_endpoint(
+                    sender, addresses[(sender + wave) % 4], ("e", wave, sender)
+                )
+
+        for wave in range(20):
+            sim.post(0.02 * wave, burst, wave)
+        sim.run_until(5.0)
+        return log, [dataclasses.astuple(record) for record in log]
+
+    def test_windows_of_an_unordered_log(self, mixnet_log):
+        log, rows = mixnet_log
+        times = [row[0] for row in rows]
+        # A return circuit is recorded at now + delay, ahead of events
+        # that record at an earlier now; without this the test is idle.
+        assert sum(later < earlier for earlier, later in zip(times, times[1:])) > 50
+        recorded = sorted(times)[len(times) // 3]
+        grid = [
+            (2.0, 3.0),  # past every record
+            (-1.0, 0.0),  # before every record ([start, end) excludes 0.0)
+            (0.1, 0.1005),  # inside one chunk
+            (0.15, 0.45),  # straddling several
+            (float("-inf"), float("inf")),
+            (0.3, 0.3),  # start == end
+            (recorded, 0.6),  # an edge equal to a recorded time
+            (0.05, recorded),
+            (0.6, 0.2),  # start > end
+        ]
+        inner = (0.2, recorded)
+        for start, end in grid:
+            view = log.window(start, end)
+            expected = _in_window(rows, start, end)
+            _assert_answers(view, expected)
+            _assert_answers(view.window(*inner), _in_window(expected, *inner))
+        assert len(log.window(2.0, 3.0)) == 0 and len(log.window(0.15, 0.45)) > 64
+        # Trap (b): the window shares the interning table, not the endpoints.
+        assert set(log.window(0.0, 0.01).unique_endpoints()) < set(log.unique_endpoints())
+        assert log.window(0.0, 0.01).endpoint_names() == log.endpoint_names()
+        _assert_answers(log, rows)
+
+
+_ENDPOINTS = [f"endpoint:{index}" for index in range(7)]
+
+
+@pytest.mark.parametrize("max_records", [None, 10])
+@pytest.mark.parametrize("chunk_records", [1, 4, 64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_interleaving_against_a_plain_list(seed, chunk_records, max_records):
+    """Queries interleave with appends: a query seals a partial chunk,
+    ``max_records`` stops rows mid-buffer, ``clear()`` rebinds the
+    tables — and a window taken earlier keeps answering as it did."""
+    rng = np.random.default_rng(seed)
+    log = TrafficLog(max_records=max_records, chunk_records=chunk_records)
+    rows, dropped, held = [], 0, []
+
+    def random_window():
+        # Edges fall on recorded times as often as between them.
+        start, width = rng.integers(-4, 36) / 4.0, rng.choice([0.0, 0.5, 3.0, 20.0])
+        return float(start), float(start + width)
+
+    for step in range(300):
+        action = rng.choice(
+            ["record"] * 12
+            + ["channels", "window", "columns", "iterate", "endpoints", "memory"]
+        )
+        if step % 97 == 96:
+            action = "clear"
+        if action == "record":
+            # Times are unordered and repeat.
+            row = (
+                float(rng.integers(0, 17)) / 2.0,
+                _ENDPOINTS[rng.integers(0, 7)],
+                _ENDPOINTS[rng.integers(0, 7)],
+                int(rng.integers(1, 100)),
+            )
+            log.record(*row)
+            if max_records is not None and len(rows) >= max_records:
+                dropped += 1
+            else:
+                rows.append(row)
+        elif action == "channels":
+            assert log.channels() == Counter((src, dst) for _, src, dst, _ in rows)
+        elif action == "window":
+            start, end = random_window()
+            view = log.window(start, end)
+            held = held[-5:] + [(view, _in_window(rows, start, end))]
+        elif action == "columns":
+            assert log.columns()[0].tolist() == [row[0] for row in rows]
+        elif action == "iterate":
+            assert [dataclasses.astuple(record) for record in log] == rows
+        elif action == "endpoints":
+            assert log.unique_endpoints() == tuple(
+                sorted({name for row in rows for name in row[1:3]})
+            )
+        elif action == "memory":
+            assert log.memory_bytes() >= 20 * len(rows)
+        else:
+            log.clear()
+            rows, dropped = [], 0
+        assert len(log) == len(rows) and log.dropped == dropped
+        for view, expected in held:
+            view.record(1.0, "intruder", "intruder")  # a view accepts nothing
+            _assert_answers(view, expected)
+            inner = random_window()
+            _assert_answers(view.window(*inner), _in_window(expected, *inner))
+    _assert_answers(log, rows)
+    assert "intruder" not in log.endpoint_names()
+
+
+class TestQueryCost:
+    """Cost follows the answer — pinned by counting, not by a clock."""
+
+    def test_channels_folds_each_sealed_chunk_exactly_once(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(len(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        log = TrafficLog(chunk_records=8)
+        rows = []
+
+        def record(count):
+            for _ in range(count):
+                index = len(rows)
+                rows.append((float(index), f"src:{index % 5}", f"dst:{index % 3}", 1))
+                log.record(*rows[-1])
+
+        def expected():
+            return Counter((src, dst) for _, src, dst, _ in rows)
+
+        record(20)  # two full chunks and a partial one, sealed by the query
+        assert log.channels() == expected()
+        assert calls == [8, 8, 4]
+        del calls[:]
+        assert log.channels() == expected()
+        assert log.unique_endpoints() == tuple(
+            sorted({name for row in rows for name in row[1:3]})
+        )
+        assert calls == []  # unchanged log: no array work at all
+        record(24)  # k = 3 new sealed chunks
+        assert log.channels() == expected()
+        assert calls == [8, 8, 8]
+        del calls[:]
+        log.clear()
+        del rows[:]
+        record(3)
+        assert log.channels() == expected()  # clear() reset the fold
+        assert calls == [3]
+
+    def test_channels_order_ignores_the_query_history(self):
+        """The fold adds new channels to the table as queries meet them;
+        the answer is in packed-id order all the same."""
+        rows = [(float(index), f"src:{(index * 7) % 5}", f"dst:{index % 3}") for index in range(40)]
+        quiet, queried = TrafficLog(chunk_records=4), TrafficLog(chunk_records=4)
+        for row in rows:
+            quiet.record(*row)
+            queried.record(*row)
+            queried.channels()
+        assert list(queried.channels().items()) == list(quiet.channels().items())
+
+    def test_window_allocates_what_it_returns(self):
+        records = 1 << 18
+        log = TrafficLog()
+        for index in range(records):
+            log.record(float(index), f"node:{index % 61}", f"relay:{index % 32}")
+        column_bytes = 20 * records
+        assert column_bytes <= log.memory_bytes() <= 20.1 * records
+
+        def traced(query):
+            tracemalloc.start()
+            try:
+                result = query()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 1/16 of the log, inside one chunk: one masked copy, no records.
+        start = 70_000.0
+        sixteenth, peak = traced(lambda: log.window(start, start + records / 16))
+        assert peak < column_bytes / 4
+        count, peak = traced(lambda: len(sixteenth))
+        assert count == records // 16 and peak < 1024
+        # A whole chunk is shared, not copied.
+        chunk, peak = traced(lambda: log.window(65536.0, 131072.0))
+        assert len(chunk) == 65536 and peak < 4096
+        # Chunks whose bounds miss the interval are not even masked.
+        miss, peak = traced(lambda: log.window(1e9, 2e9))
+        assert len(miss) == 0 and list(miss) == [] and peak < 4096
+        assert sixteenth.channels() == Counter(
+            (f"node:{index % 61}", f"relay:{index % 32}")
+            for index in range(70_000, 70_000 + records // 16)
         )

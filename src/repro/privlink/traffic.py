@@ -19,9 +19,13 @@ stores observations *columnar*:
   (each distinct endpoint string is stored exactly once);
 * ``size_hint`` — ``uint32``.
 
-Appends land in plain-list buffers (list appends are several times
-cheaper than element-wise numpy stores); once a buffer reaches the
-chunk size it is sealed into numpy arrays in one C-speed pass.
+Appends land in four typed ``array.array`` buffers, one per column.  A
+typed array holds machine values, not object references, so a recorded
+row allocates nothing the cyclic collector tracks (a buffer of per-row
+tuples cost 3,174 / 288 / 26 collections over 1.24 M rows, a third of
+the mixnet benchmark; the columns cost 6 / 0 / 0, and 0.28 us a row
+where the tuples took 1.15).  A full buffer is sealed into exact-size
+numpy arrays with one ``memcpy`` per column.
 
 That is 20 bytes per observation (a list of record objects costs
 ~150+).  Sealed chunks are immutable and append-only, which is what the
@@ -36,6 +40,7 @@ only while somebody iterates.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import sys
 from collections import Counter
@@ -47,6 +52,15 @@ __all__ = ["TrafficRecord", "TrafficLog"]
 
 #: Rows per sealed column chunk (~1.25 MiB per full chunk).
 _CHUNK_RECORDS = 65536
+
+if array.array("I").itemsize != 4:  # "I" is C unsigned int, not a fixed width
+    raise ImportError("TrafficLog needs a 4-byte array.array('I')")
+
+
+def _empty_buffers() -> Tuple[array.array, ...]:
+    """Fresh (time, src, dst, size) append buffers; numpy reads the sealed
+    dtypes (float64, 3 x uint32) off the typecodes."""
+    return tuple(map(array.array, "dIII"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,9 +132,10 @@ class TrafficLog:
         self._full: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         # (earliest, latest) time of each sealed chunk, parallel to _full.
         self._bounds: List[Tuple[float, float]] = []
-        # Active chunk: one (time, src_id, dst_id, size) tuple per row
-        # in a plain list — a single append is the cheapest hot path.
-        self._buf: List[Tuple[float, int, int, int]] = []
+        # Active chunk: (time, src_id, dst_id, size) typed append buffers,
+        # always of equal length.  Never a container per row: the cyclic
+        # collector would walk every one of them.
+        self._buf = _empty_buffers()
         self._length = 0
         # Channel index: packed (src_id << 32 | dst_id) -> count over
         # the first _folded sealed chunks (chunks never change, so the
@@ -143,7 +158,12 @@ class TrafficLog:
         return self._dropped
 
     def record(self, time: float, src: str, dst: str, size_hint: int = 1) -> None:
-        """Store one observation (no-op when disabled)."""
+        """Store one observation (no-op when disabled).
+
+        ``time`` is any real number (``float``, ``int``, numpy scalar),
+        ``size_hint`` an integer in ``[0, 2**32)``; anything else raises
+        ``TypeError`` / ``OverflowError`` and leaves the log unchanged.
+        """
         if not self._enabled:
             return
         if self._max_records is not None and self._length >= self._max_records:
@@ -151,35 +171,38 @@ class TrafficLog:
             return
         intern = self._intern
         src_id = intern.get(src)
-        if src_id is None:
-            src_id = len(self._names)
-            intern[src] = src_id
-            self._names.append(src)
         dst_id = intern.get(dst)
+        times, srcs, dsts, sizes = self._buf
+        # Everything that can reject the row comes before anything is
+        # interned, and a half-appended row is undone: ragged columns
+        # would misalign every later record.
+        sizes.append(size_hint)
+        try:
+            times.append(time)
+        except BaseException:
+            sizes.pop()
+            raise
+        names = self._names
+        if src_id is None:
+            src_id = intern[src] = len(names)
+            names.append(src)
+            if dst == src:
+                dst_id = src_id
         if dst_id is None:
-            dst_id = len(self._names)
-            intern[dst] = dst_id
-            self._names.append(dst)
-        buf = self._buf
-        buf.append((time, src_id, dst_id, size_hint))
+            dst_id = intern[dst] = len(names)
+            names.append(dst)
+        srcs.append(src_id)
+        dsts.append(dst_id)
         self._length += 1
-        if len(buf) >= self._chunk_records:
+        if len(sizes) >= self._chunk_records:
             self._seal_buffer()
 
     def _seal_buffer(self) -> None:
-        """Seal the append buffer into one exact-size numpy chunk."""
-        if not self._buf:
+        """Seal the append buffers into one exact-size numpy chunk."""
+        if not self._buf[0]:
             return
-        times, srcs, dsts, sizes = zip(*self._buf)
-        self._append_chunk(
-            (
-                np.asarray(times, dtype=np.float64),
-                np.asarray(srcs, dtype=np.uint32),
-                np.asarray(dsts, dtype=np.uint32),
-                np.asarray(sizes, dtype=np.uint32),
-            )
-        )
-        self._buf = []
+        self._append_chunk(tuple(map(np.array, self._buf)))  # one memcpy a column
+        self._buf = _empty_buffers()
 
     def _append_chunk(self, chunk, bounds: Optional[Tuple[float, float]] = None) -> None:
         """Add one sealed chunk, frozen, with its time bounds."""
@@ -254,20 +277,9 @@ class TrafficLog:
     def __iter__(self) -> Iterator[TrafficRecord]:
         """Lazily materialize :class:`TrafficRecord` views, in order."""
         names = self._names
-        for times, srcs, dsts, sizes in list(self._full):
-            time_list = times.tolist()
-            src_list = srcs.tolist()
-            dst_list = dsts.tolist()
-            size_list = sizes.tolist()
-            for index in range(len(time_list)):
-                yield TrafficRecord(
-                    time_list[index],
-                    names[src_list[index]],
-                    names[dst_list[index]],
-                    size_list[index],
-                )
-        for time, src_id, dst_id, size_hint in list(self._buf):
-            yield TrafficRecord(time, names[src_id], names[dst_id], size_hint)
+        for columns in [*self._full, self._buf]:
+            for time, src_id, dst_id, size_hint in zip(*(column.tolist() for column in columns)):
+                yield TrafficRecord(time, names[src_id], names[dst_id], size_hint)
 
     def _channel_table(self) -> Dict[int, int]:
         """The packed-key -> count table, brought up to date.
@@ -352,7 +364,7 @@ class TrafficLog:
         self._names = []
         self._full = []
         self._bounds = []
-        self._buf = []
+        self._buf = _empty_buffers()
         self._length = 0
         self._table = {}
         self._folded = 0

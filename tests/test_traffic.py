@@ -7,6 +7,8 @@ checked against a plain list of the recorded tuples.
 """
 
 import dataclasses
+import gc
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -460,3 +462,178 @@ class TestQueryCost:
             (f"node:{index % 61}", f"relay:{index % 32}")
             for index in range(70_000, 70_000 + records // 16)
         )
+
+
+def _state(log):
+    """Everything a caller can read off a log."""
+    return (
+        len(log),
+        log.dropped,
+        [dataclasses.astuple(record) for record in log],
+        log.channels(),
+        log.endpoint_names(),
+        log.memory_bytes(),
+    )
+
+
+_BAD_ROWS = [
+    pytest.param((2.0, "a", "b", -1), OverflowError, id="size-negative"),
+    pytest.param((2.0, "a", "b", 1 << 32), OverflowError, id="size-too-wide"),
+    pytest.param((2.0, "a", "b", "7"), TypeError, id="size-not-a-number"),
+    pytest.param(("soon", "a", "b", 7), TypeError, id="time-not-a-number"),
+    pytest.param((None, "new", "b", 7), TypeError, id="time-none-new-src"),
+    pytest.param((2.0, ["a"], "b", 7), TypeError, id="src-unhashable"),
+    pytest.param((2.0, "new", ["b"], 7), TypeError, id="dst-unhashable-new-src"),
+]
+
+
+class TestRejectedRow:
+    """A row the columns cannot hold is refused at ``record()``.
+
+    It used to be buffered: ``record(2.0, "a", "b", size_hint=-1)``
+    succeeded and every later ``channels()`` / ``columns()`` /
+    ``window()`` / ``memory_bytes()`` raised, for good, at the seal."""
+
+    @pytest.mark.parametrize("chunk_records", [1, 2, 3, 65536])
+    @pytest.mark.parametrize("row, error", _BAD_ROWS)
+    def test_a_rejected_row_leaves_the_log_unchanged(self, row, error, chunk_records):
+        """``twin`` is never offered the bad row.  With ``chunk_records``
+        2 the first rejected row is the one that would have sealed."""
+        log, twin = (TrafficLog(chunk_records=chunk_records) for _ in range(2))
+        rows = []
+        for good in [(1.0, "a", "b", 5), (3.0, "b", "c", 9), (4.0, "c", "c", 11), (5.0, "d", "a", 13)]:
+            rows.append(good)
+            twin.record(*good)
+            log.record(*good)
+            for _ in range(2):
+                with pytest.raises(error):
+                    log.record(*row)
+            # Reads that leave the buffer as it is: ragged columns would
+            # pair the next good row with the rejected row's fields.
+            assert (len(log), log.dropped) == (len(rows), 0)
+            assert log.endpoint_names() == twin.endpoint_names()
+            assert list(log) == list(twin)
+            if len(rows) % 2 == 0:  # reads that seal it
+                _assert_answers(log, rows)
+                _assert_answers(twin, rows)
+                _assert_answers(log.window(2.5, 4.5), rows[1:3])
+        assert _state(log) == _state(twin)
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="array('I') truncated floats, with a warning"
+    )
+    def test_fractional_size_hint_is_rejected(self):
+        """It used to iterate as 1.5 before the seal and 1 after it."""
+        log = TrafficLog()
+        with pytest.raises(TypeError):
+            log.record(1.0, "a", "b", size_hint=1.5)
+        assert _state(log) == _state(TrafficLog())
+
+    def test_a_rejected_row_is_not_counted_against_max_records(self):
+        log = TrafficLog(max_records=2)
+        log.record(1.0, "a", "b")
+        with pytest.raises(OverflowError):
+            log.record(2.0, "a", "b", size_hint=-1)
+        log.record(3.0, "a", "b")
+        log.record(4.0, "a", "b")
+        assert (len(log), log.dropped) == (2, 1)
+        assert [record.time for record in log] == [1.0, 3.0]
+
+
+_TIME_TYPES = [int, float, np.float64]
+_SIZE_TYPES = [int, bool, np.uint32]
+
+
+@pytest.mark.parametrize("max_records", [None, 10])
+@pytest.mark.parametrize("chunk_records", [1, 4, 64])
+def test_the_unsealed_tail_is_the_same_log(chunk_records, max_records):
+    """A row reads the same — values and Python types — from the append
+    buffer and, after a seal, from the chunk, whatever it was recorded as."""
+    rng = np.random.default_rng(chunk_records)
+    log = TrafficLog(max_records=max_records, chunk_records=chunk_records)
+
+    def record(count, rows):
+        for _ in range(count):
+            time = _TIME_TYPES[rng.integers(0, 3)](rng.integers(0, 17))
+            size = _SIZE_TYPES[rng.integers(0, 3)](rng.integers(0, 2))
+            src, dst = _ENDPOINTS[rng.integers(0, 7)], _ENDPOINTS[rng.integers(0, 7)]
+            log.record(time, src, dst, size)
+            if max_records is None or len(rows) < max_records:
+                rows.append((float(time), src, dst, int(size)))
+
+    def typed(rows):
+        return [[(type(field), field) for field in row] for row in rows]
+
+    def read(source):
+        return typed(dataclasses.astuple(record) for record in source)
+
+    for _ in range(2):
+        rows = []
+        record(7, rows)  # max_records 10 stops the second batch mid-buffer
+        buffered = read(log)
+        assert buffered == typed(rows)
+        # The window seals first, so it sees rows that were still buffered ...
+        view = log.window(-1.0, 100.0)
+        _assert_answers(view, rows)
+        assert read(log) == read(view) == buffered
+        # ... and never the ones appended after it was taken.
+        held = list(rows)
+        record(7, rows)
+        assert len(rows) == (14 if max_records is None else 10)
+        assert log.dropped == 14 - len(rows)
+        _assert_answers(view, held)
+        tail = read(log)
+        assert tail[:7] == buffered
+        log.columns()  # seals whatever is still buffered
+        assert read(log) == tail
+        _assert_answers(log, rows)
+        log.clear()
+        _assert_answers(log, [])
+        _assert_answers(view, held)
+
+
+class TestCollectorNeverSeesARow:
+    """The write path allocates nothing that outlives the call — pinned
+    by counting collections and bytes, not by a clock."""
+
+    def test_recording_triggers_no_collection(self):
+        """A buffer of per-row containers (tuples: 506 / 45 / 4
+        collections here) is walked by the cyclic collector row by row."""
+        names = [sys.intern(f"endpoint:{index}") for index in range(80)]
+        collections = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "start":
+                collections[info["generation"]] += 1
+
+        log = TrafficLog()
+        record = log.record
+        gc.collect()
+        before = gc.get_count()[0]
+        gc.callbacks.append(count)
+        try:
+            for index in range(200_000):
+                record(float(index), names[index % 80], names[(index * 7 + 3) % 80])
+            tracked = gc.get_count()[0] - before
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == [0, 0, 0]
+        assert tracked < 200  # a few tracked objects per seal, none per row
+        assert len(log) == 200_000 and len(log.channels()) == 80
+
+    def test_a_seal_allocates_the_chunk_and_nothing_else(self):
+        """Transposing 65,536 tuples took 4.8 x the chunk: ``zip(*rows)``
+        alone is 2 MiB of pointers beside 1.25 MiB of columns."""
+        log = TrafficLog()
+        for index in range(65535):
+            log.record(float(index), "a", "b", index)
+        tracemalloc.start()
+        try:
+            log.record(65535.0, "b", "a", 65535)  # seals
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column_bytes = 20 * 65536
+        assert peak < 1.25 * column_bytes
+        assert column_bytes <= log.memory_bytes() < column_bytes + 2048
+        assert log.columns()[3].tolist() == list(range(65536))

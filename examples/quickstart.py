@@ -23,12 +23,11 @@ from repro.rng import RandomStreams
 def main() -> None:
     streams = RandomStreams(seed=2012)
 
-    # 1. A synthetic social graph standing in for a Facebook crawl.
+    # 1. A synthetic social graph standing in for a Facebook crawl, as a
+    #    CSR adjacency: node u's friends are indices[indptr[u]:indptr[u + 1]].
     social = generate_social_graph(3000, rng=streams.substream("social"))
-    print(
-        f"social graph: {social.number_of_nodes()} nodes, "
-        f"{social.number_of_edges()} edges"
-    )
+    indptr, indices = social
+    print(f"social graph: {len(indptr) - 1} nodes, {len(indices) // 2} edges")
 
     # 2. A 300-user privacy-sensitive group formed by invitations, each
     #    user inviting about half of their friends (f = 0.5).

@@ -185,7 +185,7 @@ def make_config(
     )
 
 
-_graph_cache: Dict[Tuple[str, float, int], nx.Graph] = {}
+_graph_cache: Dict[Tuple[str, int, int, float, int], nx.Graph] = {}
 
 
 def make_trust_graph(scale: ExperimentScale, f: float, seed: int = 1) -> nx.Graph:
@@ -193,9 +193,10 @@ def make_trust_graph(scale: ExperimentScale, f: float, seed: int = 1) -> nx.Grap
 
     The synthetic social source graph is ``source_multiplier`` times the
     trust-graph size, so the sampler has room to behave like a crawl of
-    a much larger network.
+    a much larger network.  The memo key holds both sizes as well as the
+    name (which seeds the substreams): a replaced scale keeps its name.
     """
-    key = (scale.name, f, seed)
+    key = (scale.name, scale.num_nodes, scale.source_multiplier, f, seed)
     cached = _graph_cache.get(key)
     if cached is not None:
         return cached

@@ -15,14 +15,13 @@ from .metrics import (
     powerlaw_exponent_estimate,
 )
 from .random_graphs import erdos_renyi_gnm, matching_random_graph, random_regular
-from .sampling import TrustGraphSampler, sample_trust_graph
+from .sampling import sample_trust_graph
 from .social import generate_community_social_graph, generate_social_graph
 
 __all__ = [
     "generate_social_graph",
     "generate_community_social_graph",
     "sample_trust_graph",
-    "TrustGraphSampler",
     "erdos_renyi_gnm",
     "matching_random_graph",
     "random_regular",

@@ -17,12 +17,15 @@ through a sampled inviter, the induced subgraph is connected.
 ``f = 0`` a chain of single invitations, and intermediate values are
 partial invitations — the paper's invitation model for privacy-minded
 groups.
+
+The source is a CSR adjacency ``(indptr, indices)`` as the generators
+in :mod:`repro.graphs.social` return it; the walk follows its row order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Set
+from typing import List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -30,140 +33,112 @@ import numpy as np
 from ..errors import SamplingError
 from ..rng import fallback_rng
 
-__all__ = ["sample_trust_graph", "TrustGraphSampler"]
-
-
-class TrustGraphSampler:
-    """Reusable sampler over a fixed source social graph.
-
-    Keeping the source graph in the sampler lets experiments draw many
-    trust graphs (different seeds or ``f`` values) without re-validating
-    the source each time.
-    """
-
-    def __init__(self, source: nx.Graph) -> None:
-        if source.number_of_nodes() == 0:
-            raise SamplingError("source graph is empty")
-        self._source = source
-        self._nodes = list(source.nodes())
-
-    @property
-    def source(self) -> nx.Graph:
-        """The graph being sampled from."""
-        return self._source
-
-    def sample(
-        self,
-        target_size: int,
-        f: float,
-        rng: Optional[np.random.Generator] = None,
-        start: Optional[int] = None,
-    ) -> nx.Graph:
-        """Draw one trust graph of ``target_size`` nodes.
-
-        Parameters
-        ----------
-        target_size:
-            Number of nodes in the sample.  Must not exceed the source
-            graph's largest connected component reachable from the
-            start node; if the traversal exhausts its frontier early it
-            restarts from a random already-sampled node that still has
-            unsampled neighbors.
-        f:
-            Invitation fraction in ``[0, 1]``.
-        rng:
-            Source of randomness (a seeded fallback generator derived
-            from :data:`repro.config.DEFAULT_SEED` when omitted).
-        start:
-            Optional fixed start node; random when omitted.
-
-        Returns
-        -------
-        networkx.Graph
-            The induced subgraph on the sampled node set, relabeled to
-            ``0..target_size-1`` (mapping stored in the ``original``
-            node attribute).
-        """
-        if rng is None:
-            rng = fallback_rng("graphs.sampling")
-        if not 0.0 <= f <= 1.0:
-            raise SamplingError(f"f must be in [0, 1], got {f}")
-        if target_size < 1:
-            raise SamplingError("target_size must be at least 1")
-        if target_size > self._source.number_of_nodes():
-            raise SamplingError(
-                f"target_size {target_size} exceeds source size "
-                f"{self._source.number_of_nodes()}"
-            )
-
-        if start is None:
-            start = self._nodes[int(rng.integers(0, len(self._nodes)))]
-        elif start not in self._source:
-            raise SamplingError(f"start node {start!r} not in source graph")
-
-        sampled: Set[int] = {start}
-        frontier = deque([start])
-
-        while len(sampled) < target_size:
-            if not frontier:
-                restart = self._find_expandable(sampled, rng)
-                if restart is None:
-                    raise SamplingError(
-                        "traversal exhausted: the component containing the "
-                        f"start node has fewer than {target_size} nodes"
-                    )
-                frontier.append(restart)
-            node = frontier.popleft()
-            unvisited = [
-                neighbor
-                for neighbor in self._source.neighbors(node)
-                if neighbor not in sampled
-            ]
-            if not unvisited:
-                continue
-            degree = self._source.degree(node)
-            invite_count = max(1, int(f * degree))
-            invite_count = min(invite_count, len(unvisited), target_size - len(sampled))
-            order = rng.permutation(len(unvisited))
-            for index in order[:invite_count]:
-                invitee = unvisited[int(index)]
-                sampled.add(invitee)
-                frontier.append(invitee)
-
-        subgraph = self._source.subgraph(sampled)
-        ordered = sorted(sampled)
-        mapping = {original: new for new, original in enumerate(ordered)}
-        relabeled = nx.Graph()
-        relabeled.add_nodes_from(range(len(ordered)))
-        for new, original in enumerate(ordered):
-            relabeled.nodes[new]["original"] = original
-        relabeled.add_edges_from(
-            (mapping[u], mapping[v]) for u, v in subgraph.edges()
-        )
-        return relabeled
-
-    def _find_expandable(
-        self, sampled: Set[int], rng: np.random.Generator
-    ) -> Optional[int]:
-        """A sampled node that still has unsampled neighbors, or None."""
-        # Iterate in sorted order: set order would couple the restart
-        # choice to hash-dependent iteration (lint rule DET004).
-        candidates = [
-            node
-            for node in sorted(sampled)
-            if any(neighbor not in sampled for neighbor in self._source.neighbors(node))
-        ]
-        if not candidates:
-            return None
-        return candidates[int(rng.integers(0, len(candidates)))]
+__all__ = ["sample_trust_graph"]
 
 
 def sample_trust_graph(
-    source: nx.Graph,
+    source: Tuple[np.ndarray, np.ndarray],
     target_size: int,
     f: float,
     rng: Optional[np.random.Generator] = None,
     start: Optional[int] = None,
 ) -> nx.Graph:
-    """Convenience wrapper around :class:`TrustGraphSampler`."""
-    return TrustGraphSampler(source).sample(target_size, f, rng=rng, start=start)
+    """Draw one trust graph of ``target_size`` nodes.
+
+    Parameters
+    ----------
+    source:
+        CSR adjacency ``(indptr, indices)`` of the social graph, node
+        labels ``0..n-1``.
+    target_size:
+        Number of nodes in the sample.  Must not exceed the source
+        graph's largest connected component reachable from the
+        start node; if the traversal exhausts its frontier early it
+        restarts from a random already-sampled node that still has
+        unsampled neighbors.
+    f:
+        Invitation fraction in ``[0, 1]``.
+    rng:
+        Source of randomness (a seeded fallback generator derived
+        from :data:`repro.config.DEFAULT_SEED` when omitted).
+    start:
+        Optional fixed start node; random when omitted.
+
+    Returns
+    -------
+    networkx.Graph
+        The induced subgraph on the sampled node set, relabeled to
+        ``0..target_size-1`` by ascending source label (mapping stored
+        in the ``original`` node attribute).
+    """
+    indptr, indices = source
+    num_nodes = len(indptr) - 1
+    if num_nodes < 1:
+        raise SamplingError("source graph is empty")
+    if rng is None:
+        rng = fallback_rng("graphs.sampling")
+    if not 0.0 <= f <= 1.0:
+        raise SamplingError(f"f must be in [0, 1], got {f}")
+    if target_size < 1:
+        raise SamplingError("target_size must be at least 1")
+    if target_size > num_nodes:
+        raise SamplingError(
+            f"target_size {target_size} exceeds source size {num_nodes}"
+        )
+
+    def neighbors(node: int) -> List[int]:
+        return indices[indptr[node] : indptr[node + 1]].tolist()
+
+    if start is None:
+        start = int(rng.integers(0, num_nodes))
+    elif 0 <= start < num_nodes:
+        start = int(start)
+    else:
+        raise SamplingError(f"start node {start!r} not in source graph")
+
+    sampled: Set[int] = {start}
+    frontier = deque([start])
+
+    while len(sampled) < target_size:
+        if not frontier:
+            # Sorted, not set order: the restart choice must not depend
+            # on hash iteration (lint rule DET004).
+            candidates = [
+                node
+                for node in sorted(sampled)
+                if any(neighbor not in sampled for neighbor in neighbors(node))
+            ]
+            if not candidates:
+                raise SamplingError(
+                    "traversal exhausted: the component containing the "
+                    f"start node has fewer than {target_size} nodes"
+                )
+            frontier.append(candidates[int(rng.integers(0, len(candidates)))])
+        node = frontier.popleft()
+        row = neighbors(node)
+        unvisited = [neighbor for neighbor in row if neighbor not in sampled]
+        if not unvisited:
+            continue
+        invite_count = max(1, int(f * len(row)))
+        invite_count = min(invite_count, len(unvisited), target_size - len(sampled))
+        order = rng.permutation(len(unvisited))
+        for index in order[:invite_count].tolist():
+            invitee = unvisited[index]
+            sampled.add(invitee)
+            frontier.append(invitee)
+
+    # Edges in a canonical order: members by ascending label, each edge
+    # once from its lower end, in source row order.
+    ordered = sorted(sampled)
+    relabel = {original: new for new, original in enumerate(ordered)}
+    trust = nx.Graph()
+    trust.add_nodes_from(
+        (new, {"original": original}) for new, original in enumerate(ordered)
+    )
+    trust.add_edges_from(
+        (relabel[u], relabel[v])
+        for u in ordered
+        for v in neighbors(u)
+        if v > u and v in relabel
+    )
+    return trust

@@ -20,13 +20,16 @@ nodes, mimicking the community structure of real OSN friendship graphs
 and further weakening global connectivity — the worst case for a
 trust-graph overlay.
 
-All generators return :class:`networkx.Graph` with integer node labels
-``0..n-1``.
+All generators return a CSR adjacency ``(indptr, indices)`` (int64)
+over node labels ``0..n-1``.  Rows are **not** sorted: each lists its
+neighbors in the order their edges were made.  That order is part of
+the graph — the triad step and the f-sampler both index into it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import itertools
+from typing import List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -52,17 +55,48 @@ def _preferential_targets(
     selection — the classic Barabási–Albert trick.
     """
     targets: List[int] = []
-    seen = set()
     # Cap the number of draws to avoid pathological loops on tiny graphs.
     attempts = 0
     max_attempts = 50 * count + 100
     while len(targets) < count and attempts < max_attempts:
         attempts += 1
         candidate = repeated_nodes[int(rng.integers(0, len(repeated_nodes)))]
-        if candidate not in seen:
-            seen.add(candidate)
+        if candidate not in targets:
             targets.append(candidate)
     return targets
+
+
+def _triad_candidate(
+    rng: np.random.Generator,
+    adjacency: List[List[int]],
+    chosen: List[int],
+) -> Optional[int]:
+    """A uniform neighbor of ``chosen[-1]`` not in ``chosen``, or None.
+
+    Skips the chosen nodes' positions instead of filtering the row: a
+    hub's row is thousands long, ``chosen`` at most ``edges_per_node``.
+    """
+    row = adjacency[chosen[-1]]
+    skipped = []
+    for node in chosen[:-1]:
+        # Test adjacency from the shorter side; only a hit needs a position.
+        other = adjacency[node]
+        if (chosen[-1] in other) if len(other) < len(row) else (node in row):
+            skipped.append(row.index(node))
+    if len(skipped) == len(row):
+        return None
+    index = int(rng.integers(0, len(row) - len(skipped)))
+    for position in sorted(skipped):
+        if position <= index:
+            index += 1
+    return row[index]
+
+
+def _csr(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of neighbor labels as an int64 CSR ``(indptr, indices)``."""
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    flat = itertools.chain.from_iterable(rows)
+    return indptr, np.fromiter(flat, np.int64, int(indptr[-1]))
 
 
 def generate_social_graph(
@@ -70,7 +104,7 @@ def generate_social_graph(
     edges_per_node: int = 9,
     triad_probability: float = 0.85,
     rng: Optional[np.random.Generator] = None,
-) -> nx.Graph:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Generate a Facebook-like social graph.
 
     A Holme–Kim style process: each new node attaches ``edges_per_node``
@@ -96,8 +130,9 @@ def generate_social_graph(
 
     Returns
     -------
-    networkx.Graph
-        A connected graph with power-law degrees and high clustering.
+    (indptr, indices)
+        CSR adjacency of a connected graph with power-law degrees and
+        high clustering; each row in edge-creation order.
     """
     if rng is None:
         rng = fallback_rng("graphs.social")
@@ -110,31 +145,19 @@ def generate_social_graph(
     if not 0.0 <= triad_probability <= 1.0:
         raise GraphError("triad_probability must be in [0, 1]")
 
-    graph = nx.Graph()
     # Seed clique keeps early attachment well-defined and the graph connected.
     seed_size = edges_per_node + 1
-    graph.add_nodes_from(range(seed_size))
-    repeated_nodes: List[int] = []
-    for u in range(seed_size):
-        for v in range(u + 1, seed_size):
-            graph.add_edge(u, v)
-            repeated_nodes.append(u)
-            repeated_nodes.append(v)
+    adjacency = [[v for v in range(seed_size) if v != u] for u in range(seed_size)]
+    repeated_nodes = list(
+        itertools.chain.from_iterable(itertools.combinations(range(seed_size), 2))
+    )
 
     for new_node in range(seed_size, num_nodes):
-        targets = _preferential_targets(rng, repeated_nodes, 1)
-        previous = targets[0]
-        chosen = [previous]
+        chosen = _preferential_targets(rng, repeated_nodes, 1)
         for _ in range(edges_per_node - 1):
             candidate: Optional[int] = None
             if rng.random() < triad_probability:
-                neighbors = [
-                    neighbor
-                    for neighbor in graph.neighbors(previous)
-                    if neighbor not in chosen and neighbor != new_node
-                ]
-                if neighbors:
-                    candidate = neighbors[int(rng.integers(0, len(neighbors)))]
+                candidate = _triad_candidate(rng, adjacency, chosen)
             if candidate is None:
                 fallback = [
                     node
@@ -145,13 +168,14 @@ def generate_social_graph(
                     continue
                 candidate = fallback[0]
             chosen.append(candidate)
-            previous = candidate
+        adjacency.append(chosen)
         for target in chosen:
-            graph.add_edge(new_node, target)
+            adjacency[target].append(new_node)
             repeated_nodes.append(new_node)
             repeated_nodes.append(target)
 
-    return graph
+    del repeated_nodes
+    return _csr(adjacency)
 
 
 def generate_community_social_graph(
@@ -161,7 +185,7 @@ def generate_community_social_graph(
     triad_probability: float = 0.8,
     intra_probability: float = 0.9,
     rng: Optional[np.random.Generator] = None,
-) -> nx.Graph:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Generate a social graph with explicit community structure.
 
     Nodes are assigned round-robin to ``num_communities`` groups; each
@@ -171,7 +195,8 @@ def generate_community_social_graph(
     bridges, which stresses the overlay's robustness further than the
     plain generator.
 
-    Returns a connected graph; a spanning pass links any leftover
+    Returns a connected graph as CSR (rows in networkx adjacency order
+    of the rewired graph); a spanning pass links any leftover
     components through random inter-community edges.
     """
     if rng is None:
@@ -185,24 +210,24 @@ def generate_community_social_graph(
             f"{num_communities} communities"
         )
 
-    community_of = {node: node % num_communities for node in range(num_nodes)}
-    members: List[List[int]] = [[] for _ in range(num_communities)]
-    for node, community in community_of.items():
-        members[community].append(node)
-
-    # Build each community with the base generator, then relabel.
+    # Build each community with the base generator, then relabel; each
+    # edge is added once, from its lower end, in row order.
     graph = nx.Graph()
     for community in range(num_communities):
-        nodes = members[community]
-        sub = generate_social_graph(
+        nodes = list(range(community, num_nodes, num_communities))
+        indptr, indices = generate_social_graph(
             len(nodes),
             edges_per_node=edges_per_node,
             triad_probability=triad_probability,
             rng=rng,
         )
-        mapping = dict(enumerate(nodes))
+        neighbors = indices.tolist()
+        bounds = indptr.tolist()
         graph.add_edges_from(
-            (mapping[u], mapping[v]) for u, v in sub.edges()
+            (nodes[u], nodes[v])
+            for u in range(len(nodes))
+            for v in neighbors[bounds[u] : bounds[u + 1]]
+            if v > u
         )
 
     # Rewire a fraction of edges across communities.
@@ -224,4 +249,4 @@ def generate_community_social_graph(
         v = components[index][int(rng.integers(0, len(components[index])))]
         graph.add_edge(u, v)
 
-    return graph
+    return _csr([list(graph.adj[node]) for node in range(num_nodes)])

@@ -23,6 +23,8 @@ from repro.graphs.metrics import average_path_length
 from repro.metrics import MetricsCollector
 from repro.rng import fallback_rng
 
+from .csr import to_networkx
+
 
 def _series_bytes(series):
     """Canonical byte representation of a TimeSeries."""
@@ -201,8 +203,8 @@ class TestSeededFallbacks:
         assert fallback_rng("x").random() != fallback_rng("y").random()
 
     def test_social_graph_without_rng_is_deterministic(self):
-        a = generate_social_graph(60, edges_per_node=4)
-        b = generate_social_graph(60, edges_per_node=4)
+        a = to_networkx(generate_social_graph(60, edges_per_node=4))
+        b = to_networkx(generate_social_graph(60, edges_per_node=4))
         assert sorted(a.edges()) == sorted(b.edges())
 
     def test_sampling_without_rng_is_deterministic(self):
@@ -217,7 +219,7 @@ class TestSeededFallbacks:
         assert sorted(a.edges()) == sorted(b.edges())
 
     def test_sampled_path_length_without_rng_is_deterministic(self):
-        graph = generate_social_graph(80, edges_per_node=4)
+        graph = to_networkx(generate_social_graph(80, edges_per_node=4))
         a = average_path_length(graph, sample_sources=10)
         b = average_path_length(graph, sample_sources=10)
         assert a == b

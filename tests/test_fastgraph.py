@@ -31,6 +31,8 @@ from repro.graphs import (
 from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
 
+from .csr import to_networkx
+
 
 def _assert_matches_networkx(
     graph: nx.Graph, seed: int = 9, snapshot=None, sources=None
@@ -86,18 +88,18 @@ class TestDifferentialRandomGraphs:
 
     def test_synthetic_social_graphs(self):
         for seed in (1, 2, 3):
-            graph = generate_social_graph(150, rng=np.random.default_rng(seed))
+            graph = to_networkx(generate_social_graph(150, rng=np.random.default_rng(seed)))
             _assert_matches_networkx(graph, seed=seed)
 
     def test_churned_social_snapshots(self):
-        graph = generate_social_graph(200, rng=np.random.default_rng(4))
+        graph = to_networkx(generate_social_graph(200, rng=np.random.default_rng(4)))
         for seed in (5, 6):
             mask = stationary_online_mask(200, 0.5, np.random.default_rng(seed))
             _assert_matches_networkx(online_subgraph(graph, mask), seed=seed)
         # One collector sample at scale: 2,000 nodes, the snapshot
         # assembled from raw endpoint positions as the overlay's edge
         # store hands them over, 64 BFS sources.
-        graph = generate_social_graph(2000, rng=np.random.default_rng(7))
+        graph = to_networkx(generate_social_graph(2000, rng=np.random.default_rng(7)))
         mask = stationary_online_mask(2000, 0.6, np.random.default_rng(8))
         induced = online_subgraph(graph, mask)
         base = FlatSnapshot.from_networkx(induced)
@@ -133,7 +135,7 @@ class TestDifferentialRandomGraphs:
         # The packed-uint64 BFS processes sources in chunks of 64;
         # a full (exact) path length on a >64-node component covers the
         # chunked path.
-        graph = generate_social_graph(300, rng=np.random.default_rng(8))
+        graph = to_networkx(generate_social_graph(300, rng=np.random.default_rng(8)))
         component = largest_component(graph)
         assert len(component) > 64
         analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
@@ -214,7 +216,7 @@ class TestFlatSnapshot:
 
 class TestSingleLabelingPass:
     def test_one_union_find_pass_serves_every_metric(self):
-        graph = generate_social_graph(100, rng=np.random.default_rng(7))
+        graph = to_networkx(generate_social_graph(100, rng=np.random.default_rng(7)))
         analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
         assert analysis.labelings_run == 0
         analysis.fraction_disconnected()
@@ -259,7 +261,7 @@ class TestSingleLabelingPass:
 
 class TestOverlayIncrementalStore:
     def _overlay(self, with_churn: bool) -> Overlay:
-        graph = generate_social_graph(40, rng=np.random.default_rng(21))
+        graph = to_networkx(generate_social_graph(40, rng=np.random.default_rng(21)))
         config = SystemConfig(num_nodes=40, seed=7, availability=0.6)
         return Overlay.build(graph, config, with_churn=with_churn)
 
@@ -324,7 +326,7 @@ class TestOverlayIncrementalStore:
 
 class TestCollectorBackendEquivalence:
     def test_max_out_degrees_covers_every_node(self):
-        graph = generate_social_graph(50, rng=np.random.default_rng(31))
+        graph = to_networkx(generate_social_graph(50, rng=np.random.default_rng(31)))
         config = SystemConfig(num_nodes=50, seed=13, availability=0.6)
         overlay = Overlay.build(graph, config, with_churn=True)
         collector = MetricsCollector(
@@ -344,7 +346,7 @@ class TestStaticChurnBackends:
     def test_static_metrics_identical_across_backends(self):
         """The flat-snapshot baseline equals ``online_subgraph`` plus the
         networkx metrics on the same draws, rng consumption included."""
-        graph = generate_social_graph(120, rng=np.random.default_rng(17))
+        graph = to_networkx(generate_social_graph(120, rng=np.random.default_rng(17)))
         fast = static_churn_metrics(
             graph, 0.5, 5, np.random.default_rng(3), path_sources=8
         )
@@ -368,7 +370,7 @@ class TestTargetedFailurePaths:
     def test_int_and_string_labels_agree(self):
         """Int-labelled graphs take the flat-snapshot path, anything else
         the networkx one; the same graph must score the same on both."""
-        graph = generate_social_graph(150, rng=np.random.default_rng(23))
+        graph = to_networkx(generate_social_graph(150, rng=np.random.default_rng(23)))
         # Zero-padded so string order equals numeric order (tie-breaks).
         names = {node: f"n{node:04d}" for node in graph.nodes()}
         relabelled = nx.relabel_nodes(graph, names)

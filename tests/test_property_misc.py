@@ -15,6 +15,8 @@ from repro.graphs import (
 )
 from repro.sim import Simulator
 
+from .csr import from_networkx
+
 
 class TestSimulatorProperties:
     @given(times=st.lists(st.floats(0.0, 100.0, allow_nan=False), max_size=40))
@@ -85,7 +87,7 @@ class TestSamplerProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_sample_always_connected_and_sized(self, f, target, seed):
-        source = nx.barabasi_albert_graph(200, 4, seed=7)
+        source = from_networkx(nx.barabasi_albert_graph(200, 4, seed=7))
         sample = sample_trust_graph(
             source, target, f=f, rng=np.random.default_rng(seed)
         )

@@ -6,10 +6,11 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graphs import (
-    TrustGraphSampler,
     generate_social_graph,
     sample_trust_graph,
 )
+
+from .csr import from_networkx, to_networkx
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ class TestSampleTrustGraph:
         sample = sample_trust_graph(source_graph, 50, f=0.5, rng=rng)
         originals = {sample.nodes[node]["original"] for node in sample.nodes()}
         assert len(originals) == 50
-        assert originals <= set(source_graph.nodes())
+        assert originals <= set(to_networkx(source_graph).nodes())
 
     def test_connected_for_all_f(self, source_graph):
         for f in (0.0, 0.3, 0.5, 1.0):
@@ -47,7 +48,7 @@ class TestSampleTrustGraph:
         original_set = set(originals.values())
         expected_edges = sum(
             1
-            for u, v in source_graph.edges()
+            for u, v in to_networkx(source_graph).edges()
             if u in original_set and v in original_set
         )
         assert sample.number_of_edges() == expected_edges
@@ -96,18 +97,17 @@ class TestSampleTrustGraph:
 class TestSamplerEdgeCases:
     def test_empty_source_rejected(self):
         with pytest.raises(SamplingError):
-            TrustGraphSampler(nx.Graph())
+            sample_trust_graph(from_networkx(nx.Graph()), 1, f=0.5)
 
     def test_exhausted_component_raises(self, rng):
         # Two disconnected triangles; asking for 5 from one is impossible.
         graph = nx.Graph()
         graph.add_edges_from([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        sampler = TrustGraphSampler(graph)
         with pytest.raises(SamplingError):
-            sampler.sample(5, f=1.0, rng=rng, start=0)
+            sample_trust_graph(from_networkx(graph), 5, f=1.0, rng=rng, start=0)
 
     def test_sample_whole_component(self, rng):
-        graph = nx.path_graph(6)
-        sample = TrustGraphSampler(graph).sample(6, f=0.0, rng=rng, start=0)
+        graph = from_networkx(nx.path_graph(6))
+        sample = sample_trust_graph(graph, 6, f=0.0, rng=rng, start=0)
         assert sample.number_of_nodes() == 6
         assert nx.is_connected(sample)

@@ -1,5 +1,6 @@
 """Tests for experiment scales and input construction."""
 
+import dataclasses
 import math
 
 import networkx as nx
@@ -84,6 +85,20 @@ class TestMakeTrustGraph:
         b = make_trust_graph(SMOKE, f=1.0, seed=1)
         assert a is not b
         assert b.number_of_edges() > a.number_of_edges()
+
+    @pytest.mark.parametrize(
+        "changes", [{"num_nodes": 40}, {"source_multiplier": 3}]
+    )
+    def test_memo_keyed_on_graph_shape_not_name(self, changes):
+        # A replaced scale keeps SMOKE's name (which seeds the substreams)
+        # but asks for another graph; the memo must not hand back SMOKE's.
+        a = make_trust_graph(SMOKE, f=0.5, seed=1)
+        resized = dataclasses.replace(SMOKE, **changes)
+        b = make_trust_graph(resized, f=0.5, seed=1)
+        assert b is not a
+        assert b.number_of_nodes() == resized.num_nodes
+        assert make_trust_graph(resized, f=0.5, seed=1) is b
+        assert make_trust_graph(SMOKE, f=0.5, seed=1) is a
 
     def test_cache_clear(self):
         a = make_trust_graph(SMOKE, f=0.5, seed=1)

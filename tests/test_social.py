@@ -14,23 +14,25 @@ from repro.graphs import (
     powerlaw_exponent_estimate,
 )
 
+from .csr import to_networkx
+
 
 class TestGenerateSocialGraph:
     def test_node_count(self, rng):
-        graph = generate_social_graph(500, rng=rng)
+        graph = to_networkx(generate_social_graph(500, rng=rng))
         assert graph.number_of_nodes() == 500
 
     def test_connected(self, rng):
-        graph = generate_social_graph(500, rng=rng)
+        graph = to_networkx(generate_social_graph(500, rng=rng))
         assert nx.is_connected(graph)
 
     def test_average_degree_near_target(self, rng):
-        graph = generate_social_graph(1000, edges_per_node=9, rng=rng)
+        graph = to_networkx(generate_social_graph(1000, edges_per_node=9, rng=rng))
         average = 2 * graph.number_of_edges() / graph.number_of_nodes()
         assert 14 <= average <= 20  # ~2 * edges_per_node
 
     def test_heavy_tailed_degrees(self, rng):
-        graph = generate_social_graph(1500, rng=rng)
+        graph = to_networkx(generate_social_graph(1500, rng=rng))
         degrees = degree_sequence(graph)
         # The max degree should far exceed the median (hub structure).
         assert degrees[0] > 4 * np.median(degrees)
@@ -38,7 +40,7 @@ class TestGenerateSocialGraph:
         assert 1.3 < exponent < 4.0
 
     def test_clustering_exceeds_random(self, rng):
-        graph = generate_social_graph(600, rng=rng)
+        graph = to_networkx(generate_social_graph(600, rng=rng))
         random_graph = erdos_renyi_gnm(
             600, graph.number_of_edges(), rng=np.random.default_rng(0)
         )
@@ -47,12 +49,12 @@ class TestGenerateSocialGraph:
         )
 
     def test_deterministic_given_rng(self):
-        a = generate_social_graph(300, rng=np.random.default_rng(5))
-        b = generate_social_graph(300, rng=np.random.default_rng(5))
+        a = to_networkx(generate_social_graph(300, rng=np.random.default_rng(5)))
+        b = to_networkx(generate_social_graph(300, rng=np.random.default_rng(5)))
         assert set(a.edges()) == set(b.edges())
 
     def test_no_self_loops(self, rng):
-        graph = generate_social_graph(400, rng=rng)
+        graph = to_networkx(generate_social_graph(400, rng=rng))
         assert all(u != v for u, v in graph.edges())
 
     @pytest.mark.parametrize(
@@ -70,9 +72,9 @@ class TestGenerateSocialGraph:
 
 class TestCommunityGraph:
     def test_connected_and_sized(self, rng):
-        graph = generate_community_social_graph(
+        graph = to_networkx(generate_community_social_graph(
             400, num_communities=4, edges_per_node=6, rng=rng
-        )
+        ))
         assert graph.number_of_nodes() == 400
         assert nx.is_connected(graph)
 

@@ -7,7 +7,7 @@ Usage::
     repro all  --scale quick
     repro fig3 --scale quick --workers 4   # fan points out across processes
     repro lint src examples         # determinism/hygiene linter
-    repro sweep --axis availability=0.25,0.5 --workers 4 --resume
+    repro sweep --axis availability=0.25,0.5 --workers 4  # memoized grid
     repro mesh --nodes 20 --duration 40     # live localhost mesh
     repro node --port 9000 --node-id 0      # one live UDP node
     python -m repro.cli fig9
@@ -35,6 +35,7 @@ from .experiments import (
     figure9,
     lifetime_label,
 )
+from .parallel.cli import positive_int
 from .viz import bar_chart, line_plot
 
 __all__ = ["main"]
@@ -201,7 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return lint_main(list(argv[1:]))
     if argv and argv[0] == "sweep":
         # Likewise for the parallel sweep runner (--axis, --workers,
-        # --resume); see docs/parallel.md.
+        # --shards, --store); see docs/parallel.md.
         from .parallel.cli import main as sweep_main
 
         return sweep_main(list(argv[1:]))
@@ -235,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="root random seed")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=1,
         help="worker processes for the figure's independent points "
         "(results are identical for any count)",

@@ -26,6 +26,7 @@ from ..graphs import degree_histogram
 from ..graphs.fastgraph import SnapshotAnalysis
 from ..metrics import NodeOverhead, message_overhead_by_rank
 from ..metrics.series import TimeSeries
+from ..parallel.engine import parallel_map
 from ..rng import RandomStreams
 from .results import format_table
 from .runner import (
@@ -35,21 +36,6 @@ from .runner import (
     static_churn_metrics,
 )
 from .scenarios import ExperimentScale, lifetime_label, make_config, make_trust_graph
-
-def _map_tasks(func, items, workers: int):
-    """Ordered map over independent figure points, optionally parallel.
-
-    Each ``func(item)`` must be a pure function of ``item`` (the repro
-    determinism contract), so fan-out order cannot change results; the
-    parallel path re-orders by input index before returning.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    from ..parallel import parallel_map
-
-    return parallel_map(func, items, workers=workers)
-
 
 __all__ = [
     "AvailabilityPoint",
@@ -192,7 +178,7 @@ def availability_sweep(
     # workers inherit it instead of each re-sampling the social graph.
     trust_graph = make_trust_graph(scale, f, seed)
     alpha_list = list(alphas if alphas is not None else scale.alphas)
-    points = _map_tasks(
+    points = parallel_map(
         _availability_point_task,
         [(scale, f, seed, lifetime_ratio, alpha) for alpha in alpha_list],
         workers,
@@ -342,7 +328,7 @@ def figure5(
     workers: int = 1,
 ) -> Dict[float, DegreeDistributions]:
     """Degree distributions for different trust graphs at alpha=0.5."""
-    distributions = _map_tasks(
+    distributions = parallel_map(
         _figure5_task, [(scale, f, seed, alpha) for f in fs], workers
     )
     return dict(zip(fs, distributions))
@@ -419,7 +405,7 @@ def figure6(
     workers: int = 1,
 ) -> Dict[float, MessageOverheadResult]:
     """Per-node message overhead, ranked by trust-graph degree."""
-    results = _map_tasks(
+    results = parallel_map(
         _figure6_task, [(scale, f, seed, alpha) for f in fs], workers
     )
     return dict(zip(fs, results))
@@ -496,7 +482,7 @@ def figure7(
     # (alpha, ratio) point and fan out across workers; the static
     # baselines stay in the parent because the random reference reuses
     # the edge count of the overall-first overlay run.
-    runs = _map_tasks(
+    runs = parallel_map(
         _figure7_run_task,
         [
             (scale, f, seed, ratio, alpha)
@@ -613,7 +599,7 @@ def figure8(
     workers: int = 1,
 ) -> ConvergenceResult:
     """Connectivity over time starting from a cold overlay."""
-    runs = _map_tasks(
+    runs = parallel_map(
         _figure8_task,
         [(scale, f, seed, ratio, alpha) for ratio in ratios],
         workers,
@@ -701,7 +687,7 @@ def figure9(
     workers: int = 1,
 ) -> ReplacementResult:
     """Link-replacement overhead over a long horizon."""
-    runs = _map_tasks(
+    runs = parallel_map(
         _figure9_task,
         [(scale, f, seed, ratio, alpha) for ratio in ratios],
         workers,

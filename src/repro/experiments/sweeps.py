@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..errors import ExperimentError
+from ..parallel.engine import parallel_map
 from .store import ResultStore
 
 __all__ = [
@@ -55,14 +56,23 @@ def validate_axes(axes: Mapping[str, Sequence[Any]]) -> None:
 
 
 def point_store_key(store_prefix: str, overrides: Sequence[Tuple[str, Any]]) -> str:
-    """The store key one grid point memoizes under.
-
-    Shared by :func:`grid_sweep` and the parallel engine so serial and
-    parallel runs of the same sweep hit one cache.
-    """
+    """The store key one grid point memoizes under, for any worker count."""
     return store_prefix + "_" + "_".join(
         f"{name}-{value}" for name, value in overrides
     ).replace("/", "-").replace(".", "p")
+
+
+def _experiment_identity(experiment: Callable[[SystemConfig], Any]) -> str:
+    """What the sweep memo records about ``experiment``.
+
+    A function is named by its dotted qualified name; a callable instance,
+    such as a frozen dataclass (``OverlayPointExperiment``, ...), by its
+    ``repr``, which carries every parameter.
+    """
+    qualname = getattr(experiment, "__qualname__", None)
+    if qualname is None:
+        return repr(experiment)
+    return f"{experiment.__module__}.{qualname}"
 
 
 def grid_sweep(
@@ -87,15 +97,16 @@ def grid_sweep(
         JSON-serializable if a store is used.
     store:
         Optional result store; each point is memoized under a key built
-        from ``store_prefix`` and the overrides, keyed to the base
-        config's seed, so re-running a partially completed sweep only
-        computes the missing points.
+        from ``store_prefix`` and the overrides, and reused only while
+        the base config and the experiment are unchanged.  The process
+        that computes a point saves it, so re-running a partially
+        completed (interrupted or failed) sweep computes only the
+        missing points.
     store_prefix:
         Namespace for stored point names.
     workers:
-        Worker-process count.  Anything above 1 delegates to
-        :func:`repro.parallel.parallel_grid_sweep`, which returns
-        records identical (same values, same order) to the serial path.
+        Worker-process count for :func:`repro.parallel.parallel_map`;
+        the points come back in grid order, identical for any count.
 
     Returns
     -------
@@ -103,36 +114,31 @@ def grid_sweep(
         In grid order.
     """
     validate_axes(axes)
-    if workers > 1:
-        from ..parallel.sweep import parallel_grid_sweep
-
-        return parallel_grid_sweep(
-            base_config,
-            axes,
-            experiment,
-            workers=workers,
-            store=store,
-            store_prefix=store_prefix,
-        )
     names = list(axes.keys())
-    points: List[SweepPoint] = []
-    for combo in itertools.product(*(axes[name] for name in names)):
-        overrides = tuple(zip(names, combo))
+    grid = [
+        tuple(zip(names, combo))
+        for combo in itertools.product(*(axes[name] for name in names))
+    ]
+    identity = _experiment_identity(experiment)
+
+    def _point(overrides: Tuple[Tuple[str, Any], ...]) -> SweepPoint:
         config = base_config.replace(**dict(overrides))
-
-        def compute(config=config):
-            return experiment(config)
-
-        if store is not None:
+        if store is None:
+            outcome = experiment(config)
+        else:
             outcome = store.get_or_compute(
                 point_store_key(store_prefix, overrides),
-                compute,
-                metadata={"seed": base_config.seed, "overrides": repr(overrides)},
+                lambda: experiment(config),
+                metadata={
+                    "seed": base_config.seed,
+                    "overrides": repr(overrides),
+                    "base_config": repr(base_config),
+                    "experiment": identity,
+                },
             )
-        else:
-            outcome = compute()
-        points.append(SweepPoint(overrides=overrides, outcome=outcome))
-    return points
+        return SweepPoint(overrides=overrides, outcome=outcome)
+
+    return parallel_map(_point, grid, workers)
 
 
 def sweep_table_rows(

@@ -1,54 +1,29 @@
 """Deterministic multiprocess experiment execution.
 
 The paper's evaluation is a grid of independent simulation points; this
-package runs such grids on a pool of forked worker processes while
-keeping the results byte-identical to a serial run.  Four pieces:
+package runs such grids on forked worker processes while keeping the
+results byte-identical to a serial run.  Three pieces:
 
-* :mod:`~repro.parallel.tasks` — the task model: per-point specs with
-  deterministically derived seeds, structured failures, task records.
-* :mod:`~repro.parallel.engine` — the fault-tolerant pool: per-task
-  timeouts, bounded retries with backoff, crash isolation.
-* :mod:`~repro.parallel.ledger` — the append-only JSONL run manifest
-  that makes interrupted sweeps resumable and finished ones auditable.
-* :mod:`~repro.parallel.sweep` — :func:`parallel_grid_sweep`, the
-  drop-in parallel twin of :func:`repro.experiments.sweeps.grid_sweep`.
+* :mod:`~repro.parallel.engine` — :func:`parallel_map`, an ordered map
+  over independent points on forked workers; the figure harnesses and
+  :func:`repro.experiments.grid_sweep` fan out through it.
+* :mod:`~repro.parallel.experiments` — picklable point experiments for
+  ``repro sweep``.
 * :mod:`~repro.parallel.shard` — :class:`ShardedOverlay`, *one*
   deterministic batch-engine run spread across worker processes
   (sweeps parallelize across points; shards parallelize within one).
 
-See ``docs/parallel.md`` for the architecture and the determinism and
-resume guarantees.
+See ``docs/parallel.md`` for the architecture and the determinism
+guarantees.
 """
 
-from .engine import PoolOptions, fork_available, parallel_map, run_tasks
+from .engine import fork_available, parallel_map
 from .experiments import BatchPointExperiment, OverlayPointExperiment
-from .ledger import LEDGER_SCHEMA, RunLedger, run_fingerprint
 from .shard import ShardOptions, ShardedOverlay
-from .sweep import ParallelSweepRun, parallel_grid_sweep, run_parallel_sweep
-from .tasks import (
-    TaskFailure,
-    TaskRecord,
-    TaskSpec,
-    derive_task_seed,
-    outcome_digest,
-)
 
 __all__ = [
-    "TaskSpec",
-    "TaskFailure",
-    "TaskRecord",
-    "derive_task_seed",
-    "outcome_digest",
-    "PoolOptions",
-    "run_tasks",
     "parallel_map",
     "fork_available",
-    "RunLedger",
-    "run_fingerprint",
-    "LEDGER_SCHEMA",
-    "ParallelSweepRun",
-    "parallel_grid_sweep",
-    "run_parallel_sweep",
     "OverlayPointExperiment",
     "BatchPointExperiment",
     "ShardOptions",

@@ -4,14 +4,14 @@ Usage::
 
     repro sweep --scale smoke --seed 3 --axis availability=0.3,0.6 \
         --workers 2 --store /tmp/sweep-results
-    repro sweep ... --resume --expect-no-compute   # verify completion
 
 Each ``--axis name=v1,v2,...`` adds one grid dimension over a
 :class:`~repro.config.SystemConfig` field; the sweep runs the standard
 overlay point experiment (:class:`OverlayPointExperiment`) over the
-cartesian product, shards points across ``--workers`` processes, and
-memoizes every point in ``--store`` with an append-only run ledger, so
-re-running with ``--resume`` computes only the missing points.
+cartesian product through :func:`~repro.experiments.sweeps.grid_sweep`,
+fans points out to ``--workers`` processes, and memoizes every point in
+``--store`` as soon as it finishes.  Re-running the same command
+computes only the points the store does not hold yet.
 
 With ``--shards N`` each point instead runs the round-based batch
 engine over an N-shard grid (:class:`~repro.parallel.shard.ShardedOverlay`
@@ -22,15 +22,26 @@ since daemonic sweep workers cannot fork shard workers.
 from __future__ import annotations
 
 import argparse
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ExperimentError, ParallelError
+from ..errors import ExperimentError
 from ..shutdown import EXIT_INTERRUPTED, graceful_shutdown
 from .experiments import BatchPointExperiment, OverlayPointExperiment
-from .sweep import run_parallel_sweep
 
-__all__ = ["main", "parse_axis"]
+__all__ = ["main", "parse_axis", "positive_int"]
+
+
+def positive_int(text: str) -> int:
+    """Argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_axis(text: str) -> Tuple[str, List[Any]]:
@@ -65,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro sweep",
         description="Run a (optionally multiprocess) parameter sweep of "
-        "the overlay experiment with a resumable on-disk run ledger.",
+        "the overlay experiment, memoizing every point in a result store.",
     )
     parser.add_argument(
         "--scale",
@@ -87,11 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--f", type=float, default=0.5, help="trust-graph sampling parameter"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker process count"
+        "--workers", type=positive_int, default=1, help="worker process count"
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="run each point on the round-based batch engine over an "
@@ -109,37 +120,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--store",
         default="sweep-results",
-        help="result-store directory (holds point results and the ledger)",
+        help="result-store directory; a re-run reuses the points it holds",
     )
     parser.add_argument(
         "--prefix", default="sweep", help="store namespace for this sweep"
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue a previous run: recompute only points the ledger "
-        "does not record as completed",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-point timeout in seconds (worker is killed and the "
-        "point retried)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="attempts per point before it is recorded as failed",
-    )
-    parser.add_argument(
-        "--expect-no-compute",
-        action="store_true",
-        help="exit nonzero if any point had to be computed (CI check "
-        "that a --resume run was a pure no-op)",
-    )
     return parser
+
+
+def _file_stamps(root) -> Dict[str, int]:
+    """Modification time of every stored result, by file name."""
+    return {path.stem: path.stat().st_mtime_ns for path in root.glob("*.json")}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -147,7 +138,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..experiments import (
         ResultStore,
         format_table,
+        grid_sweep,
         make_config,
+        point_store_key,
         scale_by_name,
         sweep_table_rows,
     )
@@ -161,16 +154,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scale = scale_by_name(args.scale)
     base_config = make_config(scale, alpha=0.5, f=args.f, seed=args.seed)
     if args.shards is not None:
-        if args.shards < 1:
-            print("error: --shards must be at least 1")
-            return 2
         # The shard engine forks its own workers per point, and daemonic
         # sweep workers cannot fork children — so points run serially
         # and the --workers budget goes to the shard engine instead.
         experiment = BatchPointExperiment(
             rounds=max(1, args.rounds),
             num_shards=args.shards,
-            shard_workers=max(1, args.workers),
+            shard_workers=args.workers,
         )
         sweep_workers = 1
     else:
@@ -178,51 +168,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sweep_workers = args.workers
     store = ResultStore(args.store)
 
+    before = _file_stamps(store.root)
     try:
         with graceful_shutdown():
-            run = run_parallel_sweep(
+            points = grid_sweep(
                 base_config,
                 axes,
                 experiment,
-                workers=sweep_workers,
                 store=store,
                 store_prefix=args.prefix,
-                resume=args.resume,
-                timeout=args.timeout,
-                max_attempts=max(1, args.retries),
-                # Wall-clock feeds only operator-facing ledger durations and
-                # timeout enforcement, never results.  Passing the clock by
-                # reference (not calling it here) keeps the package clean
-                # under lint rule DET003.
-                clock=time.perf_counter,
-                sleep=time.sleep,
+                workers=sweep_workers,
             )
     except KeyboardInterrupt:
-        # Every completed point is already on disk (the ledger flushes
-        # per append), so the run picks up where it stopped.
+        # Every finished point was saved by the process that computed it.
         print(
             f"\ninterrupted: completed points are in {args.store}; "
-            "rerun with --resume to finish"
+            "rerun the same command to finish"
         )
         return EXIT_INTERRUPTED
-    except (ExperimentError, ParallelError) as exc:
+    except ExperimentError as exc:
         print(f"error: {exc}")
         return 1
 
-    if run.points:
-        headers, rows = sweep_table_rows(run.points)
-        print(format_table(headers, rows, title=f"sweep ({scale.name} scale)"))
-    print(
-        f"points: {len(run.records)} total, {run.computed} computed, "
-        f"{run.reused} reused; ledger: {run.ledger_path}"
+    after = _file_stamps(store.root)
+    computed = sum(
+        before.get(key) != after.get(key)
+        for key in (point_store_key(args.prefix, p.overrides) for p in points)
     )
-    if run.failures:
-        print(run.failure_report())
-        return 1
-    if args.expect_no_compute and run.computed > 0:
-        print(
-            f"error: expected a no-op resume but {run.computed} point(s) "
-            "were computed"
-        )
-        return 1
+    headers, rows = sweep_table_rows(points)
+    print(format_table(headers, rows, title=f"sweep ({scale.name} scale)"))
+    print(
+        f"points: {len(points)} total, {computed} computed, "
+        f"{len(points) - computed} reused; store: {args.store}"
+    )
     return 0

@@ -1,11 +1,11 @@
 """Ready-made picklable experiments for parallel sweeps.
 
-Worker processes need the experiment as something they can be handed at
-fork time; :class:`OverlayPointExperiment` packages "run one overlay to
-its stable state and summarize it as scalars" as a frozen dataclass, so
-the ``repro sweep`` CLI can fan it out without closures.  Outcomes are
-plain JSON-friendly dicts, which is what the result store, the ledger
-digests, and ``sweep_table_rows`` all want.
+:class:`OverlayPointExperiment` packages "run one overlay to its stable
+state and summarize it as scalars" as a frozen dataclass, so the
+``repro sweep`` CLI can fan it out without closures, and its ``repr``
+names every parameter — which is what lets the sweep memo tell two
+experiments apart.  Outcomes are plain JSON-friendly dicts, which is
+what the result store and ``sweep_table_rows`` want.
 """
 
 from __future__ import annotations

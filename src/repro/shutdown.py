@@ -6,7 +6,7 @@ The contract, shared by every entry point:
 
 * SIGINT already raises :class:`KeyboardInterrupt`; we convert SIGTERM
   to the same exception so both paths drain through one ``except``.
-* The command flushes whatever it has (JSONL ledger rows, node logs),
+* The command flushes whatever it has (stored sweep points, node logs),
   prints a one-line notice, and exits with :data:`EXIT_INTERRUPTED` —
   130, the shell convention for "terminated by signal" (128 + SIGINT).
 

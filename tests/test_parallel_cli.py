@@ -47,28 +47,48 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "availability" in out
         assert "2 computed, 0 reused" in out
-        assert (store / "sweep.ledger.jsonl").exists()
+        assert len(list(store.glob("sweep_*.json"))) == 2
 
     def test_resume_is_noop_after_completion(self, tmp_path, capsys):
+        """Re-running the same command is the resume: it computes nothing
+        and rewrites no stored point."""
         store = tmp_path / "results"
         assert main(_sweep_args(store)) == 0
-        capsys.readouterr()
-        code = main(_sweep_args(store, ["--resume", "--expect-no-compute"]))
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0 computed, 2 reused" in out
+        first = capsys.readouterr().out
+        stamps = {path: path.stat().st_mtime_ns for path in store.glob("*.json")}
+        assert main(_sweep_args(store)) == 0
+        second = capsys.readouterr().out
+        assert "0 computed, 2 reused" in second
+        assert second == first.replace("2 computed, 0 reused", "0 computed, 2 reused")
+        assert {
+            path: path.stat().st_mtime_ns for path in store.glob("*.json")
+        } == stamps
 
-    def test_expect_no_compute_fails_on_fresh_run(self, tmp_path, capsys):
-        store = tmp_path / "results"
-        code = main(_sweep_args(store, ["--expect-no-compute"]))
-        assert code == 1
-        assert "expected a no-op" in capsys.readouterr().out
-
-    def test_resume_without_ledger_fails(self, tmp_path, capsys):
-        store = tmp_path / "results"
-        code = main(_sweep_args(store, ["--resume"]))
-        assert code == 1
-        assert "no ledger" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--shards", "0"],
+            ["--shards", "2", "--workers", "0"],
+        ],
+    )
+    def test_counts_below_one_exit_2(self, tmp_path, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "sweep",
+                    "--scale",
+                    "smoke",
+                    "--axis",
+                    "availability=0.3",
+                    "--store",
+                    str(tmp_path / "results"),
+                    *flags,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_unknown_axis_field_fails(self, tmp_path, capsys):
         code = main(
@@ -100,3 +120,10 @@ class TestFigureWorkersFlag:
         code = main(["fig8", "--scale", "smoke", "--workers", "2"])
         assert code == 0
         assert "Figure 8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", "--scale", "smoke", "--workers", workers])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err

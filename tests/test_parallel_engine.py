@@ -1,20 +1,13 @@
-"""Tests for the fault-tolerant parallel task engine."""
+"""Tests for the ordered fork map, ``repro.parallel.parallel_map``."""
 
+import multiprocessing
 import os
-import time
 
 import pytest
 
+import repro.parallel.engine as engine
 from repro.errors import ParallelError
-from repro.parallel import (
-    PoolOptions,
-    TaskSpec,
-    derive_task_seed,
-    fork_available,
-    outcome_digest,
-    parallel_map,
-    run_tasks,
-)
+from repro.parallel import fork_available, parallel_map
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -25,240 +18,80 @@ def _square(payload):
     return payload * payload
 
 
-def _specs(payloads):
-    return [
-        TaskSpec(index=i, key=f"task-{i}", payload=payload)
-        for i, payload in enumerate(payloads)
-    ]
-
-
 def _always_raises(payload):
     raise ValueError(f"bad payload {payload}")
 
 
-class TestTaskModel:
-    def test_derive_task_seed_deterministic(self):
-        assert derive_task_seed(1, "point-a") == derive_task_seed(1, "point-a")
-        assert derive_task_seed(1, "point-a") != derive_task_seed(1, "point-b")
-        assert derive_task_seed(1, "point-a") != derive_task_seed(2, "point-a")
-
-    def test_outcome_digest_stable(self):
-        a = {"x": 1.5, "y": [1, 2]}
-        b = {"y": [1, 2], "x": 1.5}
-        assert outcome_digest(a) == outcome_digest(b)
-        assert outcome_digest(a) != outcome_digest({"x": 1.5, "y": [2, 1]})
-
-
 class TestSerialPath:
     def test_ordered_results(self):
-        records = run_tasks(_square, _specs([3, 1, 4, 1, 5]))
-        assert [r.spec.index for r in records] == [0, 1, 2, 3, 4]
-        assert [r.outcome for r in records] == [9, 1, 16, 1, 25]
-        assert all(r.ok and r.status == "done" and r.attempts == 1 for r in records)
-
-    def test_no_clock_means_no_durations(self):
-        records = run_tasks(_square, _specs([2]))
-        assert records[0].duration_s is None
-
-    def test_injected_clock_measures_durations(self):
-        records = run_tasks(
-            _square, _specs([2]), PoolOptions(clock=time.perf_counter)
-        )
-        assert records[0].duration_s is not None
-        assert records[0].duration_s >= 0.0
-
-    def test_retry_to_bound_yields_structured_failure(self):
-        sleeps = []
-        records = run_tasks(
-            _always_raises,
-            _specs([7]),
-            PoolOptions(max_attempts=3, backoff_base=0.01, sleep=sleeps.append),
-        )
-        (record,) = records
-        assert not record.ok
-        assert record.status == "failed"
-        assert record.attempts == 3
-        assert record.failure is not None
-        assert record.failure.kind == "exception"
-        assert record.failure.exception_type == "ValueError"
-        assert "bad payload 7" in record.failure.message
-        assert "ValueError" in (record.failure.traceback or "")
-        # Exponential backoff between the three attempts.
-        assert sleeps == [0.01, 0.02]
-
-    def test_flaky_task_recovers_within_bound(self, tmp_path):
-        marker = tmp_path / "attempted"
-
-        def flaky(payload):
-            if not marker.exists():
-                marker.write_text("1")
-                raise RuntimeError("first attempt fails")
-            return payload + 1
-
-        records = run_tasks(
-            flaky,
-            _specs([10]),
-            PoolOptions(max_attempts=2, backoff_base=0.0, sleep=lambda _: None),
-        )
-        (record,) = records
-        assert record.ok
-        assert record.outcome == 11
-        assert record.attempts == 2
-
-    def test_on_record_hook_fires_per_task(self):
-        seen = []
-        run_tasks(_square, _specs([1, 2, 3]), on_record=seen.append)
-        assert sorted(r.spec.index for r in seen) == [0, 1, 2]
-
-    def test_duplicate_indices_rejected(self):
-        specs = [
-            TaskSpec(index=0, key="a", payload=1),
-            TaskSpec(index=0, key="b", payload=2),
-        ]
-        with pytest.raises(ParallelError):
-            run_tasks(_square, specs)
+        assert parallel_map(_square, [3, 1, 4, 1, 5], workers=1) == [9, 1, 16, 1, 25]
 
     def test_empty_specs(self):
-        assert run_tasks(_square, []) == []
+        assert parallel_map(_square, [], workers=1) == []
+        assert parallel_map(_square, [], workers=4) == []
 
-
-class TestPoolOptions:
     def test_bad_workers(self):
-        with pytest.raises(ParallelError):
-            PoolOptions(workers=0).validate()
+        for workers in (0, -1):
+            with pytest.raises(ParallelError, match="at least 1"):
+                parallel_map(_square, [1, 2], workers=workers)
 
-    def test_bad_attempts(self):
-        with pytest.raises(ParallelError):
-            PoolOptions(max_attempts=0).validate()
-
-    def test_timeout_requires_clock(self):
-        with pytest.raises(ParallelError):
-            PoolOptions(timeout=1.0).validate()
-        PoolOptions(timeout=1.0, clock=time.perf_counter).validate()
-
-    def test_negative_timeout(self):
-        with pytest.raises(ParallelError):
-            PoolOptions(timeout=-1.0, clock=time.perf_counter).validate()
+    def test_no_fork_falls_back_in_process(self, monkeypatch):
+        monkeypatch.setattr(engine, "fork_available", lambda: False)
+        parent = os.getpid()
+        assert parallel_map(lambda _: os.getpid(), [1, 2, 3], workers=3) == [
+            parent
+        ] * 3
 
 
 @needs_fork
 class TestParallelPool:
     def test_ordered_results_across_workers(self):
-        records = run_tasks(
-            _square, _specs(list(range(10))), PoolOptions(workers=3)
-        )
-        assert [r.outcome for r in records] == [n * n for n in range(10)]
-        assert all(r.ok for r in records)
+        assert parallel_map(_square, list(range(10)), workers=3) == [
+            n * n for n in range(10)
+        ]
 
     def test_matches_serial_records(self):
         payloads = [5, 3, 8, 1]
-        serial = run_tasks(_square, _specs(payloads))
-        parallel = run_tasks(_square, _specs(payloads), PoolOptions(workers=4))
-        assert [(r.spec, r.outcome, r.digest) for r in serial] == [
-            (r.spec, r.outcome, r.digest) for r in parallel
-        ]
-
-    def test_worker_exception_retried_to_bound(self):
-        records = run_tasks(
-            _always_raises,
-            _specs([1, 2]),
-            PoolOptions(workers=2, max_attempts=2, sleep=lambda _: None),
+        assert parallel_map(_square, payloads, workers=4) == parallel_map(
+            _square, payloads, workers=1
         )
-        assert all(not r.ok for r in records)
-        assert all(r.attempts == 2 for r in records)
-        assert all(r.failure.kind == "exception" for r in records)
 
-    def test_crash_isolation_and_retry(self, tmp_path):
-        """A worker dying via os._exit fails only its own task, and the
-        replacement worker completes the retry."""
-        marker = tmp_path / "crashed-once"
+    def test_runs_in_forked_workers_with_closures(self):
+        offset = 100  # a closure: inherited at fork, never pickled
+        pids = parallel_map(lambda n: (os.getpid(), n + offset), [1, 2, 3], 2)
+        assert [n for _, n in pids] == [101, 102, 103]
+        assert os.getpid() not in {pid for pid, _ in pids}
 
-        def crash_once(payload):
-            if payload == "boom" and not marker.exists():
-                marker.write_text("1")
+    def test_worker_exception_raises_parallel_error(self):
+        def fails_on_two(payload):
+            if payload == 2:
+                raise ValueError(f"bad payload {payload}")
+            return payload
+
+        with pytest.raises(ParallelError) as excinfo:
+            parallel_map(fails_on_two, [0, 1, 2, 3], workers=2)
+        message = str(excinfo.value)
+        assert message.startswith("item 2: ValueError: bad payload 2")
+        assert "Traceback" in message  # the worker's traceback text
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_raises_and_reaps(self):
+        def crash_on_boom(payload):
+            if payload == "boom":
                 os._exit(13)
-            return f"ok:{payload}"
+            return payload
 
-        records = run_tasks(
-            crash_once,
-            _specs(["a", "boom", "b"]),
-            PoolOptions(workers=2, max_attempts=2, sleep=lambda _: None),
-        )
-        assert [r.outcome for r in records] == ["ok:a", "ok:boom", "ok:b"]
-        crashed = records[1]
-        assert crashed.attempts == 2
-
-    def test_crash_exhausting_attempts_is_structured(self):
-        def always_crash(payload):
-            os._exit(7)
-
-        records = run_tasks(
-            always_crash,
-            _specs(["x"]),
-            PoolOptions(workers=2, max_attempts=2, sleep=lambda _: None),
-        )
-        (record,) = records
-        assert not record.ok
-        assert record.failure.kind == "crash"
-        assert "exit code" in record.failure.message
-
-    def test_timeout_kills_worker_and_retries(self, tmp_path):
-        marker = tmp_path / "timed-out-once"
-
-        def slow_once(payload):
-            if not marker.exists():
-                marker.write_text("1")
-                time.sleep(60.0)
-            return payload * 2
-
-        records = run_tasks(
-            slow_once,
-            _specs([21]),
-            PoolOptions(
-                workers=2,
-                timeout=0.5,
-                max_attempts=2,
-                clock=time.perf_counter,
-                sleep=lambda _: None,
-            ),
-        )
-        (record,) = records
-        assert record.ok
-        assert record.outcome == 42
-        assert record.attempts == 2
-
-    def test_timeout_exhausting_attempts_is_structured(self):
-        def always_slow(payload):
-            time.sleep(60.0)
-
-        records = run_tasks(
-            always_slow,
-            _specs([1]),
-            PoolOptions(
-                workers=1 + 1,  # force the multiprocess path
-                timeout=0.3,
-                max_attempts=2,
-                clock=time.perf_counter,
-                sleep=lambda _: None,
-            ),
-        )
-        (record,) = records
-        assert not record.ok
-        assert record.failure.kind == "timeout"
-        assert record.attempts == 2
+        with pytest.raises(ParallelError, match=r"item 1: .*exit code 13"):
+            parallel_map(crash_on_boom, ["a", "boom", "b"], workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_unpicklable_outcome_reported_not_fatal(self):
         def returns_lambda(payload):
             return lambda: payload
 
-        records = run_tasks(
-            returns_lambda,
-            _specs([1]),
-            PoolOptions(workers=2, max_attempts=1),
-        )
-        (record,) = records
-        assert not record.ok
-        assert "picklable" in record.failure.message
+        with pytest.raises(ParallelError, match=r"item \d: outcome is not picklable"):
+            parallel_map(returns_lambda, [1, 2], workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestParallelMap:

@@ -46,12 +46,21 @@ shuffle period, the minimum cross-shard message latency:
    pseudonyms are interned into the local table by value, and the
    arena folds every delivery (each receiving row gathered once).
 
+Two functions are the whole driver: :func:`build_engines` builds the
+grid's churn plus the engines of a block of shards, and
+:func:`advance_round` runs one window over such a block, handing the
+batches for shards outside it to an ``exchange`` hook once per hop.
+:class:`BatchOverlay` calls both over the whole grid;
+:class:`~repro.parallel.shard.ShardedOverlay` is a ``BatchOverlay``
+whose workers each call them over their own block.  Observation reads
+per-engine parts (:meth:`BatchOverlay._parts`) and combines them once,
+wherever the engines live.
+
 The shard grid is *semantic*: digests are a function of
 ``(config, num_shards)`` and nothing else, so the same grid run
-serially in one process or spread over N worker processes
-(:class:`~repro.parallel.shard.ShardedOverlay`) is byte-identical.
-``num_shards=1`` reproduces the historical single-shard draw sequence
-exactly.
+serially in one process or spread over N worker processes is
+byte-identical.  ``num_shards=1`` reproduces the historical
+single-shard draw sequence exactly.
 
 Everything is deterministic in ``config.seed``: the trust graph, the
 churn, the minted values, and every sampling draw come from named
@@ -61,7 +70,7 @@ churn, the minted values, and every sampling draw come from named
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +86,8 @@ __all__ = [
     "PairBatch",
     "SetBatch",
     "ShardEngine",
+    "advance_round",
+    "build_engines",
     "combine_shard_digests",
     "ring_lattice_csr",
     "shard_ranges",
@@ -164,6 +175,26 @@ def shard_stream(
     if num_shards == 1:
         return streams.substream("batch", name)
     return streams.spawn("batch-shard", shard_id).substream(name)
+
+
+def default_trust_csr(
+    config: SystemConfig, extra_edges_per_node: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``build`` constructors' trust graph: a seeded ring lattice."""
+    return ring_lattice_csr(
+        config.num_nodes,
+        extra_edges_per_node,
+        RandomStreams(config.seed).substream("batch", "trust-graph"),
+    )
+
+
+def check_trust_csr(config: SystemConfig, trusted_indptr: np.ndarray) -> None:
+    """Reject a trust CSR whose rows are not ``config.num_nodes``."""
+    if len(trusted_indptr) != config.num_nodes + 1:
+        raise GraphError(
+            f"trusted_indptr covers {len(trusted_indptr) - 1} nodes, "
+            f"config.num_nodes is {config.num_nodes}"
+        )
 
 
 def slot_count_for(config: SystemConfig, trusted_indices: np.ndarray) -> int:
@@ -748,6 +779,32 @@ class ShardEngine:
         table = arena.pseudonyms
         return holder, table.owners[pids], table.expires_at[pids] > now
 
+    def snapshot_rows(
+        self, online_only: bool, now: float
+    ) -> Tuple[np.ndarray, ...]:
+        """This shard's part of :meth:`BatchOverlay.snapshot`.
+
+        ``(ids, trust_lo, trust_hi, holder, owner, alive)``: the node ids
+        the snapshot keeps, the trusted edges, and :meth:`link_edges`.
+        """
+        if online_only:
+            ids = self.lo + np.flatnonzero(self.online)
+        else:
+            ids = np.arange(self.lo, self.hi, dtype=np.int64)
+        return (ids, self.trust_lo, self.trust_hi) + self.link_edges(now)
+
+    def channel_rows(self, now: float) -> Tuple[np.ndarray, ...]:
+        """This shard's part of :meth:`BatchOverlay.channel_edges`.
+
+        ``(trusted_deg, trusted_indices, holder, owner, alive)``.
+        """
+        trusted = (self.trusted_deg, self.arena.trusted_indices)
+        return trusted + self.link_edges(now)
+
+    def counter_part(self) -> Tuple[Dict[str, int], int]:
+        """``(counters, online count)`` for :meth:`BatchOverlay.stats`."""
+        return self.counters, int(self.online.sum())
+
     def degree_mass(self) -> Tuple[int, int]:
         """``(sum of online nodes' overlay degrees, online count)``."""
         sel = self.online
@@ -764,6 +821,100 @@ class ShardEngine:
         total += self.trust_lo.nbytes + self.trust_hi.nbytes
         total += self.trusted_deg.nbytes
         return total
+
+
+def build_engines(
+    config: SystemConfig,
+    trusted_indptr: np.ndarray,
+    trusted_indices: np.ndarray,
+    num_shards: int,
+    shards: Sequence[int],
+    start_all_online: bool = False,
+) -> Tuple[ShardedChurn, List[ShardEngine]]:
+    """The whole ``num_shards`` grid's churn, plus the engines of ``shards``.
+
+    Every driver builds here: :class:`BatchOverlay` asks for every
+    shard, a sharded worker for its own block.  Churn is always the
+    whole grid's (one uniform draw per node per round is cheap, and
+    partner reachability reads the population's online mask), so every
+    block follows the same trajectory.
+    """
+    check_trust_csr(config, trusted_indptr)
+    bounds = shard_ranges(config.num_nodes, num_shards)
+    churn = ShardedChurn(
+        bounds,
+        config.availability,
+        config.mean_offline_time,
+        [
+            shard_stream(config.seed, shard, num_shards, "churn")
+            for shard in range(num_shards)
+        ],
+        start_all_online=start_all_online,
+    )
+    slot_count = slot_count_for(config, trusted_indices)
+    indptr = np.ascontiguousarray(trusted_indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(trusted_indices, dtype=np.int64)
+    engines = [
+        ShardEngine(
+            config, shard, bounds, slot_count, indptr, indices, churn.online
+        )
+        for shard in shards
+    ]
+    return churn, engines
+
+
+def advance_round(
+    engines: Sequence[ShardEngine],
+    churn: ShardedChurn,
+    now: float,
+    exchange: Optional[Callable[[str, Dict[int, list]], Dict[int, list]]] = None,
+) -> None:
+    """One lockstep window over a block of engines, in shard order.
+
+    Churn steps, then ``begin_round``, ``build_sets`` and ``absorb``
+    run with one routing hop between each pair.  Batches for shards in
+    the block are handed over directly.  When the block is not the
+    whole grid, ``exchange(tag, remote) -> routed`` is called once per
+    hop (``"pairs"``, then ``"sets"``) with the batches for every other
+    shard and returns the block's incoming ones.  Engines re-sort what
+    arrives by source shard, so transport order cannot change results.
+    """
+    churn.step()
+    outgoing = [
+        {dst: [batch] for dst, batch in engine.begin_round(now).items()}
+        for engine in engines
+    ]
+    pairs = _route(engines, outgoing, "pairs", exchange)
+    outgoing = [
+        engine.build_sets(pairs[engine.shard_id], now) for engine in engines
+    ]
+    sets = _route(engines, outgoing, "sets", exchange)
+    for engine in engines:
+        engine.absorb(sets[engine.shard_id], now)
+
+
+def _route(
+    engines: Sequence[ShardEngine],
+    outgoing: List[Dict[int, list]],
+    tag: str,
+    exchange: Optional[Callable[[str, Dict[int, list]], Dict[int, list]]],
+) -> Dict[int, list]:
+    """Group per-engine ``{dst: batches}`` by destination shard."""
+    routed: Dict[int, list] = {engine.shard_id: [] for engine in engines}
+    remote: Dict[int, list] = {}
+    for out in outgoing:
+        for dst, batches in out.items():
+            target = routed if dst in routed else remote
+            target.setdefault(dst, []).extend(batches)
+    if exchange is not None:
+        for dst, batches in exchange(tag, remote).items():
+            routed[dst].extend(batches)
+    return routed
+
+
+def _concat(pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(pieces)``, without the copy for a single piece."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 class BatchOverlay:
@@ -788,15 +939,7 @@ class BatchOverlay:
         processes by :class:`~repro.parallel.shard.ShardedOverlay`.
     """
 
-    __slots__ = (
-        "config",
-        "churn",
-        "round",
-        "slot_count",
-        "num_shards",
-        "bounds",
-        "engines",
-    )
+    __slots__ = ("config", "churn", "round", "num_shards", "engines")
 
     def __init__(
         self,
@@ -806,42 +949,16 @@ class BatchOverlay:
         start_all_online: bool = False,
         num_shards: int = 1,
     ) -> None:
-        num_nodes = config.num_nodes
-        if len(trusted_indptr) != num_nodes + 1:
-            raise GraphError(
-                f"trusted_indptr covers {len(trusted_indptr) - 1} nodes, "
-                f"config.num_nodes is {num_nodes}"
-            )
-        if num_shards < 1:
-            raise ProtocolError(f"num_shards must be >= 1, got {num_shards}")
         self.config = config
         self.num_shards = num_shards
-        self.bounds = shard_ranges(num_nodes, num_shards)
-        self.churn = ShardedChurn(
-            self.bounds,
-            config.availability,
-            config.mean_offline_time,
-            [
-                shard_stream(config.seed, shard, num_shards, "churn")
-                for shard in range(num_shards)
-            ],
-            start_all_online=start_all_online,
+        self.churn, self.engines = build_engines(
+            config,
+            trusted_indptr,
+            trusted_indices,
+            num_shards,
+            range(num_shards),
+            start_all_online,
         )
-        self.slot_count = slot_count_for(config, trusted_indices)
-        indptr = np.ascontiguousarray(trusted_indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(trusted_indices, dtype=np.int64)
-        self.engines = [
-            ShardEngine(
-                config,
-                shard,
-                self.bounds,
-                self.slot_count,
-                indptr,
-                indices,
-                self.churn.online,
-            )
-            for shard in range(num_shards)
-        ]
         self.round = 0
 
     @classmethod
@@ -853,16 +970,9 @@ class BatchOverlay:
         num_shards: int = 1,
     ) -> "BatchOverlay":
         """Construct over a synthetic ring-lattice trust graph."""
-        streams = RandomStreams(config.seed)
-        indptr, indices = ring_lattice_csr(
-            config.num_nodes,
-            extra_edges_per_node,
-            streams.substream("batch", "trust-graph"),
-        )
         return cls(
             config,
-            indptr,
-            indices,
+            *default_trust_csr(config, extra_edges_per_node),
             start_all_online=start_all_online,
             num_shards=num_shards,
         )
@@ -890,13 +1000,9 @@ class BatchOverlay:
         return self._single_engine("own_ids").own_ids
 
     @property
-    def counters(self) -> Dict[str, int]:
-        """Cumulative protocol counters summed over all shards."""
-        merged: Dict[str, int] = dict(self.engines[0].counters)
-        for engine in self.engines[1:]:
-            for key, value in engine.counters.items():
-                merged[key] += value
-        return merged
+    def slot_count(self) -> int:
+        """The sampler size every node uses."""
+        return self.engines[0].slot_count
 
     # ------------------------------------------------------------------
     # the round loop
@@ -905,23 +1011,7 @@ class BatchOverlay:
     def step(self) -> None:
         """Advance one shuffle round (all shards, in lockstep)."""
         self.round += 1
-        now = float(self.round)
-        self.churn.step()
-        pairs_for: Dict[int, List[PairBatch]] = {
-            shard: [] for shard in range(self.num_shards)
-        }
-        for engine in self.engines:
-            for dst, batch in engine.begin_round(now).items():
-                pairs_for[dst].append(batch)
-        sets_for: Dict[int, List[SetBatch]] = {
-            shard: [] for shard in range(self.num_shards)
-        }
-        for engine in self.engines:
-            out = engine.build_sets(pairs_for[engine.shard_id], now)
-            for dst, batches in out.items():
-                sets_for[dst].extend(batches)
-        for engine in self.engines:
-            engine.absorb(sets_for[engine.shard_id], now)
+        advance_round(self.engines, self.churn, float(self.round))
 
     def run(self, rounds: int) -> None:
         """Advance ``rounds`` shuffle rounds."""
@@ -929,8 +1019,12 @@ class BatchOverlay:
             self.step()
 
     # ------------------------------------------------------------------
-    # observation
+    # observation: per-engine parts, combined once
     # ------------------------------------------------------------------
+
+    def _parts(self, method: str, *args: Any) -> List[Any]:
+        """``engine.method(*args)`` for every engine, in shard order."""
+        return [getattr(engine, method)(*args) for engine in self.engines]
 
     def snapshot(self, online_only: bool = True) -> FlatSnapshot:
         """The current overlay as a :class:`FlatSnapshot`.
@@ -940,21 +1034,17 @@ class BatchOverlay:
         analogue of :meth:`Overlay.snapshot_fast`.  Per-shard edge
         lists concatenate in shard order, which is global row order.
         """
-        num_nodes = self.config.num_nodes
-        now = float(self.round)
-        if online_only:
-            ids = self.churn.online_rows()
-        else:
-            ids = np.arange(num_nodes, dtype=np.int64)
-        pos = np.full(num_nodes, -1, dtype=np.int64)
+        ids, trust_lo, trust_hi, holder, owner, alive = zip(
+            *self._parts("snapshot_rows", online_only, float(self.round))
+        )
+        ids = _concat(ids)
+        pos = np.full(self.config.num_nodes, -1, dtype=np.int64)
         pos[ids] = np.arange(len(ids), dtype=np.int64)
-        trust_a = pos[np.concatenate([e.trust_lo for e in self.engines])]
-        trust_b = pos[np.concatenate([e.trust_hi for e in self.engines])]
+        trust_a = pos[_concat(trust_lo)]
+        trust_b = pos[_concat(trust_hi)]
+        del trust_lo, trust_hi  # free these pieces before the link columns join
         trust_keep = (trust_a >= 0) & (trust_b >= 0)
-        edges = [engine.link_edges(now) for engine in self.engines]
-        holder = np.concatenate([edge[0] for edge in edges])
-        owner = np.concatenate([edge[1] for edge in edges])
-        alive = np.concatenate([edge[2] for edge in edges])
+        holder, owner, alive = _concat(holder), _concat(owner), _concat(alive)
         a = pos[holder]
         b = pos[np.maximum(owner, 0)]
         keep = alive & (owner >= 0) & (owner != holder) & (a >= 0) & (b >= 0)
@@ -978,21 +1068,16 @@ class BatchOverlay:
         :meth:`repro.dissemination.batch.ChannelSnapshot.from_batch_overlay`).
         Self-links and links whose owner is unresolved are dropped,
         matching :func:`repro.dissemination.base.build_channel_lists`.
+        With one engine the trusted arrays are views of its own state:
+        read them, do not write them.
         """
-        now = float(self.round)
-        degrees = np.concatenate(
-            [np.diff(engine.arena.trusted_indptr) for engine in self.engines]
+        degrees, indices, holder, owner, alive = (
+            _concat(column)
+            for column in zip(*self._parts("channel_rows", float(self.round)))
         )
         indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(degrees, dtype=np.int64))
         )
-        indices = np.concatenate(
-            [engine.arena.trusted_indices for engine in self.engines]
-        )
-        edges = [engine.link_edges(now) for engine in self.engines]
-        holder = np.concatenate([edge[0] for edge in edges])
-        owner = np.concatenate([edge[1] for edge in edges])
-        alive = np.concatenate([edge[2] for edge in edges])
         keep = alive & (owner >= 0) & (owner != holder)
         return indptr, indices, holder[keep], owner[keep]
 
@@ -1002,21 +1087,20 @@ class BatchOverlay:
 
     def mean_out_degree(self) -> float:
         """Mean overlay degree over online nodes (trusted + live links)."""
-        total = 0
-        count = 0
-        for engine in self.engines:
-            mass, online = engine.degree_mass()
-            total += mass
-            count += online
+        masses = self._parts("degree_mass")
+        count = sum(online for _, online in masses)
         if count == 0:
             return 0.0
-        return total / count
+        return sum(mass for mass, _ in masses) / count
 
     def memory_bytes(self) -> int:
-        """Deterministic storage accounting for the whole engine."""
-        total = sum(engine.memory_bytes() for engine in self.engines)
-        total += self.churn.online.nbytes
-        return total
+        """Deterministic storage accounting of the *logical* state.
+
+        Every shard engine plus one global online mask, wherever the
+        engines live (workers also replicate the churn grid and the
+        trust CSR pages; benchmarks measure RSS separately).
+        """
+        return sum(self._parts("memory_bytes")) + self.config.num_nodes
 
     def state_digest(self) -> str:
         """SHA-256 over the protocol state (determinism evidence).
@@ -1026,13 +1110,23 @@ class BatchOverlay:
         shard-id order — a function of ``(config, num_shards)`` only,
         identical however many processes hosted the shards.
         """
-        return combine_shard_digests(
-            self.round, [engine.digest_bytes() for engine in self.engines]
-        )
+        return combine_shard_digests(self.round, self._parts("digest_bytes"))
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters plus the current online count."""
-        merged = self.counters
-        merged["online_nodes"] = self.churn.online_count()
+        merged: Dict[str, int] = {}
+        online = 0
+        for counters, count in self._parts("counter_part"):
+            for key, value in counters.items():
+                merged[key] = merged.get(key, 0) + value
+            online += count
+        merged["online_nodes"] = online
         merged["round"] = self.round
+        return merged
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Cumulative protocol counters summed over all shards."""
+        merged = self.stats()
+        del merged["online_nodes"], merged["round"]
         return merged

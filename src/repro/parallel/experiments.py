@@ -65,10 +65,10 @@ class OverlayPointExperiment:
 class BatchPointExperiment:
     """One sweep point on the round-based batch engine.
 
-    Runs ``rounds`` shuffle periods of
-    :class:`~repro.core.batch.BatchOverlay` (optionally over a
-    ``num_shards`` grid hosted on ``shard_workers`` processes via
-    :class:`~repro.parallel.shard.ShardedOverlay`) and summarizes the
+    Runs ``rounds`` shuffle periods of the batch engine over a
+    ``num_shards`` grid hosted on ``shard_workers`` processes
+    (:class:`~repro.parallel.shard.ShardedOverlay`; one worker is the
+    serial :class:`~repro.core.batch.BatchOverlay`) and summarizes the
     end state.  Because the shard engine forks its own workers, sweeps
     using it must run their *points* serially — daemonic pool workers
     cannot fork children — which is exactly what ``repro sweep
@@ -81,35 +81,21 @@ class BatchPointExperiment:
     shard_workers: int = 1
 
     def __call__(self, config: SystemConfig) -> Dict[str, Any]:
-        from ..core.batch import BatchOverlay
         from .shard import ShardedOverlay, ShardOptions
 
-        if self.shard_workers > 1:
-            with ShardedOverlay.build(
-                config,
-                extra_edges_per_node=self.extra_edges_per_node,
-                options=ShardOptions(
-                    num_shards=self.num_shards, workers=self.shard_workers
-                ),
-            ) as overlay:
-                overlay.run(self.rounds)
-                return self._summarize(overlay)
-        overlay = BatchOverlay.build(
+        with ShardedOverlay.build(
             config,
             extra_edges_per_node=self.extra_edges_per_node,
-            num_shards=self.num_shards,
-        )
-        overlay.run(self.rounds)
-        return self._summarize(overlay)
-
-    @staticmethod
-    def _summarize(overlay: Any) -> Dict[str, Any]:
-        stats = overlay.stats()
-        analysis = overlay.analysis()
-        return {
-            "disconnected": analysis.fraction_disconnected(),
-            "online_fraction": stats["online_nodes"] / overlay.config.num_nodes,
-            "mean_degree": overlay.mean_out_degree(),
-            "exchanges": stats["exchanges"],
-            "state_digest": overlay.state_digest(),
-        }
+            options=ShardOptions(
+                num_shards=self.num_shards, workers=self.shard_workers
+            ),
+        ) as overlay:
+            overlay.run(self.rounds)
+            stats = overlay.stats()
+            return {
+                "disconnected": overlay.analysis().fraction_disconnected(),
+                "online_fraction": stats["online_nodes"] / config.num_nodes,
+                "mean_degree": overlay.mean_out_degree(),
+                "exchanges": stats["exchanges"],
+                "state_digest": overlay.state_digest(),
+            }

@@ -25,12 +25,9 @@ PAIRS = {
          ("total_nodes", "sample_sources", "rng")),
         ("SnapshotAnalysis.degree_histogram", "degree_histogram", ()),
     ]),
-    # tests/test_shard.py
+    # tests/test_shard.py; the observation methods are inherited (below)
     "sharded-batch": ("repro.parallel.shard", "repro.core.batch", [
         ("ShardedOverlay.run", "BatchOverlay.run", ("rounds",)),
-        ("ShardedOverlay.state_digest", "BatchOverlay.state_digest", ()),
-        ("ShardedOverlay.snapshot", "BatchOverlay.snapshot", ("online_only",)),
-        ("ShardedOverlay.stats", "BatchOverlay.stats", ()),
         ("ShardedOverlay.build", "BatchOverlay.build",
          ("config", "extra_edges_per_node", "start_all_online")),
     ]),
@@ -76,6 +73,19 @@ def _shared_parameters(module_name, symbol, shared):
 def test_pair_shares_its_parameters(fast_module, fast, ref_module, ref, shared):
     assert _shared_parameters(fast_module, fast, shared) == list(shared)
     assert _shared_parameters(ref_module, ref, shared) == list(shared)
+
+
+@pytest.mark.parametrize("name", [
+    "state_digest", "snapshot", "stats", "counters", "channel_edges",
+    "analysis", "mean_out_degree", "memory_bytes",
+])
+def test_sharded_overlay_inherits_observation(name):
+    """``ShardedOverlay`` only moves the engines; it observes them with
+    ``BatchOverlay``'s own methods, so an override needs a reason."""
+    from repro.core.batch import BatchOverlay
+    from repro.parallel.shard import ShardedOverlay
+
+    assert getattr(ShardedOverlay, name) is getattr(BatchOverlay, name)
 
 
 def test_a_renamed_parameter_fails(monkeypatch):

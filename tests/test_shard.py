@@ -5,15 +5,20 @@ The contract under test is the determinism invariant from
 ``(config, trust graph, num_shards)`` — never of the worker count.
 ``ShardedOverlay`` spreading one run across forked processes must be
 byte-identical to the serial :class:`BatchOverlay` driving the same
-shard grid in-process, at every worker count, pinned here by digest,
-counter, and snapshot equality (the serial-equivalence golden test the
-``sharded-batch`` parity pair points at).
+shard grid in-process, at every worker count, pinned here on every
+observation method (the serial-equivalence golden test the
+``sharded-batch`` parity pair points at).  A closed or broken sharded
+run fails loudly instead of answering.
 
 Plus the shard-boundary edge cases for the pieces the engine is built
 from: :func:`shard_ranges` partitions, :func:`ring_lattice_csr` ring
 edges crossing shard boundaries, and :class:`ShardedChurn` over
 non-divisible populations and empty shards.
 """
+
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from repro.core.batch import (
     shard_ranges,
     shard_stream,
 )
+from repro.dissemination.batch import ChannelSnapshot
 from repro.errors import ChurnError, GraphError, ParallelError, ProtocolError
 from repro.parallel import ShardOptions, ShardedOverlay
 from repro.parallel.engine import fork_available
@@ -65,6 +71,28 @@ def _snapshots_equal(a, b):
     )
 
 
+def _observations(overlay):
+    """Every observation method's answer, as values ``==`` compares."""
+
+    def flat(snapshot):
+        return [snapshot.node_ids.tobytes(), snapshot.edge_u.tobytes(),
+                snapshot.edge_v.tobytes()]
+
+    analysis = overlay.analysis()
+    channels = ChannelSnapshot.from_batch_overlay(overlay)
+    return {
+        "state_digest": overlay.state_digest(),
+        "stats": overlay.stats(),
+        "counters": overlay.counters,
+        "snapshot": flat(overlay.snapshot()),
+        "snapshot_all_rows": flat(overlay.snapshot(online_only=False)),
+        "analysis": (analysis.fraction_disconnected(), analysis.degree_histogram()),
+        "mean_out_degree": overlay.mean_out_degree(),
+        "memory_bytes": overlay.memory_bytes(),
+        "channels": (channels.indptr.tobytes(), channels.targets.tobytes()),
+    }
+
+
 # ----------------------------------------------------------------------
 # serial equivalence: the golden test
 # ----------------------------------------------------------------------
@@ -79,24 +107,26 @@ class TestSerialEquivalence:
 
     @pytest.fixture(scope="class")
     def serial(self):
-        return _serial_run(_config(self.NODES), self.SHARDS, self.ROUNDS)
+        overlay = BatchOverlay.build(_config(self.NODES), num_shards=self.SHARDS)
+        overlay.run(self.ROUNDS)
+        return _observations(overlay)
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_digest_identical_at_any_worker_count(self, serial, workers):
-        digest, stats, snapshot = serial
+        """Every observation, the dissemination channels included."""
         with ShardedOverlay.build(
             _config(self.NODES),
             options=ShardOptions(num_shards=self.SHARDS, workers=workers),
         ) as sharded:
             sharded.run(self.ROUNDS)
-            assert sharded.state_digest() == digest
-            assert sharded.stats() == stats
-            assert _snapshots_equal(sharded.snapshot(), snapshot)
+            observed = _observations(sharded)
+        for name, expected in serial.items():
+            assert observed[name] == expected, name
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_two_shard_ci_gate(self):
-        """The CI shard-smoke criterion: 2 shards, 10^4 nodes."""
+        """Two shards on two workers at 10^4 nodes: digest and stats."""
         digest, stats, _ = _serial_run(_config(self.NODES), 2, self.ROUNDS)
         with ShardedOverlay.build(
             _config(self.NODES), options=ShardOptions(num_shards=2, workers=2)
@@ -208,32 +238,71 @@ class TestOptions:
         with pytest.raises(ParallelError):
             ShardOptions(workers=0).validate()
 
-    def test_kwargs_override_options(self):
-        config = _config(200)
-        overlay = ShardedOverlay.build(
-            config,
-            options=ShardOptions(num_shards=4, workers=1),
-            num_shards=2,
-            workers=1,
-        )
-        try:
-            serial_digest, _, _ = _serial_run(config, 2, 1)
-            overlay.run(1)
-            assert overlay.state_digest() == serial_digest
-        finally:
-            overlay.close()
-
     def test_mismatched_graph_raises(self):
+        """In-process, and in the parent before any worker forks."""
         config = _config(100)
         indptr, indices = ring_lattice_csr(
             50, 2, RandomStreams(SEED).substream("test", "graph")
         )
-        with pytest.raises(GraphError):
-            ShardedOverlay(config, indptr, indices, workers=1)
+        for workers in (1, 2):
+            with pytest.raises(GraphError):
+                ShardedOverlay(
+                    config, indptr, indices, options=ShardOptions(workers=workers)
+                )
+        assert multiprocessing.active_children() == []
 
     def test_batch_overlay_rejects_bad_shard_count(self):
         with pytest.raises(ProtocolError):
             BatchOverlay.build(_config(100), num_shards=0)
+
+
+# ----------------------------------------------------------------------
+# closed and broken runs fail loudly
+# ----------------------------------------------------------------------
+
+
+class TestFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "call",
+        ["run", "stats", "state_digest", "snapshot", "mean_out_degree",
+         "memory_bytes"],
+    )
+    def test_closed_overlay_raises(self, workers, call):
+        """No answer from a closed run, at any worker count."""
+        overlay = ShardedOverlay.build(
+            _config(2_000), options=ShardOptions(num_shards=2, workers=workers)
+        )
+        overlay.run(2)
+        overlay.close()
+        args = (1,) if call == "run" else ()
+        with pytest.raises(ParallelError, match="ShardedOverlay is closed"):
+            getattr(overlay, call)(*args)
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_killed_worker_names_its_shards(self):
+        """The error names the dead block and the phase; nothing is
+        orphaned; a fresh run on the same config is unaffected."""
+        config = _config(2_000)
+        overlay = ShardedOverlay.build(
+            config, options=ShardOptions(num_shards=2, workers=2)
+        )
+        overlay.run(1)
+        victim = overlay._handles[1].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10.0)
+        assert not victim.is_alive()
+        with pytest.raises(ParallelError, match=r"shards \[1, 2\)") as failure:
+            overlay.run(1)
+        assert "'step'" in str(failure.value)
+        assert "exit code -9" in str(failure.value)
+        assert multiprocessing.active_children() == []
+        digest, _, _ = _serial_run(config, 2, 2)
+        with ShardedOverlay.build(
+            config, options=ShardOptions(num_shards=2, workers=2)
+        ) as fresh:
+            fresh.run(2)
+            assert fresh.state_digest() == digest
 
 
 # ----------------------------------------------------------------------

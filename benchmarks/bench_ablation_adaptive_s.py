@@ -7,8 +7,6 @@ links on top of their many trust links, re-skewing the degree
 distribution.
 """
 
-import numpy as np
-
 from repro.experiments import (
     format_table,
     make_config,
@@ -20,7 +18,7 @@ from conftest import SEED, emit
 
 
 def _degree_spread(result):
-    degrees = np.array([degree for _, degree in result.snapshot.degree()])
+    degrees = result.snapshot.degrees()
     if degrees.size == 0 or degrees.mean() == 0:
         return 0.0
     return float(degrees.std() / degrees.mean())

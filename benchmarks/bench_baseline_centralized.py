@@ -17,6 +17,7 @@ directory:
 from repro.baselines import CentralizedOverlay
 from repro.core import Overlay
 from repro.experiments import format_table, make_config, make_trust_graph
+from repro.graphs import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
 
 from conftest import SEED, emit
@@ -39,13 +40,13 @@ class TestCentralizedBaseline:
             central = CentralizedOverlay.build(config)
             central.start()
             central.run_until(scale.total_horizon)
-            from repro.graphs import fraction_disconnected
-
             return {
                 "gossip_convergence": gossip_collector.convergence_time(0.05),
                 "gossip_stable": gossip_collector.disconnected.tail_mean(0.25),
                 "gossip_messages": gossip.stats().messages_sent,
-                "central_stable": fraction_disconnected(central.snapshot()),
+                "central_stable": SnapshotAnalysis(
+                    FlatSnapshot.from_networkx(central.snapshot())
+                ).fraction_disconnected(),
                 "central_messages": central.messages_sent,
                 "breach": central.directory.breach(),
             }

@@ -37,7 +37,7 @@ class TestCelebrityAttack:
                 measure_window=scale.measure_window / 2,
                 with_churn=False,
             )
-            overlay_snapshot = result.snapshot
+            overlay_snapshot = result.overlay.snapshot()
             # The attacker compromises the same celebrity *users* in
             # both topologies: removal follows the trust graph's hub
             # order everywhere.

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro import Overlay, SystemConfig
 from repro.core import ArenaCache, ArenaSlots, NodeArena, Pseudonym
-from repro.graphs import fraction_disconnected
+from repro.graphs import SnapshotAnalysis
 from repro.privlink import Address
 from repro.experiments import SMOKE, make_config, make_trust_graph
 
@@ -92,8 +92,9 @@ class TestSnapshotMicro:
 
     def test_bench_fraction_disconnected(self, benchmark):
         overlay = self._converged_overlay()
-        snapshot = overlay.snapshot()
-        result = benchmark(fraction_disconnected, snapshot)
+        snapshot = overlay.snapshot_fast()
+        # A fresh analysis per call: the labeling is cached per instance.
+        result = benchmark(lambda: SnapshotAnalysis(snapshot).fraction_disconnected())
         assert 0.0 <= result <= 1.0
 
 

@@ -35,7 +35,7 @@ import networkx as nx
 import numpy as np
 
 from repro.experiments import PAPER, format_table
-from repro.graphs import clustering_coefficient, erdos_renyi_gnm, generate_social_graph
+from repro.graphs import erdos_renyi_gnm, generate_social_graph
 from repro.rng import RandomStreams
 
 from conftest import SEED, emit
@@ -77,8 +77,8 @@ def _measure(num_nodes):
         graph.add_nodes_from(range(num_nodes))
         sources = np.repeat(np.arange(num_nodes), degree)
         graph.add_edges_from(zip(sources.tolist(), indices.tolist()))
-        clustering = clustering_coefficient(graph)
-        gnm_clustering = clustering_coefficient(
+        clustering = nx.average_clustering(graph)
+        gnm_clustering = nx.average_clustering(
             erdos_renyi_gnm(num_nodes, edges, rng=RandomStreams(SEED).substream("gnm"))
         )
     digest = hashlib.sha256(indptr)

@@ -15,18 +15,18 @@ Run with:  python examples/growing_group.py
 """
 
 from repro import Overlay, SystemConfig
-from repro.graphs import fraction_disconnected, generate_social_graph, sample_trust_graph
+from repro.graphs import SnapshotAnalysis, generate_social_graph, sample_trust_graph
 from repro.rng import RandomStreams
 
 
 def report(overlay, label):
-    snapshot = overlay.snapshot()
-    trust = overlay.trust_snapshot()
+    disconnected = overlay.analysis().fraction_disconnected()
+    trust = SnapshotAnalysis(overlay.trust_snapshot_fast()).fraction_disconnected()
     print(
         f"{label:>28}: {len(overlay.nodes):3d} members, "
         f"{len(overlay.online_ids()):3d} online, "
-        f"overlay {fraction_disconnected(snapshot):5.1%} disconnected "
-        f"(trust graph {fraction_disconnected(trust):5.1%})"
+        f"overlay {disconnected:5.1%} disconnected "
+        f"(trust graph {trust:5.1%})"
     )
 
 

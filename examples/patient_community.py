@@ -21,7 +21,7 @@ import math
 
 from repro import Overlay, SystemConfig
 from repro.dissemination import EpidemicBroadcast, coverage_report
-from repro.graphs import fraction_disconnected, generate_social_graph, sample_trust_graph
+from repro.graphs import generate_social_graph, sample_trust_graph
 from repro.rng import RandomStreams
 
 
@@ -30,7 +30,7 @@ def measure_lifetime(trust, base_config, ratio, horizon=150.0):
     overlay = Overlay.build(trust, config)
     overlay.start()
     overlay.run_until(horizon)
-    return overlay, fraction_disconnected(overlay.snapshot())
+    return overlay, overlay.analysis().fraction_disconnected()
 
 
 def main() -> None:

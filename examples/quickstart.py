@@ -12,11 +12,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro import Overlay, SystemConfig
-from repro.graphs import (
-    fraction_disconnected,
-    generate_social_graph,
-    sample_trust_graph,
-)
+from repro.graphs import SnapshotAnalysis, generate_social_graph, sample_trust_graph
 from repro.rng import RandomStreams
 
 
@@ -53,13 +49,12 @@ def main() -> None:
 
     # 4. Compare the overlay against the bare trust graph.
     online = overlay.online_ids()
-    overlay_snapshot = overlay.snapshot()
-    trust_snapshot = overlay.trust_snapshot()
+    trust = SnapshotAnalysis(overlay.trust_snapshot_fast())
     print(f"\nonline nodes: {len(online)} / {config.num_nodes}")
     print(
         "disconnected from the largest component:\n"
-        f"  bare trust graph: {fraction_disconnected(trust_snapshot):6.1%}\n"
-        f"  robust overlay:   {fraction_disconnected(overlay_snapshot):6.1%}"
+        f"  bare trust graph: {trust.fraction_disconnected():6.1%}\n"
+        f"  robust overlay:   {overlay.analysis().fraction_disconnected():6.1%}"
     )
     stats = overlay.stats()
     print(

@@ -1,23 +1,14 @@
 """Post-hoc analyses: structural robustness (targeted failures,
-articulation points, k-cores, min-cut widths) and seed-replicated
-convergence measurement.
+articulation points) and seed-replicated convergence measurement.
 """
 
 from .convergence import ConvergenceSummary, measure_convergence
-from .robustness import (
-    FailurePoint,
-    articulation_ratio,
-    edge_connectivity_sample,
-    k_core_profile,
-    targeted_failure_curve,
-)
+from .robustness import FailurePoint, articulation_ratio, targeted_failure_curve
 
 __all__ = [
     "FailurePoint",
     "targeted_failure_curve",
     "articulation_ratio",
-    "k_core_profile",
-    "edge_connectivity_sample",
     "ConvergenceSummary",
     "measure_convergence",
 ]

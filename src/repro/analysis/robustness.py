@@ -9,25 +9,21 @@ distribution is near-uniform — and this module quantifies that:
 * :func:`targeted_failure_curve` — connectivity as the highest-degree
   (or random) nodes are removed;
 * :func:`articulation_ratio` — fraction of nodes whose removal
-  disconnects the graph (single points of failure);
-* :func:`k_core_profile` — how much of the graph survives at each
-  core order (deeper cores = more redundant connectivity);
-* :func:`edge_connectivity_sample` — sampled pairwise edge
-  connectivity (min-cut widths between random pairs).
+  disconnects the graph (single points of failure).
 
-All functions are pure graph analyses; feed them any snapshot.
+Both are pure graph analyses of an integer-labeled snapshot such as
+:meth:`repro.core.Overlay.snapshot`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
 
 from ..errors import GraphError
-from ..graphs import fraction_disconnected
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..rng import fallback_rng
 
@@ -35,8 +31,6 @@ __all__ = [
     "FailurePoint",
     "targeted_failure_curve",
     "articulation_ratio",
-    "k_core_profile",
-    "edge_connectivity_sample",
 ]
 
 
@@ -62,7 +56,8 @@ def targeted_failure_curve(
     Parameters
     ----------
     graph:
-        The graph under attack (not modified).
+        The graph under attack (not modified), labeled by non-negative
+        integers; other labels raise :class:`GraphError`.
     fractions:
         Cumulative node fractions to remove, in increasing order.
     strategy:
@@ -92,6 +87,7 @@ def targeted_failure_curve(
     total = graph.number_of_nodes()
     if total == 0:
         raise GraphError("graph is empty")
+    base = FlatSnapshot.from_networkx(graph)
 
     if strategy == "degree":
         order = [
@@ -112,51 +108,20 @@ def targeted_failure_curve(
         order = list(graph.nodes())
         rng.shuffle(order)
 
-    # A graph with non-negative integer labels is converted to a flat
-    # snapshot once and survivors re-induced with a mask per fraction;
-    # other labels cannot index the mask, so those graphs are copied and
-    # mutated as an ``nx.Graph``.  Values are identical either way.
-    use_fast = all(
-        isinstance(node, (int, np.integer)) and node >= 0
-        for node in graph.nodes()
-    )
+    keep = np.ones(int(base.node_ids[-1]) + 1, dtype=bool)
     points: List[FailurePoint] = []
     removed_so_far = 0
-    if use_fast:
-        base = FlatSnapshot.from_networkx(graph)
-        keep = np.ones(int(base.node_ids[-1]) + 1, dtype=bool)
-        for fraction in fractions:
-            target_removed = int(fraction * total)
-            while removed_so_far < target_removed:
-                keep[order[removed_so_far]] = False
-                removed_so_far += 1
-            survivors = total - removed_so_far
-            if survivors == 0:
-                points.append(FailurePoint(fraction, removed_so_far, 1.0, 0.0))
-                continue
-            analysis = SnapshotAnalysis(base.induced_by_labels(keep))
-            disconnected = analysis.fraction_disconnected()
-            largest = (1.0 - disconnected) * survivors / total
-            points.append(
-                FailurePoint(
-                    removed_fraction=fraction,
-                    removed_count=removed_so_far,
-                    disconnected=disconnected,
-                    largest_component_fraction=largest,
-                )
-            )
-        return points
-    working = graph.copy()
     for fraction in fractions:
         target_removed = int(fraction * total)
         while removed_so_far < target_removed:
-            working.remove_node(order[removed_so_far])
+            keep[order[removed_so_far]] = False
             removed_so_far += 1
-        survivors = working.number_of_nodes()
+        survivors = total - removed_so_far
         if survivors == 0:
             points.append(FailurePoint(fraction, removed_so_far, 1.0, 0.0))
             continue
-        disconnected = fraction_disconnected(working)
+        analysis = SnapshotAnalysis(base.induced_by_labels(keep))
+        disconnected = analysis.fraction_disconnected()
         largest = (1.0 - disconnected) * survivors / total
         points.append(
             FailurePoint(
@@ -187,48 +152,3 @@ def articulation_ratio(graph: nx.Graph) -> float:
         count += sum(1 for _ in nx.articulation_points(subgraph))
     return count / total
 
-
-def k_core_profile(graph: nx.Graph, max_k: int = 10) -> Dict[int, float]:
-    """Fraction of nodes surviving in each k-core, for k = 1..max_k.
-
-    The k-core is the maximal subgraph of minimum degree k; deep cores
-    indicate redundant connectivity that survives many failures.
-    """
-    if max_k < 1:
-        raise GraphError("max_k must be at least 1")
-    total = graph.number_of_nodes()
-    if total == 0:
-        raise GraphError("graph is empty")
-    simple = nx.Graph(graph)
-    simple.remove_edges_from(nx.selfloop_edges(simple))
-    core_numbers = nx.core_number(simple)
-    profile: Dict[int, float] = {}
-    for k in range(1, max_k + 1):
-        profile[k] = sum(1 for core in core_numbers.values() if core >= k) / total
-    return profile
-
-
-def edge_connectivity_sample(
-    graph: nx.Graph,
-    pairs: int = 20,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, int]:
-    """Mean and minimum edge connectivity over random node pairs.
-
-    Edge connectivity between two nodes is the number of edge-disjoint
-    paths joining them — the width of the min cut an adversary (or
-    churn) must sever to separate them.
-    """
-    if pairs < 1:
-        raise GraphError("pairs must be at least 1")
-    nodes = list(graph.nodes())
-    if len(nodes) < 2:
-        raise GraphError("need at least two nodes")
-    if rng is None:
-        rng = fallback_rng("analysis.robustness.edge-connectivity")
-    values = []
-    for _ in range(pairs):
-        u, v = rng.choice(len(nodes), size=2, replace=False)
-        u, v = nodes[int(u)], nodes[int(v)]
-        values.append(nx.edge_connectivity(graph, u, v))
-    return float(np.mean(values)), int(min(values))

@@ -13,13 +13,15 @@ learn from its *position in the trust graph*:
   a-b overlay connectivity must be a trust edge (III-E3).
 
 These are graph-theoretic statements, so this module answers them with
-graph algorithms over the trust graph, no simulation required.
+graph algorithms over the trust graph, no simulation required.  Trust
+graphs are labeled by non-negative integers; any other label raises
+:class:`~repro.errors.GraphError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -30,24 +32,24 @@ from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 __all__ = ["CoalitionExposure", "is_vertex_cut", "cut_components", "coalition_exposure"]
 
 
-def _remainder_analysis(
-    trust_graph: nx.Graph, members: Set[int]
-) -> Optional[SnapshotAnalysis]:
-    """One flat-snapshot labeling of the trust graph minus the coalition.
-
-    Returns None when the graph is not non-negative-integer labeled
-    (the networkx path handles those).
-    """
-    if not all(
-        isinstance(node, (int, np.integer)) and node >= 0
-        for node in trust_graph.nodes()
-    ):
-        return None
+def _remainder_analysis(trust_graph: nx.Graph, members: Set[int]) -> SnapshotAnalysis:
+    """One flat-snapshot labeling of the trust graph minus the coalition."""
     base = FlatSnapshot.from_networkx(trust_graph)
     keep = np.array(
         [label not in members for label in base.node_ids.tolist()], dtype=bool
     )
     return SnapshotAnalysis(base.induced(keep))
+
+
+def _forms_cut(remainder: SnapshotAnalysis) -> bool:
+    return remainder.snapshot.num_nodes > 1 and remainder.component_count() != 1
+
+
+def _component_sets(remainder: SnapshotAnalysis) -> List[FrozenSet[int]]:
+    return [
+        frozenset(int(label) for label in component.tolist())
+        for component in remainder.components()
+    ]
 
 
 def is_vertex_cut(trust_graph: nx.Graph, coalition: Sequence[int]) -> bool:
@@ -57,17 +59,7 @@ def is_vertex_cut(trust_graph: nx.Graph, coalition: Sequence[int]) -> bool:
     by convention that returns True only if at least two non-coalition
     nodes remain separated, else False.
     """
-    members = set(coalition)
-    analysis = _remainder_analysis(trust_graph, members)
-    if analysis is not None:
-        if analysis.snapshot.num_nodes <= 1:
-            return False
-        return analysis.component_count() != 1
-    rest = [node for node in trust_graph.nodes() if node not in members]
-    if len(rest) <= 1:
-        return False
-    remainder = trust_graph.subgraph(rest)
-    return not nx.is_connected(remainder)
+    return _forms_cut(_remainder_analysis(trust_graph, set(coalition)))
 
 
 def cut_components(
@@ -75,16 +67,7 @@ def cut_components(
 ) -> List[FrozenSet[int]]:
     """Connected components of the trust graph minus the coalition,
     ordered by smallest member."""
-    members = set(coalition)
-    analysis = _remainder_analysis(trust_graph, members)
-    if analysis is not None:
-        return [
-            frozenset(int(label) for label in component.tolist())
-            for component in analysis.components()
-        ]
-    rest = [node for node in trust_graph.nodes() if node not in members]
-    remainder = trust_graph.subgraph(rest)
-    return [frozenset(component) for component in nx.connected_components(remainder)]
+    return _component_sets(_remainder_analysis(trust_graph, set(coalition)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,23 +126,12 @@ def coalition_exposure(
                 adjacent.add(neighbor)
 
     # One remainder labeling answers both the cut question and the
-    # component enumeration on the fast path.
-    analysis = _remainder_analysis(trust_graph, set(members))
-    if analysis is not None:
-        rest = analysis.snapshot.num_nodes
-        forms_cut = rest > 1 and analysis.component_count() != 1
-        components: List[FrozenSet[int]] = [
-            frozenset(int(label) for label in component.tolist())
-            for component in analysis.components()
-        ]
-    else:
-        forms_cut = is_vertex_cut(trust_graph, list(members))
-        components = (
-            cut_components(trust_graph, list(members)) if forms_cut else []
-        )
+    # component enumeration.
+    remainder = _remainder_analysis(trust_graph, set(members))
+    forms_cut = _forms_cut(remainder)
     isolated: List[Tuple[int, int]] = []
     if forms_cut:
-        for component in components:
+        for component in _component_sets(remainder):
             if len(component) == 2:
                 a, b = sorted(component)
                 if trust_graph.has_edge(a, b):

@@ -6,7 +6,6 @@ pre-generated session traces.
 from .availability import (
     availability,
     mean_online_for,
-    online_subgraph,
     stationary_online_mask,
 )
 from .batch import BatchChurnModel
@@ -33,7 +32,6 @@ __all__ = [
     "availability",
     "mean_online_for",
     "stationary_online_mask",
-    "online_subgraph",
     "SessionTrace",
     "Transition",
     "generate_trace",

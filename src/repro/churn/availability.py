@@ -4,15 +4,13 @@ The paper defines a node's average availability as
 ``alpha = Ton / (Ton + Toff)``.  Some of its measurements (the trust
 graph and random-graph baselines in Figures 3-5) do not need a running
 protocol at all: the static graph is simply restricted to a random set
-of online nodes drawn with probability ``alpha``.  This module provides
-those helpers.
+of online nodes drawn with probability ``alpha``.  This module draws
+that set; :meth:`repro.graphs.FlatSnapshot.induced_by_labels` restricts
+a graph to it.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-import networkx as nx
 import numpy as np
 
 from ..errors import ChurnError
@@ -21,7 +19,6 @@ __all__ = [
     "availability",
     "mean_online_for",
     "stationary_online_mask",
-    "online_subgraph",
 ]
 
 
@@ -49,18 +46,3 @@ def stationary_online_mask(
         raise ChurnError("alpha must be in (0, 1]")
     return rng.random(num_nodes) < alpha
 
-
-def online_subgraph(
-    graph: nx.Graph, online_mask: np.ndarray
-) -> nx.Graph:
-    """The subgraph induced by the nodes marked online in ``online_mask``.
-
-    Node labels must be ``0..n-1`` (the library convention).
-    """
-    if len(online_mask) != graph.number_of_nodes():
-        raise ChurnError(
-            f"mask length {len(online_mask)} does not match graph size "
-            f"{graph.number_of_nodes()}"
-        )
-    online_nodes: List[int] = [int(node) for node in np.flatnonzero(online_mask)]
-    return graph.subgraph(online_nodes).copy()

@@ -34,7 +34,7 @@ from ..churn import (
 )
 from ..config import SystemConfig
 from ..errors import GraphError, ProtocolError
-from ..graphs.fastgraph import FlatSnapshot
+from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..privlink import Address, LinkLayer, make_ideal_link_layer
 from ..rng import RandomStreams
 from ..sim import Clock, Simulator
@@ -732,6 +732,11 @@ class Overlay:
         else:
             ids = np.arange(len(self.nodes), dtype=np.int64)
         return store.overlay_snapshot(ids, self.sim.now)
+
+    def analysis(self, online_only: bool = True) -> SnapshotAnalysis:
+        """Metric kernels over the current :meth:`snapshot_fast`; the
+        same call as :meth:`repro.core.BatchOverlay.analysis`."""
+        return SnapshotAnalysis(self.snapshot_fast(online_only=online_only))
 
     def trust_snapshot_fast(
         self, online_ids: Optional[Sequence[int]] = None

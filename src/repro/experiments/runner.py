@@ -39,6 +39,8 @@ __all__ = [
 class OverlayRunResult:
     """Summary of one overlay run.
 
+    ``snapshot`` and ``trust_snapshot`` are the final overlay and trust
+    graph restricted to the nodes online at ``horizon``.
     ``full_edge_count`` counts the overlay's links across *all* nodes
     (online or not, expired links excluded); it sizes the matching
     random-graph baseline.
@@ -52,8 +54,8 @@ class OverlayRunResult:
     trust_path_length: Optional[float]
     online_fraction: float
     full_edge_count: int
-    snapshot: nx.Graph
-    trust_snapshot: nx.Graph
+    snapshot: FlatSnapshot
+    trust_snapshot: FlatSnapshot
     collector: MetricsCollector
     overlay: Overlay
 
@@ -101,8 +103,6 @@ def run_overlay_experiment(
         trust_path_length = collector.trust_path_length.tail_mean(0.5)
 
     online_ids = overlay.online_ids()
-    snapshot = overlay.snapshot(online_only=True, online_ids=online_ids)
-    full_snapshot = overlay.snapshot(online_only=False)
     return OverlayRunResult(
         config=config,
         horizon=horizon,
@@ -111,9 +111,9 @@ def run_overlay_experiment(
         path_length=path_length,
         trust_path_length=trust_path_length,
         online_fraction=len(online_ids) / config.num_nodes,
-        full_edge_count=full_snapshot.number_of_edges(),
-        snapshot=snapshot,
-        trust_snapshot=overlay.trust_snapshot(online_ids=online_ids),
+        full_edge_count=overlay.snapshot_fast(online_only=False).num_edges,
+        snapshot=overlay.snapshot_fast(online_ids=online_ids),
+        trust_snapshot=overlay.trust_snapshot_fast(online_ids=online_ids),
         collector=collector,
         overlay=overlay,
     )
@@ -142,10 +142,8 @@ def static_churn_metrics(
     ``alpha`` (the stationary distribution of the paper's churn model)
     and measures the induced subgraph; results average over draws.
 
-    ``graph`` is converted to a flat snapshot once and each draw's
-    subgraph induced with a boolean mask; every value equals what
-    :func:`~repro.churn.online_subgraph` plus :mod:`repro.graphs.metrics`
-    give for the same draws (see docs/metrics.md).
+    ``graph`` (labels ``0..n-1``) is converted to a flat snapshot once
+    and each draw's subgraph induced with the mask.
     """
     if draws < 1:
         raise ExperimentError("draws must be at least 1")

@@ -1,11 +1,12 @@
-"""Flat-array graph kernels for the measurement hot path.
+"""The Section IV-C graph metrics, over flat arrays.
 
-The per-sample metrics (disconnected fraction, normalized path length,
-degree histogram — paper Section IV-C) dominated run time once the
-event loop and sweeps were optimized: every sample rebuilt an
-``nx.Graph``, recomputed the largest component up to three times, and
-ran pure-Python BFS per source.  This module replaces that pipeline
-with numpy kernels over a CSR snapshot:
+The paper measures robustness through three undirected-graph metrics:
+the fraction of (online) nodes outside the largest connected component,
+the normalized average path length (mean shortest-path length inside
+that component, divided by its size and multiplied by the *total* node
+count, offline nodes included, so a partitioned snapshot is penalized
+rather than rewarded for its short internal paths), and the degree
+distribution.  This module is their only implementation:
 
 * :class:`FlatSnapshot` — an immutable compressed-sparse-row view of an
   undirected simple graph (sorted node ids, sorted neighbor lists).
@@ -16,22 +17,22 @@ with numpy kernels over a CSR snapshot:
 
 Exactness contract
 ------------------
-Every value produced here is **bit-identical** to the reference
-implementations in :mod:`repro.graphs.metrics` on the same graph:
+Every value produced here is **bit-identical** to the same metric
+computed with networkx on the same graph:
 
-* components are exact (union-find), and the largest component is the
-  same canonical list (ascending nodes; ties broken toward the
-  component containing the smallest node) that
-  :func:`~repro.graphs.metrics.largest_component` returns;
+* components are exact (union-find), and the largest component is a
+  canonical list: ascending nodes, size ties broken toward the
+  component containing the smallest node;
 * BFS distances are integers, accumulated as Python ints, and the
-  final averages use the same ``total / pairs`` and
+  final averages are the ``total / pairs`` and
   ``average / size * total_nodes`` float expressions;
-* source sampling consumes the RNG identically
-  (``rng.choice(size, size=k, replace=False)`` on the same ``size``),
-  so a shared stream stays in lockstep with the reference.
+* a sampled path length draws its sources with one
+  ``rng.choice(size, size=k, replace=False)`` over positions in that
+  canonical list, so a shared stream consumes exactly that draw.
 
-``tests/test_fastgraph.py`` pins the contract differentially against
-networkx on random, social, and churned-overlay graphs.
+``tests/test_fastgraph.py`` pins the contract differentially against a
+networkx oracle (``tests/nx_oracle.py``) on random, social, and
+churned-overlay graphs.
 
 Snapshot graphs are *simple*: self-loops are skipped on conversion
 (overlay snapshots never contain them by construction).
@@ -133,11 +134,18 @@ class FlatSnapshot:
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "FlatSnapshot":
-        """Convert an integer-labeled :class:`nx.Graph` (reference path).
+        """Convert an :class:`nx.Graph` labeled by non-negative integers.
 
-        Self-loops are skipped: snapshot graphs are simple by
-        construction, and the metric kernels assume it.
+        Labels index churn masks (:meth:`induced_by_labels`), so any
+        other label raises :class:`GraphError`.  Self-loops are skipped:
+        snapshot graphs are simple by construction, and the metric
+        kernels assume it.
         """
+        for label in graph.nodes():
+            if not isinstance(label, (int, np.integer)) or label < 0:
+                raise GraphError(
+                    f"node labels must be non-negative integers, got {label!r}"
+                )
         nodes = np.array(sorted(graph.nodes()), dtype=np.int64)
         index = {int(label): position for position, label in enumerate(nodes.tolist())}
         endpoint_a: List[int] = []
@@ -226,7 +234,7 @@ def _bfs_distance_totals(
     ``indices`` array and OR-reduce them per adjacency row
     (``bitwise_or.reduceat``), so a level costs O(edges) regardless of
     the source count.  Distances are exact integers (BFS levels), so
-    the totals match the per-source Python BFS bit for bit.
+    the totals equal a per-source BFS's bit for bit.
     """
     num_nodes = len(indptr) - 1
     num_sources = len(sources)
@@ -325,9 +333,9 @@ class SnapshotAnalysis:
     def largest_component_nodes(self) -> np.ndarray:
         """Node labels of the canonical largest component, ascending.
 
-        Identical (as a list) to
-        :func:`repro.graphs.metrics.largest_component` on the same
-        graph.
+        Among equally large components the one containing the smallest
+        node wins.  Sampled path lengths index into this list, so the
+        ordering is part of the reproducibility contract.
         """
         labels = self._ensure_labels()
         if self.snapshot.num_nodes == 0:
@@ -376,10 +384,20 @@ class SnapshotAnalysis:
     ) -> float:
         """Mean pairwise BFS distance in the largest component.
 
-        Mirrors :func:`repro.graphs.metrics.average_path_length`
-        exactly, including its rng-less fallback hazard (see that
-        docstring): sources are positions sampled from the canonical
-        component list with the same RNG consumption.
+        ``sample_sources`` estimates the mean (unbiased) from BFS trees
+        rooted at that many sources, drawn uniformly from the canonical
+        :meth:`largest_component_nodes` list; by default every node is a
+        source.  Components of fewer than two nodes give 0.0.
+
+        .. warning::
+           Without ``rng`` the fallback generator is re-seeded
+           identically on **every call**, so two rng-less calls sample
+           the *same* sources.  One estimate stays reproducible, but a
+           time series built from rng-less calls reuses one source set
+           and its sampling noise never averages out.  Callers that
+           sample repeatedly own a persistent stream and pass it in
+           (:class:`~repro.metrics.MetricsCollector` does, with
+           ``overlay.substream("collector")``).
         """
         labels = self._ensure_labels()
         size = self._largest_size
@@ -388,6 +406,8 @@ class SnapshotAnalysis:
         component_positions = np.flatnonzero(labels == self._largest_label)
         if sample_sources is not None and sample_sources < size:
             if rng is None:
+                # The key predates this module; renaming it would change
+                # every rng-less value (pinned in test_determinism).
                 rng = fallback_rng("graphs.metrics.path-sources")
             chosen = rng.choice(size, size=sample_sources, replace=False)
             sources = component_positions[chosen.astype(np.int64)]
@@ -406,7 +426,13 @@ class SnapshotAnalysis:
         sample_sources: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> float:
-        """The paper's normalized path length, reusing this labeling."""
+        """The paper's normalized path length, reusing this labeling.
+
+        ``average_path_length() / |component| * total_nodes``, where
+        ``total_nodes`` counts every node in the system, online or not.
+        A component of fewer than two nodes reports ``total_nodes``,
+        the worst case, so plots stay monotone.
+        """
         if total_nodes < 1:
             raise GraphError("total_nodes must be at least 1")
         self._ensure_labels()

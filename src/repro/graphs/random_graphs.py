@@ -3,8 +3,7 @@
 The paper compares its overlay against Erdős–Rényi graphs "of similar
 size" (same node count and comparable edge count / average fan-out).
 We provide G(n, m) — the fixed-edge-count variant, which makes the
-comparison exact — plus a helper that matches an existing graph's node
-and edge counts, and a regular-random baseline used by ablations.
+comparison exact.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from ..errors import GraphError
 from ..rng import fallback_rng
 
-__all__ = ["erdos_renyi_gnm", "matching_random_graph", "random_regular"]
+__all__ = ["erdos_renyi_gnm"]
 
 
 def erdos_renyi_gnm(
@@ -63,55 +62,3 @@ def erdos_renyi_gnm(
         added += 1
     return graph
 
-
-def matching_random_graph(
-    reference: nx.Graph,
-    rng: Optional[np.random.Generator] = None,
-) -> nx.Graph:
-    """An Erdős–Rényi graph with the same node and edge counts as ``reference``.
-
-    This is the paper's "random graph with the same number of nodes and
-    edges" baseline; node labels are ``0..n-1`` regardless of the
-    reference's labels.
-    """
-    return erdos_renyi_gnm(
-        reference.number_of_nodes(), reference.number_of_edges(), rng=rng
-    )
-
-
-def random_regular(
-    num_nodes: int,
-    degree: int,
-    rng: Optional[np.random.Generator] = None,
-) -> nx.Graph:
-    """A random ``degree``-regular graph (configuration-model style).
-
-    Used by ablations to compare the overlay against the ideal
-    fixed-fanout topology.  Retries the pairing until it is simple;
-    falls back to edge swaps if stubs cannot be matched.
-    """
-    if rng is None:
-        rng = fallback_rng("graphs.random_graphs.regular")
-    if degree >= num_nodes:
-        raise GraphError("degree must be smaller than num_nodes")
-    if (num_nodes * degree) % 2 != 0:
-        raise GraphError("num_nodes * degree must be even")
-
-    for _ in range(100):
-        stubs = np.repeat(np.arange(num_nodes), degree)
-        rng.shuffle(stubs)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
-        ok = True
-        for index in range(0, len(stubs), 2):
-            u = int(stubs[index])
-            v = int(stubs[index + 1])
-            if u == v or graph.has_edge(u, v):
-                ok = False
-                break
-            graph.add_edge(u, v)
-        if ok:
-            return graph
-    raise GraphError(
-        f"failed to build a simple {degree}-regular graph on {num_nodes} nodes"
-    )

@@ -2,14 +2,13 @@
 connectivity, normalized path length, degree distributions, message and
 link-replacement overhead, and time-series collection.
 
-Graph-level primitives (largest component, path lengths, histograms)
-live in :mod:`repro.graphs.metrics`; this package adds the pieces that
-need a *running* overlay.
+Graph-level metrics (largest component, path lengths, histograms) are
+:class:`repro.graphs.SnapshotAnalysis`; this package adds the pieces
+that need a *running* overlay.
 """
 
 from .bandwidth import BandwidthReport, WireModel, bandwidth_report
 from .collector import MetricsCollector
-from .degree_stats import degree_gini, degree_share_entropy, degree_summary
 from .overhead import NodeOverhead, mean_messages_per_period, message_overhead_by_rank
 from .series import TimeSeries
 
@@ -22,7 +21,4 @@ __all__ = [
     "WireModel",
     "BandwidthReport",
     "bandwidth_report",
-    "degree_gini",
-    "degree_share_entropy",
-    "degree_summary",
 ]

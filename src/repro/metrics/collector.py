@@ -70,7 +70,7 @@ class MetricsCollector:
             :data:`repro.config.DEFAULT_SEED`.  The collector owns this
             stream across samples, which is what keeps repeated source
             draws independent — see the hazard note on
-            :func:`repro.graphs.average_path_length`.
+            :meth:`repro.graphs.SnapshotAnalysis.average_path_length`.
         """
         if interval <= 0:
             raise ExperimentError("interval must be positive")

@@ -6,8 +6,6 @@ import pytest
 
 from repro.analysis import (
     articulation_ratio,
-    edge_connectivity_sample,
-    k_core_profile,
     measure_convergence,
     targeted_failure_curve,
 )
@@ -79,50 +77,6 @@ class TestArticulationRatio:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             articulation_ratio(nx.Graph())
-
-
-class TestKCoreProfile:
-    def test_complete_graph_deep_core(self):
-        profile = k_core_profile(nx.complete_graph(6), max_k=5)
-        assert profile[5] == 1.0
-
-    def test_star_shallow(self):
-        profile = k_core_profile(nx.star_graph(10), max_k=3)
-        assert profile[1] == 1.0
-        assert profile[2] == 0.0
-
-    def test_monotone_in_k(self):
-        graph = nx.erdos_renyi_graph(50, 0.2, seed=3)
-        profile = k_core_profile(graph, max_k=8)
-        values = [profile[k] for k in range(1, 9)]
-        assert values == sorted(values, reverse=True)
-
-    def test_invalid(self):
-        with pytest.raises(GraphError):
-            k_core_profile(nx.path_graph(3), max_k=0)
-        with pytest.raises(GraphError):
-            k_core_profile(nx.Graph())
-
-
-class TestEdgeConnectivity:
-    def test_cycle_is_two(self, rng):
-        mean, minimum = edge_connectivity_sample(nx.cycle_graph(10), pairs=5, rng=rng)
-        assert mean == 2.0
-        assert minimum == 2
-
-    def test_complete_graph(self, rng):
-        mean, minimum = edge_connectivity_sample(
-            nx.complete_graph(6), pairs=5, rng=rng
-        )
-        assert minimum == 5
-
-    def test_invalid(self, rng):
-        with pytest.raises(GraphError):
-            edge_connectivity_sample(nx.path_graph(5), pairs=0, rng=rng)
-        single = nx.Graph()
-        single.add_node(0)
-        with pytest.raises(GraphError):
-            edge_connectivity_sample(single, rng=rng)
 
 
 class TestMeasureConvergence:

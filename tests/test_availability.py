@@ -1,13 +1,10 @@
 """Tests for availability math and static online sampling."""
 
-import networkx as nx
-import numpy as np
 import pytest
 
 from repro.churn import (
     availability,
     mean_online_for,
-    online_subgraph,
     stationary_online_mask,
 )
 from repro.errors import ChurnError
@@ -46,20 +43,3 @@ class TestStationaryMask:
         with pytest.raises(ChurnError):
             stationary_online_mask(10, 0.0, rng)
 
-
-class TestOnlineSubgraph:
-    def test_induced(self):
-        graph = nx.path_graph(5)
-        mask = np.array([True, True, False, True, True])
-        induced = online_subgraph(graph, mask)
-        assert set(induced.nodes()) == {0, 1, 3, 4}
-        assert set(induced.edges()) == {(0, 1), (3, 4)}
-
-    def test_mask_length_checked(self):
-        with pytest.raises(ChurnError):
-            online_subgraph(nx.path_graph(3), np.array([True, False]))
-
-    def test_all_offline(self):
-        graph = nx.path_graph(3)
-        induced = online_subgraph(graph, np.zeros(3, dtype=bool))
-        assert induced.number_of_nodes() == 0

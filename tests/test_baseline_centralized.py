@@ -5,7 +5,8 @@ import pytest
 from repro import SystemConfig
 from repro.baselines import CentralizedOverlay, DirectoryServer
 from repro.errors import ExperimentError
-from repro.graphs import fraction_disconnected
+
+from .nx_oracle import analyze
 
 
 @pytest.fixture
@@ -53,7 +54,7 @@ class TestCentralizedOverlay:
         overlay.start()
         overlay.run_until(1.0)
         snapshot = overlay.snapshot()
-        assert fraction_disconnected(snapshot) == 0.0
+        assert analyze(snapshot).fraction_disconnected() == 0.0
         degrees = [degree for _, degree in snapshot.degree()]
         assert min(degrees) >= config.target_degree // 2
 
@@ -62,7 +63,7 @@ class TestCentralizedOverlay:
         overlay.start()
         overlay.run_until(30.0)
         snapshot = overlay.snapshot()
-        assert fraction_disconnected(snapshot) < 0.1
+        assert analyze(snapshot).fraction_disconnected() < 0.1
 
     def test_breach_exposes_whole_group(self, config):
         overlay = CentralizedOverlay.build(config)

@@ -15,11 +15,12 @@ import numpy as np
 from repro.experiments import SMOKE, make_config, make_trust_graph
 from repro.experiments.runner import run_overlay_experiment
 from repro.graphs import (
+    FlatSnapshot,
+    SnapshotAnalysis,
     erdos_renyi_gnm,
     generate_social_graph,
     sample_trust_graph,
 )
-from repro.graphs.metrics import average_path_length
 from repro.metrics import MetricsCollector
 from repro.rng import fallback_rng
 
@@ -220,9 +221,16 @@ class TestSeededFallbacks:
 
     def test_sampled_path_length_without_rng_is_deterministic(self):
         graph = to_networkx(generate_social_graph(80, edges_per_node=4))
-        a = average_path_length(graph, sample_sources=10)
-        b = average_path_length(graph, sample_sources=10)
+        analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
+        a = analysis.average_path_length(sample_sources=10)
+        b = analysis.average_path_length(sample_sources=10)
         assert a == b
+        # The fallback key names a module that no longer exists; it is
+        # kept because renaming it would change every rng-less value.
+        keyed = fallback_rng("graphs.metrics.path-sources")
+        assert a == analysis.average_path_length(sample_sources=10, rng=keyed)
+        other = fallback_rng("graphs.fastgraph.path-sources")
+        assert a != analysis.average_path_length(sample_sources=10, rng=other)
 
     def test_collector_default_rng_matches_explicit_fallback(self):
         from repro import Overlay

@@ -9,7 +9,6 @@ import networkx as nx
 import pytest
 
 from repro import Overlay, SystemConfig
-from repro.graphs import fraction_disconnected
 
 
 class TestMinimalSystems:
@@ -26,8 +25,7 @@ class TestMinimalSystems:
         overlay = Overlay.build(graph, config, with_churn=False)
         overlay.start()
         overlay.run_until(20.0)
-        snapshot = overlay.snapshot()
-        assert fraction_disconnected(snapshot) == 0.0
+        assert overlay.analysis().fraction_disconnected() == 0.0
         assert overlay.stats().messages_sent > 0
 
     def test_zero_latency_links(self, small_trust_graph, small_config):
@@ -35,7 +33,7 @@ class TestMinimalSystems:
         overlay = Overlay.build(small_trust_graph, config, with_churn=False)
         overlay.start()
         overlay.run_until(15.0)
-        assert fraction_disconnected(overlay.snapshot()) == 0.0
+        assert overlay.analysis().fraction_disconnected() == 0.0
 
     def test_shuffle_length_one(self, small_trust_graph, small_config):
         """l=1: only own pseudonyms circulate — slow but sound."""
@@ -95,7 +93,7 @@ class TestMassFailure:
         for node in victims:
             node.come_online()
         overlay.run_until(overlay.sim.now + 20.0)
-        assert fraction_disconnected(overlay.snapshot()) < 0.05
+        assert overlay.analysis().fraction_disconnected() < 0.05
 
     def test_long_idle_gap(self, small_trust_graph, small_config):
         """A long stretch with everyone offline: timers must not leak
@@ -110,8 +108,7 @@ class TestMassFailure:
         for node in overlay.nodes:
             node.come_online()
         overlay.run_until(230.0)
-        snapshot = overlay.snapshot()
-        assert fraction_disconnected(snapshot) < 0.05
+        assert overlay.analysis().fraction_disconnected() < 0.05
         now = overlay.sim.now
         for node in overlay.nodes:
             assert node.own is not None and not node.own.is_expired(now)

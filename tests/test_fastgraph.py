@@ -1,11 +1,11 @@
 """Differential tests pinning the fastgraph exactness contract.
 
 Every kernel in :mod:`repro.graphs.fastgraph` promises *bit-identical*
-values to the networkx reference implementations in
-:mod:`repro.graphs.metrics`, including identical RNG consumption.
-These tests enforce that promise on random graphs, synthetic social
-graphs, churned overlay snapshots, and the degenerate cases
-(empty/singleton/partitioned graphs, equal-size component ties).
+values to the same metric computed with networkx (``tests/nx_oracle.py``),
+including identical RNG consumption.  These tests enforce that promise
+on random graphs, synthetic social graphs, churned overlay snapshots,
+and the degenerate cases (empty/singleton/partitioned graphs,
+equal-size component ties).
 """
 
 from __future__ import annotations
@@ -15,23 +15,24 @@ import numpy as np
 import pytest
 
 from repro import Overlay, SystemConfig
-from repro.churn import online_subgraph, stationary_online_mask
+from repro.churn import stationary_online_mask
 from repro.errors import GraphError
-from repro.analysis import targeted_failure_curve
+from repro.analysis import FailurePoint, targeted_failure_curve
 from repro.experiments.runner import StaticMetrics, static_churn_metrics
-from repro.graphs import (
-    average_path_length,
-    degree_histogram,
-    erdos_renyi_gnm,
-    fraction_disconnected,
-    generate_social_graph,
-    largest_component,
-    normalized_path_length,
-)
+from repro.graphs import erdos_renyi_gnm, generate_social_graph
 from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
 
 from .csr import to_networkx
+from .nx_oracle import (
+    assert_same_graph,
+    average_path_length,
+    degree_histogram,
+    fraction_disconnected,
+    induced,
+    largest_component,
+    normalized_path_length,
+)
 
 
 def _assert_matches_networkx(
@@ -95,16 +96,16 @@ class TestDifferentialRandomGraphs:
         graph = to_networkx(generate_social_graph(200, rng=np.random.default_rng(4)))
         for seed in (5, 6):
             mask = stationary_online_mask(200, 0.5, np.random.default_rng(seed))
-            _assert_matches_networkx(online_subgraph(graph, mask), seed=seed)
+            _assert_matches_networkx(induced(graph, mask), seed=seed)
         # One collector sample at scale: 2,000 nodes, the snapshot
         # assembled from raw endpoint positions as the overlay's edge
         # store hands them over, 64 BFS sources.
         graph = to_networkx(generate_social_graph(2000, rng=np.random.default_rng(7)))
         mask = stationary_online_mask(2000, 0.6, np.random.default_rng(8))
-        induced = online_subgraph(graph, mask)
-        base = FlatSnapshot.from_networkx(induced)
+        subgraph = induced(graph, mask)
+        base = FlatSnapshot.from_networkx(subgraph)
         _assert_matches_networkx(
-            induced,
+            subgraph,
             seed=8,
             snapshot=FlatSnapshot.from_edge_positions(
                 base.node_ids, base.edge_u, base.edge_v
@@ -199,6 +200,17 @@ class TestFlatSnapshot:
             assert got.tolist() == expected.tolist()
         assert snap.node_ids.tolist() == (np.arange(k) * 10).tolist()
 
+    @pytest.mark.parametrize(
+        "edges", [[("a", "b")], [(-1, 0), (0, 1)], [(0, 1), (1, 2.5)]],
+        ids=["string", "negative", "float"],
+    )
+    def test_bad_labels_raise_graph_error(self, edges):
+        """Labels index churn masks: a negative one would read the mask
+        from its end, so ``induced_by_labels`` would keep node -1 by
+        label 2's entry."""
+        with pytest.raises(GraphError, match="non-negative integers"):
+            FlatSnapshot.from_networkx(nx.Graph(edges))
+
     def test_self_loops_skipped_on_conversion(self):
         graph = nx.Graph([(0, 1), (1, 1)])
         snap = FlatSnapshot.from_networkx(graph)
@@ -208,7 +220,7 @@ class TestFlatSnapshot:
         graph = erdos_renyi_gnm(60, 120, rng=np.random.default_rng(3))
         mask = stationary_online_mask(60, 0.6, np.random.default_rng(4))
         fast = FlatSnapshot.from_networkx(graph).induced_by_labels(mask)
-        reference = FlatSnapshot.from_networkx(online_subgraph(graph, mask))
+        reference = FlatSnapshot.from_networkx(induced(graph, mask))
         assert fast.node_ids.tolist() == reference.node_ids.tolist()
         assert fast.indptr.tolist() == reference.indptr.tolist()
         assert fast.indices.tolist() == reference.indices.tolist()
@@ -272,16 +284,7 @@ class TestOverlayIncrementalStore:
             overlay.run_until(checkpoint)
             for online_only in (True, False):
                 fast = overlay.snapshot_fast(online_only=online_only)
-                reference = overlay.snapshot(online_only=online_only)
-                assert fast.node_ids.tolist() == sorted(reference.nodes())
-                fast_edges = {
-                    (int(fast.node_ids[u]), int(fast.node_ids[v]))
-                    for u, v in zip(fast.edge_u.tolist(), fast.edge_v.tolist())
-                }
-                ref_edges = {
-                    (min(u, v), max(u, v)) for u, v in reference.edges()
-                }
-                assert fast_edges == ref_edges
+                assert_same_graph(fast, overlay.snapshot(online_only=online_only))
 
     def test_trust_snapshot_fast_cached_until_online_set_changes(self):
         overlay = self._overlay(with_churn=False)
@@ -344,8 +347,8 @@ class TestCollectorBackendEquivalence:
 
 class TestStaticChurnBackends:
     def test_static_metrics_identical_across_backends(self):
-        """The flat-snapshot baseline equals ``online_subgraph`` plus the
-        networkx metrics on the same draws, rng consumption included."""
+        """The flat-snapshot baseline equals the networkx oracle on the
+        same induced subgraphs, rng consumption included."""
         graph = to_networkx(generate_social_graph(120, rng=np.random.default_rng(17)))
         fast = static_churn_metrics(
             graph, 0.5, 5, np.random.default_rng(3), path_sources=8
@@ -353,11 +356,11 @@ class TestStaticChurnBackends:
         rng = np.random.default_rng(3)
         disconnected, paths, degrees = [], [], []
         for _ in range(5):
-            induced = online_subgraph(graph, stationary_online_mask(120, 0.5, rng))
-            disconnected.append(fraction_disconnected(induced))
-            degrees.append(float(np.mean([d for _, d in induced.degree()])))
+            subgraph = induced(graph, stationary_online_mask(120, 0.5, rng))
+            disconnected.append(fraction_disconnected(subgraph))
+            degrees.append(float(np.mean([d for _, d in subgraph.degree()])))
             paths.append(
-                normalized_path_length(induced, 120, sample_sources=8, rng=rng)
+                normalized_path_length(subgraph, 120, sample_sources=8, rng=rng)
             )
         assert fast == StaticMetrics(
             disconnected=float(np.mean(disconnected)),
@@ -366,31 +369,44 @@ class TestStaticChurnBackends:
         )
 
 
+def _networkx_failure_curve(graph, fractions, order):
+    """``targeted_failure_curve`` by removing nodes from a networkx copy."""
+    total = graph.number_of_nodes()
+    working = graph.copy()
+    points = []
+    removed = 0
+    for fraction in fractions:
+        while removed < int(fraction * total):
+            working.remove_node(order[removed])
+            removed += 1
+        disconnected = fraction_disconnected(working)
+        largest = (1.0 - disconnected) * working.number_of_nodes() / total
+        points.append(FailurePoint(fraction, removed, disconnected, largest))
+    return points
+
+
 class TestTargetedFailurePaths:
     def test_int_and_string_labels_agree(self):
-        """Int-labelled graphs take the flat-snapshot path, anything else
-        the networkx one; the same graph must score the same on both."""
+        """The kernel curve of an int-labelled graph equals networkx
+        removing the same nodes from a string-labelled copy; the kernels
+        themselves refuse string labels."""
         graph = to_networkx(generate_social_graph(150, rng=np.random.default_rng(23)))
-        # Zero-padded so string order equals numeric order (tie-breaks).
         names = {node: f"n{node:04d}" for node in graph.nodes()}
         relabelled = nx.relabel_nodes(graph, names)
         fractions = (0.0, 0.05, 0.2, 0.4)
         hubs = sorted(graph.nodes(), key=lambda node: (-graph.degree(node), node))
-        for kwargs, string_kwargs in (
-            ({"strategy": "degree"}, {"strategy": "degree"}),
-            (
-                {"strategy": "custom", "removal_order": hubs[::2]},
-                {
-                    "strategy": "custom",
-                    "removal_order": [names[node] for node in hubs[::2]],
-                },
-            ),
-            (
-                {"strategy": "random", "rng": np.random.default_rng(5)},
-                {"strategy": "random", "rng": np.random.default_rng(5)},
-            ),
+        shuffled = list(graph.nodes())
+        np.random.default_rng(5).shuffle(shuffled)
+        for kwargs, order in (
+            ({"strategy": "degree"}, hubs),
+            ({"strategy": "custom", "removal_order": hubs[::2]}, hubs[::2]),
+            ({"strategy": "random", "rng": np.random.default_rng(5)}, shuffled),
         ):
             fast = targeted_failure_curve(graph, fractions, **kwargs)
-            reference = targeted_failure_curve(relabelled, fractions, **string_kwargs)
+            reference = _networkx_failure_curve(
+                relabelled, fractions, [names[node] for node in order]
+            )
             assert fast == reference
             assert fast[-1].removed_count == 60
+        with pytest.raises(GraphError):
+            targeted_failure_curve(relabelled, fractions)

@@ -4,7 +4,6 @@ import pytest
 
 from repro import Overlay
 from repro.errors import ProtocolError
-from repro.graphs import fraction_disconnected
 
 
 class TestAddTrustEdge:
@@ -54,7 +53,7 @@ class TestAddNode:
         snapshot = overlay.snapshot()
         assert new_id in snapshot
         assert snapshot.degree(new_id) >= 2
-        assert fraction_disconnected(snapshot) == 0.0
+        assert overlay.analysis().fraction_disconnected() == 0.0
 
     def test_new_node_own_pseudonym_registered(
         self, small_trust_graph, small_config
@@ -95,4 +94,4 @@ class TestAddNode:
         assert second == first + 1
         assert overlay.trust_graph.has_edge(second, first)
         overlay.run_until(20.0)
-        assert fraction_disconnected(overlay.snapshot()) == 0.0
+        assert overlay.analysis().fraction_disconnected() == 0.0

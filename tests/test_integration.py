@@ -11,7 +11,6 @@ import pytest
 
 from repro import Overlay, SystemConfig
 from repro.experiments import SMOKE, make_config, make_trust_graph
-from repro.graphs import fraction_disconnected
 from repro.metrics import MetricsCollector
 
 
@@ -122,7 +121,7 @@ class TestInfiniteLifetimeStabilizes:
         collector.start()
         overlay.run_until(60.0)
         assert collector.replacements_per_node.tail_mean(0.2) < 0.5
-        assert fraction_disconnected(overlay.snapshot()) == 0.0
+        assert overlay.analysis().fraction_disconnected() == 0.0
 
 
 class TestDeterminism:

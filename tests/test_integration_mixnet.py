@@ -12,7 +12,6 @@ import pytest
 
 from repro import Overlay, SystemConfig
 from repro.attacks import direct_node_channel_fraction
-from repro.graphs import fraction_disconnected
 from repro.privlink import TrafficLog, make_mixnet_link_layer
 
 
@@ -45,9 +44,9 @@ def mixnet_system():
 class TestOverlayOverMixnet:
     def test_overlay_converges(self, mixnet_system):
         overlay, _ = mixnet_system
-        snapshot = overlay.snapshot()
-        assert fraction_disconnected(snapshot) == 0.0
-        assert snapshot.number_of_edges() > overlay.trust_graph.number_of_edges()
+        analysis = overlay.analysis()
+        assert analysis.fraction_disconnected() == 0.0
+        assert analysis.snapshot.num_edges > overlay.trust_graph.number_of_edges()
 
     def test_pseudonym_links_formed(self, mixnet_system):
         overlay, _ = mixnet_system

@@ -4,9 +4,8 @@ Each pair below is compared by a differential or golden test elsewhere
 (named beside it).  Those tests drive both sides through the same
 calls, so a parameter renamed or reordered on one side only would make
 them stop exercising the same run; this test reads the signatures off
-the real objects and fails first.  The carrier argument (``self`` vs a
-graph) legitimately differs, so only the named parameters are compared,
-by relative order.
+the real objects and fails first.  Only the named parameters are
+compared, by relative order.
 """
 
 import importlib
@@ -16,15 +15,6 @@ import pytest
 
 # name: (fast module, reference module, [(fast symbol, reference symbol, shared)])
 PAIRS = {
-    # tests/test_fastgraph.py
-    "graph-metrics": ("repro.graphs.fastgraph", "repro.graphs.metrics", [
-        ("SnapshotAnalysis.fraction_disconnected", "fraction_disconnected", ()),
-        ("SnapshotAnalysis.average_path_length", "average_path_length",
-         ("sample_sources", "rng")),
-        ("SnapshotAnalysis.normalized_path_length", "normalized_path_length",
-         ("total_nodes", "sample_sources", "rng")),
-        ("SnapshotAnalysis.degree_histogram", "degree_histogram", ()),
-    ]),
     # tests/test_shard.py; the observation methods are inherited (below)
     "sharded-batch": ("repro.parallel.shard", "repro.core.batch", [
         ("ShardedOverlay.run", "BatchOverlay.run", ("rounds",)),

@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.churn import availability, mean_online_for
-from repro.graphs import (
-    erdos_renyi_gnm,
-    fraction_disconnected,
-    normalized_path_length,
-    sample_trust_graph,
-)
+from repro.graphs import erdos_renyi_gnm, sample_trust_graph
 from repro.sim import Simulator
 
 from .csr import from_networkx
+from .nx_oracle import analyze
 
 
 class TestSimulatorProperties:
@@ -68,14 +64,14 @@ class TestGraphMetricProperties:
         graph = erdos_renyi_gnm(
             num_nodes, min(num_edges, max_edges), rng=np.random.default_rng(seed)
         )
-        fraction = fraction_disconnected(graph)
+        fraction = analyze(graph).fraction_disconnected()
         assert 0.0 <= fraction <= 1.0 - 1.0 / num_nodes
 
     @given(num_nodes=st.integers(2, 25), seed=st.integers(0, 100))
     @settings(max_examples=40, deadline=None)
     def test_normalized_path_length_positive(self, num_nodes, seed):
         graph = nx.path_graph(num_nodes)
-        value = normalized_path_length(graph, total_nodes=num_nodes)
+        value = analyze(graph).normalized_path_length(total_nodes=num_nodes)
         assert value > 0
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro import Overlay, SystemConfig
 from repro.errors import GraphError, ProtocolError
-from repro.graphs import fraction_disconnected
 
 
 class TestConstruction:
@@ -94,10 +93,10 @@ class TestSnapshots:
         overlay = Overlay.build(small_trust_graph, small_config, with_churn=False)
         overlay.start()
         overlay.run_until(20.0)
-        snapshot = overlay.snapshot()
-        assert fraction_disconnected(snapshot) == 0.0
+        analysis = overlay.analysis()
+        assert analysis.fraction_disconnected() == 0.0
         # Pseudonym links added beyond the trust edges.
-        assert snapshot.number_of_edges() > small_trust_graph.number_of_edges()
+        assert analysis.snapshot.num_edges > small_trust_graph.number_of_edges()
 
     def test_snapshot_online_only_nodes(self, small_trust_graph, small_config):
         overlay = Overlay.build(small_trust_graph, small_config)

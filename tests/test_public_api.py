@@ -39,7 +39,7 @@ class TestPublicApi:
     def test_readme_quickstart_imports(self):
         from repro import Overlay, SystemConfig  # noqa: F401
         from repro.graphs import (  # noqa: F401
-            fraction_disconnected,
+            SnapshotAnalysis,
             generate_social_graph,
             sample_trust_graph,
         )

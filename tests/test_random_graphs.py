@@ -1,11 +1,10 @@
 """Tests for random-graph baselines."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs import erdos_renyi_gnm, matching_random_graph, random_regular
+from repro.graphs import erdos_renyi_gnm
 
 
 class TestErdosRenyi:
@@ -42,24 +41,3 @@ class TestErdosRenyi:
         b = erdos_renyi_gnm(40, 80, rng=np.random.default_rng(3))
         assert set(a.edges()) == set(b.edges())
 
-
-class TestMatchingRandomGraph:
-    def test_matches_counts(self, rng):
-        reference = nx.path_graph(30)
-        graph = matching_random_graph(reference, rng=rng)
-        assert graph.number_of_nodes() == 30
-        assert graph.number_of_edges() == 29
-
-
-class TestRandomRegular:
-    def test_degrees_uniform(self, rng):
-        graph = random_regular(30, 4, rng=rng)
-        assert all(degree == 4 for _, degree in graph.degree())
-
-    def test_parity_violation_rejected(self, rng):
-        with pytest.raises(GraphError):
-            random_regular(7, 3, rng=rng)
-
-    def test_degree_too_large_rejected(self, rng):
-        with pytest.raises(GraphError):
-            random_regular(5, 5, rng=rng)

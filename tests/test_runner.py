@@ -14,6 +14,8 @@ from repro.experiments import (
     static_churn_metrics,
 )
 
+from .nx_oracle import assert_same_graph
+
 
 @pytest.fixture(scope="module")
 def smoke_inputs():
@@ -31,9 +33,19 @@ class TestRunOverlayExperiment:
         assert 0.0 <= result.disconnected <= 1.0
         assert 0.0 <= result.trust_disconnected <= 1.0
         assert result.full_edge_count > graph.number_of_edges() // 2
-        assert result.snapshot.number_of_nodes() == len(
-            result.overlay.online_ids()
+        assert result.snapshot.num_nodes == len(result.overlay.online_ids())
+
+    def test_snapshots_match_networkx_reference(self, smoke_inputs):
+        """The run's flat snapshots are the overlay's networkx snapshots."""
+        graph, config = smoke_inputs
+        result = run_overlay_experiment(
+            graph, config, horizon=20.0, measure_window=10.0
         )
+        overlay = result.overlay
+        assert_same_graph(result.snapshot, overlay.snapshot())
+        assert_same_graph(result.trust_snapshot, overlay.trust_snapshot())
+        full = overlay.snapshot(online_only=False)
+        assert result.full_edge_count == full.number_of_edges()
 
     def test_overlay_beats_trust_baseline(self, smoke_inputs):
         graph, config = smoke_inputs

@@ -12,7 +12,6 @@ from repro import Overlay
 from repro.attacks import ObserverCoalition, estimate_overlay_size
 from repro.dissemination import AntiEntropyBroadcast
 from repro.experiments import SMOKE, make_config, make_trust_graph
-from repro.graphs import fraction_disconnected
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +39,7 @@ def soaked_system():
 class TestSoak:
     def test_overlay_healthy(self, soaked_system):
         overlay, *_ = soaked_system
-        assert fraction_disconnected(overlay.snapshot()) < 0.15
+        assert overlay.analysis().fraction_disconnected() < 0.15
 
     def test_invariants_hold_everywhere(self, soaked_system):
         overlay, *_ = soaked_system

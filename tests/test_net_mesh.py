@@ -105,6 +105,22 @@ class TestLoopbackMesh:
             assert any("shutdown" in line for line in log)
 
 
+class TestCrossCommitPins:
+    """perfbench's ``mesh_periods`` size (64 nodes, 30 periods), as
+    computed on commit d0eb936 (before the table-driven codec).  The
+    ``mesh-smoke`` CI job asserts the same digest through the CLI."""
+
+    DIGEST = "d92cb7fa19df18d2401f063723f2c806df9741c6027581412277028149384890"
+    FRAMES_OUT = 15115
+
+    def test_64_node_mesh_digest(self):
+        # duration is a float, as the CLI parses it: the digest hashes
+        # its JSON spelling.
+        report = run_loopback_mesh(MeshSpec(num_nodes=64, duration=30.0, seed=1))
+        assert report.digest() == self.DIGEST
+        assert report.counters["frames_out"] == self.FRAMES_OUT
+
+
 class TestUdpMesh:
     def test_small_udp_mesh_bootstraps_and_shuffles(self):
         spec = MeshSpec(

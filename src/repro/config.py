@@ -110,9 +110,10 @@ class SystemConfig:
             raise ConfigError("num_nodes must be at least 2")
         if not 0.0 <= self.sampling_f <= 1.0:
             raise ConfigError("sampling_f must be in [0, 1]")
-        if self.mean_offline_time <= 0:
+        # Negated comparisons, so that NaN (every comparison false) fails.
+        if not self.mean_offline_time > 0:
             raise ConfigError("mean_offline_time must be positive")
-        if self.lifetime_ratio <= 0:
+        if not self.lifetime_ratio > 0:
             raise ConfigError("lifetime_ratio must be positive")
         if self.cache_size < 1:
             raise ConfigError("cache_size must be at least 1")
@@ -124,7 +125,7 @@ class SystemConfig:
             raise ConfigError("min_pseudonym_links must be non-negative")
         if not 0.0 < self.availability < 1.0:
             raise ConfigError("availability must be strictly between 0 and 1")
-        if self.message_latency < 0:
+        if not self.message_latency >= 0:
             raise ConfigError("message_latency must be non-negative")
         if self.sampler_mode not in ("slots", "cache"):
             raise ConfigError(

@@ -44,6 +44,7 @@ ordering contract.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1339,7 +1340,7 @@ class ArenaSlots:
     hubs run with no pseudonym links at all.
     """
 
-    __slots__ = ("_arena", "_row", "_size", "_sample_cache")
+    __slots__ = ("_arena", "_row", "_size", "_sample_cache", "_near")
 
     def __init__(
         self, arena: NodeArena, row: int, size: int, rng: np.random.Generator
@@ -1356,6 +1357,13 @@ class ArenaSlots:
             random_bits(rng, PSEUDONYM_BITS) for _ in range(size)
         ]
         self._sample_cache: Optional[List[Pseudonym]] = None
+        #: ``offer_batch``'s early-out: the references sorted, their
+        #: slot indices, and each slot's distance and occupant expiry as
+        #: lists.  Built from the row on first use; ``_set_key`` keeps
+        #: it in step (see :meth:`_takes_nothing`).
+        self._near: Optional[
+            Tuple[List[int], List[int], List[int], List[float]]
+        ] = None
 
     @property
     def size(self) -> int:
@@ -1405,15 +1413,15 @@ class ArenaSlots:
         row = self._row
         if now < arena.slot_soonest[row]:
             return 0
-        table = arena.pseudonyms
+        ids = arena.slot_ids[row, : self._size]
+        # One gather; an empty slot's -1 reads the last id, unused.
+        expiries = arena.pseudonyms.expires_at[ids].tolist()
         removed = 0
         soonest = math.inf
-        ids = arena.slot_ids[row]
-        for index in range(self._size):
-            pid = int(ids[index])
+        for index, pid in enumerate(ids.tolist()):
             if pid < 0:
                 continue
-            expires = float(table.expires_at[pid])
+            expires = expiries[index]
             if expires <= now:
                 self._clear_slot(index)
                 removed += 1
@@ -1445,8 +1453,19 @@ class ArenaSlots:
         if pid >= 0:
             arena.pseudonyms.release(pid)
         arena.slot_ids[row, index] = -1
-        arena.slot_dist[row, index] = _EMPTY_DISTANCE
-        arena.slot_exp[row, index] = -math.inf
+        self._set_key(index, int(_EMPTY_DISTANCE), -math.inf)
+
+    def _set_key(self, index: int, distance: int, expiry: float) -> None:
+        """Write slot ``index``'s distance and occupant expiry: the row's
+        cells and the early-out's copy of them (the only writer of
+        either after construction, besides :meth:`refresh_distances`)."""
+        row = self._row
+        self._arena.slot_dist[row, index] = distance
+        self._arena.slot_exp[row, index] = expiry
+        near = self._near
+        if near is not None:
+            near[2][index] = distance
+            near[3][index] = expiry
 
     def offer(self, pseudonym: Pseudonym) -> int:
         """Offer one pseudonym to every slot; returns slots replaced."""
@@ -1461,8 +1480,16 @@ class ArenaSlots:
         pseudonym with minimal |value - R|, ties broken by latest
         expiry then earliest batch position.  Returns the number of
         slots whose occupant changed.
+
+        A slot can only change when some received value lies inside its
+        acceptance interval: |value - R| < dist, or |value - R| == dist
+        and the value's expiry is later than the occupant's.  Most
+        receipts bring none (gossip re-delivers what the slots already
+        beat), so :meth:`_takes_nothing` looks first, with about one
+        bisect per value, and those receipts return before any array is
+        built.
         """
-        if self._size == 0 or not pseudonyms:
+        if self._size == 0 or not pseudonyms or self._takes_nothing(pseudonyms):
             return 0
         arena = self._arena
         row = self._row
@@ -1502,9 +1529,8 @@ class ArenaSlots:
             ids[index] = table.intern(candidate)
             if current >= 0:
                 table.release(current)
-            arena.slot_dist[row, index] = int(min_distances[index])
             expiry = float(best_expiries[index])
-            arena.slot_exp[row, index] = expiry
+            self._set_key(index, int(min_distances[index]), expiry)
             if expiry < soonest:
                 soonest = expiry
             changed += 1
@@ -1512,6 +1538,45 @@ class ArenaSlots:
             arena.slot_soonest[row] = soonest
             self._sample_cache = None
         return changed
+
+    def _takes_nothing(self, pseudonyms: Sequence[Pseudonym]) -> bool:
+        """Whether no slot lies within any received value's reach.
+
+        Every slot that takes a value ``v`` has ``|v - R| <= reach``, the
+        largest ``dist`` of the row (an empty slot's sentinel included),
+        so a bisect over the sorted references finds the only slots to
+        test exactly.  Once the slots have converged, ``reach`` is far
+        below the references' spacing and most values have none.
+        """
+        near = self._near
+        if near is None:
+            arena = self._arena
+            row = self._row
+            size = self._size
+            references = arena.slot_refs[row, :size].tolist()
+            slots = sorted(range(size), key=references.__getitem__)
+            near = self._near = (
+                [references[slot] for slot in slots],
+                slots,
+                arena.slot_dist[row, :size].tolist(),
+                arena.slot_exp[row, :size].tolist(),
+            )
+        references, slots, distances, expiries = near
+        reach = max(distances)
+        size = len(references)
+        for pseudonym in pseudonyms:
+            value = pseudonym.value
+            position = bisect_left(references, value - reach)
+            while position < size and references[position] <= value + reach:
+                slot = slots[position]
+                gap = abs(value - references[position])
+                if gap < distances[slot] or (
+                    gap == distances[slot]
+                    and pseudonym.expires_at > expiries[slot]
+                ):
+                    return False
+                position += 1
+        return True
 
     def refresh_distances(self) -> None:
         """Recompute cached distances from entries (defensive resync).
@@ -1540,6 +1605,7 @@ class ArenaSlots:
                     soonest = expires
         arena.slot_soonest[row] = soonest
         self._sample_cache = None
+        self._near = None
 
     def holds(self, pseudonyms: Iterable[Pseudonym]) -> bool:
         """Whether every given pseudonym occupies at least one slot."""
@@ -1681,10 +1747,10 @@ class ArenaLinkSet:
         arena = self._arena
         table = arena.pseudonyms
         new_links = {pseudonym.value: pseudonym for pseudonym in sample}
-        ids = self._ids().tolist()
-        current: Dict[int, int] = {
-            int(table.values[pid]): pid for pid in ids
-        }
+        ids = self._ids()
+        current: Dict[int, int] = dict(
+            zip(table.values[ids].tolist(), ids.tolist())
+        )
         removed = 0
         added = 0
         if len(new_links) != len(current) or new_links.keys() != current.keys():

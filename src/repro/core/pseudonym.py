@@ -87,7 +87,7 @@ def mint_pseudonym(
     function".  Here values are drawn uniformly, which is the ideal the
     hashing construction approximates.
     """
-    if lifetime <= 0:
+    if not lifetime > 0:  # NaN fails too: it would never expire
         raise PseudonymError(f"lifetime must be positive, got {lifetime}")
     expires_at = math.inf if math.isinf(lifetime) else now + lifetime
     return Pseudonym(

@@ -74,7 +74,10 @@ _MAX_PENDING = 16
 _ROUTE_HORIZON = 30.0
 
 #: Frame types that carry no protocol payload (``liveness_out``).
-_LIVENESS = (Hello, HelloAck, Heartbeat, Goodbye)
+_LIVENESS = frozenset((Hello, HelloAck, Heartbeat, Goodbye))
+
+#: The route hint of a token nobody here can route: "no hint".
+_NO_ROUTE = ("", 0)
 
 Inbox = Callable[[Any], None]
 OnlineCheck = Callable[[], bool]
@@ -218,7 +221,7 @@ class NetEndpoint:
     def _send(self, address: Endpoint, message: Any) -> None:
         """Frame and transmit one message; the only way out of here."""
         self.counters["frames_out"] += 1
-        if isinstance(message, _LIVENESS):
+        if type(message) in _LIVENESS:
             self.counters["liveness_out"] += 1
         self._transport.send(address, encode_frame(message))
 
@@ -388,22 +391,30 @@ class NetEndpoint:
 
     def _route_hint(self, token: int) -> Tuple[str, int]:
         route = self._route_for(token)
-        return route if route is not None else ("", 0)
+        return route if route is not None else _NO_ROUTE
 
     def _entries_to_wire(
         self, entries: Tuple[Pseudonym, ...], now: float
     ) -> Tuple[WireEntry, ...]:
+        # One pass; each route hint resolved as ``_route_for`` does.
+        owned = self._owned
+        routes = self._routes
+        directory = self._directory
+        local = self.local_address
         wires = []
         for pseudonym in entries:
             token = pseudonym.address.token
-            host, port = self._route_hint(token)
+            if token in owned:
+                host, port = local
+            else:
+                route = routes.get(token)
+                host, port = (
+                    route[0] if route is not None
+                    else directory.get(token, _NO_ROUTE)
+                )
             wires.append(
                 WireEntry(
-                    value=pseudonym.value,
-                    token=token,
-                    ttl=pseudonym.expires_at - now,
-                    host=host,
-                    port=port,
+                    pseudonym.value, token, pseudonym.expires_at - now, host, port
                 )
             )
         return tuple(wires)
@@ -411,18 +422,16 @@ class NetEndpoint:
     def _entries_from_wire(
         self, wires: Tuple[WireEntry, ...], now: float
     ) -> Tuple[Pseudonym, ...]:
+        owned = self._owned
+        routes = self._routes
         entries = []
-        for wire in wires:
-            expires_at = now + wire.ttl
-            if wire.host and wire.token not in self._owned:
+        for value, token, ttl, host, port in wires:
+            expires_at = now + ttl
+            if host and token not in owned:
                 # The hint is useful exactly as long as the pseudonym.
-                self._routes[wire.token] = ((wire.host, wire.port), expires_at)
+                routes[token] = ((host, port), expires_at)
             entries.append(
-                Pseudonym(
-                    value=wire.value,
-                    address=Address(token=wire.token, kind=ADDRESS_KIND),
-                    expires_at=expires_at,
-                )
+                Pseudonym(value, Address(token, ADDRESS_KIND), expires_at)
             )
         return tuple(entries)
 
@@ -468,115 +477,117 @@ class NetEndpoint:
         if self._closed:
             return
         message = decode_frame(data)
-        if isinstance(message, CodecError):
-            self.counters["codec_rejects"] += 1
-            self._log(f"rejected frame from {source}: {message.code}")
+        self._HANDLERS[type(message)](self, message, source)
+
+    def _on_reject(self, message: CodecError, source: Endpoint) -> None:
+        self.counters["codec_rejects"] += 1
+        self._log(f"rejected frame from {source}: {message.code}")
+
+    def _on_hello(self, message: Hello, source: Endpoint) -> None:
+        address = (message.host, message.port)
+        self._book[message.node_id] = address
+        self._greeted.add(message.node_id)
+        # Only a seed introduces: it is the rendezvous everyone
+        # already shows an address to.  A long book goes out as
+        # several acks, each within the codec's peer-list limit.
+        peers: Tuple[PeerInfo, ...] = ()
+        if not self._bootstrap:
+            peers = tuple(
+                PeerInfo(node_id=node_id, host=host, port=port)
+                for node_id, (host, port) in sorted(self._book.items())
+            )
+        for start in range(0, max(len(peers), 1), _MAX_PEERS):
+            self._send(
+                address,
+                HelloAck(
+                    node_id=self.node_id,
+                    peers=peers[start:start + _MAX_PEERS],
+                ),
+            )
+
+    def _on_hello_ack(self, message: HelloAck, source: Endpoint) -> None:
+        if not self.bootstrapped:
+            self.bootstrapped = True
+            self._log(f"bootstrapped via n{message.node_id}")
+        self._book[message.node_id] = source
+        for peer in message.peers:
+            self._greet(peer.node_id, (peer.host, peer.port))
+
+    def _on_heartbeat(self, message: Heartbeat, source: Endpoint) -> None:
+        self.table.note_heard(message.node_id, source, self._clock.now)
+        if message.reply_wanted:
+            self._send(source, Heartbeat(node_id=self.node_id, seq=self._hb_seq))
+
+    def _on_goodbye(self, message: Goodbye, source: Endpoint) -> None:
+        self._book.pop(message.node_id, None)
+        record = self.table.remove(message.node_id)
+        if record is not None:
+            self._drop_routes_via(record.address)
+            self._log(f"peer n{message.node_id} said goodbye")
+
+    def _on_register(self, message: Register, source: Endpoint) -> None:
+        if message.active:
+            self._directory[message.token] = (message.host, message.port)
+        else:
+            self._directory.pop(message.token, None)
+            self._routes.pop(message.token, None)
+
+    def _on_lookup(self, message: Lookup, source: Endpoint) -> None:
+        route = self._route_for(message.token)
+        reply = LookupReply(
+            token=message.token,
+            found=route is not None,
+            host=route[0] if route is not None else "",
+            port=route[1] if route is not None else 0,
+        )
+        self._send(source, reply)
+
+    def _on_lookup_reply(self, message: LookupReply, source: Endpoint) -> None:
+        queued = self._pending.pop(message.token, [])
+        if not message.found:
+            self.counters["unknown_endpoint_drops"] += len(queued)
             return
+        route = (message.host, message.port)
+        self._routes[message.token] = (route, self._clock.now + _ROUTE_HORIZON)
+        for payload in queued:
+            self._send(route, self._to_wire(payload))
+
+    def _on_offer(self, message: ShuffleOffer, source: Endpoint) -> None:
+        self.counters["shuffle_offers_in"] += 1
         now = self._clock.now
-        if isinstance(message, Hello):
-            address = (message.host, message.port)
-            self._book[message.node_id] = address
-            self._greeted.add(message.node_id)
-            # Only a seed introduces: it is the rendezvous everyone
-            # already shows an address to.  A long book goes out as
-            # several acks, each within the codec's peer-list limit.
-            peers: Tuple[PeerInfo, ...] = ()
-            if not self._bootstrap:
-                peers = tuple(
-                    PeerInfo(node_id=node_id, host=host, port=port)
-                    for node_id, (host, port) in sorted(self._book.items())
-                )
-            for start in range(0, max(len(peers), 1), _MAX_PEERS):
-                self._send(
-                    address,
-                    HelloAck(
-                        node_id=self.node_id,
-                        peers=peers[start:start + _MAX_PEERS],
-                    ),
-                )
-            return
-        if isinstance(message, HelloAck):
-            if not self.bootstrapped:
-                self.bootstrapped = True
-                self._log(f"bootstrapped via n{message.node_id}")
-            self._book[message.node_id] = source
-            for peer in message.peers:
-                self._greet(peer.node_id, (peer.host, peer.port))
-            return
-        if isinstance(message, Heartbeat):
-            self.table.note_heard(message.node_id, source, now)
-            if message.reply_wanted:
-                self._send(
-                    source, Heartbeat(node_id=self.node_id, seq=self._hb_seq)
-                )
-            return
-        if isinstance(message, Goodbye):
-            self._book.pop(message.node_id, None)
-            record = self.table.remove(message.node_id)
-            if record is not None:
-                self._drop_routes_via(record.address)
-                self._log(f"peer n{message.node_id} said goodbye")
-            return
-        if isinstance(message, Register):
-            if message.active:
-                self._directory[message.token] = (message.host, message.port)
-            else:
-                self._directory.pop(message.token, None)
-                self._routes.pop(message.token, None)
-            return
-        if isinstance(message, Lookup):
-            route = self._route_for(message.token)
-            reply = LookupReply(
-                token=message.token,
-                found=route is not None,
-                host=route[0] if route is not None else "",
-                port=route[1] if route is not None else 0,
+        entries = self._entries_from_wire(message.entries, now)
+        if message.reply_node is not None:
+            # An identified offer is a trusted-link frame: it proves
+            # the peer alive as well as any heartbeat.
+            self.table.note_heard(message.reply_node, source, now)
+            request = ShuffleRequest(entries=entries, reply_node=message.reply_node)
+        else:
+            reply_route = (
+                (message.reply_host, message.reply_port)
+                if message.reply_host
+                else source
             )
-            self._send(source, reply)
-            return
-        if isinstance(message, LookupReply):
-            queued = self._pending.pop(message.token, [])
-            if not message.found:
-                self.counters["unknown_endpoint_drops"] += len(queued)
-                return
-            route = (message.host, message.port)
-            self._routes[message.token] = (route, now + _ROUTE_HORIZON)
-            for payload in queued:
-                self._send(route, self._to_wire(payload))
-            return
-        if isinstance(message, ShuffleOffer):
-            self.counters["shuffle_offers_in"] += 1
-            entries = self._entries_from_wire(message.entries, now)
-            if message.reply_node is not None:
-                # An identified offer is a trusted-link frame: it proves
-                # the peer alive as well as any heartbeat.
-                self.table.note_heard(message.reply_node, source, now)
-                request = ShuffleRequest(entries=entries, reply_node=message.reply_node)
-            else:
-                reply_route = (
-                    (message.reply_host, message.reply_port)
-                    if message.reply_host
-                    else source
+            if message.reply_token not in self._owned:
+                self._routes[message.reply_token] = (
+                    reply_route, now + _ROUTE_HORIZON
                 )
-                if message.reply_token not in self._owned:
-                    self._routes[message.reply_token] = (
-                        reply_route, now + _ROUTE_HORIZON
-                    )
-                request = ShuffleRequest(
-                    entries=entries,
-                    reply_address=Address(
-                        token=message.reply_token, kind=ADDRESS_KIND
-                    ),
-                )
-            self._deliver(request)
-            return
-        if isinstance(message, ShuffleReply):
-            self.counters["shuffle_replies_in"] += 1
-            self._deliver(
-                ShuffleResponse(entries=self._entries_from_wire(message.entries, now))
+            request = ShuffleRequest(
+                entries=entries,
+                reply_address=Address(
+                    token=message.reply_token, kind=ADDRESS_KIND
+                ),
             )
-            return
-        # AppPayload — the only remaining type.
+        self._deliver(request)
+
+    def _on_reply(self, message: ShuffleReply, source: Endpoint) -> None:
+        self.counters["shuffle_replies_in"] += 1
+        self._deliver(
+            ShuffleResponse(
+                entries=self._entries_from_wire(message.entries, self._clock.now)
+            )
+        )
+
+    def _on_app_payload(self, message: AppPayload, source: Endpoint) -> None:
         try:
             payload = json.loads(message.body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
@@ -584,3 +595,19 @@ class NetEndpoint:
             self._log(f"rejected app payload from {source}: bad JSON")
             return
         self._deliver(payload)
+
+    #: What ``_on_frame`` does with each decoded type (one dict lookup
+    #: per frame instead of a chain of ``isinstance`` tests).
+    _HANDLERS: Dict[type, Callable[["NetEndpoint", Any, Endpoint], None]] = {
+        CodecError: _on_reject,
+        Hello: _on_hello,
+        HelloAck: _on_hello_ack,
+        Heartbeat: _on_heartbeat,
+        Goodbye: _on_goodbye,
+        Register: _on_register,
+        Lookup: _on_lookup,
+        LookupReply: _on_lookup_reply,
+        ShuffleOffer: _on_offer,
+        ShuffleReply: _on_reply,
+        AppPayload: _on_app_payload,
+    }

@@ -73,6 +73,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["mean_offline_time", "lifetime_ratio", "message_latency"]
+    )
+    def test_nan_rejected(self, field):
+        # NaN passes every "x <= 0" check; it is no duration.
+        with pytest.raises(ConfigError):
+            SystemConfig(**{field: math.nan})
+
     def test_frozen(self):
         config = SystemConfig()
         with pytest.raises(Exception):

@@ -56,3 +56,8 @@ class TestMint:
     def test_invalid_lifetime(self, rng):
         with pytest.raises(PseudonymError):
             mint_pseudonym(rng, Address(1), now=0.0, lifetime=0.0)
+
+    def test_nan_lifetime_rejected(self, rng):
+        # A NaN expiry never compares as reached: it would never expire.
+        with pytest.raises(PseudonymError):
+            mint_pseudonym(rng, Address(1), now=0.0, lifetime=math.nan)

@@ -1,7 +1,8 @@
 """Application-layer data dissemination over the maintained overlay:
-controlled flooding and epidemic push gossip, with coverage/latency
-reporting.  These are the workloads the paper's introduction motivates
-(micro-news, mailing lists, group chat for privacy-sensitive groups).
+controlled flooding and epidemic push gossip on either plane, with
+per-broadcast coverage/latency records.  These are the workloads the
+paper's introduction motivates (micro-news, mailing lists, group chat
+for privacy-sensitive groups).
 """
 
 from .antientropy import AntiEntropyBroadcast, DigestMessage, PushMessage
@@ -18,21 +19,16 @@ from .batch import (
     ChannelSnapshot,
     LedgerRecordView,
 )
-from .coverage import CoverageReport, coverage_report
 from .epidemic import EpidemicBroadcast
-from .flooding import FloodBroadcast
 
 __all__ = [
     "AppMessage",
     "BroadcastRecord",
     "Disseminator",
-    "FloodBroadcast",
     "EpidemicBroadcast",
     "AntiEntropyBroadcast",
     "DigestMessage",
     "PushMessage",
-    "CoverageReport",
-    "coverage_report",
     "build_channel_lists",
     "channel_keys",
     "ChannelSnapshot",

@@ -126,12 +126,6 @@ class BroadcastRecord:
             return None
         return delivered - self.started_at
 
-    def max_latency(self) -> float:
-        """Worst delivery latency across reached nodes."""
-        if not self.delivery_times:
-            return 0.0
-        return max(self.delivery_times.values()) - self.started_at
-
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile delivery latency over reached nodes.
 
@@ -266,42 +260,28 @@ class Disseminator:
             self._adjacency_epoch = epoch
         return self._adjacency
 
-    def _build_adjacency(self) -> Dict[int, list]:
-        """Channel lists at the current instant (uncached build)."""
-        return build_channel_lists(self._overlay)
-
     def _send_along_links(
         self,
         node_id: int,
         message: AppMessage,
-        fanout: Optional[int] = None,
-        selection_key: Optional[int] = None,
-        round_index: int = 0,
+        fanout: Optional[int],
+        selection_key: int,
+        round_index: int,
     ) -> int:
         """Forward ``message`` over a node's bidirectional channels.
 
-        Sends to all channels, or to a subset of ``fanout`` channels —
-        chosen by the shared RNG stream, or, when ``selection_key`` is
-        given, by stateless counter-keyed sampling (the smallest
-        ``fanout`` of the :func:`channel_keys` for this activation),
-        which the batch engine reproduces exactly.  Returns the number
-        of messages sent.
+        Sends to all channels, or to the ``fanout`` channels with the
+        smallest :func:`channel_keys` for this activation (counter-keyed
+        sampling, ties broken by channel index), which the batch engine
+        reproduces exactly.  Returns the number of messages sent.
         """
         if self._adjacency is None:
             self._refresh_adjacency()
         channels = self._adjacency.get(node_id, [])
         if fanout is not None and fanout < len(channels):
-            if selection_key is not None:
-                keys = channel_keys(
-                    selection_key, round_index, node_id, len(channels)
-                )
-                order = np.argsort(keys, kind="stable")
-                channels = [channels[int(index)] for index in order[:fanout]]
-            else:
-                indices = self._rng.choice(
-                    len(channels), size=fanout, replace=False
-                )
-                channels = [channels[int(index)] for index in indices]
+            keys = channel_keys(selection_key, round_index, node_id, len(channels))
+            order = np.argsort(keys, kind="stable")
+            channels = [channels[int(index)] for index in order[:fanout]]
         layer = self._overlay.link_layer
         sent = 0
         for kind, target, _destination in channels:

@@ -1,9 +1,11 @@
 """Columnar dissemination: vectorized frontier rounds at million-message scale.
 
-The object-plane disseminators (:mod:`repro.dissemination.epidemic`,
-:mod:`repro.dissemination.flooding`) run one Python callback per
-message hop, which caps practical runs around 10⁴ deliveries.  This
-module re-states the same protocols as columnar batch kernels:
+The object-plane disseminator
+(:class:`~repro.dissemination.epidemic.EpidemicBroadcast`, which also
+floods) runs one Python callback per message hop, which caps practical
+runs around 10⁴ deliveries.  This module re-states the same protocol,
+with the same ``fanout`` / ``ttl`` / ``infect_forever`` knobs, as
+columnar batch kernels:
 
 * :class:`ChannelSnapshot` compiles the overlay's live bidirectional
   channels — trusted links plus unexpired pseudonym links at *both*
@@ -24,12 +26,11 @@ Exactness contract
 ------------------
 The engine is pinned byte-identical to the object plane (same delivery
 sets, same per-node delivery rounds, same forward counts) when run
-against :class:`~repro.dissemination.epidemic.EpidemicBroadcast` in
-``sampling="counter"`` mode or :class:`FloodBroadcast` over the same
-:class:`ChannelSnapshot`.  The mechanism is counter-keyed sampling
-(:func:`repro.dissemination.base.channel_keys`): each broadcast draws
-*one* 63-bit key from the shared dissemination RNG substream, and every
-activation's channel subset is a pure function of
+against :class:`~repro.dissemination.epidemic.EpidemicBroadcast` with
+the same knobs over the same :class:`ChannelSnapshot`.  The mechanism
+is counter-keyed sampling (:func:`repro.dissemination.base.channel_keys`):
+each broadcast draws *one* 63-bit key from the shared dissemination RNG
+substream, and every activation's channel subset is a pure function of
 ``(key, round, node, channel index)`` — order-independent, so sampling
 a whole frontier at once equals sampling its activations one by one.
 See ``docs/dissemination.md`` for the full contract and its test
@@ -177,9 +178,8 @@ class LedgerRecordView:
     """A lazy, read-only view of one ledger row.
 
     Duck-compatible with
-    :class:`~repro.dissemination.base.BroadcastRecord` (works with
-    :func:`repro.dissemination.coverage.coverage_report`); the time
-    axis is frontier rounds, so latencies are hop counts.
+    :class:`~repro.dissemination.base.BroadcastRecord`; the time axis
+    is frontier rounds, so latencies are hop counts.
     """
 
     __slots__ = ("_ledger", "_row")
@@ -245,18 +245,12 @@ class LedgerRecordView:
 
     def latency_of(self, node_id: int) -> Optional[float]:
         """Delivery latency in rounds (None if never delivered)."""
+        if not 0 <= node_id < self._ledger.num_nodes:
+            return None
         rel = int(self._ledger.delivery_round[self._row, node_id])
         if rel < 0:
             return None
         return float(rel)
-
-    def max_latency(self) -> float:
-        """Worst delivery latency (rounds) across reached nodes."""
-        row = self._ledger.delivery_round[self._row]
-        reached = row[row >= 0]
-        if not len(reached):
-            return 0.0
-        return float(reached.max())
 
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile delivery latency over reached nodes."""
@@ -427,7 +421,7 @@ class BatchBroadcastEngine:
         Source of per-broadcast 63-bit sampling keys; required in
         fanout mode.  Pass ``overlay.substream("dissemination")`` to
         draw the *same* key sequence as an object-plane
-        ``EpidemicBroadcast(sampling="counter")``, or
+        ``EpidemicBroadcast`` with a finite fanout, or
         ``RandomStreams(seed).substream("aux", "dissemination")`` to
         reproduce it from scratch beside a ``BatchOverlay``.
     online:
@@ -532,8 +526,8 @@ class BatchBroadcastEngine:
         """Open one broadcast per origin; returns their message ids.
 
         Keys are drawn one per broadcast in origin order — the same
-        stream consumption as an object-plane counter-mode
-        ``broadcast()`` loop over the same origins.
+        stream consumption as an object-plane ``broadcast()`` loop over
+        the same origins.
         """
         origin_ids = np.asarray(origins, dtype=np.int64)
         if payloads is not None and len(payloads) != len(origin_ids):

@@ -1,8 +1,12 @@
-"""Epidemic (push-gossip) dissemination over the overlay.
+"""Controlled flooding and epidemic (push-gossip) dissemination.
 
-Instead of flooding every link, each infected node pushes the message
-to ``fanout`` overlay links chosen uniformly at random.  Two classic
-variants are provided:
+Every infected node forwards the message over its overlay channels
+until the hop budget (TTL) is exhausted.  With ``fanout=None`` it
+forwards over *all* of them — controlled flooding, which on a
+connected, low-diameter overlay (exactly what the maintenance protocol
+produces) reaches everyone within a small TTL.  With a finite fanout it
+pushes to ``fanout`` channels per activation, in one of two classic
+variants:
 
 * **infect-forever** — every duplicate receipt triggers another round
   of pushes up to the hop limit; robust but chattier.
@@ -11,19 +15,17 @@ variants are provided:
   graph (Erdős–Rényi-style gossip needs fanout ≈ ln N for full
   coverage, which the experiments demonstrate).
 
-Fanout sampling comes in two flavours.  ``sampling="stream"`` (the
-default) draws each activation's channel subset from the shared
-dissemination RNG stream, exactly as previous releases did.
-``sampling="counter"`` instead draws one 63-bit key per broadcast and
-derives every activation's subset statelessly from
-(key, round, node, channel index) — order-independent sampling that
+Fanout sampling is counter-keyed: each broadcast draws one 63-bit key
+from the dissemination RNG stream, and every activation's channel
+subset is derived statelessly from (key, round, node, channel index) —
+order-independent sampling that
 :class:`~repro.dissemination.batch.BatchBroadcastEngine` reproduces
-byte-identically over whole frontiers at once.
+byte-identically over whole frontiers at once.  A flood draws no key.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from ..core import Overlay
 from ..errors import DisseminationError
@@ -34,78 +36,58 @@ __all__ = ["EpidemicBroadcast"]
 
 
 class EpidemicBroadcast(Disseminator):
-    """Random-fanout push gossip.
+    """Duplicate-suppressed flooding or random-fanout push gossip.
 
     Parameters
     ----------
     overlay:
-        The substrate.
+        The substrate.  The disseminator must be :meth:`install`-ed
+        before broadcasting.
     fanout:
-        Links pushed to per activation.
+        Channels pushed per activation; ``None`` floods every channel.
     ttl:
         Maximum hops from the origin.
     infect_forever:
         When True, duplicates re-trigger pushes (bounded by ``ttl``);
-        when False (default), only the first receipt pushes.
-    sampling:
-        ``"stream"`` (default) draws subsets from the dissemination RNG
-        stream per activation; ``"counter"`` draws one key per
-        broadcast and samples statelessly per activation (the mode the
-        batch engine mirrors exactly).
+        when False (default), only the first receipt pushes.  A flood
+        always suppresses duplicates.
     """
 
     def __init__(
         self,
         overlay: Overlay,
-        fanout: int = 4,
+        fanout: Optional[int] = 4,
         ttl: int = 12,
         infect_forever: bool = False,
-        sampling: str = "stream",
     ) -> None:
         super().__init__(overlay)
-        if fanout < 1:
+        if fanout is not None and fanout < 1:
             raise DisseminationError("fanout must be at least 1")
         if ttl < 1:
             raise DisseminationError("ttl must be at least 1")
-        if sampling not in ("stream", "counter"):
-            raise DisseminationError(
-                f"sampling must be 'stream' or 'counter', got {sampling!r}"
-            )
+        if fanout is None and infect_forever:
+            raise DisseminationError("infect_forever requires a finite fanout")
         self._fanout = fanout
         self._ttl = ttl
         self._infect_forever = infect_forever
-        self._sampling = sampling
         self._broadcast_keys: Dict[int, int] = {}
 
     @property
-    def fanout(self) -> int:
-        """Pushes per activation."""
+    def fanout(self) -> Optional[int]:
+        """Pushes per activation (``None``: flood every channel)."""
         return self._fanout
 
-    @property
-    def sampling(self) -> str:
-        """The fanout-sampling mode (``"stream"`` or ``"counter"``)."""
-        return self._sampling
-
-    def broadcast_key(self, message_id: int) -> int:
-        """The counter-sampling key of one broadcast (counter mode only)."""
-        try:
-            return self._broadcast_keys[message_id]
-        except KeyError:
-            raise DisseminationError(
-                f"no broadcast key for message id {message_id}"
-            ) from None
-
     def broadcast(self, origin_id: int, payload: Any) -> BroadcastRecord:
-        """Start an epidemic from ``origin_id`` (must be online)."""
-        origin = self.overlay.nodes[origin_id]
-        if not origin.online:
+        """Start a broadcast from ``origin_id`` (must be online)."""
+        if not 0 <= origin_id < len(self.overlay.nodes):
+            raise DisseminationError(f"origin {origin_id} out of range")
+        if not self.overlay.nodes[origin_id].online:
             raise DisseminationError(f"origin node {origin_id} is offline")
         record = self._new_record(origin_id)
-        if self._sampling == "counter":
-            # The broadcast's single stream draw; everything downstream
-            # is derived from this key statelessly.
-            self._broadcast_keys[record.message_id] = random_bits(self._rng, 63)
+        # The broadcast's single stream draw; every sampled subset
+        # downstream is derived from this key statelessly.
+        key = 0 if self._fanout is None else random_bits(self._rng, 63)
+        self._broadcast_keys[record.message_id] = key
         message = AppMessage(
             message_id=record.message_id, payload=payload, hops_left=self._ttl
         )
@@ -113,16 +95,11 @@ class EpidemicBroadcast(Disseminator):
         return record
 
     def _push(self, node_id: int, message: AppMessage) -> None:
-        """Forward one activation with the configured sampling mode."""
-        if self._sampling == "counter":
-            key = self._broadcast_keys.get(message.message_id)
-        else:
-            key = None
         self._send_along_links(
             node_id,
             message,
             fanout=self._fanout,
-            selection_key=key,
+            selection_key=self._broadcast_keys[message.message_id],
             round_index=self._ttl - message.hops_left,
         )
 

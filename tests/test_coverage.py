@@ -1,9 +1,8 @@
-"""Tests for broadcast coverage reporting."""
+"""Tests for broadcast coverage and latency, read off the record."""
 
 import pytest
 
-from repro.dissemination import BroadcastRecord, coverage_report
-from repro.errors import DisseminationError
+from repro.dissemination import BroadcastRecord
 
 
 class TestBroadcastRecord:
@@ -20,10 +19,19 @@ class TestBroadcastRecord:
         record = BroadcastRecord(1, origin=0, started_at=10.0)
         record.delivery_times[1] = 12.0
         record.delivery_times[2] = 15.0
-        assert record.max_latency() == pytest.approx(5.0)
+        assert record.latency_percentile(100.0) == pytest.approx(5.0)
+
+
+def _audience_latencies(record, audience):
+    """Latencies of the audience members the broadcast reached."""
+    latencies = [record.latency_of(node) for node in audience]
+    return [latency for latency in latencies if latency is not None]
 
 
 class TestCoverageReport:
+    """Coverage of a target audience is the share of it whose
+    ``latency_of`` is not None; no separate report type exists."""
+
     def _record(self):
         record = BroadcastRecord(7, origin=0, started_at=10.0)
         record.delivery_times[1] = 11.0
@@ -32,32 +40,19 @@ class TestCoverageReport:
         return record
 
     def test_full_population(self):
-        report = coverage_report(self._record(), [0, 1, 2])
-        assert report.reached == 3
-        assert report.coverage == 1.0
-        assert report.forwards == 9
+        record = self._record()
+        assert len(_audience_latencies(record, [0, 1, 2])) == 3
+        assert record.coverage(3) == 1.0
+        assert record.forwards == 9
 
     def test_partial_population(self):
-        report = coverage_report(self._record(), [0, 1, 2, 3, 4])
-        assert report.reached == 3
-        assert report.coverage == pytest.approx(0.6)
+        reached = _audience_latencies(self._record(), [0, 1, 2, 3, 4])
+        assert len(reached) / 5 == pytest.approx(0.6)
 
     def test_latency_statistics(self):
-        report = coverage_report(self._record(), [1, 2])
-        assert report.mean_latency == pytest.approx(1.5)
-        assert report.max_latency == pytest.approx(2.0)
-        assert report.p95_latency <= report.max_latency
+        reached = _audience_latencies(self._record(), [1, 2])
+        assert sum(reached) / len(reached) == pytest.approx(1.5)
+        assert max(reached) == pytest.approx(2.0)
 
     def test_unreached_population(self):
-        report = coverage_report(self._record(), [8, 9])
-        assert report.reached == 0
-        assert report.coverage == 0.0
-        assert report.mean_latency == 0.0
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(DisseminationError):
-            coverage_report(self._record(), [])
-
-    def test_str(self):
-        text = str(coverage_report(self._record(), [0, 1, 2]))
-        assert "reached 3/3" in text
+        assert _audience_latencies(self._record(), [8, 9]) == []

@@ -23,9 +23,7 @@ from repro.dissemination import (
     BroadcastRecord,
     ChannelSnapshot,
     EpidemicBroadcast,
-    FloodBroadcast,
     build_channel_lists,
-    coverage_report,
 )
 from repro.errors import DisseminationError
 from repro.experiments import SMOKE, make_config, make_trust_graph
@@ -94,9 +92,7 @@ class TestDifferentialExactness:
             (smoke, 40, 4, 8),
         ):
             overlay = _instant_overlay(graph, config)
-            disseminator = EpidemicBroadcast(
-                overlay, fanout=fanout, ttl=ttl, sampling="counter"
-            )
+            disseminator = EpidemicBroadcast(overlay, fanout=fanout, ttl=ttl)
             disseminator.install()
             origins = _online_origins(overlay, count)
             records = _object_broadcasts(overlay, disseminator, origins)
@@ -119,7 +115,7 @@ class TestDifferentialExactness:
     def test_epidemic_infect_forever(self, small_trust_graph, small_config):
         overlay = _instant_overlay(small_trust_graph, small_config)
         disseminator = EpidemicBroadcast(
-            overlay, fanout=3, ttl=5, infect_forever=True, sampling="counter"
+            overlay, fanout=3, ttl=5, infect_forever=True
         )
         disseminator.install()
         origins = _online_origins(overlay, 4)
@@ -145,7 +141,6 @@ class TestDifferentialExactness:
             fanout=3,
             ttl=5,
             infect_forever=infect_forever,
-            sampling="counter",
         )
         disseminator.install()
         origins = _online_origins(overlay, 4)
@@ -161,7 +156,7 @@ class TestDifferentialExactness:
 
     def test_flooding(self, small_trust_graph, small_config):
         overlay = _instant_overlay(small_trust_graph, small_config)
-        flood = FloodBroadcast(overlay, ttl=6)
+        flood = EpidemicBroadcast(overlay, fanout=None, ttl=6)
         flood.install()
         origins = _online_origins(overlay, 5)
         records = _object_broadcasts(overlay, flood, origins)
@@ -178,7 +173,7 @@ class TestDifferentialExactness:
         """ttl=1: the frontier dies immediately after the first hop —
         nobody reached at round 1 may forward (object and batch)."""
         overlay = _instant_overlay(small_trust_graph, small_config)
-        flood = FloodBroadcast(overlay, ttl=1)
+        flood = EpidemicBroadcast(overlay, fanout=None, ttl=1)
         flood.install()
         origins = _online_origins(overlay, 3)
         records = _object_broadcasts(overlay, flood, origins)
@@ -225,9 +220,7 @@ class TestChurnInterleaved:
         them are dropped at delivery time (so the unreached victim also
         never forwards), and both planes agree on the shrunken cascade."""
         overlay = self._frozen_overlay(small_trust_graph, small_config)
-        disseminator = EpidemicBroadcast(
-            overlay, fanout=3, ttl=4, sampling="counter"
-        )
+        disseminator = EpidemicBroadcast(overlay, fanout=3, ttl=4)
         disseminator.install()
         snapshot = ChannelSnapshot.from_overlay(overlay)
         online = np.array([node.online for node in overlay.nodes], dtype=bool)
@@ -317,7 +310,7 @@ class TestFrontierCollisions:
         """The dense conftest graph produces same-round collisions
         naturally; ttl=2 floods still match the object plane exactly."""
         overlay = _instant_overlay(small_trust_graph, small_config)
-        flood = FloodBroadcast(overlay, ttl=2)
+        flood = EpidemicBroadcast(overlay, fanout=None, ttl=2)
         flood.install()
         origins = _online_origins(overlay, 4)
         records = _object_broadcasts(overlay, flood, origins)
@@ -352,9 +345,7 @@ class TestAdjacencyCache:
         self, small_trust_graph, small_config
     ):
         overlay = _instant_overlay(small_trust_graph, small_config)
-        disseminator = EpidemicBroadcast(
-            overlay, fanout=3, ttl=4, sampling="counter"
-        )
+        disseminator = EpidemicBroadcast(overlay, fanout=3, ttl=4)
         disseminator.install()
         origins = _online_origins(overlay, 2)
         disseminator.broadcast(origins[0], payload=None)
@@ -366,9 +357,7 @@ class TestAdjacencyCache:
 
     def test_link_mutation_invalidates(self, small_trust_graph, small_config):
         overlay = _instant_overlay(small_trust_graph, small_config)
-        disseminator = EpidemicBroadcast(
-            overlay, fanout=3, ttl=4, sampling="counter"
-        )
+        disseminator = EpidemicBroadcast(overlay, fanout=3, ttl=4)
         disseminator.install()
         origin = _online_origins(overlay, 1)[0]
         disseminator.broadcast(origin, payload=None)
@@ -377,14 +366,6 @@ class TestAdjacencyCache:
         overlay.run_until(overlay.sim.now + 2.0)  # gossip mutates links
         disseminator.broadcast(origin, payload=None)
         assert disseminator._adjacency is not stale
-
-    def test_uncached_build_matches_cache(
-        self, small_trust_graph, small_config
-    ):
-        overlay = _instant_overlay(small_trust_graph, small_config)
-        disseminator = EpidemicBroadcast(overlay, fanout=3, ttl=4)
-        disseminator.install()
-        assert disseminator._build_adjacency() == build_channel_lists(overlay)
 
 
 class TestSnapshotBuilders:
@@ -482,9 +463,7 @@ class TestLedgerAndViews:
         """coverage()/latency_percentile() agree between BroadcastRecord
         and LedgerRecordView on identical broadcasts."""
         overlay = _instant_overlay(small_trust_graph, small_config)
-        disseminator = EpidemicBroadcast(
-            overlay, fanout=3, ttl=6, sampling="counter"
-        )
+        disseminator = EpidemicBroadcast(overlay, fanout=3, ttl=6)
         disseminator.install()
         origin = _online_origins(overlay, 1)[0]
         record = disseminator.broadcast(origin, payload=None)
@@ -508,21 +487,9 @@ class TestLedgerAndViews:
                 bad.latency_percentile(101.0)
             with pytest.raises(DisseminationError):
                 bad.latency_percentile(-1.0)
-
-    def test_coverage_report_accepts_view(
-        self, small_trust_graph, small_config
-    ):
-        """LedgerRecordView is duck-compatible with the coverage
-        reporting built for BroadcastRecord."""
-        overlay = _instant_overlay(small_trust_graph, small_config)
-        view = _engine_for(overlay, fanout=3, ttl=6).broadcast(
-            _online_origins(overlay, 1)[0]
-        )
-        targets = [node.node_id for node in overlay.nodes if node.online]
-        report = coverage_report(view, targets)
-        assert report.reached <= len(targets)
-        assert report.forwards == view.forwards
-        assert report.message_id == view.message_id
+            # Ids outside [0, num_nodes) were never reached.
+            assert bad.latency_of(-1) is None
+            assert bad.latency_of(num_nodes) is None
 
 
 class TestEngineValidation:
@@ -595,4 +562,49 @@ class TestEngineValidation:
         assert view.payload == "hello"
         assert view.latency_of(1) == 1.0
         assert view.latency_of(0) == 0.0
-        assert view.max_latency() == 1.0
+        assert view.latency_percentile(100.0) == 1.0
+
+
+class TestBothPlanesRefuseBadInput:
+    """Both planes refuse the same bad origins and knob values."""
+
+    @pytest.mark.parametrize("plane", ["object", "batch"])
+    @pytest.mark.parametrize(
+        "knobs, origin",
+        [
+            pytest.param({}, "minus-one", id="origin-minus-one"),
+            pytest.param({}, "num-nodes", id="origin-num-nodes"),
+            pytest.param({}, "offline", id="offline-origin"),
+            pytest.param({"fanout": 0}, "online", id="fanout-0"),
+            pytest.param({"ttl": 0}, "online", id="ttl-0"),
+            pytest.param(
+                {"fanout": None, "infect_forever": True},
+                "online",
+                id="flood-infect-forever",
+            ),
+        ],
+    )
+    def test_refused(
+        self, small_trust_graph, small_config, plane, knobs, origin
+    ):
+        # Without churn every node is online, so origin -1 names an
+        # online node (the last) unless the range check catches it.
+        overlay = _instant_overlay(
+            small_trust_graph, small_config, with_churn=False
+        )
+        overlay.nodes[7].go_offline()
+        assert overlay.nodes[-1].online
+        origin_id = {
+            "minus-one": -1,
+            "num-nodes": len(overlay.nodes),
+            "offline": 7,
+            "online": 0,
+        }[origin]
+        knobs = {"fanout": 3, "ttl": 4, **knobs}
+        with pytest.raises(DisseminationError):
+            if plane == "object":
+                disseminator = EpidemicBroadcast(overlay, **knobs)
+                disseminator.install()
+            else:
+                disseminator = _engine_for(overlay, **knobs)
+            disseminator.broadcast(origin_id, payload=None)

@@ -3,13 +3,13 @@
 import pytest
 
 from repro import Overlay
-from repro.dissemination import FloodBroadcast
+from repro.dissemination import EpidemicBroadcast, build_channel_lists
 
 
 class TestChannelAdjacency:
     def _ready(self, graph, config, warmup=10.0):
         overlay = Overlay.build(graph, config, with_churn=False)
-        flood = FloodBroadcast(overlay, ttl=8)
+        flood = EpidemicBroadcast(overlay, fanout=None, ttl=8)
         flood.install()
         overlay.start()
         overlay.run_until(warmup)
@@ -21,7 +21,7 @@ class TestChannelAdjacency:
         """Every snapshot edge appears as a channel on at least one end,
         and the channel graph has no edges the snapshot lacks."""
         overlay, flood = self._ready(small_trust_graph, small_config)
-        adjacency = flood._build_adjacency()
+        adjacency = build_channel_lists(overlay)
         snapshot = overlay.snapshot(online_only=False)
 
         channel_pairs = set()
@@ -41,7 +41,7 @@ class TestChannelAdjacency:
 
     def test_reverse_channels_present(self, small_trust_graph, small_config):
         overlay, flood = self._ready(small_trust_graph, small_config)
-        adjacency = flood._build_adjacency()
+        adjacency = build_channel_lists(overlay)
         kinds = {
             kind
             for channels in adjacency.values()

@@ -28,7 +28,8 @@ PAIRS = {
         ("BatchBroadcastEngine.broadcast", "EpidemicBroadcast.broadcast",
          ("origin_id", "payload")),
     ]),
-    # coverage_report reads either plane's records
+    # the one record surface: the examples and perfbench's broadcast_waves
+    # check read either plane's records through it
     "broadcast-ledger": ("repro.dissemination.batch", "repro.dissemination.base", [
         ("LedgerRecordView.latency_of", "BroadcastRecord.latency_of", ("node_id",)),
         ("LedgerRecordView.coverage", "BroadcastRecord.coverage", ("num_nodes",)),

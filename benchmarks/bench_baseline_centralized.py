@@ -17,7 +17,7 @@ directory:
 from repro.baselines import CentralizedOverlay
 from repro.core import Overlay
 from repro.experiments import format_table, make_config, make_trust_graph
-from repro.graphs import FlatSnapshot, SnapshotAnalysis
+from repro.graphs import SnapshotAnalysis
 from repro.metrics import MetricsCollector
 
 from conftest import SEED, emit
@@ -45,7 +45,7 @@ class TestCentralizedBaseline:
                 "gossip_stable": gossip_collector.disconnected.tail_mean(0.25),
                 "gossip_messages": gossip.stats().messages_sent,
                 "central_stable": SnapshotAnalysis(
-                    FlatSnapshot.from_networkx(central.snapshot())
+                    central.snapshot()
                 ).fraction_disconnected(),
                 "central_messages": central.messages_sent,
                 "breach": central.directory.breach(),

@@ -9,6 +9,8 @@ and compares the damage, and also reports single-point-of-failure
 statistics (articulation ratio) for both.
 """
 
+import numpy as np
+
 from repro.analysis import articulation_ratio, targeted_failure_curve
 from repro.experiments import (
     format_table,
@@ -41,12 +43,8 @@ class TestCelebrityAttack:
             # The attacker compromises the same celebrity *users* in
             # both topologies: removal follows the trust graph's hub
             # order everywhere.
-            hub_order = [
-                node
-                for node, _ in sorted(
-                    trust_graph.degree(), key=lambda pair: (-pair[1], pair[0])
-                )
-            ]
+            labels = trust_graph.node_ids
+            hub_order = labels[np.lexsort((labels, -trust_graph.degrees()))].tolist()
             trust_points = targeted_failure_curve(
                 trust_graph,
                 fractions=_FRACTIONS,

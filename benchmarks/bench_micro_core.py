@@ -92,7 +92,7 @@ class TestSnapshotMicro:
 
     def test_bench_fraction_disconnected(self, benchmark):
         overlay = self._converged_overlay()
-        snapshot = overlay.snapshot_fast()
+        snapshot = overlay.snapshot()
         # A fresh analysis per call: the labeling is cached per instance.
         result = benchmark(lambda: SnapshotAnalysis(snapshot).fraction_disconnected())
         assert 0.0 <= result <= 1.0

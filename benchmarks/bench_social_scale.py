@@ -51,6 +51,14 @@ def _peak_rss_bytes():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
+def _clustering(num_nodes, sources, targets):
+    """networkx's average clustering of the graph with these edges."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(num_nodes))
+    graph.add_edges_from(zip(sources.tolist(), targets.tolist()))
+    return nx.average_clustering(graph)
+
+
 def _measure(num_nodes):
     """Build one source graph and reduce it to the bench's columns.
 
@@ -73,14 +81,10 @@ def _measure(num_nodes):
     )
     clustering = gnm_clustering = None
     if num_nodes <= _CLUSTERING_MAX_NODES:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
         sources = np.repeat(np.arange(num_nodes), degree)
-        graph.add_edges_from(zip(sources.tolist(), indices.tolist()))
-        clustering = nx.average_clustering(graph)
-        gnm_clustering = nx.average_clustering(
-            erdos_renyi_gnm(num_nodes, edges, rng=RandomStreams(SEED).substream("gnm"))
-        )
+        clustering = _clustering(num_nodes, sources, indices)
+        gnm = erdos_renyi_gnm(num_nodes, edges, rng=RandomStreams(SEED).substream("gnm"))
+        gnm_clustering = _clustering(num_nodes, gnm.edge_u, gnm.edge_v)
     digest = hashlib.sha256(indptr)
     digest.update(indices)
     return {

@@ -13,6 +13,7 @@ different trust graphs of matched size:
 """
 
 import networkx as nx
+import numpy as np
 
 from repro.experiments import (
     format_table,
@@ -20,7 +21,11 @@ from repro.experiments import (
     make_trust_graph,
     run_overlay_experiment,
 )
-from repro.graphs import generate_community_social_graph, sample_trust_graph
+from repro.graphs import (
+    FlatSnapshot,
+    generate_community_social_graph,
+    sample_trust_graph,
+)
 from repro.rng import RandomStreams
 
 from conftest import SEED, emit
@@ -46,8 +51,10 @@ def _substrates(scale):
         rng=streams.substream("community-sample"),
     )
 
-    substrates["small-world"] = nx.connected_watts_strogatz_graph(
-        scale.num_nodes, 8, 0.1, seed=SEED
+    small_world = nx.connected_watts_strogatz_graph(scale.num_nodes, 8, 0.1, seed=SEED)
+    ends = np.array(small_world.edges())
+    substrates["small-world"] = FlatSnapshot.from_edge_positions(
+        np.arange(scale.num_nodes), ends[:, 0], ends[:, 1]
     )
     return substrates
 

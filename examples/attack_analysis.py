@@ -17,6 +17,8 @@ system:
 Run with:  python examples/attack_analysis.py
 """
 
+import numpy as np
+
 from repro import Overlay, SystemConfig
 from repro.attacks import (
     ObserverCoalition,
@@ -25,7 +27,7 @@ from repro.attacks import (
     estimate_overlay_size,
     run_link_detection_trials,
 )
-from repro.graphs import generate_social_graph, sample_trust_graph
+from repro.graphs import FlatSnapshot, generate_social_graph, sample_trust_graph
 from repro.privlink import TrafficLog, make_mixnet_link_layer
 from repro.rng import RandomStreams
 
@@ -82,11 +84,12 @@ def main() -> None:
 
     # 3b. Vertex-cut flow control (III-E3), on a purpose-built topology.
     print("\n3b. vertex-cut flow control (paper III-E3)")
-    import networkx as nx
-
     from repro.attacks import install_flow_control, measure_flow_control
 
-    barbell = nx.barbell_graph(12, 0)  # two cliques joined at 11-12
+    # Two 12-cliques joined by the single edge 11-12.
+    clique = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    ends = np.array(clique + [(u + 12, v + 12) for u, v in clique] + [(11, 12)])
+    barbell = FlatSnapshot.from_edge_positions(np.arange(24), ends[:, 0], ends[:, 1])
     cut_config = SystemConfig(
         num_nodes=24,
         availability=0.9,

@@ -21,7 +21,7 @@ from repro.rng import RandomStreams
 
 def report(overlay, label):
     disconnected = overlay.analysis().fraction_disconnected()
-    trust = SnapshotAnalysis(overlay.trust_snapshot_fast()).fraction_disconnected()
+    trust = SnapshotAnalysis(overlay.trust_snapshot()).fraction_disconnected()
     print(
         f"{label:>28}: {len(overlay.nodes):3d} members, "
         f"{len(overlay.online_ids()):3d} online, "

@@ -49,7 +49,7 @@ def main() -> None:
 
     # 4. Compare the overlay against the bare trust graph.
     online = overlay.online_ids()
-    trust = SnapshotAnalysis(overlay.trust_snapshot_fast())
+    trust = SnapshotAnalysis(overlay.trust_snapshot())
     print(f"\nonline nodes: {len(online)} / {config.num_nodes}")
     print(
         "disconnected from the largest component:\n"

@@ -11,12 +11,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..config import SystemConfig
 from ..core import Overlay
 from ..errors import ExperimentError
+from ..graphs import FlatSnapshot
 from ..metrics import MetricsCollector
 
 __all__ = ["ConvergenceSummary", "measure_convergence"]
@@ -71,7 +71,7 @@ class ConvergenceSummary:
 
 
 def measure_convergence(
-    trust_graph: nx.Graph,
+    trust_graph: FlatSnapshot,
     config: SystemConfig,
     seeds: Sequence[int],
     threshold: float = 0.05,

@@ -11,8 +11,8 @@ distribution is near-uniform — and this module quantifies that:
 * :func:`articulation_ratio` — fraction of nodes whose removal
   disconnects the graph (single points of failure).
 
-Both are pure graph analyses of an integer-labeled snapshot such as
-:meth:`repro.core.Overlay.snapshot`.
+Both are pure graph analyses of a :class:`~repro.graphs.FlatSnapshot`
+such as :meth:`repro.core.Overlay.snapshot`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..errors import GraphError
@@ -45,7 +44,7 @@ class FailurePoint:
 
 
 def targeted_failure_curve(
-    graph: nx.Graph,
+    graph: FlatSnapshot,
     fractions: Sequence[float] = (0.0, 0.05, 0.1, 0.2, 0.3),
     strategy: str = "degree",
     rng: Optional[np.random.Generator] = None,
@@ -56,8 +55,7 @@ def targeted_failure_curve(
     Parameters
     ----------
     graph:
-        The graph under attack (not modified), labeled by non-negative
-        integers; other labels raise :class:`GraphError`.
+        The graph under attack (not modified).
     fractions:
         Cumulative node fractions to remove, in increasing order.
     strategy:
@@ -87,28 +85,25 @@ def targeted_failure_curve(
     total = graph.number_of_nodes()
     if total == 0:
         raise GraphError("graph is empty")
-    base = FlatSnapshot.from_networkx(graph)
+    labels = graph.node_ids
 
     if strategy == "degree":
-        order = [
-            node
-            for node, _ in sorted(
-                graph.degree(), key=lambda pair: (-pair[1], pair[0])
-            )
-        ]
+        # Highest degree first, ties toward the smaller label.
+        order = labels[np.lexsort((labels, -graph.degrees()))].tolist()
     elif strategy == "custom":
         if removal_order is None:
             raise GraphError("strategy='custom' requires removal_order")
-        order = [node for node in removal_order if node in graph]
+        present = set(labels.tolist())
+        order = [node for node in removal_order if node in present]
         if len(order) < int(max(fractions, default=0.0) * total):
             raise GraphError("removal_order too short for requested fractions")
     else:
         if rng is None:
             rng = fallback_rng("analysis.robustness.failure")
-        order = list(graph.nodes())
+        order = labels.tolist()
         rng.shuffle(order)
 
-    keep = np.ones(int(base.node_ids[-1]) + 1, dtype=bool)
+    keep = np.ones(int(labels[-1]) + 1, dtype=bool)
     points: List[FailurePoint] = []
     removed_so_far = 0
     for fraction in fractions:
@@ -120,7 +115,7 @@ def targeted_failure_curve(
         if survivors == 0:
             points.append(FailurePoint(fraction, removed_so_far, 1.0, 0.0))
             continue
-        analysis = SnapshotAnalysis(base.induced_by_labels(keep))
+        analysis = SnapshotAnalysis(graph.induced_by_labels(keep))
         disconnected = analysis.fraction_disconnected()
         largest = (1.0 - disconnected) * survivors / total
         points.append(
@@ -134,21 +129,51 @@ def targeted_failure_curve(
     return points
 
 
-def articulation_ratio(graph: nx.Graph) -> float:
+def articulation_ratio(graph: FlatSnapshot) -> float:
     """Fraction of nodes that are articulation points (cut vertices).
 
     High ratios mean many single points of failure — typical of trust
-    graphs, rare in the rewired overlay.
+    graphs, rare in the rewired overlay.  One iterative depth-first
+    search per component over the CSR rows (Hopcroft–Tarjan low
+    points): a non-root node is a cut vertex when some child's subtree
+    reaches no higher than the node itself, a root when it has two or
+    more children.
     """
     total = graph.number_of_nodes()
     if total == 0:
         raise GraphError("graph is empty")
-    if total == 1:
-        return 0.0
-    # Articulation points are defined per connected component.
-    count = 0
-    for component in nx.connected_components(graph):
-        subgraph = graph.subgraph(component)
-        count += sum(1 for _ in nx.articulation_points(subgraph))
-    return count / total
-
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    discovered = [-1] * total
+    low = [0] * total
+    cut = [False] * total
+    clock = 0
+    for root in range(total):
+        if discovered[root] >= 0:
+            continue
+        discovered[root] = low[root] = clock
+        clock += 1
+        root_children = 0
+        # (node, its DFS parent, next row offset to scan)
+        stack = [(root, -1, indptr[root])]
+        while stack:
+            node, parent, offset = stack[-1]
+            if offset < indptr[node + 1]:
+                stack[-1] = (node, parent, offset + 1)
+                child = indices[offset]
+                if discovered[child] < 0:
+                    discovered[child] = low[child] = clock
+                    clock += 1
+                    stack.append((child, node, indptr[child]))
+                elif child != parent:
+                    low[node] = min(low[node], discovered[child])
+                continue
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent >= 0:
+                low[parent] = min(low[parent], low[node])
+                if low[node] >= discovered[parent]:
+                    cut[parent] = True
+        cut[root] = root_children > 1
+    return sum(cut) / total

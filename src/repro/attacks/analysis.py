@@ -13,9 +13,8 @@ learn from its *position in the trust graph*:
   a-b overlay connectivity must be a trust edge (III-E3).
 
 These are graph-theoretic statements, so this module answers them with
-graph algorithms over the trust graph, no simulation required.  Trust
-graphs are labeled by non-negative integers; any other label raises
-:class:`~repro.errors.GraphError`.
+graph algorithms over the trust graph (a
+:class:`~repro.graphs.FlatSnapshot`), no simulation required.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ExperimentError
@@ -32,17 +30,19 @@ from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 __all__ = ["CoalitionExposure", "is_vertex_cut", "cut_components", "coalition_exposure"]
 
 
-def _remainder_analysis(trust_graph: nx.Graph, members: Set[int]) -> SnapshotAnalysis:
-    """One flat-snapshot labeling of the trust graph minus the coalition."""
-    base = FlatSnapshot.from_networkx(trust_graph)
+def _remainder_analysis(
+    trust_graph: FlatSnapshot, members: Set[int]
+) -> SnapshotAnalysis:
+    """One labeling of the trust graph minus the coalition."""
     keep = np.array(
-        [label not in members for label in base.node_ids.tolist()], dtype=bool
+        [label not in members for label in trust_graph.node_ids.tolist()],
+        dtype=bool,
     )
-    return SnapshotAnalysis(base.induced(keep))
+    return SnapshotAnalysis(trust_graph.induced(keep))
 
 
 def _forms_cut(remainder: SnapshotAnalysis) -> bool:
-    return remainder.snapshot.num_nodes > 1 and remainder.component_count() != 1
+    return remainder.snapshot.number_of_nodes() > 1 and remainder.component_count() != 1
 
 
 def _component_sets(remainder: SnapshotAnalysis) -> List[FrozenSet[int]]:
@@ -52,7 +52,7 @@ def _component_sets(remainder: SnapshotAnalysis) -> List[FrozenSet[int]]:
     ]
 
 
-def is_vertex_cut(trust_graph: nx.Graph, coalition: Sequence[int]) -> bool:
+def is_vertex_cut(trust_graph: FlatSnapshot, coalition: Sequence[int]) -> bool:
     """Whether removing ``coalition`` disconnects the trust graph.
 
     A coalition that covers all nodes trivially "disconnects" the rest;
@@ -63,7 +63,7 @@ def is_vertex_cut(trust_graph: nx.Graph, coalition: Sequence[int]) -> bool:
 
 
 def cut_components(
-    trust_graph: nx.Graph, coalition: Sequence[int]
+    trust_graph: FlatSnapshot, coalition: Sequence[int]
 ) -> List[FrozenSet[int]]:
     """Connected components of the trust graph minus the coalition,
     ordered by smallest member."""
@@ -105,7 +105,7 @@ class CoalitionExposure:
 
 
 def coalition_exposure(
-    trust_graph: nx.Graph,
+    trust_graph: FlatSnapshot,
     coalition: Sequence[int],
     max_probe_targets: int = 1000,
 ) -> CoalitionExposure:
@@ -113,7 +113,8 @@ def coalition_exposure(
     members = frozenset(coalition)
     if not members:
         raise ExperimentError("coalition must not be empty")
-    unknown = [node for node in members if node not in trust_graph]
+    labels = set(trust_graph.node_ids.tolist())
+    unknown = [node for node in members if node not in labels]
     if unknown:
         raise ExperimentError(f"coalition nodes not in trust graph: {unknown}")
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..config import SystemConfig
 from ..core import Overlay
 from ..errors import ExperimentError
+from ..graphs import FlatSnapshot
 from .analysis import coalition_exposure
 from .link_detection import run_link_detection_trials
 from .observers import ObserverCoalition
@@ -85,16 +85,16 @@ class AuditReport:
 
 
 def _sample_coalitions(
-    trust_graph: nx.Graph,
+    trust_graph: FlatSnapshot,
     size: int,
     count: int,
     rng: np.random.Generator,
 ) -> List[List[int]]:
-    nodes = list(trust_graph.nodes())
+    nodes = trust_graph.node_ids
     if size > len(nodes):
         raise ExperimentError("coalition size exceeds population")
     return [
-        [int(node) for node in rng.choice(len(nodes), size=size, replace=False)]
+        nodes[rng.choice(len(nodes), size=size, replace=False)].tolist()
         for _ in range(count)
     ]
 
@@ -106,15 +106,15 @@ def _sample_detection_quadruples(
 ) -> List[Tuple[int, int, int, int]]:
     """(observer_n, target_a, observer_o, target_b) with trust edges."""
     graph = overlay.trust_graph
-    nodes = [node for node in graph.nodes() if graph.degree(node) >= 1]
+    nodes = graph.node_ids[graph.degrees() >= 1].tolist()
     quadruples: List[Tuple[int, int, int, int]] = []
     attempts = 0
     while len(quadruples) < count and attempts < 50 * count:
         attempts += 1
         observer_n = nodes[int(rng.integers(0, len(nodes)))]
         observer_o = nodes[int(rng.integers(0, len(nodes)))]
-        neighbors_n = list(graph.neighbors(observer_n))
-        neighbors_o = list(graph.neighbors(observer_o))
+        neighbors_n = graph.neighbors(observer_n)
+        neighbors_o = graph.neighbors(observer_o)
         if not neighbors_n or not neighbors_o:
             continue
         target_a = neighbors_n[int(rng.integers(0, len(neighbors_n)))]
@@ -126,7 +126,7 @@ def _sample_detection_quadruples(
 
 
 def run_privacy_audit(
-    trust_graph: nx.Graph,
+    trust_graph: FlatSnapshot,
     config: SystemConfig,
     warmup: float = 40.0,
     coalition_size: int = 3,

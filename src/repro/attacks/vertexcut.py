@@ -99,9 +99,12 @@ def measure_flow_control(
             side_of[node] = index
 
     snapshot = overlay.snapshot(online_only=False)
+    labels = snapshot.node_ids
     cross = 0
     mediated = 0
-    for u, v in snapshot.edges():
+    for u, v in zip(
+        labels[snapshot.edge_u].tolist(), labels[snapshot.edge_v].tolist()
+    ):
         u_in = u in members
         v_in = v in members
         if u_in or v_in:

@@ -25,12 +25,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..churn import ChurnProcess, homogeneous_specs
 from ..config import SystemConfig
 from ..errors import ExperimentError
+from ..graphs import FlatSnapshot
 from ..rng import RandomStreams
 from ..sim import Simulator
 
@@ -198,18 +198,21 @@ class CentralizedOverlay:
         for node_id in self.online_ids():
             self._refresh(node_id)
 
-    def snapshot(self, online_only: bool = True) -> nx.Graph:
+    def snapshot(self, online_only: bool = True) -> FlatSnapshot:
         """The current overlay as an undirected graph."""
-        graph = nx.Graph()
+        num_nodes = self.config.num_nodes
         if online_only:
-            included = set(self.online_ids())
+            ids = np.array(sorted(self.online_ids()), dtype=np.int64)
         else:
-            included = set(range(self.config.num_nodes))
-        graph.add_nodes_from(included)
-        for node_id, peers in self._links.items():
-            if node_id not in included:
-                continue
-            for peer in peers:
-                if peer in included:
-                    graph.add_edge(node_id, peer)
-        return graph
+            ids = np.arange(num_nodes, dtype=np.int64)
+        position = np.full(num_nodes, -1, dtype=np.int64)
+        position[ids] = np.arange(len(ids), dtype=np.int64)
+        holders: List[int] = []
+        peers: List[int] = []
+        for node_id, links in self._links.items():
+            holders.extend([node_id] * len(links))
+            peers.extend(sorted(links))
+        a = position[np.array(holders, dtype=np.int64)]
+        b = position[np.array(peers, dtype=np.int64)]
+        keep = (a >= 0) & (b >= 0)
+        return FlatSnapshot.from_edge_positions(ids, a[keep], b[keep])

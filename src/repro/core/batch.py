@@ -1031,7 +1031,7 @@ class BatchOverlay:
 
         Trusted edges with both ends included plus unexpired pseudonym
         links resolved through the arenas' owner columns — the batch
-        analogue of :meth:`Overlay.snapshot_fast`.  Per-shard edge
+        analogue of :meth:`Overlay.snapshot`.  Per-shard edge
         lists concatenate in shard order, which is global row order.
         """
         ids, trust_lo, trust_hi, holder, owner, alive = zip(

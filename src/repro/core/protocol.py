@@ -2,7 +2,8 @@
 
 :class:`Overlay` wires together everything a paper experiment needs:
 
-* a trust graph (node ids ``0..n-1``),
+* a trust graph (a :class:`~repro.graphs.FlatSnapshot` with node ids
+  ``0..n-1``),
 * one :class:`~repro.core.node.OverlayNode` per vertex, with the
   degree-adaptive sampler size
   ``S = max(min_pseudonym_links, target_degree - trusted_degree)``,
@@ -22,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..churn import (
@@ -68,7 +68,7 @@ class OverlayStats:
 
 
 class _SnapshotStore:
-    """Incrementally maintained flat edge arrays behind ``snapshot_fast``.
+    """Incrementally maintained flat edge arrays behind ``snapshot``.
 
     One row per pseudonym link — ``(holder, resolved owner, expiry)`` —
     stored in flat numpy arrays with one slot of rows per node.  The
@@ -88,7 +88,6 @@ class _SnapshotStore:
     __slots__ = (
         "num_nodes",
         "link_versions",
-        "trusted_versions",
         "starts",
         "lens",
         "caps",
@@ -97,16 +96,12 @@ class _SnapshotStore:
         "row_expiry",
         "top",
         "live",
-        "trusted_u",
-        "trusted_v",
-        "_trusted_stale",
         "pos",
     )
 
     def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
         self.link_versions = [-1] * num_nodes
-        self.trusted_versions = [-1] * num_nodes
         self.starts = [0] * num_nodes
         self.lens = [0] * num_nodes
         self.caps = [0] * num_nodes
@@ -116,9 +111,6 @@ class _SnapshotStore:
         self.row_expiry = np.full(capacity, -1.0)
         self.top = 0
         self.live = 0
-        self.trusted_u = np.zeros(0, dtype=np.int64)
-        self.trusted_v = np.zeros(0, dtype=np.int64)
-        self._trusted_stale = True
         # Scratch label -> position map reused by every snapshot build.
         self.pos = np.full(num_nodes, -1, dtype=np.int64)
 
@@ -128,13 +120,11 @@ class _SnapshotStore:
         if added <= 0:
             return
         self.link_versions.extend([-1] * added)
-        self.trusted_versions.extend([-1] * added)
         self.starts.extend([0] * added)
         self.lens.extend([0] * added)
         self.caps.extend([0] * added)
         self.pos = np.full(num_nodes, -1, dtype=np.int64)
         self.num_nodes = num_nodes
-        self._trusted_stale = True
 
     def _ensure_capacity(self, needed: int) -> None:
         capacity = len(self.row_node)
@@ -187,32 +177,6 @@ class _SnapshotStore:
         row_expiry[start + count : start + self.caps[node_id]] = -1.0
         self.lens[node_id] = count
 
-    def _rebuild_trusted(self, nodes: List[OverlayNode]) -> None:
-        lows: List[int] = []
-        highs: List[int] = []
-        for node in nodes:
-            node_id = node.node_id
-            for neighbor in sorted(node.links.trusted):
-                if neighbor == node_id:
-                    continue
-                if neighbor < node_id:
-                    lows.append(neighbor)
-                    highs.append(node_id)
-                else:
-                    lows.append(node_id)
-                    highs.append(neighbor)
-        if lows:
-            packed = np.unique(
-                np.array(lows, dtype=np.int64) * self.num_nodes
-                + np.array(highs, dtype=np.int64)
-            )
-            self.trusted_u = packed // self.num_nodes
-            self.trusted_v = packed % self.num_nodes
-        else:
-            self.trusted_u = np.zeros(0, dtype=np.int64)
-            self.trusted_v = np.zeros(0, dtype=np.int64)
-        self._trusted_stale = False
-
     def sync(self, nodes: List[OverlayNode], value_owner: Dict[int, int]) -> None:
         """Bring the arrays up to date with every dirty link table."""
         dead = self.top - self.live
@@ -225,17 +189,11 @@ class _SnapshotStore:
                 self.caps[node_id] = 0
                 self.link_versions[node_id] = -1
         link_versions = self.link_versions
-        trusted_versions = self.trusted_versions
         for node_id, node in enumerate(nodes):
             links = node.links
             if links.version != link_versions[node_id]:
                 self._rebuild_slot(node_id, node, value_owner)
                 link_versions[node_id] = links.version
-            if links.trusted_version != trusted_versions[node_id]:
-                trusted_versions[node_id] = links.trusted_version
-                self._trusted_stale = True
-        if self._trusted_stale:
-            self._rebuild_trusted(nodes)
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
         pos = self.pos
@@ -243,32 +201,25 @@ class _SnapshotStore:
         pos[ids] = np.arange(len(ids), dtype=np.int64)
         return pos
 
-    def overlay_snapshot(self, ids: np.ndarray, now: float) -> FlatSnapshot:
-        """The overlay restricted to ``ids`` (sorted labels) at ``now``."""
+    def overlay_snapshot(
+        self, ids: np.ndarray, now: float, trust: FlatSnapshot
+    ) -> FlatSnapshot:
+        """The overlay restricted to ``ids`` (sorted labels) at ``now``:
+        the ``trust`` graph's edges plus every live pseudonym link."""
         pos = self._positions(ids)
         top = self.top
         alive = self.row_expiry[:top] > now
         holder = pos[self.row_node[:top][alive]]
         owner = pos[self.row_owner[:top][alive]]
         keep = (holder >= 0) & (owner >= 0) & (holder != owner)
-        trusted_a = pos[self.trusted_u]
-        trusted_b = pos[self.trusted_v]
+        trusted_a = pos[trust.edge_u]
+        trusted_b = pos[trust.edge_v]
         trusted_keep = (trusted_a >= 0) & (trusted_b >= 0)
         return FlatSnapshot.from_edge_positions(
             ids,
             np.concatenate((trusted_a[trusted_keep], holder[keep])),
             np.concatenate((trusted_b[trusted_keep], owner[keep])),
         )
-
-    def restricted_snapshot(
-        self, edge_u: np.ndarray, edge_v: np.ndarray, ids: np.ndarray
-    ) -> FlatSnapshot:
-        """A static label-edge list restricted to ``ids`` (trust baseline)."""
-        pos = self._positions(ids)
-        a = pos[edge_u]
-        b = pos[edge_v]
-        keep = (a >= 0) & (b >= 0)
-        return FlatSnapshot.from_edge_positions(ids, a[keep], b[keep])
 
     def pseudonym_degrees(self, now: float) -> np.ndarray:
         """Per-node count of unexpired pseudonym links (all nodes)."""
@@ -281,7 +232,7 @@ class Overlay:
     """A complete overlay system over one trust graph."""
 
     __slots__ = (
-        "trust_graph",
+        "_trust_graph",
         "config",
         "sim",
         "link_layer",
@@ -295,8 +246,7 @@ class Overlay:
         "_started",
         "_snap_store",
         "_trust_version",
-        "_trust_edge_cache",
-        "_trust_fast_cache",
+        "_trust_snapshot_cache",
         "_online_epoch",
         "_online_cache",
         "_online_cache_epoch",
@@ -304,7 +254,7 @@ class Overlay:
 
     def __init__(
         self,
-        trust_graph: nx.Graph,
+        trust_graph: FlatSnapshot,
         config: SystemConfig,
         sim: Clock,
         link_layer: LinkLayer,
@@ -317,10 +267,9 @@ class Overlay:
                 f"trust graph has {num_nodes} nodes but config.num_nodes is "
                 f"{config.num_nodes}"
             )
-        if set(trust_graph.nodes()) != set(range(num_nodes)):
+        if not np.array_equal(trust_graph.node_ids, np.arange(num_nodes)):
             raise GraphError("trust graph nodes must be labeled 0..n-1")
 
-        self.trust_graph = trust_graph
         self.config = config
         self.sim = sim
         self.link_layer = link_layer
@@ -337,7 +286,7 @@ class Overlay:
         self.arena = NodeArena()
         self.nodes: List[OverlayNode] = []
         for node_id in range(num_nodes):
-            neighbors = list(trust_graph.neighbors(node_id))
+            neighbors = trust_graph.neighbors(node_id)
             slot_count = max(
                 config.min_pseudonym_links,
                 config.target_degree - len(neighbors),
@@ -368,15 +317,14 @@ class Overlay:
             self.nodes.append(node)
 
         self._started = False
-        # Fast-snapshot machinery: the incremental edge store is created
-        # lazily on first use; online-set and trust-edge caches are
-        # invalidated by epoch/version counters instead of re-scans.
+        # Snapshot machinery: the incremental edge store is created
+        # lazily on first use; the trust graph, the online set and the
+        # restricted trust graph are invalidated by epoch/version
+        # counters instead of re-scans.
         self._snap_store: Optional[_SnapshotStore] = None
         self._trust_version = 0
-        self._trust_edge_cache: Optional[
-            Tuple[int, np.ndarray, np.ndarray]
-        ] = None
-        self._trust_fast_cache: Optional[
+        self._trust_graph: Tuple[int, FlatSnapshot] = (0, trust_graph)
+        self._trust_snapshot_cache: Optional[
             Tuple[Tuple[int, int], FlatSnapshot]
         ] = None
         self._online_epoch = 0
@@ -390,7 +338,7 @@ class Overlay:
     @classmethod
     def build(
         cls,
-        trust_graph: nx.Graph,
+        trust_graph: FlatSnapshot,
         config: SystemConfig,
         with_churn: bool = True,
         start_all_online: bool = False,
@@ -403,7 +351,8 @@ class Overlay:
         Parameters
         ----------
         trust_graph:
-            Connected graph with nodes ``0..config.num_nodes-1``.
+            Connected graph with nodes ``0..config.num_nodes-1``
+            (labels other than those raise :class:`GraphError`).
         config:
             Protocol and simulation parameters.
         with_churn:
@@ -512,7 +461,6 @@ class Overlay:
         for node_id in (u, v):
             if not 0 <= node_id < len(self.nodes):
                 raise ProtocolError(f"no such node {node_id}")
-        self.trust_graph.add_edge(u, v)
         self.nodes[u].links.add_trusted(v)
         self.nodes[v].links.add_trusted(u)
         self._trust_version += 1
@@ -535,9 +483,7 @@ class Overlay:
             if not 0 <= neighbor < len(self.nodes):
                 raise ProtocolError(f"no such inviter {neighbor}")
         node_id = len(self.nodes)
-        self.trust_graph.add_node(node_id)
         for neighbor in set(trusted_neighbors):
-            self.trust_graph.add_edge(node_id, neighbor)
             self.nodes[neighbor].links.add_trusted(node_id)
 
         config = self.config
@@ -650,59 +596,29 @@ class Overlay:
         """Measurement oracle: owner of an endpoint address (or None)."""
         return self._address_owner.get(address)
 
-    def snapshot(
-        self,
-        online_only: bool = True,
-        online_ids: Optional[Sequence[int]] = None,
-    ) -> nx.Graph:
-        """The current overlay as an undirected graph.
+    @property
+    def trust_graph(self) -> FlatSnapshot:
+        """The trust graph on nodes ``0..n-1``.
 
-        Edges are trusted links (both ends online when ``online_only``)
-        plus unexpired pseudonym links resolved through the measurement
-        registry.  All communication is bidirectional, so links are
-        undirected edges regardless of who established them.
-
-        This is the networkx reference path; :meth:`snapshot_fast`
-        returns the same graph as a :class:`FlatSnapshot`.
-        ``online_ids`` may carry a precomputed :meth:`online_ids`
-        result.
+        The nodes' trusted link sets are the one record of the trust
+        relation; after :meth:`add_trust_edge` or :meth:`add_node` the
+        graph is rebuilt from them on first read.
         """
-        now = self.sim.now
-        graph = nx.Graph()
-        if online_only:
-            included = set(
-                self.online_ids() if online_ids is None else online_ids
+        version, graph = self._trust_graph
+        if version != self._trust_version:
+            holders: List[int] = []
+            friends: List[int] = []
+            for node in self.nodes:
+                trusted = sorted(node.links.trusted)
+                holders.extend([node.node_id] * len(trusted))
+                friends.extend(trusted)
+            graph = FlatSnapshot.from_edge_positions(
+                np.arange(len(self.nodes), dtype=np.int64),
+                np.array(holders, dtype=np.int64),
+                np.array(friends, dtype=np.int64),
             )
-        else:
-            included = set(range(len(self.nodes)))
-        graph.add_nodes_from(included)
-
-        for node in self.nodes:
-            if node.node_id not in included:
-                continue
-            for neighbor in node.links.trusted:
-                if neighbor in included:
-                    graph.add_edge(node.node_id, neighbor)
-            for pseudonym in node.links.pseudonym_links():
-                if pseudonym.is_expired(now):
-                    continue
-                owner = self._value_owner.get(pseudonym.value)
-                if owner is None or owner == node.node_id:
-                    continue
-                if owner in included:
-                    graph.add_edge(node.node_id, owner)
+            self._trust_graph = (self._trust_version, graph)
         return graph
-
-    def trust_snapshot(
-        self, online_ids: Optional[Sequence[int]] = None
-    ) -> nx.Graph:
-        """The trust graph restricted to online nodes (baseline metric)."""
-        online = self.online_ids() if online_ids is None else online_ids
-        return self.trust_graph.subgraph(online).copy()
-
-    # ------------------------------------------------------------------
-    # fast snapshots (flat-array backend; see docs/metrics.md)
-    # ------------------------------------------------------------------
 
     def _ensure_store(self) -> _SnapshotStore:
         store = self._snap_store
@@ -713,12 +629,17 @@ class Overlay:
         store.sync(self.nodes, self._value_owner)
         return store
 
-    def snapshot_fast(
+    def snapshot(
         self,
         online_only: bool = True,
         online_ids: Optional[Sequence[int]] = None,
     ) -> FlatSnapshot:
-        """:meth:`snapshot` as a :class:`FlatSnapshot` (same graph).
+        """The current overlay as an undirected graph.
+
+        Edges are trusted links (both ends online when ``online_only``)
+        plus unexpired pseudonym links resolved through the measurement
+        registry.  All communication is bidirectional, so links are
+        undirected edges regardless of who established them.
 
         Assembled from the incrementally maintained edge store: only
         nodes whose link tables changed since the previous call are
@@ -731,17 +652,19 @@ class Overlay:
             ids = self._online_array(online_ids)
         else:
             ids = np.arange(len(self.nodes), dtype=np.int64)
-        return store.overlay_snapshot(ids, self.sim.now)
+        return store.overlay_snapshot(ids, self.sim.now, self.trust_graph)
+
+    snapshot_fast = snapshot  # the older spelling, kept for callers
 
     def analysis(self, online_only: bool = True) -> SnapshotAnalysis:
-        """Metric kernels over the current :meth:`snapshot_fast`; the
-        same call as :meth:`repro.core.BatchOverlay.analysis`."""
-        return SnapshotAnalysis(self.snapshot_fast(online_only=online_only))
+        """Metric kernels over the current :meth:`snapshot`; the same
+        call as :meth:`repro.core.BatchOverlay.analysis`."""
+        return SnapshotAnalysis(self.snapshot(online_only=online_only))
 
-    def trust_snapshot_fast(
+    def trust_snapshot(
         self, online_ids: Optional[Sequence[int]] = None
     ) -> FlatSnapshot:
-        """:meth:`trust_snapshot` as a :class:`FlatSnapshot`.
+        """The trust graph restricted to online nodes (baseline metric).
 
         Cached on ``(online epoch, trust version)``: between churn
         transitions the restricted baseline (and hence its component
@@ -750,30 +673,16 @@ class Overlay:
         when given.
         """
         key = (self._online_epoch, self._trust_version)
-        cached = self._trust_fast_cache
+        cached = self._trust_snapshot_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        edge_cache = self._trust_edge_cache
-        if edge_cache is None or edge_cache[0] != self._trust_version:
-            lows: List[int] = []
-            highs: List[int] = []
-            for u, v in self.trust_graph.edges():
-                if u == v:
-                    continue
-                lows.append(min(u, v))
-                highs.append(max(u, v))
-            edge_cache = (
-                self._trust_version,
-                np.array(lows, dtype=np.int64),
-                np.array(highs, dtype=np.int64),
-            )
-            self._trust_edge_cache = edge_cache
-        store = self._ensure_store()
-        snap = store.restricted_snapshot(
-            edge_cache[1], edge_cache[2], self._online_array(online_ids)
-        )
-        self._trust_fast_cache = (key, snap)
+        keep = np.zeros(len(self.nodes), dtype=bool)
+        keep[self._online_array(online_ids)] = True
+        snap = self.trust_graph.induced(keep)
+        self._trust_snapshot_cache = (key, snap)
         return snap
+
+    trust_snapshot_fast = trust_snapshot  # the older spelling
 
     def online_out_degrees(
         self,

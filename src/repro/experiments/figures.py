@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
+from ..graphs.fastgraph import SnapshotAnalysis
 from ..metrics import NodeOverhead, message_overhead_by_rank
 from ..metrics.series import TimeSeries
 from ..parallel.engine import parallel_map
@@ -297,21 +297,21 @@ def _figure5_task(args) -> DegreeDistributions:
     )
     rng = RandomStreams(seed).substream("fig5", str(f))
     mask = stationary_online_mask(config.num_nodes, alpha, rng)
-    trust_online = FlatSnapshot.from_networkx(trust_graph).induced_by_labels(mask)
+    trust_online = trust_graph.induced_by_labels(mask)
     # The random reference for the degree comparison matches the
     # *online* overlay snapshot (same node and edge counts), so the
     # two histograms share their mean and differ only in shape.
     random_online = erdos_renyi_gnm(
-        max(1, result.snapshot.num_nodes), result.snapshot.num_edges, rng=rng
+        max(1, result.snapshot.number_of_nodes()),
+        result.snapshot.number_of_edges(),
+        rng=rng,
     )
     return DegreeDistributions(
         f=f,
         alpha=alpha,
         trust_histogram=SnapshotAnalysis(trust_online).degree_histogram(),
         overlay_histogram=SnapshotAnalysis(result.snapshot).degree_histogram(),
-        random_histogram=SnapshotAnalysis(
-            FlatSnapshot.from_networkx(random_online)
-        ).degree_histogram(),
+        random_histogram=SnapshotAnalysis(random_online).degree_histogram(),
     )
 
 

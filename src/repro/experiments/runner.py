@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from ..config import SystemConfig
@@ -61,7 +60,7 @@ class OverlayRunResult:
 
 
 def run_overlay_experiment(
-    trust_graph: nx.Graph,
+    trust_graph: FlatSnapshot,
     config: SystemConfig,
     horizon: float,
     measure_window: float,
@@ -111,9 +110,9 @@ def run_overlay_experiment(
         path_length=path_length,
         trust_path_length=trust_path_length,
         online_fraction=len(online_ids) / config.num_nodes,
-        full_edge_count=overlay.snapshot_fast(online_only=False).num_edges,
-        snapshot=overlay.snapshot_fast(online_ids=online_ids),
-        trust_snapshot=overlay.trust_snapshot_fast(online_ids=online_ids),
+        full_edge_count=overlay.snapshot(online_only=False).number_of_edges(),
+        snapshot=overlay.snapshot(online_ids=online_ids),
+        trust_snapshot=overlay.trust_snapshot(online_ids=online_ids),
         collector=collector,
         overlay=overlay,
     )
@@ -129,7 +128,7 @@ class StaticMetrics:
 
 
 def static_churn_metrics(
-    graph: nx.Graph,
+    graph: FlatSnapshot,
     alpha: float,
     draws: int,
     rng: np.random.Generator,
@@ -142,21 +141,20 @@ def static_churn_metrics(
     ``alpha`` (the stationary distribution of the paper's churn model)
     and measures the induced subgraph; results average over draws.
 
-    ``graph`` (labels ``0..n-1``) is converted to a flat snapshot once
-    and each draw's subgraph induced with the mask.
+    ``graph`` has labels ``0..n-1``; each draw's subgraph is induced
+    with the mask.
     """
     if draws < 1:
         raise ExperimentError("draws must be at least 1")
     total_nodes = graph.number_of_nodes()
-    base_snapshot = FlatSnapshot.from_networkx(graph)
     disconnected_values = []
     path_values = []
     degree_values = []
     for _ in range(draws):
         mask = stationary_online_mask(total_nodes, alpha, rng)
-        analysis = SnapshotAnalysis(base_snapshot.induced_by_labels(mask))
+        analysis = SnapshotAnalysis(graph.induced_by_labels(mask))
         disconnected_values.append(analysis.fraction_disconnected())
-        if analysis.snapshot.num_nodes > 0:
+        if analysis.snapshot.number_of_nodes() > 0:
             degree_values.append(float(np.mean(analysis.snapshot.degrees())))
         if measure_paths:
             path_values.append(
@@ -173,7 +171,7 @@ def static_churn_metrics(
 
 def random_baseline_graph(
     overlay_result: OverlayRunResult, rng: np.random.Generator
-) -> nx.Graph:
+) -> FlatSnapshot:
     """The paper's random baseline: Erdős–Rényi with the same node count
     as the trust graph and the same edge count as the full overlay."""
     from ..graphs import erdos_renyi_gnm

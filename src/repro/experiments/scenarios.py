@@ -25,11 +25,9 @@ import math
 import os
 from typing import Dict, Optional, Tuple
 
-import networkx as nx
-
 from ..config import SystemConfig
 from ..errors import ExperimentError
-from ..graphs import generate_social_graph, sample_trust_graph
+from ..graphs import FlatSnapshot, generate_social_graph, sample_trust_graph
 from ..rng import RandomStreams
 
 __all__ = [
@@ -185,10 +183,12 @@ def make_config(
     )
 
 
-_graph_cache: Dict[Tuple[str, int, int, float, int], nx.Graph] = {}
+_graph_cache: Dict[Tuple[str, int, int, float, int], FlatSnapshot] = {}
 
 
-def make_trust_graph(scale: ExperimentScale, f: float, seed: int = 1) -> nx.Graph:
+def make_trust_graph(
+    scale: ExperimentScale, f: float, seed: int = 1
+) -> FlatSnapshot:
     """The trust graph for one (scale, f, seed) triple, memoized.
 
     The synthetic social source graph is ``source_multiplier`` times the

@@ -3,7 +3,6 @@ random baselines, and structural metrics (paper Sections IV-A and IV-C).
 """
 
 from .fastgraph import FlatSnapshot, SnapshotAnalysis
-from .io import load_edge_list, save_edge_list
 from .random_graphs import erdos_renyi_gnm
 from .sampling import sample_trust_graph
 from .social import generate_community_social_graph, generate_social_graph
@@ -13,8 +12,6 @@ __all__ = [
     "generate_community_social_graph",
     "sample_trust_graph",
     "erdos_renyi_gnm",
-    "save_edge_list",
-    "load_edge_list",
     "FlatSnapshot",
     "SnapshotAnalysis",
 ]

@@ -34,15 +34,17 @@ computed with networkx on the same graph:
 networkx oracle (``tests/nx_oracle.py``) on random, social, and
 churned-overlay graphs.
 
-Snapshot graphs are *simple*: self-loops are skipped on conversion
-(overlay snapshots never contain them by construction).
+:class:`FlatSnapshot` is also the package's one graph type: the trust
+graphs the sampler draws, the random baselines and every overlay
+snapshot are all built with :meth:`FlatSnapshot.from_edge_positions`.
+Snapshot graphs are *simple*: callers exclude self-loops, and the
+constructor folds duplicate edges.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import GraphError
@@ -67,6 +69,11 @@ class FlatSnapshot:
         Deduplicated undirected edge list over positions with
         ``edge_u < edge_v`` — the union-find input, kept so component
         labeling never re-derives edges from the CSR arrays.
+
+    The query methods take and return node *labels*, spelled as
+    networkx spells them.  A label no node carries is never looked up
+    by position: :meth:`neighbors` raises :class:`GraphError` and
+    :meth:`has_edge` answers False.
     """
 
     __slots__ = ("node_ids", "indptr", "indices", "edge_u", "edge_v")
@@ -85,15 +92,39 @@ class FlatSnapshot:
         self.edge_u = edge_u
         self.edge_v = edge_v
 
-    @property
-    def num_nodes(self) -> int:
+    def number_of_nodes(self) -> int:
         """Number of nodes in the snapshot."""
         return len(self.node_ids)
 
-    @property
-    def num_edges(self) -> int:
+    def number_of_edges(self) -> int:
         """Number of (undirected, deduplicated) edges."""
         return len(self.edge_u)
+
+    def _position(self, label: int) -> int:
+        """Position of ``label``, or -1 when no node carries it."""
+        node_ids = self.node_ids
+        position = int(np.searchsorted(node_ids, label))
+        if position < len(node_ids) and node_ids[position] == label:
+            return position
+        return -1
+
+    def neighbors(self, label: int) -> List[int]:
+        """Neighbour labels of node ``label``, ascending."""
+        position = self._position(label)
+        if position < 0:
+            raise GraphError(f"no such node {label!r}")
+        row = self.indices[self.indptr[position] : self.indptr[position + 1]]
+        return self.node_ids[row].tolist()
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether nodes ``u`` and ``v`` exist and are adjacent."""
+        a = self._position(u)
+        b = self._position(v)
+        if a < 0 or b < 0:
+            return False
+        row = self.indices[self.indptr[a] : self.indptr[a + 1]]
+        index = int(np.searchsorted(row, b))
+        return bool(index < len(row) and row[index] == b)
 
     def degrees(self) -> np.ndarray:
         """Degree of every position (int64)."""
@@ -132,35 +163,6 @@ class FlatSnapshot:
         directed.sort()
         return cls(node_ids, indptr, directed % k, lo, hi)
 
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph) -> "FlatSnapshot":
-        """Convert an :class:`nx.Graph` labeled by non-negative integers.
-
-        Labels index churn masks (:meth:`induced_by_labels`), so any
-        other label raises :class:`GraphError`.  Self-loops are skipped:
-        snapshot graphs are simple by construction, and the metric
-        kernels assume it.
-        """
-        for label in graph.nodes():
-            if not isinstance(label, (int, np.integer)) or label < 0:
-                raise GraphError(
-                    f"node labels must be non-negative integers, got {label!r}"
-                )
-        nodes = np.array(sorted(graph.nodes()), dtype=np.int64)
-        index = {int(label): position for position, label in enumerate(nodes.tolist())}
-        endpoint_a: List[int] = []
-        endpoint_b: List[int] = []
-        for u, v in graph.edges():
-            if u == v:
-                continue
-            endpoint_a.append(index[int(u)])
-            endpoint_b.append(index[int(v)])
-        return cls.from_edge_positions(
-            nodes,
-            np.array(endpoint_a, dtype=np.int64),
-            np.array(endpoint_b, dtype=np.int64),
-        )
-
     def induced(self, keep: np.ndarray) -> "FlatSnapshot":
         """The subgraph induced by a boolean mask over positions."""
         keep = np.asarray(keep, dtype=bool)
@@ -181,7 +183,7 @@ class FlatSnapshot:
         """
         keep_labels = np.asarray(keep_labels, dtype=bool)
         in_range = self.node_ids < len(keep_labels)
-        keep = np.zeros(self.num_nodes, dtype=bool)
+        keep = np.zeros(self.number_of_nodes(), dtype=bool)
         keep[in_range] = keep_labels[self.node_ids[in_range]]
         return self.induced(keep)
 
@@ -302,10 +304,10 @@ class SnapshotAnalysis:
         if labels is None:
             self.labelings_run += 1
             snap = self.snapshot
-            labels = _component_labels(snap.num_nodes, snap.edge_u, snap.edge_v)
+            labels = _component_labels(snap.number_of_nodes(), snap.edge_u, snap.edge_v)
             self._labels = labels
-            if snap.num_nodes:
-                sizes = np.bincount(labels, minlength=snap.num_nodes)
+            if snap.number_of_nodes():
+                sizes = np.bincount(labels, minlength=snap.number_of_nodes())
                 self._largest_size = int(sizes.max())
                 # Labels are minimum members, so the first position with
                 # a maximal size is the canonical tie-break (smallest
@@ -338,14 +340,14 @@ class SnapshotAnalysis:
         ordering is part of the reproducibility contract.
         """
         labels = self._ensure_labels()
-        if self.snapshot.num_nodes == 0:
+        if self.snapshot.number_of_nodes() == 0:
             return _EMPTY_INT
         return self.snapshot.node_ids[labels == self._largest_label]
 
     def components(self) -> List[np.ndarray]:
         """Every component's node labels, ordered by smallest member."""
         labels = self._ensure_labels()
-        if self.snapshot.num_nodes == 0:
+        if self.snapshot.number_of_nodes() == 0:
             return []
         order = np.argsort(labels, kind="stable")
         sorted_labels = labels[order]
@@ -355,7 +357,7 @@ class SnapshotAnalysis:
 
     def fraction_disconnected(self) -> float:
         """Fraction of nodes outside the largest component (empty -> 0)."""
-        n = self.snapshot.num_nodes
+        n = self.snapshot.number_of_nodes()
         if n == 0:
             return 0.0
         self._ensure_labels()

@@ -20,6 +20,8 @@ groups.
 
 The source is a CSR adjacency ``(indptr, indices)`` as the generators
 in :mod:`repro.graphs.social` return it; the walk follows its row order.
+:func:`sample_trust_members` is the walk alone; :func:`sample_trust_graph`
+returns the induced subgraph as a :class:`~repro.graphs.FlatSnapshot`.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import SamplingError
 from ..rng import fallback_rng
+from .fastgraph import FlatSnapshot
 
-__all__ = ["sample_trust_graph"]
+__all__ = ["sample_trust_graph", "sample_trust_members"]
 
 
 def sample_trust_graph(
@@ -42,8 +44,34 @@ def sample_trust_graph(
     f: float,
     rng: Optional[np.random.Generator] = None,
     start: Optional[int] = None,
-) -> nx.Graph:
+) -> FlatSnapshot:
     """Draw one trust graph of ``target_size`` nodes.
+
+    Takes the parameters of :func:`sample_trust_members` and returns
+    the subgraph the source induces on the sampled nodes, relabeled to
+    ``0..target_size-1`` by ascending source label: node ``i`` is
+    source node ``sample_trust_members(...)[i]``.
+    """
+    indptr, indices = source
+    members = sample_trust_members(source, target_size, f, rng=rng, start=start)
+    relabel = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    relabel[members] = np.arange(len(members), dtype=np.int64)
+    holders = relabel[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))]
+    neighbors = relabel[indices]
+    keep = (holders >= 0) & (neighbors >= 0) & (holders != neighbors)
+    return FlatSnapshot.from_edge_positions(
+        np.arange(len(members), dtype=np.int64), holders[keep], neighbors[keep]
+    )
+
+
+def sample_trust_members(
+    source: Tuple[np.ndarray, np.ndarray],
+    target_size: int,
+    f: float,
+    rng: Optional[np.random.Generator] = None,
+    start: Optional[int] = None,
+) -> np.ndarray:
+    """Walk the source and return the ``target_size`` sampled labels.
 
     Parameters
     ----------
@@ -66,10 +94,8 @@ def sample_trust_graph(
 
     Returns
     -------
-    networkx.Graph
-        The induced subgraph on the sampled node set, relabeled to
-        ``0..target_size-1`` by ascending source label (mapping stored
-        in the ``original`` node attribute).
+    numpy.ndarray
+        The sampled source labels (int64), ascending.
     """
     indptr, indices = source
     num_nodes = len(indptr) - 1
@@ -127,18 +153,4 @@ def sample_trust_graph(
             sampled.add(invitee)
             frontier.append(invitee)
 
-    # Edges in a canonical order: members by ascending label, each edge
-    # once from its lower end, in source row order.
-    ordered = sorted(sampled)
-    relabel = {original: new for new, original in enumerate(ordered)}
-    trust = nx.Graph()
-    trust.add_nodes_from(
-        (new, {"original": original}) for new, original in enumerate(ordered)
-    )
-    trust.add_edges_from(
-        (relabel[u], relabel[v])
-        for u in ordered
-        for v in neighbors(u)
-        if v > u and v in relabel
-    )
-    return trust
+    return np.array(sorted(sampled), dtype=np.int64)

@@ -29,9 +29,8 @@ the graph — the triad step and the f-sampler both index into it.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import GraphError
@@ -195,9 +194,10 @@ def generate_community_social_graph(
     bridges, which stresses the overlay's robustness further than the
     plain generator.
 
-    Returns a connected graph as CSR (rows in networkx adjacency order
-    of the rewired graph); a spanning pass links any leftover
-    components through random inter-community edges.
+    Returns a connected graph as CSR, each row in the order its edges
+    were made (a rewired edge moves to the end of its rows); a spanning
+    pass links any leftover components through random inter-community
+    edges.
     """
     if rng is None:
         rng = fallback_rng("graphs.social.community")
@@ -210,9 +210,21 @@ def generate_community_social_graph(
             f"{num_communities} communities"
         )
 
-    # Build each community with the base generator, then relabel; each
-    # edge is added once, from its lower end, in row order.
-    graph = nx.Graph()
+    # The working graph keeps rows as insertion-ordered dicts and nodes
+    # in first-touch order: the rewiring draws index into its edge list
+    # and the spanning pass into component lists, so both orders are
+    # part of the output.  Each community is built with the base
+    # generator and relabeled; each edge is added once, from its lower
+    # end, in row order.
+    rows: List[Dict[int, None]] = [{} for _ in range(num_nodes)]
+    order: Dict[int, None] = {}
+
+    def add_edge(u: int, v: int) -> None:
+        order.setdefault(u)
+        order.setdefault(v)
+        rows[u][v] = None
+        rows[v][u] = None
+
     for community in range(num_communities):
         nodes = list(range(community, num_nodes, num_communities))
         indptr, indices = generate_social_graph(
@@ -223,30 +235,62 @@ def generate_community_social_graph(
         )
         neighbors = indices.tolist()
         bounds = indptr.tolist()
-        graph.add_edges_from(
-            (nodes[u], nodes[v])
-            for u in range(len(nodes))
-            for v in neighbors[bounds[u] : bounds[u + 1]]
-            if v > u
-        )
+        for u in range(len(nodes)):
+            for v in neighbors[bounds[u] : bounds[u + 1]]:
+                if v > u:
+                    add_edge(nodes[u], nodes[v])
 
     # Rewire a fraction of edges across communities.
-    inter_fraction = 1.0 - intra_probability
-    edges = list(graph.edges())
-    num_rewire = int(inter_fraction * len(edges))
+    edges = []
+    seen: Set[int] = set()
+    for u in order:
+        edges.extend((u, v) for v in rows[u] if v not in seen)
+        seen.add(u)
+    num_rewire = int((1.0 - intra_probability) * len(edges))
     rewire_indices = rng.choice(len(edges), size=num_rewire, replace=False)
     for index in rewire_indices:
         u, v = edges[int(index)]
         w = int(rng.integers(0, num_nodes))
-        if w != u and not graph.has_edge(u, w):
-            graph.remove_edge(u, v)
-            graph.add_edge(u, w)
+        if w != u and w not in rows[u]:
+            del rows[u][v]
+            del rows[v][u]
+            add_edge(u, w)
 
     # Guarantee connectivity with minimal extra edges.
-    components = [list(component) for component in nx.connected_components(graph)]
+    components = _components(rows, order)
     for index in range(1, len(components)):
         u = components[0][int(rng.integers(0, len(components[0])))]
         v = components[index][int(rng.integers(0, len(components[index])))]
-        graph.add_edge(u, v)
+        add_edge(u, v)
 
-    return _csr([list(graph.adj[node]) for node in range(num_nodes)])
+    return _csr([list(row) for row in rows])
+
+
+def _components(
+    rows: List[Dict[int, None]], order: Iterable[int]
+) -> List[List[int]]:
+    """Connected components as node lists, found by breadth-first search
+    from each unreached node in ``order``.
+
+    A component lists its nodes in the iteration order of the set the
+    search fills, node by node in discovery order, so ``rng`` draws that
+    index into a component pick the same node on every run.
+    """
+    reached: Set[int] = set()
+    components = []
+    for source in order:
+        if source in reached:
+            continue
+        found = {source}
+        level = [source]
+        while level:
+            next_level = []
+            for node in level:
+                for neighbor in rows[node]:
+                    if neighbor not in found:
+                        found.add(neighbor)
+                        next_level.append(neighbor)
+            level = next_level
+        reached.update(found)
+        components.append(list(found))
+    return components

@@ -16,7 +16,7 @@ Sampling happens inside the simulation via scheduled events, so the
 series align exactly with simulated time.
 
 Each sample materializes the online set **once**, takes a
-:meth:`~repro.core.Overlay.snapshot_fast` flat snapshot and shares a
+:meth:`~repro.core.Overlay.snapshot` flat snapshot and shares a
 single :class:`~repro.graphs.fastgraph.SnapshotAnalysis` component
 labeling across every metric (see docs/metrics.md).
 """
@@ -92,7 +92,7 @@ class MetricsCollector:
         self.messages_per_node = TimeSeries("messages per node per period")
 
         self._max_out_degree = np.zeros(len(overlay.nodes), dtype=np.int64)
-        # Trust-baseline labeling cache: Overlay.trust_snapshot_fast
+        # Trust-baseline labeling cache: Overlay.trust_snapshot
         # returns the identical object while the online set and trust
         # graph are unchanged, so the union-find pass is reused too.
         self._trust_analysis_cache: Optional[SnapshotAnalysis] = None
@@ -153,13 +153,13 @@ class MetricsCollector:
 
         # One labeling per snapshot per sample: every metric below reads
         # the same SnapshotAnalysis.
-        analysis = SnapshotAnalysis(overlay.snapshot_fast(online_ids=online_ids))
+        analysis = SnapshotAnalysis(overlay.snapshot(online_ids=online_ids))
         self.disconnected.append(now, analysis.fraction_disconnected())
 
         trust_analysis: Optional[SnapshotAnalysis] = None
         if self._track_trust:
             trust_analysis = self._trust_analysis(
-                overlay.trust_snapshot_fast(online_ids=online_ids)
+                overlay.trust_snapshot(online_ids=online_ids)
             )
             self.trust_disconnected.append(
                 now, trust_analysis.fraction_disconnected()

@@ -31,11 +31,12 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
+import numpy as np
 
 from ..config import SystemConfig
 from ..core import Overlay
 from ..errors import NetError
+from ..graphs import FlatSnapshot
 from ..metrics import MetricsCollector
 from ..rng import RandomStreams
 from ..sim import Simulator
@@ -154,18 +155,18 @@ class MeshReport:
         return hashlib.sha256(blob).hexdigest()
 
 
-def ring_trust_graph(num_nodes: int, lattice_degree: int) -> nx.Graph:
+def ring_trust_graph(num_nodes: int, lattice_degree: int) -> FlatSnapshot:
     """A ring lattice: node i trusts its k nearest ring neighbors.
 
     Built arithmetically — no RNG — so the trust topology is a pure
     function of the spec.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    for node in range(num_nodes):
-        for step in range(1, lattice_degree // 2 + 1):
-            graph.add_edge(node, (node + step) % num_nodes)
-    return graph
+    nodes = np.arange(num_nodes, dtype=np.int64)
+    steps = np.arange(1, lattice_degree // 2 + 1, dtype=np.int64)
+    holders = np.repeat(nodes, len(steps))
+    return FlatSnapshot.from_edge_positions(
+        nodes, holders, (holders + np.tile(steps, num_nodes)) % num_nodes
+    )
 
 
 def mesh_system_config(spec: MeshSpec) -> SystemConfig:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro import SystemConfig
+from repro.graphs import FlatSnapshot
 from repro.rng import RandomStreams
+
+from .csr import graph_from_edges
 
 
 @pytest.fixture
@@ -23,21 +25,15 @@ def streams() -> RandomStreams:
 
 
 @pytest.fixture
-def small_trust_graph() -> nx.Graph:
+def small_trust_graph() -> FlatSnapshot:
     """A small connected trust graph with hubs and leaves (30 nodes)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(30))
     # A hub-and-spoke core plus a ring, so both high- and low-degree
     # nodes exist and the graph is connected but easily partitioned.
-    for node in range(1, 10):
-        graph.add_edge(0, node)
-    for node in range(10, 29):
-        graph.add_edge(node, node + 1)
-    graph.add_edge(9, 10)
-    graph.add_edge(29, 0)
-    for node in range(10, 30, 4):
-        graph.add_edge(node, (node * 7) % 10)
-    return graph
+    edges = [(0, node) for node in range(1, 10)]
+    edges += [(node, node + 1) for node in range(10, 29)]
+    edges += [(9, 10), (29, 0)]
+    edges += [(node, (node * 7) % 10) for node in range(10, 30, 4)]
+    return graph_from_edges(30, edges)
 
 
 @pytest.fixture

@@ -1,13 +1,30 @@
-"""CSR <-> networkx conversions for tests.
+"""CSR <-> networkx conversions for tests, and hand-built graphs.
 
 The social generators return a CSR adjacency ``(indptr, indices)`` and
 the f-sampler walks one; tests that compute networkx metrics on a
 generated graph, or hand-build a source as a networkx graph, convert
-here.
+here.  :func:`graph_from_edges` builds the package's own graph type
+from an edge list.
 """
 
 import networkx as nx
 import numpy as np
+
+from repro.graphs import FlatSnapshot
+
+
+def graph_from_edges(num_nodes, edges) -> FlatSnapshot:
+    """A graph on nodes ``0..num_nodes-1`` with the given edge list."""
+    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return FlatSnapshot.from_edge_positions(
+        np.arange(num_nodes, dtype=np.int64), ends[:, 0], ends[:, 1]
+    )
+
+
+def edge_list(graph: FlatSnapshot):
+    """The graph's edges as ``(u, v)`` label pairs with ``u < v``, sorted."""
+    labels = graph.node_ids
+    return list(zip(labels[graph.edge_u].tolist(), labels[graph.edge_v].tolist()))
 
 
 def to_networkx(csr) -> nx.Graph:

@@ -38,6 +38,8 @@ from repro.errors import ChurnError, ProtocolError
 from repro.privlink import Address
 from repro.rng import RandomStreams
 
+from .csr import graph_from_edges
+
 SEED = 11
 
 
@@ -323,11 +325,11 @@ class TestStandaloneNode:
             assert peer.own in node.cache
 
     def test_overlay_arena_ignores_retired_env_var(self, monkeypatch):
-        import networkx as nx
-
         monkeypatch.setenv("REPRO_NODE_PLANE", "objects")
         overlay = Overlay.build(
-            nx.path_graph(4), SystemConfig(num_nodes=4, seed=SEED), with_churn=False
+            graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+            SystemConfig(num_nodes=4, seed=SEED),
+            with_churn=False,
         )
         assert isinstance(overlay.arena, NodeArena)
 

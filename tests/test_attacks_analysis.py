@@ -1,6 +1,5 @@
 """Tests for the static coalition analysis."""
 
-import networkx as nx
 import pytest
 
 from repro.attacks import (
@@ -10,15 +9,22 @@ from repro.attacks import (
 )
 from repro.errors import ExperimentError
 
+from .csr import graph_from_edges
+
 
 @pytest.fixture
 def barbell():
     """Two triangles joined through node 3 (a cut vertex)."""
-    graph = nx.Graph()
-    graph.add_edges_from([(0, 1), (1, 2), (2, 0)])  # left triangle
-    graph.add_edges_from([(4, 5), (5, 6), (6, 4)])  # right triangle
-    graph.add_edges_from([(2, 3), (3, 4)])  # bridge through 3
-    return graph
+    return graph_from_edges(
+        7,
+        [(0, 1), (1, 2), (2, 0)]  # left triangle
+        + [(4, 5), (5, 6), (6, 4)]  # right triangle
+        + [(2, 3), (3, 4)],  # bridge through 3
+    )
+
+
+def path(num_nodes):
+    return graph_from_edges(num_nodes, [(u, u + 1) for u in range(num_nodes - 1)])
 
 
 class TestVertexCut:
@@ -35,10 +41,10 @@ class TestVertexCut:
         assert sizes == [3, 3]
 
     def test_whole_graph_coalition_not_a_cut(self, barbell):
-        assert not is_vertex_cut(barbell, list(barbell.nodes()))
+        assert not is_vertex_cut(barbell, barbell.node_ids.tolist())
 
     def test_cut_set_of_two(self):
-        graph = nx.path_graph(5)  # 0-1-2-3-4
+        graph = path(5)  # 0-1-2-3-4
         assert is_vertex_cut(graph, [2])
         assert is_vertex_cut(graph, [1, 3])
         assert not is_vertex_cut(graph, [0, 4])
@@ -55,8 +61,9 @@ class TestCoalitionExposure:
 
     def test_isolated_pair_detected(self):
         # Coalition {2} separates the trust-edge pair (0, 1).
-        graph = nx.Graph()
-        graph.add_edges_from([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
+        graph = graph_from_edges(
+            6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)]
+        )
         exposure = coalition_exposure(graph, [2])
         assert exposure.forms_vertex_cut
         assert (0, 1) in exposure.isolated_pairs
@@ -71,7 +78,7 @@ class TestCoalitionExposure:
         assert exposure.probe_targets == ((2, 4),)
 
     def test_probe_target_cap(self):
-        graph = nx.star_graph(20)
+        graph = graph_from_edges(21, [(0, leaf) for leaf in range(1, 21)])
         exposure = coalition_exposure(graph, [0], max_probe_targets=5)
         assert len(exposure.probe_targets) == 5
 
@@ -82,6 +89,9 @@ class TestCoalitionExposure:
     def test_unknown_member_rejected(self, barbell):
         with pytest.raises(ExperimentError):
             coalition_exposure(barbell, [99])
+        # -1 must not wrap around to the last node's row.
+        with pytest.raises(ExperimentError):
+            coalition_exposure(barbell, [-1])
 
     def test_id_disclosure_counts_non_members(self, barbell):
         exposure = coalition_exposure(barbell, [0, 1])

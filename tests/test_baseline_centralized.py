@@ -5,8 +5,7 @@ import pytest
 from repro import SystemConfig
 from repro.baselines import CentralizedOverlay, DirectoryServer
 from repro.errors import ExperimentError
-
-from .nx_oracle import analyze
+from repro.graphs import SnapshotAnalysis
 
 
 @pytest.fixture
@@ -54,16 +53,15 @@ class TestCentralizedOverlay:
         overlay.start()
         overlay.run_until(1.0)
         snapshot = overlay.snapshot()
-        assert analyze(snapshot).fraction_disconnected() == 0.0
-        degrees = [degree for _, degree in snapshot.degree()]
-        assert min(degrees) >= config.target_degree // 2
+        assert SnapshotAnalysis(snapshot).fraction_disconnected() == 0.0
+        assert snapshot.degrees().min() >= config.target_degree // 2
 
     def test_robust_under_churn(self, config):
         overlay = CentralizedOverlay.build(config)
         overlay.start()
         overlay.run_until(30.0)
         snapshot = overlay.snapshot()
-        assert analyze(snapshot).fraction_disconnected() < 0.1
+        assert SnapshotAnalysis(snapshot).fraction_disconnected() < 0.1
 
     def test_breach_exposes_whole_group(self, config):
         overlay = CentralizedOverlay.build(config)

@@ -15,7 +15,6 @@ import numpy as np
 from repro.experiments import SMOKE, make_config, make_trust_graph
 from repro.experiments.runner import run_overlay_experiment
 from repro.graphs import (
-    FlatSnapshot,
     SnapshotAnalysis,
     erdos_renyi_gnm,
     generate_social_graph,
@@ -24,7 +23,8 @@ from repro.graphs import (
 from repro.metrics import MetricsCollector
 from repro.rng import fallback_rng
 
-from .csr import to_networkx
+from .csr import edge_list, to_networkx
+from .nx_oracle import to_flat
 
 
 def _series_bytes(series):
@@ -212,16 +212,16 @@ class TestSeededFallbacks:
         source = generate_social_graph(120, edges_per_node=4)
         a = sample_trust_graph(source, 40, f=0.5)
         b = sample_trust_graph(source, 40, f=0.5)
-        assert sorted(a.edges()) == sorted(b.edges())
+        assert edge_list(a) == edge_list(b)
 
     def test_gnm_without_rng_is_deterministic(self):
         a = erdos_renyi_gnm(50, 100)
         b = erdos_renyi_gnm(50, 100)
-        assert sorted(a.edges()) == sorted(b.edges())
+        assert edge_list(a) == edge_list(b)
 
     def test_sampled_path_length_without_rng_is_deterministic(self):
         graph = to_networkx(generate_social_graph(80, edges_per_node=4))
-        analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
+        analysis = SnapshotAnalysis(to_flat(graph))
         a = analysis.average_path_length(sample_sources=10)
         b = analysis.average_path_length(sample_sources=10)
         assert a == b

@@ -5,6 +5,8 @@ import pytest
 from repro import Overlay
 from repro.dissemination import EpidemicBroadcast, build_channel_lists
 
+from .csr import edge_list
+
 
 class TestChannelAdjacency:
     def _ready(self, graph, config, warmup=10.0):
@@ -36,7 +38,7 @@ class TestChannelAdjacency:
                     if owner is not None:
                         channel_pairs.add(frozenset((node_id, owner)))
                         assert owner == destination
-        snapshot_pairs = {frozenset(edge) for edge in snapshot.edges()}
+        snapshot_pairs = {frozenset(edge) for edge in edge_list(snapshot)}
         assert snapshot_pairs <= channel_pairs
 
     def test_reverse_channels_present(self, small_trust_graph, small_config):

@@ -5,16 +5,16 @@ zero-latency links, synchronized flash-crowd starts, mass failure of
 most of the population, and very long idle periods.
 """
 
-import networkx as nx
 import pytest
 
 from repro import Overlay, SystemConfig
 
+from .csr import graph_from_edges
+
 
 class TestMinimalSystems:
     def test_two_node_system(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1)
+        graph = graph_from_edges(2, [(0, 1)])
         config = SystemConfig(
             num_nodes=2,
             cache_size=4,

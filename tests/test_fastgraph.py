@@ -23,6 +23,7 @@ from repro.graphs import erdos_renyi_gnm, generate_social_graph
 from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
 
+from . import nx_oracle
 from .csr import to_networkx
 from .nx_oracle import (
     assert_same_graph,
@@ -32,6 +33,8 @@ from .nx_oracle import (
     induced,
     largest_component,
     normalized_path_length,
+    to_flat,
+    to_nx,
 )
 
 
@@ -41,11 +44,11 @@ def _assert_matches_networkx(
     """Assert every fast metric of ``graph`` is bit-identical to networkx.
 
     ``snapshot`` substitutes another assembly of the same graph for
-    ``from_networkx``; ``sources`` sets the sampled-BFS count and skips
+    ``to_flat``; ``sources`` sets the sampled-BFS count and skips
     the all-pairs pass (0.6 s of networkx at 1,200 nodes).
     """
     if snapshot is None:
-        snapshot = FlatSnapshot.from_networkx(graph)
+        snapshot = to_flat(graph)
     analysis = SnapshotAnalysis(snapshot)
     total = graph.number_of_nodes()
 
@@ -81,7 +84,7 @@ class TestDifferentialRandomGraphs:
         for case in range(25):
             n = int(order_rng.integers(2, 150))
             m = int(order_rng.integers(0, max(1, 3 * n)))
-            graph = erdos_renyi_gnm(n, m, rng=np.random.default_rng(1000 + case))
+            graph = to_nx(erdos_renyi_gnm(n, m, rng=np.random.default_rng(1000 + case)))
             # Relabeling shuffles nx iteration order without changing
             # the graph, so label-order assumptions would be caught.
             relabel = dict(zip(graph.nodes(), order_rng.permutation(n).tolist()))
@@ -103,7 +106,7 @@ class TestDifferentialRandomGraphs:
         graph = to_networkx(generate_social_graph(2000, rng=np.random.default_rng(7)))
         mask = stationary_online_mask(2000, 0.6, np.random.default_rng(8))
         subgraph = induced(graph, mask)
-        base = FlatSnapshot.from_networkx(subgraph)
+        base = to_flat(subgraph)
         _assert_matches_networkx(
             subgraph,
             seed=8,
@@ -139,16 +142,16 @@ class TestDifferentialRandomGraphs:
         graph = to_networkx(generate_social_graph(300, rng=np.random.default_rng(8)))
         component = largest_component(graph)
         assert len(component) > 64
-        analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
+        analysis = SnapshotAnalysis(to_flat(graph))
         assert analysis.average_path_length() == average_path_length(graph)
 
 
 class TestFlatSnapshot:
     def test_structure_matches_graph(self):
-        graph = erdos_renyi_gnm(40, 80, rng=np.random.default_rng(2))
-        snap = FlatSnapshot.from_networkx(graph)
-        assert snap.num_nodes == 40
-        assert snap.num_edges == graph.number_of_edges()
+        graph = to_nx(erdos_renyi_gnm(40, 80, rng=np.random.default_rng(2)))
+        snap = to_flat(graph)
+        assert snap.number_of_nodes() == 40
+        assert snap.number_of_edges() == graph.number_of_edges()
         for position, node in enumerate(snap.node_ids.tolist()):
             row = snap.indices[snap.indptr[position] : snap.indptr[position + 1]]
             neighbors = sorted(
@@ -156,12 +159,36 @@ class TestFlatSnapshot:
             )
             assert neighbors == sorted(graph.neighbors(node))
 
+    def test_neighbors_and_has_edge_match_graph(self):
+        graph = nx.relabel_nodes(
+            to_nx(erdos_renyi_gnm(30, 60, rng=np.random.default_rng(5))),
+            lambda node: 3 * node + 2,
+        )
+        snap = to_flat(graph)
+        for node in graph.nodes():
+            assert snap.neighbors(node) == sorted(graph.neighbors(node))
+        for u in range(0, 95, 4):
+            for v in range(1, 95, 3):
+                assert snap.has_edge(u, v) == graph.has_edge(u, v)
+
+    def test_missing_labels_are_no_such_node(self):
+        """-1 and n must not wrap around or run off the last row."""
+        snap = erdos_renyi_gnm(10, 30, rng=np.random.default_rng(6))
+        assert snap.neighbors(9)
+        for label in (-1, 10):
+            with pytest.raises(GraphError, match="no such node"):
+                snap.neighbors(label)
+        assert not snap.has_edge(-1, 0)
+        assert not snap.has_edge(9, -1)
+        assert not snap.has_edge(0, 10)
+        assert not snap.has_edge(-1, -1)
+
     def test_duplicate_edges_are_deduplicated(self):
         node_ids = np.arange(4, dtype=np.int64)
         a = np.array([0, 1, 1, 2], dtype=np.int64)
         b = np.array([1, 0, 2, 1], dtype=np.int64)
         snap = FlatSnapshot.from_edge_positions(node_ids, a, b)
-        assert snap.num_edges == 2
+        assert snap.number_of_edges() == 2
         assert snap.degrees().tolist() == [1, 2, 1, 0]
 
     @staticmethod
@@ -209,18 +236,18 @@ class TestFlatSnapshot:
         from its end, so ``induced_by_labels`` would keep node -1 by
         label 2's entry."""
         with pytest.raises(GraphError, match="non-negative integers"):
-            FlatSnapshot.from_networkx(nx.Graph(edges))
+            to_flat(nx.Graph(edges))
 
     def test_self_loops_skipped_on_conversion(self):
         graph = nx.Graph([(0, 1), (1, 1)])
-        snap = FlatSnapshot.from_networkx(graph)
-        assert snap.num_edges == 1
+        snap = to_flat(graph)
+        assert snap.number_of_edges() == 1
 
     def test_induced_by_labels_matches_subgraph(self):
         graph = erdos_renyi_gnm(60, 120, rng=np.random.default_rng(3))
         mask = stationary_online_mask(60, 0.6, np.random.default_rng(4))
-        fast = FlatSnapshot.from_networkx(graph).induced_by_labels(mask)
-        reference = FlatSnapshot.from_networkx(induced(graph, mask))
+        fast = graph.induced_by_labels(mask)
+        reference = to_flat(induced(to_nx(graph), mask))
         assert fast.node_ids.tolist() == reference.node_ids.tolist()
         assert fast.indptr.tolist() == reference.indptr.tolist()
         assert fast.indices.tolist() == reference.indices.tolist()
@@ -229,7 +256,7 @@ class TestFlatSnapshot:
 class TestSingleLabelingPass:
     def test_one_union_find_pass_serves_every_metric(self):
         graph = to_networkx(generate_social_graph(100, rng=np.random.default_rng(7)))
-        analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
+        analysis = SnapshotAnalysis(to_flat(graph))
         assert analysis.labelings_run == 0
         analysis.fraction_disconnected()
         analysis.normalized_path_length(
@@ -273,7 +300,9 @@ class TestSingleLabelingPass:
 
 class TestOverlayIncrementalStore:
     def _overlay(self, with_churn: bool) -> Overlay:
-        graph = to_networkx(generate_social_graph(40, rng=np.random.default_rng(21)))
+        graph = to_flat(
+            to_networkx(generate_social_graph(40, rng=np.random.default_rng(21)))
+        )
         config = SystemConfig(num_nodes=40, seed=7, availability=0.6)
         return Overlay.build(graph, config, with_churn=with_churn)
 
@@ -284,7 +313,9 @@ class TestOverlayIncrementalStore:
             overlay.run_until(checkpoint)
             for online_only in (True, False):
                 fast = overlay.snapshot_fast(online_only=online_only)
-                assert_same_graph(fast, overlay.snapshot(online_only=online_only))
+                reference = nx_oracle.overlay_snapshot(overlay, online_only=online_only)
+                assert_same_graph(fast, reference)
+                assert_same_graph(overlay.snapshot(online_only=online_only), reference)
 
     def test_trust_snapshot_fast_cached_until_online_set_changes(self):
         overlay = self._overlay(with_churn=False)
@@ -297,9 +328,7 @@ class TestOverlayIncrementalStore:
         overlay.nodes[online_ids[0]].go_offline()
         third = overlay.trust_snapshot_fast()
         assert third is not first
-        reference = overlay.trust_snapshot()
-        assert third.node_ids.tolist() == sorted(reference.nodes())
-        assert third.num_edges == reference.number_of_edges()
+        assert_same_graph(third, nx_oracle.trust_snapshot(overlay))
 
     def test_online_out_degrees_match_node_out_degree(self):
         overlay = self._overlay(with_churn=True)
@@ -329,7 +358,9 @@ class TestOverlayIncrementalStore:
 
 class TestCollectorBackendEquivalence:
     def test_max_out_degrees_covers_every_node(self):
-        graph = to_networkx(generate_social_graph(50, rng=np.random.default_rng(31)))
+        graph = to_flat(
+            to_networkx(generate_social_graph(50, rng=np.random.default_rng(31)))
+        )
         config = SystemConfig(num_nodes=50, seed=13, availability=0.6)
         overlay = Overlay.build(graph, config, with_churn=True)
         collector = MetricsCollector(
@@ -351,7 +382,7 @@ class TestStaticChurnBackends:
         same induced subgraphs, rng consumption included."""
         graph = to_networkx(generate_social_graph(120, rng=np.random.default_rng(17)))
         fast = static_churn_metrics(
-            graph, 0.5, 5, np.random.default_rng(3), path_sources=8
+            to_flat(graph), 0.5, 5, np.random.default_rng(3), path_sources=8
         )
         rng = np.random.default_rng(3)
         disconnected, paths, degrees = [], [], []
@@ -388,8 +419,8 @@ def _networkx_failure_curve(graph, fractions, order):
 class TestTargetedFailurePaths:
     def test_int_and_string_labels_agree(self):
         """The kernel curve of an int-labelled graph equals networkx
-        removing the same nodes from a string-labelled copy; the kernels
-        themselves refuse string labels."""
+        removing the same nodes from a string-labelled copy, which no
+        conversion to the package's graph type accepts."""
         graph = to_networkx(generate_social_graph(150, rng=np.random.default_rng(23)))
         names = {node: f"n{node:04d}" for node in graph.nodes()}
         relabelled = nx.relabel_nodes(graph, names)
@@ -402,11 +433,11 @@ class TestTargetedFailurePaths:
             ({"strategy": "custom", "removal_order": hubs[::2]}, hubs[::2]),
             ({"strategy": "random", "rng": np.random.default_rng(5)}, shuffled),
         ):
-            fast = targeted_failure_curve(graph, fractions, **kwargs)
+            fast = targeted_failure_curve(to_flat(graph), fractions, **kwargs)
             reference = _networkx_failure_curve(
                 relabelled, fractions, [names[node] for node in order]
             )
             assert fast == reference
             assert fast[-1].removed_count == 60
         with pytest.raises(GraphError):
-            targeted_failure_curve(relabelled, fractions)
+            to_flat(relabelled)

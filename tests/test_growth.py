@@ -14,6 +14,8 @@ class TestAddTrustEdge:
         assert not small_trust_graph.has_edge(11, 25)
         overlay.add_trust_edge(11, 25)
         assert overlay.trust_graph.has_edge(11, 25)
+        # The graph the overlay was built from is not mutated.
+        assert not small_trust_graph.has_edge(11, 25)
         assert 25 in overlay.nodes[11].links.trusted
         assert 11 in overlay.nodes[25].links.trusted
 
@@ -51,8 +53,8 @@ class TestAddNode:
         # connected in the snapshot.
         overlay.run_until(30.0)
         snapshot = overlay.snapshot()
-        assert new_id in snapshot
-        assert snapshot.degree(new_id) >= 2
+        assert new_id in snapshot.node_ids.tolist()
+        assert len(snapshot.neighbors(new_id)) >= 2
         assert overlay.analysis().fraction_disconnected() == 0.0
 
     def test_new_node_own_pseudonym_registered(

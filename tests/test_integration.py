@@ -13,6 +13,8 @@ from repro import Overlay, SystemConfig
 from repro.experiments import SMOKE, make_config, make_trust_graph
 from repro.metrics import MetricsCollector
 
+from .csr import edge_list
+
 
 @pytest.fixture(scope="module")
 def churny_overlay():
@@ -136,7 +138,7 @@ class TestDeterminism:
             snapshot = overlay.snapshot()
             results.append(
                 (
-                    tuple(sorted(snapshot.edges())),
+                    tuple(edge_list(snapshot)),
                     overlay.stats().messages_sent,
                     tuple(overlay.online_ids()),
                 )
@@ -151,5 +153,5 @@ class TestDeterminism:
             overlay = Overlay.build(graph, config)
             overlay.start()
             overlay.run_until(25.0)
-            snapshots.append(tuple(sorted(overlay.snapshot().edges())))
+            snapshots.append(tuple(edge_list(overlay.snapshot())))
         assert snapshots[0] != snapshots[1]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.churn import availability, mean_online_for
-from repro.graphs import erdos_renyi_gnm, sample_trust_graph
+from repro.graphs import SnapshotAnalysis, erdos_renyi_gnm, sample_trust_graph
 from repro.sim import Simulator
 
 from .csr import from_networkx
@@ -64,7 +64,7 @@ class TestGraphMetricProperties:
         graph = erdos_renyi_gnm(
             num_nodes, min(num_edges, max_edges), rng=np.random.default_rng(seed)
         )
-        fraction = analyze(graph).fraction_disconnected()
+        fraction = SnapshotAnalysis(graph).fraction_disconnected()
         assert 0.0 <= fraction <= 1.0 - 1.0 / num_nodes
 
     @given(num_nodes=st.integers(2, 25), seed=st.integers(0, 100))
@@ -88,4 +88,4 @@ class TestSamplerProperties:
             source, target, f=f, rng=np.random.default_rng(seed)
         )
         assert sample.number_of_nodes() == target
-        assert nx.is_connected(sample)
+        assert SnapshotAnalysis(sample).component_count() == 1

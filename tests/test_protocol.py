@@ -1,10 +1,13 @@
 """Tests for the Overlay orchestrator."""
 
-import networkx as nx
+import numpy as np
 import pytest
 
 from repro import Overlay, SystemConfig
 from repro.errors import GraphError, ProtocolError
+from repro.graphs import FlatSnapshot
+
+from .csr import edge_list
 
 
 class TestConstruction:
@@ -14,8 +17,9 @@ class TestConstruction:
             Overlay.build(small_trust_graph, config)
 
     def test_non_contiguous_labels_rejected(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
+        graph = FlatSnapshot.from_edge_positions(
+            np.array([0, 5]), np.array([0]), np.array([1])
+        )
         config = SystemConfig(num_nodes=2)
         with pytest.raises(GraphError):
             Overlay.build(graph, config)
@@ -96,14 +100,14 @@ class TestSnapshots:
         analysis = overlay.analysis()
         assert analysis.fraction_disconnected() == 0.0
         # Pseudonym links added beyond the trust edges.
-        assert analysis.snapshot.num_edges > small_trust_graph.number_of_edges()
+        assert analysis.snapshot.number_of_edges() > small_trust_graph.number_of_edges()
 
     def test_snapshot_online_only_nodes(self, small_trust_graph, small_config):
         overlay = Overlay.build(small_trust_graph, small_config)
         overlay.start()
         overlay.run_until(5.0)
         snapshot = overlay.snapshot(online_only=True)
-        assert set(snapshot.nodes()) == set(overlay.online_ids())
+        assert snapshot.node_ids.tolist() == overlay.online_ids()
 
     def test_full_snapshot_includes_everyone(self, small_trust_graph, small_config):
         overlay = Overlay.build(small_trust_graph, small_config)
@@ -118,8 +122,8 @@ class TestSnapshots:
         overlay.run_until(5.0)
         trust = overlay.trust_snapshot()
         online = set(overlay.online_ids())
-        assert set(trust.nodes()) == online
-        for u, v in trust.edges():
+        assert set(trust.node_ids.tolist()) == online
+        for u, v in edge_list(trust):
             assert small_trust_graph.has_edge(u, v)
 
     def test_snapshot_has_no_self_loops(self, small_trust_graph, small_config):
@@ -127,7 +131,7 @@ class TestSnapshots:
         overlay.start()
         overlay.run_until(10.0)
         snapshot = overlay.snapshot()
-        assert all(u != v for u, v in snapshot.edges())
+        assert all(u != v for u, v in edge_list(snapshot))
 
 
 class TestOracles:

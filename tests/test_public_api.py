@@ -6,8 +6,14 @@ importable exactly as the README shows.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import repro
 
 _PACKAGES = [
     "repro",
@@ -49,6 +55,41 @@ class TestPublicApi:
         import repro
 
         assert repro.__version__ == "1.0.0"
+
+    def test_runs_without_networkx(self):
+        """Every module imports and an overlay runs with networkx
+        unimportable: a numpy-only install is enough, and networkx is a
+        test dependency."""
+        script = textwrap.dedent(
+            """
+            import importlib, pkgutil, sys
+
+            sys.modules["networkx"] = None  # every import of it now fails
+            import repro
+
+            for module in pkgutil.walk_packages(repro.__path__, "repro."):
+                importlib.import_module(module.name)
+
+            from repro import Overlay
+            from repro.experiments import SMOKE, make_config, make_trust_graph
+
+            overlay = Overlay.build(
+                make_trust_graph(SMOKE, 0.5, 1), make_config(SMOKE, 0.5)
+            )
+            overlay.start()
+            overlay.run_until(5.0)
+            assert overlay.stats().messages_sent > 0
+            """
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (source, env.get("PYTHONPATH")))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_cli_entry_point(self):
         from repro.cli import main

@@ -14,7 +14,8 @@ from repro.experiments import (
     static_churn_metrics,
 )
 
-from .nx_oracle import assert_same_graph
+from . import nx_oracle
+from .nx_oracle import assert_same_graph, to_flat
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +34,18 @@ class TestRunOverlayExperiment:
         assert 0.0 <= result.disconnected <= 1.0
         assert 0.0 <= result.trust_disconnected <= 1.0
         assert result.full_edge_count > graph.number_of_edges() // 2
-        assert result.snapshot.num_nodes == len(result.overlay.online_ids())
+        assert result.snapshot.number_of_nodes() == len(result.overlay.online_ids())
 
     def test_snapshots_match_networkx_reference(self, smoke_inputs):
-        """The run's flat snapshots are the overlay's networkx snapshots."""
+        """The run's snapshots are the overlay's, built link by link."""
         graph, config = smoke_inputs
         result = run_overlay_experiment(
             graph, config, horizon=20.0, measure_window=10.0
         )
         overlay = result.overlay
-        assert_same_graph(result.snapshot, overlay.snapshot())
-        assert_same_graph(result.trust_snapshot, overlay.trust_snapshot())
-        full = overlay.snapshot(online_only=False)
+        assert_same_graph(result.snapshot, nx_oracle.overlay_snapshot(overlay))
+        assert_same_graph(result.trust_snapshot, nx_oracle.trust_snapshot(overlay))
+        full = nx_oracle.overlay_snapshot(overlay, online_only=False)
         assert result.full_edge_count == full.number_of_edges()
 
     def test_overlay_beats_trust_baseline(self, smoke_inputs):
@@ -116,7 +117,7 @@ class TestStaticChurnMetrics:
             static_churn_metrics(graph, alpha=0.5, draws=0, rng=rng)
 
     def test_mean_online_degree(self, rng):
-        graph = nx.complete_graph(20)
+        graph = to_flat(nx.complete_graph(20))
         metrics = static_churn_metrics(graph, alpha=0.99, draws=2, rng=rng)
         assert metrics.mean_online_degree > 15
 

@@ -6,11 +6,17 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graphs import (
+    SnapshotAnalysis,
     generate_social_graph,
     sample_trust_graph,
 )
+from repro.graphs.sampling import sample_trust_members
 
 from .csr import from_networkx, to_networkx
+
+
+def is_connected(graph) -> bool:
+    return SnapshotAnalysis(graph).component_count() == 1
 
 
 @pytest.fixture(scope="module")
@@ -25,33 +31,35 @@ class TestSampleTrustGraph:
 
     def test_relabeled_to_contiguous_ids(self, source_graph, rng):
         sample = sample_trust_graph(source_graph, 100, f=0.5, rng=rng)
-        assert set(sample.nodes()) == set(range(100))
+        assert sample.node_ids.tolist() == list(range(100))
 
     def test_original_labels_recorded(self, source_graph, rng):
-        sample = sample_trust_graph(source_graph, 50, f=0.5, rng=rng)
-        originals = {sample.nodes[node]["original"] for node in sample.nodes()}
+        originals = sample_trust_members(source_graph, 50, f=0.5, rng=rng).tolist()
+        assert originals == sorted(set(originals))
         assert len(originals) == 50
-        assert originals <= set(to_networkx(source_graph).nodes())
+        assert set(originals) <= set(to_networkx(source_graph).nodes())
 
     def test_connected_for_all_f(self, source_graph):
         for f in (0.0, 0.3, 0.5, 1.0):
             sample = sample_trust_graph(
                 source_graph, 120, f=f, rng=np.random.default_rng(3)
             )
-            assert nx.is_connected(sample), f"disconnected for f={f}"
+            assert is_connected(sample), f"disconnected for f={f}"
 
-    def test_induced_subgraph_includes_all_internal_edges(self, source_graph, rng):
-        sample = sample_trust_graph(source_graph, 80, f=1.0, rng=rng)
-        originals = {
-            node: sample.nodes[node]["original"] for node in sample.nodes()
-        }
-        original_set = set(originals.values())
-        expected_edges = sum(
-            1
-            for u, v in to_networkx(source_graph).edges()
-            if u in original_set and v in original_set
+    def test_induced_subgraph_includes_all_internal_edges(self, source_graph):
+        sample = sample_trust_graph(
+            source_graph, 80, f=1.0, rng=np.random.default_rng(4)
         )
-        assert sample.number_of_edges() == expected_edges
+        originals = sample_trust_members(
+            source_graph, 80, f=1.0, rng=np.random.default_rng(4)
+        ).tolist()
+        # Node i of the sample is source node originals[i].
+        expected = nx.relabel_nodes(
+            to_networkx(source_graph).subgraph(originals),
+            {label: node for node, label in enumerate(originals)},
+        )
+        edges = set(zip(sample.edge_u.tolist(), sample.edge_v.tolist()))
+        assert edges == {(min(u, v), max(u, v)) for u, v in expected.edges()}
 
     def test_higher_f_more_edges(self, source_graph):
         low = sample_trust_graph(source_graph, 200, f=0.0, rng=np.random.default_rng(1))
@@ -69,12 +77,12 @@ class TestSampleTrustGraph:
     def test_deterministic_given_rng(self, source_graph):
         a = sample_trust_graph(source_graph, 90, f=0.5, rng=np.random.default_rng(9))
         b = sample_trust_graph(source_graph, 90, f=0.5, rng=np.random.default_rng(9))
-        assert set(a.edges()) == set(b.edges())
+        assert a.edge_u.tolist() == b.edge_u.tolist()
+        assert a.edge_v.tolist() == b.edge_v.tolist()
 
     def test_fixed_start_node(self, source_graph, rng):
-        sample = sample_trust_graph(source_graph, 40, f=1.0, rng=rng, start=0)
-        originals = {sample.nodes[node]["original"] for node in sample.nodes()}
-        assert 0 in originals
+        originals = sample_trust_members(source_graph, 40, f=1.0, rng=rng, start=0)
+        assert 0 in originals.tolist()
 
     @pytest.mark.parametrize("bad_f", [-0.1, 1.01])
     def test_invalid_f(self, source_graph, rng, bad_f):
@@ -110,4 +118,4 @@ class TestSamplerEdgeCases:
         graph = from_networkx(nx.path_graph(6))
         sample = sample_trust_graph(graph, 6, f=0.0, rng=rng, start=0)
         assert sample.number_of_nodes() == 6
-        assert nx.is_connected(sample)
+        assert is_connected(sample)

@@ -7,6 +7,8 @@ from repro import Overlay, SystemConfig
 from repro.attacks import install_flow_control, measure_flow_control
 from repro.errors import ExperimentError
 
+from .nx_oracle import to_flat
+
 
 @pytest.fixture
 def barbell_overlay():
@@ -31,7 +33,7 @@ def barbell_overlay():
         target_degree=16,
         seed=5,
     )
-    return Overlay.build(graph, config, with_churn=False), [10]
+    return Overlay.build(to_flat(graph), config, with_churn=False), [10]
 
 
 class TestFlowControl:

@@ -10,7 +10,7 @@ object views* over single rows:
 
 * :class:`PseudonymArena` — the interning table.  Each distinct
   pseudonym is assigned a dense ``uint32``-sized id; its value, expiry,
-  and (for batch-minted pseudonyms) owner live in parallel columns.
+  and owner live in parallel columns.
   Ids are reference-counted by their holders (cache rows, sampler
   slots, link rows) and returned to a free list when the last holder
   drops them, so long churned runs reuse ids instead of growing the
@@ -50,6 +50,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ProtocolError
+from ..graphs.fastgraph import FlatSnapshot
 from ..privlink import Address
 from ..rng import PSEUDONYM_BITS, random_bits
 from .links import LinkTarget
@@ -162,6 +163,11 @@ class PseudonymArena:
     in :attr:`objects` so views can hand the exact instance back.
     Batch-minted ids (:meth:`mint_batch`) never materialize objects;
     :meth:`view` builds one lazily if somebody asks.
+
+    :attr:`value_owner` is the omniscient measurement registry of the
+    view plane: the overlay records every pseudonym value there when it
+    is minted, before it can circulate, and :meth:`intern` copies the
+    owner into the :attr:`owners` column.
     """
 
     __slots__ = (
@@ -169,6 +175,7 @@ class PseudonymArena:
         "values",
         "expires_at",
         "owners",
+        "value_owner",
         "refcounts",
         "objects",
         "grows",
@@ -183,10 +190,10 @@ class PseudonymArena:
         self.chunk = chunk
         self.values = np.zeros(chunk, dtype=np.int64)
         self.expires_at = np.full(chunk, -math.inf, dtype=np.float64)
-        #: Owner node id of batch-minted pseudonyms (-1 for view-interned
-        #: ones; the view plane resolves owners through the overlay's
-        #: omniscient registry instead).
+        #: Owner node id of every live id (-1 when the owner is unknown).
         self.owners = np.full(chunk, -1, dtype=np.int64)
+        #: Pseudonym value -> owner node id, read by :meth:`intern`.
+        self.value_owner: Dict[int, int] = {}
         self.refcounts = np.zeros(chunk, dtype=np.int64)
         self.objects: List[Optional[Pseudonym]] = [None] * chunk
         #: Number of chunk growths (introspection for tests).
@@ -234,7 +241,8 @@ class PseudonymArena:
         """Intern one pseudonym object; the caller holds one reference.
 
         Equal pseudonyms share an id (so id equality is object
-        equality); every additional holder bumps the refcount.
+        equality); every additional holder bumps the refcount.  A new
+        id's owner comes from :attr:`value_owner` (-1 if unregistered).
         """
         pid = self._ids.get(pseudonym)
         if pid is not None:
@@ -243,7 +251,7 @@ class PseudonymArena:
         pid = self._allocate()
         self.values[pid] = pseudonym.value
         self.expires_at[pid] = pseudonym.expires_at
-        self.owners[pid] = -1
+        self.owners[pid] = self.value_owner.get(pseudonym.value, -1)
         self.refcounts[pid] = 1
         self.objects[pid] = pseudonym
         self._ids[pseudonym] = pid
@@ -592,6 +600,25 @@ class NodeArena:
         if self.trusted_indptr is None:
             return np.zeros(self.num_nodes, dtype=np.int64)
         return np.diff(self.trusted_indptr)
+
+    def link_edges(
+        self, now: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pseudonym link as ``(row, owner, alive)`` columns.
+
+        One entry per link cell, rows ascending and each row in
+        link-table order: the holding row, the owner from the
+        :attr:`PseudonymArena.owners` column (-1 when unknown), and
+        whether the pseudonym is unexpired at ``now``.  Both engines
+        build their snapshots from this (see :func:`assemble_snapshot`).
+        """
+        count = self.num_nodes
+        lens = self.link_len[:count]
+        live = np.arange(self.link_cols)[None, :] < lens[:, None]
+        pids = self.link_ids[:count][live]
+        table = self.pseudonyms
+        row = np.repeat(np.arange(count, dtype=np.int64), lens)
+        return row, table.owners[pids], table.expires_at[pids] > now
 
     def memory_bytes(self) -> int:
         """Deterministic storage accounting of every arena column."""
@@ -1099,6 +1126,36 @@ class NodeArena:
         order = np.argsort(ranked, axis=1, kind="stable")[:, :count]
         picked = np.take_along_axis(np.where(live, ids, -1), order, axis=1)
         return picked.astype(np.int32)
+
+
+def assemble_snapshot(
+    ids: np.ndarray,
+    num_nodes: int,
+    trust_lo: np.ndarray,
+    trust_hi: np.ndarray,
+    links: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> FlatSnapshot:
+    """The overlay graph on node ids ``ids`` (ascending, < ``num_nodes``).
+
+    Edges are the trusted pairs ``(trust_lo, trust_hi)`` with both ends
+    in ``ids`` plus every link of :meth:`NodeArena.link_edges` (given as
+    global ``(holder, owner, alive)`` columns) that is alive, has a
+    known owner other than its holder, and has both ends in ``ids``.
+    """
+    pos = np.full(num_nodes, -1, dtype=np.int64)
+    pos[ids] = np.arange(len(ids), dtype=np.int64)
+    trust_a = pos[trust_lo]
+    trust_b = pos[trust_hi]
+    trust_keep = (trust_a >= 0) & (trust_b >= 0)
+    holder, owner, alive = links
+    a = pos[holder]
+    b = pos[np.maximum(owner, 0)]
+    keep = alive & (owner >= 0) & (owner != holder) & (a >= 0) & (b >= 0)
+    return FlatSnapshot.from_edge_positions(
+        ids,
+        np.concatenate((trust_a[trust_keep], a[keep])),
+        np.concatenate((trust_b[trust_keep], b[keep])),
+    )
 
 
 class ArenaCache:
@@ -1630,8 +1687,9 @@ class ArenaLinkSet:
     Pseudonym links live in the arena link row (insertion order =
     link-table order); the small mutable trusted set stays object-side.
     ``version`` bumps whenever the pseudonym links change and
-    ``trusted_version`` whenever the trusted set grows, so the
-    overlay's incremental snapshot store re-reads only changed rows.
+    ``trusted_version`` whenever the trusted set grows; their sum over
+    all nodes keys the channel cache of
+    :meth:`repro.dissemination.base.Disseminator._channel_epoch`.
     """
 
     __slots__ = (
@@ -1691,16 +1749,6 @@ class ArenaLinkSet:
     def _ids(self) -> np.ndarray:
         arena = self._arena
         return arena.link_ids[self._row, : int(arena.link_len[self._row])]
-
-    def link_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(values, expiries)`` columns of the current pseudonym links.
-
-        The snapshot store's columnar fast path: resolves owners and
-        filters expiry without materializing pseudonym objects.
-        """
-        ids = self._ids()
-        table = self._arena.pseudonyms
-        return table.values[ids], table.expires_at[ids]
 
     def pseudonym_links(self) -> List[Pseudonym]:
         """Current pseudonym-link targets (cached snapshot list; read-only)."""

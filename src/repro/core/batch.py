@@ -79,7 +79,7 @@ from ..churn.batch import ShardedChurn
 from ..errors import GraphError, ProtocolError
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..rng import PSEUDONYM_BITS, RandomStreams
-from .arena import NodeArena, PseudonymArena
+from .arena import NodeArena, PseudonymArena, assemble_snapshot
 
 __all__ = [
     "BatchOverlay",
@@ -757,27 +757,10 @@ class ShardEngine:
     def link_edges(
         self, now: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live pseudonym-link edges as ``(holder, owner, alive)`` globals."""
-        arena = self.arena
-        size = self.size
-        if size == 0:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=bool),
-            )
-        link_ids = arena.link_ids[:size]
-        live = (
-            np.arange(arena.link_cols)[None, :]
-            < arena.link_len[:size][:, None]
-        )
-        holder = np.broadcast_to(
-            np.arange(self.lo, self.hi, dtype=np.int64)[:, None],
-            link_ids.shape,
-        )[live]
-        pids = link_ids[live]
-        table = arena.pseudonyms
-        return holder, table.owners[pids], table.expires_at[pids] > now
+        """:meth:`NodeArena.link_edges` with global ``(holder, owner, alive)``."""
+        row, owner, alive = self.arena.link_edges(now)
+        row += self.lo
+        return row, owner, alive
 
     def snapshot_rows(
         self, online_only: bool, now: float
@@ -1034,24 +1017,14 @@ class BatchOverlay:
         analogue of :meth:`Overlay.snapshot`.  Per-shard edge
         lists concatenate in shard order, which is global row order.
         """
-        ids, trust_lo, trust_hi, holder, owner, alive = zip(
-            *self._parts("snapshot_rows", online_only, float(self.round))
+        ids, trust_lo, trust_hi, holder, owner, alive = (
+            _concat(column)
+            for column in zip(
+                *self._parts("snapshot_rows", online_only, float(self.round))
+            )
         )
-        ids = _concat(ids)
-        pos = np.full(self.config.num_nodes, -1, dtype=np.int64)
-        pos[ids] = np.arange(len(ids), dtype=np.int64)
-        trust_a = pos[_concat(trust_lo)]
-        trust_b = pos[_concat(trust_hi)]
-        del trust_lo, trust_hi  # free these pieces before the link columns join
-        trust_keep = (trust_a >= 0) & (trust_b >= 0)
-        holder, owner, alive = _concat(holder), _concat(owner), _concat(alive)
-        a = pos[holder]
-        b = pos[np.maximum(owner, 0)]
-        keep = alive & (owner >= 0) & (owner != holder) & (a >= 0) & (b >= 0)
-        return FlatSnapshot.from_edge_positions(
-            ids,
-            np.concatenate((trust_a[trust_keep], a[keep])),
-            np.concatenate((trust_b[trust_keep], b[keep])),
+        return assemble_snapshot(
+            ids, self.config.num_nodes, trust_lo, trust_hi, (holder, owner, alive)
         )
 
     def channel_edges(

@@ -38,7 +38,7 @@ from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..privlink import Address, LinkLayer, make_ideal_link_layer
 from ..rng import RandomStreams
 from ..sim import Clock, Simulator
-from .arena import NodeArena
+from .arena import NodeArena, assemble_snapshot
 from .maintenance import AdaptiveLifetime, LifetimePolicy
 from .node import OverlayNode
 from .pseudonym import Pseudonym
@@ -67,167 +67,6 @@ class OverlayStats:
     circuit_cache_misses: int = 0
 
 
-class _SnapshotStore:
-    """Incrementally maintained flat edge arrays behind ``snapshot``.
-
-    One row per pseudonym link — ``(holder, resolved owner, expiry)`` —
-    stored in flat numpy arrays with one slot of rows per node.  The
-    store compares each node's :attr:`ArenaLinkSet.version` against its
-    last-seen value and rewrites only the slots that changed, so a
-    measurement sample touches the nodes that gossiped since the last
-    sample instead of re-scanning every link table.  Expiry is resolved
-    lazily at query time (rows are written once, filtered by
-    ``expiry > now`` per snapshot), matching
-    :meth:`Pseudonym.is_expired` semantics exactly.
-
-    Slots that outgrow their capacity are relocated to the end of the
-    arrays; the abandoned rows are tombstoned with a negative expiry
-    and the whole store is rebuilt once tombstones dominate.
-    """
-
-    __slots__ = (
-        "num_nodes",
-        "link_versions",
-        "starts",
-        "lens",
-        "caps",
-        "row_node",
-        "row_owner",
-        "row_expiry",
-        "top",
-        "live",
-        "pos",
-    )
-
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-        self.link_versions = [-1] * num_nodes
-        self.starts = [0] * num_nodes
-        self.lens = [0] * num_nodes
-        self.caps = [0] * num_nodes
-        capacity = max(256, 8 * num_nodes)
-        self.row_node = np.zeros(capacity, dtype=np.int64)
-        self.row_owner = np.zeros(capacity, dtype=np.int64)
-        self.row_expiry = np.full(capacity, -1.0)
-        self.top = 0
-        self.live = 0
-        # Scratch label -> position map reused by every snapshot build.
-        self.pos = np.full(num_nodes, -1, dtype=np.int64)
-
-    def grow(self, num_nodes: int) -> None:
-        """Track newly added overlay nodes."""
-        added = num_nodes - self.num_nodes
-        if added <= 0:
-            return
-        self.link_versions.extend([-1] * added)
-        self.starts.extend([0] * added)
-        self.lens.extend([0] * added)
-        self.caps.extend([0] * added)
-        self.pos = np.full(num_nodes, -1, dtype=np.int64)
-        self.num_nodes = num_nodes
-
-    def _ensure_capacity(self, needed: int) -> None:
-        capacity = len(self.row_node)
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for name in ("row_node", "row_owner", "row_expiry"):
-            old = getattr(self, name)
-            grown = np.full(capacity, -1.0) if name == "row_expiry" else np.zeros(
-                capacity, dtype=np.int64
-            )
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-
-    def _rebuild_slot(
-        self, node_id: int, node: OverlayNode, value_owner: Dict[int, int]
-    ) -> None:
-        # Read the (values, expiries) columns directly; no pseudonym
-        # objects are materialized.
-        values, expiries = node.links.link_rows()
-        values = values.tolist()
-        count = len(values)
-        if count <= self.caps[node_id]:
-            start = self.starts[node_id]
-            self.live += count - self.lens[node_id]
-        else:
-            # Relocate: tombstone the old slot, allocate a bigger one.
-            old_start = self.starts[node_id]
-            old_len = self.lens[node_id]
-            self.row_expiry[old_start : old_start + old_len] = -1.0
-            self.live += count - old_len
-            cap = count + 4
-            self._ensure_capacity(self.top + cap)
-            start = self.top
-            self.starts[node_id] = start
-            self.caps[node_id] = cap
-            self.top += cap
-        row_owner = self.row_owner
-        row_expiry = self.row_expiry
-        self.row_node[start : start + self.caps[node_id]] = node_id
-        get_owner = value_owner.get
-        for offset, value in enumerate(values):
-            # Unresolvable pseudonyms keep a row pointing at the holder
-            # itself: excluded from edges (self-loop) but still counted
-            # by the out-degree kernel, matching OverlayNode.out_degree.
-            owner = get_owner(value)
-            row_owner[start + offset] = node_id if owner is None else owner
-        row_expiry[start : start + count] = expiries
-        row_expiry[start + count : start + self.caps[node_id]] = -1.0
-        self.lens[node_id] = count
-
-    def sync(self, nodes: List[OverlayNode], value_owner: Dict[int, int]) -> None:
-        """Bring the arrays up to date with every dirty link table."""
-        dead = self.top - self.live
-        if dead > 1024 and dead > self.top // 2:
-            self.top = 0
-            self.live = 0
-            for node_id in range(self.num_nodes):
-                self.starts[node_id] = 0
-                self.lens[node_id] = 0
-                self.caps[node_id] = 0
-                self.link_versions[node_id] = -1
-        link_versions = self.link_versions
-        for node_id, node in enumerate(nodes):
-            links = node.links
-            if links.version != link_versions[node_id]:
-                self._rebuild_slot(node_id, node, value_owner)
-                link_versions[node_id] = links.version
-
-    def _positions(self, ids: np.ndarray) -> np.ndarray:
-        pos = self.pos
-        pos.fill(-1)
-        pos[ids] = np.arange(len(ids), dtype=np.int64)
-        return pos
-
-    def overlay_snapshot(
-        self, ids: np.ndarray, now: float, trust: FlatSnapshot
-    ) -> FlatSnapshot:
-        """The overlay restricted to ``ids`` (sorted labels) at ``now``:
-        the ``trust`` graph's edges plus every live pseudonym link."""
-        pos = self._positions(ids)
-        top = self.top
-        alive = self.row_expiry[:top] > now
-        holder = pos[self.row_node[:top][alive]]
-        owner = pos[self.row_owner[:top][alive]]
-        keep = (holder >= 0) & (owner >= 0) & (holder != owner)
-        trusted_a = pos[trust.edge_u]
-        trusted_b = pos[trust.edge_v]
-        trusted_keep = (trusted_a >= 0) & (trusted_b >= 0)
-        return FlatSnapshot.from_edge_positions(
-            ids,
-            np.concatenate((trusted_a[trusted_keep], holder[keep])),
-            np.concatenate((trusted_b[trusted_keep], owner[keep])),
-        )
-
-    def pseudonym_degrees(self, now: float) -> np.ndarray:
-        """Per-node count of unexpired pseudonym links (all nodes)."""
-        top = self.top
-        alive = self.row_expiry[:top] > now
-        return np.bincount(self.row_node[:top][alive], minlength=self.num_nodes)
-
-
 class Overlay:
     """A complete overlay system over one trust graph."""
 
@@ -241,10 +80,8 @@ class Overlay:
         "arena",
         "_streams",
         "_churn_trace",
-        "_value_owner",
         "_address_owner",
         "_started",
-        "_snap_store",
         "_trust_version",
         "_trust_snapshot_cache",
         "_online_epoch",
@@ -277,13 +114,12 @@ class Overlay:
         self._streams = streams
         self._churn_trace: Optional[SessionTrace] = None
 
-        # Omniscient measurement registry (never read by protocol code).
-        self._value_owner: Dict[int, int] = {}
-        self._address_owner: Dict[Address, int] = {}
-
         #: The columnar node plane backing every node's link/cache/slot
-        #: state; see docs/node_plane.md.
+        #: state; see docs/node_plane.md.  Its pseudonym table also
+        #: holds the omniscient value -> owner registry.
         self.arena = NodeArena()
+        # Omniscient measurement registry (never read by protocol code).
+        self._address_owner: Dict[Address, int] = {}
         self.nodes: List[OverlayNode] = []
         for node_id in range(num_nodes):
             neighbors = trust_graph.neighbors(node_id)
@@ -317,11 +153,8 @@ class Overlay:
             self.nodes.append(node)
 
         self._started = False
-        # Snapshot machinery: the incremental edge store is created
-        # lazily on first use; the trust graph, the online set and the
-        # restricted trust graph are invalidated by epoch/version
-        # counters instead of re-scans.
-        self._snap_store: Optional[_SnapshotStore] = None
+        # The trust graph, the online set and the restricted trust graph
+        # are invalidated by epoch/version counters instead of re-scans.
         self._trust_version = 0
         self._trust_graph: Tuple[int, FlatSnapshot] = (0, trust_graph)
         self._trust_snapshot_cache: Optional[
@@ -516,11 +349,9 @@ class Overlay:
         node.online_listener = self._on_online_change
         self.nodes.append(node)
         self._trust_version += 1
-        # New node: position maps and cached online sets are stale even
-        # before any transition (the churn process may seat it online).
+        # New node: cached online sets are stale even before any
+        # transition (the churn process may seat it online).
         self._online_epoch += 1
-        if self._snap_store is not None:
-            self._snap_store.grow(len(self.nodes))
 
         if self.churn is not None:
             from ..churn import Exponential, NodeChurnSpec
@@ -548,7 +379,7 @@ class Overlay:
         self._online_epoch += 1
 
     def _record_pseudonym(self, node_id: int, pseudonym: Pseudonym) -> None:
-        self._value_owner[pseudonym.value] = node_id
+        self.arena.pseudonyms.value_owner[pseudonym.value] = node_id
         self._address_owner[pseudonym.address] = node_id
 
     # ------------------------------------------------------------------
@@ -584,13 +415,18 @@ class Overlay:
         return list(cache)
 
     def _online_array(self, online_ids: Optional[Sequence[int]]) -> np.ndarray:
-        if online_ids is None:
-            online_ids = self.online_ids()
-        return np.sort(np.asarray(online_ids, dtype=np.int64))
+        """The online ids as an array; a given list must equal them."""
+        current = self.online_ids()
+        if online_ids is not None and not np.array_equal(online_ids, current):
+            raise ProtocolError(
+                "online_ids must equal the current online set "
+                "(pass the list overlay.online_ids() returns)"
+            )
+        return np.array(current, dtype=np.int64)
 
     def owner_of_value(self, value: int) -> Optional[int]:
         """Measurement oracle: owner of a pseudonym value (or None)."""
-        return self._value_owner.get(value)
+        return self.arena.pseudonyms.value_owner.get(value)
 
     def owner_of_address(self, address: Address) -> Optional[int]:
         """Measurement oracle: owner of an endpoint address (or None)."""
@@ -620,15 +456,6 @@ class Overlay:
             self._trust_graph = (self._trust_version, graph)
         return graph
 
-    def _ensure_store(self) -> _SnapshotStore:
-        store = self._snap_store
-        if store is None:
-            store = self._snap_store = _SnapshotStore(len(self.nodes))
-        elif store.num_nodes < len(self.nodes):
-            store.grow(len(self.nodes))
-        store.sync(self.nodes, self._value_owner)
-        return store
-
     def snapshot(
         self,
         online_only: bool = True,
@@ -641,18 +468,24 @@ class Overlay:
         registry.  All communication is bidirectional, so links are
         undirected edges regardless of who established them.
 
-        Assembled from the incrementally maintained edge store: only
-        nodes whose link tables changed since the previous call are
-        re-read, everything else is numpy filtering.  ``online_ids``
-        may carry a precomputed :meth:`online_ids` result and must then
-        equal the current online set.
+        Read from the arena's link columns
+        (:meth:`~repro.core.arena.NodeArena.link_edges`) and assembled
+        by the same function as :meth:`repro.core.BatchOverlay.snapshot`.
+        ``online_ids`` may carry a precomputed :meth:`online_ids` result
+        and must then equal the current online set.
         """
-        store = self._ensure_store()
         if online_only:
             ids = self._online_array(online_ids)
         else:
             ids = np.arange(len(self.nodes), dtype=np.int64)
-        return store.overlay_snapshot(ids, self.sim.now, self.trust_graph)
+        trust = self.trust_graph
+        return assemble_snapshot(
+            ids,
+            len(self.nodes),
+            trust.edge_u,
+            trust.edge_v,
+            self.arena.link_edges(self.sim.now),
+        )
 
     snapshot_fast = snapshot  # the older spelling, kept for callers
 
@@ -672,12 +505,13 @@ class Overlay:
         outright.  ``online_ids`` must equal the current online set
         when given.
         """
+        ids = self._online_array(online_ids)
         key = (self._online_epoch, self._trust_version)
         cached = self._trust_snapshot_cache
         if cached is not None and cached[0] == key:
             return cached[1]
         keep = np.zeros(len(self.nodes), dtype=bool)
-        keep[self._online_array(online_ids)] = True
+        keep[ids] = True
         snap = self.trust_graph.induced(keep)
         self._trust_snapshot_cache = (key, snap)
         return snap
@@ -696,16 +530,17 @@ class Overlay:
         links whose pseudonyms cannot be resolved to an owner — exactly
         the per-node method, computed with one bincount.
         """
-        store = self._ensure_store()
         if now is None:
             now = self.sim.now
+        ids = self._online_array(online_ids)
+        row, _, alive = self.arena.link_edges(now)
         trusted = np.fromiter(
             (node.links.trusted_degree for node in self.nodes),
             dtype=np.int64,
             count=len(self.nodes),
         )
-        degrees = trusted + store.pseudonym_degrees(now)
-        return degrees[self._online_array(online_ids)]
+        degrees = trusted + np.bincount(row[alive], minlength=len(self.nodes))
+        return degrees[ids]
 
     def stats(self, online_ids: Optional[Sequence[int]] = None) -> OverlayStats:
         """Aggregate cumulative counters.

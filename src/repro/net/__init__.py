@@ -46,7 +46,7 @@ from .harness import (
     run_udp_mesh,
     simulate_reference,
 )
-from .linklayer import MeshLinkLayer, NetLinkLayer
+from .linklayer import MeshLinkLayer
 from .peers import PeerRecord, PeerTable
 from .transport import (
     FaultPlan,
@@ -76,7 +76,6 @@ __all__ = [
     "run_udp_mesh",
     "simulate_reference",
     "MeshLinkLayer",
-    "NetLinkLayer",
     "PeerRecord",
     "PeerTable",
     "FaultPlan",

@@ -95,7 +95,7 @@ async def _run_node(config: NetNodeConfig, duration: Optional[float]) -> int:
     from ..rng import RandomStreams
     from .clock import Scheduler, WallClock
     from .endpoint import NetEndpoint
-    from .linklayer import NetLinkLayer
+    from .linklayer import MeshLinkLayer
     from .transport import UdpTransport
 
     loop = asyncio.get_running_loop()
@@ -121,7 +121,8 @@ async def _run_node(config: NetNodeConfig, duration: Optional[float]) -> int:
         backoff_max=config.backoff_max,
         bootstrap_attempts=config.bootstrap_attempts,
     )
-    link_layer = NetLinkLayer(endpoint)
+    link_layer = MeshLinkLayer()
+    link_layer.add(endpoint)
     node = OverlayNode(
         node_id=config.node_id,
         trusted_neighbors=config.trusted,

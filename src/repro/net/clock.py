@@ -166,8 +166,7 @@ class Scheduler(Clock):
 
     * delegates the whole :class:`Clock` surface;
     * forwards ``run_until`` when the backing clock supports it (a
-      :class:`~repro.sim.simulator.Simulator` or
-      :class:`~repro.sim.clock.SimClock`), and raises a clear
+      :class:`~repro.sim.simulator.Simulator`), and raises a clear
       :class:`~repro.errors.SchedulerError` on a wall clock — real time
       cannot be fast-forwarded;
     * adds :meth:`run_for`, the portable way to let time pass: a

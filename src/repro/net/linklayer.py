@@ -1,19 +1,16 @@
-"""Link-layer facades that put :class:`NetEndpoint` behind the
+"""The link-layer facade that puts :class:`NetEndpoint` behind the
 :class:`~repro.privlink.link.LinkLayer` surface.
 
 The overlay protocol only ever calls ``register_node`` /
 ``send_to_node`` / ``send_to_endpoint`` / ``send_reverse`` /
-``create_endpoint`` / ``close_endpoint`` on its link layer.  Two
-adapters provide that surface over real transports:
-
-* :class:`NetLinkLayer` — one local node (the ``repro node`` CLI); the
-  sender id is implicit, messages leave through the node's own
-  endpoint.
-* :class:`MeshLinkLayer` — many nodes in one process (the localhost
-  mesh harness); dispatches on the sender/owner id to the right
-  endpoint, so a single :class:`~repro.core.protocol.Overlay` object
-  drives N endpoints and every message still round-trips
-  encode → transport → decode.
+``create_endpoint`` / ``close_endpoint`` on its link layer.
+:class:`MeshLinkLayer` provides that surface over real transports for
+any number of nodes in one process: it dispatches on the sender/owner
+id to the right endpoint, so a single
+:class:`~repro.core.protocol.Overlay` object drives N endpoints (the
+localhost mesh harness) and every message still round-trips
+encode → transport → decode.  The ``repro node`` CLI runs it with one
+endpoint; any other node id is refused with :class:`NetError`.
 
 ``send_reverse`` maps to a trusted-link send, matching the ideal link
 layer: the paper's bidirectional overlay channels are routed by
@@ -28,44 +25,10 @@ from ..errors import NetError
 from ..privlink import Address
 from .endpoint import NetEndpoint
 
-__all__ = ["NetLinkLayer", "MeshLinkLayer"]
+__all__ = ["MeshLinkLayer"]
 
 Inbox = Callable[[Any], None]
 OnlineCheck = Callable[[], bool]
-
-
-class NetLinkLayer:
-    """A single node's view of the network as a LinkLayer."""
-
-    def __init__(self, endpoint: NetEndpoint) -> None:
-        self.endpoint = endpoint
-
-    def register_node(
-        self, node_id: int, inbox: Inbox, is_online: OnlineCheck
-    ) -> None:
-        if node_id != self.endpoint.node_id:
-            raise NetError(
-                f"NetLinkLayer serves node {self.endpoint.node_id}, "
-                f"got registration for {node_id}"
-            )
-        self.endpoint.attach(inbox, is_online)
-
-    def send_to_node(self, sender_id: int, dest_id: int, payload: Any) -> None:
-        self.endpoint.send_to_node(dest_id, payload)
-
-    def send_to_endpoint(
-        self, sender_id: int, address: Address, payload: Any
-    ) -> None:
-        self.endpoint.send_to_endpoint(address, payload)
-
-    def send_reverse(self, sender_id: int, dest_id: int, payload: Any) -> None:
-        self.endpoint.send_to_node(dest_id, payload)
-
-    def create_endpoint(self, owner_id: int) -> Address:
-        return self.endpoint.create_endpoint()
-
-    def close_endpoint(self, address: Address) -> None:
-        self.endpoint.close_endpoint(address)
 
 
 class MeshLinkLayer:

@@ -8,7 +8,7 @@ phase/jitter), and :class:`~repro.sim.trace.Tracer` (structured
 tracing).
 """
 
-from .clock import Clock, SimClock
+from .clock import Clock
 from .events import Event, EventHandle
 from .process import PeriodicProcess
 from .simulator import Simulator
@@ -19,7 +19,6 @@ __all__ = [
     "Event",
     "EventHandle",
     "PeriodicProcess",
-    "SimClock",
     "Simulator",
     "Tracer",
     "NullTracer",

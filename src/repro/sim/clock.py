@@ -8,9 +8,9 @@ or after delays.  :class:`Clock` names that contract so the same
 protocol code runs unmodified on
 
 * :class:`~repro.sim.simulator.Simulator` — discrete-event simulated
-  time (the evaluation path; ``Simulator`` subclasses :class:`Clock`);
-* :class:`SimClock` — an explicit adapter over a ``Simulator``, the
-  deterministic half of the ``SimClock``/``WallClock`` parity pair;
+  time (the evaluation path; ``Simulator`` subclasses :class:`Clock`,
+  the deterministic half of the ``Simulator``/``WallClock`` parity
+  pair);
 * :class:`repro.net.clock.WallClock` — real wall time over an asyncio
   event loop (the deployable path; see ``docs/networking.md``).
 
@@ -36,14 +36,9 @@ Contract notes
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
-from .events import EventHandle
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .simulator import Simulator
-
-__all__ = ["Clock", "SimClock"]
+__all__ = ["Clock"]
 
 
 class Clock(abc.ABC):
@@ -85,62 +80,3 @@ class Clock(abc.ABC):
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> None:
         """Fire-and-forget :meth:`schedule_after` (no handle allocated)."""
-
-
-class SimClock(Clock):
-    """A :class:`Clock` view of a discrete-event :class:`Simulator`.
-
-    ``Simulator`` already *is* a clock (it subclasses :class:`Clock`);
-    this adapter exists for call sites that want the clock role spelled
-    out — the network harness accepts either a ``SimClock`` or a
-    ``WallClock`` and treats them identically.  All scheduling
-    delegates to the wrapped simulator, so events interleave with the
-    rest of the simulation in deterministic ``(time, seq)`` order.
-    """
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim: Simulator) -> None:
-        self._sim = sim
-
-    @property
-    def sim(self) -> Simulator:
-        """The backing simulator (for ``run_until`` and inspection)."""
-        return self._sim
-
-    @property
-    def now(self) -> float:
-        return self._sim.now
-
-    def schedule(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: Optional[str] = None,
-    ) -> EventHandle:
-        return self._sim.schedule(time, callback, *args, label=label)
-
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: Optional[str] = None,
-    ) -> EventHandle:
-        return self._sim.schedule_after(delay, callback, *args, label=label)
-
-    def post(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        self._sim.post(time, callback, *args)
-
-    def post_after(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> None:
-        self._sim.post_after(delay, callback, *args)
-
-    def run_until(self, horizon: float) -> None:
-        """Advance the backing simulator to ``horizon``."""
-        self._sim.run_until(horizon)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock({self._sim!r})"

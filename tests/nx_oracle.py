@@ -6,8 +6,10 @@ tests compare them against what networkx computes here.
 
 * :func:`to_flat` / :func:`to_nx` convert between the two graph types.
 * :func:`overlay_snapshot` / :func:`trust_snapshot` build an
-  :class:`~repro.core.Overlay`'s graphs link by link, the reference for
-  its incrementally maintained :meth:`~repro.core.Overlay.snapshot`.
+  :class:`~repro.core.Overlay`'s graphs link by link from pseudonym
+  objects and :meth:`~repro.core.Overlay.owner_of_value`, the reference
+  for :meth:`~repro.core.Overlay.snapshot`, which reads the node
+  arena's link and owner columns instead.
 * The metric functions lean on networkx for the graph work
   (``nx.connected_components``, ``nx.single_source_shortest_path_length``)
   and share with the kernels only the definitions: the canonical

@@ -16,12 +16,15 @@ import pytest
 
 from repro import Overlay, SystemConfig
 from repro.churn import stationary_online_mask
-from repro.errors import GraphError
+from repro.core import Pseudonym
+from repro.errors import GraphError, ProtocolError
+from repro.experiments.scenarios import SMOKE, make_config, make_trust_graph
 from repro.analysis import FailurePoint, targeted_failure_curve
 from repro.experiments.runner import StaticMetrics, static_churn_metrics
 from repro.graphs import erdos_renyi_gnm, generate_social_graph
 from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
+from repro.privlink import Address
 
 from . import nx_oracle
 from .csr import to_networkx
@@ -299,6 +302,9 @@ class TestSingleLabelingPass:
 
 
 class TestOverlayIncrementalStore:
+    """``Overlay``'s snapshots, trust baseline and degrees, read from the
+    node arena's link columns, against the link-by-link oracle."""
+
     def _overlay(self, with_churn: bool) -> Overlay:
         graph = to_flat(
             to_networkx(generate_social_graph(40, rng=np.random.default_rng(21)))
@@ -354,6 +360,98 @@ class TestOverlayIncrementalStore:
         # Returned lists are copies: mutating one does not poison the cache.
         after.append(victim)
         assert victim not in overlay.online_ids()
+
+    def _assert_matches_oracle(self, overlay) -> None:
+        """Snapshots equal the link-by-link oracle and degrees equal
+        ``OverlayNode.out_degree`` at the current instant."""
+        now = overlay.sim.now
+        for online_only in (True, False):
+            assert_same_graph(
+                overlay.snapshot(online_only=online_only),
+                nx_oracle.overlay_snapshot(overlay, online_only=online_only),
+            )
+        assert_same_graph(overlay.trust_snapshot(), nx_oracle.trust_snapshot(overlay))
+        online_ids = overlay.online_ids()
+        assert overlay.online_out_degrees(now, online_ids).tolist() == [
+            overlay.nodes[node_id].out_degree(now) for node_id in online_ids
+        ]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["unregistered-owner", "self-link", "after-add-node", "after-add-trust-edge"],
+    )
+    def test_snapshot_cases_no_run_produces(self, case):
+        overlay = self._overlay(with_churn=True)
+        overlay.start()
+        overlay.run_until(6.0)
+        # Away from node 0, so an unknown owner read as row 0 would show.
+        full = overlay.snapshot(online_only=False)
+        holder = overlay.nodes[
+            next(
+                node_id
+                for node_id in overlay.online_ids()
+                if node_id != 0 and not full.has_edge(node_id, 0)
+            )
+        ]
+        links = list(holder.links.pseudonym_links())
+        if case == "unregistered-owner":
+            assert overlay.owner_of_value(1) is None
+            extra = Pseudonym(
+                value=1, address=Address(token=1), expires_at=overlay.sim.now + 50
+            )
+            holder.links.update_from_sample(links + [extra])
+            assert holder.links.has_pseudonym_link(extra)
+        elif case == "self-link":
+            assert overlay.owner_of_value(holder.own.value) == holder.node_id
+            holder.links.update_from_sample(links + [holder.own])
+            assert holder.links.has_pseudonym_link(holder.own)
+        elif case == "after-add-node":
+            overlay.add_node([0, 1])
+        else:
+            trusted = holder.links.trusted
+            stranger = next(
+                node_id
+                for node_id in range(len(overlay.nodes))
+                if node_id != holder.node_id and node_id not in trusted
+            )
+            overlay.add_trust_edge(holder.node_id, stranger)
+        self._assert_matches_oracle(overlay)
+        overlay.run_until(9.0)
+        self._assert_matches_oracle(overlay)
+
+    def test_owner_column_matches_registry_over_churned_run(self):
+        overlay = self._overlay(with_churn=True)
+        overlay.start()
+        table = overlay.arena.pseudonyms
+        for checkpoint in (1.0, 4.0, 9.0, 16.0, 25.0):
+            overlay.run_until(checkpoint)
+            live = np.flatnonzero(table.refcounts > 0)
+            assert len(live)
+            expected = [
+                overlay.owner_of_value(value) for value in table.values[live].tolist()
+            ]
+            assert table.owners[live].tolist() == [
+                -1 if owner is None else owner for owner in expected
+            ]
+
+    @pytest.mark.parametrize(
+        "online_ids", [[0], [-1], [3, 3], [80]], ids=["0", "-1", "3,3", "80"]
+    )
+    @pytest.mark.parametrize(
+        "method", ["snapshot", "trust_snapshot", "online_out_degrees"]
+    )
+    def test_wrong_online_ids_raise(self, method, online_ids):
+        graph = make_trust_graph(SMOKE, f=0.5, seed=1)
+        overlay = Overlay.build(graph, make_config(SMOKE, alpha=0.5, f=0.5, seed=1))
+        overlay.start()
+        overlay.run_until(5.0)
+        assert len(overlay.online_ids()) == 43
+        # Warm every cache first: a wrong list must not be served from it.
+        overlay.trust_snapshot(online_ids=overlay.online_ids())
+        with pytest.raises(ProtocolError, match="online_ids"):
+            getattr(overlay, method)(online_ids=online_ids)
+        # Nor may it leave anything behind for the next plain call.
+        self._assert_matches_oracle(overlay)
 
 
 class TestCollectorBackendEquivalence:

@@ -1,7 +1,7 @@
-"""Clock contract: SimClock and WallClock behind one Scheduler facade.
+"""Clock contract: Simulator and WallClock behind one Scheduler facade.
 
 This file is also the parity pin for the ``net-clock`` registry entry:
-WallClock must keep the exact scheduling surface of SimClock (schedule,
+WallClock must keep the exact scheduling surface of Simulator (schedule,
 schedule_after, post, post_after), or the same protocol object behaves
 differently under simulation and live networking.
 """
@@ -12,47 +12,7 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.net.clock import Scheduler, WallClock
-from repro.sim import Clock, SimClock, Simulator
-
-
-class TestSimClock:
-    def test_simulator_is_a_clock(self):
-        assert isinstance(Simulator(), Clock)
-
-    def test_simclock_delegates_now_and_run(self):
-        sim = Simulator()
-        clock = SimClock(sim)
-        fired = []
-        clock.schedule(2.0, fired.append, "a")
-        clock.schedule_after(1.0, fired.append, "b")
-        clock.post(3.0, fired.append, "c")
-        clock.post_after(0.5, fired.append, "d")
-        clock.run_until(5.0)
-        assert fired == ["d", "b", "a", "c"]
-        assert clock.now == 5.0
-        assert clock.sim is sim
-
-    def test_simclock_cancel(self):
-        sim = Simulator()
-        clock = SimClock(sim)
-        fired = []
-        handle = clock.schedule(1.0, fired.append, "x")
-        handle.cancel()
-        assert handle.cancelled
-        clock.run_until(2.0)
-        assert fired == []
-
-    def test_past_schedule_rejected(self):
-        sim = Simulator()
-        clock = SimClock(sim)
-        clock.run_until(5.0)
-        with pytest.raises(SchedulerError):
-            clock.schedule(1.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        clock = SimClock(Simulator())
-        with pytest.raises(SchedulerError):
-            clock.schedule_after(-1.0, lambda: None)
+from repro.sim import Clock, Simulator
 
 
 class TestWallClock:
@@ -120,6 +80,7 @@ class TestWallClock:
 class TestScheduler:
     def test_wraps_simulator(self):
         sim = Simulator()
+        assert isinstance(sim, Clock)
         scheduler = Scheduler(sim)
         assert not scheduler.wall
         fired = []
@@ -127,12 +88,6 @@ class TestScheduler:
         scheduler.run_until(2.0)
         assert fired == [1]
         assert scheduler.now == 2.0
-
-    def test_wraps_simclock(self):
-        scheduler = Scheduler(SimClock(Simulator()))
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.run_until(1.5)
-        assert scheduler.now == 1.5
 
     def test_run_until_refused_on_wall(self):
         async def run():
@@ -169,5 +124,5 @@ class TestScheduler:
         # The parity contract, asserted structurally: every scheduling
         # method exists on both concrete clocks with matching names.
         for name in ("schedule", "schedule_after", "post", "post_after"):
-            assert callable(getattr(SimClock, name))
+            assert callable(getattr(Simulator, name))
             assert callable(getattr(WallClock, name))

@@ -16,6 +16,7 @@ from repro.net.codec import (
 )
 from repro.net.endpoint import ADDRESS_KIND, NetEndpoint
 from repro.net.harness import MeshSpec, _build_mesh
+from repro.net.linklayer import MeshLinkLayer
 from repro.net.peers import PeerTable
 from repro.net.transport import FaultPlan, LoopbackNetwork
 from repro.privlink import Address
@@ -375,6 +376,33 @@ class TestPseudonymService:
         joiner.close_endpoint(address)
         sim.run_until(4.0)
         assert address.token not in seed_ep._directory
+
+
+class TestOneNodeLinkLayer:
+    """``repro node``'s link layer: a MeshLinkLayer holding one endpoint."""
+
+    def _layer(self):
+        sim = Simulator()
+        network = LoopbackNetwork(sim, np.random.default_rng(1))
+        layer = MeshLinkLayer()
+        layer.add(_endpoint(sim, network, 3))
+        return layer
+
+    def test_serves_its_own_node(self):
+        layer = self._layer()
+        layer.register_node(3, lambda payload: None, lambda: True)
+        address = layer.create_endpoint(3)
+        assert address.kind == ADDRESS_KIND
+        layer.close_endpoint(address)
+
+    def test_refuses_every_other_node_id(self):
+        layer = self._layer()
+        with pytest.raises(NetError, match="no endpoint for node 4"):
+            layer.register_node(4, lambda payload: None, lambda: True)
+        with pytest.raises(NetError):
+            layer.create_endpoint(4)
+        with pytest.raises(NetError):
+            layer.send_to_node(4, 3, {"app": 1})
 
 
 class TestReceivePath:

@@ -37,11 +37,11 @@ PAIRS = {
          ("q",)),
     ]),
     # tests/test_net_clock.py: protocol objects run on either clock
-    "net-clock": ("repro.net.clock", "repro.sim.clock", [
-        ("WallClock.schedule", "SimClock.schedule", ("time", "callback")),
-        ("WallClock.schedule_after", "SimClock.schedule_after", ("delay", "callback")),
-        ("WallClock.post", "SimClock.post", ("time", "callback")),
-        ("WallClock.post_after", "SimClock.post_after", ("delay", "callback")),
+    "net-clock": ("repro.net.clock", "repro.sim.simulator", [
+        ("WallClock.schedule", "Simulator.schedule", ("time", "callback")),
+        ("WallClock.schedule_after", "Simulator.schedule_after", ("delay", "callback")),
+        ("WallClock.post", "Simulator.post", ("time", "callback")),
+        ("WallClock.post_after", "Simulator.post_after", ("delay", "callback")),
     ]),
 }
 

@@ -15,6 +15,13 @@ from repro.net.clock import Scheduler, WallClock
 from repro.sim import Clock, Simulator
 
 
+class TestSimClock:
+    """The simulation clock is the Simulator itself; no wrapper sits between."""
+
+    def test_simulator_is_a_clock(self):
+        assert isinstance(Simulator(), Clock)
+
+
 class TestWallClock:
     def test_now_advances_in_periods(self):
         async def run():
@@ -80,7 +87,6 @@ class TestWallClock:
 class TestScheduler:
     def test_wraps_simulator(self):
         sim = Simulator()
-        assert isinstance(sim, Clock)
         scheduler = Scheduler(sim)
         assert not scheduler.wall
         fired = []
@@ -88,6 +94,14 @@ class TestScheduler:
         scheduler.run_until(2.0)
         assert fired == [1]
         assert scheduler.now == 2.0
+
+    def test_wraps_simclock(self):
+        # Scheduler over the simulation clock: run_until past the last
+        # event still advances now to the horizon.
+        scheduler = Scheduler(Simulator())
+        scheduler.schedule(1.0, lambda: None)
+        scheduler.run_until(1.5)
+        assert scheduler.now == 1.5
 
     def test_run_until_refused_on_wall(self):
         async def run():

@@ -1271,22 +1271,17 @@ class ArenaCache:
         return True
 
     def newest(self, count: int, now: float) -> List[Pseudonym]:
-        """The ``count`` most recently inserted unexpired pseudonyms.
+        """The ``count`` most recently inserted unexpired pseudonyms,
+        newest first.
 
         Used by the naive cache-based sampler ablation (no Brahms
         slots): links follow whatever arrived last, which
         over-represents frequently gossiped (hub) pseudonyms.
         """
         self.remove_expired(now)
-        arena = self._arena
-        length = int(arena.cache_len[self._row])
-        inserted = arena.cache_ins[self._row, :length]
-        order = sorted(
-            range(length), key=lambda index: inserted[index], reverse=True
-        )
-        ids = arena.cache_ids[self._row]
-        view = arena.pseudonyms.view
-        return [view(int(ids[index])) for index in order[:count]]
+        view = self._arena.pseudonyms.view
+        # The row is in insertion order: the newest entries are its last.
+        return [view(pid) for pid in self._ids()[::-1][:count].tolist()]
 
     def select_for_shuffle(
         self, rng: np.random.Generator, count: int, now: float
@@ -1294,10 +1289,11 @@ class ArenaCache:
         """Uniformly sample up to ``count`` unexpired cached pseudonyms."""
         self.remove_expired(now)
         ids = self._ids()
-        view = self._arena.pseudonyms.view
         if count < len(ids):
             ids = ids[rng.choice(len(ids), size=count, replace=False)]
-        return [view(pid) for pid in ids.tolist()]
+        table = self._arena.pseudonyms
+        objects = table.objects
+        return [objects[pid] or table.view(pid) for pid in ids.tolist()]
 
     def merge(
         self,
@@ -1313,8 +1309,9 @@ class ArenaCache:
         ``own_value`` is the node's own pseudonym value, never cached.
         Returns the number of received entries inserted or refreshed.
 
-        Costs one read of the row and at most one write-back, whatever
-        the batch size (``docs/node_plane.md``, per-receipt cost).
+        Costs one gather of the row, a hash probe per candidate and a
+        write-back of the changed cells (``docs/node_plane.md``,
+        per-receipt cost).
         """
         self.remove_expired(now)
         arena = self._arena
@@ -1322,21 +1319,21 @@ class ArenaCache:
         table = arena.pseudonyms
         length = int(arena.cache_len[row])
         capacity = int(arena.cache_cap[row])
-        ids = arena.cache_ids[row, :length]
-        # The row, read once: value -> (id, inserted_at), oldest first.
-        # A dict keeps that order the way the row does: a refreshed value
-        # keeps its place, an evicted one closes the gap, an insert
-        # appends.
-        entries = dict(
-            zip(
-                table.values[ids].tolist(),
-                zip(ids.tolist(), arena.cache_ins[row, :length].tolist()),
-            )
-        )
-        # Preferred victims, tried in the set's iteration order.
-        sent_values = (
-            list({pseudonym.value for pseudonym in just_sent}) if just_sent else []
-        )
+        row_ids = arena.cache_ids[row]
+        # Places 0 .. length-1 are the row, oldest first; an insert takes
+        # the next place after the last.  ``position`` maps every cached
+        # value to its place, an evicted place joins ``dead``, and the
+        # oldest entry is the first place not dead.  A refresh keeps its
+        # place and insertion time.
+        ids = row_ids[:length].tolist()
+        values = table.values[row_ids[:length]].tolist()
+        position = dict(zip(values, range(length)))
+        dead = set()
+        oldest = 0
+        # Preferred victims, tried in the set's iteration order; listed
+        # at the first eviction.
+        sent_values: Optional[List[int]] = None
+        objects = table.objects
         expires_at = table.expires_at
         soonest = math.inf
         inserted = 0
@@ -1345,36 +1342,59 @@ class ArenaCache:
             value = pseudonym.value
             if now >= expiry or value == own_value:
                 continue
-            held = entries.get(value)
-            if held is not None:
-                if expiry > expires_at[held[0]]:
-                    entries[value] = (table.intern(pseudonym), held[1])
-                    table.release(held[0])
+            place = position.get(value)
+            if place is not None:
+                held = ids[place]
+                # The cached object itself cannot be a later copy.
+                if objects[held] is not pseudonym and expiry > expires_at[held]:
+                    ids[place] = table.intern(pseudonym)
+                    if place < length:
+                        row_ids[place] = ids[place]
+                    table.release(held)
                     inserted += 1
                 continue
-            if len(entries) >= capacity:
+            if len(position) >= capacity:
+                if sent_values is None:
+                    sent_values = list({entry.value for entry in just_sent or ()})
                 for victim in sent_values:
-                    if victim in entries:
+                    if victim in position:
                         sent_values.remove(victim)
+                        place = position.pop(victim)
                         break
                 else:
-                    if not entries:
-                        break  # nothing to evict: the batch ends here
-                    victim = next(iter(entries))  # the oldest
-                table.release(entries.pop(victim)[0])
-            entries[value] = (table.intern(pseudonym), now)
+                    while oldest in dead:
+                        oldest += 1
+                    place = oldest
+                    del position[values[place]]
+                dead.add(place)
+                table.release(ids[place])
+            position[value] = len(ids)
+            ids.append(table.intern(pseudonym))
+            values.append(value)
             if expiry < soonest:
                 soonest = expiry
             inserted += 1
-        if inserted:
-            # One write-back.  Every eviction above was followed by an
-            # insert, so the row never got shorter and has no tail to
-            # clear; ``cache_min_exp`` only has to stay a lower bound,
-            # which refreshes (later expiry) and evictions cannot break.
-            new_ids, inserted_at = zip(*entries.values())
-            arena.cache_ids[row, : len(new_ids)] = new_ids
-            arena.cache_ins[row, : len(new_ids)] = inserted_at
-            arena.cache_len[row] = len(new_ids)
+        if len(ids) > length:
+            # Every eviction was followed by an insert, so the row never
+            # got shorter and has no tail to clear; ``cache_min_exp``
+            # only has to stay a lower bound, which refreshes (later
+            # expiry) and evictions cannot break.
+            ins = arena.cache_ins[row]
+            start = length
+            if dead:
+                evicted = [place for place in dead if place < length]
+                keep = np.ones(length, dtype=bool)
+                keep[evicted] = False
+                start = length - len(evicted)
+                row_ids[:length].compress(keep, out=row_ids[:start])
+                ins[:length].compress(keep, out=ins[:start])
+            added = [
+                ids[place] for place in range(length, len(ids)) if place not in dead
+            ]
+            end = start + len(added)
+            row_ids[start:end] = added
+            ins[start:end] = now
+            arena.cache_len[row] = end
             if soonest < arena.cache_min_exp[row]:
                 arena.cache_min_exp[row] = soonest
         return inserted
@@ -1397,7 +1417,7 @@ class ArenaSlots:
     hubs run with no pseudonym links at all.
     """
 
-    __slots__ = ("_arena", "_row", "_size", "_sample_cache", "_near")
+    __slots__ = ("_arena", "_row", "_size", "_sample_cache", "_by_reference")
 
     def __init__(
         self, arena: NodeArena, row: int, size: int, rng: np.random.Generator
@@ -1414,13 +1434,7 @@ class ArenaSlots:
             random_bits(rng, PSEUDONYM_BITS) for _ in range(size)
         ]
         self._sample_cache: Optional[List[Pseudonym]] = None
-        #: ``offer_batch``'s early-out: the references sorted, their
-        #: slot indices, and each slot's distance and occupant expiry as
-        #: lists.  Built from the row on first use; ``_set_key`` keeps
-        #: it in step (see :meth:`_takes_nothing`).
-        self._near: Optional[
-            Tuple[List[int], List[int], List[int], List[float]]
-        ] = None
+        self._by_reference: Optional[Tuple[List[int], List[int], List[int]]] = None
 
     @property
     def size(self) -> int:
@@ -1454,13 +1468,13 @@ class ArenaSlots:
         """
         cached = self._sample_cache
         if cached is None:
-            view = self._arena.pseudonyms.view
-            seen = set()
-            cached = []
-            for pid in self._ids().tolist():
-                if pid >= 0 and pid not in seen:
-                    seen.add(pid)
-                    cached.append(view(pid))
+            table = self._arena.pseudonyms
+            objects = table.objects
+            cached = [
+                objects[pid] or table.view(pid)
+                for pid in dict.fromkeys(self._ids().tolist())
+                if pid >= 0
+            ]
             self._sample_cache = cached
         return cached
 
@@ -1510,19 +1524,8 @@ class ArenaSlots:
         if pid >= 0:
             arena.pseudonyms.release(pid)
         arena.slot_ids[row, index] = -1
-        self._set_key(index, int(_EMPTY_DISTANCE), -math.inf)
-
-    def _set_key(self, index: int, distance: int, expiry: float) -> None:
-        """Write slot ``index``'s distance and occupant expiry: the row's
-        cells and the early-out's copy of them (the only writer of
-        either after construction, besides :meth:`refresh_distances`)."""
-        row = self._row
-        self._arena.slot_dist[row, index] = distance
-        self._arena.slot_exp[row, index] = expiry
-        near = self._near
-        if near is not None:
-            near[2][index] = distance
-            near[3][index] = expiry
+        arena.slot_dist[row, index] = _EMPTY_DISTANCE
+        arena.slot_exp[row, index] = -math.inf
 
     def offer(self, pseudonym: Pseudonym) -> int:
         """Offer one pseudonym to every slot; returns slots replaced."""
@@ -1532,108 +1535,91 @@ class ArenaSlots:
         """Fold a received batch into the slots.
 
         Equivalent to offering each pseudonym in turn (the paper's
-        per-receipt traversal), evaluated with one (batch x S) distance
-        matrix: for each slot the winning candidate is the received
-        pseudonym with minimal |value - R|, ties broken by latest
-        expiry then earliest batch position.  Returns the number of
-        slots whose occupant changed.
+        per-receipt traversal): each slot ends up with its best
+        candidate — least |value - R|, then latest expiry, then earliest
+        batch position — if that candidate beats the occupant.  Returns
+        the number of slots whose occupant changed.
 
-        A slot can only change when some received value lies inside its
-        acceptance interval: |value - R| < dist, or |value - R| == dist
-        and the value's expiry is later than the occupant's.  Most
-        receipts bring none (gossip re-delivers what the slots already
-        beat), so :meth:`_takes_nothing` looks first, with about one
-        bisect per value, and those receipts return before any array is
-        built.
+        A slot takes a value only when |value - R| < dist, or |value -
+        R| == dist and the value expires later than the occupant, so
+        every filled slot that takes ``v`` has |v - R| <= ``reach``, the
+        largest ``dist`` of the filled slots.  One bisect per value into
+        the sorted references finds the only filled slots to test.  An
+        empty slot takes the set's best value for it, whatever the gap.
         """
-        if self._size == 0 or not pseudonyms or self._takes_nothing(pseudonyms):
+        size = self._size
+        if size == 0 or not pseudonyms:
             return 0
         arena = self._arena
         row = self._row
-        size = self._size
-        values = np.array(
-            [pseudonym.value for pseudonym in pseudonyms], dtype=np.int64
-        )
-        expiries = np.array(
-            [pseudonym.expires_at for pseudonym in pseudonyms], dtype=np.float64
-        )
-        references = arena.slot_refs[row, :size]
-        distances = arena.slot_dist[row, :size]
-        slot_expiries = arena.slot_exp[row, :size]
-        # Values are < 2^63 so the signed difference never overflows int64.
-        distance_matrix = np.abs(values[:, None] - references[None, :])
-        min_distances = distance_matrix.min(axis=0)
-        is_minimal = distance_matrix == min_distances[None, :]
-        masked_expiries = np.where(is_minimal, expiries[:, None], -np.inf)
-        best_rows = masked_expiries.argmax(axis=0)
-        best_expiries = masked_expiries[best_rows, np.arange(size)]
-
-        closer = min_distances < distances
-        tie_later = (min_distances == distances) & (best_expiries > slot_expiries)
-        replace = np.flatnonzero(closer | tie_later).tolist()
-        if not replace:
-            return 0
-
-        table = arena.pseudonyms
-        changed = 0
-        soonest = float(arena.slot_soonest[row])
-        ids = arena.slot_ids[row]
-        for index in replace:
-            candidate = pseudonyms[int(best_rows[index])]
-            current = int(ids[index])
-            if current >= 0 and table.matches(current, candidate):
-                continue
-            ids[index] = table.intern(candidate)
-            if current >= 0:
-                table.release(current)
-            expiry = float(best_expiries[index])
-            self._set_key(index, int(min_distances[index]), expiry)
-            if expiry < soonest:
-                soonest = expiry
-            changed += 1
-        if changed:
-            arena.slot_soonest[row] = soonest
-            self._sample_cache = None
-        return changed
-
-    def _takes_nothing(self, pseudonyms: Sequence[Pseudonym]) -> bool:
-        """Whether no slot lies within any received value's reach.
-
-        Every slot that takes a value ``v`` has ``|v - R| <= reach``, the
-        largest ``dist`` of the row (an empty slot's sentinel included),
-        so a bisect over the sorted references finds the only slots to
-        test exactly.  Once the slots have converged, ``reach`` is far
-        below the references' spacing and most values have none.
-        """
-        near = self._near
-        if near is None:
-            arena = self._arena
-            row = self._row
-            size = self._size
-            references = arena.slot_refs[row, :size].tolist()
-            slots = sorted(range(size), key=references.__getitem__)
-            near = self._near = (
-                [references[slot] for slot in slots],
-                slots,
-                arena.slot_dist[row, :size].tolist(),
-                arena.slot_exp[row, :size].tolist(),
-            )
-        references, slots, distances, expiries = near
+        distances = arena.slot_dist[row, :size].tolist()
+        expiries = arena.slot_exp[row]  # read only on a distance tie
         reach = max(distances)
-        size = len(references)
-        for pseudonym in pseudonyms:
+        empty: List[int] = []
+        if reach == _EMPTY_DISTANCE:
+            empty = [slot for slot, gap in enumerate(distances) if gap == reach]
+            reach = max((gap for gap in distances if gap != reach), default=-1)
+        references, slots, by_slot = self._references()
+        # Each taking slot's best candidate as (gap, -expiry, index).
+        best: Dict[int, Tuple[int, float, int]] = {}
+        for index, pseudonym in enumerate(pseudonyms):
             value = pseudonym.value
             position = bisect_left(references, value - reach)
-            while position < size and references[position] <= value + reach:
-                slot = slots[position]
+            top = value + reach
+            while position < size and references[position] <= top:
                 gap = abs(value - references[position])
-                if gap < distances[slot] or (
-                    gap == distances[slot]
-                    and pseudonym.expires_at > expiries[slot]
-                ):
-                    return False
+                slot = slots[position]
                 position += 1
-        return True
+                distance = distances[slot]
+                if gap < distance or (
+                    gap == distance and pseudonym.expires_at > expiries[slot]
+                ):
+                    key = (gap, -pseudonym.expires_at, index)
+                    held = best.get(slot)
+                    if held is None or key < held:
+                        best[slot] = key
+        for slot in empty:
+            reference = by_slot[slot]
+            key = min(
+                (abs(pseudonym.value - reference), -pseudonym.expires_at, index)
+                for index, pseudonym in enumerate(pseudonyms)
+            )
+            if key[0] < distances[slot] or (
+                key[0] == distances[slot] and -key[1] > expiries[slot]
+            ):
+                best[slot] = key
+        if not best:
+            return 0
+        table = arena.pseudonyms
+        ids = arena.slot_ids[row]
+        soonest = float(arena.slot_soonest[row])
+        for slot in sorted(best):
+            gap, _, index = best[slot]
+            candidate = pseudonyms[index]
+            current = int(ids[slot])
+            ids[slot] = table.intern(candidate)
+            if current >= 0:
+                table.release(current)
+            expiry = candidate.expires_at
+            arena.slot_dist[row, slot] = gap
+            arena.slot_exp[row, slot] = expiry
+            if expiry < soonest:
+                soonest = expiry
+        arena.slot_soonest[row] = soonest
+        self._sample_cache = None
+        return len(best)
+
+    def _references(self) -> Tuple[List[int], List[int], List[int]]:
+        """The references sorted, their slots, and the references by slot.
+
+        References never change after construction, so this is built
+        once, on the first offer.
+        """
+        if self._by_reference is None:
+            by_slot = self._arena.slot_refs[self._row, : self._size].tolist()
+            slots = sorted(range(self._size), key=by_slot.__getitem__)
+            self._by_reference = ([by_slot[slot] for slot in slots], slots, by_slot)
+        return self._by_reference
 
     def refresh_distances(self) -> None:
         """Recompute cached distances from entries (defensive resync).
@@ -1662,7 +1648,7 @@ class ArenaSlots:
                     soonest = expires
         arena.slot_soonest[row] = soonest
         self._sample_cache = None
-        self._near = None
+        self._by_reference = None
 
     def holds(self, pseudonyms: Iterable[Pseudonym]) -> bool:
         """Whether every given pseudonym occupies at least one slot."""
@@ -1805,23 +1791,27 @@ class ArenaLinkSet:
             for value in [v for v in current if v not in new_links]:
                 table.release(current.pop(value))
                 removed += 1
+        objects = table.objects
         for value, pseudonym in new_links.items():
             existing = current.get(value)
             if existing is None:
                 current[value] = table.intern(pseudonym)
                 added += 1
-            elif not table.matches(existing, pseudonym):
+            elif objects[existing] is not pseudonym and not table.matches(
+                existing, pseudonym
+            ):
                 current[value] = table.intern(pseudonym)
                 table.release(existing)
                 removed += 1
                 added += 1
         if added or removed:
             row = self._row
-            arena._ensure_link_cols(len(current))
-            new_ids = list(current.values())
-            arena.link_ids[row, : len(new_ids)] = new_ids
-            arena.link_ids[row, len(new_ids) : arena.link_cols] = -1
-            arena.link_len[row] = len(new_ids)
+            end = len(current)
+            arena._ensure_link_cols(end)
+            arena.link_ids[row, :end] = list(current.values())
+            if end < len(ids):
+                arena.link_ids[row, end : len(ids)] = -1
+            arena.link_len[row] = end
             self._pseudonym_list = None
             self.version += 1
         self.replacements_total += removed

@@ -79,11 +79,6 @@ def make_shuffle_set(
     """
     if limit < 1:
         raise ProtocolError("shuffle set limit must be at least 1")
-    entries = [own]
-    for pseudonym in cache_selection:
-        if len(entries) >= limit:
-            break
-        if pseudonym.value == own.value:
-            continue
-        entries.append(pseudonym)
-    return tuple(entries)
+    own_value = own.value
+    others = [entry for entry in cache_selection if entry.value != own_value]
+    return (own, *others[: limit - 1])

@@ -107,6 +107,20 @@ class TestReplacementPolicy:
         assert values == {2, 3}
 
 
+class TestNewest:
+    def test_same_instant_inserts_come_newest_first(self):
+        cache = make_cache(10)
+        cache.merge([_pseudonym(11), _pseudonym(22), _pseudonym(33)], now=0.0)
+        assert [entry.value for entry in cache.newest(1, now=0.0)] == [33]
+        assert [entry.value for entry in cache.newest(5, now=0.0)] == [33, 22, 11]
+
+    def test_later_insert_is_newest(self):
+        cache = make_cache(10)
+        cache.merge([_pseudonym(1), _pseudonym(2)], now=0.0)
+        cache.merge([_pseudonym(3)], now=1.0)
+        assert [entry.value for entry in cache.newest(2, now=1.0)] == [3, 2]
+
+
 class TestSelectForShuffle:
     def test_respects_count(self, rng):
         cache = make_cache(20)

@@ -44,6 +44,11 @@ def _check_min_exp(cache):
     assert cache._arena.cache_min_exp[cache._row] <= soonest
 
 
+def _check_tail(cache):
+    """Every ``cache_ids`` cell past ``cache_len`` is -1."""
+    assert (cache._arena.cache_ids[cache._row, len(cache) :] == -1).all()
+
+
 # Few values and capacities: later-expiring copies of cached values,
 # evictions of the soonest entry and full rows all come up.
 _COLLIDING = st.builds(
@@ -62,6 +67,7 @@ class TestCacheInvariants:
         cache = make_cache(capacity)
         for batch, now in batches:
             cache.merge(batch, now=now)
+            _check_tail(cache)
             assert len(cache) <= capacity
             _check_min_exp(cache)
 
@@ -73,6 +79,7 @@ class TestCacheInvariants:
         for batch, now in batches:
             last_now = max(last_now, now)
             cache.merge(batch, now=last_now)
+            _check_tail(cache)
             _check_min_exp(cache)
         for pseudonym in cache.pseudonyms():
             assert not pseudonym.is_expired(last_now)
@@ -83,6 +90,7 @@ class TestCacheInvariants:
         cache = make_cache(50)
         for batch, now in batches:
             cache.merge(batch, now=now, own_value=own)
+            _check_tail(cache)
             _check_min_exp(cache)
         assert own not in {p.value for p in cache.pseudonyms()}
 
@@ -92,6 +100,7 @@ class TestCacheInvariants:
         cache = make_cache(50)
         for batch, now in batches:
             cache.merge(batch, now=now)
+            _check_tail(cache)
             _check_min_exp(cache)
         values = [p.value for p in cache.pseudonyms()]
         assert len(values) == len(set(values))
@@ -120,6 +129,7 @@ class TestCacheInvariants:
                 cache.remove_expired(now)
                 _check_min_exp(cache)
             cache.merge(batch, now=now, just_sent=just_sent, own_value=0)
+            _check_tail(cache)
             _check_min_exp(cache)
             assert all(not p.is_expired(now) for p in cache.pseudonyms())
 
@@ -131,6 +141,7 @@ class TestCacheInvariants:
     def test_selection_is_subset_without_duplicates(self, batch, count):
         cache = make_cache(50)
         cache.merge(batch, now=0.0)
+        _check_tail(cache)
         rng = np.random.default_rng(0)
         selection = cache.select_for_shuffle(rng, count, now=0.0)
         assert len(selection) <= count

@@ -174,6 +174,106 @@ class TestMergeCollisions:
         assert [entry[0] for entry in state] == [2, 3]
 
 
+    def test_refresh_and_eviction_of_an_entry_inserted_in_the_same_set(self):
+        cache = make_cache(2)
+        state = _merge_both(cache, [], [_p(1), _p(2)], 0.0)
+        # 3 takes 1's place, is refreshed by its later copy, and is then
+        # the just-sent victim for 4; 5 evicts the oldest, 2.
+        state = _merge_both(
+            cache,
+            state,
+            [_p(3, 10.0), _p(3, 20.0), _p(4), _p(5)],
+            1.0,
+            just_sent=[_p(3)],
+        )
+        assert state == [(4, 100.0, 1.0), (5, 100.0, 1.0)]
+        assert cache._arena.pseudonyms.live == 2
+
+    def test_append_only_receipt(self):
+        cache = make_cache(10)
+        state = _merge_both(cache, [], [_p(1), _p(2), _p(3)], 0.0)
+        state = _merge_both(
+            cache, state, [_p(4), _p(2), _p(5)], 1.0, just_sent=[_p(1)]
+        )
+        assert [entry[0] for entry in state] == [1, 2, 3, 4, 5]
+        assert (cache._arena.cache_ids[0, len(state) :] == -1).all()
+        assert cache._arena.pseudonyms.live == 5
+
+    def test_one_value_twice_in_a_set(self):
+        cache = make_cache(3)
+        state = _merge_both(cache, [], [_p(5, 10.0), _p(5, 30.0), _p(5, 20.0)], 0.0)
+        assert state == [(5, 30.0, 0.0)]
+        assert cache._arena.pseudonyms.live == 1
+
+
+def _slots(references):
+    """A slot row with the given references, all slots empty."""
+    arena = NodeArena(node_chunk=1)
+    arena.register_node(0, len(references), 1)
+    slots = ArenaSlots(arena, 0, len(references), np.random.default_rng(0))
+    arena.slot_refs[0, : len(references)] = references
+    return slots
+
+
+def _offer_both(slots, state, received):
+    """One offer on the view and on the reference; returns the new state."""
+    expected = list(state)
+    changed = reference_offer(
+        expected,
+        slots.references.tolist(),
+        [(p.value, p.expires_at) for p in received],
+    )
+    assert slots.offer_batch(received) == changed
+    occupants = [slots.entry(index) for index in range(slots.size)]
+    assert [
+        None if p is None else (p.value, p.expires_at) for p in occupants
+    ] == expected
+    return expected
+
+
+class TestOfferCollisions:
+    """Hand-built receipts at the edges of the slots' acceptance test."""
+
+    def test_empty_and_converged_slots_in_one_row(self):
+        slots = _slots([100, 200, 300])
+        state = _offer_both(slots, [None] * 3, [_p(101, 5.0), _p(299)])
+        assert state == [(101, 5.0), (299, 100.0), (299, 100.0)]
+        assert slots.expire(6.0) == 1
+        state[0] = None
+        # Slot 0 is empty and takes its closest value, however far; slot 1
+        # (reach 99) takes the earlier of two equally close values; slot 2
+        # is converged and takes nothing.
+        state = _offer_both(slots, state, [_p(1000), _p(150), _p(250)])
+        assert state == [(150, 100.0), (150, 100.0), (299, 100.0)]
+
+    def test_candidate_at_exactly_reach(self):
+        slots = _slots([100, 200])
+        state = _offer_both(slots, [None] * 2, [_p(110, 10.0), _p(190, 10.0)])
+        # |90 - 100| is slot 0's distance and the reach: an equal expiry
+        # leaves the occupant, a later one replaces it.
+        state = _offer_both(slots, state, [_p(90, 10.0), _p(210, 10.0)])
+        assert state == [(110, 10.0), (190, 10.0)]
+        state = _offer_both(slots, state, [_p(90, 10.0), _p(210, 20.0)])
+        assert state == [(110, 10.0), (210, 20.0)]
+
+    def test_one_value_wins_two_slots(self):
+        slots = _slots([100, 104, 500])
+        state = _offer_both(slots, [None] * 3, [_p(600)])
+        state = _offer_both(slots, state, [_p(102), _p(650)])
+        assert state == [(102, 100.0), (102, 100.0), (600, 100.0)]
+        assert slots.sample() == [_p(102), _p(600)]
+        assert slots._arena.pseudonyms.live == 2
+
+    def test_one_value_twice_in_a_set(self):
+        slots = _slots([100, 300])
+        state = _offer_both(
+            slots, [None] * 2, [_p(105, 10.0), _p(105, 30.0), _p(105, 20.0)]
+        )
+        assert state == [(105, 30.0), (105, 30.0)]
+        # An equal copy of the occupant changes nothing.
+        assert _offer_both(slots, state, [_p(105, 30.0)]) == state
+
+
 # A small value pool and a few expiries, so cached values, slot
 # occupants, just-sent entries and own values collide all the time.
 _ENTRY = st.builds(_p, st.integers(0, 24), st.sampled_from([3.0, 6.0, 9.0, 40.0]))

@@ -8,16 +8,13 @@ concentrated around the mean because skewed trust degrees remain.
 import numpy as np
 import pytest
 
-from repro.experiments import figure5
+from repro.experiments import figure5, figure_table
 
 from conftest import SEED, emit
 
 
 def _stats(histogram):
-    degrees = np.array(
-        [degree for degree, count in histogram.items() for _ in range(count)],
-        dtype=float,
-    )
+    degrees = np.repeat(np.arange(len(histogram), dtype=float), histogram)
     return degrees.mean(), degrees.std()
 
 
@@ -27,13 +24,14 @@ class TestFigure5:
             return figure5(scale, seed=SEED, fs=(1.0, 0.5), alpha=0.5)
 
         results = benchmark.pedantic(run, rounds=1, iterations=1)
-        for f, dist in results.items():
-            emit(results_dir, f"fig5_f{f:g}", dist.format_table())
+        for record in results:
+            emit(results_dir, f"fig5_f{record['f']:g}", figure_table("fig5", [record]))
 
-        for f, dist in results.items():
-            trust_mean, trust_std = _stats(dist.trust_histogram)
-            overlay_mean, overlay_std = _stats(dist.overlay_histogram)
-            random_mean, random_std = _stats(dist.random_histogram)
+        for record in results:
+            f = record["f"]
+            trust_mean, trust_std = _stats(record["trust_histogram"])
+            overlay_mean, overlay_std = _stats(record["overlay_histogram"])
+            random_mean, random_std = _stats(record["random_histogram"])
 
             # Distribution shifted right of the trust graph...
             assert overlay_mean > 2.0 * trust_mean, f"no right shift at f={f}"

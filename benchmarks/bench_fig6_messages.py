@@ -8,7 +8,7 @@ send more messages.
 
 import numpy as np
 
-from repro.experiments import figure6
+from repro.experiments import figure6, figure_table
 
 from conftest import SEED, emit
 
@@ -19,23 +19,20 @@ class TestFigure6:
             return figure6(scale, seed=SEED, fs=(1.0, 0.5), alpha=0.5)
 
         results = benchmark.pedantic(run, rounds=1, iterations=1)
-        for f, result in results.items():
-            emit(results_dir, f"fig6_f{f:g}", result.format_table())
+        for record in results:
+            emit(results_dir, f"fig6_f{record['f']:g}", figure_table("fig6", [record]))
 
-        for f, result in results.items():
+        for record in results:
+            f = record["f"]
             # System-wide mean near 2 messages per period: 1 request per
             # node plus a response whenever the partner is online (the
             # paper's idealized count of exactly 2 assumes an always-
             # responsive partner).
-            assert 1.3 < result.system_mean < 2.6, (
-                f"system mean {result.system_mean} far from 2 at f={f}"
+            assert 1.3 < record["system_mean"] < 2.6, (
+                f"system mean {record['system_mean']} far from 2 at f={f}"
             )
-            rates = np.array(
-                [entry.messages_per_period for entry in result.overheads]
-            )
-            degrees = np.array(
-                [entry.max_out_degree for entry in result.overheads]
-            )
+            rates = np.array(record["messages_per_period"])
+            degrees = np.array(record["max_out_degree"])
             # Higher-degree nodes answer more requests: positive
             # correlation between overlay degree and message rate.
             correlation = np.corrcoef(degrees, rates)[0, 1]
@@ -44,4 +41,4 @@ class TestFigure6:
             )
             # The top-ranked (hub) node sends more than the median node.
             median_rate = float(np.median(rates))
-            assert result.overheads[0].messages_per_period > median_rate
+            assert rates[0] > median_rate

@@ -9,7 +9,7 @@ because most pseudonym links of returning nodes have expired.
 
 import math
 
-from repro.experiments import figure7
+from repro.experiments import figure7, figure_table
 
 from conftest import SEED, emit
 
@@ -23,11 +23,14 @@ class TestFigure7:
         def run():
             return figure7(scale, seed=SEED, ratios=_RATIOS, alphas=alphas)
 
-        result = benchmark.pedantic(run, rounds=1, iterations=1)
-        emit(results_dir, "fig7_lifetimes", result.format_table())
+        records = benchmark.pedantic(run, rounds=1, iterations=1)
+        emit(results_dir, "fig7_lifetimes", figure_table("fig7", records))
 
-        curves = result.overlay_curves
-        for index, alpha in enumerate(result.alphas):
+        curves = {
+            ratio: [r["disconnected"] for r in records if r["ratio"] == ratio]
+            for ratio in _RATIOS
+        }
+        for index, alpha in enumerate(alphas):
             if alpha < 0.25:
                 continue  # extreme churn: every variant struggles
             # Monotone improvement in r (with noise tolerance).
@@ -42,7 +45,7 @@ class TestFigure7:
         # it must be clearly worse than r = 9 somewhere below 0.5.
         gaps = [
             curves[1.0][index] - curves[9.0][index]
-            for index, alpha in enumerate(result.alphas)
+            for index, alpha in enumerate(alphas)
             if alpha <= 0.5
         ]
         assert max(gaps) > 0.05, "r=1 never degraded relative to r=9"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from repro.experiments import figure9
+from repro.experiments import figure9, figure_table
 
 from conftest import SEED, emit
 
@@ -23,10 +23,11 @@ class TestFigure9:
         def run():
             return figure9(scale, seed=SEED, alpha=0.25, ratios=_RATIOS)
 
-        result = benchmark.pedantic(run, rounds=1, iterations=1)
-        emit(results_dir, "fig9_replacement", result.format_table())
+        records = benchmark.pedantic(run, rounds=1, iterations=1)
+        emit(results_dir, "fig9_replacement", figure_table("fig9", records))
 
-        stable = result.stable_rates
+        by_ratio = {r["ratio"]: r for r in records}
+        stable = {ratio: r["stable_rate"] for ratio, r in by_ratio.items()}
         # Ordering: no expiry < slow expiry < fast expiry.
         assert stable[math.inf] < stable[9.0] < stable[3.0]
         # Non-expiring pseudonyms almost stop reconfiguring.
@@ -36,11 +37,11 @@ class TestFigure9:
 
         # Early oscillation for r = 9: the peak replacement rate in the
         # first pseudonym generation far exceeds the stable rate.
-        series = result.series[9.0]
+        series = by_ratio[9.0]
         lifetime = 9.0 * scale.mean_offline_time
         early_values = [
             value
-            for time, value in series
+            for time, value in zip(series["times"], series["replacements"])
             if lifetime * 0.5 <= time <= lifetime * 2.5
         ]
         assert max(early_values) > 2.0 * stable[9.0], (

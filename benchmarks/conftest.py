@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import availability_sweep, scale_from_env
+from repro.experiments import by_f, figure3, scale_from_env
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SEED = 1
@@ -36,10 +36,8 @@ def results_dir():
 
 @pytest.fixture(scope="session")
 def sweeps(scale):
-    """Availability sweeps for f = 1.0 and f = 0.5 (Figures 3 and 4)."""
-    return {
-        f: availability_sweep(scale, f=f, seed=SEED) for f in (1.0, 0.5)
-    }
+    """Figure-3/4 records for f = 1.0 and f = 0.5, grouped by f."""
+    return by_f(figure3(scale, seed=SEED, fs=(1.0, 0.5)))
 
 
 def emit(results_dir: pathlib.Path, name: str, text: str) -> None:

@@ -27,14 +27,17 @@ from .experiments import (
     QUICK,
     SMOKE,
     ExperimentScale,
+    by_f,
     figure3,
     figure5,
     figure6,
     figure7,
     figure8,
     figure9,
+    figure_table,
     lifetime_label,
 )
+from .experiments.figures import DEGREE_BUCKET, degree_buckets, mean_degrees
 from .parallel.cli import positive_int
 from .viz import bar_chart, line_plot
 
@@ -47,85 +50,76 @@ _SCALES: Dict[str, ExperimentScale] = {
 }
 
 
-def _run_fig3(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
-    sweeps = figure3(scale, seed=seed, workers=workers)
-    for f, sweep in sweeps.items():
-        print(sweep.format_table("disconnected"))
-        if plot:
-            alphas = [point.alpha for point in sweep.points]
-            print()
-            print(
-                line_plot(
-                    {
-                        "trust": (alphas, [p.trust_disconnected for p in sweep.points]),
-                        "overlay": (alphas, [p.overlay_disconnected for p in sweep.points]),
-                        "random": (alphas, [p.random_disconnected for p in sweep.points]),
-                    },
-                    title=f"Figure 3 (f={f:g}): disconnected fraction vs availability",
-                    y_label="disconnected fraction",
-                )
-            )
-        print()
+def _availability(figure: str, metric: str, what: str):
+    """The Figure-3 or Figure-4 command: one table (and plot) per f."""
 
-
-def _run_fig4(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
-    sweeps = figure3(scale, seed=seed, workers=workers)
-    for f, sweep in sweeps.items():
-        print(sweep.format_table("path"))
-        if plot:
-            alphas = [point.alpha for point in sweep.points]
-            print()
-            print(
-                line_plot(
-                    {
-                        "trust": (alphas, [p.trust_path_length for p in sweep.points]),
-                        "overlay": (alphas, [p.overlay_path_length for p in sweep.points]),
-                        "random": (alphas, [p.random_path_length for p in sweep.points]),
-                    },
-                    title=f"Figure 4 (f={f:g}): normalized path length vs availability",
-                    y_label="normalized path length",
+    def run(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
+        for f, records in by_f(figure3(scale, seed=seed, workers=workers)).items():
+            print(figure_table(figure, records))
+            if plot:
+                alphas = [record["alpha"] for record in records]
+                print()
+                print(
+                    line_plot(
+                        {
+                            name: (alphas, [r[f"{name}_{metric}"] for r in records])
+                            for name in ("trust", "overlay", "random")
+                        },
+                        title=f"Figure {figure[3:]} (f={f:g}): {what} vs availability",
+                        y_label=what,
+                    )
                 )
-            )
-        print()
+            print()
+
+    return run
 
 
 def _run_fig5(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
-    for f, result in figure5(scale, seed=seed, workers=workers).items():
-        print(result.format_table())
-        trust_mean, overlay_mean, random_mean = result.mean_degrees()
+    for f, records in by_f(figure5(scale, seed=seed, workers=workers)).items():
+        print(figure_table("fig5", records))
+        trust_mean, overlay_mean, random_mean = mean_degrees(records[0])
         print(
             f"mean degrees: trust {trust_mean:.1f}, overlay {overlay_mean:.1f},"
             f" random {random_mean:.1f}"
         )
         if plot:
-            bucketed = {}
-            for degree, count in sorted(result.overlay_histogram.items()):
-                bucketed[f"deg {10 * (degree // 10)}-{10 * (degree // 10) + 9}"] = (
-                    bucketed.get(
-                        f"deg {10 * (degree // 10)}-{10 * (degree // 10) + 9}", 0
-                    )
-                    + count
-                )
+            buckets = degree_buckets(records[0]["overlay_histogram"])
             print()
-            print(bar_chart(bucketed, title=f"overlay degree histogram (f={f:g})"))
+            print(
+                bar_chart(
+                    {
+                        f"deg {key}-{key + DEGREE_BUCKET - 1}": count
+                        for key, count in sorted(buckets.items())
+                    },
+                    title=f"overlay degree histogram (f={f:g})",
+                )
+            )
         print()
 
 
 def _run_fig6(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
-    for f, result in figure6(scale, seed=seed, workers=workers).items():
-        print(result.format_table())
+    for records in by_f(figure6(scale, seed=seed, workers=workers)).values():
+        print(figure_table("fig6", records))
         print()
 
 
 def _run_fig7(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
-    result = figure7(scale, seed=seed, workers=workers)
-    print(result.format_table())
+    records = figure7(scale, seed=seed, workers=workers)
+    print(figure_table("fig7", records))
     if plot:
+        alphas = list(dict.fromkeys(r["alpha"] for r in records))
+        first = records[0]["ratio"]
         series = {
-            f"r={lifetime_label(ratio)}": (result.alphas, curve)
-            for ratio, curve in result.overlay_curves.items()
+            f"r={lifetime_label(ratio)}": (
+                alphas,
+                [r["disconnected"] for r in records if r["ratio"] == ratio],
+            )
+            for ratio in dict.fromkeys(r["ratio"] for r in records)
         }
-        series["trust"] = (result.alphas, result.trust_curve)
+        series["trust"] = (
+            alphas,
+            [r["trust_graph"] for r in records if r["ratio"] == first],
+        )
         print()
         print(
             line_plot(
@@ -137,20 +131,14 @@ def _run_fig7(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> No
 
 
 def _run_fig8(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
-    result = figure8(scale, seed=seed, workers=workers)
-    print(result.format_table())
+    records = figure8(scale, seed=seed, workers=workers)
+    print(figure_table("fig8", records))
     if plot:
         series = {
-            f"overlay r={lifetime_label(ratio)}": (
-                list(s.times),
-                list(s.values),
-            )
-            for ratio, s in result.overlay_series.items()
+            f"overlay r={lifetime_label(r['ratio'])}": (r["times"], r["disconnected"])
+            for r in records
         }
-        series["trust"] = (
-            list(result.trust_series.times),
-            list(result.trust_series.values),
-        )
+        series["trust"] = (records[0]["times"], records[0]["trust_disconnected"])
         print()
         print(
             line_plot(
@@ -162,12 +150,12 @@ def _run_fig8(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> No
 
 
 def _run_fig9(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> None:
-    result = figure9(scale, seed=seed, workers=workers)
-    print(result.format_table())
+    records = figure9(scale, seed=seed, workers=workers)
+    print(figure_table("fig9", records))
     if plot:
         series = {
-            f"r={lifetime_label(ratio)}": (list(s.times), list(s.values))
-            for ratio, s in result.series.items()
+            f"r={lifetime_label(r['ratio'])}": (r["times"], r["replacements"])
+            for r in records
         }
         print()
         print(
@@ -180,8 +168,8 @@ def _run_fig9(scale: ExperimentScale, seed: int, plot: bool, workers: int) -> No
 
 
 _FIGURES: Dict[str, Callable[[ExperimentScale, int, bool, int], None]] = {
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
+    "fig3": _availability("fig3", "disconnected", "disconnected fraction"),
+    "fig4": _availability("fig4", "path_length", "normalized path length"),
     "fig5": _run_fig5,
     "fig6": _run_fig6,
     "fig7": _run_fig7,

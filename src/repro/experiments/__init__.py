@@ -5,19 +5,16 @@ the paper's evaluation (Section V).
 from .figures import (
     AvailabilityPoint,
     AvailabilitySweep,
-    ConvergenceResult,
-    DegreeDistributions,
-    LifetimeSweep,
-    MessageOverheadResult,
-    ReplacementResult,
+    FigurePoint,
     availability_sweep,
+    by_f,
     figure3,
-    figure4,
     figure5,
     figure6,
     figure7,
     figure8,
     figure9,
+    figure_table,
 )
 from .replication import ReplicatedValue, replicate, replicate_records
 from .report import build_report, collect_result_tables
@@ -68,18 +65,15 @@ __all__ = [
     "AvailabilityPoint",
     "AvailabilitySweep",
     "availability_sweep",
+    "FigurePoint",
+    "by_f",
     "figure3",
-    "figure4",
     "figure5",
     "figure6",
     "figure7",
     "figure8",
     "figure9",
-    "DegreeDistributions",
-    "MessageOverheadResult",
-    "LifetimeSweep",
-    "ConvergenceResult",
-    "ReplacementResult",
+    "figure_table",
     "format_table",
     "write_csv",
     "ResultStore",

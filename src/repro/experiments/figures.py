@@ -1,31 +1,28 @@
-"""Per-figure experiment harnesses.
+"""The paper's evaluation (Figures 3-9) as grid sweeps of one point.
 
-One function per figure of the paper's evaluation (Figures 3-9); each
-returns a structured result object whose ``format_table()`` prints the
-rows/series the corresponding figure plots.  See DESIGN.md §3 for the
-experiment index and expected shapes.
-
-Every harness accepts ``workers=``: its independent simulation points
-(availability values, lifetime ratios, sampling parameters) are pure
-functions of their inputs, so they fan out across the
-:mod:`repro.parallel` worker pool and merge back in grid order with
-results identical to a serial run.  The per-point bodies live in
-module-level ``_*_task`` functions shared by both paths, so serial and
-parallel cannot drift apart.
+:class:`FigurePoint` is the one point experiment: a frozen, picklable
+callable that builds the trust graph for its config's ``sampling_f``
+and ``seed``, runs the overlay once, computes its figure's per-point
+baselines and returns one flat record of JSON values.  Each
+``figureN(...)`` is a :func:`make_config` base plus the figure's
+:func:`~repro.experiments.sweeps.grid_sweep` axes, so its points fan
+out across ``workers`` with results identical to a serial run, and the
+seed is an ordinary axis.  Tables are functions of records alone
+(:func:`figure_table`), whether the records come from a run or a
+result store.  See DESIGN.md §3 for the experiment index and expected
+shapes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.fastgraph import SnapshotAnalysis
-from ..metrics import NodeOverhead, message_overhead_by_rank
-from ..metrics.series import TimeSeries
-from ..parallel.engine import parallel_map
+from ..config import SystemConfig
+from ..metrics import message_overhead_by_rank
 from ..rng import RandomStreams
 from .results import format_table
 from .runner import (
@@ -35,28 +32,238 @@ from .runner import (
     static_churn_metrics,
 )
 from .scenarios import ExperimentScale, lifetime_label, make_config, make_trust_graph
+from .sweeps import grid_sweep
 
 __all__ = [
     "AvailabilityPoint",
     "AvailabilitySweep",
+    "FigurePoint",
     "availability_sweep",
+    "by_f",
+    "degree_buckets",
     "figure3",
-    "figure4",
-    "DegreeDistributions",
     "figure5",
-    "MessageOverheadResult",
     "figure6",
-    "LifetimeSweep",
     "figure7",
-    "ConvergenceResult",
     "figure8",
-    "ReplacementResult",
     "figure9",
+    "figure_table",
+    "mean_degrees",
 ]
+
+Record = Dict[str, Any]
+
+#: Degree-histogram bucket width of the Figure-5 table.
+DEGREE_BUCKET = 10
+#: Rows the Figure-6 table samples the rank list down to.
+_OVERHEAD_ROWS = 20
+#: Rows the Figure-8/9 tables sample a time series down to.
+_SERIES_ROWS = 25
+_GRAPHS = ("trust", "overlay", "random")
 
 
 # ----------------------------------------------------------------------
-# Figures 3 & 4: connectivity and path length vs availability
+# The point experiment
+# ----------------------------------------------------------------------
+
+
+def _where(scale: ExperimentScale, config: SystemConfig) -> Record:
+    """The coordinates a figure record carries for its table."""
+    return {
+        "scale": scale.name,
+        "f": config.sampling_f,
+        "alpha": config.availability,
+        "ratio": config.lifetime_ratio,
+    }
+
+
+def _summary(scale, config, trust_graph, result: OverlayRunResult) -> Record:
+    """The scalars ``repro sweep`` tabulates."""
+    return {
+        "disconnected": result.disconnected,
+        "trust_disconnected": result.trust_disconnected,
+        "online_fraction": result.online_fraction,
+        "full_edge_count": result.full_edge_count,
+    }
+
+
+def _availability_record(scale, config, trust_graph, result) -> Record:
+    """Figures 3/4: the overlay plus both static baselines.
+
+    The baseline rng is a substream keyed by (alpha, f), so a point
+    computes the same values in any order, on any worker.
+    """
+    alpha = config.availability
+    rng = RandomStreams(config.seed).substream(
+        "baseline", str(alpha), str(config.sampling_f)
+    )
+    trust = static_churn_metrics(
+        trust_graph, alpha, scale.mask_draws, rng, path_sources=scale.path_sources
+    )
+    random_ = static_churn_metrics(
+        random_baseline_graph(result, rng),
+        alpha,
+        scale.mask_draws,
+        rng,
+        path_sources=scale.path_sources,
+    )
+    return {
+        **_where(scale, config),
+        "trust_disconnected": trust.disconnected,
+        "overlay_disconnected": result.disconnected,
+        "random_disconnected": random_.disconnected,
+        "trust_path_length": trust.path_length,
+        "overlay_path_length": result.path_length or 0.0,
+        "random_path_length": random_.path_length,
+    }
+
+
+def _degree_record(scale, config, trust_graph, result) -> Record:
+    """Figure 5: online-degree histograms, ``histogram[d]`` nodes of degree d."""
+    from ..churn import stationary_online_mask
+    from ..graphs import erdos_renyi_gnm
+
+    rng = RandomStreams(config.seed).substream("fig5", str(config.sampling_f))
+    mask = stationary_online_mask(config.num_nodes, config.availability, rng)
+    # The random reference matches the *online* overlay snapshot (same
+    # node and edge counts), so the two histograms share their mean and
+    # differ only in shape.
+    random_online = erdos_renyi_gnm(
+        max(1, result.snapshot.number_of_nodes()),
+        result.snapshot.number_of_edges(),
+        rng=rng,
+    )
+    graphs = (trust_graph.induced_by_labels(mask), result.snapshot, random_online)
+    return {
+        **_where(scale, config),
+        **{
+            f"{name}_histogram": np.bincount(graph.degrees()).tolist()
+            for name, graph in zip(_GRAPHS, graphs)
+        },
+    }
+
+
+def _overhead_record(scale, config, trust_graph, result) -> Record:
+    """Figure 6: per-node message rates, ranked by trust degree."""
+    from ..metrics import mean_messages_per_period
+
+    overheads = message_overhead_by_rank(
+        result.overlay, result.collector.max_out_degrees()
+    )
+    return {
+        **_where(scale, config),
+        "system_mean": mean_messages_per_period(result.overlay),
+        "trust_degree": [int(entry.trust_degree) for entry in overheads],
+        "max_out_degree": [int(entry.max_out_degree) for entry in overheads],
+        "messages_per_period": [
+            float(entry.messages_per_period) for entry in overheads
+        ],
+    }
+
+
+def _lifetime_record(scale, config, trust_graph, result) -> Record:
+    """Figure 7: the overlay's connectivity; baselines span points."""
+    return {**_where(scale, config), **_summary(scale, config, trust_graph, result)}
+
+
+def _convergence_record(scale, config, trust_graph, result) -> Record:
+    """Figure 8: the disconnected-fraction series of overlay and trust graph."""
+    collector = result.collector
+    return {
+        **_where(scale, config),
+        "times": collector.disconnected.times.tolist(),
+        "disconnected": collector.disconnected.values.tolist(),
+        "trust_disconnected": collector.trust_disconnected.values.tolist(),
+        "convergence": collector.convergence_time(threshold=0.05),
+    }
+
+
+def _replacement_record(scale, config, trust_graph, result) -> Record:
+    """Figure 9: the link-replacement series and its stable rate."""
+    series = result.collector.replacements_per_node
+    return {
+        **_where(scale, config),
+        "times": series.times.tolist(),
+        "replacements": series.values.tolist(),
+        "stable_rate": series.tail_mean(0.25),
+    }
+
+
+_RECORDS = {
+    "fig3": _availability_record,
+    "fig5": _degree_record,
+    "fig6": _overhead_record,
+    "fig7": _lifetime_record,
+    "fig8": _convergence_record,
+    "fig9": _replacement_record,
+    "summary": _summary,
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class FigurePoint:
+    """One point of a figure: an overlay run plus that figure's baselines.
+
+    ``figure`` names the record returned (``fig3`` ... ``fig9``, Figure 4
+    reading Figure 3's, or ``summary`` for ``repro sweep``).  The point
+    carries its :class:`ExperimentScale`, not a name, so a replaced scale
+    runs its own horizons; the ``repr`` names every parameter, which is
+    what the sweep memo keys.  The trust graph comes from the memoized
+    :func:`make_trust_graph`, so a forked worker inherits a parent-built
+    graph and a spawned one rebuilds it identically.
+    """
+
+    figure: str
+    scale: ExperimentScale
+
+    def __call__(self, config: SystemConfig) -> Record:
+        scale = self.scale
+        trust_graph = make_trust_graph(scale, config.sampling_f, config.seed)
+        # Figures 8 and 9 follow a cold start over their own horizons.
+        long_runs = {"fig8": scale.fig8_horizon, "fig9": scale.fig9_horizon}
+        if self.figure in long_runs:
+            horizon = long_runs[self.figure]
+            window = max(1.0, horizon * 0.2)
+        else:
+            horizon, window = scale.total_horizon, scale.measure_window
+        result = run_overlay_experiment(
+            trust_graph,
+            config,
+            horizon=horizon,
+            measure_window=window,
+            collector_interval=scale.collector_interval,
+            path_length_every=scale.path_length_every if self.figure == "fig3" else 0,
+            path_sources=scale.path_sources,
+        )
+        return _RECORDS[self.figure](scale, config, trust_graph, result)
+
+
+def _records(
+    figure: str,
+    scale: ExperimentScale,
+    base: SystemConfig,
+    axes: Mapping[str, Sequence[Any]],
+    workers: int,
+) -> List[Record]:
+    """``FigurePoint(figure, scale)`` over ``axes``: records in grid order."""
+    # Build (and memoize) the trust graphs before any fan-out so forked
+    # workers inherit them instead of each re-sampling the social graph.
+    for f in axes.get("sampling_f", [base.sampling_f]):
+        make_trust_graph(scale, f, base.seed)
+    points = grid_sweep(base, axes, FigurePoint(figure, scale), workers=workers)
+    return [point.outcome for point in points]
+
+
+def by_f(records: Sequence[Record]) -> Dict[float, List[Record]]:
+    """Records grouped by trust graph (``f``), in first-seen order."""
+    groups: Dict[float, List[Record]] = {}
+    for record in records:
+        groups.setdefault(record["f"], []).append(record)
+    return groups
+
+
+# ----------------------------------------------------------------------
+# The figures
 # ----------------------------------------------------------------------
 
 
@@ -75,93 +282,9 @@ class AvailabilityPoint:
 
 @dataclasses.dataclass
 class AvailabilitySweep:
-    """One full availability sweep for a given sampling parameter f."""
+    """The Figure-3/4 points of one trust graph, in availability order."""
 
-    f: float
-    scale_name: str
     points: List[AvailabilityPoint]
-    trust_edges: int
-
-    def format_table(self, metric: str = "disconnected") -> str:
-        """Rows of Figure 3 (``disconnected``) or Figure 4 (``path``)."""
-        if metric == "disconnected":
-            headers = ["alpha", "trust_graph", "overlay", "random_graph"]
-            rows = [
-                (
-                    point.alpha,
-                    point.trust_disconnected,
-                    point.overlay_disconnected,
-                    point.random_disconnected,
-                )
-                for point in self.points
-            ]
-            title = (
-                f"Figure 3 (f={self.f:g}, {self.scale_name} scale): "
-                "fraction of disconnected nodes vs availability"
-            )
-        else:
-            headers = ["alpha", "trust_graph", "overlay", "random_graph"]
-            rows = [
-                (
-                    point.alpha,
-                    point.trust_path_length,
-                    point.overlay_path_length,
-                    point.random_path_length,
-                )
-                for point in self.points
-            ]
-            title = (
-                f"Figure 4 (f={self.f:g}, {self.scale_name} scale): "
-                "normalized average path length vs availability"
-            )
-        return format_table(headers, rows, title=title)
-
-
-def _availability_point_task(args) -> AvailabilityPoint:
-    """One Figure-3/4 point: overlay run plus both static baselines.
-
-    A pure function of ``(scale, f, seed, lifetime_ratio, alpha)``: the
-    trust graph derives from (scale, f, seed) and the baseline rng is an
-    independent substream keyed by (alpha, f), so points compute the
-    same values in any order, on any worker.
-    """
-    scale, f, seed, lifetime_ratio, alpha = args
-    trust_graph = make_trust_graph(scale, f, seed)
-    config = make_config(scale, alpha, f=f, lifetime_ratio=lifetime_ratio, seed=seed)
-    result = run_overlay_experiment(
-        trust_graph,
-        config,
-        horizon=scale.total_horizon,
-        measure_window=scale.measure_window,
-        collector_interval=scale.collector_interval,
-        path_length_every=scale.path_length_every,
-        path_sources=scale.path_sources,
-    )
-    baseline_rng = RandomStreams(seed).substream("baseline", str(alpha), str(f))
-    trust_static = static_churn_metrics(
-        trust_graph,
-        alpha,
-        scale.mask_draws,
-        baseline_rng,
-        path_sources=scale.path_sources,
-    )
-    random_graph = random_baseline_graph(result, baseline_rng)
-    random_static = static_churn_metrics(
-        random_graph,
-        alpha,
-        scale.mask_draws,
-        baseline_rng,
-        path_sources=scale.path_sources,
-    )
-    return AvailabilityPoint(
-        alpha=alpha,
-        trust_disconnected=trust_static.disconnected,
-        overlay_disconnected=result.disconnected,
-        random_disconnected=random_static.disconnected,
-        trust_path_length=trust_static.path_length,
-        overlay_path_length=result.path_length or 0.0,
-        random_path_length=random_static.path_length,
-    )
 
 
 def availability_sweep(
@@ -173,20 +296,16 @@ def availability_sweep(
     workers: int = 1,
 ) -> AvailabilitySweep:
     """Run the overlay and both static baselines across availabilities."""
-    # Build (and memoize) the trust graph before any fan-out so forked
-    # workers inherit it instead of each re-sampling the social graph.
-    trust_graph = make_trust_graph(scale, f, seed)
-    alpha_list = list(alphas if alphas is not None else scale.alphas)
-    points = parallel_map(
-        _availability_point_task,
-        [(scale, f, seed, lifetime_ratio, alpha) for alpha in alpha_list],
+    records = _records(
+        "fig3",
+        scale,
+        make_config(scale, 0.5, f=f, lifetime_ratio=lifetime_ratio, seed=seed),
+        {"availability": list(alphas if alphas is not None else scale.alphas)},
         workers,
     )
+    fields = [field.name for field in dataclasses.fields(AvailabilityPoint)]
     return AvailabilitySweep(
-        f=f,
-        scale_name=scale.name,
-        points=points,
-        trust_edges=trust_graph.number_of_edges(),
+        [AvailabilityPoint(*(record[name] for name in fields)) for record in records]
     )
 
 
@@ -195,123 +314,14 @@ def figure3(
     seed: int = 1,
     fs: Sequence[float] = (1.0, 0.5),
     workers: int = 1,
-) -> Dict[float, AvailabilitySweep]:
-    """Connectivity for different trust graphs (one sweep per f)."""
-    return {
-        f: availability_sweep(scale, f, seed=seed, workers=workers) for f in fs
-    }
-
-
-def figure4(
-    scale: ExperimentScale,
-    seed: int = 1,
-    fs: Sequence[float] = (1.0, 0.5),
-    workers: int = 1,
-) -> Dict[float, AvailabilitySweep]:
-    """Normalized average path length for different trust graphs.
-
-    Shares its computation with Figure 3; calling this separately
-    reruns the sweep, so benches that need both should call
-    :func:`figure3` once and format both metrics.
-    """
-    return figure3(scale, seed=seed, fs=fs, workers=workers)
-
-
-# ----------------------------------------------------------------------
-# Figure 5: degree distribution at alpha = 0.5
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class DegreeDistributions:
-    """Online-node degree histograms for one f at alpha = 0.5."""
-
-    f: float
-    alpha: float
-    trust_histogram: Dict[int, int]
-    overlay_histogram: Dict[int, int]
-    random_histogram: Dict[int, int]
-
-    def format_table(self, bucket: int = 10) -> str:
-        """Histograms bucketed for readability."""
-
-        def bucketize(histogram: Dict[int, int]) -> Dict[int, int]:
-            buckets: Dict[int, int] = {}
-            for degree, count in histogram.items():
-                key = (degree // bucket) * bucket
-                buckets[key] = buckets.get(key, 0) + count
-            return buckets
-
-        trust = bucketize(self.trust_histogram)
-        overlay = bucketize(self.overlay_histogram)
-        random_ = bucketize(self.random_histogram)
-        keys = sorted(set(trust) | set(overlay) | set(random_))
-        rows = [
-            (
-                f"{key}-{key + bucket - 1}",
-                trust.get(key, 0),
-                overlay.get(key, 0),
-                random_.get(key, 0),
-            )
-            for key in keys
-        ]
-        return format_table(
-            ["degree", "trust_graph", "overlay", "random_graph"],
-            rows,
-            title=(
-                f"Figure 5 (f={self.f:g}, alpha={self.alpha:g}): "
-                "degree distribution over online nodes"
-            ),
-        )
-
-    def mean_degrees(self) -> Tuple[float, float, float]:
-        """Mean online degree of (trust, overlay, random)."""
-
-        def mean(histogram: Dict[int, int]) -> float:
-            total = sum(histogram.values())
-            if total == 0:
-                return 0.0
-            return sum(degree * count for degree, count in histogram.items()) / total
-
-        return (
-            mean(self.trust_histogram),
-            mean(self.overlay_histogram),
-            mean(self.random_histogram),
-        )
-
-
-def _figure5_task(args) -> DegreeDistributions:
-    """Degree distributions for one sampling parameter f."""
-    from ..churn import stationary_online_mask
-    from ..graphs import erdos_renyi_gnm
-
-    scale, f, seed, alpha = args
-    trust_graph = make_trust_graph(scale, f, seed)
-    config = make_config(scale, alpha, f=f, seed=seed)
-    result = run_overlay_experiment(
-        trust_graph,
-        config,
-        horizon=scale.total_horizon,
-        measure_window=scale.measure_window,
-        collector_interval=scale.collector_interval,
-    )
-    rng = RandomStreams(seed).substream("fig5", str(f))
-    mask = stationary_online_mask(config.num_nodes, alpha, rng)
-    trust_online = trust_graph.induced_by_labels(mask)
-    # The random reference for the degree comparison matches the
-    # *online* overlay snapshot (same node and edge counts), so the
-    # two histograms share their mean and differ only in shape.
-    random_online = erdos_renyi_gnm(
-        max(1, result.snapshot.number_of_nodes()),
-        result.snapshot.number_of_edges(),
-        rng=rng,
-    )
-    return DegreeDistributions(
-        f=f,
-        alpha=alpha,
-        trust_histogram=SnapshotAnalysis(trust_online).degree_histogram(),
-        overlay_histogram=SnapshotAnalysis(result.snapshot).degree_histogram(),
-        random_histogram=SnapshotAnalysis(random_online).degree_histogram(),
+) -> List[Record]:
+    """Figures 3 and 4: connectivity and path length per (f, alpha)."""
+    return _records(
+        "fig3",
+        scale,
+        make_config(scale, 0.5, seed=seed),
+        {"sampling_f": list(fs), "availability": list(scale.alphas)},
+        workers,
     )
 
 
@@ -321,75 +331,10 @@ def figure5(
     fs: Sequence[float] = (1.0, 0.5),
     alpha: float = 0.5,
     workers: int = 1,
-) -> Dict[float, DegreeDistributions]:
-    """Degree distributions for different trust graphs at alpha=0.5."""
-    distributions = parallel_map(
-        _figure5_task, [(scale, f, seed, alpha) for f in fs], workers
-    )
-    return dict(zip(fs, distributions))
-
-
-# ----------------------------------------------------------------------
-# Figure 6: messages per shuffle period by trust-degree rank
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class MessageOverheadResult:
-    """Figure 6 data for one f."""
-
-    f: float
-    alpha: float
-    overheads: List[NodeOverhead]
-    system_mean: float
-
-    def format_table(self, max_rows: int = 20) -> str:
-        step = max(1, len(self.overheads) // max_rows)
-        rows = [
-            (
-                rank + 1,
-                entry.trust_degree,
-                entry.max_out_degree,
-                entry.messages_per_period,
-            )
-            for rank, entry in enumerate(self.overheads)
-            if rank % step == 0
-        ]
-        table = format_table(
-            ["rank", "trust_degree", "max_out_degree", "messages_per_period"],
-            rows,
-            title=(
-                f"Figure 6 (f={self.f:g}, alpha={self.alpha:g}): messages "
-                f"per shuffle period by trust-degree rank "
-                f"(system mean {self.system_mean:.2f})"
-            ),
-        )
-        return table
-
-
-def _figure6_task(args) -> MessageOverheadResult:
-    """Message overhead by trust-degree rank for one f."""
-    from ..metrics import mean_messages_per_period
-
-    scale, f, seed, alpha = args
-    trust_graph = make_trust_graph(scale, f, seed)
-    config = make_config(scale, alpha, f=f, seed=seed)
-    result = run_overlay_experiment(
-        trust_graph,
-        config,
-        horizon=scale.total_horizon,
-        measure_window=scale.measure_window,
-        collector_interval=scale.collector_interval,
-    )
-    overheads = message_overhead_by_rank(
-        result.overlay, result.collector.max_out_degrees()
-    )
-    return MessageOverheadResult(
-        f=f,
-        alpha=alpha,
-        overheads=overheads,
-        system_mean=mean_messages_per_period(result.overlay),
-    )
+) -> List[Record]:
+    """Degree distributions for different trust graphs, one record per f."""
+    base = make_config(scale, alpha, seed=seed)
+    return _records("fig5", scale, base, {"sampling_f": list(fs)}, workers)
 
 
 def figure6(
@@ -398,64 +343,10 @@ def figure6(
     fs: Sequence[float] = (1.0, 0.5),
     alpha: float = 0.5,
     workers: int = 1,
-) -> Dict[float, MessageOverheadResult]:
-    """Per-node message overhead, ranked by trust-graph degree."""
-    results = parallel_map(
-        _figure6_task, [(scale, f, seed, alpha) for f in fs], workers
-    )
-    return dict(zip(fs, results))
-
-
-# ----------------------------------------------------------------------
-# Figure 7: connectivity vs availability for pseudonym lifetimes
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class LifetimeSweep:
-    """Figure 7: one disconnected-fraction curve per lifetime ratio."""
-
-    f: float
-    scale_name: str
-    alphas: List[float]
-    trust_curve: List[float]
-    random_curve: List[float]
-    overlay_curves: Dict[float, List[float]]  # keyed by lifetime ratio
-
-    def format_table(self) -> str:
-        ratios = sorted(self.overlay_curves, key=lambda r: (math.isinf(r), r))
-        headers = ["alpha", "trust_graph"] + [
-            f"r={lifetime_label(ratio)}" for ratio in ratios
-        ] + ["random_graph"]
-        rows = []
-        for index, alpha in enumerate(self.alphas):
-            row: List = [alpha, self.trust_curve[index]]
-            row.extend(self.overlay_curves[ratio][index] for ratio in ratios)
-            row.append(self.random_curve[index])
-            rows.append(tuple(row))
-        return format_table(
-            headers,
-            rows,
-            title=(
-                f"Figure 7 (f={self.f:g}, {self.scale_name} scale): "
-                "connectivity for different pseudonym lifetimes"
-            ),
-        )
-
-
-def _figure7_run_task(args) -> Tuple[float, int]:
-    """One Figure-7 overlay run: (disconnected fraction, edge count)."""
-    scale, f, seed, lifetime_ratio, alpha = args
-    trust_graph = make_trust_graph(scale, f, seed)
-    config = make_config(scale, alpha, f=f, lifetime_ratio=lifetime_ratio, seed=seed)
-    result = run_overlay_experiment(
-        trust_graph,
-        config,
-        horizon=scale.total_horizon,
-        measure_window=scale.measure_window,
-        collector_interval=scale.collector_interval,
-    )
-    return result.disconnected, result.full_edge_count
+) -> List[Record]:
+    """Per-node message overhead ranked by trust degree, one record per f."""
+    base = make_config(scale, alpha, seed=seed)
+    return _records("fig6", scale, base, {"sampling_f": list(fs)}, workers)
 
 
 def figure7(
@@ -465,124 +356,42 @@ def figure7(
     ratios: Sequence[float] = (1.0, 3.0, 9.0, math.inf),
     alphas: Optional[Sequence[float]] = None,
     workers: int = 1,
-) -> LifetimeSweep:
-    """Connectivity for different pseudonym lifetime ratios."""
+) -> List[Record]:
+    """Connectivity per (alpha, lifetime ratio), with per-alpha baselines.
+
+    Each record gains the static ``trust_graph`` and ``random_graph``
+    disconnected fractions at its alpha.  They span points: the random
+    reference is sized by the overall-first run's edge count, so they
+    are one pass over the records here.
+    """
     from ..graphs import erdos_renyi_gnm
 
-    trust_graph = make_trust_graph(scale, f, seed)
-    streams = RandomStreams(seed)
     alpha_list = list(alphas if alphas is not None else scale.alphas)
-
-    # The overlay runs — the expensive part — are independent per
-    # (alpha, ratio) point and fan out across workers; the static
-    # baselines stay in the parent because the random reference reuses
-    # the edge count of the overall-first overlay run.
-    runs = parallel_map(
-        _figure7_run_task,
-        [
-            (scale, f, seed, ratio, alpha)
-            for alpha in alpha_list
-            for ratio in ratios
-        ],
+    records = _records(
+        "fig7",
+        scale,
+        make_config(scale, 0.5, f=f, seed=seed),
+        {"availability": alpha_list, "lifetime_ratio": list(ratios)},
         workers,
     )
-    run_iter = iter(runs)
-
-    overlay_curves: Dict[float, List[float]] = {ratio: [] for ratio in ratios}
-    trust_curve: List[float] = []
-    random_curve: List[float] = []
-    reference_edges: Optional[int] = None
-
-    for alpha in alpha_list:
-        baseline_rng = streams.substream("fig7-baseline", str(alpha))
-        trust_static = static_churn_metrics(
-            trust_graph, alpha, scale.mask_draws, baseline_rng, measure_paths=False
-        )
-        trust_curve.append(trust_static.disconnected)
-        for ratio in ratios:
-            disconnected, full_edge_count = next(run_iter)
-            overlay_curves[ratio].append(disconnected)
-            if reference_edges is None:
-                reference_edges = full_edge_count
-        random_graph = erdos_renyi_gnm(
-            scale.num_nodes, reference_edges or 0, rng=baseline_rng
-        )
-        random_static = static_churn_metrics(
-            random_graph, alpha, scale.mask_draws, baseline_rng, measure_paths=False
-        )
-        random_curve.append(random_static.disconnected)
-
-    return LifetimeSweep(
-        f=f,
-        scale_name=scale.name,
-        alphas=alpha_list,
-        trust_curve=trust_curve,
-        random_curve=random_curve,
-        overlay_curves=overlay_curves,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 8: connectivity over time at alpha = 0.25
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class ConvergenceResult:
-    """Figure 8: disconnected-fraction time series."""
-
-    alpha: float
-    trust_series: TimeSeries
-    overlay_series: Dict[float, TimeSeries]  # keyed by lifetime ratio
-    convergence_times: Dict[float, Optional[float]]
-
-    def format_table(self, max_rows: int = 25) -> str:
-        ratios = sorted(self.overlay_series)
-        headers = ["time", "trust_graph"] + [
-            f"overlay r={lifetime_label(ratio)}" for ratio in ratios
-        ]
-        times = self.trust_series.times
-        step = max(1, len(times) // max_rows)
-        rows = []
-        for index in range(0, len(times), step):
-            row: List = [float(times[index]), float(self.trust_series.values[index])]
-            for ratio in ratios:
-                series = self.overlay_series[ratio]
-                row.append(float(series.values[index]))
-            rows.append(tuple(row))
-        return format_table(
-            headers,
-            rows,
-            title=(
-                f"Figure 8 (alpha={self.alpha:g}): connectivity over time "
-                f"(convergence: "
-                + ", ".join(
-                    f"r={lifetime_label(ratio)} -> "
-                    + (f"{time:.0f} sp" if time is not None else "never")
-                    for ratio, time in sorted(self.convergence_times.items())
-                )
-                + ")"
-            ),
-        )
-
-
-def _figure8_task(args) -> Tuple[TimeSeries, TimeSeries, Optional[float]]:
-    """One Figure-8 run: (overlay series, trust series, convergence time)."""
-    scale, f, seed, lifetime_ratio, alpha = args
     trust_graph = make_trust_graph(scale, f, seed)
-    config = make_config(scale, alpha, f=f, lifetime_ratio=lifetime_ratio, seed=seed)
-    result = run_overlay_experiment(
-        trust_graph,
-        config,
-        horizon=scale.fig8_horizon,
-        measure_window=max(1.0, scale.fig8_horizon * 0.2),
-        collector_interval=scale.collector_interval,
-    )
-    return (
-        result.collector.disconnected,
-        result.collector.trust_disconnected,
-        result.collector.convergence_time(threshold=0.05),
-    )
+    reference_edges = records[0]["full_edge_count"]
+    streams = RandomStreams(seed)
+    baselines: Dict[float, Record] = {}
+    for alpha in alpha_list:
+        rng = streams.substream("fig7-baseline", str(alpha))
+        trust = static_churn_metrics(
+            trust_graph, alpha, scale.mask_draws, rng, measure_paths=False
+        )
+        random_graph = erdos_renyi_gnm(scale.num_nodes, reference_edges, rng=rng)
+        random_ = static_churn_metrics(
+            random_graph, alpha, scale.mask_draws, rng, measure_paths=False
+        )
+        baselines[alpha] = {
+            "trust_graph": trust.disconnected,
+            "random_graph": random_.disconnected,
+        }
+    return [{**record, **baselines[record["alpha"]]} for record in records]
 
 
 def figure8(
@@ -592,85 +401,15 @@ def figure8(
     alpha: float = 0.25,
     ratios: Sequence[float] = (3.0, 9.0),
     workers: int = 1,
-) -> ConvergenceResult:
-    """Connectivity over time starting from a cold overlay."""
-    runs = parallel_map(
-        _figure8_task,
-        [(scale, f, seed, ratio, alpha) for ratio in ratios],
+) -> List[Record]:
+    """Connectivity over time from a cold overlay, one record per ratio."""
+    return _records(
+        "fig8",
+        scale,
+        make_config(scale, alpha, f=f, seed=seed),
+        {"lifetime_ratio": list(ratios)},
         workers,
     )
-    overlay_series: Dict[float, TimeSeries] = {}
-    convergence: Dict[float, Optional[float]] = {}
-    trust_series: Optional[TimeSeries] = None
-    for ratio, (series, trust, convergence_time) in zip(ratios, runs):
-        overlay_series[ratio] = series
-        convergence[ratio] = convergence_time
-        if trust_series is None:
-            trust_series = trust
-    assert trust_series is not None
-    return ConvergenceResult(
-        alpha=alpha,
-        trust_series=trust_series,
-        overlay_series=overlay_series,
-        convergence_times=convergence,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 9: link replacements per node per shuffle period
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class ReplacementResult:
-    """Figure 9: link-replacement-rate time series per lifetime ratio."""
-
-    alpha: float
-    series: Dict[float, TimeSeries]  # keyed by lifetime ratio
-    stable_rates: Dict[float, float]
-
-    def format_table(self, max_rows: int = 25) -> str:
-        ratios = sorted(self.series, key=lambda r: (math.isinf(r), r))
-        headers = ["time"] + [f"r={lifetime_label(ratio)}" for ratio in ratios]
-        reference = self.series[ratios[0]]
-        times = reference.times
-        step = max(1, len(times) // max_rows)
-        rows = []
-        for index in range(0, len(times), step):
-            row: List = [float(times[index])]
-            for ratio in ratios:
-                values = self.series[ratio].values
-                row.append(float(values[index]) if index < len(values) else None)
-            rows.append(tuple(row))
-        stable = ", ".join(
-            f"r={lifetime_label(ratio)}: {rate:.2f}/sp"
-            for ratio, rate in sorted(
-                self.stable_rates.items(), key=lambda kv: (math.isinf(kv[0]), kv[0])
-            )
-        )
-        return format_table(
-            headers,
-            rows,
-            title=(
-                f"Figure 9 (alpha={self.alpha:g}): links replaced per node "
-                f"per shuffle period (stable rates: {stable})"
-            ),
-        )
-
-
-def _figure9_task(args) -> TimeSeries:
-    """One Figure-9 run: the replacements-per-node series for one ratio."""
-    scale, f, seed, lifetime_ratio, alpha = args
-    trust_graph = make_trust_graph(scale, f, seed)
-    config = make_config(scale, alpha, f=f, lifetime_ratio=lifetime_ratio, seed=seed)
-    result = run_overlay_experiment(
-        trust_graph,
-        config,
-        horizon=scale.fig9_horizon,
-        measure_window=max(1.0, scale.fig9_horizon * 0.2),
-        collector_interval=scale.collector_interval,
-    )
-    return result.collector.replacements_per_node
 
 
 def figure9(
@@ -680,16 +419,202 @@ def figure9(
     alpha: float = 0.25,
     ratios: Sequence[float] = (3.0, 9.0, math.inf),
     workers: int = 1,
-) -> ReplacementResult:
-    """Link-replacement overhead over a long horizon."""
-    runs = parallel_map(
-        _figure9_task,
-        [(scale, f, seed, ratio, alpha) for ratio in ratios],
+) -> List[Record]:
+    """Link-replacement overhead over a long horizon, one record per ratio."""
+    return _records(
+        "fig9",
+        scale,
+        make_config(scale, alpha, f=f, seed=seed),
+        {"lifetime_ratio": list(ratios)},
         workers,
     )
-    series: Dict[float, TimeSeries] = {}
-    stable: Dict[float, float] = {}
-    for ratio, replacement_series in zip(ratios, runs):
-        series[ratio] = replacement_series
-        stable[ratio] = replacement_series.tail_mean(0.25)
-    return ReplacementResult(alpha=alpha, series=series, stable_rates=stable)
+
+
+# ----------------------------------------------------------------------
+# Tables: functions of records alone
+# ----------------------------------------------------------------------
+
+
+def degree_buckets(histogram: Sequence[int]) -> Dict[int, int]:
+    """Node counts per ``DEGREE_BUCKET``-wide degree bucket, by bucket start."""
+    buckets: Dict[int, int] = {}
+    for degree, count in enumerate(histogram):
+        if count:
+            key = degree - degree % DEGREE_BUCKET
+            buckets[key] = buckets.get(key, 0) + count
+    return buckets
+
+
+def mean_degrees(record: Record) -> Tuple[float, ...]:
+    """Mean online degree of (trust, overlay, random) in a Figure-5 record."""
+
+    def mean(histogram: Sequence[int]) -> float:
+        total = sum(histogram)
+        if total == 0:
+            return 0.0
+        return sum(degree * count for degree, count in enumerate(histogram)) / total
+
+    return tuple(mean(record[f"{name}_histogram"]) for name in _GRAPHS)
+
+
+def _availability_table(figure: str, metric: str, what: str):
+    def table(records: Sequence[Record]) -> str:
+        first = records[0]
+        return format_table(
+            ["alpha", "trust_graph", "overlay", "random_graph"],
+            [
+                (record["alpha"], *(record[f"{name}_{metric}"] for name in _GRAPHS))
+                for record in records
+            ],
+            title=(
+                f"Figure {figure} (f={first['f']:g}, {first['scale']} scale): "
+                f"{what} vs availability"
+            ),
+        )
+
+    return table
+
+
+def _degree_table(records: Sequence[Record]) -> str:
+    (record,) = records
+    buckets = [degree_buckets(record[f"{name}_histogram"]) for name in _GRAPHS]
+    keys = sorted(set().union(*buckets))
+    return format_table(
+        ["degree", "trust_graph", "overlay", "random_graph"],
+        [
+            (f"{key}-{key + DEGREE_BUCKET - 1}", *(b.get(key, 0) for b in buckets))
+            for key in keys
+        ],
+        title=(
+            f"Figure 5 (f={record['f']:g}, alpha={record['alpha']:g}): "
+            "degree distribution over online nodes"
+        ),
+    )
+
+
+def _overhead_table(records: Sequence[Record]) -> str:
+    (record,) = records
+    rates = record["messages_per_period"]
+    step = max(1, len(rates) // _OVERHEAD_ROWS)
+    return format_table(
+        ["rank", "trust_degree", "max_out_degree", "messages_per_period"],
+        [
+            (
+                rank + 1,
+                record["trust_degree"][rank],
+                record["max_out_degree"][rank],
+                rates[rank],
+            )
+            for rank in range(0, len(rates), step)
+        ],
+        title=(
+            f"Figure 6 (f={record['f']:g}, alpha={record['alpha']:g}): messages "
+            f"per shuffle period by trust-degree rank "
+            f"(system mean {record['system_mean']:.2f})"
+        ),
+    )
+
+
+def _lifetime_table(records: Sequence[Record]) -> str:
+    point = {(record["alpha"], record["ratio"]): record for record in records}
+    alphas = list(dict.fromkeys(alpha for alpha, _ in point))
+    ratios = sorted({ratio for _, ratio in point})
+    rows = []
+    for alpha in alphas:
+        baselines = point[alpha, ratios[0]]
+        rows.append(
+            (
+                alpha,
+                baselines["trust_graph"],
+                *(point[alpha, ratio]["disconnected"] for ratio in ratios),
+                baselines["random_graph"],
+            )
+        )
+    first = records[0]
+    return format_table(
+        ["alpha", "trust_graph"]
+        + [f"r={lifetime_label(ratio)}" for ratio in ratios]
+        + ["random_graph"],
+        rows,
+        title=(
+            f"Figure 7 (f={first['f']:g}, {first['scale']} scale): "
+            "connectivity for different pseudonym lifetimes"
+        ),
+    )
+
+
+def _convergence_table(records: Sequence[Record]) -> str:
+    by_ratio = {record["ratio"]: record for record in records}
+    ratios = sorted(by_ratio)
+    # The trust-graph curve is the first ratio's run.
+    first = records[0]
+    times = first["times"]
+    step = max(1, len(times) // _SERIES_ROWS)
+    rows = [
+        (
+            times[index],
+            first["trust_disconnected"][index],
+            *(by_ratio[ratio]["disconnected"][index] for ratio in ratios),
+        )
+        for index in range(0, len(times), step)
+    ]
+    convergence = ", ".join(
+        f"r={lifetime_label(ratio)} -> "
+        + ("never" if run["convergence"] is None else f"{run['convergence']:.0f} sp")
+        for ratio, run in sorted(by_ratio.items())
+    )
+    return format_table(
+        ["time", "trust_graph"]
+        + [f"overlay r={lifetime_label(ratio)}" for ratio in ratios],
+        rows,
+        title=(
+            f"Figure 8 (alpha={first['alpha']:g}): connectivity over time "
+            f"(convergence: {convergence})"
+        ),
+    )
+
+
+def _replacement_table(records: Sequence[Record]) -> str:
+    by_ratio = {record["ratio"]: record for record in records}
+    ratios = sorted(by_ratio)
+    times = by_ratio[ratios[0]]["times"]
+    step = max(1, len(times) // _SERIES_ROWS)
+    rows = []
+    for index in range(0, len(times), step):
+        row: List[Any] = [times[index]]
+        for ratio in ratios:
+            values = by_ratio[ratio]["replacements"]
+            row.append(values[index] if index < len(values) else None)
+        rows.append(tuple(row))
+    stable = ", ".join(
+        f"r={lifetime_label(ratio)}: {by_ratio[ratio]['stable_rate']:.2f}/sp"
+        for ratio in ratios
+    )
+    return format_table(
+        ["time"] + [f"r={lifetime_label(ratio)}" for ratio in ratios],
+        rows,
+        title=(
+            f"Figure 9 (alpha={records[0]['alpha']:g}): links replaced per node "
+            f"per shuffle period (stable rates: {stable})"
+        ),
+    )
+
+
+_TABLES = {
+    "fig3": _availability_table("3", "disconnected", "fraction of disconnected nodes"),
+    "fig4": _availability_table("4", "path_length", "normalized average path length"),
+    "fig5": _degree_table,
+    "fig6": _overhead_table,
+    "fig7": _lifetime_table,
+    "fig8": _convergence_table,
+    "fig9": _replacement_table,
+}
+
+
+def figure_table(figure: str, records: Sequence[Record]) -> str:
+    """The table ``figure`` (``fig3`` ... ``fig9``) prints for ``records``.
+
+    Figures 3-6 draw one table per trust graph: pass one :func:`by_f`
+    group.  Figure 4 reads Figure 3's records.
+    """
+    return _TABLES[figure](records)

@@ -148,11 +148,7 @@ def scale_from_env(default: str = "quick") -> ExperimentScale:
 
 
 def scale_by_name(name: str) -> ExperimentScale:
-    """Resolve a scale by name (``paper``/``quick``/``smoke``).
-
-    Worker processes receive scales by name (names pickle smaller and
-    never drift from the canonical parameter sets).
-    """
+    """Resolve a scale by name (``paper``/``quick``/``smoke``)."""
     try:
         return _SCALES[name.lower()]
     except KeyError:

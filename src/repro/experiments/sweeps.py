@@ -1,11 +1,12 @@
 """Generic parameter sweeps over :class:`~repro.config.SystemConfig`.
 
-The figure harnesses sweep availability; users exploring the design
-space want to sweep *anything* (cache size x availability, lifetime x
-fanout, ...).  :func:`grid_sweep` runs an experiment function over the
-cartesian product of config-field values, optionally memoizing each
-point in a :class:`~repro.experiments.store.ResultStore`, and returns
-records ready for :func:`~repro.experiments.results.format_table`.
+Every figure is a sweep (see :mod:`~repro.experiments.figures`), and
+users exploring the design space sweep *anything* (cache size x
+availability, lifetime x fanout, ...).  :func:`grid_sweep` runs an
+experiment function over the cartesian product of config-field values,
+optionally memoizing each point in a
+:class:`~repro.experiments.store.ResultStore`, and returns records
+ready for :func:`~repro.experiments.results.format_table`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _experiment_identity(experiment: Callable[[SystemConfig], Any]) -> str:
     """What the sweep memo records about ``experiment``.
 
     A function is named by its dotted qualified name; a callable instance,
-    such as a frozen dataclass (``OverlayPointExperiment``, ...), by its
+    such as a frozen dataclass (``FigurePoint``, ...), by its
     ``repr``, which carries every parameter.
     """
     qualname = getattr(experiment, "__qualname__", None)

@@ -6,9 +6,10 @@ Usage::
         --workers 2 --store /tmp/sweep-results
 
 Each ``--axis name=v1,v2,...`` adds one grid dimension over a
-:class:`~repro.config.SystemConfig` field; the sweep runs the standard
-overlay point experiment (:class:`OverlayPointExperiment`) over the
-cartesian product through :func:`~repro.experiments.sweeps.grid_sweep`,
+:class:`~repro.config.SystemConfig` field; the sweep runs the figures'
+point experiment with its ``summary`` record
+(:class:`~repro.experiments.figures.FigurePoint`) over the cartesian
+product through :func:`~repro.experiments.sweeps.grid_sweep`,
 fans points out to ``--workers`` processes, and memoizes every point in
 ``--store`` as soon as it finishes.  Re-running the same command
 computes only the points the store does not hold yet.
@@ -26,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 from ..shutdown import EXIT_INTERRUPTED, graceful_shutdown
-from .experiments import BatchPointExperiment, OverlayPointExperiment
+from .experiments import BatchPointExperiment
 
 __all__ = ["main", "parse_axis", "positive_int"]
 
@@ -95,7 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one grid dimension over a SystemConfig field (repeatable)",
     )
     parser.add_argument(
-        "--f", type=float, default=0.5, help="trust-graph sampling parameter"
+        "--f",
+        type=float,
+        default=0.5,
+        help="trust-graph sampling parameter: the base config's sampling_f "
+        "(a sampling_f axis overrides it per point)",
     )
     parser.add_argument(
         "--workers", type=positive_int, default=1, help="worker process count"
@@ -136,6 +141,7 @@ def _file_stamps(root) -> Dict[str, int]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro sweep``; returns a process exit code."""
     from ..experiments import (
+        FigurePoint,
         ResultStore,
         format_table,
         grid_sweep,
@@ -164,7 +170,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         sweep_workers = 1
     else:
-        experiment = OverlayPointExperiment(scale_name=scale.name, f=args.f)
+        experiment = FigurePoint("summary", scale)
         sweep_workers = args.workers
     store = ResultStore(args.store)
 

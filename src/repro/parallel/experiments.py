@@ -1,64 +1,20 @@
-"""Ready-made picklable experiments for parallel sweeps.
+"""The batch-engine point experiment ``repro sweep --shards`` runs.
 
-:class:`OverlayPointExperiment` packages "run one overlay to its stable
-state and summarize it as scalars" as a frozen dataclass, so the
-``repro sweep`` CLI can fan it out without closures, and its ``repr``
-names every parameter — which is what lets the sweep memo tell two
-experiments apart.  Outcomes are plain JSON-friendly dicts, which is
-what the result store and ``sweep_table_rows`` want.
+:class:`BatchPointExperiment` packages "run the round-based engine and
+summarize it as scalars" as a frozen dataclass, so the sweep can fan it
+out without closures, and its ``repr`` names every parameter, which is
+what lets the sweep memo tell two experiments apart.  The event-driven
+point is :class:`~repro.experiments.figures.FigurePoint`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..config import SystemConfig
-from ..experiments.runner import run_overlay_experiment
-from ..experiments.scenarios import make_trust_graph, scale_by_name
 
-__all__ = ["BatchPointExperiment", "OverlayPointExperiment"]
-
-
-@dataclasses.dataclass(frozen=True)
-class OverlayPointExperiment:
-    """One sweep point: an overlay run summarized as scalar metrics.
-
-    The trust graph derives from ``(scale, f, config.seed)`` through the
-    memoized :func:`~repro.experiments.scenarios.make_trust_graph`, so a
-    forked worker inherits a parent-built graph for free and a spawned
-    one rebuilds it identically.
-    """
-
-    scale_name: str
-    f: float = 0.5
-    #: Simulation horizon; defaults to the scale's ``total_horizon``.
-    horizon: Optional[float] = None
-    #: Tail window; defaults to the scale's ``measure_window``.
-    measure_window: Optional[float] = None
-
-    def __call__(self, config: SystemConfig) -> Dict[str, Any]:
-        scale = scale_by_name(self.scale_name)
-        trust_graph = make_trust_graph(scale, self.f, config.seed)
-        horizon = self.horizon if self.horizon is not None else scale.total_horizon
-        window = (
-            self.measure_window
-            if self.measure_window is not None
-            else scale.measure_window
-        )
-        result = run_overlay_experiment(
-            trust_graph,
-            config,
-            horizon=horizon,
-            measure_window=min(window, horizon),
-            collector_interval=scale.collector_interval,
-        )
-        return {
-            "disconnected": result.disconnected,
-            "trust_disconnected": result.trust_disconnected,
-            "online_fraction": result.online_fraction,
-            "full_edge_count": result.full_edge_count,
-        }
+__all__ = ["BatchPointExperiment"]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,28 +1,80 @@
-"""Smoke-scale tests for the per-figure harnesses.
+"""Smoke-scale tests for the figure harness.
 
-These verify the harness mechanics (structure of results, table
-rendering, qualitative ordering) at SMOKE scale; the quantitative
+These verify the harness mechanics (record structure, table rendering,
+qualitative ordering, the sweep memo) at SMOKE scale; the quantitative
 reproduction runs in benchmarks/ at QUICK or PAPER scale.
 """
 
+import dataclasses
+import json
 import math
 
 import pytest
 
 from repro.experiments import (
     SMOKE,
+    FigurePoint,
+    ResultStore,
     availability_sweep,
     figure5,
     figure6,
     figure7,
     figure8,
     figure9,
+    figure_table,
+    grid_sweep,
+    make_config,
 )
+from repro.experiments.figures import mean_degrees
+
+ALPHAS = (0.25, 0.6)
+SEEDS = {"seed": [1, 2]}
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return availability_sweep(SMOKE, f=0.5, seed=1, alphas=(0.25, 0.6))
+    return availability_sweep(SMOKE, f=0.5, seed=1, alphas=ALPHAS)
+
+
+def _seed_sweep(store):
+    """The alpha = 0.25 Figure-3 point over seeds 1 and 2."""
+    base = make_config(SMOKE, ALPHAS[0], f=0.5, seed=1)
+    return grid_sweep(base, SEEDS, FigurePoint("fig3", SMOKE), store=store)
+
+
+@pytest.fixture(scope="module")
+def seed_store(tmp_path_factory):
+    return ResultStore(tmp_path_factory.mktemp("figure-store"))
+
+
+@pytest.fixture(scope="module")
+def seed_points(seed_store):
+    return _seed_sweep(seed_store)
+
+
+@pytest.fixture(scope="module")
+def fig5():
+    return figure5(SMOKE, seed=1, fs=(0.5,), alpha=0.5)
+
+
+@pytest.fixture(scope="module")
+def fig6():
+    return figure6(SMOKE, seed=1, fs=(0.5,), alpha=0.5)
+
+
+@pytest.fixture(scope="module")
+def fig7():
+    return figure7(SMOKE, seed=1, ratios=(1.0, 9.0), alphas=(0.3, 0.6))
+
+
+@pytest.fixture(scope="module")
+def fig8():
+    return figure8(SMOKE, seed=1, ratios=(3.0, 9.0))
+
+
+@pytest.fixture(scope="module")
+def fig9():
+    return figure9(SMOKE, seed=1, ratios=(3.0, math.inf))
 
 
 class TestAvailabilitySweep:
@@ -36,77 +88,122 @@ class TestAvailabilitySweep:
         point = sweep.points[1]  # alpha = 0.6
         assert point.overlay_disconnected <= point.trust_disconnected
 
-    def test_format_disconnected_table(self, sweep):
-        table = sweep.format_table("disconnected")
+    def test_format_disconnected_table(self, seed_points):
+        table = figure_table("fig3", [seed_points[0].outcome])
         assert "Figure 3" in table
         assert "trust_graph" in table and "random_graph" in table
         assert "0.25" in table
 
-    def test_format_path_table(self, sweep):
-        table = sweep.format_table("path")
+    def test_format_path_table(self, seed_points):
+        table = figure_table("fig4", [seed_points[0].outcome])
         assert "Figure 4" in table
 
 
+class TestFigurePoint:
+    def test_seed_is_an_axis(self, sweep, seed_points):
+        """Each seed's grid point is exactly that seed's sweep point."""
+        by_seed = {1: sweep.points[0]}
+        by_seed[2] = availability_sweep(SMOKE, 0.5, seed=2, alphas=ALPHAS[:1]).points[0]
+        assert [point.override("seed") for point in seed_points] == [1, 2]
+        for point in seed_points:
+            expected = dataclasses.asdict(by_seed[point.override("seed")])
+            assert {name: point.outcome[name] for name in expected} == expected
+        assert seed_points[0].outcome != seed_points[1].outcome
+
+    def test_store_rerun_recomputes_nothing(self, seed_store, seed_points):
+        stamps = {
+            path: path.stat().st_mtime_ns for path in seed_store.root.glob("*.json")
+        }
+        assert len(stamps) == 2
+        again = _seed_sweep(seed_store)
+        assert {
+            path: path.stat().st_mtime_ns for path in seed_store.root.glob("*.json")
+        } == stamps
+        assert figure_table("fig3", [p.outcome for p in again]) == figure_table(
+            "fig3", [p.outcome for p in seed_points]
+        )
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig5", "fig6", "fig7", "fig8", "fig9"])
+    def test_records_are_json(self, figure, request, seed_points):
+        if figure == "fig3":
+            records = [point.outcome for point in seed_points]
+        else:
+            records = request.getfixturevalue(figure)
+        for record in records:
+            assert json.loads(json.dumps(record)) == record
+
+    def test_summary_record_is_json(self):
+        scale = dataclasses.replace(
+            SMOKE, stabilization_horizon=4.0, measure_window=4.0
+        )
+        record = FigurePoint("summary", scale)(make_config(scale, 0.5, seed=1))
+        assert sorted(record) == [
+            "disconnected",
+            "full_edge_count",
+            "online_fraction",
+            "trust_disconnected",
+        ]
+        assert json.loads(json.dumps(record)) == record
+
+
 class TestFigure5:
-    def test_histograms(self):
-        results = figure5(SMOKE, seed=1, fs=(0.5,), alpha=0.5)
-        dist = results[0.5]
-        assert sum(dist.overlay_histogram.values()) > 0
-        trust_mean, overlay_mean, random_mean = dist.mean_degrees()
+    def test_histograms(self, fig5):
+        (record,) = fig5
+        assert sum(record["overlay_histogram"]) > 0
+        trust_mean, overlay_mean, random_mean = mean_degrees(record)
         # Pseudonym links shift the distribution right.
         assert overlay_mean > trust_mean
-        table = dist.format_table()
+        table = figure_table("fig5", fig5)
         assert "Figure 5" in table
 
 
 class TestFigure6:
-    def test_overheads(self):
-        results = figure6(SMOKE, seed=1, fs=(0.5,), alpha=0.5)
-        result = results[0.5]
-        assert len(result.overheads) == SMOKE.num_nodes
+    def test_overheads(self, fig6):
+        (record,) = fig6
+        assert len(record["messages_per_period"]) == SMOKE.num_nodes
         # Ranked by descending trust degree.
-        degrees = [entry.trust_degree for entry in result.overheads]
+        degrees = record["trust_degree"]
         assert degrees == sorted(degrees, reverse=True)
         # System-wide mean messages/period should be near 2.
-        assert 1.0 < result.system_mean < 3.0
-        assert "Figure 6" in result.format_table()
+        assert 1.0 < record["system_mean"] < 3.0
+        assert "Figure 6" in figure_table("fig6", fig6)
 
 
 class TestFigure7:
-    def test_lifetime_ordering(self):
-        result = figure7(
-            SMOKE, seed=1, ratios=(1.0, 9.0), alphas=(0.3, 0.6)
-        )
-        assert set(result.overlay_curves) == {1.0, 9.0}
+    def test_lifetime_ordering(self, fig7):
+        assert {record["ratio"] for record in fig7} == {1.0, 9.0}
+        curves = {
+            ratio: [r["disconnected"] for r in fig7 if r["ratio"] == ratio]
+            for ratio in (1.0, 9.0)
+        }
         # Longer lifetimes never hurt; allow small noise at smoke scale.
-        for short, long in zip(
-            result.overlay_curves[1.0], result.overlay_curves[9.0]
-        ):
+        for short, long in zip(curves[1.0], curves[9.0]):
             assert long <= short + 0.15
-        table = result.format_table()
+        table = figure_table("fig7", fig7)
         assert "Figure 7" in table and "r=9" in table
 
 
 class TestFigure8:
-    def test_series_aligned(self):
-        result = figure8(SMOKE, seed=1, ratios=(3.0,))
-        series = result.overlay_series[3.0]
-        assert len(series) == len(result.trust_series)
-        assert "Figure 8" in result.format_table()
+    def test_series_aligned(self, fig8):
+        record = fig8[0]
+        assert record["ratio"] == 3.0
+        assert len(record["disconnected"]) == len(record["trust_disconnected"])
+        assert len(record["times"]) == len(record["disconnected"])
+        assert "Figure 8" in figure_table("fig8", fig8)
 
-    def test_convergence_recorded(self):
-        result = figure8(SMOKE, seed=1, ratios=(9.0,))
-        assert 9.0 in result.convergence_times
+    def test_convergence_recorded(self, fig8):
+        assert fig8[1]["ratio"] == 9.0
+        assert "convergence" in fig8[1]
 
 
 class TestFigure9:
-    def test_replacement_series(self):
-        result = figure9(SMOKE, seed=1, ratios=(3.0, math.inf))
-        assert set(result.series) == {3.0, math.inf}
+    def test_replacement_series(self, fig9):
+        stable = {record["ratio"]: record["stable_rate"] for record in fig9}
+        assert set(stable) == {3.0, math.inf}
         # Non-expiring pseudonyms stabilize at a (near-)zero replacement
         # rate; expiring ones keep replacing links.
-        assert result.stable_rates[math.inf] < result.stable_rates[3.0]
-        table = result.format_table()
+        assert stable[math.inf] < stable[3.0]
+        table = figure_table("fig9", fig9)
         assert "Figure 9" in table and "Infinite" in table
 
 
@@ -114,21 +211,9 @@ class TestWorkersEquivalence:
     """The workers= contract: parallel figure points are identical."""
 
     def test_availability_sweep_parallel_identical(self, sweep):
-        parallel = availability_sweep(
-            SMOKE, f=0.5, seed=1, alphas=(0.25, 0.6), workers=2
-        )
+        parallel = availability_sweep(SMOKE, f=0.5, seed=1, alphas=ALPHAS, workers=2)
         assert parallel == sweep
 
-    def test_figure9_parallel_identical(self):
-        import numpy as np
-
-        serial = figure9(SMOKE, seed=1, ratios=(3.0, math.inf))
+    def test_figure9_parallel_identical(self, fig9):
         parallel = figure9(SMOKE, seed=1, ratios=(3.0, math.inf), workers=2)
-        assert parallel.stable_rates == serial.stable_rates
-        for ratio in serial.series:
-            assert np.array_equal(
-                parallel.series[ratio].times, serial.series[ratio].times
-            )
-            assert np.array_equal(
-                parallel.series[ratio].values, serial.series[ratio].values
-            )
+        assert parallel == fig9

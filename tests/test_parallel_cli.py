@@ -64,6 +64,40 @@ class TestSweepCommand:
             path: path.stat().st_mtime_ns for path in store.glob("*.json")
         } == stamps
 
+    def test_sampling_f_axis_builds_each_trust_graph(self, tmp_path, capsys):
+        """Each sampling_f point runs on the trust graph sampled at its f."""
+        from repro.experiments import (
+            SMOKE,
+            ResultStore,
+            make_config,
+            make_trust_graph,
+            point_store_key,
+            run_overlay_experiment,
+        )
+
+        store = tmp_path / "results"
+        argv = ["sweep", "--scale", "smoke", "--seed", "1", "--axis",
+                "sampling_f=0.5,1.0", "--store", str(store)]
+        assert main(argv) == 0
+        outcomes = [
+            ResultStore(store).load(point_store_key("sweep", [("sampling_f", f)]))
+            for f in (0.5, 1.0)
+        ]
+        assert outcomes[0] != outcomes[1]
+        for f, outcome in zip((0.5, 1.0), outcomes):
+            result = run_overlay_experiment(
+                make_trust_graph(SMOKE, f, 1),
+                make_config(SMOKE, 0.5, f=f, seed=1),
+                horizon=SMOKE.total_horizon,
+                measure_window=SMOKE.measure_window,
+            )
+            assert outcome == {
+                "disconnected": result.disconnected,
+                "trust_disconnected": result.trust_disconnected,
+                "online_fraction": result.online_fraction,
+                "full_edge_count": result.full_edge_count,
+            }
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -6,20 +6,24 @@ The serial/parallel equivalence test here is an acceptance criterion:
 experiment.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
     ResultStore,
     SMOKE,
+    FigurePoint,
     grid_sweep,
     make_config,
     make_trust_graph,
 )
-from repro.parallel import OverlayPointExperiment
 
-# A real (but short-horizon) overlay experiment: full protocol stack.
-EXPERIMENT = OverlayPointExperiment(
-    scale_name="smoke", f=0.5, horizon=8.0, measure_window=4.0
+# A real (but short-horizon) overlay experiment: full protocol stack,
+# an 8-period horizon with a 4-period window.
+EXPERIMENT = FigurePoint(
+    "summary",
+    dataclasses.replace(SMOKE, stabilization_horizon=4.0, measure_window=4.0),
 )
 AXES = {"availability": [0.3, 0.6], "lifetime_ratio": [3.0, 9.0]}
 

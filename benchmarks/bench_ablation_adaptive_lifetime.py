@@ -19,9 +19,13 @@ low-availability nodes the longer lifetimes they actually need.
 import numpy as np
 
 from repro.churn import homogeneous_specs
-from repro.core import AdaptiveLifetime, Overlay
-from repro.experiments import format_table, make_config, make_trust_graph
-from repro.metrics import MetricsCollector
+from repro.core import AdaptiveLifetime
+from repro.experiments import (
+    format_table,
+    make_config,
+    make_trust_graph,
+    run_overlay_experiment,
+)
 
 from conftest import SEED, emit
 
@@ -41,14 +45,14 @@ def _heterogeneous_specs(num_nodes, mean_offline):
 
 
 def _run(trust_graph, config, scale):
-    specs = _heterogeneous_specs(scale.num_nodes, scale.mean_offline_time)
-    overlay = Overlay.build(trust_graph, config, churn_specs=specs)
-    collector = MetricsCollector(overlay, interval=scale.collector_interval)
-    overlay.start()
-    collector.start()
-    overlay.run_until(scale.total_horizon)
-    tail = scale.measure_window / scale.total_horizon
-    return overlay, collector.disconnected.tail_mean(tail)
+    result = run_overlay_experiment(
+        trust_graph,
+        config,
+        horizon=scale.total_horizon,
+        measure_window=scale.measure_window,
+        churn_specs=_heterogeneous_specs(scale.num_nodes, scale.mean_offline_time),
+    )
+    return result.overlay, result.disconnected
 
 
 class TestAdaptiveLifetimeAblation:

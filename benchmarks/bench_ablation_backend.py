@@ -56,22 +56,16 @@ class TestBackendAblation:
                 measure_window=scale.measure_window,
             )
             # The mailbox variant needs its own link layer.
-            from repro.core import Overlay
-            from repro.metrics import MetricsCollector
-
-            overlay = Overlay.build(
+            mailbox = run_overlay_experiment(
                 trust_graph,
                 config,
+                horizon=scale.total_horizon,
+                measure_window=scale.measure_window,
                 link_layer_factory=_mailbox_link_layer_factory(store),
             )
-            collector = MetricsCollector(overlay, interval=scale.collector_interval)
-            overlay.start()
-            collector.start()
-            overlay.run_until(scale.total_horizon)
-            tail = scale.measure_window / scale.total_horizon
             return {
                 "ideal": ideal.disconnected,
-                "mailbox": collector.disconnected.tail_mean(tail),
+                "mailbox": mailbox.disconnected,
                 "trust": ideal.trust_disconnected,
             }
 

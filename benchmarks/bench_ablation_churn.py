@@ -55,9 +55,6 @@ class TestChurnAblation:
             )
             # Heterogeneous and Pareto models reuse the same protocol
             # parameters, only the churn specs change.
-            from repro.core import Overlay
-            from repro.metrics import MetricsCollector
-
             for name, specs in (
                 (
                     "heterogeneous",
@@ -72,18 +69,14 @@ class TestChurnAblation:
                     ),
                 ),
             ):
-                overlay = Overlay.build(trust_graph, config, churn_specs=specs)
-                collector = MetricsCollector(
-                    overlay, interval=scale.collector_interval
+                result = run_overlay_experiment(
+                    trust_graph,
+                    config,
+                    horizon=scale.total_horizon,
+                    measure_window=scale.measure_window,
+                    churn_specs=specs,
                 )
-                overlay.start()
-                collector.start()
-                overlay.run_until(scale.total_horizon)
-                tail = scale.measure_window / scale.total_horizon
-                outcomes[name] = (
-                    collector.disconnected.tail_mean(tail),
-                    collector.trust_disconnected.tail_mean(tail),
-                )
+                outcomes[name] = (result.disconnected, result.trust_disconnected)
             return outcomes
 
         outcomes = benchmark.pedantic(run, rounds=1, iterations=1)

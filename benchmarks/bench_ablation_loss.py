@@ -10,9 +10,8 @@ from repro.experiments import (
     format_table,
     make_config,
     make_trust_graph,
+    run_overlay_experiment,
 )
-from repro.core import Overlay
-from repro.metrics import MetricsCollector
 from repro.privlink import make_ideal_link_layer
 
 from conftest import SEED, emit
@@ -29,9 +28,11 @@ class TestLossAblation:
         def run():
             outcomes = {}
             for loss_rate in _LOSS_RATES:
-                overlay = Overlay.build(
+                result = run_overlay_experiment(
                     trust_graph,
                     config,
+                    horizon=scale.total_horizon,
+                    measure_window=scale.measure_window,
                     link_layer_factory=lambda sim, rng, rate=loss_rate: (
                         make_ideal_link_layer(
                             sim,
@@ -41,18 +42,12 @@ class TestLossAblation:
                         )
                     ),
                 )
-                collector = MetricsCollector(
-                    overlay, interval=scale.collector_interval
-                )
-                overlay.start()
-                collector.start()
-                overlay.run_until(scale.total_horizon)
-                tail = scale.measure_window / scale.total_horizon
+                link_layer = result.overlay.link_layer
                 outcomes[loss_rate] = (
-                    collector.disconnected.tail_mean(tail),
-                    collector.trust_disconnected.tail_mean(tail),
-                    overlay.link_layer.anonymity.loss.dropped
-                    + overlay.link_layer.pseudonym.loss.dropped,
+                    result.disconnected,
+                    result.trust_disconnected,
+                    link_layer.anonymity.loss.dropped
+                    + link_layer.pseudonym.loss.dropped,
                 )
             return outcomes
 

@@ -146,6 +146,10 @@ class SystemConfig:
             return INFINITE_LIFETIME
         return self.lifetime_ratio * self.mean_offline_time
 
+    def sampler_size(self, trusted_degree: int) -> int:
+        """The sampler size ``S`` of a node with ``trusted_degree`` friends."""
+        return max(self.min_pseudonym_links, self.target_degree - trusted_degree)
+
     @property
     def mean_online_time(self) -> float:
         """``Ton`` derived from availability and ``Toff``.

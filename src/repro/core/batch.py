@@ -23,6 +23,9 @@ byte-identical replica of the event-driven simulator):
   membership is judged against the cache as each set arrives.
 * Cache eviction drops the oldest entries (the CYCLON rule without the
   just-sent preference).
+* Every node has the same sampler size ``S``,
+  :meth:`~repro.config.SystemConfig.sampler_size` of the *mean* trusted
+  degree (the event simulator sizes each node by its own degree).
 * Offline nodes keep their state; expired material is dropped eagerly
   rather than lazily on rejoin (the post-rejoin state is identical).
 
@@ -195,12 +198,6 @@ def check_trust_csr(config: SystemConfig, trusted_indptr: np.ndarray) -> None:
             f"trusted_indptr covers {len(trusted_indptr) - 1} nodes, "
             f"config.num_nodes is {config.num_nodes}"
         )
-
-
-def slot_count_for(config: SystemConfig, trusted_indices: np.ndarray) -> int:
-    """Uniform sampler size — from the *global* mean trusted degree."""
-    mean_degree = int(len(trusted_indices) / config.num_nodes)
-    return max(config.min_pseudonym_links, config.target_degree - mean_degree)
 
 
 def combine_shard_digests(round_no: int, shard_digests: Sequence[bytes]) -> str:
@@ -834,7 +831,7 @@ def build_engines(
         ],
         start_all_online=start_all_online,
     )
-    slot_count = slot_count_for(config, trusted_indices)
+    slot_count = config.sampler_size(int(len(trusted_indices) / config.num_nodes))
     indptr = np.ascontiguousarray(trusted_indptr, dtype=np.int64)
     indices = np.ascontiguousarray(trusted_indices, dtype=np.int64)
     engines = [
@@ -907,8 +904,8 @@ class BatchOverlay:
     ----------
     config:
         Protocol parameters; ``num_nodes`` may be millions.  The
-        sampler size is uniform:
-        ``S = max(min_pseudonym_links, target_degree - mean_degree)``.
+        sampler size is uniform: ``config.sampler_size`` of the mean
+        trusted degree.
     trusted_indptr, trusted_indices:
         The trust graph as a symmetric CSR adjacency
         (:func:`ring_lattice_csr`, or any CSR over ``0..n-1``).

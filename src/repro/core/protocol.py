@@ -21,7 +21,7 @@ simulator, random streams, link layer, and churn from a
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -122,35 +122,7 @@ class Overlay:
         self._address_owner: Dict[Address, int] = {}
         self.nodes: List[OverlayNode] = []
         for node_id in range(num_nodes):
-            neighbors = trust_graph.neighbors(node_id)
-            slot_count = max(
-                config.min_pseudonym_links,
-                config.target_degree - len(neighbors),
-            )
-            policy: Optional[LifetimePolicy] = None
-            if config.adaptive_lifetime:
-                policy = AdaptiveLifetime(
-                    ratio=config.lifetime_ratio,
-                    initial_estimate=config.mean_offline_time,
-                    smoothing=config.adaptive_smoothing,
-                )
-            node = OverlayNode(
-                node_id=node_id,
-                trusted_neighbors=neighbors,
-                slot_count=slot_count,
-                cache_size=config.cache_size,
-                shuffle_length=config.shuffle_length,
-                pseudonym_lifetime=config.pseudonym_lifetime,
-                sim=sim,
-                link_layer=link_layer,
-                rng=streams.substream("node", node_id),
-                pseudonym_listener=self._record_pseudonym,
-                sampler_mode=config.sampler_mode,
-                lifetime_policy=policy,
-                arena=self.arena,
-            )
-            node.online_listener = self._on_online_change
-            self.nodes.append(node)
+            self._new_node(node_id, set(trust_graph.neighbors(node_id)))
 
         self._started = False
         # The trust graph, the online set and the restricted trust graph
@@ -319,11 +291,27 @@ class Overlay:
         for neighbor in set(trusted_neighbors):
             self.nodes[neighbor].links.add_trusted(node_id)
 
+        node = self._new_node(node_id, set(trusted_neighbors))
+        self._trust_version += 1
+        # New node: cached online sets are stale even before any
+        # transition (the churn process may seat it online).
+        self._online_epoch += 1
+
+        if self.churn is not None:
+            from ..churn import Exponential, NodeChurnSpec
+
+            spec = NodeChurnSpec(
+                Exponential(self.config.mean_online_time),
+                Exponential(self.config.mean_offline_time),
+            )
+            self.churn.add_node(spec, start_online=start_online)
+        if self._started and start_online:
+            node.come_online()
+        return node_id
+
+    def _new_node(self, node_id: int, trusted_neighbors: Set[int]) -> OverlayNode:
+        """Build node ``node_id`` with empty protocol state and append it."""
         config = self.config
-        slot_count = max(
-            config.min_pseudonym_links,
-            config.target_degree - len(set(trusted_neighbors)),
-        )
         policy: Optional[LifetimePolicy] = None
         if config.adaptive_lifetime:
             policy = AdaptiveLifetime(
@@ -333,8 +321,8 @@ class Overlay:
             )
         node = OverlayNode(
             node_id=node_id,
-            trusted_neighbors=set(trusted_neighbors),
-            slot_count=slot_count,
+            trusted_neighbors=trusted_neighbors,
+            slot_count=config.sampler_size(len(trusted_neighbors)),
             cache_size=config.cache_size,
             shuffle_length=config.shuffle_length,
             pseudonym_lifetime=config.pseudonym_lifetime,
@@ -348,22 +336,7 @@ class Overlay:
         )
         node.online_listener = self._on_online_change
         self.nodes.append(node)
-        self._trust_version += 1
-        # New node: cached online sets are stale even before any
-        # transition (the churn process may seat it online).
-        self._online_epoch += 1
-
-        if self.churn is not None:
-            from ..churn import Exponential, NodeChurnSpec
-
-            spec = NodeChurnSpec(
-                Exponential(config.mean_online_time),
-                Exponential(config.mean_offline_time),
-            )
-            self.churn.add_node(spec, start_online=start_online)
-        if self._started and start_online:
-            node.come_online()
-        return node_id
+        return node
 
     def _on_churn_transition(self, node_id: int, online: bool) -> None:
         # Bump here as well as in the node listener: the churn process

@@ -14,7 +14,7 @@ Two measurement modes cover everything in the evaluation:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -64,26 +64,23 @@ def run_overlay_experiment(
     config: SystemConfig,
     horizon: float,
     measure_window: float,
-    collector_interval: float = 1.0,
     path_length_every: int = 0,
     path_sources: Optional[int] = 32,
-    start_all_online: bool = False,
-    with_churn: bool = True,
+    **build_options: Any,
 ) -> OverlayRunResult:
     """Run one overlay to ``horizon`` and summarize its stable state.
 
-    Tail statistics average over the trailing ``measure_window`` of the
-    collector series.  Path lengths are reported only when
-    ``path_length_every`` is non-zero.
+    The overlay is ``Overlay.build(trust_graph, config, **build_options)``
+    (churn specs, link-layer factory, ...).  The collector samples once
+    per shuffle period; tail statistics average over the trailing
+    ``measure_window`` of its series.  Path lengths are reported only
+    when ``path_length_every`` is non-zero.
     """
     if measure_window <= 0 or measure_window > horizon:
         raise ExperimentError("measure_window must be in (0, horizon]")
-    overlay = Overlay.build(
-        trust_graph, config, with_churn=with_churn, start_all_online=start_all_online
-    )
+    overlay = Overlay.build(trust_graph, config, **build_options)
     collector = MetricsCollector(
         overlay,
-        interval=collector_interval,
         path_length_every=path_length_every,
         path_length_sources=path_sources,
         rng=overlay.substream("collector"),

@@ -63,7 +63,6 @@ class ExperimentScale:
     path_length_every: int
     fig8_horizon: float
     fig9_horizon: float
-    collector_interval: float
 
     @property
     def total_horizon(self) -> float:
@@ -87,7 +86,6 @@ PAPER = ExperimentScale(
     path_length_every=10,
     fig8_horizon=1000.0,
     fig9_horizon=10000.0,
-    collector_interval=1.0,
 )
 
 # Note: quick scale keeps the paper's Toff = 30 shuffling periods.  The
@@ -110,7 +108,6 @@ QUICK = ExperimentScale(
     path_length_every=8,
     fig8_horizon=300.0,
     fig9_horizon=900.0,
-    collector_interval=1.0,
 )
 
 SMOKE = ExperimentScale(
@@ -129,7 +126,6 @@ SMOKE = ExperimentScale(
     path_length_every=5,
     fig8_horizon=60.0,
     fig9_horizon=120.0,
-    collector_interval=1.0,
 )
 
 _SCALES = {"paper": PAPER, "quick": QUICK, "smoke": SMOKE}

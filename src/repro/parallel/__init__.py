@@ -2,13 +2,11 @@
 
 The paper's evaluation is a grid of independent simulation points; this
 package runs such grids on forked worker processes while keeping the
-results byte-identical to a serial run.  Three pieces:
+results byte-identical to a serial run.  Two pieces:
 
 * :mod:`~repro.parallel.engine` — :func:`parallel_map`, an ordered map
   over independent points on forked workers; the figure harnesses and
   :func:`repro.experiments.grid_sweep` fan out through it.
-* :mod:`~repro.parallel.experiments` — the picklable batch-engine point
-  experiment for ``repro sweep --shards``.
 * :mod:`~repro.parallel.shard` — :class:`ShardedOverlay`, *one*
   deterministic batch-engine run spread across worker processes
   (sweeps parallelize across points; shards parallelize within one).
@@ -18,13 +16,11 @@ guarantees.
 """
 
 from .engine import fork_available, parallel_map
-from .experiments import BatchPointExperiment
 from .shard import ShardOptions, ShardedOverlay
 
 __all__ = [
     "parallel_map",
     "fork_available",
-    "BatchPointExperiment",
     "ShardOptions",
     "ShardedOverlay",
 ]

@@ -16,8 +16,9 @@ computes only the points the store does not hold yet.
 
 With ``--shards N`` each point instead runs the round-based batch
 engine over an N-shard grid (:class:`~repro.parallel.shard.ShardedOverlay`
-with ``--workers`` shard workers); points run serially in that mode,
-since daemonic sweep workers cannot fork shard workers.
+with ``--workers`` shard workers) on the same trust graph, and prints
+the same columns; points run serially in that mode, since daemonic
+sweep workers cannot fork shard workers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 from ..shutdown import EXIT_INTERRUPTED, graceful_shutdown
-from .experiments import BatchPointExperiment
+from .shard import ShardOptions
 
 __all__ = ["main", "parse_axis", "positive_int"]
 
@@ -112,15 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run each point on the round-based batch engine over an "
         "N-shard grid (ShardedOverlay) instead of the event-driven "
-        "overlay; points then run serially — daemonic sweep workers "
-        "cannot fork shard workers — and --workers becomes the shard "
-        "worker count per point",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=20,
-        help="shuffle rounds per point with --shards (default: 20)",
+        "overlay, for the scale's horizon in rounds; points then run "
+        "serially — daemonic sweep workers cannot fork shard workers — "
+        "and --workers becomes the shard worker count per point",
     )
     parser.add_argument(
         "--store",
@@ -159,19 +154,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     scale = scale_by_name(args.scale)
     base_config = make_config(scale, alpha=0.5, f=args.f, seed=args.seed)
+    shards = None
+    sweep_workers = args.workers
     if args.shards is not None:
         # The shard engine forks its own workers per point, and daemonic
         # sweep workers cannot fork children — so points run serially
         # and the --workers budget goes to the shard engine instead.
-        experiment = BatchPointExperiment(
-            rounds=max(1, args.rounds),
-            num_shards=args.shards,
-            shard_workers=args.workers,
-        )
+        shards = ShardOptions(num_shards=args.shards, workers=args.workers)
         sweep_workers = 1
-    else:
-        experiment = FigurePoint("summary", scale)
-        sweep_workers = args.workers
+    experiment = FigurePoint("summary", scale, shards)
     store = ResultStore(args.store)
 
     before = _file_stamps(store.root)

@@ -1,15 +1,11 @@
-"""Tests for the structural robustness and convergence analyses."""
+"""Tests for the structural robustness analyses."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    articulation_ratio,
-    measure_convergence,
-    targeted_failure_curve,
-)
-from repro.errors import ExperimentError, GraphError
+from repro.analysis import articulation_ratio, targeted_failure_curve
+from repro.errors import GraphError
 from repro.graphs import erdos_renyi_gnm, generate_social_graph, sample_trust_graph
 
 from . import nx_oracle
@@ -104,42 +100,3 @@ class TestArticulationRatio:
         assert articulation_ratio(graph) == nx_oracle.articulation_ratio(
             nx_oracle.to_nx(graph)
         )
-
-
-class TestMeasureConvergence:
-    def test_converges_on_small_system(self, small_trust_graph, small_config):
-        summary = measure_convergence(
-            small_trust_graph,
-            small_config,
-            seeds=(1, 2),
-            threshold=0.2,
-            horizon=40.0,
-        )
-        assert summary.runs == 2
-        assert summary.failures < 2
-        assert summary.mean is not None
-        assert summary.mean < 40.0
-        assert "converged" in str(summary)
-
-    def test_impossible_threshold_counts_failures(
-        self, small_trust_graph, small_config
-    ):
-        summary = measure_convergence(
-            small_trust_graph,
-            small_config,
-            seeds=(3,),
-            threshold=0.0001,
-            horizon=3.0,
-        )
-        # Tiny threshold + tiny horizon: likely failure; either way the
-        # accounting holds.
-        assert summary.runs == 1
-        assert summary.failures + len(summary.times) == 1
-
-    def test_validation(self, small_trust_graph, small_config):
-        with pytest.raises(ExperimentError):
-            measure_convergence(small_trust_graph, small_config, seeds=())
-        with pytest.raises(ExperimentError):
-            measure_convergence(
-                small_trust_graph, small_config, seeds=(1,), threshold=1.5
-            )

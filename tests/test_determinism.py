@@ -43,7 +43,6 @@ def _run_fig3_point(seed):
         config=config,
         horizon=SMOKE.total_horizon,
         measure_window=SMOKE.measure_window,
-        collector_interval=SMOKE.collector_interval,
         path_length_every=SMOKE.path_length_every,
         path_sources=SMOKE.path_sources,
     )

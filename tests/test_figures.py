@@ -100,8 +100,8 @@ class TestAvailabilitySweep:
 
 
 class TestFigurePoint:
-    def test_seed_is_an_axis(self, sweep, seed_points):
-        """Each seed's grid point is exactly that seed's sweep point."""
+    def test_seed_is_an_axis(self, sweep, seed_points, fig8):
+        """Each seed's grid point is exactly that seed's figure point."""
         by_seed = {1: sweep.points[0]}
         by_seed[2] = availability_sweep(SMOKE, 0.5, seed=2, alphas=ALPHAS[:1]).points[0]
         assert [point.override("seed") for point in seed_points] == [1, 2]
@@ -109,6 +109,15 @@ class TestFigurePoint:
             expected = dataclasses.asdict(by_seed[point.override("seed")])
             assert {name: point.outcome[name] for name in expected} == expected
         assert seed_points[0].outcome != seed_points[1].outcome
+
+        # Figure 8: each seed's record carries that seed's convergence time.
+        base = make_config(SMOKE, 0.25, f=0.5, seed=1)
+        fig8_points = grid_sweep(base, SEEDS, FigurePoint("fig8", SMOKE))
+        fig8_by_seed = {1: fig8[0], 2: figure8(SMOKE, seed=2, ratios=(3.0,))[0]}
+        for point in fig8_points:
+            assert point.outcome == fig8_by_seed[point.override("seed")]
+        assert "convergence" in fig8_points[0].outcome
+        assert fig8_points[0].outcome != fig8_points[1].outcome
 
     def test_store_rerun_recomputes_nothing(self, seed_store, seed_points):
         stamps = {

@@ -98,6 +98,80 @@ class TestSweepCommand:
                 "full_edge_count": result.full_edge_count,
             }
 
+    def _shard_sweep(self, store, capsys, axis, workers):
+        argv = ["sweep", "--scale", "smoke", "--seed", "1", "--axis", axis,
+                "--shards", "2", "--workers", str(workers), "--store", str(store)]
+        assert main(argv) == 0
+        return capsys.readouterr().out.replace(str(store), "STORE")
+
+    def test_shards_table_is_the_same_at_any_worker_count(self, tmp_path, capsys):
+        axis = "availability=0.3,0.6"
+        serial = self._shard_sweep(tmp_path / "one", capsys, axis, workers=1)
+        forked = self._shard_sweep(tmp_path / "two", capsys, axis, workers=2)
+        assert forked == serial
+        assert "2 computed, 0 reused" in serial
+
+    def test_shards_sampling_f_axis_builds_each_trust_graph(self, tmp_path, capsys):
+        """Under --shards each sampling_f point runs the batch engine on
+        the trust graph sampled at its f, for the scale's horizon."""
+        from repro.core import BatchOverlay
+        from repro.experiments import (
+            SMOKE,
+            ResultStore,
+            make_config,
+            make_trust_graph,
+            point_store_key,
+        )
+
+        store = tmp_path / "results"
+        out = self._shard_sweep(store, capsys, "sampling_f=0.5,1.0", workers=1)
+        rows = [line for line in out.splitlines() if line.startswith(("0.5", "1.0"))]
+        assert len(rows) == 2
+        assert rows[0].split()[1:] != rows[1].split()[1:]
+        for f in (0.5, 1.0):
+            outcome = ResultStore(store).load(
+                point_store_key("sweep", [("sampling_f", f)])
+            )
+            trust = make_trust_graph(SMOKE, f, 1)
+            overlay = BatchOverlay(
+                make_config(SMOKE, 0.5, f=f, seed=1),
+                trust.indptr,
+                trust.indices,
+                num_shards=2,
+            )
+            overlay.run(int(SMOKE.total_horizon))
+            assert outcome["online_fraction"] == (
+                overlay.stats()["online_nodes"] / SMOKE.num_nodes
+            )
+            assert outcome["full_edge_count"] == (
+                overlay.snapshot(online_only=False).number_of_edges()
+            )
+
+    def test_shards_columns_equal_the_event_sweeps(self, tmp_path, capsys):
+        axis = "availability=0.3,0.6"
+        batch = self._shard_sweep(tmp_path / "batch", capsys, axis, workers=1)
+        argv = ["sweep", "--scale", "smoke", "--seed", "1", "--axis", axis,
+                "--store", str(tmp_path / "event")]
+        assert main(argv) == 0
+        event = capsys.readouterr().out
+        assert batch.splitlines()[1] == event.splitlines()[1]
+        assert batch.splitlines()[1].split() == [
+            "availability",
+            "disconnected",
+            "full_edge_count",
+            "online_fraction",
+            "trust_disconnected",
+        ]
+
+    def test_only_summary_runs_on_shards(self):
+        from repro.errors import ExperimentError
+        from repro.experiments import SMOKE, FigurePoint
+        from repro.parallel import ShardOptions
+
+        with pytest.raises(ExperimentError, match=r"item 1\(ii\)"):
+            FigurePoint("fig3", SMOKE, ShardOptions(1, 1))
+        FigurePoint("summary", SMOKE, ShardOptions(1, 1))
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -91,6 +91,39 @@ class TestRunOverlayExperiment:
         assert result.online_fraction == 1.0
         assert result.disconnected == 0.0
 
+    def test_build_options_reach_the_overlay(self, smoke_inputs):
+        """Churn specs and a link-layer factory go to ``Overlay.build``,
+        and the run equals that overlay driven by hand."""
+        from repro.churn import homogeneous_specs
+        from repro.core import Overlay
+        from repro.metrics import MetricsCollector
+        from repro.privlink import make_ideal_link_layer
+
+        graph, config = smoke_inputs
+        specs = homogeneous_specs(config.num_nodes, 0.8, config.mean_offline_time)
+        layers = []
+
+        def factory(sim, rng):
+            layers.append(make_ideal_link_layer(sim, rng, loss_rate=0.2))
+            return layers[-1]
+
+        options = {"churn_specs": specs, "link_layer_factory": factory}
+        result = run_overlay_experiment(
+            graph, config, horizon=20.0, measure_window=10.0, **options
+        )
+        assert result.overlay.link_layer is layers[0]
+        assert result.overlay.link_layer.anonymity.loss.dropped > 0
+
+        overlay = Overlay.build(graph, config, **options)
+        collector = MetricsCollector(overlay)
+        overlay.start()
+        collector.start()
+        overlay.run_until(20.0)
+        assert result.disconnected == collector.disconnected.tail_mean(0.5)
+        assert result.trust_disconnected == collector.trust_disconnected.tail_mean(0.5)
+        assert result.online_fraction == len(overlay.online_ids()) / config.num_nodes
+        assert result.online_fraction > 0.6
+
 
 class TestStaticChurnMetrics:
     def test_full_availability_connected(self, smoke_inputs, rng):

@@ -1038,8 +1038,13 @@ class BatchOverlay:
         :meth:`repro.dissemination.batch.ChannelSnapshot.from_batch_overlay`).
         Self-links and links whose owner is unresolved are dropped,
         matching :func:`repro.dissemination.base.build_channel_lists`.
-        With one engine the trusted arrays are views of its own state:
-        read them, do not write them.
+        ``holder`` is ascending and each holder's links come in
+        link-table order: every shard lists its rows that way
+        (:meth:`~repro.core.arena.NodeArena.link_edges`) and the shard
+        parts concatenate in shard order.  The snapshot builder relies
+        on it and refuses an export that breaks it.  With one engine
+        the trusted arrays are views of its own state: read them, do
+        not write them.
         """
         degrees, indices, holder, owner, alive = (
             _concat(column)

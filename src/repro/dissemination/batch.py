@@ -19,8 +19,9 @@ columnar batch kernels:
   that quack like ``BroadcastRecord`` for reporting code.
 * :class:`BatchBroadcastEngine` advances *all* active broadcasts one
   frontier round per :meth:`~BatchBroadcastEngine.step`: fanout
-  selection per degree class, ``np.unique`` duplicate suppression, and
-  vectorized delivery marking in place of per-hop ``app_handler`` calls.
+  selection per degree class by partition, duplicate suppression by one
+  sort of the ``broadcast × node`` cell codes, and vectorized delivery
+  marking in place of per-hop ``app_handler`` calls.
 
 Exactness contract
 ------------------
@@ -60,6 +61,41 @@ def _cumsum0(values: np.ndarray) -> np.ndarray:
     out = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(values, out=out[1:])
     return out
+
+
+def _place(
+    targets: np.ndarray,
+    block_start: np.ndarray,
+    degree: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Scatter ``values``, grouped by row with ``degree[n]`` entries for
+    row ``n`` in row order, to ``targets[block_start[n]:]``."""
+    position = np.repeat(block_start - _cumsum0(degree)[:-1], degree)
+    position += np.arange(len(values), dtype=np.int64)
+    targets[position] = values
+
+
+def _smallest_keys(keys: np.ndarray, fanout: int) -> np.ndarray:
+    """Column indices of each row's ``fanout`` smallest keys.
+
+    The same set per row as the first ``fanout`` columns of a stable
+    row-wise argsort, in no particular order.  A partition puts the
+    ``fanout``-th smallest key at column ``fanout - 1``; the pick is
+    unique, so no tie-break can change it, when exactly ``fanout`` keys
+    of the row are at most that key.  Only rows where a tie straddles
+    the boundary take the stable argsort, which breaks the tie by
+    channel index.
+    """
+    chosen = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
+    kth = keys[np.arange(len(keys)), chosen[:, -1]]
+    at_most = keys <= kth[:, None]
+    if np.count_nonzero(at_most) != at_most.shape[0] * fanout:
+        tied = np.flatnonzero(at_most.sum(axis=1) != fanout)
+        chosen[tied] = np.argsort(keys[tied], axis=1, kind="stable")[
+            :, :fanout
+        ]
+    return chosen
 
 
 class ChannelSnapshot:
@@ -133,44 +169,39 @@ class ChannelSnapshot:
         """Compile a :class:`~repro.core.batch.BatchOverlay`'s channels.
 
         Per row the canonical order is: trusted neighbours (CSR
-        order), then "out" channels (link-slot order), then "reverse"
+        order), then "out" channels (link-table order), then "reverse"
         channels (holder order).  This differs from the object plane's
         interleaved order — exact cross-plane equality is defined over
         a *shared* snapshot, which the differential workloads use.
+
+        The out block is placed without a sort: ``channel_edges``
+        delivers ``holder`` ascending with each holder's links in
+        link-table order, and a :class:`DisseminationError` names that
+        contract when ``holder`` ever decreases.  The reverse block is
+        one sort of ``owner × N + holder`` codes.
         """
         indptr, indices, holder, owner = overlay.channel_edges()
         num_nodes = len(indptr) - 1
+        if np.any(holder[1:] < holder[:-1]):
+            raise DisseminationError(
+                "channel_edges must list holder ascending, each holder's "
+                "links in link-table order"
+            )
         trusted_deg = np.diff(indptr)
         out_deg = np.bincount(holder, minlength=num_nodes)
         reverse_deg = np.bincount(owner, minlength=num_nodes)
         new_indptr = _cumsum0(trusted_deg + out_deg + reverse_deg)
         targets = np.empty(int(new_indptr[-1]), dtype=np.int64)
-        # Trusted block: shift each CSR row to its new offset.
-        total_trusted = int(indptr[-1])
-        if total_trusted:
-            rows = np.repeat(np.arange(num_nodes, dtype=np.int64), trusted_deg)
-            within = np.arange(total_trusted, dtype=np.int64) - indptr[rows]
-            targets[new_indptr[rows] + within] = indices
-        # Out block: group (holder -> owner) edges by holder.
-        if len(holder):
-            order = np.argsort(holder, kind="stable")
-            grouped = holder[order]
-            starts = _cumsum0(np.bincount(grouped, minlength=num_nodes))
-            within = np.arange(len(grouped), dtype=np.int64) - starts[grouped]
-            position = new_indptr[grouped] + trusted_deg[grouped] + within
-            targets[position] = owner[order]
-            # Reverse block: the same edges grouped by owner.
-            order = np.argsort(owner, kind="stable")
-            grouped = owner[order]
-            starts = _cumsum0(np.bincount(grouped, minlength=num_nodes))
-            within = np.arange(len(grouped), dtype=np.int64) - starts[grouped]
-            position = (
-                new_indptr[grouped]
-                + trusted_deg[grouped]
-                + out_deg[grouped]
-                + within
-            )
-            targets[position] = holder[order]
+        row_start = new_indptr[:-1]
+        _place(targets, row_start, trusted_deg, indices)
+        _place(targets, row_start + trusted_deg, out_deg, owner)
+        code = np.sort(owner * np.int64(num_nodes) + holder)
+        _place(
+            targets,
+            new_indptr[1:] - reverse_deg,
+            reverse_deg,
+            code % np.int64(num_nodes),
+        )
         return cls(new_indptr, targets)
 
 
@@ -575,9 +606,11 @@ class BatchBroadcastEngine:
         Returns the number of new (broadcast, node) deliveries.  One
         call picks every activation's channels (per degree class — no
         sort spans the frontier's channels), suppresses duplicates with
-        one ``np.unique`` pass, marks deliveries into the ledger's
-        round matrix, and assembles the next frontier — no per-message
-        Python in the loop.
+        one sort of the ``broadcast × node`` cell codes, marks
+        deliveries into the ledger's round matrix, and assembles the
+        next frontier in cell-code order — no per-message Python in the
+        loop.  Every output is a sum or a per-cell write, so nothing
+        here depends on the order of activations or arrivals.
         """
         bids = self._frontier_bid
         if not len(bids):
@@ -601,34 +634,36 @@ class BatchBroadcastEngine:
         else:
             # Activations with at most `fanout` channels send on all of
             # them and need no keys; the rest are sampled by degree.
-            by_degree = np.argsort(degree, kind="stable")
+            by_degree = np.argsort(degree)
             sorted_degree = degree[by_degree]
             cut = np.searchsorted(sorted_degree, fanout, side="right")
             send_all, sampled = by_degree[:cut], by_degree[cut:]
             sends_per_pair = np.minimum(degree, fanout)
             # Counter-keyed sampling, one dense (rows, d) key matrix per
-            # degree class d: row for row the object plane's
-            # np.argsort(channel_keys(...), kind="stable")[:fanout], so
-            # ties break by channel index by construction.
+            # degree class d: row for row the set the object plane's
+            # stable argsort of channel_keys(...) picks (_smallest_keys).
             base = channel_key_base(
                 ledger.keys[bids[sampled]],
                 sender_round[sampled],
                 nodes[sampled],
             )
-            class_degree, class_lo = np.unique(
-                sorted_degree[cut:], return_index=True
-            )
+            class_degree = sorted_degree[cut:]
+            class_lo = np.flatnonzero(np.diff(class_degree, prepend=-1))
             class_hi = np.append(class_lo[1:], len(sampled))
+            salts = np.arange(
+                1, int(sorted_degree[-1]) + 1, dtype=np.uint64
+            ) * _CHANNEL_SALT
+            chosen = np.empty((len(sampled), fanout), dtype=np.int64)
             for d, lo, hi in zip(
-                class_degree.tolist(), class_lo.tolist(), class_hi.tolist()
+                class_degree[class_lo].tolist(),
+                class_lo.tolist(),
+                class_hi.tolist(),
             ):
-                salts = np.arange(1, d + 1, dtype=np.uint64) * _CHANNEL_SALT
-                keys = _mix64(base[lo:hi, None] ^ salts)
-                chosen = np.argsort(keys, axis=1, kind="stable")[:, :fanout]
-                rows = sampled[lo:hi]
-                pair_parts.append(np.repeat(rows, fanout))
-                slots = row_start[rows][:, None] + chosen
-                slot_parts.append(slots.ravel())
+                keys = _mix64(base[lo:hi, None] ^ salts[:d])
+                chosen[lo:hi] = _smallest_keys(keys, fanout)
+            chosen += row_start[sampled][:, None]
+            pair_parts.append(np.repeat(sampled, fanout))
+            slot_parts.append(chosen.ravel())
         counts = degree[send_all]
         pair = np.repeat(send_all, counts)
         within = np.arange(len(pair), dtype=np.int64) - np.repeat(
@@ -643,41 +678,40 @@ class BatchBroadcastEngine:
         # plane's link layer does.  np.add.at keeps multiplicities in
         # int64; a weighted np.bincount would accumulate in float64.
         np.add.at(ledger.forwards, bids, mult * sends_per_pair)
-        arrival_bid = bids[pair]
+        # A cell code is also the flat index of the cell in the ledger's
+        # round matrix.
+        code = bids[pair] * np.int64(snapshot.num_nodes) + destination
         wanted = None if self._online is None else self._online[destination]
         if not self._infect_forever:
             # Infect-and-die: a re-delivery neither marks nor forwards,
-            # so drop it before np.unique has to sort it; the survivors
-            # are exactly the fresh cells, in the same sorted order.
-            unseen = ledger.delivery_round[arrival_bid, destination] < 0
+            # so drop it before the sort; the survivors are exactly the
+            # fresh cells.
+            unseen = np.take(ledger.delivery_round, code) < 0
             wanted = unseen if wanted is None else wanted & unseen
         if wanted is not None:
             pair = pair[wanted]
-            arrival_bid = arrival_bid[wanted]
-            destination = destination[wanted]
+            code = code[wanted]
         if not len(pair):
             self._clear_frontier()
             return 0
-        code = arrival_bid * np.int64(snapshot.num_nodes) + destination
+        order = np.argsort(code)
+        code = code[order]
+        first = np.flatnonzero(np.diff(code, prepend=-1))
         if self._infect_forever:
             # Path multiplicity: every receipt re-triggers, so carry
             # the number of same-round arrivals as a multiplicity (all
             # copies select the same counter-keyed channels).
-            _, first, inverse = np.unique(
-                code, return_index=True, return_inverse=True
-            )
-            multiplicity = np.zeros(len(first), dtype=np.int64)
-            np.add.at(multiplicity, inverse, mult[pair])
+            multiplicity = np.add.reduceat(mult[pair[order]], first)
         else:
-            first = np.unique(code, return_index=True)[1]
             multiplicity = np.ones(len(first), dtype=np.int64)
         # `first` names one arrival per (broadcast, node) cell; which one
-        # is immaterial (so selection order above is free): the cell fixes
-        # bid and node, and within a step every activation of a broadcast
-        # carries the same round.
-        bid_u = arrival_bid[first]
-        node_u = destination[first]
-        round_u = sender_round[pair[first]] + 1
+        # is immaterial: the cell fixes bid and node, and within a step
+        # every activation of a broadcast carries the same round.
+        code_u = code[first]
+        pair_u = pair[order[first]]
+        bid_u = bids[pair_u]
+        node_u = code_u - bid_u * np.int64(snapshot.num_nodes)
+        round_u = sender_round[pair_u] + 1
         within_budget = round_u < ledger.ttls[bid_u]
         self._frontier_bid = bid_u[within_budget]
         self._frontier_node = node_u[within_budget]
@@ -685,10 +719,9 @@ class BatchBroadcastEngine:
         self._frontier_round = round_u[within_budget]
         if self._infect_forever:
             # Re-deliveries stay in the frontier but mark nothing.
-            fresh = ledger.delivery_round[bid_u, node_u] < 0
-            bid_u, node_u = bid_u[fresh], node_u[fresh]
-            round_u = round_u[fresh]
-        ledger.delivery_round[bid_u, node_u] = round_u.astype(np.int16)
+            fresh = np.take(ledger.delivery_round, code_u) < 0
+            bid_u, code_u, round_u = bid_u[fresh], code_u[fresh], round_u[fresh]
+        np.put(ledger.delivery_round, code_u, round_u.astype(np.int16))
         ledger.delivered += np.bincount(bid_u, minlength=len(ledger.delivered))
         self._delivered_total += len(bid_u)
         return len(bid_u)

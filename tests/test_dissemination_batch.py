@@ -441,6 +441,125 @@ class TestSnapshotBuilders:
             )
 
 
+class _EdgeStub:
+    """An overlay that exports fixed ``channel_edges`` arrays."""
+
+    def __init__(self, indptr, indices, holder, owner):
+        self._edges = tuple(
+            np.asarray(column, dtype=np.int64)
+            for column in (indptr, indices, holder, owner)
+        )
+
+    def channel_edges(self):
+        return self._edges
+
+
+def _reference_rows(indptr, indices, holder, owner):
+    """Every snapshot row, one channel at a time: the trusted CSR row,
+    then the row's owners in link order, then its holders ascending."""
+    num_nodes = len(indptr) - 1
+    rows = [indices[indptr[n] : indptr[n + 1]].tolist() for n in range(num_nodes)]
+    holders = [[] for _ in range(num_nodes)]
+    for h, o in zip(holder.tolist(), owner.tolist()):
+        rows[h].append(o)
+        holders[o].append(h)
+    return [row + sorted(held) for row, held in zip(rows, holders)]
+
+
+class TestBatchSnapshotRows:
+    """``from_batch_overlay`` against a per-row Python reference."""
+
+    def _assert_rows(self, overlay):
+        snapshot = ChannelSnapshot.from_batch_overlay(overlay)
+        expected = _reference_rows(*overlay.channel_edges())
+        assert snapshot.num_nodes == len(expected)
+        for node, row in enumerate(expected):
+            lo, hi = snapshot.indptr[node : node + 2]
+            assert snapshot.targets[lo:hi].tolist() == row, node
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_every_row_of_a_batch_overlay(self, num_shards):
+        config = SystemConfig(
+            num_nodes=400,
+            cache_size=16,
+            shuffle_length=8,
+            target_degree=8,
+            min_pseudonym_links=4,
+            availability=0.7,
+            mean_offline_time=8.0,
+            seed=3,
+        )
+        overlay = BatchOverlay.build(
+            config, extra_edges_per_node=2, num_shards=num_shards
+        )
+        overlay.run(3)
+        self._assert_rows(overlay)
+
+    def test_repeated_link_to_one_owner(self):
+        # Holder 0 links to owner 2 twice (around a link to 1); holder 3
+        # links to 2 as well, so row 2's reverse block is [0, 0, 3].
+        overlay = _EdgeStub(
+            indptr=[0, 1, 2, 3, 3],
+            indices=[1, 0, 3],
+            holder=[0, 0, 0, 2, 3],
+            owner=[2, 1, 2, 0, 2],
+        )
+        self._assert_rows(overlay)
+        snapshot = ChannelSnapshot.from_batch_overlay(overlay)
+        row = snapshot.targets[snapshot.indptr[2] : snapshot.indptr[3]]
+        assert row.tolist() == [3, 0, 0, 0, 3]
+
+    def test_descending_holder_refused(self):
+        overlay = _EdgeStub(
+            indptr=[0, 0, 0, 0],
+            indices=[],
+            holder=[0, 2, 1],
+            owner=[1, 0, 0],
+        )
+        with pytest.raises(DisseminationError, match="holder ascending"):
+            ChannelSnapshot.from_batch_overlay(overlay)
+
+
+class TestFloodReachesComponent:
+    """A flood with unbounded TTL under the live online mask reaches
+    exactly the origin's connected component of ``overlay.analysis()``
+    — the snapshot and the metric kernels agree on what is connected."""
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_flood_equals_component(self, num_shards):
+        config = SystemConfig(
+            num_nodes=400,
+            cache_size=16,
+            shuffle_length=8,
+            target_degree=8,
+            min_pseudonym_links=4,
+            availability=0.5,
+            mean_offline_time=8.0,
+            seed=3,
+        )
+        overlay = BatchOverlay.build(
+            config, extra_edges_per_node=1, num_shards=num_shards
+        )
+        overlay.run(6)
+        analysis = overlay.analysis()
+        components = sorted(analysis.components(), key=len, reverse=True)
+        # The largest components and a few small ones, so both the long
+        # cascades and the dead ends are checked.
+        picked = components[:6] + components[-2:]
+        assert len({len(component) for component in picked}) > 1
+        engine = BatchBroadcastEngine(
+            ChannelSnapshot.from_batch_overlay(overlay),
+            fanout=None,
+            ttl=255,
+            online=overlay.churn.online,
+        )
+        for component in picked:
+            for origin in (component[0], component[-1]):
+                view = engine.broadcast(int(origin))
+                assert sorted(view.delivery_rounds) == component.tolist()
+                assert view.deliveries() == len(component)
+
+
 class TestLedgerAndViews:
     def test_ledger_grows_and_validates(self):
         ledger = BroadcastLedger(num_nodes=10, capacity=2)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dissemination import BatchBroadcastEngine, ChannelSnapshot
+from repro.dissemination import BatchBroadcastEngine, ChannelSnapshot, base, batch
 from repro.dissemination.base import channel_keys
 
 
@@ -205,3 +205,52 @@ class TestRandomGraphs:
         indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
         targets = np.array([t for row in rows for t in row], dtype=np.int64)
         _run_lockstep(ChannelSnapshot(indptr, targets), **case)
+
+
+_FRONTIER = ("_frontier_bid", "_frontier_node", "_frontier_mult", "_frontier_round")
+
+
+class TestOrderIndependence:
+    """Nothing in a step may depend on frontier order: every output is a
+    sum or a per-cell write, which is what lets the kernel use unstable
+    sorts.  Shuffling the frontier before every step must leave each
+    ledger and next frontier equal to the reference's."""
+
+    @pytest.mark.parametrize(
+        "fanout, infect_forever",
+        [(FANOUT, False), (FANOUT, True), (None, False)],
+        ids=["infect-and-die", "infect-forever", "flooding"],
+    )
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_shuffled_frontier_steps_alike(
+        self, monkeypatch, fanout, infect_forever, tied
+    ):
+        if tied:
+            # A 2-bit hash ties keys in every row, so the boundary check
+            # sends rows down the stable fallback.
+            for module in (base, batch):
+                monkeypatch.setattr(module, "_mix64", lambda x: x & np.uint64(3))
+        snapshot = _degree_class_snapshot()
+        online = np.ones(snapshot.num_nodes, dtype=bool)
+        online[[7, 20]] = False
+        engine = BatchBroadcastEngine(
+            snapshot,
+            fanout=fanout,
+            ttl=4,
+            infect_forever=infect_forever,
+            rng=None if fanout is None else np.random.default_rng(3),
+            online=online,
+        )
+        reference = ReferencePlane(engine, fanout, 4, infect_forever, online)
+        origins = [HUB, LEAF, EXACT, ABOVE, HUB, 12]
+        engine.start(origins)
+        reference.start(origins)
+        shuffle = np.random.default_rng(17)
+        while engine.frontier_size:
+            order = shuffle.permutation(engine.frontier_size)
+            for name in _FRONTIER:
+                setattr(engine, name, getattr(engine, name)[order])
+            engine.step()
+            reference.step()
+            reference.assert_matches_engine()
+        assert engine.total_delivered > len(origins)

@@ -19,8 +19,7 @@ object views* over single rows:
   cache entries (insertion-ordered), and sampler-slot state
   (references, distances, expiries, occupants) as 2-D arrays with one
   row per node.  It also carries the vectorized **batch kernels**
-  (:meth:`~NodeArena.batch_absorb` and its one-wave forms
-  :meth:`~NodeArena.batch_offer` / :meth:`~NodeArena.batch_cache_merge`,
+  (:meth:`~NodeArena.batch_absorb`,
   :meth:`~NodeArena.batch_links_from_slots`,
   :meth:`~NodeArena.batch_expire`) that fold whole populations of
   shuffle exchanges, slot updates, and churn transitions: every
@@ -595,12 +594,6 @@ class NodeArena:
         self.trusted_indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.trusted_indices = np.ascontiguousarray(indices, dtype=np.int64)
 
-    def trusted_degrees(self) -> np.ndarray:
-        """Per-node trusted degree from the CSR (zeros when unset)."""
-        if self.trusted_indptr is None:
-            return np.zeros(self.num_nodes, dtype=np.int64)
-        return np.diff(self.trusted_indptr)
-
     def link_edges(
         self, now: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -780,55 +773,6 @@ class NodeArena:
         self.pseudonyms.acquire_batch(np.concatenate((seated, cached)))
         self.pseudonyms.release_batch(np.concatenate((unseated, evicted)))
         return rows[changed > 0]
-
-    def batch_offer(self, rows: np.ndarray, cand_ids: np.ndarray) -> np.ndarray:
-        """Fold per-row candidate batches into the rows' sampler slots.
-
-        ``cand_ids[i]`` holds interned candidate ids for ``rows[i]``
-        (distinct rows), padded with -1.  Exactly
-        :meth:`ArenaSlots.offer_batch` per row: each slot takes the
-        candidate minimizing |value - R| (ties to the latest expiry,
-        then to the earliest batch position), replacing the occupant
-        when closer, or equally close but later-expiring.  Returns the
-        per-row changed-slot counts.
-        """
-        rows = np.asarray(rows)
-        sets = np.asarray(cand_ids).T.astype(np.int64, order="C")
-        counts = np.zeros(len(rows), dtype=np.int64)
-        heard = np.flatnonzero((sets >= 0).any(axis=0))
-        counts[heard], seated, unseated = self._fold_slots(
-            rows[heard], [len(heard)], np.take(sets, heard, axis=1)
-        )
-        self.pseudonyms.acquire_batch(seated)
-        self.pseudonyms.release_batch(unseated)
-        return counts
-
-    def batch_cache_merge(
-        self,
-        rows: np.ndarray,
-        cand_ids: np.ndarray,
-        now: float,
-        own_ids: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Merge per-row received batches into the rows' caches.
-
-        :meth:`ArenaCache.merge` with ``just_sent=None`` per (distinct)
-        row, assuming honestly minted (unique value) pseudonyms and
-        judging membership against the cache as the batch arrives:
-        expired, own, duplicate, and already-cached candidates are
-        skipped; the rest append in batch order, evicting from the
-        oldest end when the row is full.  Returns the per-row inserted
-        counts.  Call :meth:`batch_expire` first to mirror the per-row
-        merge's leading ``remove_expired``.
-        """
-        rows = np.asarray(rows)
-        sets, soonest = self._usable(cand_ids, now, own_ids)
-        inserted, cached, evicted = self._fold_cache(
-            rows, [len(rows)], sets, soonest, now
-        )
-        self.pseudonyms.acquire_batch(cached)
-        self.pseudonyms.release_batch(evicted)
-        return inserted
 
     def _fold_slots(
         self, rows: np.ndarray, sizes: Sequence[int], sets: np.ndarray

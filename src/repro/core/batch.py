@@ -191,13 +191,30 @@ def default_trust_csr(
     )
 
 
-def check_trust_csr(config: SystemConfig, trusted_indptr: np.ndarray) -> None:
-    """Reject a trust CSR whose rows are not ``config.num_nodes``."""
-    if len(trusted_indptr) != config.num_nodes + 1:
+def check_trust_csr(
+    config: SystemConfig, trusted_indptr: np.ndarray, trusted_indices: np.ndarray
+) -> None:
+    """Reject a trust CSR that is not ``config.num_nodes`` well-formed rows.
+
+    ``trusted_indptr`` must start at 0, never decrease and end at
+    ``len(trusted_indices)``, and every index must name a node.  O(E);
+    symmetry is the caller's to keep.
+    """
+    num_nodes = config.num_nodes
+    indptr = np.asarray(trusted_indptr)
+    indices = np.asarray(trusted_indices)
+    if len(indptr) != num_nodes + 1:
         raise GraphError(
-            f"trusted_indptr covers {len(trusted_indptr) - 1} nodes, "
-            f"config.num_nodes is {config.num_nodes}"
+            f"trusted_indptr covers {len(indptr) - 1} nodes, "
+            f"config.num_nodes is {num_nodes}"
         )
+    if indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
+        raise GraphError(
+            "trusted_indptr must start at 0, never decrease and end at "
+            f"len(trusted_indices) = {len(indices)}"
+        )
+    if len(indices) and (indices.min() < 0 or indices.max() >= num_nodes):
+        raise GraphError(f"trusted_indices must lie in [0, {num_nodes})")
 
 
 def combine_shard_digests(round_no: int, shard_digests: Sequence[bytes]) -> str:
@@ -819,7 +836,7 @@ def build_engines(
     partner reachability reads the population's online mask), so every
     block follows the same trajectory.
     """
-    check_trust_csr(config, trusted_indptr)
+    check_trust_csr(config, trusted_indptr, trusted_indices)
     bounds = shard_ranges(config.num_nodes, num_shards)
     churn = ShardedChurn(
         bounds,

@@ -21,7 +21,7 @@ simulator, random streams, link layer, and churn from a
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..churn import (
 from ..config import SystemConfig
 from ..errors import GraphError, ProtocolError
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
-from ..privlink import Address, LinkLayer, make_ideal_link_layer
+from ..privlink import LinkLayer, make_ideal_link_layer
 from ..rng import RandomStreams
 from ..sim import Clock, Simulator
 from .arena import NodeArena, assemble_snapshot
@@ -80,7 +80,6 @@ class Overlay:
         "arena",
         "_streams",
         "_churn_trace",
-        "_address_owner",
         "_started",
         "_trust_version",
         "_trust_snapshot_cache",
@@ -118,8 +117,6 @@ class Overlay:
         #: state; see docs/node_plane.md.  Its pseudonym table also
         #: holds the omniscient value -> owner registry.
         self.arena = NodeArena()
-        # Omniscient measurement registry (never read by protocol code).
-        self._address_owner: Dict[Address, int] = {}
         self.nodes: List[OverlayNode] = []
         for node_id in range(num_nodes):
             self._new_node(node_id, set(trust_graph.neighbors(node_id)))
@@ -353,7 +350,6 @@ class Overlay:
 
     def _record_pseudonym(self, node_id: int, pseudonym: Pseudonym) -> None:
         self.arena.pseudonyms.value_owner[pseudonym.value] = node_id
-        self._address_owner[pseudonym.address] = node_id
 
     # ------------------------------------------------------------------
     # observation
@@ -400,10 +396,6 @@ class Overlay:
     def owner_of_value(self, value: int) -> Optional[int]:
         """Measurement oracle: owner of a pseudonym value (or None)."""
         return self.arena.pseudonyms.value_owner.get(value)
-
-    def owner_of_address(self, address: Address) -> Optional[int]:
-        """Measurement oracle: owner of an endpoint address (or None)."""
-        return self._address_owner.get(address)
 
     @property
     def trust_graph(self) -> FlatSnapshot:

@@ -414,10 +414,6 @@ class BroadcastLedger:
         """Distinct (broadcast, node) deliveries across all rows."""
         return int(self.delivered[: self._count].sum())
 
-    def total_forwards(self) -> int:
-        """Messages sent across all rows."""
-        return int(self.forwards[: self._count].sum())
-
     def memory_bytes(self) -> int:
         """Deterministic storage accounting."""
         return (

@@ -318,19 +318,10 @@ class SnapshotAnalysis:
                 self._component_count = int(np.count_nonzero(sizes))
         return labels
 
-    def component_labels(self) -> np.ndarray:
-        """Per-position component label (the component's smallest position)."""
-        return self._ensure_labels()
-
     def component_count(self) -> int:
         """Number of connected components (0 for the empty graph)."""
         self._ensure_labels()
         return self._component_count
-
-    def largest_component_size(self) -> int:
-        """Size of the largest component (0 for the empty graph)."""
-        self._ensure_labels()
-        return self._largest_size
 
     def largest_component_nodes(self) -> np.ndarray:
         """Node labels of the canonical largest component, ascending.

@@ -4,10 +4,10 @@ link-replacement overhead, and time-series collection.
 
 Graph-level metrics (largest component, path lengths, histograms) are
 :class:`repro.graphs.SnapshotAnalysis`; this package adds the pieces
-that need a *running* overlay.
+that need a *running* overlay.  Overhead is counted in messages, as
+in the paper; the live overlay's frame bytes are :mod:`repro.net.codec`'s.
 """
 
-from .bandwidth import BandwidthReport, WireModel, bandwidth_report
 from .collector import MetricsCollector
 from .overhead import NodeOverhead, mean_messages_per_period, message_overhead_by_rank
 from .series import TimeSeries
@@ -18,7 +18,4 @@ __all__ = [
     "NodeOverhead",
     "message_overhead_by_rank",
     "mean_messages_per_period",
-    "WireModel",
-    "BandwidthReport",
-    "bandwidth_report",
 ]

@@ -216,10 +216,6 @@ class MetricsCollector:
         """Tail-mean of the overlay's disconnected fraction."""
         return self.disconnected.tail_mean(fraction)
 
-    def stable_trust_disconnected(self, fraction: float = 0.25) -> float:
-        """Tail-mean of the trust baseline's disconnected fraction."""
-        return self.trust_disconnected.tail_mean(fraction)
-
     def convergence_time(self, threshold: float = 0.05) -> Optional[float]:
         """First time the overlay's disconnected fraction fell below
         ``threshold`` (None if it never did)."""

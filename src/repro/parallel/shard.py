@@ -178,7 +178,7 @@ class ShardedOverlay(BatchOverlay):
             )
             return
         # The engines and the churn are built by the workers only.
-        check_trust_csr(config, trusted_indptr)
+        check_trust_csr(config, trusted_indptr, trusted_indices)
         self.config = config
         self.num_shards = num_shards
         self.round = 0

@@ -2,17 +2,15 @@
 
 The paper's protocols are evaluated in a custom event-based simulator
 whose time unit is the shuffling period.  This package provides that
-engine: :class:`~repro.sim.simulator.Simulator` (clock + event queue),
-:class:`~repro.sim.process.PeriodicProcess` (repeating timers with
-phase/jitter), and :class:`~repro.sim.trace.Tracer` (structured
-tracing).
+engine: :class:`~repro.sim.simulator.Simulator` (clock + event queue)
+and :class:`~repro.sim.process.PeriodicProcess` (repeating timers with
+phase/jitter).
 """
 
 from .clock import Clock
 from .events import Event, EventHandle
 from .process import PeriodicProcess
 from .simulator import Simulator
-from .trace import NullTracer, Tracer, TraceRecord
 
 __all__ = [
     "Clock",
@@ -20,7 +18,4 @@ __all__ = [
     "EventHandle",
     "PeriodicProcess",
     "Simulator",
-    "Tracer",
-    "NullTracer",
-    "TraceRecord",
 ]

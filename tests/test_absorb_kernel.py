@@ -308,8 +308,8 @@ class TestCollisions:
         assert planes.slot_values(0) == [120, 199]
 
 
-class TestPublicKernels:
-    """``batch_offer`` / ``batch_cache_merge``: the one-wave case."""
+class TestOneWaveAbsorb:
+    """``batch_absorb`` with one delivery per row."""
 
     def test_row_with_only_padding_is_left_alone(self):
         arena = NodeArena(track_insert_times=False)
@@ -319,10 +319,14 @@ class TestPublicKernels:
         ids = [table.intern(_p(11)), table.intern(_p(19))]
         cands = np.array([[ids[0], -1], [-1, -1], [-1, ids[1]]], dtype=np.int64)
         rows = np.array([2, 0, 1])
-        assert arena.batch_offer(rows, cands).tolist() == [2, 0, 2]
-        assert arena.batch_cache_merge(rows, cands, 0.0).tolist() == [1, 0, 1]
+        changed = arena.batch_absorb(rows, cands, 0.0, np.full(3, -1))
+        assert sorted(changed.tolist()) == [1, 2]
         assert arena.slot_ids[:3, :2].tolist() == [
             [-1, -1], [ids[1], ids[1]], [ids[0], ids[0]],
+        ]
+        assert arena.cache_len[:3].tolist() == [0, 1, 1]
+        assert arena.cache_ids[:3, :2].tolist() == [
+            [-1, -1], [ids[1], -1], [ids[0], -1],
         ]
         arena.check_invariants(extra_holders=ids)
 
@@ -332,9 +336,9 @@ class TestPublicKernels:
         arena.register_batch(1, 0, 3)
         table = arena.pseudonyms
         ids = [table.intern(_p(v)) for v in (1, 2, 3, 4)]
-        row = np.array([0])
-        arena.batch_cache_merge(row, np.array([ids[:2]]), 1.0)
-        arena.batch_cache_merge(row, np.array([ids[2:]]), 2.0)
+        row, own = np.array([0]), np.array([-1])
+        arena.batch_absorb(row, np.array([ids[:2]]), 1.0, own)
+        arena.batch_absorb(row, np.array([ids[2:]]), 2.0, own)
         assert arena.cache_ids[0, :3].tolist() == ids[1:]
         assert arena.cache_ins[0, :3].tolist() == [1.0, 2.0, 2.0]
         arena.check_invariants(extra_holders=ids)
@@ -412,8 +416,7 @@ class TestInvariantChecker:
         self.ids = [table.intern(_p(v, 5.0 + v)) for v in (11, 19, 33)]
         cands = np.array([self.ids[:2], [self.ids[2], -1]], dtype=np.int64)
         rows = np.arange(2)
-        arena.batch_cache_merge(rows, cands, 0.0)
-        arena.batch_offer(rows, cands)
+        arena.batch_absorb(rows, cands, 0.0, np.full(2, -1))
         arena.batch_links_from_slots(rows)
         arena.check_invariants(extra_holders=self.ids)
         return arena

@@ -1,12 +1,13 @@
 """Tests for the struct-of-arrays node plane (``repro.core.arena``).
 
-* **Batch-kernel parity** — ``NodeArena.batch_offer`` /
-  ``batch_cache_merge`` / ``batch_links_from_slots`` / ``batch_expire``
-  must produce the same final state as per-row view calls
-  (:class:`ArenaSlots` / :class:`ArenaCache` / :class:`ArenaLinkSet`)
-  over the same traffic.  The views' own behaviour is pinned by
-  ``test_slots.py`` / ``test_cache.py`` / ``test_links.py`` and, end to
-  end, by the golden hashes in ``test_determinism.py``.
+* **Batch-kernel parity** — ``NodeArena.batch_absorb`` /
+  ``batch_links_from_slots`` / ``batch_expire`` must produce the same
+  state as per-row view calls (:class:`ArenaSlots` /
+  :class:`ArenaCache` / :class:`ArenaLinkSet`) over the same traffic,
+  with the refcounts checked after every round.  The views' own
+  behaviour is pinned by ``test_slots.py`` / ``test_cache.py`` /
+  ``test_links.py`` and, end to end, by the golden hashes in
+  ``test_determinism.py``.
 * **Standalone nodes** — an :class:`OverlayNode` built without an
   overlay runs on a private one-row arena.
 
@@ -205,8 +206,14 @@ class TestBatchKernelParity:
                 slots[n].expire(now)
                 caches[n].remove_expired(now)
                 caches[n].merge(traffic[r][n], now, own_value=own_values[n])
-                slots[n].offer_batch(traffic[r][n])
+                slots[n].offer_batch(
+                    [
+                        p for p in traffic[r][n]
+                        if p.expires_at > now and p != owns[n]
+                    ]
+                )
                 links[n].update_from_sample(slots[n].sample())
+            reference.check_invariants()
 
         arena = NodeArena(
             PseudonymArena(chunk=64), node_chunk=8, track_insert_times=False
@@ -223,9 +230,13 @@ class TestBatchKernelParity:
                 dtype=np.int64,
             )
             arena.batch_expire(now)
-            arena.batch_cache_merge(rows, cand_ids, now, own_ids)
-            arena.batch_offer(rows, cand_ids)
+            arena.batch_absorb(rows, cand_ids, now, own_ids)
             arena.batch_links_from_slots(rows)
+            # The sets in flight and the own pseudonyms hold their ids.
+            arena.check_invariants(
+                extra_holders=np.concatenate((own_ids, cand_ids.ravel()))
+            )
+            table.release_batch(cand_ids.ravel())
 
         for n in range(num_nodes):
             assert [
@@ -261,25 +272,31 @@ class TestBatchKernelParity:
         assert slots.entry(0) == candidates[1]
         assert reference.slot_exp[0, 0] == 5.0
 
+        # batch_absorb drops the expired candidate, so this drives the
+        # slot fold itself: one wave, one delivery of both candidates.
         arena = NodeArena(track_insert_times=False)
         arena.register_batch(1, 1, 1)
         arena.slot_refs[0, 0] = 100
         table = arena.pseudonyms
-        cand_ids = np.array([[table.intern(p) for p in candidates]], dtype=np.int64)
-        arena.batch_offer(np.array([0]), cand_ids)
+        ids = [table.intern(p) for p in candidates]
+        changed, seated, unseated = arena._fold_slots(
+            np.array([0]), [1], np.array(ids, dtype=np.int64)[:, None]
+        )
+        assert changed.tolist() == [1] and len(unseated) == 0
+        table.acquire_batch(seated)
         assert int(table.values[arena.slot_ids[0, 0]]) == 110
         assert arena.slot_exp[0, 0] == reference.slot_exp[0, 0]
+        arena.check_invariants(extra_holders=ids)
 
     def test_sample_cache_is_uniform_without_replacement(self):
         arena = NodeArena(track_insert_times=False)
         arena.register_batch(2, 0, 8)
         table = arena.pseudonyms
-        for n in range(2):
-            ids = np.array(
-                [[table.intern(_p(10 * (n + 1) + j)) for j in range(6)]],
-                dtype=np.int64,
-            )
-            arena.batch_cache_merge(np.array([n]), ids, 0.0)
+        ids = np.array(
+            [[table.intern(_p(10 * (n + 1) + j)) for j in range(6)] for n in range(2)],
+            dtype=np.int64,
+        )
+        arena.batch_absorb(np.arange(2), ids, 0.0, np.full(2, -1))
         keys = RandomStreams(SEED).substream("sample").random((2, arena.cache_cols))
         picks = arena.sample_cache(np.arange(2), 3, keys)
         for n in range(2):

@@ -33,11 +33,10 @@ class TestChannelAdjacency:
                     channel_pairs.add(frozenset((node_id, target)))
                 elif kind == "reverse":
                     channel_pairs.add(frozenset((node_id, target)))
-                else:  # out: resolve through the measurement oracle
-                    owner = overlay.owner_of_address(target)
-                    if owner is not None:
-                        channel_pairs.add(frozenset((node_id, owner)))
-                        assert owner == destination
+                else:  # out: resolve through the service that routes it
+                    owner = overlay.link_layer.pseudonym.owner_of(target)
+                    channel_pairs.add(frozenset((node_id, owner)))
+                    assert owner == destination
         snapshot_pairs = {frozenset(edge) for edge in edge_list(snapshot)}
         assert snapshot_pairs <= channel_pairs
 

@@ -141,7 +141,10 @@ class TestOracles:
         overlay.run_until(2.0)
         for node in overlay.nodes:
             assert overlay.owner_of_value(node.own.value) == node.node_id
-            assert overlay.owner_of_address(node.own.address) == node.node_id
+            assert (
+                overlay.link_layer.pseudonym.owner_of(node.own.address)
+                == node.node_id
+            )
 
     def test_unknown_value_returns_none(self, small_trust_graph, small_config):
         overlay = Overlay.build(small_trust_graph, small_config)

@@ -251,6 +251,35 @@ class TestOptions:
                 )
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "indptr, indices, match",
+        [
+            # A -1 in node 0's row would silently drop its 0-5 edge.
+            ([0, 2, 4, 6, 8, 10, 12], [1, -1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 0],
+             r"\[0, 6\)"),
+            ([0, 2, 4, 6, 8, 10, 12], [1, 6, 0, 2, 1, 3, 2, 4, 3, 5, 4, 0],
+             r"\[0, 6\)"),
+            ([1, 2, 4, 6, 8, 10, 12], [1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 4, 0],
+             "start at 0"),
+            ([0, 2, 1, 6, 8, 10, 12], [1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 4, 0],
+             "never decrease"),
+            ([0, 2, 4, 6, 8, 10, 12], [1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 4],
+             "end at"),
+        ],
+        ids=["negative-index", "index-n", "indptr-start", "indptr-decreases",
+             "indptr-end"],
+    )
+    def test_malformed_csr_raises(self, indptr, indices, match):
+        """A 6-node ring's CSR, broken one way per case."""
+        config = _config(6)
+        indptr, indices = np.array(indptr), np.array(indices)
+        for workers in (1, 2):
+            with pytest.raises(GraphError, match=match):
+                ShardedOverlay(
+                    config, indptr, indices, options=ShardOptions(workers=workers)
+                )
+        assert multiprocessing.active_children() == []
+
     def test_batch_overlay_rejects_bad_shard_count(self):
         with pytest.raises(ProtocolError):
             BatchOverlay.build(_config(100), num_shards=0)

@@ -95,14 +95,6 @@ class ObserverCoalition:
         """Every pseudonym value the coalition has ever seen."""
         return set(self._values_seen)
 
-    def values_alive_at(self, time: float) -> Set[int]:
-        """Values seen whose expiry (as advertised) is after ``time``."""
-        alive = set()
-        for sighting in self._sightings:
-            if sighting.expires_at > time:
-                alive.add(sighting.value)
-        return alive
-
     def first_sighting_time(self, value: int) -> Optional[float]:
         """When the coalition first saw ``value`` (None if never)."""
         return self._first_seen.get(value)

@@ -1,6 +1,8 @@
 """Churn substrate: the Yao et al. alternating-renewal model the paper
-uses (Section IV-B), duration distributions, availability math, and
-pre-generated session traces.
+uses (Section IV-B), one model per engine — :class:`ChurnProcess` over
+per-node :class:`NodeChurnSpec` durations on the event simulator, and
+:class:`~repro.churn.batch.ShardedChurn` per round on the batch
+engine — plus the duration distributions and availability math.
 """
 
 from .availability import (
@@ -8,32 +10,17 @@ from .availability import (
     mean_online_for,
     stationary_online_mask,
 )
-from .batch import BatchChurnModel
-from .distributions import (
-    DurationDistribution,
-    Exponential,
-    Pareto,
-    Weibull,
-    distribution_from_name,
-)
+from .distributions import DurationDistribution, Exponential, Pareto
 from .model import ChurnProcess, NodeChurnSpec, homogeneous_specs
-from .session import SessionTrace, Transition, generate_trace, replay_trace
 
 __all__ = [
     "DurationDistribution",
     "Exponential",
     "Pareto",
-    "Weibull",
-    "distribution_from_name",
-    "BatchChurnModel",
     "ChurnProcess",
     "NodeChurnSpec",
     "homogeneous_specs",
     "availability",
     "mean_online_for",
     "stationary_online_mask",
-    "SessionTrace",
-    "Transition",
-    "generate_trace",
-    "replay_trace",
 ]

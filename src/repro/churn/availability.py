@@ -30,11 +30,19 @@ def availability(mean_online: float, mean_offline: float) -> float:
 
 
 def mean_online_for(alpha: float, mean_offline: float) -> float:
-    """Solve ``alpha = Ton / (Ton + Toff)`` for ``Ton``."""
+    """Solve ``alpha = Ton / (Ton + Toff)`` for ``Ton``.
+
+    The one place ``Ton`` is derived: :class:`~repro.config.SystemConfig`,
+    :func:`~repro.churn.model.homogeneous_specs` and
+    :class:`~repro.churn.batch.ShardedChurn` all call it, so both
+    engines churn with the same float.
+    """
     if not 0.0 < alpha < 1.0:
-        raise ChurnError("alpha must be strictly between 0 and 1")
+        raise ChurnError(
+            f"availability must be strictly between 0 and 1, got {alpha}"
+        )
     if mean_offline <= 0:
-        raise ChurnError("mean_offline must be positive")
+        raise ChurnError(f"mean_offline_time must be positive, got {mean_offline}")
     return alpha * mean_offline / (1.0 - alpha)
 
 

@@ -2,7 +2,7 @@
 
 The event-driven :class:`~repro.churn.model.ChurnProcess` schedules one
 simulator event per session transition — perfect for the paper-scale
-runs, hopeless at 10⁶ nodes.  :class:`BatchChurnModel` discretizes the
+runs, hopeless at 10⁶ nodes.  :class:`ShardedChurn` discretizes the
 same alternating-renewal model (exponential online/offline durations,
 Section IV-B) to one step per shuffle round: every online node leaves
 with probability ``1 - exp(-1/T_on)`` and every offline node rejoins
@@ -15,118 +15,51 @@ match the continuous model; only sub-round timing is coarsened.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ChurnError
+from .availability import mean_online_for
 
-__all__ = ["BatchChurnModel", "ShardedChurn"]
-
-
-class BatchChurnModel:
-    """Discretized exponential churn over a whole node population.
-
-    Parameters
-    ----------
-    num_nodes:
-        Population size.
-    availability:
-        Stationary online fraction ``a`` in (0, 1].
-    mean_offline_time:
-        Mean offline duration ``T_off`` in rounds; the mean online
-        duration follows as ``a * T_off / (1 - a)`` (the same relation
-        :class:`~repro.config.SystemConfig` uses).
-    rng:
-        The model's private random stream; one ``random(num_nodes)``
-        draw at construction (stationary seating) and one per
-        :meth:`step`.
-    start_all_online:
-        Seat every node online instead of a stationary draw.
-    """
-
-    __slots__ = ("num_nodes", "p_leave", "p_join", "online", "_rng")
-
-    def __init__(
-        self,
-        num_nodes: int,
-        availability: float,
-        mean_offline_time: float,
-        rng: np.random.Generator,
-        start_all_online: bool = False,
-    ) -> None:
-        if num_nodes < 1:
-            raise ChurnError(f"num_nodes must be >= 1, got {num_nodes}")
-        if not 0.0 < availability <= 1.0:
-            raise ChurnError(
-                f"availability must be in (0, 1], got {availability}"
-            )
-        if mean_offline_time <= 0:
-            raise ChurnError(
-                f"mean_offline_time must be positive, got {mean_offline_time}"
-            )
-        self.num_nodes = num_nodes
-        if availability >= 1.0:
-            self.p_leave = 0.0
-            self.p_join = 1.0
-        else:
-            mean_online = availability * mean_offline_time / (1.0 - availability)
-            self.p_leave = 1.0 - math.exp(-1.0 / mean_online)
-            self.p_join = 1.0 - math.exp(-1.0 / mean_offline_time)
-        self._rng = rng
-        if start_all_online:
-            self.online = np.ones(num_nodes, dtype=bool)
-        else:
-            self.online = rng.random(num_nodes) < availability
-
-    def step(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance one round; returns ``(joined_rows, left_rows)``.
-
-        Each node draws one uniform and flips according to its state's
-        per-round hazard, so the whole transition is two boolean masks.
-        """
-        draws = self._rng.random(self.num_nodes)
-        online = self.online
-        left = online & (draws < self.p_leave)
-        joined = ~online & (draws < self.p_join)
-        online ^= left | joined
-        return np.flatnonzero(joined), np.flatnonzero(left)
-
-    def online_rows(self) -> np.ndarray:
-        """Ids of currently online nodes, ascending."""
-        return np.flatnonzero(self.online)
-
-    def online_count(self) -> int:
-        """Number of currently online nodes."""
-        return int(self.online.sum())
-
-    def online_fraction(self) -> float:
-        """Currently online fraction of the population."""
-        return self.online_count() / self.num_nodes
+__all__ = ["ShardedChurn"]
 
 
 class ShardedChurn:
-    """Shard-decomposed churn: independent :class:`BatchChurnModel` per
-    contiguous node range, presented as one population-wide mask.
+    """Discretized exponential churn over a shard grid's population.
 
-    Each shard draws from its own private stream, so the global online
-    trajectory is a pure function of ``(seed, shard grid)`` — it does
-    not depend on how many processes host the shards.  Workers replicate
-    the full grid (every shard's model is cheap: one uniform draw per
-    node per round), which gives every process the whole population's
-    online mask locally for partner-reachability checks.
+    Each shard (a contiguous node range) draws its nodes' uniforms from
+    its own private stream, so the global online trajectory is a pure
+    function of ``(seed, shard grid)`` — it does not depend on how many
+    processes host the shards.  Workers replicate the full grid (one
+    uniform draw per node per round is cheap), which gives every
+    process the whole population's online mask locally for
+    partner-reachability checks.
 
     Parameters
     ----------
     bounds:
         Shard boundaries, ``len == num_shards + 1``, ``bounds[0] == 0``;
         shard ``s`` owns global node ids ``[bounds[s], bounds[s+1])``.
-        Empty shards are allowed.
+        Empty shards are allowed and draw nothing, so grid padding does
+        not shift the populated shards' streams.
+    availability:
+        Stationary online fraction ``a`` in (0, 1).
+    mean_offline_time:
+        Mean offline duration ``T_off`` in rounds; ``T_on`` follows from
+        :func:`~repro.churn.availability.mean_online_for`.
     rngs:
-        One private generator per shard, consumed in shard order.
+        One private generator per shard.  A non-empty shard draws
+        ``random(size)`` once at construction (stationary seating, unless
+        ``start_all_online``) and once per :meth:`step`.
+    start_all_online:
+        Seat every node online instead of a stationary draw.
+
+    ``online`` is the population's mask.  It is only ever written in
+    place: every :class:`~repro.core.batch.ShardEngine` holds a view.
     """
 
-    __slots__ = ("num_nodes", "bounds", "models", "online")
+    __slots__ = ("num_nodes", "p_leave", "p_join", "online", "_shards")
 
     def __init__(
         self,
@@ -146,42 +79,35 @@ class ShardedChurn:
                 f"need one rng per shard: {len(rngs)} rngs for "
                 f"{len(bounds_arr) - 1} shards"
             )
-        self.bounds = bounds_arr
+        mean_online = mean_online_for(availability, mean_offline_time)
+        self.p_leave = 1.0 - math.exp(-1.0 / mean_online)
+        self.p_join = 1.0 - math.exp(-1.0 / mean_offline_time)
         self.num_nodes = int(bounds_arr[-1])
-        self.models: List[Optional[BatchChurnModel]] = []
-        self.online = np.zeros(self.num_nodes, dtype=bool)
-        for shard, rng in enumerate(rngs):
-            lo = int(bounds_arr[shard])
-            hi = int(bounds_arr[shard + 1])
-            if hi == lo:
-                # Empty shard: no model, no draws — serial and sharded
-                # drivers must both skip it to stay in lockstep.
-                self.models.append(None)
-                continue
-            model = BatchChurnModel(
-                hi - lo, availability, mean_offline_time, rng, start_all_online
-            )
-            self.models.append(model)
-            self.online[lo:hi] = model.online
+        self._shards: List[Tuple[int, int, np.random.Generator]] = [
+            (int(lo), int(hi), rng)
+            for lo, hi, rng in zip(bounds_arr[:-1], bounds_arr[1:], rngs)
+            if hi > lo
+        ]
+        self.online = np.ones(self.num_nodes, dtype=bool)
+        if not start_all_online:
+            for lo, hi, rng in self._shards:
+                np.less(rng.random(hi - lo), availability, out=self.online[lo:hi])
 
     def step(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance every shard one round, in shard order; returns global
-        ``(joined_rows, left_rows)``."""
-        joined_parts: List[np.ndarray] = []
-        left_parts: List[np.ndarray] = []
-        for shard, model in enumerate(self.models):
-            if model is None:
-                continue
-            lo = int(self.bounds[shard])
-            hi = int(self.bounds[shard + 1])
-            joined, left = model.step()
-            self.online[lo:hi] = model.online
-            joined_parts.append(joined + lo)
-            left_parts.append(left + lo)
-        if not joined_parts:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(joined_parts), np.concatenate(left_parts)
+        """Advance one round; returns global ``(joined_rows, left_rows)``.
+
+        Each node draws one uniform (shard by shard, in shard order) and
+        flips according to its state's per-round hazard, so the whole
+        transition is two boolean masks.
+        """
+        draws = np.empty(self.num_nodes)
+        for lo, hi, rng in self._shards:
+            rng.random(out=draws[lo:hi])
+        online = self.online
+        left = online & (draws < self.p_leave)
+        joined = ~online & (draws < self.p_join)
+        online ^= left | joined
+        return np.flatnonzero(joined), np.flatnonzero(left)
 
     def online_rows(self) -> np.ndarray:
         """Ids of currently online nodes, ascending."""

@@ -3,27 +3,21 @@
 Yao et al. (the churn model the paper adopts, Section IV-B) consider
 exponential and Pareto distributions for the time a node spends in each
 of its online/offline states.  The paper's evaluation uses exponential
-durations only; we implement both, plus Weibull as an extension, behind
-one small interface so churn processes are distribution-agnostic.
+durations only; we implement both behind one small interface, so the
+event simulator's :class:`~repro.churn.model.ChurnProcess` is
+distribution-agnostic.  The batch engine's
+:class:`~repro.churn.batch.ShardedChurn` is exponential only.
 """
 
 from __future__ import annotations
 
 import abc
-import math
-from typing import Optional
 
 import numpy as np
 
 from ..errors import ChurnError
 
-__all__ = [
-    "DurationDistribution",
-    "Exponential",
-    "Pareto",
-    "Weibull",
-    "distribution_from_name",
-]
+__all__ = ["DurationDistribution", "Exponential", "Pareto"]
 
 
 class DurationDistribution(abc.ABC):
@@ -37,10 +31,6 @@ class DurationDistribution(abc.ABC):
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one strictly positive duration."""
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` durations (default: loop over :meth:`sample`)."""
-        return np.array([self.sample(rng) for _ in range(count)])
 
 
 class Exponential(DurationDistribution):
@@ -60,9 +50,6 @@ class Exponential(DurationDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self._mean))
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.exponential(self._mean, size=count)
 
     def __repr__(self) -> str:
         return f"Exponential(mean={self._mean})"
@@ -97,55 +84,6 @@ class Pareto(DurationDistribution):
     def sample(self, rng: np.random.Generator) -> float:
         return float(self._scale * rng.pareto(self._shape))
 
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self._scale * rng.pareto(self._shape, size=count)
-
     def __repr__(self) -> str:
         return f"Pareto(mean={self._mean}, shape={self._shape})"
 
-
-class Weibull(DurationDistribution):
-    """Weibull durations (extension; common in session-time studies)."""
-
-    def __init__(self, mean: float, shape: float = 0.7) -> None:
-        if mean <= 0:
-            raise ChurnError(f"weibull mean must be positive, got {mean}")
-        if shape <= 0:
-            raise ChurnError(f"weibull shape must be positive, got {shape}")
-        self._mean = mean
-        self._shape = shape
-        self._scale = mean / math.gamma(1.0 + 1.0 / shape)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def shape(self) -> float:
-        return self._shape
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self._scale * rng.weibull(self._shape))
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self._scale * rng.weibull(self._shape, size=count)
-
-    def __repr__(self) -> str:
-        return f"Weibull(mean={self._mean}, shape={self._shape})"
-
-
-def distribution_from_name(
-    name: str, mean: float, shape: Optional[float] = None
-) -> DurationDistribution:
-    """Build a distribution from a config string.
-
-    Recognized names: ``exponential``, ``pareto``, ``weibull``.
-    """
-    lowered = name.lower()
-    if lowered == "exponential":
-        return Exponential(mean)
-    if lowered == "pareto":
-        return Pareto(mean) if shape is None else Pareto(mean, shape)
-    if lowered == "weibull":
-        return Weibull(mean) if shape is None else Weibull(mean, shape)
-    raise ChurnError(f"unknown duration distribution {name!r}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ChurnError
 from ..sim import Simulator
+from .availability import mean_online_for
 from .distributions import DurationDistribution, Exponential
 
 __all__ = ["NodeChurnSpec", "ChurnProcess", "homogeneous_specs"]
@@ -56,11 +57,7 @@ def homogeneous_specs(
 
     ``Ton`` is derived from the requested availability and ``Toff``.
     """
-    if not 0.0 < availability < 1.0:
-        raise ChurnError("availability must be strictly between 0 and 1")
-    if mean_offline_time <= 0:
-        raise ChurnError("mean_offline_time must be positive")
-    mean_online = availability * mean_offline_time / (1.0 - availability)
+    mean_online = mean_online_for(availability, mean_offline_time)
     return [
         NodeChurnSpec(Exponential(mean_online), Exponential(mean_offline_time))
         for _ in range(num_nodes)
@@ -78,10 +75,6 @@ class ChurnProcess:
         One :class:`NodeChurnSpec` per node; node ids are the indices.
     rng:
         Randomness for state durations and the initial state draw.
-    listener:
-        Called as ``listener(node_id, online)`` on every transition
-        *after* the internal state is updated.  The initial state draw
-        does not invoke the listener; read :meth:`is_online` instead.
     start_all_online:
         If true, every node starts online (useful for convergence
         experiments that begin from a full system); otherwise initial
@@ -93,7 +86,6 @@ class ChurnProcess:
         sim: Simulator,
         specs: Sequence[NodeChurnSpec],
         rng: np.random.Generator,
-        listener: Optional[TransitionListener] = None,
         start_all_online: bool = False,
     ) -> None:
         if not specs:
@@ -101,7 +93,7 @@ class ChurnProcess:
         self._sim = sim
         self._specs = list(specs)
         self._rng = rng
-        self._listener = listener
+        self._listener: Optional[TransitionListener] = None
         self._online: List[bool] = [False] * len(specs)
         self._transitions = 0
         self._started = False
@@ -130,7 +122,12 @@ class ChurnProcess:
         return sum(self._online)
 
     def set_listener(self, listener: TransitionListener) -> None:
-        """Install the transition listener (may be set after start)."""
+        """Install the transition listener (may be set after start).
+
+        It is called as ``listener(node_id, online)`` on every
+        transition *after* the internal state is updated.  The initial
+        state draw does not invoke it; read :meth:`is_online` instead.
+        """
         self._listener = listener
 
     def start(self) -> None:

@@ -205,8 +205,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro",
         description="Reproduce figures from 'Robust overlays for privacy-"
         "preserving data dissemination over a social graph' (ICDCS 2012).",
-        epilog="A 'repro lint [paths]' subcommand runs the determinism/"
-        "hygiene linter (see 'repro lint --help').",
+        epilog="Subcommands, each with its own --help: 'repro lint [paths]' "
+        "runs the determinism/hygiene linter, 'repro sweep' a memoized "
+        "parameter sweep, 'repro node' one live overlay node over UDP, "
+        "and 'repro mesh' a loopback mesh checked against the simulator.",
     )
     parser.add_argument(
         "figure",

@@ -25,6 +25,7 @@ import dataclasses
 import math
 from typing import Optional
 
+from .churn.availability import mean_online_for
 from .errors import ConfigError
 
 __all__ = ["SystemConfig", "INFINITE_LIFETIME", "DEFAULT_SEED"]
@@ -157,7 +158,7 @@ class SystemConfig:
         From ``alpha = Ton / (Ton + Toff)`` we get
         ``Ton = alpha * Toff / (1 - alpha)``.
         """
-        return self.availability * self.mean_offline_time / (1.0 - self.availability)
+        return mean_online_for(self.availability, self.mean_offline_time)
 
     def replace(self, **changes: object) -> "SystemConfig":
         """Return a copy with the given fields changed."""

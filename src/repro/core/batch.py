@@ -15,7 +15,7 @@ Model discretizations (this engine is a scaling companion, not a
 byte-identical replica of the event-driven simulator):
 
 * Time advances in whole shuffle periods; churn follows
-  :class:`~repro.churn.batch.BatchChurnModel` (the same exponential
+  :class:`~repro.churn.batch.ShardedChurn` (the same exponential
   model, discretized per round).
 * Each participant builds one shuffle set per round and answers every
   exchange with it.  A node receiving several sets absorbs them in a
@@ -28,6 +28,10 @@ byte-identical replica of the event-driven simulator):
   degree (the event simulator sizes each node by its own degree).
 * Offline nodes keep their state; expired material is dropped eagerly
   rather than lazily on rejoin (the post-rejoin state is identical).
+* Only the paper's slot sampler and the global pseudonym lifetime
+  ``lifetime_ratio * T_off`` exist here: a config with
+  ``sampler_mode="cache"`` or ``adaptive_lifetime=True`` raises
+  :class:`~repro.errors.ConfigError` instead of running the defaults.
 
 Sharding
 --------
@@ -79,7 +83,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..churn.batch import ShardedChurn
-from ..errors import GraphError, ProtocolError
+from ..errors import ConfigError, GraphError, ProtocolError
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..rng import PSEUDONYM_BITS, RandomStreams
 from .arena import NodeArena, PseudonymArena, assemble_snapshot
@@ -191,15 +195,27 @@ def default_trust_csr(
     )
 
 
-def check_trust_csr(
+def check_batch_inputs(
     config: SystemConfig, trusted_indptr: np.ndarray, trusted_indices: np.ndarray
 ) -> None:
-    """Reject a trust CSR that is not ``config.num_nodes`` well-formed rows.
+    """Reject a config the engine cannot run, or a malformed trust CSR.
 
-    ``trusted_indptr`` must start at 0, never decrease and end at
-    ``len(trusted_indices)``, and every index must name a node.  O(E);
-    symmetry is the caller's to keep.
+    ``config`` must ask for neither the cache sampler nor adaptive
+    lifetimes (see the module's discretizations).  The CSR must be
+    ``config.num_nodes`` rows: ``trusted_indptr`` starts at 0, never
+    decreases and ends at ``len(trusted_indices)``, and every index
+    names a node.  O(E); symmetry is the caller's to keep.
     """
+    if config.sampler_mode != "slots":
+        raise ConfigError(
+            "the batch engine has only the slot sampler, got "
+            f"sampler_mode={config.sampler_mode!r}"
+        )
+    if config.adaptive_lifetime:
+        raise ConfigError(
+            "the batch engine has no per-node lifetimes, got "
+            f"adaptive_lifetime={config.adaptive_lifetime!r}"
+        )
     num_nodes = config.num_nodes
     indptr = np.asarray(trusted_indptr)
     indices = np.asarray(trusted_indices)
@@ -836,7 +852,7 @@ def build_engines(
     partner reachability reads the population's online mask), so every
     block follows the same trajectory.
     """
-    check_trust_csr(config, trusted_indptr, trusted_indices)
+    check_batch_inputs(config, trusted_indptr, trusted_indices)
     bounds = shard_ranges(config.num_nodes, num_shards)
     churn = ShardedChurn(
         bounds,

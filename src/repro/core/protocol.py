@@ -25,13 +25,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..churn import (
-    ChurnProcess,
-    NodeChurnSpec,
-    SessionTrace,
-    homogeneous_specs,
-    replay_trace,
-)
+from ..churn import ChurnProcess, Exponential, NodeChurnSpec, homogeneous_specs
 from ..config import SystemConfig
 from ..errors import GraphError, ProtocolError
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
@@ -79,7 +73,6 @@ class Overlay:
         "nodes",
         "arena",
         "_streams",
-        "_churn_trace",
         "_started",
         "_trust_version",
         "_trust_snapshot_cache",
@@ -111,7 +104,6 @@ class Overlay:
         self.link_layer = link_layer
         self.churn = churn
         self._streams = streams
-        self._churn_trace: Optional[SessionTrace] = None
 
         #: The columnar node plane backing every node's link/cache/slot
         #: state; see docs/node_plane.md.  Its pseudonym table also
@@ -145,7 +137,6 @@ class Overlay:
         with_churn: bool = True,
         start_all_online: bool = False,
         churn_specs: Optional[List[NodeChurnSpec]] = None,
-        churn_trace: Optional[SessionTrace] = None,
         link_layer_factory=None,
     ) -> "Overlay":
         """One-stop construction from a trust graph and a config.
@@ -166,19 +157,10 @@ class Overlay:
         churn_specs:
             Optional heterogeneous per-node churn; defaults to the
             paper's homogeneous exponential model.
-        churn_trace:
-            Pre-generated churn schedule
-            (:func:`repro.churn.generate_trace`).  Drives availability
-            deterministically instead of a live churn process — use it
-            to expose the overlay and any baseline to *identical*
-            availability patterns.  Mutually exclusive with
-            ``churn_specs``; ignores ``start_all_online``.
         link_layer_factory:
             ``factory(sim, rng) -> LinkLayer``; defaults to the ideal
             link layer with ``config.message_latency``.
         """
-        if churn_trace is not None and churn_specs is not None:
-            raise ProtocolError("pass churn_specs or churn_trace, not both")
         streams = RandomStreams(config.seed)
         sim = Simulator()
         if link_layer_factory is None:
@@ -190,15 +172,6 @@ class Overlay:
             link_layer = link_layer_factory(sim, streams.substream("link-layer"))
 
         churn: Optional[ChurnProcess] = None
-        if churn_trace is not None:
-            if churn_trace.num_nodes != config.num_nodes:
-                raise ProtocolError(
-                    f"churn trace covers {churn_trace.num_nodes} nodes, "
-                    f"config expects {config.num_nodes}"
-                )
-            overlay = cls(trust_graph, config, sim, link_layer, streams)
-            overlay._churn_trace = churn_trace
-            return overlay
         if with_churn:
             if churn_specs is None:
                 churn_specs = homogeneous_specs(
@@ -226,12 +199,7 @@ class Overlay:
         if self._started:
             raise ProtocolError("overlay already started")
         self._started = True
-        if self._churn_trace is not None:
-            replay_trace(self.sim, self._churn_trace, self._on_churn_transition)
-            for node_id, online in enumerate(self._churn_trace.initial_online):
-                if online:
-                    self.nodes[node_id].come_online()
-        elif self.churn is not None:
+        if self.churn is not None:
             self.churn.set_listener(self._on_churn_transition)
             self.churn.start()
             for node_id in self.churn.online_nodes():
@@ -295,8 +263,6 @@ class Overlay:
         self._online_epoch += 1
 
         if self.churn is not None:
-            from ..churn import Exponential, NodeChurnSpec
-
             spec = NodeChurnSpec(
                 Exponential(self.config.mean_online_time),
                 Exponential(self.config.mean_offline_time),

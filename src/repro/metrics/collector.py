@@ -45,7 +45,6 @@ class MetricsCollector:
         interval: float = 1.0,
         path_length_every: int = 0,
         path_length_sources: Optional[int] = 32,
-        track_trust_baseline: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         """
@@ -61,8 +60,6 @@ class MetricsCollector:
         path_length_sources:
             BFS source sample size for the path-length estimate
             (None = exact).
-        track_trust_baseline:
-            Also measure the trust graph restricted to online nodes.
         rng:
             Randomness for path-length source sampling.  Prefer an
             overlay substream (``overlay.substream("collector")``); the
@@ -80,7 +77,6 @@ class MetricsCollector:
         self._interval = interval
         self._path_length_every = path_length_every
         self._path_length_sources = path_length_sources
-        self._track_trust = track_trust_baseline
         self._rng = rng if rng is not None else fallback_rng("metrics.collector")
 
         self.disconnected = TimeSeries("overlay disconnected fraction")
@@ -156,14 +152,10 @@ class MetricsCollector:
         analysis = SnapshotAnalysis(overlay.snapshot(online_ids=online_ids))
         self.disconnected.append(now, analysis.fraction_disconnected())
 
-        trust_analysis: Optional[SnapshotAnalysis] = None
-        if self._track_trust:
-            trust_analysis = self._trust_analysis(
-                overlay.trust_snapshot(online_ids=online_ids)
-            )
-            self.trust_disconnected.append(
-                now, trust_analysis.fraction_disconnected()
-            )
+        trust_analysis = self._trust_analysis(
+            overlay.trust_snapshot(online_ids=online_ids)
+        )
+        self.trust_disconnected.append(now, trust_analysis.fraction_disconnected())
 
         if measure_paths:
             # RNG draw order (overlay first, trust second) is pinned by
@@ -176,15 +168,14 @@ class MetricsCollector:
                     rng=self._rng,
                 ),
             )
-            if trust_analysis is not None:
-                self.trust_path_length.append(
-                    now,
-                    trust_analysis.normalized_path_length(
-                        total_nodes,
-                        sample_sources=self._path_length_sources,
-                        rng=self._rng,
-                    ),
-                )
+            self.trust_path_length.append(
+                now,
+                trust_analysis.normalized_path_length(
+                    total_nodes,
+                    sample_sources=self._path_length_sources,
+                    rng=self._rng,
+                ),
+            )
 
         if online_ids:
             degrees = overlay.online_out_degrees(now, online_ids)

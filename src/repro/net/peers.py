@@ -27,7 +27,6 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import NetError
-from .codec import PeerInfo
 from .transport import Endpoint
 
 __all__ = ["PeerRecord", "PeerTable"]
@@ -86,19 +85,6 @@ class PeerTable:
     def peer_ids(self) -> List[int]:
         """Known peer ids, sorted (stable iteration for determinism)."""
         return sorted(self._peers)
-
-    def peer_infos(self) -> Tuple[PeerInfo, ...]:
-        """The table as wire :class:`PeerInfo` records, sorted by id."""
-        return tuple(
-            PeerInfo(
-                node_id=record.node_id,
-                host=record.address[0],
-                port=record.address[1],
-            )
-            for record in (
-                self._peers[node_id] for node_id in sorted(self._peers)
-            )
-        )
 
     def check(self, now: float) -> Tuple[List[PeerRecord], List[PeerRecord]]:
         """Apply the two-level timeouts at time ``now``.

@@ -45,7 +45,7 @@ from ..core.batch import (
     BatchOverlay,
     advance_round,
     build_engines,
-    check_trust_csr,
+    check_batch_inputs,
     default_trust_csr,
     shard_ranges,
 )
@@ -178,7 +178,7 @@ class ShardedOverlay(BatchOverlay):
             )
             return
         # The engines and the churn are built by the workers only.
-        check_trust_csr(config, trusted_indptr, trusted_indices)
+        check_batch_inputs(config, trusted_indptr, trusted_indices)
         self.config = config
         self.num_shards = num_shards
         self.round = 0

@@ -81,10 +81,6 @@ class NodeDirectory:
         self._inboxes[node_id] = inbox
         self._online_checks[node_id] = is_online
 
-    def is_registered(self, node_id: int) -> bool:
-        """Whether the node has registered an inbox."""
-        return node_id in self._inboxes
-
     def is_online(self, node_id: int) -> bool:
         """Whether the node reports itself online right now."""
         check = self._online_checks.get(node_id)

@@ -8,13 +8,12 @@ phase/jitter).
 """
 
 from .clock import Clock
-from .events import Event, EventHandle
+from .events import EventHandle
 from .process import PeriodicProcess
 from .simulator import Simulator
 
 __all__ = [
     "Clock",
-    "Event",
     "EventHandle",
     "PeriodicProcess",
     "Simulator",

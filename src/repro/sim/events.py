@@ -9,68 +9,20 @@ tombstones and compacts the heap in place once they outnumber live
 events, so long churn runs cannot accumulate dead entries.
 
 :class:`EventHandle` is the public cancellable reference returned by
-:meth:`~repro.sim.simulator.Simulator.schedule`.  :class:`Event` is a
-read-only record view of one entry, kept for introspection, tracing,
-and debugging; the hot path never allocates one.
+:meth:`~repro.sim.simulator.Simulator.schedule`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
-__all__ = ["Event", "EventHandle", "ENTRY_TIME", "ENTRY_SEQ", "ENTRY_CALLBACK", "ENTRY_ARGS"]
+__all__ = ["EventHandle", "ENTRY_TIME", "ENTRY_SEQ", "ENTRY_CALLBACK", "ENTRY_ARGS"]
 
 #: Indices into a heap entry ``[time, seq, callback, args]``.
 ENTRY_TIME = 0
 ENTRY_SEQ = 1
 ENTRY_CALLBACK = 2
 ENTRY_ARGS = 3
-
-
-class Event:
-    """A read-only record view of one scheduled event.
-
-    Built on demand from a heap entry (see :meth:`from_entry`); the
-    simulator itself only stores bare list entries.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Optional[Callable[..., Any]],
-        args: tuple,
-        label: Optional[str] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = callback is None
-        self.label = label
-
-    @classmethod
-    def from_entry(cls, entry: List[Any], label: Optional[str] = None) -> "Event":
-        """Snapshot a heap entry into a readable record."""
-        return cls(entry[ENTRY_TIME], entry[ENTRY_SEQ], entry[ENTRY_CALLBACK],
-                   entry[ENTRY_ARGS], label=label)
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def fire(self) -> None:
-        """Invoke the callback unless the event was cancelled."""
-        if self.callback is not None and not self.cancelled:
-            self.callback(*self.args)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = self.label or getattr(self.callback, "__name__", "callback")
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.4f}, seq={self.seq}, {name}{state})"
 
 
 class EventHandle:
@@ -115,12 +67,6 @@ class EventHandle:
             entry[ENTRY_ARGS] = ()
             if self._sim is not None:
                 self._sim._note_cancelled()
-
-    def as_event(self) -> Event:
-        """Snapshot the underlying entry as a readable :class:`Event`."""
-        event = Event.from_entry(self._entry, label=self.label)
-        event.cancelled = self._cancelled
-        return event
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self._cancelled else ""

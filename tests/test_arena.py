@@ -33,7 +33,7 @@ from repro.core import (
     Pseudonym,
     PseudonymArena,
 )
-from repro.churn import BatchChurnModel
+from repro.churn.batch import ShardedChurn
 from repro.core.batch import ring_lattice_csr
 from repro.errors import ChurnError, ProtocolError
 from repro.privlink import Address
@@ -351,29 +351,23 @@ class TestStandaloneNode:
         assert isinstance(overlay.arena, NodeArena)
 
 
+def _batch_churn(num_nodes, availability, mean_offline_time, rng):
+    return ShardedChurn([0, num_nodes], availability, mean_offline_time, [rng])
+
+
 class TestBatchChurnModel:
+    """The batch engine's churn, :class:`ShardedChurn`, on one shard."""
+
     def test_validation(self):
         rng = RandomStreams(SEED).substream("churn")
-        with pytest.raises(ChurnError, match="num_nodes"):
-            BatchChurnModel(0, 0.5, 8.0, rng)
-        with pytest.raises(ChurnError, match="availability"):
-            BatchChurnModel(10, 0.0, 8.0, rng)
-        with pytest.raises(ChurnError, match="availability"):
-            BatchChurnModel(10, 1.5, 8.0, rng)
+        for availability in (0.0, 1.0, 1.5):
+            with pytest.raises(ChurnError, match="availability"):
+                _batch_churn(10, availability, 8.0, rng)
         with pytest.raises(ChurnError, match="mean_offline_time"):
-            BatchChurnModel(10, 0.5, 0.0, rng)
-
-    def test_full_availability_never_leaves(self):
-        model = BatchChurnModel(
-            50, 1.0, 8.0, RandomStreams(SEED).substream("churn")
-        )
-        for _ in range(5):
-            joined, left = model.step()
-            assert len(left) == 0
-        assert model.online_count() == 50
+            _batch_churn(10, 0.5, 0.0, rng)
 
     def test_stationary_fraction_tracks_availability(self):
-        model = BatchChurnModel(
+        model = _batch_churn(
             20_000, 0.6, 8.0, RandomStreams(SEED).substream("churn")
         )
         fractions = []
@@ -383,7 +377,7 @@ class TestBatchChurnModel:
         assert abs(np.mean(fractions) - 0.6) < 0.02
 
     def test_step_masks_are_consistent(self):
-        model = BatchChurnModel(
+        model = _batch_churn(
             200, 0.5, 4.0, RandomStreams(SEED).substream("churn")
         )
         before = model.online.copy()
@@ -399,7 +393,7 @@ class TestBatchChurnModel:
     def test_same_seed_same_trajectory(self):
         runs = []
         for _ in range(2):
-            model = BatchChurnModel(
+            model = _batch_churn(
                 100, 0.5, 6.0, RandomStreams(SEED).substream("churn")
             )
             masks = [model.online.copy()]

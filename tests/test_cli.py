@@ -69,4 +69,7 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
-        assert "repro" in capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())  # undo wrapping
+        assert "repro" in out
+        for verb in ("lint", "sweep", "node", "mesh"):
+            assert f"'repro {verb}" in out

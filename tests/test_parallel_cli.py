@@ -163,6 +163,21 @@ class TestSweepCommand:
             "trust_disconnected",
         ]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "axis", ["sampler_mode=cache,slots", "adaptive_lifetime=1"]
+    )
+    def test_shards_refuse_event_only_fields(self, tmp_path, capsys, axis, workers):
+        """The batch engine runs neither field: the sweep fails naming
+        it instead of printing the default engine's rows."""
+        store = tmp_path / "results"
+        argv = ["sweep", "--scale", "smoke", "--seed", "1", "--axis", axis,
+                "--shards", "2", "--workers", str(workers), "--store", str(store)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "ConfigError" in out and axis.split("=")[0] in out
+        assert not list(store.glob("*.json"))
+
     def test_only_summary_runs_on_shards(self):
         from repro.errors import ExperimentError
         from repro.experiments import SMOKE, FigurePoint

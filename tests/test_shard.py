@@ -16,6 +16,7 @@ edges crossing shard boundaries, and :class:`ShardedChurn` over
 non-divisible populations and empty shards.
 """
 
+import math
 import multiprocessing
 import os
 import signal
@@ -23,7 +24,6 @@ import signal
 import numpy as np
 import pytest
 
-from repro.churn import BatchChurnModel
 from repro.churn.batch import ShardedChurn
 from repro.config import SystemConfig
 from repro.core import BatchOverlay
@@ -34,7 +34,13 @@ from repro.core.batch import (
     shard_stream,
 )
 from repro.dissemination.batch import ChannelSnapshot
-from repro.errors import ChurnError, GraphError, ParallelError, ProtocolError
+from repro.errors import (
+    ChurnError,
+    ConfigError,
+    GraphError,
+    ParallelError,
+    ProtocolError,
+)
 from repro.parallel import ShardOptions, ShardedOverlay
 from repro.parallel.engine import fork_available
 from repro.rng import RandomStreams
@@ -280,6 +286,27 @@ class TestOptions:
                 )
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "field, value", [("sampler_mode", "cache"), ("adaptive_lifetime", True)]
+    )
+    def test_event_only_protocol_fields_raise(self, field, value):
+        """The engine has one sampler and one lifetime rule; a config
+        asking for the other is refused in-process and in the parent
+        before any worker forks, never run as the default."""
+        config = _config(100).replace(**{field: value})
+        indptr, indices = ring_lattice_csr(
+            100, 2, RandomStreams(SEED).substream("test", "graph")
+        )
+        for workers in (1, 2):
+            with pytest.raises(ConfigError, match=field):
+                ShardedOverlay(
+                    config,
+                    indptr,
+                    indices,
+                    options=ShardOptions(num_shards=2, workers=workers),
+                )
+        assert multiprocessing.active_children() == []
+
     def test_batch_overlay_rejects_bad_shard_count(self):
         with pytest.raises(ProtocolError):
             BatchOverlay.build(_config(100), num_shards=0)
@@ -426,48 +453,51 @@ def _churn_rngs(num_shards, seed=SEED):
 
 class TestShardedChurn:
     def test_matches_per_shard_models(self):
-        """The global mask is exactly the shard models' masks, and the
-        (joined, left) events are their per-shard events rebased."""
+        """The global mask and events are each shard's own draws: a
+        stationary seat, then one uniform per node per round against
+        the leave/join hazards, rebased to global ids."""
         bounds = shard_ranges(103, 4)  # non-divisible
         churn = ShardedChurn(bounds, 0.6, 8.0, _churn_rngs(4))
-        reference = [
-            BatchChurnModel(
-                int(bounds[s + 1] - bounds[s]), 0.6, 8.0, rng
-            )
-            for s, rng in enumerate(_churn_rngs(4))
-        ]
+        p_leave = 1.0 - math.exp(-1.0 / (0.6 * 8.0 / (1.0 - 0.6)))
+        p_join = 1.0 - math.exp(-1.0 / 8.0)
+        rngs = _churn_rngs(4)
+        sizes = np.diff(bounds)
+        masks = [rng.random(size) < 0.6 for rng, size in zip(rngs, sizes)]
+        assert np.array_equal(churn.online, np.concatenate(masks))
         for _ in range(5):
             joined, left = churn.step()
             expect_joined, expect_left = [], []
-            for shard, model in enumerate(reference):
-                j, l = model.step()
-                expect_joined.append(j + int(bounds[shard]))
-                expect_left.append(l + int(bounds[shard]))
+            for shard, (rng, mask) in enumerate(zip(rngs, masks)):
+                draws = rng.random(sizes[shard])
+                j = ~mask & (draws < p_join)
+                l = mask & (draws < p_leave)
+                mask ^= j | l
+                expect_joined.append(np.flatnonzero(j) + int(bounds[shard]))
+                expect_left.append(np.flatnonzero(l) + int(bounds[shard]))
             assert np.array_equal(joined, np.concatenate(expect_joined))
             assert np.array_equal(left, np.concatenate(expect_left))
-            mask = np.concatenate([model.online for model in reference])
+            mask = np.concatenate(masks)
             assert np.array_equal(churn.online, mask)
             assert churn.online_count() == int(mask.sum())
             assert np.array_equal(churn.online_rows(), np.flatnonzero(mask))
 
     def test_empty_shards_draw_nothing(self):
-        """Empty shards get no model and consume no randomness, so the
-        populated shards' trajectories are unchanged by grid padding."""
+        """Empty shards consume no randomness, so the populated shards'
+        trajectories are unchanged by grid padding."""
         bounds = shard_ranges(3, 6)  # shards 3..5 empty
         rngs = _churn_rngs(6)
         churn = ShardedChurn(bounds, 0.6, 8.0, rngs)
-        assert churn.models[3] is None
-        assert churn.models[4] is None
-        assert churn.models[5] is None
+        online = churn.online
         joined, left = churn.step()
+        assert churn.online is online  # written in place, never rebound
         assert churn.online.shape == (3,)
         assert joined.dtype == np.int64 and left.dtype == np.int64
-        # The padding rngs were never touched.
-        for rng in rngs[3:]:
-            probe = RandomStreams(SEED)  # fresh equivalent stream
-            del probe  # (identity check below is the real assertion)
+        padded = ShardedChurn(bounds[:4], 0.6, 8.0, _churn_rngs(6)[:3])
+        padded.step()
+        assert np.array_equal(padded.online, churn.online)
         fresh = _churn_rngs(6)
-        assert rngs[3].random() == fresh[3].random()
+        for rng, untouched in zip(rngs[3:], fresh[3:]):
+            assert rng.random() == untouched.random()
 
     def test_start_all_online(self):
         bounds = shard_ranges(50, 3)

@@ -14,7 +14,11 @@ and asserts those claims on it:
 * clustering: at 10^4 only (networkx is the oracle), the average
   clustering coefficient is at least 20x that of a G(n, m) of equal
   size;
-* footprint: peak RSS grows by at most 100 bytes per edge.
+* footprint: peak RSS grows by at most 100 bytes per edge;
+* identity: at 10^6 the CSR digest equals ``_FULL_DIGEST``, so the
+  full-size graph is the one every earlier generator built, not only
+  one with the same shape (the 10^4 digest is pinned by the committed
+  results table).
 
 The graph is built in a freshly spawned interpreter, so the RSS growth
 is the generator's own over that interpreter's import baseline, even
@@ -44,6 +48,8 @@ _BYTES_PER_EDGE = 100
 _HUB_RATIO = 20
 _CLUSTERING_RATIO = 20
 _CLUSTERING_MAX_NODES = 10_000
+#: ``csr_digest`` of the 10^6-node graph (seed 1, "social-scale").
+_FULL_DIGEST = "fd07340534814c3f"
 
 
 def _peak_rss_bytes():
@@ -139,3 +145,5 @@ class TestSocialScale:
         if result["clustering"] is not None:
             assert result["clustering"] >= _CLUSTERING_RATIO * result["gnm_clustering"]
         assert bytes_per_edge <= _BYTES_PER_EDGE
+        if scale is PAPER:
+            assert result["digest"] == _FULL_DIGEST

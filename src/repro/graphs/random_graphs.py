@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import GraphError
-from ..rng import fallback_rng
+from ..rng import ScalarDraws, fallback_rng
 from .fastgraph import FlatSnapshot
 
 __all__ = ["erdos_renyi_gnm"]
@@ -46,11 +46,12 @@ def erdos_renyi_gnm(
         indices = rng.choice(len(pairs), size=num_edges, replace=False)
         edges = [pairs[int(index)] for index in indices]
     else:
+        below = ScalarDraws(rng).below
         chosen = set()
         edges = []
         while len(edges) < num_edges:
-            u = int(rng.integers(0, num_nodes))
-            v = int(rng.integers(0, num_nodes))
+            u = below(num_nodes)
+            v = below(num_nodes)
             key = (u, v) if u < v else (v, u)
             if u == v or key in chosen:
                 continue

@@ -32,7 +32,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import SamplingError
-from ..rng import fallback_rng
+from ..rng import ScalarDraws, fallback_rng
 from .fastgraph import FlatSnapshot
 
 __all__ = ["sample_trust_graph", "sample_trust_members"]
@@ -115,8 +115,9 @@ def sample_trust_members(
     def neighbors(node: int) -> List[int]:
         return indices[indptr[node] : indptr[node + 1]].tolist()
 
+    below = ScalarDraws(rng).below
     if start is None:
-        start = int(rng.integers(0, num_nodes))
+        start = below(num_nodes)
     elif 0 <= start < num_nodes:
         start = int(start)
     else:
@@ -139,7 +140,7 @@ def sample_trust_members(
                     "traversal exhausted: the component containing the "
                     f"start node has fewer than {target_size} nodes"
                 )
-            frontier.append(candidates[int(rng.integers(0, len(candidates)))])
+            frontier.append(candidates[below(len(candidates))])
         node = frontier.popleft()
         row = neighbors(node)
         unvisited = [neighbor for neighbor in row if neighbor not in sampled]

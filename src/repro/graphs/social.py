@@ -29,12 +29,12 @@ the graph — the triad step and the f-sampler both index into it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import GraphError
-from ..rng import fallback_rng
+from ..rng import ScalarDraws, fallback_rng
 
 __all__ = [
     "generate_social_graph",
@@ -43,7 +43,7 @@ __all__ = [
 
 
 def _preferential_targets(
-    rng: np.random.Generator,
+    below: Callable[[int], int],
     repeated_nodes: List[int],
     count: int,
 ) -> List[int]:
@@ -51,7 +51,8 @@ def _preferential_targets(
 
     ``repeated_nodes`` contains each existing node once per incident
     edge endpoint, so uniform selection from it is degree-proportional
-    selection — the classic Barabási–Albert trick.
+    selection — the classic Barabási–Albert trick.  ``below`` is a
+    :class:`~repro.rng.ScalarDraws` draw.
     """
     targets: List[int] = []
     # Cap the number of draws to avoid pathological loops on tiny graphs.
@@ -59,14 +60,14 @@ def _preferential_targets(
     max_attempts = 50 * count + 100
     while len(targets) < count and attempts < max_attempts:
         attempts += 1
-        candidate = repeated_nodes[int(rng.integers(0, len(repeated_nodes)))]
+        candidate = repeated_nodes[below(len(repeated_nodes))]
         if candidate not in targets:
             targets.append(candidate)
     return targets
 
 
 def _triad_candidate(
-    rng: np.random.Generator,
+    below: Callable[[int], int],
     adjacency: List[List[int]],
     chosen: List[int],
 ) -> Optional[int]:
@@ -74,17 +75,20 @@ def _triad_candidate(
 
     Skips the chosen nodes' positions instead of filtering the row: a
     hub's row is thousands long, ``chosen`` at most ``edges_per_node``.
+    Draws nothing when no neighbor qualifies.
     """
-    row = adjacency[chosen[-1]]
+    last = chosen[-1]
+    row = adjacency[last]
+    width = len(row)
     skipped = []
     for node in chosen[:-1]:
         # Test adjacency from the shorter side; only a hit needs a position.
         other = adjacency[node]
-        if (chosen[-1] in other) if len(other) < len(row) else (node in row):
+        if (last in other) if len(other) < width else (node in row):
             skipped.append(row.index(node))
-    if len(skipped) == len(row):
+    if len(skipped) == width:
         return None
-    index = int(rng.integers(0, len(row) - len(skipped)))
+    index = below(width - len(skipped))
     for position in sorted(skipped):
         if position <= index:
             index += 1
@@ -151,16 +155,18 @@ def generate_social_graph(
         itertools.chain.from_iterable(itertools.combinations(range(seed_size), 2))
     )
 
+    draws = ScalarDraws(rng)
+    below, random = draws.below, draws.random
     for new_node in range(seed_size, num_nodes):
-        chosen = _preferential_targets(rng, repeated_nodes, 1)
+        chosen = _preferential_targets(below, repeated_nodes, 1)
         for _ in range(edges_per_node - 1):
             candidate: Optional[int] = None
-            if rng.random() < triad_probability:
-                candidate = _triad_candidate(rng, adjacency, chosen)
+            if random() < triad_probability:
+                candidate = _triad_candidate(below, adjacency, chosen)
             if candidate is None:
                 fallback = [
                     node
-                    for node in _preferential_targets(rng, repeated_nodes, 3)
+                    for node in _preferential_targets(below, repeated_nodes, 3)
                     if node not in chosen
                 ]
                 if not fallback:
@@ -203,6 +209,10 @@ def generate_community_social_graph(
         rng = fallback_rng("graphs.social.community")
     if num_communities < 1:
         raise GraphError("num_communities must be at least 1")
+    if not 0.0 <= intra_probability <= 1.0:
+        raise GraphError(
+            f"intra_probability must be in [0, 1], got {intra_probability!r}"
+        )
     if num_nodes < num_communities * (edges_per_node + 1):
         raise GraphError(
             "num_nodes too small: need at least "
@@ -248,9 +258,10 @@ def generate_community_social_graph(
         seen.add(u)
     num_rewire = int((1.0 - intra_probability) * len(edges))
     rewire_indices = rng.choice(len(edges), size=num_rewire, replace=False)
-    for index in rewire_indices:
-        u, v = edges[int(index)]
-        w = int(rng.integers(0, num_nodes))
+    below = ScalarDraws(rng).below
+    for index in rewire_indices.tolist():
+        u, v = edges[index]
+        w = below(num_nodes)
         if w != u and w not in rows[u]:
             del rows[u][v]
             del rows[v][u]
@@ -259,8 +270,8 @@ def generate_community_social_graph(
     # Guarantee connectivity with minimal extra edges.
     components = _components(rows, order)
     for index in range(1, len(components)):
-        u = components[0][int(rng.integers(0, len(components[0])))]
-        v = components[index][int(rng.integers(0, len(components[index])))]
+        u = components[0][below(len(components[0]))]
+        v = components[index][below(len(components[index]))]
         add_edge(u, v)
 
     return _csr([list(row) for row in rows])

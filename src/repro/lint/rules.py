@@ -468,6 +468,48 @@ def _mentions_rng(node: ast.AST) -> bool:
     return False
 
 
+#: The draw callables of :class:`repro.rng.ScalarDraws`.  Hot loops
+#: bind them to locals (``below = draws.below``) or pass them on as
+#: arguments, so a call through one of these names is a draw too.
+_HELPER_DRAWS: FrozenSet[str] = frozenset({"below", "random"})
+
+
+def _draw_names(scope: Sequence[ast.AST]) -> FrozenSet[str]:
+    """Helper draw names plus the locals bound to a helper draw.
+
+    ``draw = draws.below`` and ``below, random = draws.below,
+    draws.random`` both bind draw callables.
+    """
+    names = set(_HELPER_DRAWS)
+    for node in scope:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            for name, value in pairs:
+                if (
+                    isinstance(name, ast.Name)
+                    and isinstance(value, ast.Attribute)
+                    and value.attr in _HELPER_DRAWS
+                ):
+                    names.add(name.id)
+    return frozenset(names)
+
+
+def _is_draw(node: ast.AST, draw_names: FrozenSet[str]) -> bool:
+    """Whether a call draws randomness, as far as we can tell: a method
+    on something named ``*rng*``, or a helper draw reached as an
+    attribute (``draws.below(n)``) or through a name (``below(n)``)."""
+    if not isinstance(node, ast.Call):
+        return False
+    callee = node.func
+    if isinstance(callee, ast.Attribute):
+        return _mentions_rng(callee.value) or callee.attr in _HELPER_DRAWS
+    return isinstance(callee, ast.Name) and callee.id in draw_names
+
+
 def _walk_scope(func: ast.AST):
     """Walk a function's body without descending into nested functions."""
     from collections import deque as _deque
@@ -496,13 +538,8 @@ class SetOrderFeedsRng(Rule):
 
     def _check_function(self, func: ast.AST) -> None:
         scope = list(_walk_scope(func))
-        draws_randomness = any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and _mentions_rng(node.func.value)
-            for node in scope
-        )
-        if not draws_randomness:
+        draw_names = _draw_names(scope)
+        if not any(_is_draw(node, draw_names) for node in scope):
             return
 
         set_names = set()

@@ -18,14 +18,22 @@ True
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 from typing import Tuple, Union
 
 import numpy as np
 
 from .config import DEFAULT_SEED
 
-__all__ = ["RandomStreams", "PSEUDONYM_BITS", "random_bits", "fallback_rng"]
+__all__ = [
+    "RandomStreams",
+    "PSEUDONYM_BITS",
+    "ScalarDraws",
+    "random_bits",
+    "fallback_rng",
+]
 
 #: Number of bits in a pseudonym / slot-reference value.  The paper calls
 #: pseudonyms "random p-bit sequences"; we use 63 bits so values fit in a
@@ -115,3 +123,60 @@ def random_bits(rng: np.random.Generator, bits: int = PSEUDONYM_BITS) -> int:
         value = (value << chunk) | int(rng.integers(0, 1 << chunk))
         remaining -= chunk
     return value
+
+
+_TWO_32 = 1 << 32
+
+
+class ScalarDraws:
+    """Scalar draws from a Generator's own stream at C-call cost.
+
+    ``below(n)`` returns exactly what ``int(rng.integers(0, n))`` would,
+    for ``1 <= n <= 2**32``, and ``random()`` exactly what
+    ``rng.random()`` would, but each skips the Generator's per-call
+    argument handling by calling the bit generator's ``next_uint32`` /
+    ``next_double`` through ``rng.bit_generator.ctypes`` (on one x86-64
+    host: 0.27 µs a word against 1.5 µs per ``integers(0, n)`` call).
+    Both advance the Generator's own state, the buffered 32-bit
+    half-word included, so draws through the helper and direct ``rng``
+    calls mix freely and leave the same ``bit_generator.state``.
+
+    ``below`` applies numpy's bounded rule for 32-bit ranges: Lemire's
+    multiply-and-reject over ``next_uint32`` words, the raw word for
+    ``n == 2**32``, and no draw at all for ``n == 1``.  Any other ``n``
+    raises ``ValueError``.  The helper does not take the bit generator's
+    lock; do not share the Generator across threads while drawing.
+
+    ``below`` and ``random`` are plain callables, so hot loops bind them
+    to locals once.
+    """
+
+    __slots__ = ("below", "random")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        interface = rng.bit_generator.ctypes
+        next_uint32 = interface.next_uint32
+        state = interface.state
+        random = functools.partial(interface.next_double, state)
+
+        def below(n: int) -> int:
+            if type(n) is int and 1 < n < _TWO_32:
+                word = next_uint32(state) * n
+                if word & 0xFFFFFFFF < n:
+                    threshold = (_TWO_32 - n) % n
+                    while word & 0xFFFFFFFF < threshold:
+                        word = next_uint32(state) * n
+                return word >> 32
+            n = operator.index(n)
+            if n == 1:
+                return 0
+            if n == _TWO_32:
+                return next_uint32(state)
+            if 1 < n < _TWO_32:
+                return below(n)
+            raise ValueError(f"below(n) needs 1 <= n <= 2**32, got {n}")
+
+        # ``state`` is a raw pointer: each draw keeps its owner alive, so
+        # a bound draw stays valid after the helper and ``rng`` are gone.
+        below.bit_generator = random.bit_generator = rng.bit_generator
+        self.below, self.random = below, random

@@ -182,6 +182,23 @@ def test_source_rows_are_pinned(name):
     assert csr_digest((indptr, indices)) == _SOURCE_SHA256[name]
 
 
+def test_quick_source_leaves_the_pinned_stream_state():
+    """The generator's draw count is pinned, not only its output: a
+    change that draws one word more or fewer without moving an edge
+    still moves the state the caller's generator is left in."""
+    rng = RandomStreams(1).substream("social", "quick")
+    generate_social_graph(2000, rng=rng)
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": 310110577685751323249416356173762943864,
+            "inc": 34340526484476949353767181644651082595,
+        },
+        "has_uint32": 0,
+        "uinteger": 58290972,
+    }
+
+
 def _small_source():
     # 120 labels: every sampled id is below the hash-table size of the
     # sampled set, so the networkx implementation's set-ordered edge

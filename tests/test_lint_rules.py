@@ -6,6 +6,8 @@ Each rule gets positive fixtures (must flag) and negative fixtures
 
 import textwrap
 
+import pytest
+
 from repro.lint import lint_source, select_rules
 
 
@@ -418,6 +420,62 @@ class TestDet004SetOrder:
                 return [rng.integers(0, x) for x in items if x in seen]
             """
         )
+        assert findings == []
+
+
+class TestDet004HelperDraws:
+    """Draws through :class:`repro.rng.ScalarDraws` count as draws."""
+
+    #: One function per way a loop reaches a helper draw; ``ITEMS``
+    #: is the iterated expression.
+    DRAWS = {
+        "bound-locals": """
+            from repro.rng import ScalarDraws
+
+            def pick(rng, items):
+                draws = ScalarDraws(rng)
+                below, random = draws.below, draws.random
+                pool = set(items)
+                candidates = [item for item in ITEMS if random() < 0.5]
+                return candidates[below(len(candidates))]
+            """,
+        "attribute": """
+            from repro.rng import ScalarDraws
+
+            def pick(rng, items):
+                draws = ScalarDraws(rng)
+                pool = set(items)
+                candidates = list(ITEMS)
+                return candidates[draws.below(len(candidates))]
+            """,
+        "alias": """
+            from repro.rng import ScalarDraws
+
+            def pick(rng, items):
+                draw = ScalarDraws(rng).below
+                pool = set(items)
+                candidates = []
+                for item in ITEMS:
+                    candidates.append(item)
+                return candidates[draw(len(candidates))]
+            """,
+        "parameter": """
+            from typing import Set
+
+            def pick(below, pool: Set[int]):
+                candidates = [item for item in ITEMS]
+                return candidates[below(len(candidates))]
+            """,
+    }
+
+    @pytest.mark.parametrize("form", sorted(DRAWS))
+    def test_flags_set_iteration(self, form):
+        findings = _lint(self.DRAWS[form].replace("ITEMS", "pool"))
+        assert _codes(findings) == ["DET004"]
+
+    @pytest.mark.parametrize("form", sorted(DRAWS))
+    def test_sorted_iteration_is_fine(self, form):
+        findings = _lint(self.DRAWS[form].replace("ITEMS", "sorted(pool)"))
         assert findings == []
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import PSEUDONYM_BITS, RandomStreams, random_bits
+from repro.rng import PSEUDONYM_BITS, RandomStreams, ScalarDraws, random_bits
 
 
 class TestRandomStreams:
@@ -82,3 +82,68 @@ class TestRandomBits:
         a = [random_bits(np.random.default_rng(4), 63)]
         b = [random_bits(np.random.default_rng(4), 63)]
         assert a == b
+
+
+def _same_state(a, b):
+    """Equality of two ``bit_generator.state`` dicts (MT19937 and
+    Philox hold arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestScalarDraws:
+    """``ScalarDraws`` is its Generator, draw for draw."""
+
+    EDGES = (1, 2, 3, 2**31, 2**31 + 1, 2**32 - 1, 2**32)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox]
+    )
+    def test_mixed_sequence_matches_the_generator(self, bit_generator):
+        mixed = np.random.Generator(bit_generator(20261018))
+        direct = np.random.Generator(bit_generator(20261018))
+        draws = ScalarDraws(mixed)
+        script = np.random.default_rng(5)
+        # Just above 2**31 about half of all words are rejected; near
+        # 2**32 the products use all 64 bits.
+        bounds = (
+            list(self.EDGES)
+            + script.integers(2**31 + 1, 2**31 + 2**20, size=24).tolist()
+            + script.integers(2**32 - 2**20, 2**32, size=24).tolist()
+        )
+        for step in range(6000):
+            n = bounds[step % len(bounds)]
+            op = int(script.integers(0, 4))
+            if op == 0:
+                assert draws.below(n) == int(direct.integers(0, n)), (step, n)
+            elif op == 1:
+                assert draws.random() == direct.random(), step
+            elif op == 2:
+                assert int(mixed.integers(0, n)) == int(direct.integers(0, n)), step
+            else:
+                assert mixed.random() == direct.random(), step
+        assert _same_state(mixed.bit_generator.state, direct.bit_generator.state)
+
+    def test_below_one_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert ScalarDraws(rng).below(1) == 0
+        assert rng.bit_generator.state == before
+
+    def test_numpy_integer_bounds(self):
+        mixed, direct = np.random.default_rng(8), np.random.default_rng(8)
+        draws = ScalarDraws(mixed)
+        for n in (np.int64(7), np.uint32(2**32 - 1), np.int64(2**32)):
+            assert draws.below(n) == int(direct.integers(0, n))
+        assert mixed.bit_generator.state == direct.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_out_of_range_bound_raises(self, n):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="1 <= n <= 2"):
+            ScalarDraws(rng).below(n)
+        assert rng.bit_generator.state == before

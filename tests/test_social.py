@@ -85,3 +85,17 @@ class TestCommunityGraph:
     def test_invalid_community_count(self, rng):
         with pytest.raises(GraphError):
             generate_community_social_graph(100, num_communities=0, rng=rng)
+
+    @pytest.mark.parametrize("intra_probability", [1.5, -0.5, float("nan")])
+    def test_invalid_intra_probability_draws_nothing(self, intra_probability):
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        with pytest.raises(GraphError, match="intra_probability"):
+            generate_community_social_graph(
+                400,
+                num_communities=4,
+                edges_per_node=6,
+                intra_probability=intra_probability,
+                rng=rng,
+            )
+        assert rng.bit_generator.state == before

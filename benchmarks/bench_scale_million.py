@@ -10,7 +10,9 @@ engine's own accounting and the process's peak RSS stay under their
 ceilings.  Default: 10^5 nodes x 5 rounds; ``REPRO_FULL=1``: 10^6 x 6.
 
 Only deterministic columns go to ``results/scale_million.txt``; build
-time, seconds per round and peak RSS are printed (run with ``-s``).
+time, seconds per round, the time of one snapshot analysis (the online
+snapshot and its component labels) and peak RSS are printed (run with
+``-s``).
 """
 
 import resource
@@ -50,7 +52,9 @@ class TestScaleMillion:
         overlay, build_s, round_s = benchmark.pedantic(run, rounds=1, iterations=1)
         online = overlay.stats()["online_nodes"] / num_nodes
         degree = overlay.mean_out_degree()
+        started = time.perf_counter()
         disconnected = overlay.analysis().fraction_disconnected()
+        analysis_s = time.perf_counter() - started
         engine_bytes = overlay.memory_bytes()
         # The process high-water mark (KiB on Linux), snapshot included.
         peak_rss_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e9
@@ -68,7 +72,7 @@ class TestScaleMillion:
         )
         print(
             f"build {build_s:.2f} s, {round_s:.2f} s/round, "
-            f"peak RSS {peak_rss_gb:.2f} GB"
+            f"analysis {analysis_s:.2f} s, peak RSS {peak_rss_gb:.2f} GB"
         )
 
         assert abs(online - config.availability) <= 0.02

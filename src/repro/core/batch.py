@@ -112,7 +112,9 @@ def ring_lattice_csr(
     scale studies, and generated vectorized so a 10⁶-node graph takes
     milliseconds, not the minutes a networkx generator would.
 
-    Returns ``(indptr, indices)`` with ascending neighbor lists.
+    Returns ``(indptr, indices)`` with ascending neighbor lists, as
+    :meth:`~repro.graphs.fastgraph.FlatSnapshot.from_edge_positions`
+    assembles every CSR in the package.
     """
     if num_nodes < 3:
         raise GraphError(f"ring_lattice_csr needs >= 3 nodes, got {num_nodes}")
@@ -124,23 +126,12 @@ def ring_lattice_csr(
     chord_u = rng.integers(0, num_nodes, size=chords, dtype=np.int64)
     chord_v = rng.integers(0, num_nodes, size=chords, dtype=np.int64)
     keep = chord_u != chord_v
-    u = np.concatenate((ring_u, chord_u[keep]))
-    v = np.concatenate((ring_v, chord_v[keep]))
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = np.unique(lo * num_nodes + hi)
-    lo = key // num_nodes
-    hi = key % num_nodes
-    degree = np.bincount(lo, minlength=num_nodes) + np.bincount(
-        hi, minlength=num_nodes
+    lattice = FlatSnapshot.from_edge_positions(
+        ring_u,
+        np.concatenate((ring_u, chord_u[keep])),
+        np.concatenate((ring_v, chord_v[keep])),
     )
-    indptr = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(degree, dtype=np.int64))
-    )
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
-    order = np.lexsort((dst, src))
-    return indptr, dst[order]
+    return lattice.indptr, lattice.indices
 
 
 def shard_ranges(total: int, num_shards: int) -> np.ndarray:

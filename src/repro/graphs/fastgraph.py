@@ -11,7 +11,8 @@ distribution.  This module is their only implementation:
 * :class:`FlatSnapshot` — an immutable compressed-sparse-row view of an
   undirected simple graph (sorted node ids, sorted neighbor lists).
 * :class:`SnapshotAnalysis` — computes the component labeling **once**
-  (union-find over the edge arrays) and serves every metric from it;
+  (numpy min-label hooking over the edge arrays) and serves every
+  metric from it;
   path lengths use a batched multi-source BFS whose frontiers expand
   with numpy gathers instead of per-node Python loops.
 
@@ -20,9 +21,9 @@ Exactness contract
 Every value produced here is **bit-identical** to the same metric
 computed with networkx on the same graph:
 
-* components are exact (union-find), and the largest component is a
-  canonical list: ascending nodes, size ties broken toward the
-  component containing the smallest node;
+* components are exact (labels are component minima), and the
+  largest component is a canonical list: ascending nodes, size ties
+  broken toward the component containing the smallest node;
 * BFS distances are integers, accumulated as Python ints, and the
   final averages are the ``total / pairs`` and
   ``average / size * total_nodes`` float expressions;
@@ -67,7 +68,7 @@ class FlatSnapshot:
         CSR adjacency over positions; each neighbor list is ascending.
     edge_u, edge_v:
         Deduplicated undirected edge list over positions with
-        ``edge_u < edge_v`` — the union-find input, kept so component
+        ``edge_u < edge_v`` — the labeling's input, kept so component
         labeling never re-derives edges from the CSR arrays.
 
     The query methods take and return node *labels*, spelled as
@@ -189,33 +190,33 @@ class FlatSnapshot:
 
 
 def _component_labels(num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-    """Union-find component labels; each label is the component's
-    smallest position (which makes the labeling canonical)."""
-    parent = list(range(num_nodes))
-    for a, b in zip(edge_u.tolist(), edge_v.tolist()):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            continue
-        # Union by minimum root: the root of every tree stays the
-        # smallest member of its component, so final labels are
-        # canonical without a relabeling pass.
-        if a < b:
-            parent[b] = a
-        else:
-            parent[a] = b
-    for start in range(num_nodes):
-        root = start
-        while parent[root] != root:
-            root = parent[root]
-        node = start
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-    return np.array(parent, dtype=np.int64)
+    """Component labels; each label is the component's smallest
+    position (which makes the labeling canonical).
+
+    Min-label hooking with pointer jumping: each round hooks every root
+    to the smallest root across its edges, then shortcuts ``parent =
+    parent[parent]`` until every node points at a root.  Hooks point
+    to smaller roots, so each root is its tree's minimum.  O(log n)
+    rounds over E-sized arrays (``docs/metrics.md`` has the argument).
+    """
+    parent = np.arange(num_nodes, dtype=np.int64)
+    while True:
+        root_u = parent[edge_u]
+        root_v = parent[edge_v]
+        lo = np.minimum(root_u, root_v)
+        hi = np.maximum(root_u, root_v)
+        joins = lo < hi
+        if not joins.any():
+            return parent
+        # An edge inside one tree stays inside it; drop it for good.
+        edge_u = edge_u[joins]
+        edge_v = edge_v[joins]
+        np.minimum.at(parent, hi[joins], lo[joins])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 def _popcount_sum(bits: np.ndarray) -> int:
@@ -275,10 +276,10 @@ def _bfs_distance_totals(
 class SnapshotAnalysis:
     """One component labeling shared by every metric of one snapshot.
 
-    Construct once per snapshot per sample; the union-find pass runs
-    lazily on first use and is reused by the disconnected fraction,
-    path length, and component queries (``labelings_run`` counts the
-    passes — tests assert it stays at one).
+    Construct once per snapshot per sample; the labeling pass
+    (:func:`_component_labels`) runs lazily on first use and is reused
+    by the disconnected fraction, path length, and component queries
+    (``labelings_run`` counts the passes — tests assert it stays at one).
     """
 
     __slots__ = (
@@ -292,7 +293,7 @@ class SnapshotAnalysis:
 
     def __init__(self, snapshot: FlatSnapshot) -> None:
         self.snapshot = snapshot
-        #: Number of union-find passes executed (expected: at most 1).
+        #: Number of component-labeling passes run (expected: at most 1).
         self.labelings_run = 0
         self._labels: Optional[np.ndarray] = None
         self._largest_label = -1

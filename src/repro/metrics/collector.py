@@ -90,7 +90,7 @@ class MetricsCollector:
         self._max_out_degree = np.zeros(len(overlay.nodes), dtype=np.int64)
         # Trust-baseline labeling cache: Overlay.trust_snapshot
         # returns the identical object while the online set and trust
-        # graph are unchanged, so the union-find pass is reused too.
+        # graph are unchanged, so its component labeling is reused too.
         self._trust_analysis_cache: Optional[SnapshotAnalysis] = None
         self._samples = 0
         self._last_replacements = 0

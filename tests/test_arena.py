@@ -426,6 +426,38 @@ class TestRingLatticeCsr:
         b = ring_lattice_csr(100, 4, RandomStreams(SEED).substream("graph"))
         assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
 
+    @pytest.mark.parametrize("num_nodes", [3, 10, 1_000, 100_000])
+    def test_matches_unique_lexsort_reference(self, num_nodes):
+        """The lattice's CSR is assembled by ``from_edge_positions``;
+        the same draws through the ``np.unique`` + ``np.lexsort``
+        assembly it once had must give the same arrays and dtypes."""
+        indptr, indices = ring_lattice_csr(
+            num_nodes, 4, RandomStreams(SEED).substream("graph")
+        )
+        rng = RandomStreams(SEED).substream("graph")
+        ring_u = np.arange(num_nodes, dtype=np.int64)
+        ring_v = (ring_u + 1) % num_nodes
+        chords = (num_nodes * 4) // 2
+        chord_u = rng.integers(0, num_nodes, size=chords, dtype=np.int64)
+        chord_v = rng.integers(0, num_nodes, size=chords, dtype=np.int64)
+        keep = chord_u != chord_v
+        u = np.concatenate((ring_u, chord_u[keep]))
+        v = np.concatenate((ring_v, chord_v[keep]))
+        key = np.unique(np.minimum(u, v) * num_nodes + np.maximum(u, v))
+        lo, hi = key // num_nodes, key % num_nodes
+        degree = np.bincount(lo, minlength=num_nodes) + np.bincount(
+            hi, minlength=num_nodes
+        )
+        expected_indptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(degree, dtype=np.int64))
+        )
+        src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        expected_indices = dst[np.lexsort((dst, src))]
+        assert indptr.dtype == expected_indptr.dtype == np.int64
+        assert indices.dtype == expected_indices.dtype == np.int64
+        assert np.array_equal(indptr, expected_indptr)
+        assert np.array_equal(indices, expected_indices)
+
 
 def _batch_config(num_nodes, **overrides):
     defaults = dict(

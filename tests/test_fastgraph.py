@@ -5,7 +5,8 @@ values to the same metric computed with networkx (``tests/nx_oracle.py``),
 including identical RNG consumption.  These tests enforce that promise
 on random graphs, synthetic social graphs, churned overlay snapshots,
 and the degenerate cases (empty/singleton/partitioned graphs,
-equal-size component ties).
+equal-size component ties).  The component labels are also pinned
+against the Python union-find they replaced (``_union_find_labels``).
 """
 
 from __future__ import annotations
@@ -13,16 +14,18 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Overlay, SystemConfig
 from repro.churn import stationary_online_mask
-from repro.core import Pseudonym
+from repro.core import BatchOverlay, Pseudonym
 from repro.errors import GraphError, ProtocolError
 from repro.experiments.scenarios import SMOKE, make_config, make_trust_graph
 from repro.analysis import FailurePoint, targeted_failure_curve
 from repro.experiments.runner import StaticMetrics, static_churn_metrics
 from repro.graphs import erdos_renyi_gnm, generate_social_graph
-from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
+from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis, _component_labels
 from repro.metrics import MetricsCollector
 from repro.privlink import Address
 
@@ -299,6 +302,144 @@ class TestSingleLabelingPass:
         assert len(passes) == samples + 1
         # And no snapshot was ever labeled twice.
         assert len(set(map(id, passes))) == len(passes)
+
+
+def _union_find_labels(num_nodes, edge_u, edge_v):
+    """The per-edge Python union-find the numpy labeling replaced, kept
+    as its oracle: union by minimum root, so every label is the
+    component's smallest position."""
+    parent = list(range(num_nodes))
+    for a, b in zip(edge_u.tolist(), edge_v.tolist()):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            continue
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    for start in range(num_nodes):
+        root = start
+        while parent[root] != root:
+            root = parent[root]
+        node = start
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+    return np.array(parent, dtype=np.int64)
+
+
+def _assert_labels_match_union_find(num_nodes, edge_u, edge_v):
+    edge_u = np.asarray(edge_u, dtype=np.int64)
+    edge_v = np.asarray(edge_v, dtype=np.int64)
+    labels = _component_labels(num_nodes, edge_u, edge_v)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == _union_find_labels(num_nodes, edge_u, edge_v).tolist()
+    return labels
+
+
+class TestComponentLabels:
+    """``_component_labels`` (min-label hooking with pointer jumping)
+    against the union-find it replaced and against networkx."""
+
+    def test_seeded_erdos_renyi_match_union_find(self):
+        for case in range(30):
+            rng = np.random.default_rng(500 + case)
+            n = int(rng.integers(2, 400))
+            m = int(rng.integers(0, 2 * n))
+            snap = erdos_renyi_gnm(n, m, rng=rng)
+            _assert_labels_match_union_find(n, snap.edge_u, snap.edge_v)
+
+    def test_empty_singleton_and_edgeless(self):
+        for n in (0, 1, 7):
+            labels = _assert_labels_match_union_find(n, [], [])
+            assert labels.tolist() == list(range(n))
+
+    def test_many_isolated_nodes(self):
+        # 5,000 positions, a few small components among them.
+        labels = _assert_labels_match_union_find(
+            5000, [4999, 17, 2500, 2500], [10, 4000, 4001, 17]
+        )
+        assert labels[[10, 4999]].tolist() == [10, 10]
+        assert labels[[17, 2500, 4000, 4001]].tolist() == [17] * 4
+        assert np.count_nonzero(labels == np.arange(5000)) == 5000 - 4
+
+    def test_duplicate_edges_both_orientations(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 300, size=400)
+        b = rng.integers(0, 300, size=400)
+        keep = a != b
+        a, b = a[keep], b[keep]
+        _assert_labels_match_union_find(
+            300, np.concatenate((a, b, a)), np.concatenate((b, a, b))
+        )
+
+    def test_descending_path(self):
+        # Labels fall along the path and the edges come from its high
+        # end, so each hook lands on a root that hooks again.
+        n = 5000
+        top = np.arange(n - 1, 0, -1)
+        labels = _assert_labels_match_union_find(n, top, top - 1)
+        assert not labels.any()
+
+    def test_random_permutation_path(self):
+        n = 20_000
+        order = np.random.default_rng(11).permutation(n)
+        labels = _component_labels(n, order[:-1], order[1:])
+        assert not labels.any()
+        snap = FlatSnapshot.from_edge_positions(np.arange(n), order[:-1], order[1:])
+        assert not _component_labels(n, snap.edge_u, snap.edge_v).any()
+
+    def test_star_with_largest_hub(self):
+        n = 1000
+        hub = np.full(n - 1, n - 1)
+        leaves = np.arange(n - 1)
+        for u, v in ((hub, leaves), (leaves, hub)):
+            labels = _assert_labels_match_union_find(n, u, v)
+            assert not labels.any()
+
+    def test_churned_batch_overlay_snapshot(self):
+        config = SystemConfig(
+            num_nodes=10_000,
+            cache_size=12,
+            shuffle_length=6,
+            target_degree=12,
+            min_pseudonym_links=6,
+            availability=0.6,
+            mean_offline_time=8.0,
+            seed=4,
+        )
+        overlay = BatchOverlay.build(config)
+        overlay.run(6)
+        snap = overlay.snapshot()
+        n = snap.number_of_nodes()
+        assert 0 < n < 10_000
+        labels = _assert_labels_match_union_find(n, snap.edge_u, snap.edge_v)
+        assert len(np.unique(labels)) == nx.number_connected_components(to_nx(snap))
+
+    @given(
+        n=st.integers(0, 60),
+        pairs=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=120),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_labels_are_component_minima(self, n, pairs):
+        pairs = [(u, v) for u, v in pairs if u < n and v < n and u != v]
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        snap = FlatSnapshot.from_edge_positions(np.arange(n), ends[:, 0], ends[:, 1])
+        labels = _component_labels(n, snap.edge_u, snap.edge_v)
+        assert labels.tolist() == labels[labels].tolist()
+        component_of = {}
+        for index, component in enumerate(nx.connected_components(to_nx(snap))):
+            for node in component:
+                component_of[node] = index
+            assert {int(labels[node]) for node in component} == {min(component)}
+        for u in range(n):
+            for v in range(n):
+                same = component_of[u] == component_of[v]
+                assert (labels[u] == labels[v]) == same
 
 
 class TestOverlayIncrementalStore:

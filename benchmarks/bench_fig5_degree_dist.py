@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments import figure5, figure_table
 
-from conftest import SEED, emit
+from conftest import SEED, WORKERS, emit
 
 
 def _stats(histogram):
@@ -21,7 +21,9 @@ def _stats(histogram):
 class TestFigure5:
     def test_bench_degree_distributions(self, benchmark, scale, results_dir):
         def run():
-            return figure5(scale, seed=SEED, fs=(1.0, 0.5), alpha=0.5)
+            return figure5(
+                scale, seed=SEED, fs=(1.0, 0.5), alpha=0.5, workers=WORKERS
+            )
 
         results = benchmark.pedantic(run, rounds=1, iterations=1)
         for record in results:

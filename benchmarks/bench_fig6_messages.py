@@ -10,13 +10,15 @@ import numpy as np
 
 from repro.experiments import figure6, figure_table
 
-from conftest import SEED, emit
+from conftest import SEED, WORKERS, emit
 
 
 class TestFigure6:
     def test_bench_message_overhead(self, benchmark, scale, results_dir):
         def run():
-            return figure6(scale, seed=SEED, fs=(1.0, 0.5), alpha=0.5)
+            return figure6(
+                scale, seed=SEED, fs=(1.0, 0.5), alpha=0.5, workers=WORKERS
+            )
 
         results = benchmark.pedantic(run, rounds=1, iterations=1)
         for record in results:

@@ -11,7 +11,7 @@ import math
 
 from repro.experiments import figure7, figure_table
 
-from conftest import SEED, emit
+from conftest import SEED, WORKERS, emit
 
 _RATIOS = (1.0, 3.0, 9.0, math.inf)
 
@@ -21,7 +21,9 @@ class TestFigure7:
         alphas = tuple(alpha for alpha in scale.alphas if alpha <= 0.75)
 
         def run():
-            return figure7(scale, seed=SEED, ratios=_RATIOS, alphas=alphas)
+            return figure7(
+                scale, seed=SEED, ratios=_RATIOS, alphas=alphas, workers=WORKERS
+            )
 
         records = benchmark.pedantic(run, rounds=1, iterations=1)
         emit(results_dir, "fig7_lifetimes", figure_table("fig7", records))

@@ -9,7 +9,7 @@ heavily partitioned for the whole run.
 from repro.experiments import figure8, figure_table
 from repro.metrics.series import TimeSeries
 
-from conftest import SEED, emit
+from conftest import SEED, WORKERS, emit
 
 
 def _series(times, values):
@@ -22,7 +22,9 @@ def _series(times, values):
 class TestFigure8:
     def test_bench_convergence(self, benchmark, scale, results_dir):
         def run():
-            return figure8(scale, seed=SEED, alpha=0.25, ratios=(3.0, 9.0))
+            return figure8(
+                scale, seed=SEED, alpha=0.25, ratios=(3.0, 9.0), workers=WORKERS
+            )
 
         records = benchmark.pedantic(run, rounds=1, iterations=1)
         emit(results_dir, "fig8_convergence", figure_table("fig8", records))

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments import figure9, figure_table
 
-from conftest import SEED, emit
+from conftest import SEED, WORKERS, emit
 
 _RATIOS = (3.0, 9.0, math.inf)
 
@@ -21,7 +21,9 @@ _RATIOS = (3.0, 9.0, math.inf)
 class TestFigure9:
     def test_bench_replacement_rates(self, benchmark, scale, results_dir):
         def run():
-            return figure9(scale, seed=SEED, alpha=0.25, ratios=_RATIOS)
+            return figure9(
+                scale, seed=SEED, alpha=0.25, ratios=_RATIOS, workers=WORKERS
+            )
 
         records = benchmark.pedantic(run, rounds=1, iterations=1)
         emit(results_dir, "fig9_replacement", figure_table("fig9", records))

@@ -68,6 +68,13 @@ _EMPTY_DISTANCE = np.iinfo(np.int64).max
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
+#: Rows per block of the batch kernels' working state.  The O(N)
+#: kernels (:meth:`NodeArena.batch_absorb`, :meth:`NodeArena.sample_cache`,
+#: :meth:`NodeArena.update_digest`) walk their rows this many at a time,
+#: so their scratch is O(block) rather than O(N) and a block's
+#: transposed columns stay within a core's L2 (``docs/node_plane.md``).
+BLOCK_ROWS = 8192
+
 
 def _wave_major(dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Order deliveries so that every wave is a prefix of the receivers.
@@ -610,8 +617,38 @@ class NodeArena:
         live = np.arange(self.link_cols)[None, :] < lens[:, None]
         pids = self.link_ids[:count][live]
         table = self.pseudonyms
+        alive = table.expires_at[pids] > now
         row = np.repeat(np.arange(count, dtype=np.int64), lens)
-        return row, table.owners[pids], table.expires_at[pids] > now
+        return row, table.owners[pids], alive
+
+    def update_digest(self, digest, count: int) -> None:
+        """Feed ``digest`` the first ``count`` rows' occupancy and values.
+
+        Per column family (cache, links, then slots): the row lengths
+        (the packed occupancy bits for the slots), then the stored
+        pseudonym values row by row in column order — id-free, so the
+        bytes do not depend on how ids were allocated.  Hashes
+        :data:`BLOCK_ROWS` rows at a time, rounded up to a multiple of
+        eight so every block's packed bits end on a byte boundary: the
+        stream is the one a single pass over all rows feeds.
+        """
+        values = self.pseudonyms.values
+        bounds = list(range(0, count, BLOCK_ROWS + -BLOCK_ROWS % 8))
+        blocks = list(zip(bounds, bounds[1:] + [count]))
+        for ids, lens in (
+            (self.cache_ids, self.cache_len),
+            (self.link_ids, self.link_len),
+        ):
+            digest.update(lens[:count].tobytes())
+            columns = np.arange(ids.shape[1])
+            for lo, hi in blocks:
+                live = columns < lens[lo:hi, None]
+                digest.update(values[ids[lo:hi][live]].tobytes())
+        for lo, hi in blocks:
+            digest.update(np.packbits(self.slot_ids[lo:hi] >= 0).tobytes())
+        for lo, hi in blocks:
+            slot_ids = self.slot_ids[lo:hi]
+            digest.update(values[slot_ids[slot_ids >= 0]].tobytes())
 
     def memory_bytes(self) -> int:
         """Deterministic storage accounting of every arena column."""
@@ -722,26 +759,35 @@ class NodeArena:
     # Python loops are over the short ones.  Deliveries come wave-major
     # (``_wave_major``): wave w's receivers are ``rows[:sizes[w]]``, a
     # prefix view of that state, and its sets one contiguous block.
+    # The state is held for ``BLOCK_ROWS`` receivers at a time.
     # ------------------------------------------------------------------
 
     def _usable(
-        self,
-        cand_ids: np.ndarray,
-        now: float,
-        own_ids: Optional[np.ndarray],
+        self, cand_ids: np.ndarray, now: float, own_ids: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate sets transposed to ``(set length, deliveries)``.
 
         Padding, expired and own entries become -1.  Also returns every
         delivery's soonest usable expiry (inf when it carries nothing).
+        Masks :data:`BLOCK_ROWS` deliveries at a time into the two
+        outputs.
         """
-        sets = np.asarray(cand_ids).T.astype(np.int64, order="C")
-        expiry = self.pseudonyms.expires_at[sets]
-        keep = (sets >= 0) & (expiry > now)
-        if own_ids is not None:
-            keep &= sets != np.asarray(own_ids)
-        soonest = np.where(keep, expiry, math.inf).min(axis=0, initial=math.inf)
-        return np.where(keep, sets, -1), soonest
+        cand_ids = np.asarray(cand_ids)
+        own_ids = np.asarray(own_ids)
+        count = len(cand_ids)
+        sets = np.empty((cand_ids.shape[1], count), dtype=cand_ids.dtype)
+        soonest = np.empty(count)
+        expires_at = self.pseudonyms.expires_at
+        for lo in range(0, count, BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            block = cand_ids[lo:hi].T
+            expiry = expires_at[block]
+            keep = (block >= 0) & (expiry > now) & (block != own_ids[lo:hi])
+            soonest[lo:hi] = np.where(keep, expiry, math.inf).min(
+                axis=0, initial=math.inf
+            )
+            sets[:, lo:hi] = np.where(keep, block, -1)
+        return sets, soonest
 
     def batch_absorb(
         self,
@@ -756,23 +802,48 @@ class NodeArena:
         the other: ``dst`` may name a row any number of times and a
         row's sets fold in the order given.  Expired candidates and the
         receiver's own pseudonym (``own_ids[i]``) are dropped first.
-        Every row is gathered once, folded in place and scattered once;
-        refcounts settle once, acquires before releases (a pseudonym
-        inserted by one set and evicted by the next may have no other
-        holder in between).  Returns the rows whose slots changed.
+        Every row is gathered once, folded in place and scattered once,
+        :data:`BLOCK_ROWS` receivers at a time in rank order.  Each
+        block's acquires apply as it folds and the releases settle once,
+        after the last block: every acquire precedes every release (a
+        pseudonym inserted by one set and evicted by the next may have
+        no other holder in between) and freed ids join the free list in
+        id order whatever the block size.  Returns the rows whose slots
+        changed, in rank order.
         """
         sets, soonest = self._usable(cand_ids, now, own_ids)
         heard = np.flatnonzero(soonest < math.inf)
         rows, order, sizes = _wave_major(np.asarray(dst)[heard])
         order = heard[order]
-        sets = np.take(sets, order, axis=1)
-        changed, seated, unseated = self._fold_slots(rows, sizes, sets)
-        _, cached, evicted = self._fold_cache(
-            rows, sizes, sets, soonest[order], now
-        )
-        self.pseudonyms.acquire_batch(np.concatenate((seated, cached)))
-        self.pseudonyms.release_batch(np.concatenate((unseated, evicted)))
-        return rows[changed > 0]
+        starts = (np.cumsum(sizes) - sizes).tolist()
+        changed, released = [], []
+        # Rows fold independently, so each block of ranked rows folds on
+        # its own: wave w's part of the block is the slice of its
+        # receivers ``rows[:sizes[w]]`` that falls in ``[lo, hi)``.
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            block = rows[lo : lo + BLOCK_ROWS]
+            widths = np.minimum(sizes[sizes > lo], lo + len(block)) - lo
+            picks = np.concatenate(
+                [
+                    order[start + lo : start + lo + n]
+                    for start, n in zip(starts, widths.tolist())
+                ]
+            )
+            block_sets = np.take(sets, picks, axis=1)
+            slots_changed, seated, unseated = self._fold_slots(
+                block, widths, block_sets
+            )
+            _, cached, evicted = self._fold_cache(
+                block, widths, block_sets, soonest[picks], now
+            )
+            changed.append(block[slots_changed > 0])
+            self.pseudonyms.acquire_batch(seated)
+            self.pseudonyms.acquire_batch(cached)
+            released += [unseated, evicted]
+        if not changed:
+            return _NO_IDS
+        self.pseudonyms.release_batch(np.concatenate(released))
+        return np.concatenate(changed)
 
     def _fold_slots(
         self, rows: np.ndarray, sizes: Sequence[int], sets: np.ndarray
@@ -1061,15 +1132,21 @@ class NodeArena:
         supplied by the caller (the arena draws no randomness itself);
         each row returns the entries holding its ``count`` smallest
         keys — a uniform without-replacement sample.  Padded with -1.
+        Ranks :data:`BLOCK_ROWS` rows at a time.
         """
         if count <= 0 or self.cache_cols == 0:
             return np.full((len(rows), max(count, 0)), -1, dtype=np.int32)
-        ids = self.cache_ids[rows]
-        live = np.arange(self.cache_cols)[None, :] < self.cache_len[rows][:, None]
-        ranked = np.where(live, keys, math.inf)
-        order = np.argsort(ranked, axis=1, kind="stable")[:, :count]
-        picked = np.take_along_axis(np.where(live, ids, -1), order, axis=1)
-        return picked.astype(np.int32)
+        width = min(count, self.cache_cols)
+        picked = np.empty((len(rows), width), dtype=np.int32)
+        columns = np.arange(self.cache_cols)
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            block = rows[lo : lo + BLOCK_ROWS]
+            live = columns < self.cache_len[block][:, None]
+            ranked = np.where(live, keys[lo : lo + BLOCK_ROWS], math.inf)
+            order = np.argsort(ranked, axis=1, kind="stable")[:, :count]
+            ids = np.where(live, self.cache_ids[block], -1)
+            picked[lo : lo + BLOCK_ROWS] = np.take_along_axis(ids, order, axis=1)
+        return picked
 
 
 def assemble_snapshot(
@@ -1088,18 +1165,30 @@ def assemble_snapshot(
     """
     pos = np.full(num_nodes, -1, dtype=np.int64)
     pos[ids] = np.arange(len(ids), dtype=np.int64)
-    trust_a = pos[trust_lo]
-    trust_b = pos[trust_hi]
-    trust_keep = (trust_a >= 0) & (trust_b >= 0)
     holder, owner, alive = links
-    a = pos[holder]
-    b = pos[np.maximum(owner, 0)]
-    keep = alive & (owner >= 0) & (owner != holder) & (a >= 0) & (b >= 0)
-    return FlatSnapshot.from_edge_positions(
-        ids,
-        np.concatenate((trust_a[trust_keep], a[keep])),
-        np.concatenate((trust_b[trust_keep], b[keep])),
+    live = alive & (owner >= 0) & (owner != holder)
+    # Only the kept pairs are alive while the snapshot sorts.
+    ends = np.concatenate(
+        (
+            _placed_pairs(pos, trust_lo, trust_hi, True),
+            _placed_pairs(pos, holder, owner, live),
+        ),
+        axis=1,
     )
+    return FlatSnapshot.from_edge_positions(ids, ends[0], ends[1])
+
+
+def _placed_pairs(
+    pos: np.ndarray, u: np.ndarray, v: np.ndarray, keep: "bool | np.ndarray"
+) -> np.ndarray:
+    """``(2, k)`` positions of the pairs ``(u, v)`` that ``keep`` selects
+    and that have both ends in ``pos``; ``keep`` must drop any pair with
+    a negative end.  Masking after the gather holds fewer link-sized
+    arrays at once than compressing the columns before it."""
+    pairs = np.empty((2, len(u)), dtype=np.int64)
+    np.take(pos, u, out=pairs[0])
+    np.take(pos, v, out=pairs[1])
+    return pairs[:, keep & (pairs >= 0).all(axis=0)]
 
 
 class ArenaCache:

@@ -754,25 +754,13 @@ class ShardEngine:
         and stored values — id-free, so it is invariant to how arena
         ids were allocated.
         """
-        arena = self.arena
-        size = self.size
-        table = arena.pseudonyms
+        table = self.arena.pseudonyms
         own = self.own_ids
         own_values = np.where(own >= 0, table.values[np.maximum(own, 0)], -1)
         digest = hashlib.sha256()
         digest.update(np.packbits(self.online).tobytes())
         digest.update(own_values.tobytes())
-        for ids, lens in (
-            (arena.cache_ids[:size], arena.cache_len[:size]),
-            (arena.link_ids[:size], arena.link_len[:size]),
-        ):
-            live = np.arange(ids.shape[1])[None, :] < lens[:, None]
-            digest.update(lens.tobytes())
-            digest.update(table.values[ids[live]].tobytes())
-        slot_ids = arena.slot_ids[:size]
-        occupied = slot_ids >= 0
-        digest.update(np.packbits(occupied).tobytes())
-        digest.update(table.values[slot_ids[occupied]].tobytes())
+        self.arena.update_digest(digest, self.size)
         return digest.digest()
 
     def link_edges(

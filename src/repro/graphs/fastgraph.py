@@ -143,26 +143,32 @@ class FlatSnapshot:
         """
         node_ids = np.ascontiguousarray(node_ids, dtype=np.int64)
         k = max(len(node_ids), 1)
-        lo = np.minimum(a, b).astype(np.int64, copy=False)
-        hi = np.maximum(a, b).astype(np.int64, copy=False)
-        key = lo * k + hi
+        # key = lo * k + hi, built in place: hi = a + b - lo.
+        key = np.minimum(a, b).astype(np.int64, copy=False)
+        key *= k - 1
+        key += a
+        key += b
         key.sort()
         first = np.ones(len(key), dtype=bool)
         first[1:] = key[1:] != key[:-1]
-        key = key[first]
-        lo = key // k
-        hi = key % k
+        # Both directions of every edge as one source-major key: sorted,
+        # the low parts are the neighbor lists in CSR order.
+        count = int(np.count_nonzero(first))
+        directed = np.empty(2 * count, dtype=np.int64)
+        key = np.compress(first, key, out=directed[:count])
+        lo, hi = np.divmod(key, k)
         degree = np.bincount(lo, minlength=len(node_ids)) + np.bincount(
             hi, minlength=len(node_ids)
         )
         indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(degree, dtype=np.int64))
         )
-        # Both directions of every edge as one source-major key: sorted,
-        # the low parts are the neighbor lists in CSR order.
-        directed = np.concatenate((key, hi * k + lo))
+        reverse = directed[count:]
+        np.multiply(hi, k, out=reverse)
+        reverse += lo
         directed.sort()
-        return cls(node_ids, indptr, directed % k, lo, hi)
+        directed %= k
+        return cls(node_ids, indptr, directed, lo, hi)
 
     def induced(self, keep: np.ndarray) -> "FlatSnapshot":
         """The subgraph induced by a boolean mask over positions."""
@@ -204,7 +210,7 @@ def _component_labels(num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray) ->
         root_u = parent[edge_u]
         root_v = parent[edge_v]
         lo = np.minimum(root_u, root_v)
-        hi = np.maximum(root_u, root_v)
+        hi = np.maximum(root_u, root_v, out=root_v)
         joins = lo < hi
         if not joins.any():
             return parent

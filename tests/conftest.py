@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,35 @@ from repro.graphs import FlatSnapshot
 from repro.rng import RandomStreams
 
 from .csr import graph_from_edges
+
+#: Seconds one test may run before the whole run stops with every
+#: thread's traceback.  The slowest test takes about 5 s on a 2-core
+#: host; a kernel that stops terminating would otherwise hold the run
+#: until the CI job's own limit.
+TEST_DEADLINE_S = 120.0
+
+#: A copy of the terminal's stderr taken before any test captures it:
+#: the traceback must outlive the process, the capture buffer does not.
+_STDERR_FD = []
+
+
+def pytest_configure(config):
+    _STDERR_FD.append(os.dup(sys.stderr.fileno()))
+
+
+def pytest_unconfigure(config):
+    while _STDERR_FD:
+        os.close(_STDERR_FD.pop())
+
+
+@pytest.fixture(autouse=True)
+def _deadline():
+    """Fail a hung test with a traceback instead of hanging the run."""
+    faulthandler.dump_traceback_later(
+        TEST_DEADLINE_S, exit=True, file=_STDERR_FD[0]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from .churn.availability import mean_online_for
 from .errors import ConfigError
@@ -147,9 +149,17 @@ class SystemConfig:
             return INFINITE_LIFETIME
         return self.lifetime_ratio * self.mean_offline_time
 
-    def sampler_size(self, trusted_degree: int) -> int:
-        """The sampler size ``S`` of a node with ``trusted_degree`` friends."""
-        return max(self.min_pseudonym_links, self.target_degree - trusted_degree)
+    def sampler_size(
+        self, trusted_degree: Union[int, np.ndarray]
+    ) -> Union[np.int64, np.ndarray]:
+        """The sampler size ``S`` of a node with ``trusted_degree`` friends.
+
+        Elementwise over an array of degrees: both engines size every
+        node's sampler here.
+        """
+        return np.maximum(
+            self.min_pseudonym_links, self.target_degree - trusted_degree
+        )
 
     @property
     def mean_online_time(self) -> float:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -409,9 +409,10 @@ class NodeArena:
     and columns widen on demand.  The row layout:
 
     * sampler slots — ``slot_refs`` (immutable reference values),
-      ``slot_dist`` (current |value - R|), ``slot_exp`` (occupant
-      expiry), ``slot_ids`` (interned occupant, -1 empty), per-row
-      ``slot_n`` and ``slot_soonest`` (expiry lower bound);
+      ``slot_dist`` (current |value - R|), ``slot_ids`` (interned
+      occupant, -1 empty), per-row ``slot_n`` and ``slot_soonest``
+      (expiry lower bound); an occupant's expiry is read from the
+      pseudonym table;
     * pseudonym cache — ``cache_ids`` insertion-ordered (oldest first),
       optional ``cache_ins`` insertion times (view plane only), per-row
       ``cache_len`` / ``cache_cap`` / ``cache_min_exp``;
@@ -432,7 +433,6 @@ class NodeArena:
         "track_insert_times",
         "slot_refs",
         "slot_dist",
-        "slot_exp",
         "slot_ids",
         "slot_n",
         "slot_soonest",
@@ -461,7 +461,6 @@ class NodeArena:
         self.track_insert_times = track_insert_times
         self.slot_refs = np.zeros((0, 0), dtype=np.int64)
         self.slot_dist = np.zeros((0, 0), dtype=np.int64)
-        self.slot_exp = np.zeros((0, 0), dtype=np.float64)
         self.slot_ids = np.zeros((0, 0), dtype=np.int32)
         self.slot_n = np.zeros(0, dtype=np.int32)
         self.slot_soonest = np.zeros(0, dtype=np.float64)
@@ -512,7 +511,6 @@ class NodeArena:
         self.slot_dist = _grown(
             self.slot_dist, target, self.slot_cols, _EMPTY_DISTANCE
         )
-        self.slot_exp = _grown(self.slot_exp, target, self.slot_cols, -math.inf)
         self.slot_ids = _grown(self.slot_ids, target, self.slot_cols, -1)
         self.cache_ids = _grown(self.cache_ids, target, self.cache_cols, -1)
         if self.cache_ins is not None:
@@ -537,7 +535,6 @@ class NodeArena:
         rows = self.row_capacity
         self.slot_refs = _grown(self.slot_refs, rows, cols, 0)
         self.slot_dist = _grown(self.slot_dist, rows, cols, _EMPTY_DISTANCE)
-        self.slot_exp = _grown(self.slot_exp, rows, cols, -math.inf)
         self.slot_ids = _grown(self.slot_ids, rows, cols, -1)
         self._ensure_link_cols(cols)
 
@@ -577,15 +574,22 @@ class NodeArena:
         self.num_nodes = node_id + 1
 
     def register_batch(
-        self, num_nodes: int, slot_count: int, cache_capacity: int
+        self,
+        num_nodes: int,
+        slot_counts: Union[int, np.ndarray],
+        cache_capacity: int,
     ) -> None:
-        """Claim rows ``0..num_nodes-1`` at once (fresh arenas only)."""
+        """Claim rows ``0..num_nodes-1`` at once (fresh arenas only).
+
+        ``slot_counts`` is each row's sampler size (a scalar applies to
+        every row); the slot columns widen to the largest.
+        """
         if self.num_nodes != 0:
             raise ProtocolError("register_batch requires a fresh arena")
         self._ensure_rows(num_nodes)
-        self._ensure_slot_cols(slot_count)
+        self._ensure_slot_cols(int(np.max(slot_counts, initial=0)))
         self._ensure_cache_cols(cache_capacity)
-        self.slot_n[:num_nodes] = slot_count
+        self.slot_n[:num_nodes] = slot_counts
         self.slot_soonest[:num_nodes] = math.inf
         self.cache_cap[:num_nodes] = cache_capacity
         self.cache_min_exp[:num_nodes] = math.inf
@@ -656,7 +660,6 @@ class NodeArena:
         for name in (
             "slot_refs",
             "slot_dist",
-            "slot_exp",
             "slot_ids",
             "slot_n",
             "slot_soonest",
@@ -682,7 +685,7 @@ class NodeArena:
 
         Checks what the kernels rely on and nothing reads back: row
         lengths within bounds, cells past a row's length -1, an occupied
-        slot's cached distance and expiry equal to its occupant's, the
+        slot's cached distance equal to its occupant's, the
         two expiry bounds really lower bounds, and every pseudonym's
         refcount equal to the cells that store it plus
         ``extra_holders`` (ids held outside the arena: the batch
@@ -732,13 +735,6 @@ class NodeArena:
         require(
             (self.slot_dist[:count] == distance).all(axis=1),
             "slot_dist is not the occupant's distance",
-        )
-        require(
-            (
-                self.slot_exp[:count]
-                == np.where(occupied, ps.expires_at[ids], -math.inf)
-            ).all(axis=1),
-            "slot_exp is not the occupant's expiry",
         )
         require(
             self.slot_soonest[:count]
@@ -914,10 +910,11 @@ class NodeArena:
                     s, r = np.divmod(np.flatnonzero(ties), n)
                     seated = h[s, r].astype(np.int64) - 1
                     wave, k = np.divmod(np.maximum(seated, 0), width)
+                    held = np.where(
+                        seated < 0, occupant[s, r], ids[k, starts[wave] + r]
+                    )
                     incumbent = np.where(
-                        seated < 0,
-                        self.slot_exp[rows[r], s],
-                        ps.expires_at[ids[k, starts[wave] + r]],
+                        held >= 0, ps.expires_at[held], -math.inf
                     )
                     later = ps.expires_at[ids[j, start + r]] > incumbent
                     wins[s[later], r[later]] = True
@@ -932,7 +929,6 @@ class NodeArena:
         expiry = ps.expires_at[new]
         self.slot_ids[node, s] = new
         self.slot_dist[node, s] = best[s, r]
-        self.slot_exp[node, s] = expiry
         soonest = np.full(best.shape, math.inf)
         soonest[s, r] = expiry
         self.slot_soonest[rows] = np.minimum(
@@ -1085,9 +1081,6 @@ class NodeArena:
                 self.slot_ids[slot_rows] = np.where(dead, -1, sids)
                 self.slot_dist[slot_rows] = np.where(
                     dead, _EMPTY_DISTANCE, self.slot_dist[slot_rows]
-                )
-                self.slot_exp[slot_rows] = np.where(
-                    dead, -math.inf, self.slot_exp[slot_rows]
                 )
             # Recompute the expiry lower bound for every row we scanned.
             scanned = np.flatnonzero(self.slot_soonest[:count] <= now)
@@ -1558,7 +1551,6 @@ class ArenaSlots:
             arena.pseudonyms.release(pid)
         arena.slot_ids[row, index] = -1
         arena.slot_dist[row, index] = _EMPTY_DISTANCE
-        arena.slot_exp[row, index] = -math.inf
 
     def offer(self, pseudonym: Pseudonym) -> int:
         """Offer one pseudonym to every slot; returns slots replaced."""
@@ -1586,7 +1578,8 @@ class ArenaSlots:
         arena = self._arena
         row = self._row
         distances = arena.slot_dist[row, :size].tolist()
-        expiries = arena.slot_exp[row]  # read only on a distance tie
+        table = arena.pseudonyms
+        ids = arena.slot_ids[row]
         reach = max(distances)
         empty: List[int] = []
         if reach == _EMPTY_DISTANCE:
@@ -1604,8 +1597,10 @@ class ArenaSlots:
                 slot = slots[position]
                 position += 1
                 distance = distances[slot]
+                # Equally close means occupied: read its expiry.
                 if gap < distance or (
-                    gap == distance and pseudonym.expires_at > expiries[slot]
+                    gap == distance
+                    and pseudonym.expires_at > table.expires_at[ids[slot]]
                 ):
                     key = (gap, -pseudonym.expires_at, index)
                     held = best.get(slot)
@@ -1613,18 +1608,12 @@ class ArenaSlots:
                         best[slot] = key
         for slot in empty:
             reference = by_slot[slot]
-            key = min(
+            best[slot] = min(
                 (abs(pseudonym.value - reference), -pseudonym.expires_at, index)
                 for index, pseudonym in enumerate(pseudonyms)
             )
-            if key[0] < distances[slot] or (
-                key[0] == distances[slot] and -key[1] > expiries[slot]
-            ):
-                best[slot] = key
         if not best:
             return 0
-        table = arena.pseudonyms
-        ids = arena.slot_ids[row]
         soonest = float(arena.slot_soonest[row])
         for slot in sorted(best):
             gap, _, index = best[slot]
@@ -1635,7 +1624,6 @@ class ArenaSlots:
                 table.release(current)
             expiry = candidate.expires_at
             arena.slot_dist[row, slot] = gap
-            arena.slot_exp[row, slot] = expiry
             if expiry < soonest:
                 soonest = expiry
         arena.slot_soonest[row] = soonest
@@ -1653,35 +1641,6 @@ class ArenaSlots:
             slots = sorted(range(self._size), key=by_slot.__getitem__)
             self._by_reference = ([by_slot[slot] for slot in slots], slots, by_slot)
         return self._by_reference
-
-    def refresh_distances(self) -> None:
-        """Recompute cached distances from entries (defensive resync).
-
-        Not needed in normal operation; exposed so property-based tests
-        can verify the cached columns always match the entries.
-        """
-        arena = self._arena
-        row = self._row
-        table = arena.pseudonyms
-        soonest = math.inf
-        ids = arena.slot_ids[row]
-        for index in range(self._size):
-            pid = int(ids[index])
-            if pid < 0:
-                arena.slot_dist[row, index] = _EMPTY_DISTANCE
-                arena.slot_exp[row, index] = -math.inf
-            else:
-                value = int(table.values[pid])
-                expires = float(table.expires_at[pid])
-                arena.slot_dist[row, index] = abs(
-                    value - int(arena.slot_refs[row, index])
-                )
-                arena.slot_exp[row, index] = expires
-                if expires < soonest:
-                    soonest = expires
-        arena.slot_soonest[row] = soonest
-        self._sample_cache = None
-        self._by_reference = None
 
     def holds(self, pseudonyms: Iterable[Pseudonym]) -> bool:
         """Whether every given pseudonym occupies at least one slot."""

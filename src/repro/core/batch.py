@@ -23,9 +23,6 @@ byte-identical replica of the event-driven simulator):
   membership is judged against the cache as each set arrives.
 * Cache eviction drops the oldest entries (the CYCLON rule without the
   just-sent preference).
-* Every node has the same sampler size ``S``,
-  :meth:`~repro.config.SystemConfig.sampler_size` of the *mean* trusted
-  degree (the event simulator sizes each node by its own degree).
 * Offline nodes keep their state; expired material is dropped eagerly
   rather than lazily on rejoin (the post-rejoin state is identical).
 * Only the paper's slot sampler and the global pseudonym lifetime
@@ -282,6 +279,8 @@ class ShardEngine:
     replicated per process — every shard's model is one uniform draw
     per node per round); the engine keeps a view of its own slice and
     reads the full mask only for partner reachability.
+    ``sampler_sizes`` is likewise the population's per-node ``S``; the
+    engine registers its own rows'.
     """
 
     __slots__ = (
@@ -292,7 +291,6 @@ class ShardEngine:
         "lo",
         "hi",
         "size",
-        "slot_count",
         "arena",
         "own_ids",
         "online",
@@ -318,7 +316,7 @@ class ShardEngine:
         config: SystemConfig,
         shard_id: int,
         bounds: np.ndarray,
-        slot_count: int,
+        sampler_sizes: np.ndarray,
         trusted_indptr: np.ndarray,
         trusted_indices: np.ndarray,
         global_online: np.ndarray,
@@ -330,7 +328,6 @@ class ShardEngine:
         self.lo = int(bounds[shard_id])
         self.hi = int(bounds[shard_id + 1])
         self.size = self.hi - self.lo
-        self.slot_count = slot_count
         self._global_online = global_online
         self.online = global_online[self.lo : self.hi]
         self._mint_rng = shard_stream(
@@ -344,17 +341,22 @@ class ShardEngine:
             node_chunk=max(1, self.size),
             track_insert_times=False,
         )
-        self.arena.register_batch(self.size, slot_count, config.cache_size)
+        self.arena.register_batch(
+            self.size, sampler_sizes[self.lo : self.hi], config.cache_size
+        )
         # Immutable per-slot reference values (paper Section III-D2) —
-        # drawn once, whole shard at a time.  Without them every slot
-        # would share reference 0 and collapse onto one pseudonym.
-        if slot_count and self.size:
-            self.arena.slot_refs[: self.size, :slot_count] = shard_stream(
+        # drawn once, whole shard at a time, as wide as its widest row
+        # (columns past a row's ``slot_n`` are never read).  Without
+        # them every slot would share reference 0 and collapse onto one
+        # pseudonym.
+        width = self.arena.slot_cols
+        if width and self.size:
+            self.arena.slot_refs[: self.size, :width] = shard_stream(
                 config.seed, shard_id, self.num_shards, "slot-refs"
             ).integers(
                 0,
                 1 << PSEUDONYM_BITS,
-                size=(self.size, slot_count),
+                size=(self.size, width),
                 dtype=np.int64,
             )
         # The shard's CSR slice: local row offsets, GLOBAL neighbor ids.
@@ -843,12 +845,12 @@ def build_engines(
         ],
         start_all_online=start_all_online,
     )
-    slot_count = config.sampler_size(int(len(trusted_indices) / config.num_nodes))
     indptr = np.ascontiguousarray(trusted_indptr, dtype=np.int64)
     indices = np.ascontiguousarray(trusted_indices, dtype=np.int64)
+    sampler_sizes = config.sampler_size(np.diff(indptr))
     engines = [
         ShardEngine(
-            config, shard, bounds, slot_count, indptr, indices, churn.online
+            config, shard, bounds, sampler_sizes, indptr, indices, churn.online
         )
         for shard in shards
     ]
@@ -915,9 +917,9 @@ class BatchOverlay:
     Parameters
     ----------
     config:
-        Protocol parameters; ``num_nodes`` may be millions.  The
-        sampler size is uniform: ``config.sampler_size`` of the mean
-        trusted degree.
+        Protocol parameters; ``num_nodes`` may be millions.  Each
+        node's sampler size is ``config.sampler_size`` of its own
+        trusted degree, as on the event path.
     trusted_indptr, trusted_indices:
         The trust graph as a symmetric CSR adjacency
         (:func:`ring_lattice_csr`, or any CSR over ``0..n-1``).
@@ -990,11 +992,6 @@ class BatchOverlay:
     def own_ids(self) -> np.ndarray:
         """Own-pseudonym ids (single-shard runs; else ``engines[s]``)."""
         return self._single_engine("own_ids").own_ids
-
-    @property
-    def slot_count(self) -> int:
-        """The sampler size every node uses."""
-        return self.engines[0].slot_count
 
     # ------------------------------------------------------------------
     # the round loop

@@ -285,7 +285,7 @@ class Overlay:
         node = OverlayNode(
             node_id=node_id,
             trusted_neighbors=trusted_neighbors,
-            slot_count=config.sampler_size(len(trusted_neighbors)),
+            slot_count=int(config.sampler_size(len(trusted_neighbors))),
             cache_size=config.cache_size,
             shuffle_length=config.shuffle_length,
             pseudonym_lifetime=config.pseudonym_lifetime,

@@ -130,6 +130,9 @@ class Planes:
     def _values(self, arena, ids):
         return np.where(ids >= 0, arena.pseudonyms.values[ids], -1).tolist()
 
+    def _expiries(self, arena, ids):
+        return np.where(ids >= 0, arena.pseudonyms.expires_at[ids], -math.inf).tolist()
+
     def assert_same_state(self):
         reference, batch = self.reference, self.batch
         reference.check_invariants()
@@ -141,10 +144,9 @@ class Planes:
             assert self._values(batch, batch.slot_ids[row, :size]) == self._values(
                 reference, reference.slot_ids[row, :size]
             ), f"slot row {row}"
-            assert (
-                batch.slot_exp[row, :size].tolist()
-                == reference.slot_exp[row, :size].tolist()
-            )
+            assert self._expiries(
+                batch, batch.slot_ids[row, :size]
+            ) == self._expiries(reference, reference.slot_ids[row, :size])
             for ids, lengths in (("cache_ids", "cache_len"), ("link_ids", "link_len")):
                 assert self._values(
                     batch, getattr(batch, ids)[row, : getattr(batch, lengths)[row]]
@@ -232,7 +234,7 @@ class TestCollisions:
         )
         assert changed.tolist() == [1] and len(unseated) == 0
         assert table.values[seated].tolist() == [110]
-        assert arena.slot_exp[0, 0] == 5.0
+        assert table.expires_at[arena.slot_ids[0, 0]] == 5.0
         table.acquire_batch(seated)
         arena.check_invariants(extra_holders=ids)
 
@@ -432,7 +434,6 @@ class TestInvariantChecker:
             (lambda a: a.cache_cap.__setitem__(0, 1), "past capacity"),
             (lambda a: a.link_ids.__setitem__((1, 1), 0), "link cells and length"),
             (lambda a: a.slot_dist.__setitem__((0, 0), 3), "slot_dist"),
-            (lambda a: a.slot_exp.__setitem__((0, 1), 1.0), "slot_exp"),
             (lambda a: a.slot_soonest.__setitem__(0, 99.0), "slot_soonest"),
             (lambda a: a.cache_min_exp.__setitem__(1, 99.0), "cache_min_exp"),
             (lambda a: a.slot_n.__setitem__(1, 1), "past the slot count"),

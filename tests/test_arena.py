@@ -36,6 +36,7 @@ from repro.core import (
 from repro.churn.batch import ShardedChurn
 from repro.core.batch import ring_lattice_csr
 from repro.errors import ChurnError, ProtocolError
+from repro.experiments import QUICK, make_config, make_trust_graph
 from repro.privlink import Address
 from repro.rng import RandomStreams
 
@@ -180,7 +181,9 @@ class TestBatchKernelParity:
 
     def test_kernels_match_object_loops(self):
         num_nodes, rounds, k = 40, 8, 10
-        slot_count, capacity = 8, 12
+        # Rows of different sampler sizes, an empty sampler among them.
+        slot_counts = [(8, 9, 10, 0)[n % 4] for n in range(num_nodes)]
+        capacity = 12
         data = RandomStreams(SEED).substream("kernels", "data")
         own_values = [int(v) for v in data.integers(1, 1 << 62, size=num_nodes)]
         owns = [_p(own_values[n], float(rounds + 5)) for n in range(num_nodes)]
@@ -196,8 +199,10 @@ class TestBatchKernelParity:
         refs = RandomStreams(SEED).substream("kernels", "refs")
         reference = NodeArena()
         for n in range(num_nodes):
-            reference.register_node(n, slot_count, capacity)
-        slots = [ArenaSlots(reference, n, slot_count, refs) for n in range(num_nodes)]
+            reference.register_node(n, slot_counts[n], capacity)
+        slots = [
+            ArenaSlots(reference, n, slot_counts[n], refs) for n in range(num_nodes)
+        ]
         caches = [ArenaCache(reference, n, capacity) for n in range(num_nodes)]
         links = [ArenaLinkSet(reference, n, ()) for n in range(num_nodes)]
         for r in range(rounds):
@@ -218,8 +223,9 @@ class TestBatchKernelParity:
         arena = NodeArena(
             PseudonymArena(chunk=64), node_chunk=8, track_insert_times=False
         )
-        arena.register_batch(num_nodes, slot_count, capacity)
-        arena.slot_refs[:, :slot_count] = reference.slot_refs[:num_nodes, :slot_count]
+        arena.register_batch(num_nodes, np.array(slot_counts), capacity)
+        width = arena.slot_cols
+        arena.slot_refs[:num_nodes] = reference.slot_refs[:num_nodes, :width]
         table = arena.pseudonyms
         own_ids = np.array([table.intern(p) for p in owns], dtype=np.int64)
         rows = np.arange(num_nodes, dtype=np.int64)
@@ -241,13 +247,14 @@ class TestBatchKernelParity:
         for n in range(num_nodes):
             assert [
                 None if e is None else (e.value, e.expires_at)
-                for e in (slots[n].entry(i) for i in range(slot_count))
+                for e in (slots[n].entry(i) for i in range(slot_counts[n]))
             ] == [
                 None
                 if pid < 0
                 else (int(table.values[pid]), float(table.expires_at[pid]))
-                for pid in arena.slot_ids[n, :slot_count]
+                for pid in arena.slot_ids[n, : slot_counts[n]]
             ], f"slot row {n} diverged"
+            assert (arena.slot_ids[n, slot_counts[n] :] < 0).all()
             assert [p.value for p in caches[n].pseudonyms()] == [
                 int(table.values[pid])
                 for pid in arena.cache_ids[n, : arena.cache_len[n]]
@@ -270,7 +277,7 @@ class TestBatchKernelParity:
         reference.slot_refs[0, 0] = 100
         assert slots.offer_batch(candidates) == 1
         assert slots.entry(0) == candidates[1]
-        assert reference.slot_exp[0, 0] == 5.0
+        assert reference.pseudonyms.expires_at[reference.slot_ids[0, 0]] == 5.0
 
         # batch_absorb drops the expired candidate, so this drives the
         # slot fold itself: one wave, one delivery of both candidates.
@@ -285,7 +292,7 @@ class TestBatchKernelParity:
         assert changed.tolist() == [1] and len(unseated) == 0
         table.acquire_batch(seated)
         assert int(table.values[arena.slot_ids[0, 0]]) == 110
-        assert arena.slot_exp[0, 0] == reference.slot_exp[0, 0]
+        assert table.expires_at[arena.slot_ids[0, 0]] == 5.0
         arena.check_invariants(extra_holders=ids)
 
     def test_sample_cache_is_uniform_without_replacement(self):
@@ -485,10 +492,28 @@ class TestBatchOverlay:
 
     def test_slot_references_are_seeded(self):
         overlay = BatchOverlay.build(_batch_config(100))
-        refs = overlay.arena.slot_refs[:100, : overlay.slot_count]
+        refs = overlay.arena.slot_refs[:100]
         # Distinct random 63-bit references, not a shared constant.
         assert len(np.unique(refs)) > 90
         assert (refs >= 0).all()
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_sampler_sizes_match_the_event_engine(self, num_shards):
+        """One S rule: each node's ``slot_n`` is ``sampler_size`` of its
+        own trusted degree on both engines, whatever the shard grid."""
+        graph = make_trust_graph(QUICK, f=0.5, seed=1)
+        config = make_config(QUICK, alpha=0.5)
+        expected = config.sampler_size(np.diff(graph.indptr))
+        assert len(np.unique(expected)) > 1
+        event = Overlay.build(graph, config).arena.slot_n[: config.num_nodes]
+        batch = BatchOverlay(
+            config, graph.indptr, graph.indices, num_shards=num_shards
+        )
+        rows = np.concatenate(
+            [engine.arena.slot_n[: engine.size] for engine in batch.engines]
+        )
+        np.testing.assert_array_equal(event, expected)
+        np.testing.assert_array_equal(rows, expected)
 
     def test_converges_toward_target_degree(self):
         overlay = BatchOverlay.build(_batch_config(1000))

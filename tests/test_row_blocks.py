@@ -33,7 +33,6 @@ from repro.privlink import Address
 COLUMNS = (
     "slot_ids",
     "slot_dist",
-    "slot_exp",
     "slot_soonest",
     "cache_ids",
     "cache_len",
@@ -167,9 +166,13 @@ class TestAbsorb:
         carry their folded state forward."""
         draw = data.draw
         num_rows = draw(st.integers(1, 9))
-        slots = draw(st.integers(0, 3))
+        # Each row its own sampler size.
+        slot_counts = draw(
+            st.lists(st.integers(0, 3), min_size=num_rows, max_size=num_rows)
+        )
         arena = NodeArena()
-        arena.register_batch(num_rows, slots, draw(st.integers(1, 4)))
+        arena.register_batch(num_rows, np.array(slot_counts), draw(st.integers(1, 4)))
+        slots = arena.slot_cols
         refs = draw(
             st.lists(
                 st.integers(0, 12),
@@ -261,12 +264,14 @@ class TestDigest:
 
     @pytest.mark.parametrize("block", [1, 7, 13, 2000])
     def test_digest_equals_a_one_shot_hash(self, block):
-        """Ten slots a row, so a block of 1, 7 or 13 rows does not
-        end its packed slot bits on a byte: the blocks round up to 8
-        and 16 rows.  2000 is every row at once."""
+        """Slot rows whose width is not a multiple of eight, so a
+        block of 1, 7 or 13 rows does not end its packed slot bits on a
+        byte: the blocks round up to 8 and 16 rows.  2000 is every row
+        at once."""
         config = dataclasses.replace(CONFIG, target_degree=15)
         overlay = BatchOverlay.build(config, extra_edges_per_node=4, num_shards=2)
-        assert overlay.slot_count == 10
+        for engine in overlay.engines:
+            assert engine.arena.slot_cols % 8 != 0
         overlay.run(3)
         for engine in overlay.engines:
             with _blocks(block):

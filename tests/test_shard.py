@@ -197,12 +197,13 @@ class TestCrossCommitPins:
         mean_offline_time=8.0,
         seed=1,
     )
-    #: ``state_digest()`` after 8 rounds, per shard count, as computed
-    #: on commit 489c08b (before the gather-once absorb).
+    #: ``state_digest()`` after 8 rounds, per shard count.  Re-pinned
+    #: once when each node's sampler size became ``sampler_size`` of its
+    #: own trusted degree (before, every node had S of the mean degree).
     DIGESTS = {
-        1: "b32289d80394e38b2d273f19f448822742b9a7e5b02b1846af629a7c72ac1c0d",
-        2: "2b3fd064c3843bce94a9da1ba0f66e1ce5f4261af2ea1acfed93972633aef5e3",
-        3: "071d9e9b2d164f39ccfd084960bc289a8d75b63c5fd1069e6b2a8f185b34e322",
+        1: "5bbe78a1006739e1e1e23cf6a19717d41c892312105f76c9e6f1233d65b3bd44",
+        2: "7d97441588bb6f7f83da90aa174b58ec2434ca550f4188f68a345eb650e4bcff",
+        3: "3a1d7a2ed6866be6fe50d8cd4898751b88cb1fc423e1f25353ae56b7785f0cfc",
     }
 
     def _overlay(self, num_shards):

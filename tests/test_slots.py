@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import Pseudonym
+from repro.core import ArenaSlots, NodeArena, Pseudonym
 from repro.errors import ProtocolError
 from repro.privlink import Address
 
@@ -180,14 +180,15 @@ class TestSamplingProperties:
         assert slots.holds([entry])
         assert not slots.holds([_pseudonym(4)])
 
-    def test_refresh_distances_consistency(self, rng):
-        slots = make_slots(10, rng)
+    def test_cached_columns_consistency(self, rng):
+        arena = NodeArena(node_chunk=1)
+        arena.register_node(0, 10, 0)
+        slots = ArenaSlots(arena, 0, 10, rng)
         values = np.random.default_rng(3).integers(0, 1 << 62, size=30)
         slots.offer_batch([_pseudonym(int(value)) for value in values])
-        before = [slots.entry(index) for index in range(10)]
-        slots.refresh_distances()
-        after = [slots.entry(index) for index in range(10)]
-        assert before == after
+        # The cached distances are the occupants' and the soonest-expiry
+        # bound holds.
+        arena.check_invariants()
         # Offering the same batch again changes nothing.
         assert slots.offer_batch([_pseudonym(int(value)) for value in values]) == 0
 

@@ -75,6 +75,13 @@ _NO_IDS = np.zeros(0, dtype=np.int64)
 #: transposed columns stay within a core's L2 (``docs/node_plane.md``).
 BLOCK_ROWS = 8192
 
+#: Widest cache :meth:`NodeArena.sample_cache` ranks.  Its sort key packs
+#: a 53-bit random key above ``bit_length(cache_cols - 1)`` column bits
+#: into one uint64, so at most 2¹¹ columns fit.
+SAMPLE_MAX_COLS = 2048
+
+_DEAD_KEY = np.iinfo(np.uint64).max
+
 
 def _wave_major(dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Order deliveries so that every wave is a prefix of the receivers.
@@ -100,7 +107,7 @@ def _wave_major(dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.concatenate(([True], sorted_dst[1:] != sorted_dst[:-1]))
     )
     per_row = np.diff(np.append(first, count))
-    ranked = np.argsort(-per_row, kind="stable")
+    ranked = _most_first(per_row)
     rank = np.empty_like(ranked)
     rank[ranked] = np.arange(len(ranked))
     sizes = len(first) - np.cumsum(np.bincount(per_row))[:-1]
@@ -109,6 +116,18 @@ def _wave_major(dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.empty(count, dtype=np.int64)
     order[starts[wave] + np.repeat(rank, per_row)] = by_row
     return sorted_dst[first][ranked], order, sizes
+
+
+def _most_first(counts: np.ndarray) -> np.ndarray:
+    """``np.argsort(-counts, kind="stable")`` for non-negative ``counts``.
+
+    Sorts ``max - counts`` in the smallest unsigned dtype that holds it:
+    numpy radix-sorts 8- and 16-bit keys, and the order is the same.
+    """
+    most = counts.max(initial=0)
+    return np.argsort(
+        (most - counts).astype(np.min_scalar_type(most)), kind="stable"
+    )
 
 
 def _drop_repeats(cells: np.ndarray) -> None:
@@ -1121,24 +1140,47 @@ class NodeArena:
     ) -> np.ndarray:
         """Uniform distinct cache samples: up to ``count`` ids per row.
 
-        ``keys`` is a ``(len(rows), cache_cols)`` array of random floats
-        supplied by the caller (the arena draws no randomness itself);
-        each row returns the entries holding its ``count`` smallest
-        keys — a uniform without-replacement sample.  Padded with -1.
-        Ranks :data:`BLOCK_ROWS` rows at a time.
+        ``keys`` is a ``(len(rows), cache_cols)`` array of
+        ``Generator.random`` floats supplied by the caller (the arena
+        draws no randomness itself); each row returns the entries holding
+        its ``count`` smallest keys, equal keys by column — a uniform
+        without-replacement sample.  Padded with -1.  Ranks
+        :data:`BLOCK_ROWS` rows at a time.
+
+        Each key is exactly ``k · 2⁻⁵³`` for an integer ``k``, so the
+        rank key ``k << b | column``, ``b = bit_length(cache_cols - 1)``,
+        is exact and no two live cells share one; dead cells rank last at
+        uint64 max.  So a plain (unstable) sort of the rank keys puts the
+        columns in the stable order of the float keys, and the low ``b``
+        bits of the first ``count`` name them.  Needs ``cache_cols`` ≤
+        :data:`SAMPLE_MAX_COLS`.
         """
-        if count <= 0 or self.cache_cols == 0:
+        cols = self.cache_cols
+        if cols > SAMPLE_MAX_COLS:
+            raise ProtocolError(
+                f"sample_cache ranks at most {SAMPLE_MAX_COLS} cache "
+                f"columns, the arena has {cols}"
+            )
+        if count <= 0 or cols == 0:
             return np.full((len(rows), max(count, 0)), -1, dtype=np.int32)
-        width = min(count, self.cache_cols)
+        width = min(count, cols)
         picked = np.empty((len(rows), width), dtype=np.int32)
-        columns = np.arange(self.cache_cols)
+        columns = np.arange(cols, dtype=np.uint64)
+        bits = (cols - 1).bit_length()
+        low = np.uint64((1 << bits) - 1)
         for lo in range(0, len(rows), BLOCK_ROWS):
             block = rows[lo : lo + BLOCK_ROWS]
-            live = columns < self.cache_len[block][:, None]
-            ranked = np.where(live, keys[lo : lo + BLOCK_ROWS], math.inf)
-            order = np.argsort(ranked, axis=1, kind="stable")[:, :count]
-            ids = np.where(live, self.cache_ids[block], -1)
-            picked[lo : lo + BLOCK_ROWS] = np.take_along_axis(ids, order, axis=1)
+            lens = self.cache_len[block][:, None]
+            ranked = (keys[lo : lo + BLOCK_ROWS] * 2.0**53).astype(np.uint64)
+            ranked <<= np.uint64(bits)
+            ranked |= columns
+            np.putmask(ranked, np.arange(cols) >= lens, _DEAD_KEY)
+            ranked.sort(axis=1)
+            # A dead cell's low bits may name no column; it reads -1 below.
+            col = np.minimum(ranked[:, :width] & low, cols - 1).astype(np.intp)
+            ids = self.cache_ids[block[:, None], col]
+            np.putmask(ids, np.arange(width) >= lens, -1)
+            picked[lo : lo + BLOCK_ROWS] = ids
         return picked
 
 

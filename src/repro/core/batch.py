@@ -83,7 +83,7 @@ from ..churn.batch import ShardedChurn
 from ..errors import ConfigError, GraphError, ProtocolError
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..rng import PSEUDONYM_BITS, RandomStreams
-from .arena import NodeArena, PseudonymArena, assemble_snapshot
+from .arena import SAMPLE_MAX_COLS, NodeArena, PseudonymArena, assemble_snapshot
 
 __all__ = [
     "BatchOverlay",
@@ -189,7 +189,8 @@ def check_batch_inputs(
     """Reject a config the engine cannot run, or a malformed trust CSR.
 
     ``config`` must ask for neither the cache sampler nor adaptive
-    lifetimes (see the module's discretizations).  The CSR must be
+    lifetimes (see the module's discretizations), nor a cache wider
+    than :meth:`NodeArena.sample_cache` ranks.  The CSR must be
     ``config.num_nodes`` rows: ``trusted_indptr`` starts at 0, never
     decreases and ends at ``len(trusted_indices)``, and every index
     names a node.  O(E); symmetry is the caller's to keep.
@@ -203,6 +204,11 @@ def check_batch_inputs(
         raise ConfigError(
             "the batch engine has no per-node lifetimes, got "
             f"adaptive_lifetime={config.adaptive_lifetime!r}"
+        )
+    if config.cache_size > SAMPLE_MAX_COLS:
+        raise ConfigError(
+            f"the batch engine samples caches of at most {SAMPLE_MAX_COLS} "
+            f"entries, got cache_size={config.cache_size}"
         )
     num_nodes = config.num_nodes
     indptr = np.asarray(trusted_indptr)
@@ -219,6 +225,27 @@ def check_batch_inputs(
         )
     if len(indices) and (indices.min() < 0 or indices.max() >= num_nodes):
         raise GraphError(f"trusted_indices must lie in [0, {num_nodes})")
+
+
+def _unique_first(
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_inverse=True)``.
+
+    Without its mergesort: one default argsort, then each run of equal
+    values is one distinct value, and its first occurrence is the run's
+    smallest index whatever order the sort left the run in.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    head = np.empty(len(values), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, heads)
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[heads], first, inverse
 
 
 def combine_shard_digests(round_no: int, shard_digests: Sequence[bytes]) -> str:
@@ -426,7 +453,7 @@ class ShardEngine:
         self._partners = partners
         out: Dict[int, PairBatch] = {}
         dst_shards = shard_of(self.bounds, partners)
-        for dst in np.unique(dst_shards):
+        for dst in np.flatnonzero(np.bincount(dst_shards)):
             sel = dst_shards == dst
             out[int(dst)] = PairBatch(
                 self.shard_id, initiators[sel], partners[sel]
@@ -448,14 +475,11 @@ class ShardEngine:
         if self.size == 0:
             return {}
         arena = self.arena
-        partner_rows = [
-            batch.partners - self.lo for batch in self._in_pairs
-        ]
-        participants = np.unique(
-            np.concatenate(
-                [self._initiators - self.lo] + partner_rows
-            ).astype(np.int64)
-        )
+        involved = np.zeros(self.size, dtype=bool)
+        involved[self._initiators - self.lo] = True
+        for batch in self._in_pairs:
+            involved[batch.partners - self.lo] = True
+        participants = np.flatnonzero(involved)
         if len(participants) == 0:
             self._sets = np.zeros(
                 (0, self.config.shuffle_length), dtype=np.int32
@@ -501,7 +525,7 @@ class ShardEngine:
         # Requests: local initiators' sets travel to each remote
         # partner's shard.
         dst_shards = shard_of(self.bounds, self._partners)
-        for dst in np.unique(dst_shards):
+        for dst in np.flatnonzero(np.bincount(dst_shards)):
             if dst == self.shard_id:
                 continue
             sel = dst_shards == dst
@@ -576,10 +600,12 @@ class ShardEngine:
         r_dst = np.concatenate(req_dst) if req_dst else empty_rows
         r_init = np.concatenate(req_init) if req_init else empty_rows
         r_cands = np.concatenate(req_cands) if req_cands else empty_cands
-        r_order = np.argsort(r_init, kind="stable")
+        # Initiator ids are unique (one exchange per online node), so
+        # the default sort is a stable one.
+        r_order = np.argsort(r_init)
         p_init = np.concatenate(resp_init) if resp_init else empty_rows
         p_cands = np.concatenate(resp_cands) if resp_cands else empty_cands
-        p_order = np.argsort(p_init, kind="stable")
+        p_order = np.argsort(p_init)
         dst = np.concatenate((r_dst[r_order], p_init[p_order] - self.lo))
         cands = np.concatenate((r_cands[r_order], p_cands[p_order]))
         self.counters["sets_absorbed"] += len(dst)
@@ -703,16 +729,16 @@ class ShardEngine:
         valid = flat_values >= 0
         if not valid.any():
             return out.reshape(values.shape).astype(np.int32)
+        # Live values are distinct in the table: a value seen again is
+        # interned to its live id, and mints are 63-bit random draws.  So
+        # the default sort orders the lookup as a stable one would.
         if self._lookup_values is None:
             live = np.flatnonzero(table.refcounts[: table.capacity] > 0)
             live_values = table.values[live]
-            order = np.argsort(live_values, kind="stable")
+            order = np.argsort(live_values)
             self._lookup_values = live_values[order]
             self._lookup_pids = live[order].astype(np.int64)
-        vv = flat_values[valid]
-        uvals, first, inverse = np.unique(
-            vv, return_index=True, return_inverse=True
-        )
+        uvals, first, inverse = _unique_first(flat_values[valid])
         known = self._lookup_values
         upids = np.full(len(uvals), -1, dtype=np.int64)
         hit = np.zeros(len(uvals), dtype=bool)
@@ -733,7 +759,7 @@ class ShardEngine:
             upids[new] = minted
             merged_values = np.concatenate((known, uvals[new]))
             merged_pids = np.concatenate((self._lookup_pids, minted))
-            order = np.argsort(merged_values, kind="stable")
+            order = np.argsort(merged_values)
             self._lookup_values = merged_values[order]
             self._lookup_pids = merged_pids[order]
         instance_pids = upids[inverse]

@@ -433,8 +433,7 @@ class NodeArena:
       (expiry lower bound); an occupant's expiry is read from the
       pseudonym table;
     * pseudonym cache — ``cache_ids`` insertion-ordered (oldest first),
-      optional ``cache_ins`` insertion times (view plane only), per-row
-      ``cache_len`` / ``cache_cap`` / ``cache_min_exp``;
+      per-row ``cache_len`` / ``cache_cap`` / ``cache_min_exp``;
     * pseudonym links — ``link_ids`` in link-table order, ``link_len``;
     * trusted links — an optional static CSR
       (:meth:`set_trusted_csr`, batch plane; the view plane keeps the
@@ -449,14 +448,12 @@ class NodeArena:
         "pseudonyms",
         "node_chunk",
         "num_nodes",
-        "track_insert_times",
         "slot_refs",
         "slot_dist",
         "slot_ids",
         "slot_n",
         "slot_soonest",
         "cache_ids",
-        "cache_ins",
         "cache_len",
         "cache_cap",
         "cache_min_exp",
@@ -470,23 +467,18 @@ class NodeArena:
         self,
         pseudonyms: Optional[PseudonymArena] = None,
         node_chunk: int = 1024,
-        track_insert_times: bool = True,
     ) -> None:
         if node_chunk < 1:
             raise ProtocolError(f"node_chunk must be >= 1, got {node_chunk}")
         self.pseudonyms = pseudonyms if pseudonyms is not None else PseudonymArena()
         self.node_chunk = node_chunk
         self.num_nodes = 0
-        self.track_insert_times = track_insert_times
         self.slot_refs = np.zeros((0, 0), dtype=np.int64)
         self.slot_dist = np.zeros((0, 0), dtype=np.int64)
         self.slot_ids = np.zeros((0, 0), dtype=np.int32)
         self.slot_n = np.zeros(0, dtype=np.int32)
         self.slot_soonest = np.zeros(0, dtype=np.float64)
         self.cache_ids = np.zeros((0, 0), dtype=np.int32)
-        self.cache_ins: Optional[np.ndarray] = (
-            np.zeros((0, 0), dtype=np.float64) if track_insert_times else None
-        )
         self.cache_len = np.zeros(0, dtype=np.int32)
         self.cache_cap = np.zeros(0, dtype=np.int32)
         self.cache_min_exp = np.zeros(0, dtype=np.float64)
@@ -532,8 +524,6 @@ class NodeArena:
         )
         self.slot_ids = _grown(self.slot_ids, target, self.slot_cols, -1)
         self.cache_ids = _grown(self.cache_ids, target, self.cache_cols, -1)
-        if self.cache_ins is not None:
-            self.cache_ins = _grown(self.cache_ins, target, self.cache_cols, 0.0)
         self.link_ids = _grown(self.link_ids, target, self.link_cols, -1)
         for name, fill in (
             ("slot_n", 0),
@@ -562,8 +552,6 @@ class NodeArena:
             return
         rows = self.row_capacity
         self.cache_ids = _grown(self.cache_ids, rows, cols, -1)
-        if self.cache_ins is not None:
-            self.cache_ins = _grown(self.cache_ins, rows, cols, 0.0)
 
     def _ensure_link_cols(self, cols: int) -> None:
         if cols <= self.link_cols:
@@ -690,8 +678,6 @@ class NodeArena:
             "link_len",
         ):
             total += getattr(self, name).nbytes
-        if self.cache_ins is not None:
-            total += self.cache_ins.nbytes
         if self.trusted_indptr is not None:
             total += self.trusted_indptr.nbytes + self.trusted_indices.nbytes
         ps = self.pseudonyms
@@ -988,10 +974,6 @@ class NodeArena:
             (cols + width + 1, count), -1, dtype=self.cache_ids.dtype
         )
         table[:cols] = self.cache_ids[rows].T
-        stamps = None
-        if self.cache_ins is not None:
-            stamps = np.zeros(table.shape)
-            stamps[:cols] = self.cache_ins[rows].T
         length = self.cache_len[rows].astype(np.int64)
         capacity = self.cache_cap[rows].astype(np.int64)
         bound = self.cache_min_exp[rows]
@@ -1008,10 +990,6 @@ class NodeArena:
                 fresh &= block != table[c, :n]
             # Survivors append in set order behind the row's length.
             end = _append(table[:, :n], length[:n], block, fresh)
-            if stamps is not None:
-                _append(
-                    stamps[:, :n], length[:n], np.full(block.shape, now), fresh
-                )
             # FIFO eviction: a full row drops its oldest cells, which is
             # every column moving down by the row's overflow.
             shift = np.maximum(end - capacity[:n], 0)
@@ -1019,8 +997,6 @@ class NodeArena:
             source = shift * count + np.arange(n) + column
             table[:cols, :n] = table.reshape(-1)[source]
             table[cols:-1, :n] = -1
-            if stamps is not None:
-                stamps[:cols, :n] = stamps.reshape(-1)[source]
             inserted[:n] += end - length[:n]
             length[:n] = end - shift
             # An entry already cached expires no sooner than the row's
@@ -1030,8 +1006,6 @@ class NodeArena:
             cached.append(block[fresh])
             offset += n
         self.cache_ids[rows] = table[:cols].T
-        if stamps is not None:
-            self.cache_ins[rows] = stamps[:cols].T
         self.cache_len[rows] = length
         self.cache_min_exp[rows] = bound
         return inserted, np.concatenate(cached), np.concatenate(evicted)
@@ -1123,10 +1097,6 @@ class NodeArena:
             order = np.argsort(~keep, axis=1, kind="stable")
             packed = np.take_along_axis(np.where(keep, ids, -1), order, axis=1)
             self.cache_ids[cache_rows] = packed
-            if self.cache_ins is not None:
-                self.cache_ins[cache_rows] = np.take_along_axis(
-                    self.cache_ins[cache_rows], order, axis=1
-                )
             self.cache_len[cache_rows] = keep.sum(axis=1)
             exp = np.where(
                 keep, ps.expires_at[np.where(keep, ids, 0)], math.inf
@@ -1240,7 +1210,7 @@ class ArenaCache:
     honestly minted pseudonyms, but the policy is total anyway).
 
     The entry table is the row's insertion-ordered ``cache_ids``
-    (oldest first) with parallel insertion times.
+    (oldest first).
     """
 
     __slots__ = ("_arena", "_row")
@@ -1248,10 +1218,6 @@ class ArenaCache:
     def __init__(self, arena: NodeArena, row: int, capacity: int) -> None:
         if capacity < 1:
             raise ProtocolError(f"cache capacity must be >= 1, got {capacity}")
-        if arena.cache_ins is None:
-            raise ProtocolError(
-                "cache views need an arena with track_insert_times=True"
-            )
         self._arena = arena
         self._row = row
         arena._ensure_cache_cols(capacity)
@@ -1297,8 +1263,6 @@ class ArenaCache:
         arena.pseudonyms.release(int(ids[position]))
         ids[position : length - 1] = ids[position + 1 : length]
         ids[length - 1] = -1
-        ins = arena.cache_ins[row]
-        ins[position : length - 1] = ins[position + 1 : length]
         arena.cache_len[row] = length - 1
 
     def remove_expired(self, now: float) -> int:
@@ -1318,8 +1282,6 @@ class ArenaCache:
                 arena.pseudonyms.release(int(pid))
             arena.cache_ids[row, : len(kept)] = kept
             arena.cache_ids[row, len(kept) : length] = -1
-            kept_ins = arena.cache_ins[row, :length][keep].copy()
-            arena.cache_ins[row, : len(kept)] = kept_ins
             arena.cache_len[row] = len(kept)
         arena.cache_min_exp[row] = (
             float(expires[keep].min()) if keep.any() else math.inf
@@ -1392,7 +1354,7 @@ class ArenaCache:
         # the next place after the last.  ``position`` maps every cached
         # value to its place, an evicted place joins ``dead``, and the
         # oldest entry is the first place not dead.  A refresh keeps its
-        # place and insertion time.
+        # place.
         ids = row_ids[:length].tolist()
         values = table.values[row_ids[:length]].tolist()
         position = dict(zip(values, range(length)))
@@ -1447,7 +1409,6 @@ class ArenaCache:
             # got shorter and has no tail to clear; ``cache_min_exp``
             # only has to stay a lower bound, which refreshes (later
             # expiry) and evictions cannot break.
-            ins = arena.cache_ins[row]
             start = length
             if dead:
                 evicted = [place for place in dead if place < length]
@@ -1455,13 +1416,11 @@ class ArenaCache:
                 keep[evicted] = False
                 start = length - len(evicted)
                 row_ids[:length].compress(keep, out=row_ids[:start])
-                ins[:length].compress(keep, out=ins[:start])
             added = [
                 ids[place] for place in range(length, len(ids)) if place not in dead
             ]
             end = start + len(added)
             row_ids[start:end] = added
-            ins[start:end] = now
             arena.cache_len[row] = end
             if soonest < arena.cache_min_exp[row]:
                 arena.cache_min_exp[row] = soonest

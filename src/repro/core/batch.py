@@ -25,6 +25,9 @@ byte-identical replica of the event-driven simulator):
   just-sent preference).
 * Offline nodes keep their state; expired material is dropped eagerly
   rather than lazily on rejoin (the post-rejoin state is identical).
+* Online time counts whole rounds: a node online in a round has spent
+  one period online (``rounds_online``, which Figure 6's per-node
+  message rate divides by).
 * Only the paper's slot sampler and the global pseudonym lifetime
   ``lifetime_ratio * T_off`` exist here: a config with
   ``sampler_mode="cache"`` or ``adaptive_lifetime=True`` raises
@@ -325,6 +328,9 @@ class ShardEngine:
         "trust_lo",
         "trust_hi",
         "trusted_deg",
+        "sent_by_node",
+        "replaced_by_node",
+        "rounds_online",
         "_global_online",
         "_mint_rng",
         "_protocol_rng",
@@ -366,7 +372,6 @@ class ShardEngine:
         self.arena = NodeArena(
             PseudonymArena(chunk=max(4096, self.size)),
             node_chunk=max(1, self.size),
-            track_insert_times=False,
         )
         self.arena.register_batch(
             self.size, sampler_sizes[self.lo : self.hi], config.cache_size
@@ -402,6 +407,11 @@ class ShardEngine:
         self.trust_lo = src[forward]
         self.trust_hi = self.arena.trusted_indices[forward]
         self.own_ids = np.full(self.size, -1, dtype=np.int64)
+        # Per-node counters, observation only (outside the digest).
+        # int32 holds 2^31 messages a node, far past any run.
+        self.sent_by_node = np.zeros(self.size, dtype=np.int32)
+        self.replaced_by_node = np.zeros(self.size, dtype=np.int32)
+        self.rounds_online = np.zeros(self.size, dtype=np.int32)
         self.counters: Dict[str, int] = {
             "messages_sent": 0,
             "exchanges": 0,
@@ -438,6 +448,7 @@ class ShardEngine:
             self._initiators = np.zeros(0, dtype=np.int64)
             self._partners = np.zeros(0, dtype=np.int64)
             return {}
+        self.rounds_online += self.online
         arena = self.arena
         # Expiry purge: slots and caches, then links for every row whose
         # slots changed (the legacy _expire_state ordering — link
@@ -479,6 +490,10 @@ class ShardEngine:
         involved[self._initiators - self.lo] = True
         for batch in self._in_pairs:
             involved[batch.partners - self.lo] = True
+            # Each partner answers its request.
+            self.sent_by_node += np.bincount(
+                batch.partners - self.lo, minlength=self.size
+            )
         participants = np.flatnonzero(involved)
         if len(participants) == 0:
             self._sets = np.zeros(
@@ -649,6 +664,7 @@ class ShardEngine:
         if len(rows) == 0:
             return
         added, removed = self.arena.batch_links_from_slots(rows)
+        self.replaced_by_node[rows] += removed
         self.counters["link_additions"] += int(added.sum())
         self.counters["link_removals"] += int(removed.sum())
 
@@ -686,8 +702,8 @@ class ShardEngine:
             cols = index[rows] - trusted_deg[rows]
             pids = arena.link_ids[rows, cols]
             partner[rows] = arena.pseudonyms.owners[pids]
-        sent = int(active.sum())
-        self.counters["messages_sent"] += sent
+        self.sent_by_node += active
+        self.counters["messages_sent"] += int(active.sum())
         global_ids = np.arange(self.lo, self.hi, dtype=np.int64)
         reachable = (
             active
@@ -808,10 +824,27 @@ class ShardEngine:
         the snapshot keeps, the trusted edges, and :meth:`link_edges`.
         """
         if online_only:
-            ids = self.lo + np.flatnonzero(self.online)
+            ids = self.online_rows()
         else:
             ids = np.arange(self.lo, self.hi, dtype=np.int64)
-        return (ids, self.trust_lo, self.trust_hi) + self.link_edges(now)
+        return (ids,) + self.trust_edges() + self.link_edges(now)
+
+    def online_rows(self) -> np.ndarray:
+        """Global ids of this shard's online nodes, ascending."""
+        return self.lo + np.flatnonzero(self.online)
+
+    def trust_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This shard's trusted edges as global ``(lo, hi)`` columns."""
+        return self.trust_lo, self.trust_hi
+
+    def out_degrees(self, now: float) -> np.ndarray:
+        """Every local node's trusted degree plus its links alive at ``now``."""
+        row, _, alive = self.arena.link_edges(now)
+        return self.trusted_deg + np.bincount(row[alive], minlength=self.size)
+
+    def node_counters(self) -> Tuple[np.ndarray, ...]:
+        """``(messages sent, links replaced, rounds online, trusted degree)``."""
+        return self.sent_by_node, self.replaced_by_node, self.rounds_online, self.trusted_deg
 
     def channel_rows(self, now: float) -> Tuple[np.ndarray, ...]:
         """This shard's part of :meth:`BatchOverlay.channel_edges`.
@@ -825,22 +858,13 @@ class ShardEngine:
         """``(counters, online count)`` for :meth:`BatchOverlay.stats`."""
         return self.counters, int(self.online.sum())
 
-    def degree_mass(self) -> Tuple[int, int]:
-        """``(sum of online nodes' overlay degrees, online count)``."""
-        sel = self.online
-        count = int(sel.sum())
-        if count == 0:
-            return 0, 0
-        degrees = self.trusted_deg + self.arena.link_len[: self.size]
-        return int(degrees[sel].sum()), count
-
     def memory_bytes(self) -> int:
         """Deterministic storage accounting for this shard."""
         total = self.arena.memory_bytes()
         total += self.own_ids.nbytes
         total += self.trust_lo.nbytes + self.trust_hi.nbytes
         total += self.trusted_deg.nbytes
-        return total
+        return total + sum(column.nbytes for column in self.node_counters()[:3])
 
 
 def build_engines(
@@ -1041,13 +1065,30 @@ class BatchOverlay:
         """``engine.method(*args)`` for every engine, in shard order."""
         return [getattr(engine, method)(*args) for engine in self.engines]
 
-    def snapshot(self, online_only: bool = True) -> FlatSnapshot:
+    @property
+    def num_nodes(self) -> int:
+        """Population size."""
+        return self.config.num_nodes
+
+    def substream(self, *key) -> np.random.Generator:
+        """The same ``"aux"`` stream as :meth:`Overlay.substream`."""
+        return RandomStreams(self.config.seed).substream("aux", *key)
+
+    def online_ids(self) -> np.ndarray:
+        """Ids of currently online nodes, ascending."""
+        return _concat(self._parts("online_rows"))
+
+    def snapshot(
+        self, online_only: bool = True, online_ids: Optional[Sequence[int]] = None
+    ) -> FlatSnapshot:
         """The current overlay as a :class:`FlatSnapshot`.
 
         Trusted edges with both ends included plus unexpired pseudonym
         links resolved through the arenas' owner columns — the batch
         analogue of :meth:`Overlay.snapshot`.  Per-shard edge
         lists concatenate in shard order, which is global row order.
+        ``online_ids``, if given, must equal the current online set,
+        which the engines list themselves.
         """
         ids, trust_lo, trust_hi, holder, owner, alive = (
             _concat(column)
@@ -1058,6 +1099,25 @@ class BatchOverlay:
         return assemble_snapshot(
             ids, self.config.num_nodes, trust_lo, trust_hi, (holder, owner, alive)
         )
+
+    def trust_snapshot(self, online_ids: Optional[Sequence[int]] = None) -> FlatSnapshot:
+        """The trust graph restricted to online nodes (baseline metric)."""
+        ids = self.online_ids() if online_ids is None else np.asarray(online_ids)
+        lo, hi = (_concat(column) for column in zip(*self._parts("trust_edges")))
+        none = np.zeros(0, dtype=np.int64)
+        return assemble_snapshot(ids, self.num_nodes, lo, hi, (none, none, none > 0))
+
+    def out_degrees(self, now: Optional[float] = None) -> np.ndarray:
+        """Every node's trusted degree plus its links alive at ``now``."""
+        now = float(self.round) if now is None else now
+        return _concat(self._parts("out_degrees", now))
+
+    def node_counters(self) -> Dict[str, np.ndarray]:
+        """Per-node cumulative counters (copies), indexed by node id;
+        ``online_time`` counts whole rounds online."""
+        names = ("messages_sent", "link_replacements", "online_time", "trust_degree")
+        columns = zip(*self._parts("node_counters"))
+        return dict(zip(names, map(np.concatenate, columns)))
 
     def channel_edges(
         self,
@@ -1097,11 +1157,8 @@ class BatchOverlay:
 
     def mean_out_degree(self) -> float:
         """Mean overlay degree over online nodes (trusted + live links)."""
-        masses = self._parts("degree_mass")
-        count = sum(online for _, online in masses)
-        if count == 0:
-            return 0.0
-        return sum(mass for mass, _ in masses) / count
+        degrees = self.out_degrees()[self.online_ids()]
+        return float(degrees.mean()) if len(degrees) else 0.0
 
     def memory_bytes(self) -> int:
         """Deterministic storage accounting of the *logical* state.

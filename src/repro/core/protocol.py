@@ -21,7 +21,7 @@ simulator, random streams, link layer, and churn from a
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -449,44 +449,54 @@ class Overlay:
 
     trust_snapshot_fast = trust_snapshot  # the older spelling
 
+    @property
+    def num_nodes(self) -> int:
+        """Current population size (:meth:`add_node` grows it)."""
+        return len(self.nodes)
+
+    def _column(self, values) -> np.ndarray:
+        return np.fromiter(values, dtype=np.int64, count=len(self.nodes))
+
+    def out_degrees(self, now: Optional[float] = None) -> np.ndarray:
+        """``OverlayNode.out_degree(now)`` for every node, batched: trusted
+        degree plus unexpired pseudonym links, owners known or not."""
+        if now is None:
+            now = self.sim.now
+        row, _, alive = self.arena.link_edges(now)
+        trusted = self._column(node.links.trusted_degree for node in self.nodes)
+        return trusted + np.bincount(row[alive], minlength=len(self.nodes))
+
     def online_out_degrees(
         self,
         now: Optional[float] = None,
         online_ids: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """``OverlayNode.out_degree(now)`` for every online node, batched.
+        """:meth:`out_degrees` of the online nodes, in (ascending) id order."""
+        return self.out_degrees(now)[self._online_array(online_ids)]
 
-        Returns an int64 array aligned with the (ascending) online id
-        list: trusted degree plus unexpired pseudonym links, including
-        links whose pseudonyms cannot be resolved to an owner — exactly
-        the per-node method, computed with one bincount.
-        """
-        if now is None:
-            now = self.sim.now
-        ids = self._online_array(online_ids)
-        row, _, alive = self.arena.link_edges(now)
-        trusted = np.fromiter(
-            (node.links.trusted_degree for node in self.nodes),
-            dtype=np.int64,
-            count=len(self.nodes),
-        )
-        degrees = trusted + np.bincount(row[alive], minlength=len(self.nodes))
-        return degrees[ids]
+    def node_counters(self) -> Dict[str, np.ndarray]:
+        """Per-node cumulative counters, indexed by node id."""
+        nodes = self.nodes
+        return {
+            "messages_sent": self._column(n.counters.messages_sent for n in nodes),
+            "link_replacements": self._column(n.links.replacements_total for n in nodes),
+            "online_time": np.array([self.total_online_time(n.node_id) for n in nodes]),
+            "trust_degree": self._column(n.links.trusted_degree for n in nodes),
+        }
 
     def stats(self, online_ids: Optional[Sequence[int]] = None) -> OverlayStats:
         """Aggregate cumulative counters.
 
         ``online_ids`` may carry a precomputed :meth:`online_ids` result.
         """
+        counters = self.node_counters()
         stats = OverlayStats(
             time=self.sim.now,
             online_nodes=len(
                 self.online_ids() if online_ids is None else online_ids
             ),
-            messages_sent=sum(node.counters.messages_sent for node in self.nodes),
-            link_replacements=sum(
-                node.links.replacements_total for node in self.nodes
-            ),
+            messages_sent=int(counters["messages_sent"].sum()),
+            link_replacements=int(counters["link_replacements"].sum()),
             pseudonyms_created=sum(
                 node.counters.pseudonyms_created for node in self.nodes
             ),

@@ -3,9 +3,8 @@
 :class:`FigurePoint` is the one point experiment: a frozen, picklable
 callable that builds the trust graph for its config's ``sampling_f``
 and ``seed``, runs the overlay once (on the event simulator, or on the
-sharded batch engine for the ``summary`` record), computes its
-figure's per-point baselines and returns one flat record of JSON
-values.  Each
+sharded batch engine), computes its figure's per-point baselines and
+returns one flat record of JSON values.  Each
 ``figureN(...)`` is a :func:`make_config` base plus the figure's
 :func:`~repro.experiments.sweeps.grid_sweep` axes, so its points fan
 out across ``workers`` with results identical to a serial run, and the
@@ -24,10 +23,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import SystemConfig
-from ..errors import ExperimentError
-from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
-from ..metrics import TimeSeries, message_overhead_by_rank
-from ..parallel.shard import ShardedOverlay, ShardOptions
+from ..metrics import mean_messages_per_period, message_overhead_by_rank
+from ..parallel.shard import ShardOptions
 from ..rng import RandomStreams
 from .results import format_table
 from .runner import (
@@ -150,8 +147,6 @@ def _degree_record(scale, config, trust_graph, result) -> Record:
 
 def _overhead_record(scale, config, trust_graph, result) -> Record:
     """Figure 6: per-node message rates, ranked by trust degree."""
-    from ..metrics import mean_messages_per_period
-
     overheads = message_overhead_by_rank(
         result.overlay, result.collector.max_out_degrees()
     )
@@ -205,47 +200,6 @@ _RECORDS = {
 }
 
 
-def _batch_summary(
-    scale: ExperimentScale,
-    config: SystemConfig,
-    trust_graph: FlatSnapshot,
-    shards: ShardOptions,
-) -> Record:
-    """The ``summary`` record of a :class:`ShardedOverlay` run.
-
-    The engine runs ``scale.total_horizon`` rounds and is sampled after
-    each, as the event run's collector samples once per shuffle period:
-    the online overlay's and the online trust graph's disconnected
-    fractions, tail-averaged over ``scale.measure_window``.
-    """
-    disconnected = TimeSeries("overlay disconnected fraction")
-    trust_disconnected = TimeSeries("trust-graph disconnected fraction")
-    online = np.zeros(config.num_nodes, dtype=bool)
-    with ShardedOverlay(
-        config, trust_graph.indptr, trust_graph.indices, options=shards
-    ) as overlay:
-        for _ in range(int(scale.total_horizon)):
-            overlay.step()
-            snapshot = overlay.snapshot()
-            online[:] = False
-            online[snapshot.node_ids] = True
-            now = float(overlay.round)
-            disconnected.append(now, SnapshotAnalysis(snapshot).fraction_disconnected())
-            trust_disconnected.append(
-                now,
-                SnapshotAnalysis(
-                    trust_graph.induced_by_labels(online)
-                ).fraction_disconnected(),
-            )
-        tail = min(1.0, scale.measure_window / scale.total_horizon)
-        return {
-            "disconnected": disconnected.tail_mean(tail),
-            "trust_disconnected": trust_disconnected.tail_mean(tail),
-            "online_fraction": snapshot.number_of_nodes() / config.num_nodes,
-            "full_edge_count": overlay.snapshot(online_only=False).number_of_edges(),
-        }
-
-
 @dataclasses.dataclass(frozen=True)
 class FigurePoint:
     """One point of a figure: an overlay run plus that figure's baselines.
@@ -261,28 +215,20 @@ class FigurePoint:
     ``shards`` picks the engine: ``None`` runs the event-driven
     :class:`~repro.core.Overlay`, and a :class:`ShardOptions` runs the
     round-based :class:`ShardedOverlay` over that grid on the same trust
-    graph.  Only ``summary`` has a batch-engine record so far.  A point
-    with ``shards`` forks its own shard workers, so a sweep of it runs
-    its points serially: daemonic sweep workers cannot fork.
+    graph, one round per period of the horizon.  Both are sampled by
+    the one :class:`~repro.metrics.MetricsCollector`, so every figure
+    has a record on either engine.  A point with ``shards`` forks its
+    own shard workers, so a sweep of it runs its points serially:
+    daemonic sweep workers cannot fork.
     """
 
     figure: str
     scale: ExperimentScale
     shards: Optional[ShardOptions] = None
 
-    def __post_init__(self) -> None:
-        if self.shards is not None and self.figure != "summary":
-            raise ExperimentError(
-                f"{self.figure!r} has no batch-engine record; only 'summary' "
-                "runs with shards (figure records on the batch engine are "
-                "ROADMAP item 1(ii))"
-            )
-
     def __call__(self, config: SystemConfig) -> Record:
         scale = self.scale
         trust_graph = make_trust_graph(scale, config.sampling_f, config.seed)
-        if self.shards is not None:
-            return _batch_summary(scale, config, trust_graph, self.shards)
         # Figures 8 and 9 follow a cold start over their own horizons.
         long_runs = {"fig8": scale.fig8_horizon, "fig9": scale.fig9_horizon}
         if self.figure in long_runs:
@@ -297,8 +243,13 @@ class FigurePoint:
             measure_window=window,
             path_length_every=scale.path_length_every if self.figure == "fig3" else 0,
             path_sources=scale.path_sources,
+            shards=self.shards,
         )
-        return _RECORDS[self.figure](scale, config, trust_graph, result)
+        try:
+            return _RECORDS[self.figure](scale, config, trust_graph, result)
+        finally:
+            if self.shards is not None:
+                result.overlay.close()
 
 
 def _records(

@@ -2,8 +2,8 @@
 
 Two measurement modes cover everything in the evaluation:
 
-* :func:`run_overlay_experiment` — build an overlay over a trust graph,
-  run it under churn to a stable state with a
+* :func:`run_overlay_experiment` — build an overlay (either engine)
+  over a trust graph, run it under churn to a stable state with a
   :class:`~repro.metrics.MetricsCollector` attached, and summarize.
 * :func:`static_churn_metrics` — the trust-graph and random-graph
   baselines need no protocol: restrict the static graph to random
@@ -14,7 +14,7 @@ Two measurement modes cover everything in the evaluation:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from ..churn import stationary_online_mask
 from ..errors import ExperimentError
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..metrics import MetricsCollector
+from ..parallel.shard import ShardedOverlay, ShardOptions
 
 __all__ = [
     "OverlayRunResult",
@@ -42,7 +43,8 @@ class OverlayRunResult:
     graph restricted to the nodes online at ``horizon``.
     ``full_edge_count`` counts the overlay's links across *all* nodes
     (online or not, expired links excluded); it sizes the matching
-    random-graph baseline.
+    random-graph baseline.  A :class:`ShardedOverlay` is still open:
+    its owner closes it once done reading.
     """
 
     config: SystemConfig
@@ -56,7 +58,7 @@ class OverlayRunResult:
     snapshot: FlatSnapshot
     trust_snapshot: FlatSnapshot
     collector: MetricsCollector
-    overlay: Overlay
+    overlay: Union[Overlay, ShardedOverlay]
 
 
 def run_overlay_experiment(
@@ -66,28 +68,46 @@ def run_overlay_experiment(
     measure_window: float,
     path_length_every: int = 0,
     path_sources: Optional[int] = 32,
+    shards: Optional[ShardOptions] = None,
     **build_options: Any,
 ) -> OverlayRunResult:
     """Run one overlay to ``horizon`` and summarize its stable state.
 
     The overlay is ``Overlay.build(trust_graph, config, **build_options)``
-    (churn specs, link-layer factory, ...).  The collector samples once
-    per shuffle period; tail statistics average over the trailing
-    ``measure_window`` of its series.  Path lengths are reported only
-    when ``path_length_every`` is non-zero.
+    (churn specs, link-layer factory, ...), sampled once per shuffle
+    period, or with ``shards`` a :class:`ShardedOverlay` on the same
+    trust graph, run ``int(horizon)`` rounds and sampled after each.
+    Tail statistics average over the trailing ``measure_window`` of the
+    series.  Path lengths are reported only when ``path_length_every``
+    is non-zero.
     """
     if measure_window <= 0 or measure_window > horizon:
         raise ExperimentError("measure_window must be in (0, horizon]")
-    overlay = Overlay.build(trust_graph, config, **build_options)
+    if shards is None:
+        overlay = Overlay.build(trust_graph, config, **build_options)
+    else:
+        overlay = ShardedOverlay(
+            config, trust_graph.indptr, trust_graph.indices, shards, **build_options
+        )
     collector = MetricsCollector(
         overlay,
         path_length_every=path_length_every,
         path_length_sources=path_sources,
         rng=overlay.substream("collector"),
     )
-    overlay.start()
-    collector.start()
-    overlay.run_until(horizon)
+    try:
+        if shards is None:
+            overlay.start()
+            collector.start()
+            overlay.run_until(horizon)
+        else:
+            for _ in range(int(horizon)):
+                overlay.step()
+                collector.sample(float(overlay.round))
+    except BaseException:
+        if shards is not None:
+            overlay.close()
+        raise
 
     tail_fraction = min(1.0, measure_window / horizon)
     disconnected = collector.disconnected.tail_mean(tail_fraction)

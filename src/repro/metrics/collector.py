@@ -1,7 +1,7 @@
 """Periodic measurement of a running overlay (paper Section IV-C).
 
-:class:`MetricsCollector` attaches to an :class:`~repro.core.Overlay`
-and samples, once per configurable interval:
+:class:`MetricsCollector` is the one sampler of both engines; each
+:meth:`~MetricsCollector.sample` records:
 
 * the fraction of online nodes disconnected from the overlay's largest
   component, and the same metric on the trust-graph baseline;
@@ -12,22 +12,22 @@ and samples, once per configurable interval:
 * the per-period rate of messages per online node;
 * each node's maximum observed out-degree (Figure 6).
 
-Sampling happens inside the simulation via scheduled events, so the
-series align exactly with simulated time.
-
-Each sample materializes the online set **once**, takes a
-:meth:`~repro.core.Overlay.snapshot` flat snapshot and shares a
-single :class:`~repro.graphs.fastgraph.SnapshotAnalysis` component
-labeling across every metric (see docs/metrics.md).
+On an :class:`~repro.core.Overlay`, :meth:`~MetricsCollector.start`
+schedules the samples as simulator events, so the series align exactly
+with simulated time; a batch driver calls ``sample`` after each round.
+Each sample materializes the online set **once**, takes one flat
+snapshot and shares a single
+:class:`~repro.graphs.fastgraph.SnapshotAnalysis` component labeling
+across every metric (see docs/metrics.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..core import Overlay
+from ..core import BatchOverlay, Overlay
 from ..errors import ExperimentError
 from ..graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from ..rng import fallback_rng
@@ -37,11 +37,11 @@ __all__ = ["MetricsCollector"]
 
 
 class MetricsCollector:
-    """Samples overlay health metrics on a fixed simulated-time grid."""
+    """Samples overlay health metrics on a fixed time grid."""
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlay: Union[Overlay, BatchOverlay],
         interval: float = 1.0,
         path_length_every: int = 0,
         path_length_sources: Optional[int] = 32,
@@ -53,7 +53,7 @@ class MetricsCollector:
         overlay:
             The system under measurement (not yet started is fine).
         interval:
-            Sampling interval in shuffling periods.
+            Sampling interval in shuffling periods (1 on a batch run).
         path_length_every:
             Measure normalized path length every this many samples
             (0 disables the metric entirely).
@@ -87,7 +87,7 @@ class MetricsCollector:
         self.replacements_per_node = TimeSeries("link replacements per node per period")
         self.messages_per_node = TimeSeries("messages per node per period")
 
-        self._max_out_degree = np.zeros(len(overlay.nodes), dtype=np.int64)
+        self._max_out_degree = np.zeros(overlay.num_nodes, dtype=np.int64)
         # Trust-baseline labeling cache: Overlay.trust_snapshot
         # returns the identical object while the online set and trust
         # graph are unchanged, so its component labeling is reused too.
@@ -111,12 +111,12 @@ class MetricsCollector:
         }
 
     def start(self, initial_delay: Optional[float] = None) -> None:
-        """Begin sampling (first sample after ``initial_delay``)."""
+        """Begin sampling on the simulator (after ``initial_delay``)."""
         if self._started:
             raise ExperimentError("collector already started")
         self._started = True
         delay = self._interval if initial_delay is None else initial_delay
-        self._overlay.sim.post_after(delay, self._sample)
+        self._overlay.sim.post_after(delay, self._tick)
 
     def _trust_analysis(self, trust_snapshot: FlatSnapshot) -> SnapshotAnalysis:
         cached = self._trust_analysis_cache
@@ -132,12 +132,16 @@ class MetricsCollector:
             grown[: len(self._max_out_degree)] = self._max_out_degree
             self._max_out_degree = grown
 
-    def _sample(self) -> None:
-        self._overlay.sim.post_after(self._interval, self._sample)
+    def _tick(self) -> None:
+        # Repost before measuring: event order is pinned.
+        self._overlay.sim.post_after(self._interval, self._tick)
+        self.sample(self._overlay.sim.now)
+
+    def sample(self, now: float) -> None:
+        """Measure the overlay as it stands, recording at time ``now``."""
         self._samples += 1
         overlay = self._overlay
-        now = overlay.sim.now
-        total_nodes = len(overlay.nodes)
+        total_nodes = overlay.num_nodes
         online_ids = overlay.online_ids()
         online = len(online_ids)
         self.online_count.append(now, float(online))
@@ -177,18 +181,16 @@ class MetricsCollector:
                 ),
             )
 
-        if online_ids:
-            degrees = overlay.online_out_degrees(now, online_ids)
+        if len(online_ids):
             ids = np.asarray(online_ids, dtype=np.int64)
             self._max_out_degree[ids] = np.maximum(
-                self._max_out_degree[ids], degrees
+                self._max_out_degree[ids], overlay.out_degrees(now)[ids]
             )
 
         # Per-period rates from cumulative counters.
-        replacements = sum(
-            node.links.replacements_total for node in overlay.nodes
-        )
-        messages = sum(node.counters.messages_sent for node in overlay.nodes)
+        counters = overlay.node_counters()
+        replacements = int(counters["link_replacements"].sum())
+        messages = int(counters["messages_sent"].sum())
         denominator = max(1, online) * self._interval
         self.replacements_per_node.append(
             now, (replacements - self._last_replacements) / denominator

@@ -11,9 +11,11 @@ requests because more peers hold links to them.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
-from ..core import Overlay
+import numpy as np
+
+from ..core import BatchOverlay, Overlay
 from ..errors import ExperimentError
 
 __all__ = ["NodeOverhead", "message_overhead_by_rank", "mean_messages_per_period"]
@@ -30,8 +32,8 @@ class NodeOverhead:
 
 
 def message_overhead_by_rank(
-    overlay: Overlay,
-    max_out_degrees: Optional[List[int]] = None,
+    overlay: Union[Overlay, BatchOverlay],
+    max_out_degrees: Optional[Sequence[int]] = None,
     min_online_time: float = 1.0,
 ) -> List[NodeOverhead]:
     """Per-node overhead, sorted by descending trust-graph degree.
@@ -39,7 +41,8 @@ def message_overhead_by_rank(
     Parameters
     ----------
     overlay:
-        A (finished or running) overlay experiment.
+        A (finished or running) overlay experiment on either engine;
+        read through its per-node ``node_counters()``.
     max_out_degrees:
         Per-node maximum observed out-degree, as collected by
         :class:`~repro.metrics.collector.MetricsCollector`; falls back
@@ -55,40 +58,35 @@ def message_overhead_by_rank(
     """
     if min_online_time <= 0:
         raise ExperimentError("min_online_time must be positive")
-    now = overlay.sim.now
-    summaries = []
-    for node in overlay.nodes:
-        online_time = overlay.total_online_time(node.node_id)
-        if online_time >= min_online_time:
-            rate = node.counters.messages_sent / online_time
-        else:
-            rate = 0.0
-        if max_out_degrees is not None:
-            max_degree = max_out_degrees[node.node_id]
-        else:
-            max_degree = node.out_degree(now)
-        summaries.append(
-            NodeOverhead(
-                node_id=node.node_id,
-                trust_degree=node.links.trusted_degree,
-                messages_per_period=rate,
-                max_out_degree=max_degree,
-            )
-        )
+    counters = overlay.node_counters()
+    online_time = counters["online_time"]
+    rates = np.divide(
+        counters["messages_sent"],
+        online_time,
+        out=np.zeros(len(online_time)),
+        where=online_time >= min_online_time,
+    )
+    if max_out_degrees is None:
+        max_out_degrees = overlay.out_degrees()
+    # (trust degree, rate, max out-degree) per node, in id order.
+    rows = zip(
+        counters["trust_degree"].tolist(),
+        rates.tolist(),
+        np.asarray(max_out_degrees).tolist(),
+    )
+    summaries = [NodeOverhead(node_id, *row) for node_id, row in enumerate(rows)]
     summaries.sort(key=lambda entry: (-entry.trust_degree, entry.node_id))
     return summaries
 
 
-def mean_messages_per_period(overlay: Overlay) -> float:
+def mean_messages_per_period(overlay: Union[Overlay, BatchOverlay]) -> float:
     """System-wide average messages per node per online period.
 
     The paper's sanity check: this should be close to 2.
     """
-    total_messages = 0
-    total_online_time = 0.0
-    for node in overlay.nodes:
-        total_messages += node.counters.messages_sent
-        total_online_time += overlay.total_online_time(node.node_id)
+    counters = overlay.node_counters()
+    # Summed in node order, left to right.
+    total_online_time = sum(counters["online_time"].tolist())
     if total_online_time <= 0:
         return 0.0
-    return total_messages / total_online_time
+    return int(counters["messages_sent"].sum()) / total_online_time

@@ -16,9 +16,11 @@ computes only the points the store does not hold yet.
 
 With ``--shards N`` each point instead runs the round-based batch
 engine over an N-shard grid (:class:`~repro.parallel.shard.ShardedOverlay`
-with ``--workers`` shard workers) on the same trust graph, and prints
-the same columns; points run serially in that mode, since daemonic
-sweep workers cannot fork shard workers.
+with ``--workers`` shard workers) on the same trust graph, one round
+per period, sampled by the same
+:class:`~repro.metrics.MetricsCollector`, and prints the same columns;
+points run serially in that mode, since daemonic sweep workers cannot
+fork shard workers.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ class Planes:
     def __init__(self, specs):
         """``specs``: one ``(slot refs, cache capacity, own | None)`` per row."""
         self.reference = NodeArena()
-        self.batch = NodeArena(track_insert_times=False)
+        self.batch = NodeArena()
         self.nodes = []
         for row, (refs, capacity, own) in enumerate(specs):
             self.reference.register_node(row, len(refs), capacity)
@@ -224,7 +224,7 @@ class TestCollisions:
         """``test_minus_inf_expiry_is_the_least_preferred_tie_break`` with
         its two candidates in two waves (the absorb filter would drop an
         expired candidate, so this drives the slot fold itself)."""
-        arena = NodeArena(track_insert_times=False)
+        arena = NodeArena()
         arena.register_batch(1, 1, 1)
         arena.slot_refs[0, 0] = 100
         table = arena.pseudonyms
@@ -314,7 +314,7 @@ class TestOneWaveAbsorb:
     """``batch_absorb`` with one delivery per row."""
 
     def test_row_with_only_padding_is_left_alone(self):
-        arena = NodeArena(track_insert_times=False)
+        arena = NodeArena()
         arena.register_batch(3, 2, 2)
         arena.slot_refs[:3, :2] = [[10, 20], [10, 20], [10, 20]]
         table = arena.pseudonyms
@@ -330,19 +330,6 @@ class TestOneWaveAbsorb:
         assert arena.cache_ids[:3, :2].tolist() == [
             [-1, -1], [ids[1], -1], [ids[0], -1],
         ]
-        arena.check_invariants(extra_holders=ids)
-
-    def test_insert_times_follow_the_entries(self):
-        """A tracked arena keeps ``cache_ins`` beside the shifted ids."""
-        arena = NodeArena()
-        arena.register_batch(1, 0, 3)
-        table = arena.pseudonyms
-        ids = [table.intern(_p(v)) for v in (1, 2, 3, 4)]
-        row, own = np.array([0]), np.array([-1])
-        arena.batch_absorb(row, np.array([ids[:2]]), 1.0, own)
-        arena.batch_absorb(row, np.array([ids[2:]]), 2.0, own)
-        assert arena.cache_ids[0, :3].tolist() == ids[1:]
-        assert arena.cache_ins[0, :3].tolist() == [1.0, 2.0, 2.0]
         arena.check_invariants(extra_holders=ids)
 
 
@@ -411,7 +398,7 @@ class TestInvariantChecker:
     """``check_invariants`` names what is broken."""
 
     def _arena(self):
-        arena = NodeArena(track_insert_times=False)
+        arena = NodeArena()
         arena.register_batch(2, 2, 2)
         arena.slot_refs[:2, :2] = [[10, 20], [30, 40]]
         table = arena.pseudonyms

@@ -220,9 +220,7 @@ class TestBatchKernelParity:
                 links[n].update_from_sample(slots[n].sample())
             reference.check_invariants()
 
-        arena = NodeArena(
-            PseudonymArena(chunk=64), node_chunk=8, track_insert_times=False
-        )
+        arena = NodeArena(PseudonymArena(chunk=64), node_chunk=8)
         arena.register_batch(num_nodes, np.array(slot_counts), capacity)
         width = arena.slot_cols
         arena.slot_refs[:num_nodes] = reference.slot_refs[:num_nodes, :width]
@@ -281,7 +279,7 @@ class TestBatchKernelParity:
 
         # batch_absorb drops the expired candidate, so this drives the
         # slot fold itself: one wave, one delivery of both candidates.
-        arena = NodeArena(track_insert_times=False)
+        arena = NodeArena()
         arena.register_batch(1, 1, 1)
         arena.slot_refs[0, 0] = 100
         table = arena.pseudonyms
@@ -296,7 +294,7 @@ class TestBatchKernelParity:
         arena.check_invariants(extra_holders=ids)
 
     def test_sample_cache_is_uniform_without_replacement(self):
-        arena = NodeArena(track_insert_times=False)
+        arena = NodeArena()
         arena.register_batch(2, 0, 8)
         table = arena.pseudonyms
         ids = np.array(

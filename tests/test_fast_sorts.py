@@ -39,7 +39,7 @@ TOP = (2**53 - 1) * 2.0**-53
 def _arena(cache_ids, cache_len):
     """An arena whose cache columns are exactly ``cache_ids`` / ``cache_len``."""
     rows, cols = cache_ids.shape
-    arena = NodeArena(track_insert_times=False)
+    arena = NodeArena()
     arena.register_batch(rows, 0, cols)
     arena.cache_ids[:rows] = cache_ids
     arena.cache_len[:rows] = cache_len
@@ -101,7 +101,7 @@ class TestSampleCache:
             )
 
     def test_wider_cache_is_refused(self):
-        arena = NodeArena(track_insert_times=False)
+        arena = NodeArena()
         arena.register_batch(1, 0, SAMPLE_MAX_COLS + 1)
         with pytest.raises(ProtocolError, match=str(SAMPLE_MAX_COLS)):
             arena.sample_cache(np.arange(1), 3, np.zeros((1, SAMPLE_MAX_COLS + 1)))

@@ -155,6 +155,48 @@ class TestFigurePoint:
         assert json.loads(json.dumps(record)) == record
 
 
+#: A scale small enough to run every figure on the batch engine.
+TINY = dataclasses.replace(
+    SMOKE,
+    stabilization_horizon=8.0,
+    measure_window=4.0,
+    fig8_horizon=10.0,
+    fig9_horizon=10.0,
+)
+
+
+def _leaves(value):
+    """Every scalar in a record value, lists flattened."""
+    return value if isinstance(value, list) else [value]
+
+
+class TestShardedRecords:
+    """Every figure record runs on the sharded batch engine, sampled by
+    the same collector as the event run."""
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig5", "fig6", "fig7", "fig8", "fig9"])
+    def test_record_matches_the_event_record(self, figure):
+        from repro.parallel import ShardOptions
+
+        config = make_config(TINY, 0.5, f=0.5, seed=1)
+        event = FigurePoint(figure, TINY)(config)
+        batch = FigurePoint(figure, TINY, ShardOptions(2, 1))(config)
+        assert sorted(batch) == sorted(event)
+        assert json.loads(json.dumps(batch)) == batch
+        for key, value in batch.items():
+            assert type(value) is type(event[key]) or event[key] is None, key
+            for leaf in _leaves(value):
+                if isinstance(leaf, (int, float)):
+                    assert math.isfinite(leaf), key
+            if isinstance(value, list) and not key.endswith("histogram"):
+                assert len(value) == len(event[key]), key
+        if "times" in batch:
+            assert batch["times"] == [float(t) for t in range(1, 11)]
+        if figure == "fig6":
+            assert len(batch["trust_degree"]) == TINY.num_nodes
+            assert batch["system_mean"] > 0
+
+
 class TestFigure5:
     def test_histograms(self, fig5):
         (record,) = fig5

@@ -68,7 +68,8 @@ def test_pair_shares_its_parameters(fast_module, fast, ref_module, ref, shared):
 
 @pytest.mark.parametrize("name", [
     "state_digest", "snapshot", "stats", "counters", "channel_edges",
-    "analysis", "mean_out_degree", "memory_bytes",
+    "analysis", "mean_out_degree", "memory_bytes", "online_ids",
+    "trust_snapshot", "out_degrees", "node_counters",
 ])
 def test_sharded_overlay_inherits_observation(name):
     """``ShardedOverlay`` only moves the engines; it observes them with

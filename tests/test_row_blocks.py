@@ -37,7 +37,6 @@ COLUMNS = (
     "cache_ids",
     "cache_len",
     "cache_min_exp",
-    "cache_ins",
     "link_ids",
     "link_len",
 )
@@ -286,7 +285,7 @@ class TestScratchIsPerBlock:
         sets of eight to each of ``receivers`` fresh rows with the
         batch engine's slot and cache widths."""
         rng = np.random.default_rng(3)
-        arena = NodeArena(track_insert_times=False)
+        arena = NodeArena()
         arena.register_batch(receivers, 12, 16)
         arena.slot_refs[:receivers, :12] = rng.integers(0, 1 << 40, (receivers, 12))
         pool = 4 * receivers

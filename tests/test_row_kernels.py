@@ -4,7 +4,7 @@
 ``ArenaLinkSet.update_from_sample`` fold one received shuffle set into
 one arena row.  The reference here keeps that row as plain tuples and
 applies the paper's policy an entry at a time; the views must agree
-with it after every step — cache order and insertion times, slot
+with it after every step — cache order, slot
 occupants, link-table order, the ``(added, removed)`` counts and the
 number of live interned ids (a leaked or double-released refcount shows
 there first).
@@ -28,7 +28,7 @@ def _p(value, expires=100.0):
 
 
 def reference_merge(cache, capacity, received, now, just_sent=(), own_value=None):
-    """CYCLON merge over ``(value, expiry, inserted_at)`` tuples, oldest first."""
+    """CYCLON merge over ``(value, expiry)`` tuples, oldest first."""
     cache = [entry for entry in cache if entry[1] > now]
     victims = list({value for value, _ in just_sent})
     inserted = 0
@@ -38,7 +38,7 @@ def reference_merge(cache, capacity, received, now, just_sent=(), own_value=None
         held = [i for i, entry in enumerate(cache) if entry[0] == value]
         if held:
             if expiry > cache[held[0]][1]:
-                cache[held[0]] = (value, expiry, cache[held[0]][2])
+                cache[held[0]] = (value, expiry)
                 inserted += 1
             continue
         if len(cache) >= capacity:
@@ -47,7 +47,7 @@ def reference_merge(cache, capacity, received, now, just_sent=(), own_value=None
             if victim in victims:
                 victims.remove(victim)
             cache = [entry for entry in cache if entry[0] != victim]
-        cache.append((value, expiry, now))
+        cache.append((value, expiry))
         inserted += 1
     return cache, inserted
 
@@ -88,11 +88,7 @@ def reference_links(links, sample):
 
 def _cache_rows(cache):
     """The view's row as the reference's tuples."""
-    arena = cache._arena
-    times = arena.cache_ins[cache._row, : len(cache)].tolist()
-    return [
-        (p.value, p.expires_at, at) for p, at in zip(cache.pseudonyms(), times)
-    ]
+    return [(p.value, p.expires_at) for p in cache.pseudonyms()]
 
 
 def _merge_both(cache, state, received, now, just_sent=(), own_value=None):
@@ -137,7 +133,7 @@ class TestMergeCollisions:
         # 2 is evicted as just sent, then received again: it re-enters
         # as a new entry, at the cost of the oldest.
         state = _merge_both(cache, state, [_p(3), _p(2)], 2.0, just_sent=[_p(2)])
-        assert state == [(3, 100.0, 2.0), (2, 100.0, 2.0)]
+        assert state == [(3, 100.0), (2, 100.0)]
         assert cache._arena.pseudonyms.live == 2
 
     def test_later_expiring_copy_keeps_place_and_insertion_time(self):
@@ -146,7 +142,7 @@ class TestMergeCollisions:
         state = _merge_both(
             cache, state, [_p(1, 30.0), _p(2, 5.0), _p(1, 20.0)], 1.0
         )
-        assert state == [(1, 30.0, 0.0), (2, 10.0, 0.0)]
+        assert state == [(1, 30.0), (2, 10.0)]
         # The copy replaced the id it refreshed; nothing leaked.
         assert cache._arena.pseudonyms.live == 2
         assert cache._arena.cache_min_exp[0] <= 10.0
@@ -162,9 +158,9 @@ class TestMergeCollisions:
         cache = make_cache(1)
         state = _merge_both(cache, [], [_p(1)], 0.0)
         state = _merge_both(cache, state, [_p(2), _p(3)], 1.0, just_sent=[_p(1)])
-        assert state == [(3, 100.0, 1.0)]
+        assert state == [(3, 100.0)]
         state = _merge_both(cache, state, [_p(3, 150.0)], 2.0)
-        assert state == [(3, 150.0, 1.0)]
+        assert state == [(3, 150.0)]
         assert cache._arena.pseudonyms.live == 1
 
     def test_expiry_before_merge_frees_room(self):
@@ -186,7 +182,7 @@ class TestMergeCollisions:
             1.0,
             just_sent=[_p(3)],
         )
-        assert state == [(4, 100.0, 1.0), (5, 100.0, 1.0)]
+        assert state == [(4, 100.0), (5, 100.0)]
         assert cache._arena.pseudonyms.live == 2
 
     def test_append_only_receipt(self):
@@ -202,7 +198,7 @@ class TestMergeCollisions:
     def test_one_value_twice_in_a_set(self):
         cache = make_cache(3)
         state = _merge_both(cache, [], [_p(5, 10.0), _p(5, 30.0), _p(5, 20.0)], 0.0)
-        assert state == [(5, 30.0, 0.0)]
+        assert state == [(5, 30.0)]
         assert cache._arena.pseudonyms.live == 1
 
 
@@ -346,7 +342,7 @@ class TestRowKernelsProperty:
                 (p.value, p.expires_at) for p in links.pseudonym_links()
             ] == ref_links
 
-            held = {(v, e) for v, e, _ in ref_cache}
+            held = set(ref_cache)
             held.update(s for s in ref_slots if s is not None)
             held.update(ref_links)
             assert arena.pseudonyms.live == len(held)

@@ -28,6 +28,7 @@ from repro.churn.batch import ShardedChurn
 from repro.config import SystemConfig
 from repro.core import BatchOverlay
 from repro.core.batch import (
+    default_trust_csr,
     ring_lattice_csr,
     shard_of,
     shard_ranges,
@@ -86,6 +87,7 @@ def _observations(overlay):
 
     analysis = overlay.analysis()
     channels = ChannelSnapshot.from_batch_overlay(overlay)
+    counters = overlay.node_counters()
     return {
         "state_digest": overlay.state_digest(),
         "stats": overlay.stats(),
@@ -96,6 +98,11 @@ def _observations(overlay):
         "mean_out_degree": overlay.mean_out_degree(),
         "memory_bytes": overlay.memory_bytes(),
         "channels": (channels.indptr.tobytes(), channels.targets.tobytes()),
+        "online_ids": overlay.online_ids().tobytes(),
+        "trust_snapshot": flat(overlay.trust_snapshot()),
+        "out_degrees": overlay.out_degrees().tobytes(),
+        "node_counters": {name: col.tobytes() for name, col in counters.items()},
+        "aux_stream": overlay.substream("collector").random(3).tolist(),
     }
 
 
@@ -234,6 +241,67 @@ class TestCrossCommitPins:
 # ----------------------------------------------------------------------
 # options and construction errors
 # ----------------------------------------------------------------------
+
+
+class TestNodeCounters:
+    """The per-node columns the collector and Figure 6 read."""
+
+    NODES = 600
+    ROUNDS = 12
+
+    @staticmethod
+    def _check(overlay, rounds):
+        counters = overlay.node_counters()
+        stats = overlay.stats()
+        assert int(counters["messages_sent"].sum()) == stats["messages_sent"]
+        assert int(counters["link_replacements"].sum()) == stats["link_removals"]
+        online = counters["online_time"]
+        assert online.min() >= 0 and online.max() <= rounds
+        assert online.sum() > 0
+        indptr, _ = default_trust_csr(overlay.config, 4)
+        assert np.array_equal(counters["trust_degree"], np.diff(indptr))
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_columns_sum_to_the_stats(self, num_shards):
+        overlay = BatchOverlay.build(_config(self.NODES), num_shards=num_shards)
+        overlay.run(self.ROUNDS)
+        self._check(overlay, self.ROUNDS)
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_columns_sum_to_the_stats_across_workers(self):
+        with ShardedOverlay.build(
+            _config(self.NODES), options=ShardOptions(num_shards=3, workers=2)
+        ) as sharded:
+            sharded.run(self.ROUNDS)
+            self._check(sharded, self.ROUNDS)
+
+    def test_online_time_counts_whole_rounds(self):
+        """Each node gains one unit per round it spends online."""
+        overlay = BatchOverlay.build(_config(200), num_shards=2)
+        expected = np.zeros(200, dtype=np.int64)
+        for _ in range(6):
+            overlay.step()
+            expected[overlay.online_ids()] += 1
+        assert overlay.node_counters()["online_time"].tolist() == expected.tolist()
+
+    def test_trust_snapshot_is_the_induced_trust_graph(self):
+        from repro.graphs.fastgraph import FlatSnapshot
+
+        config = _config(500)
+        indptr, indices = ring_lattice_csr(500, 4, np.random.default_rng(3))
+        overlay = BatchOverlay(config, indptr, indices, num_shards=3)
+        overlay.run(4)
+        trust = FlatSnapshot.from_edge_positions(
+            np.arange(500), np.repeat(np.arange(500), np.diff(indptr)), indices
+        )
+        online = np.zeros(500, dtype=bool)
+        online[overlay.online_ids()] = True
+        expected = trust.induced_by_labels(online)
+        observed = overlay.trust_snapshot()
+        assert np.array_equal(observed.node_ids, expected.node_ids)
+        assert sorted(zip(observed.edge_u.tolist(), observed.edge_v.tolist())) == (
+            sorted(zip(expected.edge_u.tolist(), expected.edge_v.tolist()))
+        )
 
 
 class TestOptions:

@@ -3,8 +3,9 @@
 Each ``bench_figN`` module regenerates one figure of the paper at the
 scale selected by the environment (``REPRO_FULL=1`` for paper scale,
 default quick — see DESIGN.md §5), prints the same rows/series the
-paper plots, saves them under ``benchmarks/results/``, and asserts the
-qualitative shape the paper reports.
+paper plots, saves them under ``benchmarks/results/``, and checks the
+paper's claims about it (``repro.experiments.claims``): ``figN_claims.txt``
+holds their verdicts, and a claim that fails fails the bench.
 
 Figures 3 and 4 come from the same availability sweeps, so the sweeps
 are computed once per session and shared.  The figure sweeps fork one

@@ -628,12 +628,9 @@ class ShardEngine:
             self.arena.batch_absorb(dst, cands, now, self.own_ids[dst])
         )
         # Drop the transient refcounts the shuffle sets held, plus one
-        # per interned remote instance.
-        table = self.arena.pseudonyms
-        if self._sets.size:
-            table.release_batch(self._sets[self._sets >= 0])
-        for instance in self._interned:
-            table.release_batch(instance)
+        # per interned remote instance, in one release.
+        held = self._sets[self._sets >= 0].astype(np.int64)
+        self.arena.pseudonyms.release_batch(np.concatenate([held] + self._interned))
         self._interned = []
         self._sets = np.zeros((0, 0), dtype=np.int32)
         self._in_pairs = []
@@ -773,11 +770,11 @@ class ShardEngine:
                 owners.ravel()[valid][first_new],
             )
             upids[new] = minted
-            merged_values = np.concatenate((known, uvals[new]))
-            merged_pids = np.concatenate((self._lookup_pids, minted))
-            order = np.argsort(merged_values)
-            self._lookup_values = merged_values[order]
-            self._lookup_pids = merged_pids[order]
+            # The new values are sorted, distinct and absent from the
+            # lookup, so inserting them in place keeps it sorted.
+            at = np.searchsorted(known, uvals[new])
+            self._lookup_values = np.insert(known, at, uvals[new])
+            self._lookup_pids = np.insert(self._lookup_pids, at, minted)
         instance_pids = upids[inverse]
         # The instances are the real holders; drop mint_batch's seat.
         table.acquire_batch(instance_pids)
@@ -983,7 +980,7 @@ class BatchOverlay:
         processes by :class:`~repro.parallel.shard.ShardedOverlay`.
     """
 
-    __slots__ = ("config", "churn", "round", "num_shards", "engines")
+    __slots__ = ("config", "churn", "round", "num_shards", "engines", "_trust_edges")
 
     def __init__(
         self,
@@ -995,6 +992,7 @@ class BatchOverlay:
     ) -> None:
         self.config = config
         self.num_shards = num_shards
+        self._trust_edges: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.churn, self.engines = build_engines(
             config,
             trusted_indptr,
@@ -1103,7 +1101,10 @@ class BatchOverlay:
     def trust_snapshot(self, online_ids: Optional[Sequence[int]] = None) -> FlatSnapshot:
         """The trust graph restricted to online nodes (baseline metric)."""
         ids = self.online_ids() if online_ids is None else np.asarray(online_ids)
-        lo, hi = (_concat(column) for column in zip(*self._parts("trust_edges")))
+        if self._trust_edges is None:  # they never change: gather them once
+            lo, hi = (_concat(column) for column in zip(*self._parts("trust_edges")))
+            self._trust_edges = (lo, hi)
+        lo, hi = self._trust_edges
         none = np.zeros(0, dtype=np.int64)
         return assemble_snapshot(ids, self.num_nodes, lo, hi, (none, none, none > 0))
 

@@ -2,6 +2,7 @@
 the paper's evaluation (Section V).
 """
 
+from .claims import CLAIMS, assert_claims
 from .figures import (
     AvailabilityPoint,
     AvailabilitySweep,
@@ -15,8 +16,8 @@ from .figures import (
     figure8,
     figure9,
     figure_table,
+    group,
 )
-from .replication import ReplicatedValue, replicate, replicate_records
 from .report import build_report, collect_result_tables
 from .results import format_table, write_csv
 from .store import ResultStore
@@ -74,14 +75,14 @@ __all__ = [
     "figure8",
     "figure9",
     "figure_table",
+    "group",
     "format_table",
     "write_csv",
     "ResultStore",
     "build_report",
     "collect_result_tables",
-    "ReplicatedValue",
-    "replicate",
-    "replicate_records",
+    "CLAIMS",
+    "assert_claims",
     "SweepPoint",
     "grid_sweep",
     "sweep_table_rows",

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from statistics import fmean, stdev
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +41,8 @@ __all__ = [
     "AvailabilityPoint",
     "AvailabilitySweep",
     "FigurePoint",
+    "Interval",
+    "Point",
     "availability_sweep",
     "by_f",
     "degree_buckets",
@@ -49,7 +52,9 @@ __all__ = [
     "figure7",
     "figure8",
     "figure9",
+    "figure_horizon",
     "figure_table",
+    "group",
     "mean_degrees",
 ]
 
@@ -69,14 +74,29 @@ _GRAPHS = ("trust", "overlay", "random")
 # ----------------------------------------------------------------------
 
 
+class Point(NamedTuple):
+    """The coordinates a figure record carries: every key but its measures."""
+
+    scale: str
+    f: float
+    alpha: float
+    ratio: float
+
+
+class Interval(NamedTuple):
+    """A measure's mean ± standard error over the seeds of one point."""
+
+    mean: float
+    stderr: float
+
+    lo = property(lambda self: self.mean - self.stderr)
+    hi = property(lambda self: self.mean + self.stderr)
+
+
 def _where(scale: ExperimentScale, config: SystemConfig) -> Record:
     """The coordinates a figure record carries for its table."""
-    return {
-        "scale": scale.name,
-        "f": config.sampling_f,
-        "alpha": config.availability,
-        "ratio": config.lifetime_ratio,
-    }
+    where = (scale.name, config.sampling_f, config.availability, config.lifetime_ratio)
+    return Point(*where)._asdict()
 
 
 def _summary(scale, config, trust_graph, result: OverlayRunResult) -> Record:
@@ -200,6 +220,17 @@ _RECORDS = {
 }
 
 
+#: Figures that follow a cold start over their own ``scale.figN_horizon``.
+_COLD_STARTS = ("fig8", "fig9")
+
+
+def figure_horizon(figure: str, scale: ExperimentScale) -> float:
+    """The shuffling periods one ``figure`` point runs for."""
+    if figure in _COLD_STARTS:
+        return getattr(scale, f"{figure}_horizon")
+    return scale.total_horizon
+
+
 @dataclasses.dataclass(frozen=True)
 class FigurePoint:
     """One point of a figure: an overlay run plus that figure's baselines.
@@ -229,13 +260,9 @@ class FigurePoint:
     def __call__(self, config: SystemConfig) -> Record:
         scale = self.scale
         trust_graph = make_trust_graph(scale, config.sampling_f, config.seed)
-        # Figures 8 and 9 follow a cold start over their own horizons.
-        long_runs = {"fig8": scale.fig8_horizon, "fig9": scale.fig9_horizon}
-        if self.figure in long_runs:
-            horizon = long_runs[self.figure]
-            window = max(1.0, horizon * 0.2)
-        else:
-            horizon, window = scale.total_horizon, scale.measure_window
+        horizon = figure_horizon(self.figure, scale)
+        cold = self.figure in _COLD_STARTS
+        window = max(1.0, horizon * 0.2) if cold else scale.measure_window
         result = run_overlay_experiment(
             trust_graph,
             config,
@@ -274,6 +301,24 @@ def by_f(records: Sequence[Record]) -> Dict[float, List[Record]]:
     for record in records:
         groups.setdefault(record["f"], []).append(record)
     return groups
+
+
+def group(records: Sequence[Record], measure: Any) -> Dict[Point, Interval]:
+    """``measure`` (a record key, or a function of a record) per :class:`Point`.
+
+    Records that differ only in their seed share a point, so a run over
+    several seeds reads as mean ± stderr; one seed is the value itself.
+    """
+    seen: Dict[Point, List[float]] = {}
+    for record in records:
+        value = record[measure] if isinstance(measure, str) else measure(record)
+        point = Point(*(record[key] for key in Point._fields))
+        seen.setdefault(point, []).append(float(value))
+    out = {}
+    for point, xs in seen.items():
+        stderr = stdev(xs) / math.sqrt(len(xs)) if len(xs) > 1 else 0.0
+        out[point] = Interval(fmean(xs), stderr)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,7 @@ class ShardedOverlay(BatchOverlay):
         self.round = 0
         self.churn = None
         self.engines = []
+        self._trust_edges = None
         bounds = shard_ranges(num_shards, self.workers).tolist()
         self._blocks = list(zip(bounds[:-1], bounds[1:]))
         ctx = multiprocessing.get_context("fork")

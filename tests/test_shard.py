@@ -303,6 +303,33 @@ class TestNodeCounters:
             sorted(zip(expected.edge_u.tolist(), expected.edge_v.tolist()))
         )
 
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_trusted_edges_cross_the_pipes_once(self, monkeypatch):
+        """The parent keeps the static trusted edges after the first sample."""
+        from repro.metrics import MetricsCollector
+
+        fetched = []
+        parts = ShardedOverlay._parts
+
+        def counting_parts(self, method, *args):
+            fetched.append(method)
+            return parts(self, method, *args)
+
+        def trust_series(overlay):
+            collector = MetricsCollector(overlay)
+            for now in (1.0, 2.0):
+                overlay.step()
+                collector.sample(now)
+            return collector.trust_disconnected.values.tolist()
+
+        serial = trust_series(BatchOverlay.build(_config(self.NODES), num_shards=2))
+        monkeypatch.setattr(ShardedOverlay, "_parts", counting_parts)
+        options = ShardOptions(num_shards=2, workers=2)
+        with ShardedOverlay.build(_config(self.NODES), options=options) as sharded:
+            assert trust_series(sharded) == serial
+        assert fetched.count("trust_edges") == 1
+        assert fetched.count("online_rows") >= 2
+
 
 class TestOptions:
     def test_invalid_num_shards(self):
